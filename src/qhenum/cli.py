@@ -555,7 +555,7 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
             return run_benchmarks(
                 args.suite, solver=solver, timeout_ms=args.timeout, json_out=args.json
             )
-    except (ProjectError, SexprError, OracleError, OSError) as exc:
+    except (ProjectError, SexprError, OracleError, OSError, backend.BackendError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 3
     return 3

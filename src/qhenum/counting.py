@@ -814,9 +814,6 @@ def parse_proof(text: str, signature: Signature = Signature()) -> ProofScript:
     for fname, fargs, fres in signature.functions:
         sig = sig.extend(fname, fargs, fres)
 
-    def term_env(extra: Mapping[str, Sort]) -> dict[str, Sort]:
-        return dict(extra)
-
     def parse_term_in(expr: Sexpr, env: Mapping[str, Sort]) -> Term:
         return term_from_sexpr(expr, env, sig)
 

@@ -8,8 +8,9 @@ finite-domain formulas exactly.
 from __future__ import annotations
 
 import itertools
+import operator
 from dataclasses import dataclass, field
-from typing import Iterable, Iterator, Mapping, Optional, Sequence, Union
+from typing import Callable, Iterator, Mapping, Optional, Sequence, Union
 
 from .qhl import (
     HAnd,
@@ -105,8 +106,6 @@ Value = Union[int, bool, FArray]
 def values_equal(a: Value, b: Value) -> bool:
     if isinstance(a, FArray) and isinstance(b, FArray):
         if a.default != b.default:
-            lo = min(a.lo, b.lo)
-            hi = max(a.lo + len(a.vals), b.lo + len(b.vals))
             # unequal defaults differ somewhere outside both windows
             return False
         lo = min(a.lo, b.lo)
@@ -187,6 +186,14 @@ class FiniteInstance:
 
 # ---------------------------------------------------------------------------
 # Term evaluation
+#
+# A term is compiled once into a closure ``env -> Value``: variable keys are
+# mangled and quantifier ranges are built at compile time. Compilation never
+# raises; every OracleError is raised by the closure of the faulty node, and
+# only when that node is evaluated. Compiled closures live only as long as
+# the public call that built them.
+
+Compiled = Callable[[Mapping[str, Value]], Value]
 
 
 def _pow2(n: int) -> int:
@@ -204,92 +211,156 @@ def _fact(n: int) -> int:
     return out
 
 
-def eval_term(
+def _raises(message: str) -> Compiled:
+    def fail(env: Mapping[str, Value]) -> Value:
+        raise OracleError(message)
+
+    return fail
+
+
+def compile_term(
     term: Term,
-    env: Mapping[str, Value],
     quant_lo: int = -2,
     quant_hi: int = 8,
     funcs: Optional[Mapping[str, object]] = None,
-) -> Value:
-    """Evaluate ``term`` in ``env`` (keyed by mangled variable names)."""
+) -> Compiled:
+    """Compile ``term`` into a closure over an env keyed by mangled names.
 
-    def go(t: Term, scope: Mapping[str, Value]) -> Value:
+    Quantifiers range over ``[quant_lo, quant_hi]`` (Int) or both booleans
+    and evaluate their body at every combination.
+    """
+
+    def comp(t: Term) -> Compiled:
         if isinstance(t, Var):
             key = t.mangled
-            if key not in scope:
-                raise OracleError(f"unbound variable {key} in oracle evaluation")
-            return scope[key]
-        if isinstance(t, IntLit):
-            return t.value
-        if isinstance(t, BoolLit):
-            return t.value
+
+            def var(env):
+                try:
+                    return env[key]
+                except KeyError:
+                    raise OracleError(f"unbound variable {key} in oracle evaluation") from None
+
+            return var
+        if isinstance(t, (IntLit, BoolLit)):
+            value = t.value
+            return lambda env: value
         if isinstance(t, App):
-            args = [go(a, scope) for a in t.args]
+            args = [comp(a) for a in t.args]
             if funcs and t.func in funcs:
-                return funcs[t.func](*args)  # type: ignore[operator]
-            if t.func == "pow2":
-                return _pow2(args[0])
-            if t.func == "fact":
-                return _fact(args[0])
-            raise OracleError(f"uninterpreted function {t.func} in oracle evaluation")
+                fn = funcs[t.func]
+            elif t.func == "pow2":
+                fn = lambda *xs: _pow2(xs[0])  # noqa: E731
+            elif t.func == "fact":
+                fn = lambda *xs: _fact(xs[0])  # noqa: E731
+            else:
+                message = f"uninterpreted function {t.func} in oracle evaluation"
+
+                def fn(*xs):
+                    raise OracleError(message)
+
+            return lambda env: fn(*[a(env) for a in args])  # type: ignore[operator]
         if isinstance(t, Add):
-            return sum(go(a, scope) for a in t.args)
+            args = [comp(a) for a in t.args]
+            return lambda env: sum([a(env) for a in args])
         if isinstance(t, Sub):
-            return go(t.left, scope) - go(t.right, scope)
+            left, right = comp(t.left), comp(t.right)
+            return lambda env: left(env) - right(env)
         if isinstance(t, Neg):
-            return -go(t.operand, scope)
+            operand = comp(t.operand)
+            return lambda env: -operand(env)
         if isinstance(t, Mul):
-            return go(t.left, scope) * go(t.right, scope)
-        if isinstance(t, Div):
-            a, b = go(t.left, scope), go(t.right, scope)
-            if b <= 0:
-                raise OracleError("division by non-positive divisor")
-            return a // b
-        if isinstance(t, Mod):
-            a, b = go(t.left, scope), go(t.right, scope)
-            if b <= 0:
-                raise OracleError("modulus by non-positive divisor")
-            return a % b
+            left, right = comp(t.left), comp(t.right)
+            return lambda env: left(env) * right(env)
+        if isinstance(t, (Div, Mod)):
+            left, right = comp(t.left), comp(t.right)
+            if isinstance(t, Div):
+                op, message = operator.floordiv, "division by non-positive divisor"
+            else:
+                op, message = operator.mod, "modulus by non-positive divisor"
+
+            def divide(env):
+                a, b = left(env), right(env)
+                if b <= 0:
+                    raise OracleError(message)
+                return op(a, b)
+
+            return divide
         if isinstance(t, Cmp):
-            a, b = go(t.left, scope), go(t.right, scope)
+            left, right = comp(t.left), comp(t.right)
             if t.op == "=":
-                return values_equal(a, b)
+
+                return lambda env: values_equal(left(env), right(env))
             if t.op == "<":
-                return a < b
+                return lambda env: left(env) < right(env)
             if t.op == "<=":
-                return a <= b
+                return lambda env: left(env) <= right(env)
             if t.op == ">":
-                return a > b
-            return a >= b
+                return lambda env: left(env) > right(env)
+            return lambda env: left(env) >= right(env)
         if isinstance(t, Distinct):
-            vals = [go(a, scope) for a in t.args]
-            return all(
-                not values_equal(vals[i], vals[j])
-                for i in range(len(vals))
-                for j in range(i + 1, len(vals))
-            )
+            args = [comp(a) for a in t.args]
+
+            def distinct(env):
+                vals = [a(env) for a in args]
+                return all(
+                    not values_equal(vals[i], vals[j])
+                    for i in range(len(vals))
+                    for j in range(i + 1, len(vals))
+                )
+
+            return distinct
         if isinstance(t, Not):
-            return not go(t.operand, scope)
+            operand = comp(t.operand)
+            return lambda env: not operand(env)
         if isinstance(t, And):
-            return all(go(a, scope) for a in t.args)
+            args = [comp(a) for a in t.args]
+
+            def conj(env):
+                for a in args:
+                    if not a(env):
+                        return False
+                return True
+
+            return conj
         if isinstance(t, Or):
-            return any(go(a, scope) for a in t.args)
+            args = [comp(a) for a in t.args]
+
+            def disj(env):
+                for a in args:
+                    if a(env):
+                        return True
+                return False
+
+            return disj
         if isinstance(t, Implies):
-            return (not go(t.left, scope)) or go(t.right, scope)
+            left, right = comp(t.left), comp(t.right)
+            return lambda env: (not left(env)) or right(env)
         if isinstance(t, Ite):
-            return go(t.then, scope) if go(t.cond, scope) else go(t.other, scope)
+            cond, then, other = comp(t.cond), comp(t.then), comp(t.other)
+            return lambda env: then(env) if cond(env) else other(env)
         if isinstance(t, Select):
-            arr = go(t.array, scope)
-            if not isinstance(arr, FArray):
-                raise OracleError("select on non-array value")
-            return arr.get(go(t.index, scope))
+            array, index = comp(t.array), comp(t.index)
+
+            def select(env):
+                arr = array(env)
+                if not isinstance(arr, FArray):
+                    raise OracleError("select on non-array value")
+                return arr.get(index(env))
+
+            return select
         if isinstance(t, Store):
-            arr = go(t.array, scope)
-            if not isinstance(arr, FArray):
-                raise OracleError("store on non-array value")
-            return arr.put(go(t.index, scope), go(t.value, scope))
+            array, index, value = comp(t.array), comp(t.index), comp(t.value)
+
+            def store(env):
+                arr = array(env)
+                if not isinstance(arr, FArray):
+                    raise OracleError("store on non-array value")
+                return arr.put(index(env), value(env))
+
+            return store
         if isinstance(t, ConstArray):
-            return FArray(0, (), go(t.value, scope))
+            value = comp(t.value)
+            return lambda env: FArray(0, (), value(env))
         if isinstance(t, Quant):
             ranges = []
             for name, sort in t.bound:
@@ -298,16 +369,36 @@ def eval_term(
                 elif isinstance(sort, BoolSort):
                     ranges.append([(name, False), (name, True)])
                 else:
-                    raise OracleError(f"cannot enumerate quantifier over {sort}")
-            results = []
-            for combo in itertools.product(*ranges):
-                inner = dict(scope)
-                inner.update(dict(combo))
-                results.append(bool(go(t.body, inner)))
-            return all(results) if isinstance(t, Forall) else any(results)
-        raise OracleError(f"cannot evaluate {t!r}")
+                    return _raises(f"cannot enumerate quantifier over {sort}")
+            combos = [dict(c) for c in itertools.product(*ranges)]
+            body = comp(t.body)
+            combine = all if isinstance(t, Forall) else any
 
-    return go(term, env)
+            def quant(env):
+                # every combination is evaluated, so that an error at any
+                # bound value surfaces whatever the others decide
+                inner = dict(env)
+                results = []
+                for combo in combos:
+                    inner.update(combo)
+                    results.append(body(inner))
+                return combine(results)
+
+            return quant
+        return _raises(f"cannot evaluate {t!r}")
+
+    return comp(term)
+
+
+def eval_term(
+    term: Term,
+    env: Mapping[str, Value],
+    quant_lo: int = -2,
+    quant_hi: int = 8,
+    funcs: Optional[Mapping[str, object]] = None,
+) -> Value:
+    """Evaluate ``term`` in ``env`` (keyed by mangled variable names)."""
+    return compile_term(term, quant_lo, quant_hi, funcs)(env)
 
 
 # ---------------------------------------------------------------------------
@@ -388,54 +479,61 @@ def _definitional_order(tx: Term, var_names: set[str]) -> tuple[list[tuple[str, 
     return defs, free
 
 
-def successors(instance: FiniteInstance, state: State) -> list[State]:
-    system = instance.system
-    var_names = {n for n, _ in system.state_vars}
-    defs, free = _definitional_order(system.tx, var_names)
-    doms = _var_domains(instance)
-    base_env = {name: state[name] for name in var_names}
+class TransitionPlan:
+    """Everything ``successors`` derives from an instance, compiled once.
+
+    ``enumerate_traces`` builds one per call and hands it to every
+    ``successors`` call; the plan reflects the instance as it was when built.
+    """
+
+    def __init__(self, instance: FiniteInstance) -> None:
+        system = instance.system
+        lo, hi = instance.quant_lo, instance.quant_hi
+        names = [name for name, _ in system.state_vars]
+        defs, free = _definitional_order(system.tx, set(names))
+        doms = _var_domains(instance)
+        self.names = names
+        self.init = compile_term(system.init, lo, hi)
+        self.tx = compile_term(system.tx, lo, hi)
+        self.defs = [(f"{name}!", compile_term(rhs, lo, hi)) for name, rhs in defs]
+        self.free_keys = [f"{name}!" for name in free]
+        self.free_values = [list(doms[name]) for name in free]
+        self.next_vars = [(name, f"{name}!", doms[name]) for name in names]
+
+
+def successors(
+    instance: FiniteInstance, state: State, plan: Optional[TransitionPlan] = None
+) -> list[State]:
+    if plan is None:
+        plan = TransitionPlan(instance)
+    base_env = {name: state[name] for name in plan.names}
     out: list[State] = []
     seen = set()
-    free_iter = itertools.product(*(list(doms[n]) for n in free)) if free else [()]
-    for combo in free_iter:
+    for combo in itertools.product(*plan.free_values):
         env = dict(base_env)
-        for name, value in zip(free, combo):
-            env[f"{name}!"] = value
-        ok = True
-        for name, rhs in defs:
-            try:
-                env[f"{name}!"] = eval_term(rhs, env, instance.quant_lo, instance.quant_hi)
-            except OracleError:
-                ok = False
-                break
-        if not ok:
-            continue
+        env.update(zip(plan.free_keys, combo))
         try:
-            holds = eval_term(system.tx, env, instance.quant_lo, instance.quant_hi)
+            for key, rhs in plan.defs:
+                env[key] = rhs(env)
+            if not plan.tx(env):
+                continue
         except OracleError:
             continue
-        if not holds:
-            continue
-        nxt = {name: env[f"{name}!"] for name in var_names}
         # keep successors inside the declared domains
-        in_domain = True
-        for name in var_names:
-            dom = doms[name]
-            val = nxt[name]
+        nxt = {}
+        for name, key, dom in plan.next_vars:
+            value = env[key]
             if isinstance(dom, ScalarDomain):
-                if not any(values_equal(val, dv) for dv in dom.values):
-                    in_domain = False
+                if not any(values_equal(value, dv) for dv in dom.values):
                     break
-            else:
-                if not isinstance(val, FArray):
-                    in_domain = False
-                    break
-        if not in_domain:
-            continue
-        key = state_key(nxt)
-        if key not in seen:
-            seen.add(key)
-            out.append(nxt)
+            elif not isinstance(value, FArray):
+                break
+            nxt[name] = value
+        else:
+            key = state_key(nxt)
+            if key not in seen:
+                seen.add(key)
+                out.append(nxt)
     if instance.deterministic and len(out) > 1:
         raise OracleError("instance declared deterministic but a state has several successors")
     return out
@@ -443,17 +541,14 @@ def successors(instance: FiniteInstance, state: State) -> list[State]:
 
 def enumerate_traces(instance: FiniteInstance) -> list[BoundedTrace]:
     """All depth-d trace prefixes of the instance, in canonical order."""
+    plan = TransitionPlan(instance)
     doms = _var_domains(instance, initial=True)
-    initials = [
-        s
-        for s in _product_states(doms, instance.cap)
-        if eval_term(instance.system.init, s, instance.quant_lo, instance.quant_hi)
-    ]
+    initials = [s for s in _product_states(doms, instance.cap) if plan.init(s)]
     level: list[tuple[State, ...]] = [(s,) for s in initials]
     for _ in range(instance.depth - 1):
         nxt_level: list[tuple[State, ...]] = []
         for prefix in level:
-            for succ in successors(instance, prefix[-1]):
+            for succ in successors(instance, prefix[-1], plan):
                 nxt_level.append(prefix + (succ,))
                 if len(nxt_level) > instance.cap:
                     raise CapExceeded(f"trace count exceeds cap {instance.cap}")
@@ -496,10 +591,40 @@ def _settled(trace: BoundedTrace) -> bool:
     return False
 
 
+class BoundedPlan:
+    """Compiled predicate bodies and settled flags for ``eval_bounded``.
+
+    ``count_equivalence_classes`` builds one per call and hands it to every
+    ``eval_bounded`` call, so that each predicate application is compiled
+    once and each trace's settledness is computed once. Entries are keyed by
+    object identity and hold their key, so a plan must not outlive the
+    traces and property it was used with.
+    """
+
+    def __init__(self, instance: FiniteInstance) -> None:
+        self.quant_lo, self.quant_hi = instance.quant_lo, instance.quant_hi
+        self._atoms: dict[int, tuple[PredApp, Compiled]] = {}
+        self._settled: dict[int, tuple[BoundedTrace, bool]] = {}
+
+    def atom(self, app: PredApp) -> Compiled:
+        entry = self._atoms.get(id(app))
+        if entry is None:
+            compiled = compile_term(app.pred.body, self.quant_lo, self.quant_hi)
+            entry = self._atoms[id(app)] = (app, compiled)
+        return entry[1]
+
+    def settled(self, trace: BoundedTrace) -> bool:
+        entry = self._settled.get(id(trace))
+        if entry is None:
+            entry = self._settled[id(trace)] = (trace, _settled(trace))
+        return entry[1]
+
+
 def eval_bounded(
     body: HyperLtlBody,
     traces: Mapping[str, BoundedTrace],
     instance: FiniteInstance,
+    plan: Optional[BoundedPlan] = None,
 ) -> TV:
     """Three-valued bounded evaluation at position 0.
 
@@ -508,6 +633,8 @@ def eval_bounded(
     the explored depth, or the instance is deterministic and every involved
     trace has reached a self-loop within the prefix.
     """
+    if plan is None:
+        plan = BoundedPlan(instance)
     depths = {t.depth for t in traces.values()}
     if len(depths) != 1:
         raise OracleError("traces of unequal depth")
@@ -515,7 +642,7 @@ def eval_bounded(
     tail_known = False
     if instance.stable_from is not None and d - 1 >= instance.stable_from:
         tail_known = True
-    elif instance.deterministic and all(_settled(t) for t in traces.values()):
+    elif instance.deterministic and all(plan.settled(t) for t in traces.values()):
         tail_known = True
 
     def atom(app: PredApp, p: int) -> TV:
@@ -530,9 +657,7 @@ def eval_bounded(
             state = traces[tv].states[p]
             for name, value in state.items():
                 env[f"{name}${j + 1}"] = value
-        return bool(
-            eval_term(app.pred.body, env, instance.quant_lo, instance.quant_hi)
-        )
+        return bool(plan.atom(app)(env))
 
     def ev(node: HyperLtlBody, p: int) -> TV:
         if isinstance(node, PredApp):
@@ -597,10 +722,11 @@ def count_equivalence_classes(
     """
     if traces is None:
         traces = enumerate_traces(instance)
+    plan = BoundedPlan(instance)
     candidates = []
     for t in traces:
         verdict = eval_bounded(
-            prop.body, {prop.forall_var: pivot, prop.count_var: t}, instance
+            prop.body, {prop.forall_var: pivot, prop.count_var: t}, instance, plan
         )
         if verdict is None:
             return "unknown"
@@ -622,7 +748,7 @@ def count_equivalence_classes(
     for i in range(n):
         for j in range(i + 1, n):
             delta = eval_bounded(
-                prop.diff, {tva: candidates[i], tvb: candidates[j]}, instance
+                prop.diff, {tva: candidates[i], tvb: candidates[j]}, instance, plan
             )
             if delta is None:
                 return "unknown"
@@ -648,11 +774,12 @@ def brute_count(
         total *= dom.size()
         if total > cap:
             raise CapExceeded(f"domain product exceeds cap {cap}")
+    holds = compile_term(formula, quant_lo, quant_hi)
     base_env: dict[str, Value] = dict(params or {})
     count = 0
     for combo in itertools.product(*(list(counted[n]) for n in names)):
         env = dict(base_env)
         env.update(zip(names, combo))
-        if eval_term(formula, env, quant_lo, quant_hi):
+        if holds(env):
             count += 1
     return count

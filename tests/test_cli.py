@@ -164,6 +164,13 @@ def test_verify_usage_error_exits_3(tmp_path):
     assert main(["verify", str(tmp_path / "absent")]) == 3
 
 
+def test_verify_missing_solver_exits_3(project_dir, tmp_path, capsys):
+    solver = str(tmp_path / "nonexistent" / "z3")
+    assert main(["verify", str(project_dir), "--solver", solver]) == 3
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and "Traceback" not in err
+
+
 def test_exit_code_table():
     assert EXIT_BY_VERDICT == {"QHP-verified": 0, "stage-failed": 1, "unknown": 2}
 

@@ -1,6 +1,9 @@
+import hashlib
+
 import pytest
 from hypothesis import given, strategies as st
 
+from qhenum.cli import load_instance
 from qhenum.oracle import (
     ArrayDomain,
     CapExceeded,
@@ -8,17 +11,35 @@ from qhenum.oracle import (
     FiniteInstance,
     OracleError,
     ScalarDomain,
+    TransitionPlan,
     brute_count,
+    compile_term,
     count_equivalence_classes,
     enumerate_traces,
     eval_bounded,
     eval_term,
+    state_key,
     successors,
     values_equal,
 )
 from qhenum.qhl import parse_property
 from qhenum.system import parse_system
-from qhenum.terms import BOOL, INT, term_from_text
+from qhenum.terms import (
+    BOOL,
+    INT,
+    TRUE,
+    App,
+    Div,
+    Forall,
+    IntLit,
+    Ite,
+    Mod,
+    Select,
+    Store,
+    UninterpSort,
+    Var,
+    term_from_text,
+)
 
 COUNTER = """
 (system counter
@@ -122,6 +143,61 @@ def test_eval_term_builtins():
     assert eval_term(term_from_text("(fact 4)", {}), {}) == 24
 
 
+# Each faulty term raises its OracleError only when it is evaluated.
+FAULTY = [
+    (Var("x", INT), "unbound variable x in oracle evaluation"),
+    (App("f", (IntLit(1),)), "uninterpreted function f in oracle evaluation"),
+    (Div(IntLit(1), IntLit(0)), "division by non-positive divisor"),
+    (Mod(IntLit(1), IntLit(-1)), "modulus by non-positive divisor"),
+    (Select(IntLit(1), IntLit(0)), "select on non-array value"),
+    (Store(IntLit(1), IntLit(0), IntLit(2)), "store on non-array value"),
+    (
+        Forall((("u", UninterpSort("U")),), TRUE),
+        "cannot enumerate quantifier over UninterpSort(name='U')",
+    ),
+]
+
+
+@pytest.mark.parametrize("faulty, message", FAULTY)
+def test_eval_errors_surface_only_when_evaluated(faulty, message):
+    term = Ite(Var("c", BOOL), IntLit(1), faulty)
+    compiled = compile_term(term)
+    assert compiled({"c": True}) == 1
+    assert eval_term(term, {"c": True}) == 1
+    with pytest.raises(OracleError) as err:
+        compiled({"c": False})
+    assert str(err.value) == message
+    with pytest.raises(OracleError) as err:
+        eval_term(term, {"c": False})
+    assert str(err.value) == message
+
+
+def test_eval_untaken_branch_is_not_evaluated():
+    term = Ite(TRUE, IntLit(1), App("f", (Var("x", INT),)))
+    assert eval_term(term, {}) == 1
+    # the arguments are evaluated before the function is looked up
+    taken = Ite(Var("c", BOOL), IntLit(1), App("f", (Var("x", INT),)))
+    with pytest.raises(OracleError, match="unbound variable x "):
+        eval_term(taken, {"c": False})
+    with pytest.raises(OracleError, match="uninterpreted function f "):
+        eval_term(taken, {"c": False, "x": 0})
+
+
+@pytest.mark.parametrize(
+    "text",
+    [
+        # false at j = -2, raises at j = -1
+        "(forall ((j Int)) (and (>= j -1) (> (div 1 j) -5)))",
+        # true at j = -2, raises at j = 0
+        "(exists ((j Int)) (or (< j -1) (> (div 1 j) 0)))",
+    ],
+)
+def test_quantifiers_evaluate_every_value(text):
+    term = term_from_text(text, {})
+    with pytest.raises(OracleError, match="division by non-positive divisor"):
+        eval_term(term, {}, quant_lo=-2, quant_hi=2)
+
+
 # -- trace enumeration ---------------------------------------------------------
 
 
@@ -151,6 +227,54 @@ def test_successors_deterministic_flag(counter):
         depth=2,
     )
     assert len(enumerate_traces(free)) == 2
+
+
+def test_instance_changes_are_seen_by_the_next_call():
+    coin = parse_system(COIN)
+    inst = FiniteInstance(
+        system=coin,
+        domains={"done": ScalarDomain((False, True)), "b": ScalarDomain((0, 1))},
+        params={},
+        depth=2,
+    )
+    assert len(enumerate_traces(inst)) == 2
+    inst.deterministic = True
+    with pytest.raises(OracleError):
+        enumerate_traces(inst)
+    inst.deterministic = False
+    inst.cap = 0
+    with pytest.raises(CapExceeded):
+        enumerate_traces(inst)
+
+
+def test_successors_with_and_without_plan(counter):
+    inst = counter_instance(counter, 3, depth=2)
+    state = {"x": 1, "n": 3}
+    assert successors(inst, state) == successors(inst, state, TransitionPlan(inst)) == [
+        {"x": 2, "n": 3}
+    ]
+
+
+# sha256 of the trace list and the class count at pivot 0 for every shipped
+# instance.sexp, recorded before trace enumeration was compiled; any change
+# to which traces exist or to their order shows here
+SHIPPED_TRACES = {
+    "electronic-purse": (13, "5d872b65e92e995f1a80564fd774a53af6141f3142448a97f23ae95d4d959abd", 2),
+    "f-y-array-shuffle": (6, "7742bf2c15bdb785c31b6f2354fe6810533a053b626fcd71cbf3e84088d04adf", "unknown"),
+    "password-checker": (16, "142cef8ea372e21c8e01e8501270bc412d6fea97b2fc5bc186ec43a51ad8fcb3", "unknown"),
+    "path-oram": (54, "8a984b06293692cfb7ae428cb3a7e00cabf50a51c9a6a80e1c6e429f3eed5077", "unknown"),
+    "zk-hats": (16, "fc9f6c1d231daf0a005b38fc8c734e0dd5720d87970e10850374b072c7744ab6", 3),
+}
+
+
+@pytest.mark.parametrize("name", sorted(SHIPPED_TRACES))
+def test_shipped_instance_trace_digests(benchmarks, name):
+    setup = load_instance(benchmarks / name / "instance.sexp")
+    traces = enumerate_traces(setup.instance)
+    text = repr([tuple(state_key(s) for s in t.states) for t in traces])
+    classes = count_equivalence_classes(setup.instance, setup.project.prop, traces[0], traces)
+    digest = hashlib.sha256(text.encode()).hexdigest()
+    assert (len(traces), digest, classes) == SHIPPED_TRACES[name]
 
 
 def test_init_fix_pins_only_the_start(counter):
