@@ -6,10 +6,11 @@ import os
 import shlex
 import shutil
 import subprocess
+import threading
 import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from pathlib import Path
-from typing import Iterable, Mapping, Optional, Sequence
+from typing import Iterable, Optional, Sequence
 
 from . import sexpr
 from .terms import (
@@ -18,7 +19,6 @@ from .terms import (
     Sort,
     Term,
     UninterpSort,
-    Var,
     free_vars,
     iter_subterms,
     sort_to_sexpr,
@@ -48,6 +48,8 @@ DEFAULT_LOGIC = "AUFLIA"
 # arithmetic of the proof kernel, so they run under the unrestricted logic.
 OBLIGATION_LOGIC = "ALL"
 DEFAULT_TIMEOUT_MS = 120_000
+# How much of the solver's stderr a ProtocolError carries.
+STDERR_LIMIT = 500
 
 # Options for universally quantified validity queries: model-based quantifier
 # instantiation diverges on the array-heavy obligations, E-matching does not.
@@ -216,11 +218,64 @@ def solve(
         else:
             rest.append(line)
     if status is None:
-        raise ProtocolError(f"no verdict in solver reply (exit {proc.returncode})")
+        detail = proc.stderr.strip()[:STDERR_LIMIT]
+        raise ProtocolError(
+            f"no verdict in solver reply (exit {proc.returncode})"
+            + (f": {detail}" if detail else "")
+        )
     model = None
     if status == "sat" and query.get_model and rest:
         model = _parse_model("\n".join(rest))
     return Verdict(status, model, wall, transcript)
+
+
+class Session:
+    """The one way a run reaches the solver.
+
+    The solver command is resolved once. Every query asks for a model, and
+    with a debug directory each query text is written to ``NNN-<label>.smt2``,
+    numbered in send order across the whole session; the counter is shared
+    by the threads that send through the session.
+    """
+
+    def __init__(
+        self,
+        solver: Optional[Sequence[str]] = None,
+        timeout_ms: int = DEFAULT_TIMEOUT_MS,
+        debug_dir: Optional[Path] = None,
+    ) -> None:
+        self.cmd = resolve_solver(solver)
+        self.timeout_ms = timeout_ms
+        self.debug_dir = debug_dir
+        self._sent = 0
+        self._lock = threading.Lock()
+
+    def check(
+        self,
+        assertions: Sequence[Term],
+        label: str,
+        signature: Signature = Signature(),
+        options: tuple[tuple[str, str], ...] = VALIDITY_OPTIONS,
+        logic: str = OBLIGATION_LOGIC,
+        timeout_ms: Optional[int] = None,
+    ) -> Verdict:
+        query = build_query(
+            assertions,
+            signature=signature,
+            logic=logic,
+            options=options,
+            timeout_ms=self.timeout_ms if timeout_ms is None else timeout_ms,
+            get_model=True,
+        )
+        return solve(query, self.cmd, self._debug_path(label))
+
+    def _debug_path(self, label: str) -> Optional[Path]:
+        if self.debug_dir is None:
+            return None
+        with self._lock:
+            self._sent += 1
+            number = self._sent
+        return self.debug_dir / f"{number:03d}-{label.replace('/', '_')}.smt2"
 
 
 def _parse_model(text: str) -> tuple[tuple[str, str], ...]:

@@ -25,7 +25,6 @@ from pathlib import Path
 from typing import Any, Mapping, Optional, Sequence
 
 from . import backend
-from .backend import OBLIGATION_LOGIC, VALIDITY_OPTIONS, build_query
 from .counting import (
     BUILTIN_AXIOMS,
     BUILTIN_SIGNATURE,
@@ -62,7 +61,6 @@ from .terms import (
     IntLit,
     Not,
     PLAIN,
-    Signature,
     Term,
     Var,
     indexed,
@@ -177,33 +175,16 @@ def _link_formula(project: Project) -> Term:
     return Forall(params, claim) if params else claim
 
 
-def _entails(
-    assertions: Sequence[Term],
-    goal: Term,
-    signature: Signature,
-    project: Project,
-    label: str,
-) -> str:
-    query = build_query(
-        [*assertions, Not(goal)],
-        signature=signature,
-        logic=OBLIGATION_LOGIC,
-        options=VALIDITY_OPTIONS,
-        timeout_ms=project.timeout_ms,
-    )
-    debug_path = (
-        project.debug_dir / f"{label}.smt2" if project.debug_dir is not None else None
-    )
-    verdict = backend.solve(query, project.solver, debug_path=debug_path)
-    return {"unsat": "passed", "sat": "failed"}.get(verdict.status, "unknown")
+LINK_STATUS = {"unsat": "passed", "sat": "failed"}
 
 
 def verify(project: Project) -> dict[str, Any]:
     started = time.monotonic()
+    session = backend.Session(project.solver, project.timeout_ms, project.debug_dir)
     report: dict[str, Any] = {
         "schema": "report/v1",
         "tool": TOOL_ID,
-        "solver": " ".join(backend.resolve_solver(project.solver)),
+        "solver": " ".join(session.cmd),
         "project": project.directory.name,
         "verdict": UNKNOWN,
         "failed_stage": None,
@@ -235,12 +216,7 @@ def verify(project: Project) -> dict[str, Any]:
     for kind in kinds[project.prop.cmp]:
         gen = gen_injective_vcs if kind == "injective" else gen_surjective_vcs
         bundle = gen(project.system, project.prop, project.witness)
-        rep = discharge(
-            bundle,
-            solver=project.solver,
-            timeout_ms=project.timeout_ms,
-            debug_dir=project.debug_dir,
-        )
+        rep = discharge(bundle, session)
         bundles.append(
             {
                 "kind": kind,
@@ -263,12 +239,7 @@ def verify(project: Project) -> dict[str, Any]:
         return finish(UNKNOWN, "enumeration")
 
     t0 = time.monotonic()
-    result = check_script(
-        project.script,
-        solver=project.solver,
-        timeout_ms=project.timeout_ms,
-        debug_dir=project.debug_dir,
-    )
+    result = check_script(project.script, session)
     report["stages"]["counting"] = {
         "verdict": "passed" if result.accepted else "failed",
         "rejected_at": result.rejected_at,
@@ -290,9 +261,9 @@ def verify(project: Project) -> dict[str, Any]:
     assertions = [*BUILTIN_AXIOMS, *(f.axiom for f in result.facts)]
     if project.script.goal is not None:
         assertions.append(project.script.goal)
-    link_status = _entails(
-        assertions, _link_formula(project), signature, project, "link"
-    )
+    assertions.append(Not(_link_formula(project)))
+    verdict = session.check(assertions, "link", signature)
+    link_status = LINK_STATUS.get(verdict.status, "unknown")
     if link_status == "passed" and project.prop.cmp == "leq":
         zparams = tuple(
             (z, project.system.sort_of(z)) for z in project.system.params
@@ -300,13 +271,11 @@ def verify(project: Project) -> dict[str, Any]:
         nonneg = Implies(
             project.prop.assuming, Cmp("<=", IntLit(0), project.prop.bound)
         )
-        link_status = _entails(
-            list(BUILTIN_AXIOMS),
-            Forall(zparams, nonneg) if zparams else nonneg,
-            BUILTIN_SIGNATURE,
-            project,
-            "link-bound-nonneg",
+        goal = Forall(zparams, nonneg) if zparams else nonneg
+        verdict = session.check(
+            [*BUILTIN_AXIOMS, Not(goal)], "link-bound-nonneg", BUILTIN_SIGNATURE
         )
+        link_status = LINK_STATUS.get(verdict.status, "unknown")
     report["stages"]["link"] = {
         "verdict": link_status,
         "wall_ms": int((time.monotonic() - t0) * 1000),

@@ -11,11 +11,10 @@ admits a fact.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from pathlib import Path
 from typing import Mapping, Optional, Sequence, Union
 
 from . import backend
-from .backend import DEFAULT_LOGIC, OBLIGATION_LOGIC, VALIDITY_OPTIONS, build_query
+from .backend import DEFAULT_LOGIC, Session
 from .sexpr import Sexpr, SexprError, parse_one
 from .terms import (
     INT,
@@ -219,20 +218,11 @@ def _ref_key(ref: PredRef) -> str:
 class Kernel:
     """Fact store plus one checker per counting rule."""
 
-    def __init__(
-        self,
-        solver: Optional[Sequence[str]] = None,
-        timeout_ms: int = backend.DEFAULT_TIMEOUT_MS,
-        debug_dir: Optional[Path] = None,
-    ) -> None:
-        self.solver = solver
-        self.timeout_ms = timeout_ms
-        self.debug_dir = debug_dir
+    def __init__(self, session: Session) -> None:
+        self.session = session
         self.preds: dict[str, DeclaredPred] = {}
         self.facts: list[CountFact] = []
         self.signature: Signature = BUILTIN_SIGNATURE
-        self.registry: dict[str, CountTerm] = {}
-        self._query_counter = 0
 
     # -- declarations ------------------------------------------------------
 
@@ -277,38 +267,14 @@ class Kernel:
         raise KernelError(f"bad predicate reference {ref!r}")
 
     def _register(self, symbol: str, ct: CountTerm) -> None:
-        if symbol not in self.registry:
-            self.registry[symbol] = ct
         self.signature = self.signature.extend(
             symbol, tuple(v.sort for v in ct.params), INT
         )
 
     # -- solver plumbing -----------------------------------------------------
 
-    def _solve(
-        self,
-        assertions: Sequence[Term],
-        label: str,
-        options: tuple[tuple[str, str], ...] = VALIDITY_OPTIONS,
-        logic: str = OBLIGATION_LOGIC,
-        timeout_ms: Optional[int] = None,
-    ) -> backend.Verdict:
-        query = build_query(
-            assertions,
-            signature=self.signature,
-            logic=logic,
-            options=options,
-            timeout_ms=self.timeout_ms if timeout_ms is None else timeout_ms,
-            get_model=False,
-        )
-        debug_path = None
-        if self.debug_dir is not None:
-            self._query_counter += 1
-            debug_path = self.debug_dir / f"{self._query_counter:03d}-{label}.smt2"
-        return backend.solve(query, self.solver, debug_path)
-
     def _require_valid(self, hyps: Sequence[Term], concl: Term, label: str) -> None:
-        verdict = self._solve([*hyps, Not(concl)], label)
+        verdict = self.session.check([*hyps, Not(concl)], label, self.signature)
         if verdict.status == "unsat":
             return
         if verdict.status == "sat":
@@ -324,12 +290,13 @@ class Kernel:
         return [*BUILTIN_AXIOMS, *(f.axiom for f in self.facts)]
 
     def entails(self, goal: Term, label: str = "entailment") -> bool:
-        verdict = self._solve([*self._axioms(), Not(goal)], label)
+        assertions = [*self._axioms(), Not(goal)]
+        verdict = self.session.check(assertions, label, self.signature)
         if verdict.status == "unknown":
             # E-matching proves entailments but rarely finishes counterexample
             # searches; retry with model-based instantiation before giving up
-            verdict = self._solve(
-                [*self._axioms(), Not(goal)], label, backend.MBQI_OPTIONS
+            verdict = self.session.check(
+                assertions, label, self.signature, backend.MBQI_OPTIONS
             )
         if verdict.status == "unsat":
             return True
@@ -410,7 +377,7 @@ class Kernel:
         ]
         label = f"const-{direction}({_ref_key(ref)},{c})"
         if direction == "ub":
-            verdict = self._solve([*bodies, *pairwise], label)
+            verdict = self.session.check([*bodies, *pairwise], label, self.signature)
             if verdict.status == "sat":
                 raise NotValid(f"{label}: {c} distinct models exist", verdict.model)
             if verdict.status == "unknown":
@@ -442,16 +409,17 @@ class Kernel:
             # direct evidence for the lower bound
             # two model-search attempts: the default tactic handles some
             # quantified bodies, model-based instantiation handles others
-            verdict = self._solve(
+            verdict = self.session.check(
                 [*bodies, *pairwise],
                 label,
+                self.signature,
                 backend.MODEL_OPTIONS,
                 DEFAULT_LOGIC,
-                timeout_ms=min(self.timeout_ms, 15_000),
+                timeout_ms=min(self.session.timeout_ms, 15_000),
             )
             if verdict.status == "unknown":
-                verdict = self._solve(
-                    [*bodies, *pairwise], label, backend.MBQI_OPTIONS, OBLIGATION_LOGIC
+                verdict = self.session.check(
+                    [*bodies, *pairwise], label, self.signature, backend.MBQI_OPTIONS
                 )
             if verdict.status == "unsat":
                 raise NotValid(f"{label}: no {c} distinct models exist")
@@ -465,7 +433,7 @@ class Kernel:
                 (m[v].name, v.sort) for m in copies for v in ct.counted
             )
             witness = Exists(bound, conj(*bodies, *pairwise))
-            verdict = self._solve([Not(witness)], label)
+            verdict = self.session.check([Not(witness)], label, self.signature)
             if verdict.status == "sat":
                 raise NotValid(f"{label}: fewer than {c} models for some parameters", verdict.model)
             if verdict.status == "unknown":
@@ -742,13 +710,8 @@ def apply_rule(kernel: Kernel, app: RuleApp) -> CountFact:
     raise KernelError(f"unknown rule {r!r}")
 
 
-def check_script(
-    script: ProofScript,
-    solver: Optional[Sequence[str]] = None,
-    timeout_ms: int = backend.DEFAULT_TIMEOUT_MS,
-    debug_dir: Optional[Path] = None,
-) -> ScriptResult:
-    kernel = Kernel(solver, timeout_ms, debug_dir)
+def check_script(script: ProofScript, session: Session) -> ScriptResult:
+    kernel = Kernel(session)
     for pred in script.declarations:
         kernel.declare_pred(pred)
     for step in script.steps:

@@ -22,11 +22,9 @@ from __future__ import annotations
 import time
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
-from pathlib import Path
 from typing import Mapping, Optional, Sequence, Union
 
-from . import backend
-from .backend import OBLIGATION_LOGIC, VALIDITY_OPTIONS, Verdict, build_query
+from .backend import Session
 from .qhl import QhpProperty, app_to_formula, difference_term
 from .sexpr import Sexpr, SexprError, parse_one
 from .system import TransitionSystem
@@ -481,44 +479,28 @@ def gen_surjective_vcs(
 # ---------------------------------------------------------------------------
 # Discharge
 
+# Obligations are independent, so up to this many solver processes run at once.
+DISCHARGE_WORKERS = 8
+
 
 def discharge(
-    bundle: VcBundle,
-    solver: Optional[Sequence[str]] = None,
-    signature: Signature = Signature(),
-    timeout_ms: int = backend.DEFAULT_TIMEOUT_MS,
-    debug_dir: Optional[Path] = None,
-    max_workers: int = 8,
+    bundle: VcBundle, session: Session, signature: Signature = Signature()
 ) -> DischargeReport:
-    """Run every obligation through the solver, one session each."""
+    """Run every obligation through the solver, one process each."""
     start = time.monotonic()
 
-    def run(num: int, ob: Obligation) -> ObligationResult:
+    def run(ob: Obligation) -> ObligationResult:
         if ob.syntactic:
             return ObligationResult(ob.label, "proved", 0)
-        query = build_query(
-            ob.assertions,
-            signature=signature,
-            logic=OBLIGATION_LOGIC,
-            options=VALIDITY_OPTIONS,
-            timeout_ms=timeout_ms,
-            get_model=True,
-        )
-        debug_path = None
-        if debug_dir is not None:
-            safe = ob.label.replace("/", "_")
-            debug_path = debug_dir / f"{num:03d}-{safe}.smt2"
-        verdict = backend.solve(query, solver, debug_path=debug_path)
+        verdict = session.check(ob.assertions, ob.label, signature)
         status = {"unsat": "proved", "sat": "failed"}.get(verdict.status, "unknown")
         return ObligationResult(
             ob.label, status, verdict.wall_ms, verdict.model if status == "failed" else None
         )
 
-    workers = max(1, min(max_workers, len(bundle.obligations)))
+    workers = max(1, min(DISCHARGE_WORKERS, len(bundle.obligations)))
     with ThreadPoolExecutor(max_workers=workers) as pool:
-        results = tuple(
-            pool.map(lambda pair: run(*pair), enumerate(bundle.obligations, 1))
-        )
+        results = tuple(pool.map(run, bundle.obligations))
     established = all(r.status == "proved" for r in results)
     return DischargeReport(
         bundle.kind, results, established, int((time.monotonic() - start) * 1000)

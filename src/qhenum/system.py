@@ -5,8 +5,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Optional, Sequence
 
-from . import backend
-from .backend import MODEL_OPTIONS, OBLIGATION_LOGIC, VALIDITY_OPTIONS, Verdict, build_query
+from .backend import MODEL_OPTIONS, Session, Verdict
 from .sexpr import Sexpr, SexprError, parse_one
 from .terms import (
     PLAIN,
@@ -129,38 +128,18 @@ def _primed(formula: Term, copies: int) -> Term:
 
 
 def check_inductive(
-    obligation: InductiveObligation,
-    solver: Optional[Sequence[str]] = None,
-    signature: Signature = Signature(),
-    options: tuple[tuple[str, str], ...] = VALIDITY_OPTIONS,
-    timeout_ms: int = backend.DEFAULT_TIMEOUT_MS,
+    obligation: InductiveObligation, session: Session, signature: Signature = Signature()
 ) -> InductionResult:
     """1-induction: base ``Init => Phi`` and step ``Phi /\\ Tx => Phi'``."""
     system = obligation.system
     phi = conj(obligation.invariant, *obligation.auxiliaries)
-    base_q = build_query(
-        [system.init, Not(phi)],
-        signature=signature,
-        logic=OBLIGATION_LOGIC,
-        options=options,
-        timeout_ms=timeout_ms,
-        get_model=True,
-    )
-    base_v = backend.solve(base_q, solver)
+    base_v = session.check([system.init, Not(phi)], "inductive/base", signature)
     if base_v.status == "sat":
         return InductionResult("base_fails", base_v.model, base=base_v)
     if base_v.status == "unknown":
         return InductionResult("unknown", base=base_v)
     phi_next = _primed(phi, obligation.copies)
-    step_q = build_query(
-        [phi, system.tx, Not(phi_next)],
-        signature=signature,
-        logic=OBLIGATION_LOGIC,
-        options=options,
-        timeout_ms=timeout_ms,
-        get_model=True,
-    )
-    step_v = backend.solve(step_q, solver)
+    step_v = session.check([phi, system.tx, Not(phi_next)], "inductive/step", signature)
     if step_v.status == "sat":
         return InductionResult("step_fails", step_v.model, base=base_v, step=step_v)
     if step_v.status == "unknown":
@@ -175,10 +154,7 @@ class TotalityResult:
 
 
 def check_totality(
-    system: TransitionSystem,
-    solver: Optional[Sequence[str]] = None,
-    signature: Signature = Signature(),
-    timeout_ms: int = backend.DEFAULT_TIMEOUT_MS,
+    system: TransitionSystem, session: Session, signature: Signature = Signature()
 ) -> TotalityResult:
     """Check ``forall X exists X'. Tx(X, X')`` with X as fresh constants."""
     bound: list[tuple[str, Sort]] = []
@@ -188,15 +164,9 @@ def check_totality(
         bound.append((fresh, sort))
         bindings[Var(vname, sort, None, True)] = Var(fresh, sort)
     body = substitute(system.tx, bindings)
-    query = build_query(
-        [Not(Exists(tuple(bound), body))],
-        signature=signature,
-        logic=OBLIGATION_LOGIC,
-        options=MODEL_OPTIONS,
-        timeout_ms=timeout_ms,
-        get_model=True,
+    verdict = session.check(
+        [Not(Exists(tuple(bound), body))], "totality", signature, MODEL_OPTIONS
     )
-    verdict = backend.solve(query, solver)
     if verdict.status == "unsat":
         return TotalityResult("total")
     if verdict.status == "sat":

@@ -1,3 +1,5 @@
+import itertools
+
 import pytest
 from pathlib import Path
 
@@ -15,3 +17,26 @@ def solver():
 @pytest.fixture(scope="session")
 def benchmarks():
     return BENCHMARKS
+
+
+@pytest.fixture
+def stub_solver(tmp_path):
+    """Make a solver command that reads its query and gives a fixed reply.
+
+    Stubs test how queries travel, never what a real solver would answer.
+    """
+    numbers = itertools.count(1)
+
+    def make(stdout: str, stderr: str = "", code: int = 0) -> list[str]:
+        script = tmp_path / f"stub-solver-{next(numbers)}.sh"
+        script.write_text(
+            "#!/bin/sh\n"
+            "cat > /dev/null\n"
+            f"cat <<'REPLY'\n{stdout}\nREPLY\n"
+            + (f"cat >&2 <<'ERR'\n{stderr}\nERR\n" if stderr else "")
+            + f"exit {code}\n"
+        )
+        script.chmod(0o755)
+        return [str(script)]
+
+    return make

@@ -15,6 +15,7 @@ from dataclasses import dataclass
 
 import pytest
 
+from qhenum.backend import Session
 from qhenum.cli import load_project, run_benchmarks
 from qhenum.counting import (
     BUILTIN_SIGNATURE,
@@ -96,7 +97,7 @@ def test_hats_end_to_end(suite, benchmarks):
 
 def test_hats_proof_single_step_deletions(benchmarks, solver):
     text = (benchmarks / "zk-hats" / "proof.sexp").read_text()
-    full = check_script(parse_proof(text), solver, timeout_ms=20_000)
+    full = check_script(parse_proof(text), Session(solver, 20_000))
     assert full.accepted, f"shipped script rejected: {full.rejected_at} {full.reason}"
 
     form = parse_one(text)
@@ -107,7 +108,7 @@ def test_hats_proof_single_step_deletions(benchmarks, solver):
 
     def run_without(position):
         mutated = to_text([f for i, f in enumerate(form) if i != position])
-        return check_script(parse_proof(mutated), solver, timeout_ms=15_000)
+        return check_script(parse_proof(mutated), Session(solver, 15_000))
 
     # modest parallelism: oversubscribing the solver can turn a fast,
     # genuinely-provable early step into a spurious timeout rejection
@@ -296,7 +297,7 @@ def test_randomized_kernel_sweep(solver):
     rng = random.Random(20260823)
     validated = 0
     for iteration in range(200):
-        kernel = Kernel(solver, 10_000)
+        kernel = Kernel(Session(solver, 10_000))
         registry = {}
         scenario = SCENARIOS[iteration % len(SCENARIOS)]
         facts = scenario(rng, kernel, registry)

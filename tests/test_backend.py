@@ -1,9 +1,14 @@
 import pytest
 
 from qhenum.backend import (
+    MODEL_OPTIONS,
+    OBLIGATION_LOGIC,
+    STDERR_LIMIT,
+    VALIDITY_OPTIONS,
     EmitError,
     ProtocolError,
     Query,
+    Session,
     SolverSpawnError,
     build_query,
     emit,
@@ -118,3 +123,58 @@ def test_timeout_yields_unknown(solver):
     verdict = solve(query, solver)
     assert verdict.status == "unknown"
     assert verdict.transcript == "timeout"
+
+
+def test_no_verdict_error_carries_stderr(stub_solver):
+    cause = "Error [ERR_MODULE_NOT_FOUND]: Cannot find package 'z3-solver'"
+    cmd = stub_solver("", stderr=cause + "\n" + "    at frame\n" * 200, code=1)
+    query = build_query([Cmp("=", IntLit(0), IntLit(0))], timeout_ms=10_000)
+    with pytest.raises(ProtocolError) as info:
+        solve(query, cmd)
+    message = str(info.value)
+    assert message.startswith("no verdict in solver reply (exit 1): ")
+    assert cause in message
+    assert len(message) <= len("no verdict in solver reply (exit 1): ") + STDERR_LIMIT
+
+
+def test_no_verdict_error_without_stderr(stub_solver):
+    query = build_query([Cmp("=", IntLit(0), IntLit(0))], timeout_ms=10_000)
+    with pytest.raises(ProtocolError, match=r"^no verdict in solver reply \(exit 1\)$"):
+        solve(query, stub_solver("", code=1))
+
+
+def test_session_resolves_solver_once(monkeypatch):
+    monkeypatch.setenv("QHENUM_SOLVER", "my-z3 -smt2 -in")
+    session = Session()
+    monkeypatch.setenv("QHENUM_SOLVER", "other")
+    assert session.cmd == ["my-z3", "-smt2", "-in"]
+    assert Session(["mysolver", "-x"]).cmd == ["mysolver", "-x"]
+
+
+def test_session_sends_with_model_and_numbers_debug_files(stub_solver, tmp_path):
+    debug = tmp_path / "debug"
+    session = Session(stub_solver("unsat"), timeout_ms=7000, debug_dir=debug)
+    x = Var("x", INT)
+    first = [Cmp("=", x, IntLit(1))]
+    second = [Cmp("<", x, IntLit(0))]
+    assert session.check(first, "base/init").status == "unsat"
+    verdict = session.check(second, "link", options=MODEL_OPTIONS, timeout_ms=900)
+    assert verdict.status == "unsat"
+    assert sorted(p.name for p in debug.iterdir()) == [
+        "001-base_init.smt2",
+        "001-base_init.smt2.out",
+        "002-link.smt2",
+        "002-link.smt2.out",
+    ]
+    for name, assertions, options, timeout_ms in (
+        ("001-base_init.smt2", first, VALIDITY_OPTIONS, 7000),
+        ("002-link.smt2", second, MODEL_OPTIONS, 900),
+    ):
+        query = build_query(
+            assertions,
+            logic=OBLIGATION_LOGIC,
+            options=options,
+            timeout_ms=timeout_ms,
+            get_model=True,
+        )
+        assert (debug / name).read_text() == emit(query)

@@ -216,3 +216,26 @@ def test_bench_empty_suite_warns(tmp_path, capsys):
     captured = capsys.readouterr()
     assert "warning" in captured.err
     assert "(empty suite)" in captured.out
+
+
+def test_verify_debug_dir_one_numbering(benchmarks, stub_solver, tmp_path, capsys):
+    # the stub answers unsat to everything: this checks the plumbing only
+    debug = tmp_path / "debug"
+    cmd = stub_solver("unsat")
+    code = main(["verify", str(benchmarks / "path-oram"), "--solver", cmd[0],
+                 "--debug-dir", str(debug)])
+    assert code == 0
+    report = json.loads(capsys.readouterr().out)
+    assert not [p for p in debug.iterdir() if p.is_dir()]
+    names = sorted(p.name for p in debug.glob("*.smt2"))
+    assert [int(n[:3]) for n in names] == list(range(1, len(names) + 1))
+    labels = [n[4:-len(".smt2")] for n in names]
+    enumeration = {
+        ob["label"].replace("/", "_")
+        for bundle in report["stages"]["enumeration"]["bundles"]
+        for ob in bundle["obligations"]
+    }
+    sent_first = [label in enumeration for label in labels].index(False)
+    assert sent_first > 0 and not set(labels[sent_first:]) & enumeration
+    assert any(label.startswith("close(") for label in labels[sent_first:-1])
+    assert labels[-1] == "link"

@@ -1,5 +1,6 @@
 import pytest
 
+from qhenum.backend import Session
 from qhenum.counting import (
     DeclaredPred,
     Kernel,
@@ -20,7 +21,7 @@ def pred(name, variables, counted, body_text):
 
 
 def make_kernel(solver, *preds):
-    kernel = Kernel(solver, TIMEOUT)
+    kernel = Kernel(Session(solver, TIMEOUT))
     for p in preds:
         kernel.declare_pred(p)
     return kernel
@@ -165,6 +166,27 @@ def test_ub(solver):
     )
     with pytest.raises(NotValid):
         kernel.rule_ub("G", "F")  # G is not a subset of F
+
+
+def test_ub_countermodel_reaches_not_valid(stub_solver):
+    # the stub answers every query with a model: the kernel must keep it
+    cmd = stub_solver("sat\n(model (define-fun v () Int 5))")
+    kernel = Kernel(Session(cmd, TIMEOUT))
+    kernel.declare_pred(pred("F", V, ["v"], "(and (<= 0 v) (< v 5))"))
+    kernel.declare_pred(pred("G", V, ["v"], "(and (<= 0 v) (< v 2))"))
+    with pytest.raises(NotValid) as info:
+        kernel.rule_ub("F", "G")
+    assert info.value.model == (("v", "5"),)
+
+
+def test_ub_unsat_with_model_error_is_valid(stub_solver):
+    # asking for a model after unsat makes the solver print an error line
+    cmd = stub_solver('unsat\n(error "line 9 column 10: model is not available")')
+    kernel = Kernel(Session(cmd, TIMEOUT))
+    kernel.declare_pred(pred("F", V, ["v"], "(and (<= 0 v) (< v 2))"))
+    kernel.declare_pred(pred("G", V, ["v"], "(and (<= 0 v) (< v 5))"))
+    fact = kernel.rule_ub("F", "G")
+    assert fact.rule == "ub" and kernel.facts == [fact]
 
 
 # -- or --------------------------------------------------------------------------------
@@ -380,7 +402,7 @@ def test_ind_requires_fresh_counted_names(solver):
 
 
 def close_kernel(solver, timeout=TIMEOUT):
-    kernel = Kernel(solver, timeout)
+    kernel = Kernel(Session(solver, timeout))
     kernel.declare_pred(pred("F", V + [N], ["v"], "(and (<= 0 v) (< v n))"))
     kernel.rule_range("F")
     return kernel
@@ -448,7 +470,7 @@ SCRIPT = """
 
 def test_check_script_accepts(solver):
     script = parse_proof(SCRIPT)
-    result = check_script(script, solver, timeout_ms=TIMEOUT)
+    result = check_script(script, Session(solver, TIMEOUT))
     assert result.accepted
     assert result.rejected_at is None
     assert [f.rule for f in result.facts] == ["range", "positive"]
@@ -456,14 +478,14 @@ def test_check_script_accepts(solver):
 
 def test_check_script_rejects_bad_step(solver):
     bad = SCRIPT.replace("(and (<= 0 v) (< v k))", "(and (< 0 v) (< v k))")
-    result = check_script(parse_proof(bad), solver, timeout_ms=TIMEOUT)
+    result = check_script(parse_proof(bad), Session(solver, TIMEOUT))
     assert not result.accepted
     assert result.rejected_at == "step 1"
 
 
 def test_check_script_rejects_unentailed_goal(solver):
     bad = SCRIPT.replace("(= (cnt.R k) k)", "(= (cnt.R k) (+ k 1))")
-    result = check_script(parse_proof(bad), solver, timeout_ms=3000)
+    result = check_script(parse_proof(bad), Session(solver, 3000))
     assert not result.accepted
     assert result.rejected_at == "goal"
 
@@ -472,7 +494,7 @@ def test_check_script_requires_goal(solver):
     script = parse_proof(
         "(proof (declare-pred R ((v Int)) (counted v) (= v 0)) (step 1 (positive R)))"
     )
-    result = check_script(script, solver, timeout_ms=TIMEOUT)
+    result = check_script(script, Session(solver, TIMEOUT))
     assert not result.accepted
     assert result.rejected_at == "goal"
 

@@ -1,9 +1,21 @@
+import sys
+from concurrent.futures import ThreadPoolExecutor
+
 import pytest
 
+from qhenum.backend import (
+    OBLIGATION_LOGIC,
+    VALIDITY_OPTIONS,
+    Session,
+    build_query,
+    emit,
+)
 from qhenum.enumeration import (
     AtIndex,
     AtInit,
     MissingWitness,
+    Obligation,
+    VcBundle,
     discharge,
     gen_injective_vcs,
     gen_surjective_vcs,
@@ -12,6 +24,7 @@ from qhenum.enumeration import (
 from qhenum.qhl import parse_property
 from qhenum.sexpr import SexprError
 from qhenum.system import parse_system
+from qhenum.terms import INT, Cmp, IntLit, Var
 
 SYSTEM = """
 (system chooser
@@ -135,7 +148,7 @@ def test_at_index_mode_labels(system, prop):
 def test_both_bundles_discharge(system, prop, witness, solver):
     for gen in (gen_injective_vcs, gen_surjective_vcs):
         bundle = gen(system, prop, witness)
-        report = discharge(bundle, solver, timeout_ms=20_000)
+        report = discharge(bundle, Session(solver, 20_000))
         assert report.established, [
             (r.label, r.status) for r in report.results if r.status != "proved"
         ]
@@ -144,7 +157,7 @@ def test_both_bundles_discharge(system, prop, witness, solver):
 def test_bad_skolem_fails_existence(system, prop, solver):
     text = WITNESS.replace("(skolem-init (c Y) (o Y))", "(skolem-init (c 0) (o 0))")
     witness = parse_enumeration(text, system)
-    report = discharge(gen_injective_vcs(system, prop, witness), solver, timeout_ms=20_000)
+    report = discharge(gen_injective_vcs(system, prop, witness), Session(solver, 20_000))
     failed = {r.label for r in report.results if r.status == "failed"}
     assert "existence-base/rel" in failed
     assert not report.established
@@ -153,7 +166,7 @@ def test_bad_skolem_fails_existence(system, prop, solver):
 def test_collapsing_trel_fails_distinctness(system, prop, solver):
     text = WITNESS.replace("(trel (and (= c$2 Y) (= o$2 Y)))", "(trel (= o$2 0))")
     witness = parse_enumeration(text, system)
-    report = discharge(gen_injective_vcs(system, prop, witness), solver, timeout_ms=20_000)
+    report = discharge(gen_injective_vcs(system, prop, witness), Session(solver, 20_000))
     statuses = {r.label: r.status for r in report.results}
     assert statuses["distinctness"] == "failed"
 
@@ -161,7 +174,45 @@ def test_collapsing_trel_fails_distinctness(system, prop, solver):
 def test_corrupted_cover_fails_surjectivity(system, prop, solver):
     text = WITNESS.replace("(cover (Y o$2))", "(cover (Y 0))")
     witness = parse_enumeration(text, system)
-    report = discharge(gen_surjective_vcs(system, prop, witness), solver, timeout_ms=20_000)
+    report = discharge(gen_surjective_vcs(system, prop, witness), Session(solver, 20_000))
     statuses = {r.label: r.status for r in report.results}
     assert statuses["surj-cover-base"] == "failed"
     assert not report.established
+
+
+def test_discharge_shares_one_debug_numbering(stub_solver, tmp_path):
+    # many short queries on 8 threads, with the interpreter switching threads
+    # as often as it can, must still take the numbers 1..N once each
+    timeout_ms = 5000
+    obligations = tuple(
+        Obligation(f"stress/{i:02d}", (Cmp("<", Var(f"x{i}", INT), IntLit(i)),))
+        for i in range(24)
+    )
+    debug = tmp_path / "debug"
+    session = Session(stub_solver("unsat"), timeout_ms, debug)
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        with ThreadPoolExecutor(max_workers=1) as runner:
+            report = runner.submit(
+                discharge, VcBundle("injective", obligations), session
+            ).result(timeout=120)
+    finally:
+        sys.setswitchinterval(interval)
+    assert report.established
+    assert not [p for p in debug.iterdir() if p.is_dir()]
+    files = sorted(debug.glob("*.smt2"))
+    assert sorted(int(p.name[:3]) for p in files) == list(range(1, len(obligations) + 1))
+    by_label = {p.name[4:-len(".smt2")]: p for p in files}
+    assert sorted(by_label) == sorted(ob.label.replace("/", "_") for ob in obligations)
+    for ob in obligations:
+        sent = by_label[ob.label.replace("/", "_")].read_text()
+        assert sent == emit(
+            build_query(
+                ob.assertions,
+                logic=OBLIGATION_LOGIC,
+                options=VALIDITY_OPTIONS,
+                timeout_ms=timeout_ms,
+                get_model=True,
+            )
+        )

@@ -1,5 +1,6 @@
 import pytest
 
+from qhenum.backend import Session
 from qhenum.system import (
     InductiveObligation,
     SystemError_,
@@ -81,13 +82,13 @@ def test_self_compose(counter):
 
 def test_inductive_invariant_proved(counter, solver):
     inv = term_from_text("(and (<= 0 x) (<= x n))", {"x": INT, "n": INT})
-    result = check_inductive(InductiveObligation(counter, inv), solver)
+    result = check_inductive(InductiveObligation(counter, inv), Session(solver))
     assert result.status == "proved"
 
 
 def test_inductive_base_failure(counter, solver):
     inv = term_from_text("(>= x 1)", {"x": INT})
-    result = check_inductive(InductiveObligation(counter, inv), solver)
+    result = check_inductive(InductiveObligation(counter, inv), Session(solver))
     assert result.status == "base_fails"
     assert result.model is not None
 
@@ -95,7 +96,7 @@ def test_inductive_base_failure(counter, solver):
 def test_inductive_step_failure(counter, solver):
     # holds initially but is not preserved
     inv = term_from_text("(= x 0)", {"x": INT})
-    result = check_inductive(InductiveObligation(counter, inv), solver)
+    result = check_inductive(InductiveObligation(counter, inv), Session(solver))
     assert result.status == "step_fails"
 
 
@@ -104,14 +105,14 @@ def test_inductive_on_composition(counter, solver):
     env = {"x$1": INT, "x$2": INT, "n$1": INT, "n$2": INT}
     inv = term_from_text("(=> (and (= n$1 n$2) (= x$1 x$2)) (= x$1 x$2))", env)
     result = check_inductive(
-        InductiveObligation(composed.system, inv, copies=2), solver
+        InductiveObligation(composed.system, inv, copies=2), Session(solver)
     )
     assert result.status == "proved"
 
 
 def test_totality(counter, solver):
-    assert check_totality(counter, solver).status == "total"
+    assert check_totality(counter, Session(solver)).status == "total"
     stuck = parse_system(STUCK)
-    result = check_totality(stuck, solver)
+    result = check_totality(stuck, Session(solver))
     assert result.status == "not_total"
     assert result.model is not None
