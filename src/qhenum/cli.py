@@ -56,7 +56,6 @@ from .terms import (
     App,
     Cmp,
     Forall,
-    INT,
     Implies,
     IntLit,
     Not,
@@ -241,28 +240,20 @@ def verify(project: Project) -> dict[str, Any]:
     t0 = time.monotonic()
     result = check_script(project.script, session)
     report["stages"]["counting"] = {
-        "verdict": "passed" if result.accepted else "failed",
+        "verdict": "passed" if result.status == "accepted" else "failed",
         "rejected_at": result.rejected_at,
         "reason": result.reason,
         "wall_ms": int((time.monotonic() - t0) * 1000),
     }
-    if not result.accepted:
-        if "solver returned unknown" in result.reason:
-            return finish(UNKNOWN, "counting")
-        return finish(STAGE_FAILED, "counting")
+    if result.status != "accepted":
+        return finish(UNKNOWN if result.status == "unknown" else STAGE_FAILED, "counting")
 
     t0 = time.monotonic()
-    signature = result.signature
-    for pred in project.script.declarations:
-        if not signature.has(f"cnt.{pred.name}"):
-            signature = signature.extend(
-                f"cnt.{pred.name}", tuple(s for _, s in pred.params), INT
-            )
     assertions = [*BUILTIN_AXIOMS, *(f.axiom for f in result.facts)]
     if project.script.goal is not None:
         assertions.append(project.script.goal)
     assertions.append(Not(_link_formula(project)))
-    verdict = session.check(assertions, "link", signature)
+    verdict = session.check(assertions, "link", result.signature)
     link_status = LINK_STATUS.get(verdict.status, "unknown")
     if link_status == "passed" and project.prop.cmp == "leq":
         zparams = tuple(

@@ -1,21 +1,24 @@
 """Model-counting proof kernel.
 
-Symbolic model counts are uninterpreted integer functions of the parameters;
-each inference rule discharges its premises through the SMT backend and, on
-success, admits its conclusion as a quantified axiom (a CountFact).  A final
-entailment query discharges the script goal from the admitted facts plus the
-defining axioms of the declared recursive count functions.  ``unknown`` never
-admits a fact.
+Symbolic model counts are uninterpreted integer functions of the parameters.
+Each inference rule is one entry of ``RULES``: a payload dataclass, the parser
+of its s-expression form, and a build function that returns the rule's
+premises and its conclusion without sending anything. ``apply_rule`` sends
+the premises through ``Kernel.send`` and admits the conclusion (a CountFact,
+a quantified axiom) only when every premise gets the verdict it needs, so
+``unknown`` never admits a fact. A final entailment query discharges the
+script goal from the admitted facts plus the defining axioms of the declared
+recursive count functions.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Mapping, Optional, Sequence, Union
+from typing import Callable, Mapping, Optional, Sequence, Union
 
 from . import backend
-from .backend import DEFAULT_LOGIC, Session
-from .sexpr import Sexpr, SexprError, parse_one
+from .backend import DEFAULT_LOGIC, OBLIGATION_LOGIC, Session
+from .sexpr import Sexpr, SexprError, parse_one, to_text
 from .terms import (
     INT,
     Add,
@@ -30,11 +33,11 @@ from .terms import (
     Mul,
     Not,
     Or,
-    PLAIN,
     Signature,
     Sort,
     Sub,
     Term,
+    TermError,
     TRUE,
     Var,
     conj,
@@ -64,11 +67,11 @@ class VarsOverlap(KernelError):
     pass
 
 
-class BaseMismatch(KernelError):
+class BaseMismatch(NotValid):
     pass
 
 
-class StepMismatch(KernelError):
+class StepMismatch(NotValid):
     pass
 
 
@@ -139,12 +142,6 @@ class DeclaredPred:
     def params(self) -> tuple[tuple[str, Sort], ...]:
         return tuple((n, s) for n, s in self.vars if n not in self.counted)
 
-    def sort_of(self, name: str) -> Sort:
-        for n, s in self.vars:
-            if n == name:
-                return s
-        raise KernelError(f"predicate {self.name}: unknown var {name}")
-
 
 # A reference to a countable formula inside a script:
 #   "V" | ("and", ref, ref) | ("at", "V", (term, ...))
@@ -173,7 +170,7 @@ class CountFact:
 @dataclass(frozen=True)
 class RuleApp:
     rule: str
-    payload: tuple
+    payload: object  # an instance of RULES[rule].payload
 
 
 @dataclass(frozen=True)
@@ -191,7 +188,7 @@ class ProofScript:
 
 @dataclass(frozen=True)
 class ScriptResult:
-    accepted: bool
+    status: str  # accepted | rejected | unknown
     rejected_at: Optional[str] = None
     reason: str = ""
     facts: tuple[CountFact, ...] = ()
@@ -215,8 +212,52 @@ def _ref_key(ref: PredRef) -> str:
     raise KernelError(f"bad predicate reference {ref!r}")
 
 
+def _ref_names(ref: PredRef) -> list[str]:
+    if isinstance(ref, str):
+        return [ref]
+    if ref[0] == "and":
+        return _ref_names(ref[1]) + _ref_names(ref[2])
+    return [ref[1]]
+
+
+# ---------------------------------------------------------------------------
+# Premises: the queries a rule needs answered before its conclusion is admitted
+
+# An attempt is (options, logic, cap on the session timeout or None); the
+# next attempt runs only when the previous one answered unknown.
+VALIDITY = ((backend.VALIDITY_OPTIONS, OBLIGATION_LOGIC, None),)
+# E-matching proves entailments but rarely finishes counterexample searches;
+# retry with model-based instantiation before giving up
+ENTAILMENT = (*VALIDITY, (backend.MBQI_OPTIONS, OBLIGATION_LOGIC, None))
+# the default tactic handles some quantified bodies, model-based
+# instantiation handles others
+MODEL_SEARCH = (
+    (backend.MODEL_OPTIONS, DEFAULT_LOGIC, 15_000),
+    (backend.MBQI_OPTIONS, OBLIGATION_LOGIC, None),
+)
+
+
+@dataclass(frozen=True)
+class Premise:
+    label: str
+    assertions: tuple[Term, ...]
+    failure: str  # the message when the solver gives the other verdict
+    needs: str = "unsat"  # unsat: no counterexample; sat: the models exist
+    attempts: tuple = VALIDITY
+    error: type = NotValid
+
+
+def _valid(label: str, hyps: Sequence[Term], concl: Term, failure: str = "") -> Premise:
+    """The premise that ``hyps`` imply ``concl``."""
+    return Premise(label, (*hyps, Not(concl)), failure or f"{label}: premise not valid")
+
+
+# ---------------------------------------------------------------------------
+# The kernel: fact store, reference resolution, and the one verdict path
+
+
 class Kernel:
-    """Fact store plus one checker per counting rule."""
+    """Declared predicates, admitted facts, and the signature of their counts."""
 
     def __init__(self, session: Session) -> None:
         self.session = session
@@ -224,456 +265,562 @@ class Kernel:
         self.facts: list[CountFact] = []
         self.signature: Signature = BUILTIN_SIGNATURE
 
-    # -- declarations ------------------------------------------------------
-
     def declare_pred(self, pred: DeclaredPred) -> None:
         if pred.name in self.preds:
             raise KernelError(f"predicate {pred.name} declared twice")
         self.preds[pred.name] = pred
-
-    # -- reference resolution ----------------------------------------------
+        # the goal may name a count that no step resolves
+        self.signature = self.signature.extend(
+            f"cnt.{pred.name}", tuple(s for _, s in pred.params), INT
+        )
 
     def resolve(self, ref: PredRef) -> CountTerm:
         if isinstance(ref, str):
             pred = self.preds.get(ref)
             if pred is None:
                 raise KernelError(f"unknown predicate {ref!r}")
-            counted = tuple(Var(c, pred.sort_of(c)) for c in pred.counted)
+            counted = tuple(Var(c, dict(pred.vars)[c]) for c in pred.counted)
             params = tuple(Var(n, s) for n, s in pred.params)
-            symbol = f"cnt.{ref}"
-            ct = CountTerm(pred.body, counted, params, symbol, tuple(params))
-            self._register(symbol, ct)
-            return ct
+            return CountTerm(pred.body, counted, params, f"cnt.{ref}", tuple(params))
         if isinstance(ref, tuple) and ref and ref[0] == "and":
             a, b = self.resolve(ref[1]), self.resolve(ref[2])
             if a.counted != b.counted:
                 raise KernelError("conjunction of predicates with different counted vars")
             params = tuple(sorted(set(a.params) | set(b.params), key=lambda v: v.name))
             symbol = f"cnt.{_ref_key(ref)}"
-            ct = CountTerm(conj(a.formula, b.formula), a.counted, params, symbol, tuple(params))
-            self._register(symbol, ct)
-            return ct
+            self.signature = self.signature.extend(symbol, tuple(v.sort for v in params), INT)
+            return CountTerm(conj(a.formula, b.formula), a.counted, params, symbol, tuple(params))
         if isinstance(ref, tuple) and ref and ref[0] == "at":
             base = self.resolve(ref[1])
             args = tuple(ref[2])
             if len(args) != len(base.params):
                 raise KernelError(f"instantiation arity mismatch for {ref[1]}")
-            binding = dict(zip(base.params, args))
-            formula = substitute(base.formula, binding)
-            remaining = tuple(
-                v for fv in args for v in free_vars(fv) if isinstance(v, Var)
-            )
-            return CountTerm(formula, base.counted, tuple(dict.fromkeys(remaining)), base.symbol, args)
+            formula = substitute(base.formula, dict(zip(base.params, args)))
+            remaining = tuple(dict.fromkeys(v for a in args for v in free_vars(a)))
+            return CountTerm(formula, base.counted, remaining, base.symbol, args)
         raise KernelError(f"bad predicate reference {ref!r}")
 
-    def _register(self, symbol: str, ct: CountTerm) -> None:
-        self.signature = self.signature.extend(
-            symbol, tuple(v.sort for v in ct.params), INT
-        )
-
-    # -- solver plumbing -----------------------------------------------------
-
-    def _require_valid(self, hyps: Sequence[Term], concl: Term, label: str) -> None:
-        verdict = self.session.check([*hyps, Not(concl)], label, self.signature)
-        if verdict.status == "unsat":
-            return
-        if verdict.status == "sat":
-            raise NotValid(f"{label}: premise not valid", verdict.model)
-        raise QueryUnknown(f"{label}: solver returned unknown")
-
-    def _admit(self, axiom: Term, rule: str, label: str) -> CountFact:
-        fact = CountFact(axiom, rule, label)
-        self.facts.append(fact)
-        return fact
-
-    def _axioms(self) -> list[Term]:
-        return [*BUILTIN_AXIOMS, *(f.axiom for f in self.facts)]
+    def entailment(self, goal: Term, label: str, failure: str, error: type = NotValid) -> Premise:
+        """The premise that the admitted facts entail ``goal``."""
+        assertions = (*BUILTIN_AXIOMS, *(f.axiom for f in self.facts), Not(goal))
+        return Premise(label, assertions, failure, attempts=ENTAILMENT, error=error)
 
     def entails(self, goal: Term, label: str = "entailment") -> bool:
-        assertions = [*self._axioms(), Not(goal)]
-        verdict = self.session.check(assertions, label, self.signature)
-        if verdict.status == "unknown":
-            # E-matching proves entailments but rarely finishes counterexample
-            # searches; retry with model-based instantiation before giving up
-            verdict = self.session.check(
-                assertions, label, self.signature, backend.MBQI_OPTIONS
-            )
-        if verdict.status == "unsat":
-            return True
-        if verdict.status == "unknown":
-            raise QueryUnknown(f"{label}: solver returned unknown")
-        return False
+        try:
+            self.send([self.entailment(goal, label, f"{label}: not entailed")])
+        except NotValid:
+            return False
+        return True
 
-    # -- helpers -------------------------------------------------------------
-
-    @staticmethod
-    def _copies(ct: CountTerm, count: int) -> list[dict[Var, Var]]:
-        return [
-            {v: Var(f"{v.name}.{i}", v.sort) for v in ct.counted}
-            for i in range(1, count + 1)
-        ]
-
-    @staticmethod
-    def _assignments_differ(ma: Mapping[Var, Term], mb: Mapping[Var, Term]) -> Term:
-        return Or(tuple(neq(ma[v], mb[v]) for v in ma))
-
-    # -- rules ---------------------------------------------------------------
-
-    def rule_range(self, ref: PredRef) -> CountFact:
-        ct = self.resolve(ref)
-        if len(ct.counted) != 1:
-            raise KernelError("range rule needs exactly one counted variable")
-        v = ct.counted[0]
-        body = ct.formula
-        shape_error = KernelError(
-            "range rule needs a body of the shape (and (<= lower v) (< v upper))"
-        )
-        if not (isinstance(body, And) and len(body.args) == 2):
-            raise shape_error
-        lo_c, hi_c = body.args
-        if not (
-            isinstance(lo_c, Cmp)
-            and lo_c.op == "<="
-            and lo_c.right == v
-            and isinstance(hi_c, Cmp)
-            and hi_c.op == "<"
-            and hi_c.left == v
-        ):
-            raise shape_error
-        lower, upper = lo_c.left, hi_c.right
-        if any(fv == v for t in (lower, upper) for fv in free_vars(t)):
-            raise shape_error
-        width = Sub(upper, lower)
-        concl = Cmp(
-            "=", ct.app(), Ite(Cmp(">=", width, IntLit(0)), width, IntLit(0))
-        )
-        return self._admit(_closed(ct.params, concl), "range", f"range({_ref_key(ref)})")
-
-    def rule_positive(self, ref: PredRef) -> CountFact:
-        ct = self.resolve(ref)
-        concl = Cmp(">=", ct.app(), IntLit(0))
-        return self._admit(
-            _closed(ct.params, concl), "positive", f"positive({_ref_key(ref)})"
-        )
-
-    def rule_const_bound(
-        self,
-        ref: PredRef,
-        c: int,
-        direction: str,
-        models: Optional[Sequence[Mapping[str, Term]]] = None,
-    ) -> CountFact:
-        if c < 1:
-            raise KernelError("constant bound needs c >= 1")
-        if direction not in ("lb", "ub"):
-            raise KernelError("direction must be lb or ub")
-        ct = self.resolve(ref)
-        copies = self._copies(ct, c)
-        bodies = [substitute(ct.formula, m) for m in copies]
-        pairwise = [
-            self._assignments_differ(copies[i], copies[j])
-            for i in range(c)
-            for j in range(i + 1, c)
-        ]
-        label = f"const-{direction}({_ref_key(ref)},{c})"
-        if direction == "ub":
-            verdict = self.session.check([*bodies, *pairwise], label, self.signature)
-            if verdict.status == "sat":
-                raise NotValid(f"{label}: {c} distinct models exist", verdict.model)
-            if verdict.status == "unknown":
-                raise QueryUnknown(f"{label}: solver returned unknown")
-            concl = Cmp("<=", ct.app(), IntLit(c - 1))
-        elif models is not None:
-            # explicit witness models: substitute them into the body and
-            # check the resulting (near-)ground formula is valid
-            if len(models) != c:
-                raise KernelError(f"{label}: needs exactly {c} (model ...) sections")
-            wmaps: list[dict[Var, Term]] = []
-            for m in models:
-                wmap: dict[Var, Term] = {}
-                for v in ct.counted:
-                    if v.name not in m:
-                        raise KernelError(f"{label}: witness model missing {v.name}")
-                    wmap[v] = m[v.name]
-                wmaps.append(wmap)
-            wbodies = [substitute(ct.formula, w) for w in wmaps]
-            wpairs = [
-                self._assignments_differ(wmaps[i], wmaps[j])
-                for i in range(c)
-                for j in range(i + 1, c)
-            ]
-            self._require_valid([], conj(*wbodies, *wpairs), label)
-            concl = Cmp(">=", ct.app(), IntLit(c))
-        elif not ct.params:
-            # no parameters: a satisfying assignment of c distinct models is
-            # direct evidence for the lower bound
-            # two model-search attempts: the default tactic handles some
-            # quantified bodies, model-based instantiation handles others
-            verdict = self.session.check(
-                [*bodies, *pairwise],
-                label,
-                self.signature,
-                backend.MODEL_OPTIONS,
-                DEFAULT_LOGIC,
-                timeout_ms=min(self.session.timeout_ms, 15_000),
-            )
-            if verdict.status == "unknown":
+    def send(self, premises: Sequence[Premise]) -> None:
+        """Send the premises in order; raise at the first that fails."""
+        for premise in premises:
+            for options, logic, cap in premise.attempts:
+                timeout = min(self.session.timeout_ms, cap or self.session.timeout_ms)
                 verdict = self.session.check(
-                    [*bodies, *pairwise], label, self.signature, backend.MBQI_OPTIONS
+                    premise.assertions, premise.label, self.signature, options, logic, timeout
                 )
-            if verdict.status == "unsat":
-                raise NotValid(f"{label}: no {c} distinct models exist")
+                if verdict.status != "unknown":
+                    break
             if verdict.status == "unknown":
-                raise QueryUnknown(f"{label}: solver returned unknown")
-            concl = Cmp(">=", ct.app(), IntLit(c))
-        else:
-            # with free parameters the conclusion is universally quantified,
-            # so the witness models must exist for every parameter value
-            bound = tuple(
-                (m[v].name, v.sort) for m in copies for v in ct.counted
-            )
-            witness = Exists(bound, conj(*bodies, *pairwise))
-            verdict = self.session.check([Not(witness)], label, self.signature)
-            if verdict.status == "sat":
-                raise NotValid(f"{label}: fewer than {c} models for some parameters", verdict.model)
-            if verdict.status == "unknown":
-                raise QueryUnknown(f"{label}: solver returned unknown")
-            concl = Cmp(">=", ct.app(), IntLit(c))
-        return self._admit(_closed(ct.params, concl), f"const-{direction}", label)
+                raise QueryUnknown(f"{premise.label}: solver returned unknown")
+            if verdict.status != premise.needs:
+                raise premise.error(premise.failure, verdict.model)
 
-    def rule_ub(self, f_ref: PredRef, g_ref: PredRef) -> CountFact:
-        f, g = self.resolve(f_ref), self.resolve(g_ref)
-        if f.counted != g.counted:
-            raise KernelError("ub rule needs identical counted variables")
-        label = f"ub({_ref_key(f_ref)},{_ref_key(g_ref)})"
-        self._require_valid([f.formula], g.formula, label)
-        params = tuple(dict.fromkeys((*f.params, *g.params)))
-        concl = Cmp("<=", f.app(), g.app())
-        return self._admit(_closed(params, concl), "ub", label)
 
-    def rule_or(self, f_ref: PredRef, g_ref: PredRef, h_ref: PredRef) -> CountFact:
-        f, g, h = self.resolve(f_ref), self.resolve(g_ref), self.resolve(h_ref)
-        if not (f.counted == g.counted == h.counted):
-            raise KernelError("or rule needs identical counted variables")
-        overlap = self.resolve(("and", g_ref, h_ref))
-        label = f"or({_ref_key(f_ref)},{_ref_key(g_ref)},{_ref_key(h_ref)})"
-        self._require_valid(
-            [], Cmp("=", f.formula, Or((g.formula, h.formula))), label
+# ---------------------------------------------------------------------------
+# Rule payloads and builds. A build resolves references, checks side
+# conditions, and returns (premises, conclusion); it sends nothing.
+
+
+@dataclass(frozen=True)
+class OneRef:
+    ref: PredRef
+
+
+@dataclass(frozen=True)
+class ConstBound:
+    ref: PredRef
+    c: int
+    models: Optional[tuple[Mapping[str, Term], ...]] = None
+
+
+@dataclass(frozen=True)
+class Subset:
+    f: PredRef
+    g: PredRef
+
+
+@dataclass(frozen=True)
+class Split:
+    f: PredRef
+    g: PredRef
+    h: PredRef
+
+
+@dataclass(frozen=True)
+class Product:
+    h: PredRef
+    f: PredRef
+    g: PredRef
+
+
+@dataclass(frozen=True)
+class Injection:
+    f: PredRef
+    g: PredRef
+    witness: Mapping[str, Term]
+
+
+@dataclass(frozen=True)
+class IndGeq:
+    f: PredRef
+    g: PredRef
+    n: str
+    witness: Mapping[str, Term]
+    guard: Term = TRUE
+
+
+@dataclass(frozen=True)
+class IndLeq:
+    f: PredRef
+    g: PredRef
+    n: str
+    hx: Mapping[str, Term]
+    hy: Mapping[str, Term]
+    guard: Term = TRUE
+
+
+@dataclass(frozen=True)
+class Close:
+    ref: PredRef
+    n: str
+    n0: Term
+    base: Term
+    factor: Term
+    closed_form: Term
+    rel: str
+
+
+def _conclude(rule: str, label: str, concl: Term, *cts: CountTerm, guard: Term = TRUE):
+    params = tuple(dict.fromkeys(v for ct in cts for v in ct.params))
+    body = concl if guard == TRUE else Implies(guard, concl)
+    return CountFact(_closed(params, body), rule, label)
+
+
+def _copies(counted: Sequence[Var], count: int) -> list[dict[Var, Var]]:
+    return [{v: Var(f"{v.name}.{i}", v.sort) for v in counted} for i in range(1, count + 1)]
+
+
+def _differ(ma: Mapping[Var, Term], mb: Mapping[Var, Term]) -> Term:
+    return Or(tuple(neq(ma[v], mb[v]) for v in ma))
+
+
+def _pairwise(maps: Sequence[Mapping[Var, Term]]) -> list[Term]:
+    return [_differ(a, b) for i, a in enumerate(maps) for b in maps[i + 1:]]
+
+
+def _witness_map(
+    label: str, section: str, counted: Sequence[Var], binding: Mapping[str, Term]
+) -> dict[Var, Term]:
+    """The term ``binding`` gives each counted variable, by name."""
+    for v in counted:
+        if v.name not in binding:
+            raise KernelError(f"{label}: {section} missing {v.name}")
+    return {v: binding[v.name] for v in counted}
+
+
+def _injective(
+    label: str, hyps: tuple, body: Term, counted: Sequence[Var], wmap: Mapping[Var, Term]
+) -> Premise:
+    """The premise that ``wmap`` maps distinct models of ``body`` apart."""
+    m1, m2 = _copies(counted, 2)
+    images = [{v: substitute(t, m) for v, t in wmap.items()} for m in (m1, m2)]
+    models = (substitute(body, m1), substitute(body, m2), _differ(m1, m2))
+    return _valid(label, (*hyps, *models), _differ(*images))
+
+
+def _build_range(kernel: Kernel, p: OneRef):
+    ct = kernel.resolve(p.ref)
+    if len(ct.counted) != 1:
+        raise KernelError("range rule needs exactly one counted variable")
+    v = ct.counted[0]
+    body = ct.formula
+    shape_error = KernelError(
+        "range rule needs a body of the shape (and (<= lower v) (< v upper))"
+    )
+    if not (isinstance(body, And) and len(body.args) == 2):
+        raise shape_error
+    lo_c, hi_c = body.args
+    if not (
+        isinstance(lo_c, Cmp)
+        and lo_c.op == "<="
+        and lo_c.right == v
+        and isinstance(hi_c, Cmp)
+        and hi_c.op == "<"
+        and hi_c.left == v
+    ):
+        raise shape_error
+    lower, upper = lo_c.left, hi_c.right
+    if any(fv == v for t in (lower, upper) for fv in free_vars(t)):
+        raise shape_error
+    width = Sub(upper, lower)
+    concl = Cmp("=", ct.app(), Ite(Cmp(">=", width, IntLit(0)), width, IntLit(0)))
+    return (), _conclude("range", f"range({_ref_key(p.ref)})", concl, ct)
+
+
+def _build_positive(kernel: Kernel, p: OneRef):
+    ct = kernel.resolve(p.ref)
+    concl = Cmp(">=", ct.app(), IntLit(0))
+    return (), _conclude("positive", f"positive({_ref_key(p.ref)})", concl, ct)
+
+
+def _distinct_models(kernel: Kernel, p: ConstBound, direction: str):
+    if p.c < 1:
+        raise KernelError("constant bound needs c >= 1")
+    ct = kernel.resolve(p.ref)
+    copies = _copies(ct.counted, p.c)
+    bodies = [substitute(ct.formula, m) for m in copies]
+    label = f"const-{direction}({_ref_key(p.ref)},{p.c})"
+    return ct, copies, (*bodies, *_pairwise(copies)), label
+
+
+def _build_const_ub(kernel: Kernel, p: ConstBound):
+    ct, _, distinct, label = _distinct_models(kernel, p, "ub")
+    premise = Premise(label, distinct, f"{label}: {p.c} distinct models exist")
+    concl = Cmp("<=", ct.app(), IntLit(p.c - 1))
+    return (premise,), _conclude("const-ub", label, concl, ct)
+
+
+def _build_const_lb(kernel: Kernel, p: ConstBound):
+    ct, copies, distinct, label = _distinct_models(kernel, p, "lb")
+    if p.models is not None:
+        # explicit witness models: substitute them into the body and check
+        # the resulting (near-)ground formula is valid
+        if len(p.models) != p.c:
+            raise KernelError(f"{label}: needs exactly {p.c} (model ...) sections")
+        wmaps = [_witness_map(label, "model", ct.counted, m) for m in p.models]
+        wbodies = [substitute(ct.formula, w) for w in wmaps]
+        premise = _valid(label, (), conj(*wbodies, *_pairwise(wmaps)))
+    elif not ct.params:
+        # no parameters: a satisfying assignment of c distinct models is
+        # direct evidence for the lower bound
+        premise = Premise(
+            label,
+            distinct,
+            f"{label}: no {p.c} distinct models exist",
+            needs="sat",
+            attempts=MODEL_SEARCH,
         )
-        params = tuple(dict.fromkeys((*f.params, *g.params, *h.params)))
-        concl = Cmp(
-            "=", f.app(), Sub(Add((g.app(), h.app())), overlap.app())
+    else:
+        # with free parameters the conclusion is universally quantified, so
+        # the witness models must exist for every parameter value
+        bound = tuple((m[v].name, v.sort) for m in copies for v in ct.counted)
+        premise = _valid(
+            label,
+            (),
+            Exists(bound, conj(*distinct)),
+            f"{label}: fewer than {p.c} models for some parameters",
         )
-        return self._admit(_closed(params, concl), "or", label)
+    concl = Cmp(">=", ct.app(), IntLit(p.c))
+    return (premise,), _conclude("const-lb", label, concl, ct)
 
-    def _product_rule(
-        self, h_ref: PredRef, f_ref: PredRef, g_ref: PredRef, rel: str, rule: str
-    ) -> CountFact:
-        h, f, g = self.resolve(h_ref), self.resolve(f_ref), self.resolve(g_ref)
+
+def _build_ub(kernel: Kernel, p: Subset):
+    f, g = kernel.resolve(p.f), kernel.resolve(p.g)
+    if f.counted != g.counted:
+        raise KernelError("ub rule needs identical counted variables")
+    label = f"ub({_ref_key(p.f)},{_ref_key(p.g)})"
+    premise = _valid(label, (f.formula,), g.formula)
+    return (premise,), _conclude("ub", label, Cmp("<=", f.app(), g.app()), f, g)
+
+
+def _build_or(kernel: Kernel, p: Split):
+    f, g, h = kernel.resolve(p.f), kernel.resolve(p.g), kernel.resolve(p.h)
+    if not (f.counted == g.counted == h.counted):
+        raise KernelError("or rule needs identical counted variables")
+    overlap = kernel.resolve(("and", p.g, p.h))
+    label = f"or({_ref_key(p.f)},{_ref_key(p.g)},{_ref_key(p.h)})"
+    premise = _valid(label, (), Cmp("=", f.formula, Or((g.formula, h.formula))))
+    concl = Cmp("=", f.app(), Sub(Add((g.app(), h.app())), overlap.app()))
+    return (premise,), _conclude("or", label, concl, f, g, h)
+
+
+def _product(rule: str, rel: str, disjoint: bool) -> Callable:
+    def build(kernel: Kernel, p: Product):
+        h, f, g = kernel.resolve(p.h), kernel.resolve(p.f), kernel.resolve(p.g)
         f_set, g_set = set(f.counted), set(g.counted)
-        if rule == "disjoint" and f_set & g_set:
+        if disjoint and f_set & g_set:
             raise VarsOverlap("disjoint rule needs disjoint counted variables")
         if set(h.counted) != f_set | g_set:
             raise KernelError("product rule: counted vars of h must be those of f and g")
-        label = f"{rule}({_ref_key(h_ref)},{_ref_key(f_ref)},{_ref_key(g_ref)})"
-        self._require_valid(
-            [], Cmp("=", h.formula, conj(f.formula, g.formula)), label
-        )
-        params = tuple(dict.fromkeys((*h.params, *f.params, *g.params)))
+        label = f"{rule}({_ref_key(p.h)},{_ref_key(p.f)},{_ref_key(p.g)})"
+        premise = _valid(label, (), Cmp("=", h.formula, conj(f.formula, g.formula)))
         concl = Cmp(rel, h.app(), Mul(f.app(), g.app()))
-        return self._admit(_closed(params, concl), rule, label)
+        return (premise,), _conclude(rule, label, concl, h, f, g)
 
-    def rule_and_ub(self, h_ref: PredRef, f_ref: PredRef, g_ref: PredRef) -> CountFact:
-        return self._product_rule(h_ref, f_ref, g_ref, "<=", "and-ub")
+    return build
 
-    def rule_disjoint(self, h_ref: PredRef, f_ref: PredRef, g_ref: PredRef) -> CountFact:
-        return self._product_rule(h_ref, f_ref, g_ref, "=", "disjoint")
 
-    def rule_injectivity(
-        self, f_ref: PredRef, g_ref: PredRef, witness: Mapping[str, Term]
-    ) -> CountFact:
-        f, g = self.resolve(f_ref), self.resolve(g_ref)
-        wmap: dict[Var, Term] = {}
-        for v in g.counted:
-            if v.name not in witness:
-                raise KernelError(f"injectivity witness missing {v.name}")
-            wmap[v] = witness[v.name]
-        label = f"injective({_ref_key(f_ref)},{_ref_key(g_ref)})"
-        # premise 1: f(X) implies g(F(X))
-        self._require_valid([f.formula], substitute(g.formula, wmap), f"{label}/into")
-        # premise 2: distinct models of f map to distinct images
-        m1, m2 = self._copies(f, 2)
-        w1 = {v: substitute(t, m1) for v, t in wmap.items()}
-        w2 = {v: substitute(t, m2) for v, t in wmap.items()}
-        self._require_valid(
-            [
-                substitute(f.formula, m1),
-                substitute(f.formula, m2),
-                self._assignments_differ(m1, m2),
-            ],
-            self._assignments_differ(w1, w2),
-            f"{label}/inj",
-        )
-        params = tuple(dict.fromkeys((*f.params, *g.params)))
-        concl = Cmp("<=", f.app(), g.app())
-        return self._admit(_closed(params, concl), "injectivity", label)
+def _build_injective(kernel: Kernel, p: Injection):
+    f, g = kernel.resolve(p.f), kernel.resolve(p.g)
+    label = f"injective({_ref_key(p.f)},{_ref_key(p.g)})"
+    wmap = _witness_map(label, "witness", g.counted, p.witness)
+    premises = (
+        # f(X) implies g(F(X))
+        _valid(f"{label}/into", (f.formula,), substitute(g.formula, wmap)),
+        _injective(f"{label}/inj", (), f.formula, f.counted, wmap),
+    )
+    return premises, _conclude("injectivity", label, Cmp("<=", f.app(), g.app()), f, g)
 
-    def rule_ind(
-        self,
-        direction: str,
-        f_ref: PredRef,
-        g_ref: PredRef,
-        nparam: str,
-        witnesses: Mapping[str, Mapping[str, Term]],
-        guard: Term = TRUE,
-    ) -> CountFact:
-        if direction not in ("geq", "leq"):
-            raise KernelError("ind direction must be geq or leq")
-        f, g = self.resolve(f_ref), self.resolve(g_ref)
-        if set(v.name for v in f.counted) & set(v.name for v in g.counted):
-            raise KernelError("ind rule: counted variables of f and g must not share names")
-        nvars = [v for v in f.params if v.name == nparam]
-        if not nvars:
-            raise KernelError(f"ind rule: {nparam} is not a parameter of f")
-        n = nvars[0]
-        n_succ = Add((n, IntLit(1)))
-        f_at_succ = substitute(f.formula, {n: n_succ})
-        app_f_succ = App(f.symbol, tuple(n_succ if a == n else a for a in f.args))
-        label = f"ind-{direction}({_ref_key(f_ref)},{_ref_key(g_ref)})"
-        if direction == "geq":
-            lift = witnesses.get("g")
-            if lift is None:
-                raise KernelError("ind-geq needs a lift witness 'g'")
-            wmap = {v: lift[v.name] for v in f.counted}
-            self._require_valid(
-                [guard, f.formula, g.formula],
-                substitute(f_at_succ, wmap),
-                f"{label}/lift",
-            )
-            joint = CountTerm(
-                conj(f.formula, g.formula),
-                (*f.counted, *g.counted),
-                (),
-                "_joint",
-                (),
-            )
-            m1, m2 = self._copies(joint, 2)
-            w1 = {v: substitute(t, m1) for v, t in wmap.items()}
-            w2 = {v: substitute(t, m2) for v, t in wmap.items()}
-            self._require_valid(
-                [
-                    guard,
-                    substitute(joint.formula, m1),
-                    substitute(joint.formula, m2),
-                    self._assignments_differ(m1, m2),
-                ],
-                self._assignments_differ(w1, w2),
-                f"{label}/inj",
-            )
-            concl = Cmp(">=", app_f_succ, Mul(f.app(), g.app()))
-        else:
-            hx, hy = witnesses.get("hx"), witnesses.get("hy")
-            if hx is None or hy is None:
-                raise KernelError("ind-leq needs lowering witnesses 'hx' and 'hy'")
-            xmap = {v: hx[v.name] for v in f.counted}
-            ymap = {v: hy[v.name] for v in g.counted}
-            self._require_valid(
-                [guard, f_at_succ],
-                conj(substitute(f.formula, xmap), substitute(g.formula, ymap)),
-                f"{label}/lower",
-            )
-            m1, m2 = self._copies(f, 2)
-            pair1 = {v: substitute(t, m1) for v, t in {**xmap, **ymap}.items()}
-            pair2 = {v: substitute(t, m2) for v, t in {**xmap, **ymap}.items()}
-            self._require_valid(
-                [
-                    guard,
-                    substitute(f_at_succ, m1),
-                    substitute(f_at_succ, m2),
-                    self._assignments_differ(m1, m2),
-                ],
-                self._assignments_differ(pair1, pair2),
-                f"{label}/inj",
-            )
-            concl = Cmp("<=", app_f_succ, Mul(f.app(), g.app()))
-        params = tuple(dict.fromkeys((*f.params, *g.params)))
-        body = concl if guard == TRUE else Implies(guard, concl)
-        return self._admit(_closed(params, body), f"ind-{direction}", label)
 
-    def close_recurrence(
-        self,
-        ref: PredRef,
-        nparam: str,
-        n0: Term,
-        base_value: Term,
-        factor: Term,
-        closed_form: Term,
-        rel: str,
-    ) -> CountFact:
-        if rel not in ("=", "<=", ">="):
-            raise KernelError("close_recurrence relation must be =, <=, or >=")
-        ct = self.resolve(ref)
-        if len(ct.params) != 1 or ct.params[0].name != nparam:
-            raise KernelError("close_recurrence needs a count with the single parameter "
-                              f"{nparam}")
-        n = ct.params[0]
-        key = _ref_key(ref)
+def _induction(kernel: Kernel, p, direction: str):
+    """The count terms, f at n+1 and its count, and the label of an ind rule."""
+    f, g = kernel.resolve(p.f), kernel.resolve(p.g)
+    if set(v.name for v in f.counted) & set(v.name for v in g.counted):
+        raise KernelError("ind rule: counted variables of f and g must not share names")
+    nvars = [v for v in f.params if v.name == p.n]
+    if not nvars:
+        raise KernelError(f"ind rule: {p.n} is not a parameter of f")
+    n = nvars[0]
+    n_succ = Add((n, IntLit(1)))
+    f_at_succ = substitute(f.formula, {n: n_succ})
+    app_f_succ = App(f.symbol, tuple(n_succ if a == n else a for a in f.args))
+    label = f"ind-{direction}({_ref_key(p.f)},{_ref_key(p.g)})"
+    return f, g, f_at_succ, app_f_succ, label
 
-        def cnt(arg: Term) -> Term:
-            return App(ct.symbol, (arg,))
 
-        n_succ = Add((n, IntLit(1)))
-        guard = Cmp(">=", n, n0)
-        # the admitted recurrence facts must entail the base and step equations
-        base_goal = Cmp(rel, cnt(n0), base_value)
-        if not self.entails(base_goal, f"close({key})/base"):
-            raise BaseMismatch(f"close({key}): base fact not entailed")
-        step_goal = Forall(
-            ((n.name, INT),),
-            Implies(guard, Cmp(rel, cnt(n_succ), Mul(factor, cnt(n)))),
-        )
-        if not self.entails(step_goal, f"close({key})/step"):
-            raise StepMismatch(f"close({key}): step fact not entailed")
-        # the closed form must satisfy the same base and step (in the
-        # direction that makes the induction go through), with a
-        # non-negative step factor
-        flipped = {"=": "=", "<=": ">=", ">=": "<="}[rel]
-        closed_at = lambda arg: substitute(closed_form, {n: arg})
-        checks = [
-            (Cmp(flipped, closed_at(n0), base_value), "closed-base"),
-            (
-                Forall(
-                    ((n.name, INT),),
-                    Implies(
-                        guard,
-                        Cmp(flipped, closed_at(n_succ), Mul(factor, closed_at(n))),
-                    ),
-                ),
-                "closed-step",
-            ),
-            (
-                Forall(
-                    ((n.name, INT),),
-                    Implies(guard, Cmp(">=", factor, IntLit(0))),
-                ),
-                "factor-nonneg",
-            ),
-            (
-                Forall(
-                    ((n.name, INT),),
-                    Implies(guard, Cmp(">=", closed_form, IntLit(0))),
-                ),
-                "closed-nonneg",
-            ),
-        ]
-        for goal, tag in checks:
-            if not self.entails(goal, f"close({key})/{tag}"):
-                exc = BaseMismatch if tag == "closed-base" else StepMismatch
-                raise exc(f"close({key}): {tag} check failed")
-        concl = Forall(
-            ((n.name, INT),), Implies(guard, Cmp(rel, cnt(n), closed_form))
-        )
-        return self._admit(concl, "close-recurrence", f"close({key})")
+def _build_ind_geq(kernel: Kernel, p: IndGeq):
+    f, g, f_at_succ, app_f_succ, label = _induction(kernel, p, "geq")
+    wmap = _witness_map(label, "witness", f.counted, p.witness)
+    joint = conj(f.formula, g.formula)
+    premises = (
+        _valid(f"{label}/lift", (p.guard, f.formula, g.formula), substitute(f_at_succ, wmap)),
+        _injective(f"{label}/inj", (p.guard,), joint, (*f.counted, *g.counted), wmap),
+    )
+    concl = Cmp(">=", app_f_succ, Mul(f.app(), g.app()))
+    return premises, _conclude("ind-geq", label, concl, f, g, guard=p.guard)
+
+
+def _build_ind_leq(kernel: Kernel, p: IndLeq):
+    f, g, f_at_succ, app_f_succ, label = _induction(kernel, p, "leq")
+    xmap = _witness_map(label, "hx", f.counted, p.hx)
+    ymap = _witness_map(label, "hy", g.counted, p.hy)
+    lowered = conj(substitute(f.formula, xmap), substitute(g.formula, ymap))
+    premises = (
+        _valid(f"{label}/lower", (p.guard, f_at_succ), lowered),
+        _injective(f"{label}/inj", (p.guard,), f_at_succ, f.counted, {**xmap, **ymap}),
+    )
+    concl = Cmp("<=", app_f_succ, Mul(f.app(), g.app()))
+    return premises, _conclude("ind-leq", label, concl, f, g, guard=p.guard)
+
+
+def _build_close(kernel: Kernel, p: Close):
+    if p.rel not in ("=", "<=", ">="):
+        raise KernelError("close_recurrence relation must be =, <=, or >=")
+    ct = kernel.resolve(p.ref)
+    if len(ct.params) != 1 or ct.params[0].name != p.n:
+        raise KernelError(f"close_recurrence needs a count with the single parameter {p.n}")
+    n = ct.params[0]
+    label = f"close({_ref_key(p.ref)})"
+    n_succ = Add((n, IntLit(1)))
+    guard = Cmp(">=", n, p.n0)
+
+    def cnt(arg: Term) -> Term:
+        return App(ct.symbol, (arg,))
+
+    def closed_at(arg: Term) -> Term:
+        return substitute(p.closed_form, {n: arg})
+
+    def from_n0(body: Term) -> Term:
+        return Forall(((n.name, INT),), Implies(guard, body))
+
+    # the admitted recurrence facts must entail the base and step equations;
+    # the closed form must satisfy the same base and step (in the direction
+    # that makes the induction go through), with a non-negative step factor
+    flipped = {"=": "=", "<=": ">=", ">=": "<="}[p.rel]
+    facts = (
+        ("base", Cmp(p.rel, cnt(p.n0), p.base), BaseMismatch),
+        ("step", from_n0(Cmp(p.rel, cnt(n_succ), Mul(p.factor, cnt(n)))), StepMismatch),
+    )
+    closed = (
+        ("closed-base", Cmp(flipped, closed_at(p.n0), p.base), BaseMismatch),
+        ("closed-step", from_n0(Cmp(flipped, closed_at(n_succ), Mul(p.factor, closed_at(n)))),
+         StepMismatch),
+        ("factor-nonneg", from_n0(Cmp(">=", p.factor, IntLit(0))), StepMismatch),
+        ("closed-nonneg", from_n0(Cmp(">=", p.closed_form, IntLit(0))), StepMismatch),
+    )
+    premises = tuple(
+        kernel.entailment(goal, f"{label}/{tag}", f"{label}: {tag} {failed}", error)
+        for checks, failed in ((facts, "fact not entailed"), (closed, "check failed"))
+        for tag, goal, error in checks
+    )
+    concl = from_n0(Cmp(p.rel, cnt(n), p.closed_form))
+    return premises, CountFact(concl, "close-recurrence", label)
+
+
+# ---------------------------------------------------------------------------
+# Rule parsers: each checks the arity and the atom types of its form and
+# raises SexprError on a malformed one.
+
+
+class _Scope:
+    """What a rule's parser sees: the predicates declared so far and the
+    signature their count symbols extend."""
+
+    def __init__(self) -> None:
+        self.preds: dict[str, DeclaredPred] = {}
+        self.sig = BUILTIN_SIGNATURE
+
+    def term(self, expr: Sexpr, env: Mapping[str, Sort]) -> Term:
+        return term_from_sexpr(expr, env, self.sig)
+
+    def ref(self, expr: Sexpr) -> PredRef:
+        if isinstance(expr, str) and expr in self.preds:
+            return expr
+        if isinstance(expr, list) and len(expr) == 3 and expr[0] == "and":
+            return ("and", self.ref(expr[1]), self.ref(expr[2]))
+        if isinstance(expr, list) and len(expr) >= 2 and expr[0] == "at":
+            if not (isinstance(expr[1], str) and expr[1] in self.preds):
+                raise SexprError(f"unknown predicate {expr[1]!r} in at-reference")
+            return ("at", expr[1], tuple(self.term(a, {}) for a in expr[2:]))
+        raise SexprError(f"bad or undeclared predicate reference {to_text(expr)}")
+
+    def env(self, *refs: PredRef) -> dict[str, Sort]:
+        names = [name for ref in refs for name in _ref_names(ref)]
+        return {vn: vs for name in names for vn, vs in self.preds[name].vars}
+
+    def bindings(self, entries: Sequence[Sexpr], env: Mapping[str, Sort]) -> dict[str, Term]:
+        out: dict[str, Term] = {}
+        for entry in entries:
+            if not (isinstance(entry, list) and len(entry) == 2 and isinstance(entry[0], str)):
+                raise SexprError(f"bad binding {to_text(entry)}, expected (name term)")
+            out[entry[0]] = self.term(entry[1], env)
+        return out
+
+
+def _arity(form: list, count: int, sections: bool = False) -> None:
+    """``form`` has ``count`` arguments, or at least that many if sections follow."""
+    given = len(form) - 1
+    if given < count or (given > count and not sections):
+        raise SexprError(f"{form[0]} takes {count} arguments, got {given}: {to_text(form)}")
+
+
+def _atom(expr: Sexpr, kind: type, what: str) -> Sexpr:
+    if not isinstance(expr, kind):
+        raise SexprError(f"expected {what}, got {to_text(expr)}")
+    return expr
+
+
+def _sections(rule: str, items: Sequence[Sexpr], required: tuple, optional: tuple = ()) -> dict:
+    """The entries of each ``(name ...)`` section, by name."""
+    found: dict[str, list] = {}
+    for item in items:
+        name = item[0] if isinstance(item, list) and item else None
+        if name not in (*required, *optional) or name in found:
+            raise SexprError(f"{rule}: unexpected {to_text(item)}")
+        found[name] = item[1:]
+    for name in required:
+        if name not in found:
+            raise SexprError(f"{rule} needs a ({name} ...) section")
+    return found
+
+
+def _parse_refs(payload: type, count: int) -> Callable:
+    def parse(form: list, scope: _Scope):
+        _arity(form, count)
+        return payload(*(scope.ref(e) for e in form[1:]))
+
+    return parse
+
+
+def _parse_const(with_models: bool) -> Callable:
+    def parse(form: list, scope: _Scope) -> ConstBound:
+        _arity(form, 2, sections=with_models)
+        ref = scope.ref(form[1])
+        c = _atom(form[2], int, "an integer count")
+        if len(form) == 3:
+            return ConstBound(ref, c)
+        env = scope.env(ref)
+        models = []
+        for item in form[3:]:
+            if not (isinstance(item, list) and item and item[0] == "model"):
+                raise SexprError(f"{form[0]}: expected (model ...), got {to_text(item)}")
+            models.append(scope.bindings(item[1:], env))
+        return ConstBound(ref, c, tuple(models))
+
+    return parse
+
+
+def _parse_injective(form: list, scope: _Scope) -> Injection:
+    _arity(form, 2, sections=True)
+    f, g = scope.ref(form[1]), scope.ref(form[2])
+    found = _sections("injective", form[3:], ("witness",))
+    return Injection(f, g, scope.bindings(found["witness"], scope.env(f, g)))
+
+
+def _parse_ind(payload: type, names: tuple[str, ...]) -> Callable:
+    """The parser of an ind rule whose witness maps are the sections ``names``."""
+
+    def parse(form: list, scope: _Scope):
+        _arity(form, 3, sections=True)
+        f, g = scope.ref(form[1]), scope.ref(form[2])
+        n = _atom(form[3], str, "a parameter name")
+        env = scope.env(f, g)
+        found = _sections(form[0], form[4:], names, ("guard",))
+        guard = TRUE
+        if "guard" in found:
+            if len(found["guard"]) != 1:
+                raise SexprError(f"{form[0]}: (guard ...) takes one term")
+            guard = scope.term(found["guard"][0], env)
+        return payload(f, g, n, *(scope.bindings(found[name], env) for name in names), guard)
+
+    return parse
+
+
+def _parse_close(form: list, scope: _Scope) -> Close:
+    _arity(form, 7)
+    ref = scope.ref(form[1])
+    n = _atom(form[2], str, "a parameter name")
+    env = {vn: vs for vn, vs in scope.env(ref).items() if vn == n}
+    if not env:
+        raise SexprError(f"close: {n} not a variable of {_ref_names(ref)}")
+    return Close(
+        ref,
+        n,
+        scope.term(form[3], {}),
+        scope.term(form[4], {}),
+        scope.term(form[5], env),
+        scope.term(form[6], env),
+        _atom(form[7], str, "a relation symbol"),
+    )
+
+
+# ---------------------------------------------------------------------------
+# The rule table
+
+
+@dataclass(frozen=True)
+class Rule:
+    payload: type
+    parse: Callable  # (form, scope) -> payload
+    build: Callable  # (kernel, payload) -> (premises, CountFact)
+
+
+RULES: dict[str, Rule] = {
+    "range": Rule(OneRef, _parse_refs(OneRef, 1), _build_range),
+    "positive": Rule(OneRef, _parse_refs(OneRef, 1), _build_positive),
+    "const-lb": Rule(ConstBound, _parse_const(with_models=True), _build_const_lb),
+    "const-ub": Rule(ConstBound, _parse_const(with_models=False), _build_const_ub),
+    "ub": Rule(Subset, _parse_refs(Subset, 2), _build_ub),
+    "or": Rule(Split, _parse_refs(Split, 3), _build_or),
+    "and-ub": Rule(Product, _parse_refs(Product, 3), _product("and-ub", "<=", disjoint=False)),
+    "disjoint": Rule(Product, _parse_refs(Product, 3), _product("disjoint", "=", disjoint=True)),
+    "injective": Rule(Injection, _parse_injective, _build_injective),
+    "ind-geq": Rule(IndGeq, _parse_ind(IndGeq, ("witness",)), _build_ind_geq),
+    "ind-leq": Rule(IndLeq, _parse_ind(IndLeq, ("hx", "hy")), _build_ind_leq),
+    "close": Rule(Close, _parse_close, _build_close),
+}
 
 
 # ---------------------------------------------------------------------------
@@ -681,230 +828,90 @@ class Kernel:
 
 
 def apply_rule(kernel: Kernel, app: RuleApp) -> CountFact:
-    r = app.rule
-    p = app.payload
-    if r == "range":
-        return kernel.rule_range(p[0])
-    if r == "positive":
-        return kernel.rule_positive(p[0])
-    if r == "const-lb":
-        return kernel.rule_const_bound(p[0], p[1], "lb", p[2] if len(p) > 2 else None)
-    if r == "const-ub":
-        return kernel.rule_const_bound(p[0], p[1], "ub")
-    if r == "ub":
-        return kernel.rule_ub(p[0], p[1])
-    if r == "or":
-        return kernel.rule_or(p[0], p[1], p[2])
-    if r == "and-ub":
-        return kernel.rule_and_ub(p[0], p[1], p[2])
-    if r == "disjoint":
-        return kernel.rule_disjoint(p[0], p[1], p[2])
-    if r == "injective":
-        return kernel.rule_injectivity(p[0], p[1], p[2])
-    if r == "ind-geq":
-        return kernel.rule_ind("geq", p[0], p[1], p[2], {"g": p[3]}, p[4])
-    if r == "ind-leq":
-        return kernel.rule_ind("leq", p[0], p[1], p[2], {"hx": p[3], "hy": p[4]}, p[5])
-    if r == "close":
-        return kernel.close_recurrence(*p)
-    raise KernelError(f"unknown rule {r!r}")
+    rule = RULES.get(app.rule)
+    if rule is None:
+        raise KernelError(f"unknown rule {app.rule!r}")
+    premises, fact = rule.build(kernel, app.payload)
+    kernel.send(premises)
+    kernel.facts.append(fact)
+    return fact
 
 
 def check_script(script: ProofScript, session: Session) -> ScriptResult:
     kernel = Kernel(session)
     for pred in script.declarations:
         kernel.declare_pred(pred)
-    for step in script.steps:
-        for app in step.apps:
-            try:
-                apply_rule(kernel, app)
-            except KernelError as exc:
-                return ScriptResult(
-                    False,
-                    f"step {step.index}",
-                    str(exc),
-                    tuple(kernel.facts),
-                    kernel.signature,
-                )
-    if script.goal is None:
-        return ScriptResult(
-            False, "goal", "script has no goal", tuple(kernel.facts), kernel.signature
-        )
+    at = "goal"
     try:
-        ok = kernel.entails(script.goal, "goal")
-    except QueryUnknown as exc:
-        return ScriptResult(
-            False, "goal", str(exc), tuple(kernel.facts), kernel.signature
-        )
-    if not ok:
-        return ScriptResult(
-            False,
-            "goal",
-            "goal not entailed by admitted facts",
-            tuple(kernel.facts),
-            kernel.signature,
-        )
-    return ScriptResult(True, facts=tuple(kernel.facts), signature=kernel.signature)
+        for step in script.steps:
+            at = f"step {step.index}"
+            for app in step.apps:
+                apply_rule(kernel, app)
+        at = "goal"
+        if script.goal is None:
+            raise KernelError("script has no goal")
+        kernel.send([kernel.entailment(script.goal, "goal", "goal not entailed by admitted facts")])
+    except KernelError as exc:
+        status = "unknown" if isinstance(exc, QueryUnknown) else "rejected"
+        return ScriptResult(status, at, str(exc), tuple(kernel.facts), kernel.signature)
+    return ScriptResult("accepted", facts=tuple(kernel.facts), signature=kernel.signature)
 
 
 # ---------------------------------------------------------------------------
 # Script parsing
 
 
-def _parse_ref(expr: Sexpr, kernel_preds: Mapping[str, DeclaredPred], env_terms) -> PredRef:
-    if isinstance(expr, str):
-        return expr
-    if isinstance(expr, list) and expr and expr[0] == "and":
-        return ("and", _parse_ref(expr[1], kernel_preds, env_terms), _parse_ref(expr[2], kernel_preds, env_terms))
-    if isinstance(expr, list) and expr and expr[0] == "at":
-        name = expr[1]
-        pred = kernel_preds.get(name)
-        if pred is None:
-            raise SexprError(f"unknown predicate {name!r} in at-reference")
-        args = tuple(env_terms(a, {}) for a in expr[2:])
-        return ("at", name, args)
-    raise SexprError(f"bad predicate reference {expr!r}")
-
-
-def parse_proof(text: str, signature: Signature = Signature()) -> ProofScript:
+def parse_proof(text: str) -> ProofScript:
     form = parse_one(text)
     if not isinstance(form, list) or not form or form[0] != "proof":
         raise SexprError("expected (proof ...)")
-    preds: dict[str, DeclaredPred] = {}
+    scope = _Scope()
     steps: list[ProofStep] = []
     goal: Optional[Term] = None
-    sig = BUILTIN_SIGNATURE
-    for fname, fargs, fres in signature.functions:
-        sig = sig.extend(fname, fargs, fres)
-
-    def parse_term_in(expr: Sexpr, env: Mapping[str, Sort]) -> Term:
-        return term_from_sexpr(expr, env, sig)
-
-    def pred_env(names: Sequence[str]) -> dict[str, Sort]:
-        env: dict[str, Sort] = {}
-        for pname in names:
-            for vn, vs in preds[pname].vars:
-                env[vn] = vs
-        return env
-
-    for item in form[1:]:
-        if not isinstance(item, list) or not item:
-            raise SexprError(f"bad proof section {item!r}")
-        head = item[0]
-        if head == "declare-pred":
-            name = item[1]
-            variables = tuple((b[0], sort_from_sexpr(b[1])) for b in item[2])
-            counted_section = item[3]
-            if not (isinstance(counted_section, list) and counted_section and counted_section[0] == "counted"):
-                raise SexprError("declare-pred needs a (counted ...) section")
-            counted = tuple(counted_section[1:])
-            env = {n: s for n, s in variables}
-            body = parse_term_in(item[4], env)
-            pred = DeclaredPred(name, variables, counted, body)
-            preds[name] = pred
-            sig = sig.extend(
-                f"cnt.{name}", tuple(s for n, s in pred.params), INT
-            )
-        elif head == "step":
-            index = item[1]
-            apps: list[RuleApp] = []
-            for app_form in item[2:]:
-                apps.append(_parse_rule_app(app_form, preds, parse_term_in, pred_env))
-            steps.append(ProofStep(index, tuple(apps)))
-        elif head == "goal":
-            goal = parse_term_in(item[1], {})
-        else:
-            raise SexprError(f"unknown proof section {head!r}")
-    return ProofScript(tuple(preds.values()), tuple(steps), goal)
+    try:
+        for item in form[1:]:
+            if not isinstance(item, list) or not item:
+                raise SexprError(f"bad proof section {item!r}")
+            head = item[0]
+            if head == "declare-pred":
+                _declare(item, scope)
+            elif head == "step":
+                _arity(item, 1, sections=True)
+                index = _atom(item[1], int, "an integer step index")
+                steps.append(ProofStep(index, tuple(_parse_app(a, scope) for a in item[2:])))
+            elif head == "goal":
+                _arity(item, 1)
+                goal = scope.term(item[1], {})
+            else:
+                raise SexprError(f"unknown proof section {head!r}")
+    except (TermError, KernelError) as exc:
+        raise SexprError(str(exc)) from exc
+    return ProofScript(tuple(scope.preds.values()), tuple(steps), goal)
 
 
-def _collect_kw(items: Sequence[Sexpr]) -> dict[str, Sexpr]:
-    out: dict[str, Sexpr] = {}
-    for entry in items:
-        if isinstance(entry, list) and entry and isinstance(entry[0], str):
-            out[entry[0]] = entry
-    return out
+def _declare(item: list, scope: _Scope) -> None:
+    _arity(item, 4)
+    name = _atom(item[1], str, "a predicate name")
+    if name in scope.preds:
+        raise SexprError(f"predicate {name} declared twice")
+    if not isinstance(item[2], list) or not all(
+        isinstance(b, list) and len(b) == 2 and isinstance(b[0], str) for b in item[2]
+    ):
+        raise SexprError(f"declare-pred {name}: expected ((var sort) ...)")
+    variables = tuple((b[0], sort_from_sexpr(b[1])) for b in item[2])
+    counted = item[3]
+    if not (isinstance(counted, list) and counted and counted[0] == "counted"):
+        raise SexprError("declare-pred needs a (counted ...) section")
+    body = scope.term(item[4], dict(variables))
+    pred = DeclaredPred(name, variables, tuple(counted[1:]), body)
+    scope.preds[name] = pred
+    scope.sig = scope.sig.extend(f"cnt.{name}", tuple(s for _, s in pred.params), INT)
 
 
-def _parse_rule_app(form: Sexpr, preds, parse_term_in, pred_env) -> RuleApp:
+def _parse_app(form: Sexpr, scope: _Scope) -> RuleApp:
     if not isinstance(form, list) or not form or not isinstance(form[0], str):
         raise SexprError(f"bad rule application {form!r}")
-    rule = form[0]
-
-    def ref(expr: Sexpr) -> PredRef:
-        return _parse_ref(expr, preds, lambda e, env: parse_term_in(e, env))
-
-    def ref_names(r: PredRef) -> list[str]:
-        if isinstance(r, str):
-            return [r]
-        if r[0] == "and":
-            return ref_names(r[1]) + ref_names(r[2])
-        return [r[1]]
-
-    if rule in ("range", "positive"):
-        return RuleApp(rule, (ref(form[1]),))
-    if rule == "const-ub":
-        return RuleApp(rule, (ref(form[1]), form[2]))
-    if rule == "const-lb":
-        r = ref(form[1])
-        models = None
-        model_forms = [
-            e for e in form[3:] if isinstance(e, list) and e and e[0] == "model"
-        ]
-        if model_forms:
-            env = pred_env(ref_names(r))
-            models = tuple(
-                {e[0]: parse_term_in(e[1], env) for e in mf[1:]}
-                for mf in model_forms
-            )
-        return RuleApp(rule, (r, form[2], models))
-    if rule == "ub":
-        return RuleApp(rule, (ref(form[1]), ref(form[2])))
-    if rule in ("or", "and-ub", "disjoint"):
-        return RuleApp(rule, (ref(form[1]), ref(form[2]), ref(form[3])))
-    if rule == "injective":
-        f_ref, g_ref = ref(form[1]), ref(form[2])
-        env = pred_env(ref_names(f_ref) + ref_names(g_ref))
-        kw = _collect_kw(form[3:])
-        if "witness" not in kw:
-            raise SexprError("injective needs a (witness ...) section")
-        witness = {
-            entry[0]: parse_term_in(entry[1], env) for entry in kw["witness"][1:]
-        }
-        return RuleApp(rule, (f_ref, g_ref, witness))
-    if rule in ("ind-geq", "ind-leq"):
-        f_ref, g_ref, nparam = ref(form[1]), ref(form[2]), form[3]
-        env = pred_env(ref_names(f_ref) + ref_names(g_ref))
-        kw = _collect_kw(form[4:])
-        guard = (
-            parse_term_in(kw["guard"][1], env) if "guard" in kw else TRUE
-        )
-        if rule == "ind-geq":
-            if "witness" not in kw:
-                raise SexprError("ind-geq needs a (witness ...) section")
-            lift = {e[0]: parse_term_in(e[1], env) for e in kw["witness"][1:]}
-            return RuleApp(rule, (f_ref, g_ref, nparam, lift, guard))
-        if "hx" not in kw or "hy" not in kw:
-            raise SexprError("ind-leq needs (hx ...) and (hy ...) sections")
-        hx = {e[0]: parse_term_in(e[1], env) for e in kw["hx"][1:]}
-        hy = {e[0]: parse_term_in(e[1], env) for e in kw["hy"][1:]}
-        return RuleApp(rule, (f_ref, g_ref, nparam, hx, hy, guard))
-    if rule == "close":
-        r = ref(form[1])
-        nparam = form[2]
-        names = ref_names(r)
-        nsort = None
-        for pname in names:
-            for vn, vs in preds[pname].vars:
-                if vn == nparam:
-                    nsort = vs
-        if nsort is None:
-            raise SexprError(f"close: {nparam} not a variable of {names}")
-        env = {nparam: nsort}
-        n0 = parse_term_in(form[3], {})
-        base_value = parse_term_in(form[4], {})
-        factor = parse_term_in(form[5], env)
-        closed_form = parse_term_in(form[6], env)
-        rel = form[7]
-        return RuleApp(rule, (r, nparam, n0, base_value, factor, closed_form, rel))
-    raise SexprError(f"unknown rule {rule!r}")
+    rule = RULES.get(form[0])
+    if rule is None:
+        raise SexprError(f"unknown rule {form[0]!r}")
+    return RuleApp(form[0], rule.parse(form, scope))

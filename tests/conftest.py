@@ -40,3 +40,23 @@ def stub_solver(tmp_path):
         return [str(script)]
 
     return make
+
+
+@pytest.fixture
+def case_solver(tmp_path):
+    """Make a solver command whose reply depends on the query text: ``hit``
+    when the query contains ``pattern``, ``miss`` otherwise."""
+    numbers = itertools.count(1)
+
+    def make(pattern: str, hit: str, miss: str) -> list[str]:
+        script = tmp_path / f"case-solver-{next(numbers)}.sh"
+        script.write_text(
+            "#!/bin/sh\n"
+            "query=$(cat)\n"
+            f'case "$query" in\n  *{pattern}*) cat <<\'REPLY\'\n{hit}\nREPLY\n  ;;\n'
+            f"  *) cat <<'REPLY'\n{miss}\nREPLY\n  ;;\nesac\n"
+        )
+        script.chmod(0o755)
+        return [str(script)]
+
+    return make

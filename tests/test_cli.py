@@ -239,3 +239,30 @@ def test_verify_debug_dir_one_numbering(benchmarks, stub_solver, tmp_path, capsy
     assert sent_first > 0 and not set(labels[sent_first:]) & enumeration
     assert any(label.startswith("close(") for label in labels[sent_first:-1])
     assert labels[-1] == "link"
+
+
+def copy_benchmark(benchmarks, name, directory):
+    directory.mkdir()
+    for path in (benchmarks / name).iterdir():
+        (directory / path.name).write_text(path.read_text())
+    return directory
+
+
+def test_verify_malformed_proof_exits_3(benchmarks, stub_solver, tmp_path, capsys):
+    purse = copy_benchmark(benchmarks, "electronic-purse", tmp_path / "purse")
+    proof = purse / "proof.sexp"
+    proof.write_text(proof.read_text().replace("(range V)", "(range)"))
+    code = main(["verify", str(purse), "--solver", stub_solver("unsat")[0]])
+    err = capsys.readouterr().err
+    assert code == 3
+    assert err.startswith("error: ") and "Traceback" not in err
+
+
+def test_verify_unknown_counting_premise_exits_2(benchmarks, case_solver, capsys):
+    # counting queries mention a count symbol, enumeration queries do not
+    cmd = case_solver("cnt.", "unknown", "unsat")
+    code = main(["verify", str(benchmarks / "electronic-purse"), "--solver", cmd[0]])
+    report = json.loads(capsys.readouterr().out)
+    assert (report["verdict"], report["failed_stage"], code) == ("unknown", "counting", 2)
+    assert report["stages"]["enumeration"]["verdict"] == "passed"
+    assert report["stages"]["counting"]["reason"] == "goal: solver returned unknown"

@@ -2,14 +2,18 @@ import pytest
 
 from qhenum.backend import Session
 from qhenum.counting import (
+    RULES,
     DeclaredPred,
     Kernel,
     KernelError,
     NotValid,
+    RuleApp,
     VarsOverlap,
+    apply_rule,
     check_script,
     parse_proof,
 )
+from qhenum.sexpr import SexprError
 from qhenum.terms import INT, IntLit, Var, term_from_text
 
 TIMEOUT = 20_000
@@ -18,6 +22,10 @@ TIMEOUT = 20_000
 def pred(name, variables, counted, body_text):
     env = {n: s for n, s in variables}
     return DeclaredPred(name, tuple(variables), tuple(counted), term_from_text(body_text, env))
+
+
+def apply(kernel, rule, *fields):
+    return apply_rule(kernel, RuleApp(rule, RULES[rule].payload(*fields)))
 
 
 def make_kernel(solver, *preds):
@@ -45,7 +53,7 @@ def test_declare_pred_validation():
 def test_unknown_predicate_rejected(solver):
     kernel = make_kernel(solver)
     with pytest.raises(KernelError):
-        kernel.rule_positive("nope")
+        apply(kernel, "positive", "nope")
 
 
 # -- range ---------------------------------------------------------------------
@@ -53,7 +61,7 @@ def test_unknown_predicate_rejected(solver):
 
 def test_range_accepts_interval(solver):
     kernel = make_kernel(solver, pred("R", V + [K], ["v"], "(and (<= 0 v) (< v k))"))
-    fact = kernel.rule_range("R")
+    fact = apply(kernel, "range", "R")
     assert fact.rule == "range"
     assert kernel.entails(
         term_from_text("(= (cnt.R 5) 5)", {}, kernel.signature), "t"
@@ -71,11 +79,11 @@ def test_range_rejects_wrong_shape(solver):
         pred("R3", V + [W[0], K], ["v", "w"], "(and (<= 0 v) (< v k))"),
     )
     with pytest.raises(KernelError):
-        kernel.rule_range("R1")  # strict lower bound
+        apply(kernel, "range", "R1")  # strict lower bound
     with pytest.raises(KernelError):
-        kernel.rule_range("R2")  # bound mentions the counted variable
+        apply(kernel, "range", "R2")  # bound mentions the counted variable
     with pytest.raises(KernelError):
-        kernel.rule_range("R3")  # two counted variables
+        apply(kernel, "range", "R3")  # two counted variables
 
 
 # -- positive --------------------------------------------------------------------
@@ -83,7 +91,7 @@ def test_range_rejects_wrong_shape(solver):
 
 def test_positive(solver):
     kernel = make_kernel(solver, pred("P", V + [K], ["v"], "(= v k)"))
-    kernel.rule_positive("P")
+    apply(kernel, "positive", "P")
     assert kernel.entails(
         term_from_text("(forall ((k Int)) (>= (cnt.P k) 0))", {}, kernel.signature),
         "t",
@@ -95,16 +103,16 @@ def test_positive(solver):
 
 def test_const_lb_model_search(solver):
     kernel = make_kernel(solver, pred("P", V, ["v"], "(and (<= 0 v) (< v 3))"))
-    kernel.rule_const_bound("P", 3, "lb")
+    apply(kernel, "const-lb", "P", 3)
     assert kernel.entails(term_from_text("(>= cnt.P 3)", {}, kernel.signature), "t")
     with pytest.raises(NotValid):
-        kernel.rule_const_bound("P", 4, "lb")
+        apply(kernel, "const-lb", "P", 4)
 
 
 def test_const_lb_explicit_witnesses(solver):
     kernel = make_kernel(solver, pred("P", V, ["v"], "(and (<= 0 v) (< v 3))"))
     models = [{"v": IntLit(0)}, {"v": IntLit(2)}]
-    kernel.rule_const_bound("P", 2, "lb", models)
+    apply(kernel, "const-lb", "P", 2, models)
     assert kernel.entails(term_from_text("(>= cnt.P 2)", {}, kernel.signature), "t")
 
 
@@ -112,12 +120,12 @@ def test_const_lb_bad_witnesses_rejected(solver):
     kernel = make_kernel(solver, pred("P", V, ["v"], "(and (<= 0 v) (< v 3))"))
     with pytest.raises(NotValid):
         # 5 violates the body
-        kernel.rule_const_bound("P", 2, "lb", [{"v": IntLit(0)}, {"v": IntLit(5)}])
+        apply(kernel, "const-lb", "P", 2, [{"v": IntLit(0)}, {"v": IntLit(5)}])
     with pytest.raises(NotValid):
         # witnesses are not pairwise distinct
-        kernel.rule_const_bound("P", 2, "lb", [{"v": IntLit(1)}, {"v": IntLit(1)}])
+        apply(kernel, "const-lb", "P", 2, [{"v": IntLit(1)}, {"v": IntLit(1)}])
     with pytest.raises(KernelError):
-        kernel.rule_const_bound("P", 2, "lb", [{"v": IntLit(0)}])
+        apply(kernel, "const-lb", "P", 2, [{"v": IntLit(0)}])
 
 
 def test_const_lb_parameterized(solver):
@@ -126,29 +134,29 @@ def test_const_lb_parameterized(solver):
         pred("P", V + [K], ["v"], "(or (= v 0) (= v k))"),
         pred("Q", V + [K], ["v"], "(and (= v 0) (= v k))"),
     )
-    kernel.rule_const_bound("P", 1, "lb")
+    apply(kernel, "const-lb", "P", 1)
     assert kernel.entails(
         term_from_text("(forall ((k Int)) (>= (cnt.P k) 1))", {}, kernel.signature),
         "t",
     )
     with pytest.raises(NotValid):
-        kernel.rule_const_bound("P", 2, "lb")  # fails when k = 0
+        apply(kernel, "const-lb", "P", 2)  # fails when k = 0
     with pytest.raises(NotValid):
-        kernel.rule_const_bound("Q", 1, "lb")  # fails when k != 0
+        apply(kernel, "const-lb", "Q", 1)  # fails when k != 0
 
 
 def test_const_ub(solver):
     kernel = make_kernel(solver, pred("P", V, ["v"], "(= v 7)"))
-    kernel.rule_const_bound("P", 2, "ub")
+    apply(kernel, "const-ub", "P", 2)
     assert kernel.entails(term_from_text("(<= cnt.P 1)", {}, kernel.signature), "t")
     with pytest.raises(NotValid):
-        kernel.rule_const_bound("P", 1, "ub")  # one model does exist
+        apply(kernel, "const-ub", "P", 1)  # one model does exist
 
 
 def test_const_bound_rejects_degenerate_count(solver):
     kernel = make_kernel(solver, pred("P", V, ["v"], "(= v 7)"))
     with pytest.raises(KernelError):
-        kernel.rule_const_bound("P", 0, "lb")
+        apply(kernel, "const-lb", "P", 0)
 
 
 # -- ub (subset) --------------------------------------------------------------------
@@ -160,12 +168,12 @@ def test_ub(solver):
         pred("F", V, ["v"], "(and (<= 0 v) (< v 2))"),
         pred("G", V, ["v"], "(and (<= 0 v) (< v 5))"),
     )
-    kernel.rule_ub("F", "G")
+    apply(kernel, "ub", "F", "G")
     assert kernel.entails(
         term_from_text("(<= cnt.F cnt.G)", {}, kernel.signature), "t"
     )
     with pytest.raises(NotValid):
-        kernel.rule_ub("G", "F")  # G is not a subset of F
+        apply(kernel, "ub", "G", "F")  # G is not a subset of F
 
 
 def test_ub_countermodel_reaches_not_valid(stub_solver):
@@ -175,7 +183,7 @@ def test_ub_countermodel_reaches_not_valid(stub_solver):
     kernel.declare_pred(pred("F", V, ["v"], "(and (<= 0 v) (< v 5))"))
     kernel.declare_pred(pred("G", V, ["v"], "(and (<= 0 v) (< v 2))"))
     with pytest.raises(NotValid) as info:
-        kernel.rule_ub("F", "G")
+        apply(kernel, "ub", "F", "G")
     assert info.value.model == (("v", "5"),)
 
 
@@ -185,7 +193,7 @@ def test_ub_unsat_with_model_error_is_valid(stub_solver):
     kernel = Kernel(Session(cmd, TIMEOUT))
     kernel.declare_pred(pred("F", V, ["v"], "(and (<= 0 v) (< v 2))"))
     kernel.declare_pred(pred("G", V, ["v"], "(and (<= 0 v) (< v 5))"))
-    fact = kernel.rule_ub("F", "G")
+    fact = apply(kernel, "ub", "F", "G")
     assert fact.rule == "ub" and kernel.facts == [fact]
 
 
@@ -199,9 +207,9 @@ def test_or(solver):
         pred("G", V, ["v"], "(and (<= 0 v) (< v 2))"),
         pred("H", V, ["v"], "(and (<= 2 v) (< v 4))"),
     )
-    kernel.rule_or("F", "G", "H")
+    apply(kernel, "or", "F", "G", "H")
     with pytest.raises(NotValid):
-        kernel.rule_or("G", "F", "H")  # G != F or H
+        apply(kernel, "or", "G", "F", "H")  # G != F or H
 
 
 def test_or_overlap_is_subtracted(solver):
@@ -211,7 +219,7 @@ def test_or_overlap_is_subtracted(solver):
         pred("G", V, ["v"], "(and (<= 0 v) (< v 3))"),
         pred("H", V, ["v"], "(and (<= 2 v) (< v 4))"),
     )
-    kernel.rule_or("F", "G", "H")
+    apply(kernel, "or", "F", "G", "H")
     goal = term_from_text(
         "(= cnt.F (- (+ cnt.G cnt.H) cnt.G&H))", {}, kernel.signature
     )
@@ -228,7 +236,7 @@ def test_disjoint(solver):
         pred("F", V, ["v"], "(and (<= 0 v) (< v 2))"),
         pred("G", W, ["w"], "(and (<= 0 w) (< w 3))"),
     )
-    kernel.rule_disjoint("H", "F", "G")
+    apply(kernel, "disjoint", "H", "F", "G")
     assert kernel.entails(
         term_from_text("(= cnt.H (* cnt.F cnt.G))", {}, kernel.signature), "t"
     )
@@ -242,7 +250,7 @@ def test_disjoint_rejects_shared_variables(solver):
         pred("G", V, ["v"], "(< v 2)"),
     )
     with pytest.raises(VarsOverlap):
-        kernel.rule_disjoint("H", "F", "G")
+        apply(kernel, "disjoint", "H", "F", "G")
 
 
 def test_and_ub(solver):
@@ -253,7 +261,7 @@ def test_and_ub(solver):
         pred("G", W, ["w"], "(< w 2)"),
     )
     with pytest.raises(KernelError):
-        kernel.rule_and_ub("H", "F", "G")  # counted vars of h miss w
+        apply(kernel, "and-ub", "H", "F", "G")  # counted vars of h miss w
     kernel2 = make_kernel(
         solver,
         pred("H", V + W, ["v", "w"], "(and (and (<= 0 v) (< v 2)) (and (<= 0 w) (< w 3)))"),
@@ -261,9 +269,9 @@ def test_and_ub(solver):
         pred("G", W, ["w"], "(and (<= 0 w) (< w 3))"),
         pred("Bad", W, ["w"], "(and (<= 0 w) (< w 1))"),
     )
-    kernel2.rule_and_ub("H", "F", "G")
+    apply(kernel2, "and-ub", "H", "F", "G")
     with pytest.raises(NotValid):
-        kernel2.rule_and_ub("H", "F", "Bad")
+        apply(kernel2, "and-ub", "H", "F", "Bad")
 
 
 # -- injective ---------------------------------------------------------------------------------
@@ -276,7 +284,7 @@ def test_injective(solver):
         pred("G", W, ["w"], "(and (<= 0 w) (< w 6))"),
     )
     env = {"v": INT}
-    kernel.rule_injectivity("F", "G", {"w": term_from_text("(* 2 v)", env)})
+    apply(kernel, "injective", "F", "G", {"w": term_from_text("(* 2 v)", env)})
     assert kernel.entails(
         term_from_text("(<= cnt.F cnt.G)", {}, kernel.signature), "t"
     )
@@ -289,7 +297,7 @@ def test_injective_rejects_collapsing_witness(solver):
         pred("G", W, ["w"], "(and (<= 0 w) (< w 6))"),
     )
     with pytest.raises(NotValid):
-        kernel.rule_injectivity("F", "G", {"w": IntLit(0)})
+        apply(kernel, "injective", "F", "G", {"w": IntLit(0)})
 
 
 def test_injective_rejects_escaping_image(solver):
@@ -299,7 +307,7 @@ def test_injective_rejects_escaping_image(solver):
         pred("G", W, ["w"], "(and (<= 0 w) (< w 2))"),
     )
     with pytest.raises(NotValid):
-        kernel.rule_injectivity("F", "G", {"w": term_from_text("v", {"v": INT})})
+        apply(kernel, "injective", "F", "G", {"w": term_from_text("v", {"v": INT})})
 
 
 # -- induction ----------------------------------------------------------------------------------
@@ -312,12 +320,13 @@ def test_ind_geq(solver):
         pred("G", B, ["b"], "(= b 0)"),
     )
     env = {"v": INT, "b": INT}
-    kernel.rule_ind(
-        "geq",
+    apply(
+        kernel,
+        "ind-geq",
         "F",
         "G",
         "n",
-        {"g": {"v": term_from_text("v", env)}},
+        {"v": term_from_text("v", env)},
         term_from_text("(>= n 0)", {"n": INT}),
     )
     goal = term_from_text(
@@ -337,7 +346,7 @@ def test_ind_geq_rejects_noninjective_lift(solver):
     env = {"v": INT, "b": INT}
     with pytest.raises(NotValid):
         # ignores b, so two g-models map to one lifted model
-        kernel.rule_ind("geq", "F", "G", "n", {"g": {"v": term_from_text("v", env)}})
+        apply(kernel, "ind-geq", "F", "G", "n", {"v": term_from_text("v", env)})
 
 
 def test_ind_leq(solver):
@@ -347,15 +356,14 @@ def test_ind_leq(solver):
         pred("G", B, ["b"], "(and (<= 0 b) (< b 2))"),
     )
     env = {"v": INT}
-    kernel.rule_ind(
-        "leq",
+    apply(
+        kernel,
+        "ind-leq",
         "F",
         "G",
         "n",
-        {
-            "hx": {"v": term_from_text("(div v 2)", env)},
-            "hy": {"b": term_from_text("(mod v 2)", env)},
-        },
+        {"v": term_from_text("(div v 2)", env)},
+        {"b": term_from_text("(mod v 2)", env)},
         term_from_text("(>= n 1)", {"n": INT}),
     )
     goal = term_from_text(
@@ -375,15 +383,14 @@ def test_ind_leq_rejects_bad_lowering(solver):
     env = {"v": INT}
     with pytest.raises(NotValid):
         # identity does not land back in F at n
-        kernel.rule_ind(
-            "leq",
+        apply(
+            kernel,
+            "ind-leq",
             "F",
             "G",
             "n",
-            {
-                "hx": {"v": term_from_text("v", env)},
-                "hy": {"b": term_from_text("0", env)},
-            },
+            {"v": term_from_text("v", env)},
+            {"b": term_from_text("0", env)},
             term_from_text("(>= n 1)", {"n": INT}),
         )
 
@@ -395,7 +402,7 @@ def test_ind_requires_fresh_counted_names(solver):
         pred("G", V, ["v"], "(= v 0)"),
     )
     with pytest.raises(KernelError):
-        kernel.rule_ind("geq", "F", "G", "n", {"g": {"v": Var("v", INT)}})
+        apply(kernel, "ind-geq", "F", "G", "n", {"v": Var("v", INT)})
 
 
 # -- close --------------------------------------------------------------------------------------
@@ -404,14 +411,14 @@ def test_ind_requires_fresh_counted_names(solver):
 def close_kernel(solver, timeout=TIMEOUT):
     kernel = Kernel(Session(solver, timeout))
     kernel.declare_pred(pred("F", V + [N], ["v"], "(and (<= 0 v) (< v n))"))
-    kernel.rule_range("F")
+    apply(kernel, "range", "F")
     return kernel
 
 
 def test_close_recurrence(solver):
     kernel = close_kernel(solver)
     one = IntLit(1)
-    kernel.close_recurrence("F", "n", one, one, one, one, ">=")
+    apply(kernel, "close", "F", "n", one, one, one, one, ">=")
     goal = term_from_text(
         "(forall ((n Int)) (=> (>= n 1) (>= (cnt.F n) 1)))", {}, kernel.signature
     )
@@ -427,7 +434,7 @@ def test_close_base_mismatch(solver):
     kernel = close_kernel(solver, timeout=3000)
     before = len(kernel.facts)
     with pytest.raises(KernelError):
-        kernel.close_recurrence("F", "n", IntLit(1), IntLit(5), IntLit(1), IntLit(1), ">=")
+        apply(kernel, "close", "F", "n", IntLit(1), IntLit(5), IntLit(1), IntLit(1), ">=")
     assert len(kernel.facts) == before
 
 
@@ -436,7 +443,9 @@ def test_close_step_mismatch(solver):
     before = len(kernel.facts)
     with pytest.raises(KernelError):
         # facts do not entail doubling
-        kernel.close_recurrence(
+        apply(
+            kernel,
+            "close",
             "F",
             "n",
             IntLit(1),
@@ -453,9 +462,7 @@ def test_close_needs_single_parameter(solver):
         solver, pred("F", V + [K, N], ["v"], "(and (<= 0 v) (< v n))")
     )
     with pytest.raises(KernelError):
-        kernel.close_recurrence(
-            "F", "n", IntLit(1), IntLit(1), IntLit(1), IntLit(1), ">="
-        )
+        apply(kernel, "close", "F", "n", IntLit(1), IntLit(1), IntLit(1), IntLit(1), ">=")
 
 
 # -- scripts ------------------------------------------------------------------------------------
@@ -471,7 +478,7 @@ SCRIPT = """
 def test_check_script_accepts(solver):
     script = parse_proof(SCRIPT)
     result = check_script(script, Session(solver, TIMEOUT))
-    assert result.accepted
+    assert result.status == "accepted"
     assert result.rejected_at is None
     assert [f.rule for f in result.facts] == ["range", "positive"]
 
@@ -479,14 +486,14 @@ def test_check_script_accepts(solver):
 def test_check_script_rejects_bad_step(solver):
     bad = SCRIPT.replace("(and (<= 0 v) (< v k))", "(and (< 0 v) (< v k))")
     result = check_script(parse_proof(bad), Session(solver, TIMEOUT))
-    assert not result.accepted
+    assert result.status != "accepted"
     assert result.rejected_at == "step 1"
 
 
 def test_check_script_rejects_unentailed_goal(solver):
     bad = SCRIPT.replace("(= (cnt.R k) k)", "(= (cnt.R k) (+ k 1))")
     result = check_script(parse_proof(bad), Session(solver, 3000))
-    assert not result.accepted
+    assert result.status != "accepted"
     assert result.rejected_at == "goal"
 
 
@@ -495,7 +502,7 @@ def test_check_script_requires_goal(solver):
         "(proof (declare-pred R ((v Int)) (counted v) (= v 0)) (step 1 (positive R)))"
     )
     result = check_script(script, Session(solver, TIMEOUT))
-    assert not result.accepted
+    assert result.status != "accepted"
     assert result.rejected_at == "goal"
 
 
@@ -510,5 +517,104 @@ def test_parse_proof_const_lb_models():
     (step,) = script.steps
     (app,) = step.apps
     assert app.rule == "const-lb"
-    assert app.payload[1] == 2
-    assert app.payload[2] == ({"v": IntLit(0)}, {"v": IntLit(1)})
+    assert app.payload.c == 2
+    assert app.payload.models == ({"v": IntLit(0)}, {"v": IntLit(1)})
+
+
+# -- malformed scripts ----------------------------------------------------------------------------
+
+DECLARED = "(declare-pred P ((v Int) (n Int)) (counted v) (and (<= 0 v) (< v n)))"
+
+
+@pytest.mark.parametrize(
+    "section",
+    [
+        "(step 1 (range))",
+        "(step 1 (const-ub P))",
+        "(step 1 (const-ub P x))",
+        "(step 1 (const-ub P 2 (model (v 0))))",
+        "(step 1 (const-lb P 2 (v 0)))",
+        "(step 1 (close P n 0))",
+        "(step 1 (range P P))",
+        "(step 1 (positive Q))",
+        "(step 1 (and-ub (and P) P P))",
+        "(step 1 (injective P P))",
+        "(step 1 (injective P P (witness (v))))",
+        "(step 1 (ind-geq P P 3 (witness (v v))))",
+        "(step 1 (ind-leq P P n (hx (v v))))",
+        "(step 1 (ind-geq P P n (witness (v v)) (guard)))",
+        "(step x (range P))",
+        "(declare-pred P ((v Int)))",
+        "(declare-pred Q (v Int) (counted v) true)",
+        "(declare-pred Q ((v Int)) (counted w) true)",
+        "(goal)",
+        "(goal (>= cnt.Q 1))",
+    ],
+)
+def test_parse_proof_rejects_malformed_scripts(section):
+    with pytest.raises(SexprError):
+        parse_proof(f"(proof {DECLARED} {section})")
+
+
+# -- offline: witnesses, unknown verdicts -----------------------------------------------------------
+
+WITNESS_SCRIPT = """
+(proof
+  (declare-pred F ((v Int) (n Int)) (counted v) (and (<= 0 v) (< v n)))
+  (declare-pred G ((b Int)) (counted b) (= b 0))
+  (step 1 {step})
+  (goal true))
+"""
+
+
+@pytest.mark.parametrize(
+    "step, reason",
+    [
+        ("(ind-geq F G n (witness (q 1)))", "ind-geq(F,G): witness missing v"),
+        ("(ind-leq F G n (hx (q 1)) (hy (b 0)))", "ind-leq(F,G): hx missing v"),
+        ("(ind-leq F G n (hx (v 1)) (hy (q 0)))", "ind-leq(F,G): hy missing b"),
+        ("(injective G F (witness (q 1)))", "injective(G,F): witness missing v"),
+        ("(const-lb G 1 (model (q 0)))", "const-lb(G,1): model missing b"),
+    ],
+)
+def test_missing_witness_variable_rejects_step_before_any_query(step, reason, stub_solver, tmp_path):
+    debug = tmp_path / "debug"
+    script = parse_proof(WITNESS_SCRIPT.format(step=step))
+    result = check_script(script, Session(stub_solver("unsat"), TIMEOUT, debug))
+    assert (result.status, result.rejected_at, result.reason) == ("rejected", "step 1", reason)
+    assert result.facts == ()
+    assert not debug.exists()
+
+
+UNKNOWN_SCRIPT = """
+(proof
+  (declare-pred P ((v Int)) (counted v) (and (<= 0 v) (< v 3)))
+  (declare-pred Q ((v Int)) (counted v) (and (<= 0 v) (< v 5)))
+  {steps}
+  (goal (>= cnt.P 2)))
+"""
+
+
+@pytest.mark.parametrize(
+    "steps, rejected_at, sent",
+    [
+        # a model search: the default tactic, then model-based instantiation
+        ("(step 1 (const-lb P 2))", "step 1", ["const-lb(P,2)", "const-lb(P,2)"]),
+        # a plain validity premise has one attempt
+        ("(step 1 (ub P Q))", "step 1", ["ub(P,Q)"]),
+        # an entailment: E-matching, then model-based instantiation
+        ("", "goal", ["goal", "goal"]),
+    ],
+)
+def test_unknown_admits_no_fact(steps, rejected_at, sent, stub_solver, tmp_path):
+    debug = tmp_path / "debug"
+    script = parse_proof(UNKNOWN_SCRIPT.format(steps=steps))
+    result = check_script(script, Session(stub_solver("unknown"), TIMEOUT, debug))
+    assert (result.status, result.rejected_at) == ("unknown", rejected_at)
+    assert result.reason == f"{sent[0]}: solver returned unknown"
+    assert result.facts == ()
+    names = sorted(p.name for p in debug.glob("*.smt2"))
+    assert [n[4:-len(".smt2")] for n in names] == sent
+    if len(sent) == 2:
+        assert "(set-option :smt.mbqi true)" not in (debug / names[0]).read_text()
+        assert "(set-option :smt.mbqi true)" in (debug / names[1]).read_text()

@@ -17,21 +17,10 @@ from qhenum.backend import Session
 from qhenum.cli import main
 from qhenum.counting import check_script, parse_proof
 
-SPLIT_STUB = """#!/bin/sh
-query=$(cat)
-case "$query" in
-  *smt.mbqi*) echo unsat ;;
-  *) printf 'sat\\n(model)\\n' ;;
-esac
-"""
-
 
 @pytest.fixture
-def split_stub(tmp_path):
-    script = tmp_path / "split-stub.sh"
-    script.write_text(SPLIT_STUB)
-    script.chmod(0o755)
-    return [str(script)]
+def split_stub(case_solver):
+    return case_solver("smt.mbqi", "unsat", "sat\n(model)")
 
 
 def read_stream(debug_dir):
