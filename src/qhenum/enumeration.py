@@ -42,6 +42,7 @@ from .terms import (
     Signature,
     Sort,
     Term,
+    TermError,
     Var,
     check_sorts,
     conj,
@@ -543,7 +544,10 @@ def parse_enumeration(
     env_plain = {n: s for n, s in system.state_vars}
 
     def parse_in(expr: Sexpr, env: Mapping[str, Sort]) -> Term:
-        return term_from_sexpr(expr, env, signature)
+        try:
+            return term_from_sexpr(expr, env, signature)
+        except TermError as exc:
+            raise SexprError(str(exc)) from exc
 
     def parse_entry(expr: Sexpr, env: Mapping[str, Sort]) -> SkolemEntry:
         if isinstance(expr, list) and expr and expr[0] == "pointwise":

@@ -45,6 +45,7 @@ from .terms import (
     Neg,
     Not,
     Or,
+    PLAIN,
     Quant,
     Select,
     Store,
@@ -149,8 +150,12 @@ State = dict  # variable name -> Value
 
 
 def state_key(state: State) -> tuple:
+    return _state_key(state, sorted(state))
+
+
+def _state_key(state: State, order: Sequence[str]) -> tuple:
     out = []
-    for name in sorted(state):
+    for name in order:
         v = state[name]
         if isinstance(v, FArray):
             out.append((name, "arr", v.lo, v.vals, v.default))
@@ -427,56 +432,79 @@ def _var_domains(instance: FiniteInstance, initial: bool = False) -> dict[str, D
 
 
 def _product_states(doms: Mapping[str, Domain], cap: int) -> Iterator[State]:
+    """Every state of the domain product, in product order; the cap is
+    checked when this is called."""
     names = list(doms)
     total = 1
     for d in doms.values():
         total *= d.size()
         if total > cap:
             raise CapExceeded(f"state domain product exceeds cap {cap}")
-    for combo in itertools.product(*(list(doms[n]) for n in names)):
-        yield dict(zip(names, combo))
+    return (dict(zip(names, combo)) for combo in itertools.product(*(list(doms[n]) for n in names)))
 
 
-def _definitional_order(tx: Term, var_names: set[str]) -> tuple[list[tuple[str, Term]], list[str]]:
-    """Split Tx into primed-variable definitions plus leftover free primed vars."""
-    conjuncts = list(tx.args) if isinstance(tx, And) else [tx]
-    # variables whose primed copy never appears alone on one side of a
-    # top-level equation are genuine choices; definitions may depend on them
-    # because choices are assigned before the definitions are evaluated
-    eq_defined: set[str] = set()
-    for c in conjuncts:
-        if isinstance(c, Cmp) and c.op == "=":
-            for side in (c.left, c.right):
-                if isinstance(side, Var) and side.primed and side.copy is None:
-                    eq_defined.add(side.name)
-    choices = var_names - eq_defined
-    defs: list[tuple[str, Term]] = []
+def _value_index(values: Sequence[Value]) -> Callable[[Value], Sequence[int]]:
+    """Map a value to the indices of the domain values ``values_equal`` to it."""
+    if all(type(v) in (int, bool) for v in values):
+        # keyed by (is it a bool, value), as values_equal tells True from 1
+        table: dict[tuple[bool, Value], list[int]] = {}
+        for i, v in enumerate(values):
+            table.setdefault((isinstance(v, bool), v), []).append(i)
+        return lambda value: table.get((isinstance(value, bool), value), ())
+    return lambda value: [i for i, v in enumerate(values) if values_equal(value, v)]
+
+
+def _member(dom: Domain) -> Callable[[Value], object]:
+    """A test, truthy for the values ``successors`` keeps in ``dom``."""
+    if isinstance(dom, ScalarDomain):
+        return _value_index(dom.values)
+    return lambda value: isinstance(value, FArray)
+
+
+def _conjuncts(term: Term) -> list[Term]:
+    return list(term.args) if isinstance(term, And) else [term]
+
+
+def _definitional_order(
+    conjuncts: Sequence[Term],
+    target: Callable[[Term], Optional[str]],
+    ready: Callable[[int, str, Term, set[str]], bool],
+) -> list[tuple[int, str, Term]]:
+    """The equations among ``conjuncts`` that define a variable, in an order
+    in which each right-hand side can be evaluated.
+
+    ``target(side)`` names the variable an equation side may define, or is
+    None; ``ready(i, x, rhs, defined)`` says whether conjunct ``i`` may define
+    ``x`` as ``rhs`` once the variables in ``defined`` are. Returns
+    ``(i, x, rhs)`` triples; each conjunct and each variable is used once.
+    """
+    defs: list[tuple[int, str, Term]] = []
     defined: set[str] = set()
-    pending = list(conjuncts)
+    pending = list(range(len(conjuncts)))
     changed = True
     while changed:
         changed = False
-        for c in list(pending):
+        for i in pending:
+            c = conjuncts[i]
             if not (isinstance(c, Cmp) and c.op == "="):
                 continue
             for lhs, rhs in ((c.left, c.right), (c.right, c.left)):
-                if (
-                    isinstance(lhs, Var)
-                    and lhs.primed
-                    and lhs.copy is None
-                    and lhs.name not in defined
-                ):
-                    rhs_primed = {v.name for v in free_vars(rhs) if v.primed}
-                    if rhs_primed <= defined | choices:
-                        defs.append((lhs.name, rhs))
-                        defined.add(lhs.name)
-                        pending.remove(c)
-                        changed = True
-                        break
+                name = target(lhs)
+                if name is not None and name not in defined and ready(i, name, rhs, defined):
+                    defs.append((i, name, rhs))
+                    defined.add(name)
+                    pending.remove(i)
+                    changed = True
+                    break
             if changed:
                 break
-    free = sorted(var_names - defined)
-    return defs, free
+    return defs
+
+
+def _primed_name(side: Term) -> Optional[str]:
+    if isinstance(side, Var) and side.primed and side.copy is None:
+        return side.name
+    return None
 
 
 class TransitionPlan:
@@ -490,15 +518,35 @@ class TransitionPlan:
         system = instance.system
         lo, hi = instance.quant_lo, instance.quant_hi
         names = [name for name, _ in system.state_vars]
-        defs, free = _definitional_order(system.tx, set(names))
+        conjuncts = _conjuncts(system.tx)
+        # variables whose primed copy never appears alone on one side of a
+        # top-level equation are genuine choices; definitions may depend on them
+        # because choices are assigned before the definitions are evaluated
+        eq_defined = {
+            name
+            for c in conjuncts
+            if isinstance(c, Cmp) and c.op == "="
+            for name in (_primed_name(c.left), _primed_name(c.right))
+            if name is not None
+        }
+        choices = set(names) - eq_defined
+
+        def ready(i: int, name: str, rhs: Term, defined: set[str]) -> bool:
+            return {v.name for v in free_vars(rhs) if v.primed} <= defined | choices
+
+        defs = _definitional_order(conjuncts, _primed_name, ready)
+        used = {i for i, _, _ in defs}
+        rest = tuple(c for i, c in enumerate(conjuncts) if i not in used)
+        free = sorted(set(names) - {name for _, name, _ in defs})
         doms = _var_domains(instance)
         self.names = names
-        self.init = compile_term(system.init, lo, hi)
-        self.tx = compile_term(system.tx, lo, hi)
-        self.defs = [(f"{name}!", compile_term(rhs, lo, hi)) for name, rhs in defs]
+        self.key_order = sorted(names)
+        # the definitions hold by construction, so tx checks only the rest
+        self.tx = compile_term(And(rest), lo, hi)
+        self.defs = [(f"{name}!", compile_term(rhs, lo, hi)) for _, name, rhs in defs]
         self.free_keys = [f"{name}!" for name in free]
         self.free_values = [list(doms[name]) for name in free]
-        self.next_vars = [(name, f"{name}!", doms[name]) for name in names]
+        self.next_vars = [(name, f"{name}!", _member(doms[name])) for name in names]
 
 
 def successors(
@@ -521,16 +569,13 @@ def successors(
             continue
         # keep successors inside the declared domains
         nxt = {}
-        for name, key, dom in plan.next_vars:
+        for name, key, member in plan.next_vars:
             value = env[key]
-            if isinstance(dom, ScalarDomain):
-                if not any(values_equal(value, dv) for dv in dom.values):
-                    break
-            elif not isinstance(value, FArray):
+            if not member(value):
                 break
             nxt[name] = value
         else:
-            key = state_key(nxt)
+            key = _state_key(nxt, plan.key_order)
             if key not in seen:
                 seen.add(key)
                 out.append(nxt)
@@ -539,12 +584,72 @@ def successors(
     return out
 
 
+def _initial_states(instance: FiniteInstance) -> list[State]:
+    """The states of the initial domain product that ``init`` accepts.
+
+    A conjunct ``(= x e)`` of init defines ``x`` when ``x`` has a scalar
+    domain, is not free in ``e`` and is free in no earlier conjunct. Then
+    ``x`` takes only the domain values equal to ``e``, and init is evaluated
+    in full on each such candidate. Where ``e`` equals no domain value, init
+    is evaluated on one candidate, so that an earlier conjunct that raises
+    still raises. On any OracleError the whole product goes through the
+    plain filter, which raises the first failing candidate's error.
+    """
+    doms = _var_domains(instance, initial=True)
+    product = _product_states(doms, instance.cap)
+    conjuncts = _conjuncts(instance.system.init)
+    frees = [{v.mangled for v in free_vars(c)} for c in conjuncts]
+
+    def target(side: Term) -> Optional[str]:
+        # a defined variable needs a first value to stand in for it
+        if isinstance(side, Var) and side.tag == PLAIN:
+            dom = doms.get(side.name)
+            if isinstance(dom, ScalarDomain) and dom.values:
+                return side.name
+        return None
+
+    def ready(i: int, name: str, rhs: Term, defined: set[str]) -> bool:
+        if name in {v.mangled for v in free_vars(rhs)}:
+            return False
+        return not any(name in f for f in frees[:i])
+
+    defs = _definitional_order(conjuncts, target, ready)
+    lo, hi = instance.quant_lo, instance.quant_hi
+    init = compile_term(instance.system.init, lo, hi)
+    names = list(doms)
+    values = {name: list(doms[name]) for name in names}
+    solved = [(x, compile_term(rhs, lo, hi), _value_index(values[x])) for _, x, rhs in defs]
+    defined = {x for x, _, _ in solved}
+    others = [name for name in names if name not in defined]
+
+    def candidate(index: Mapping[str, int]) -> State:
+        # a variable not solved yet takes its first value
+        return {name: values[name][index.get(name, 0)] for name in names}
+
+    found: list[State] = []
+    try:
+        for combo in itertools.product(*(range(len(values[n])) for n in others)):
+            partial = [dict(zip(others, combo))]
+            for x, rhs, lookup in solved:
+                grown = []
+                for index in partial:
+                    matches = lookup(rhs(candidate(index)))
+                    if not matches:
+                        # every candidate fails this equation, after the
+                        # conjuncts before it, which may raise
+                        init(candidate(index))
+                    grown.extend({**index, x: k} for k in matches)
+                partial = grown
+            found.extend(state for state in map(candidate, partial) if init(state))
+    except OracleError:
+        return [s for s in product if init(s)]
+    return found
+
+
 def enumerate_traces(instance: FiniteInstance) -> list[BoundedTrace]:
     """All depth-d trace prefixes of the instance, in canonical order."""
     plan = TransitionPlan(instance)
-    doms = _var_domains(instance, initial=True)
-    initials = [s for s in _product_states(doms, instance.cap) if plan.init(s)]
-    level: list[tuple[State, ...]] = [(s,) for s in initials]
+    level: list[tuple[State, ...]] = [(s,) for s in _initial_states(instance)]
     for _ in range(instance.depth - 1):
         nxt_level: list[tuple[State, ...]] = []
         for prefix in level:
@@ -554,7 +659,7 @@ def enumerate_traces(instance: FiniteInstance) -> list[BoundedTrace]:
                     raise CapExceeded(f"trace count exceeds cap {instance.cap}")
         level = nxt_level
     traces = [BoundedTrace(t) for t in level]
-    traces.sort(key=lambda tr: tuple(state_key(s) for s in tr.states))
+    traces.sort(key=lambda tr: tuple(_state_key(s, plan.key_order) for s in tr.states))
     return traces
 
 

@@ -20,6 +20,7 @@ from .terms import (
     Sub,
     Tag,
     Term,
+    TermError,
     TRUE,
     Var,
     free_vars,
@@ -251,14 +252,16 @@ def parse_property(
         app = PredApp(pred, trace_vars)
         return HFinally(app) if expr[0] == "finally" else HGlobally(app)
 
-    diff = temporal(kw["diff"], (f"{count_var}.a", f"{count_var}.b"))
-    body = temporal(kw["body"], (forall_var, count_var))
-
-    env_z = {z: system.sort_of(z) for z in system.params}
-    bound = term_from_sexpr(kw["bound"], env_z, signature)
-    assuming = (
-        term_from_sexpr(kw["assuming"], env_z, signature) if "assuming" in kw else TRUE
-    )
+    try:
+        diff = temporal(kw["diff"], (f"{count_var}.a", f"{count_var}.b"))
+        body = temporal(kw["body"], (forall_var, count_var))
+        env_z = {z: system.sort_of(z) for z in system.params}
+        bound = term_from_sexpr(kw["bound"], env_z, signature)
+        assuming = (
+            term_from_sexpr(kw["assuming"], env_z, signature) if "assuming" in kw else TRUE
+        )
+    except TermError as exc:
+        raise SexprError(str(exc)) from exc
     cmp = kw["cmp"]
     if cmp in ("lt", "gt"):
         if not isinstance(bound, IntLit):

@@ -15,6 +15,7 @@ from .terms import (
     Sort,
     Tag,
     Term,
+    TermError,
     Var,
     conj,
     free_vars,
@@ -198,6 +199,9 @@ def parse_system(text: str, signature: Signature = Signature()) -> TransitionSys
     env_tx = dict(env_plain)
     for n, s in state_vars:
         env_tx[f"{n}!"] = s
-    init = term_from_sexpr(sections["init"][1], env_plain, signature)
-    tx = term_from_sexpr(sections["tx"][1], env_tx, signature)
+    try:
+        init = term_from_sexpr(sections["init"][1], env_plain, signature)
+        tx = term_from_sexpr(sections["tx"][1], env_tx, signature)
+    except TermError as exc:
+        raise SexprError(str(exc)) from exc
     return make_system(name, state_vars, params, init, tx)

@@ -266,3 +266,27 @@ def test_verify_unknown_counting_premise_exits_2(benchmarks, case_solver, capsys
     assert (report["verdict"], report["failed_stage"], code) == ("unknown", "counting", 2)
     assert report["stages"]["enumeration"]["verdict"] == "passed"
     assert report["stages"]["counting"]["reason"] == "goal: solver returned unknown"
+
+
+# an unknown atom in a term of each project file
+MALFORMED_TERMS = {
+    "system.sexp": ("(= st 0)", "(= st zzz)"),
+    "property.sexp": (":bound dc", ":bound zzz"),
+    "enumeration.sexp": ("(< y dc$1)", "(< y zzz)"),
+}
+
+
+@pytest.mark.parametrize("filename", sorted(MALFORMED_TERMS))
+def test_malformed_term_exits_3(benchmarks, stub_solver, tmp_path, capsys, filename):
+    purse = copy_benchmark(benchmarks, "electronic-purse", tmp_path / "purse")
+    old, new = MALFORMED_TERMS[filename]
+    path = purse / filename
+    assert old in path.read_text()
+    path.write_text(path.read_text().replace(old, new))
+    for argv in (
+        ["verify", str(purse), "--solver", stub_solver("unsat")[0]],
+        ["oracle", "--instance", str(purse / "instance.sexp"), "--count-classes"],
+    ):
+        assert main(argv) == 3
+        err = capsys.readouterr().err
+        assert err == "error: unknown atom 'zzz'\n"

@@ -1,11 +1,13 @@
 import hashlib
+import itertools
 
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import given, settings, strategies as st
 
-from qhenum.cli import load_instance
+from qhenum.cli import load_instance, load_project
 from qhenum.oracle import (
     ArrayDomain,
+    BoundedTrace,
     CapExceeded,
     FArray,
     FiniteInstance,
@@ -28,8 +30,10 @@ from qhenum.terms import (
     BOOL,
     INT,
     TRUE,
+    And,
     App,
     Div,
+    Cmp,
     Forall,
     IntLit,
     Ite,
@@ -38,6 +42,7 @@ from qhenum.terms import (
     Store,
     UninterpSort,
     Var,
+    free_vars,
     term_from_text,
 )
 
@@ -288,6 +293,322 @@ def test_cap_enforced(counter):
     inst.cap = 0
     with pytest.raises(CapExceeded):
         enumerate_traces(inst)
+
+
+# -- solved definitions against the filtering reference -------------------------
+
+
+def reference_traces(inst):
+    """Trace enumeration without solved equations: the whole initial domain
+    product is filtered by init, and every successor candidate is checked
+    against all of tx."""
+    system = inst.system
+    lo, hi = inst.quant_lo, inst.quant_hi
+    names = [name for name, _ in system.state_vars]
+
+    def domains(initial):
+        doms = {}
+        for name in names:
+            if name in inst.params:
+                doms[name] = ScalarDomain((inst.params[name],))
+            elif initial and name in inst.init_fix:
+                doms[name] = ScalarDomain((inst.init_fix[name],))
+            else:
+                doms[name] = inst.domains[name]
+        return doms
+
+    start = domains(True)
+    total = 1
+    for dom in start.values():
+        total *= dom.size()
+        if total > inst.cap:
+            raise CapExceeded(f"state domain product exceeds cap {inst.cap}")
+    init = compile_term(system.init, lo, hi)
+    level = [
+        (state,)
+        for combo in itertools.product(*(list(start[n]) for n in names))
+        if init(state := dict(zip(names, combo)))
+    ]
+
+    # primed variables defined by an equation, in an order they can be computed
+    conjuncts = list(system.tx.args) if isinstance(system.tx, And) else [system.tx]
+
+    def primed_side(side):
+        return isinstance(side, Var) and side.primed and side.copy is None
+
+    equations = [c for c in conjuncts if isinstance(c, Cmp) and c.op == "="]
+    choices = set(names) - {s.name for c in equations for s in (c.left, c.right) if primed_side(s)}
+    defs, pending = [], list(equations)
+    while True:
+        found = next(
+            (
+                (c, lhs.name, rhs)
+                for c in pending
+                for lhs, rhs in ((c.left, c.right), (c.right, c.left))
+                if primed_side(lhs)
+                and lhs.name not in {name for name, _ in defs}
+                and {v.name for v in free_vars(rhs) if v.primed} <= {name for name, _ in defs} | choices
+            ),
+            None,
+        )
+        if found is None:
+            break
+        pending.remove(found[0])
+        defs.append((found[1], compile_term(found[2], lo, hi)))
+    free = sorted(set(names) - {name for name, _ in defs})
+    doms = domains(False)
+    tx = compile_term(system.tx, lo, hi)
+
+    def successors_of(state):
+        out, seen = [], set()
+        for combo in itertools.product(*(list(doms[n]) for n in free)):
+            env = dict(state)
+            env.update((f"{n}!", v) for n, v in zip(free, combo))
+            try:
+                for name, rhs in defs:
+                    env[f"{name}!"] = rhs(env)
+                if not tx(env):
+                    continue
+            except OracleError:
+                continue
+            nxt = {name: env[f"{name}!"] for name in names}
+            if all(
+                any(values_equal(nxt[n], v) for v in doms[n].values)
+                if isinstance(doms[n], ScalarDomain)
+                else isinstance(nxt[n], FArray)
+                for n in names
+            ) and state_key(nxt) not in seen:
+                seen.add(state_key(nxt))
+                out.append(nxt)
+        if inst.deterministic and len(out) > 1:
+            raise OracleError("instance declared deterministic but a state has several successors")
+        return out
+
+    for _ in range(inst.depth - 1):
+        level = [prefix + (s,) for prefix in level for s in successors_of(prefix[-1])]
+        if len(level) > inst.cap:
+            raise CapExceeded(f"trace count exceeds cap {inst.cap}")
+    return sorted(
+        (BoundedTrace(t) for t in level), key=lambda tr: tuple(state_key(s) for s in tr.states)
+    )
+
+
+def outcome(enumerate_fn, inst):
+    """The trace keys in order, or the error type and message."""
+    try:
+        traces = enumerate_fn(inst)
+    except OracleError as exc:
+        return type(exc), str(exc)
+    return [tuple(state_key(s) for s in t.states) for t in traces]
+
+
+PASSWORD_EXHAUSTIVE_ATTACKER = """
+(system password-checker-det
+  (vars (pwd (Array Int Int)) (inp (Array Int Int)) (ok Bool)
+        (t Int) (n Int) (m Int))
+  (params n m)
+  (init (and (>= n 1) (= t 0) (not ok)
+             (forall ((j Int)) (and (<= 0 (select pwd j)) (<= (select pwd j) 1)))
+             (forall ((j Int)) (=> (or (< j 1) (> j n)) (= (select pwd j) 0)))
+             (forall ((j Int)) (= (select inp j) 0))))
+  (tx (and (= pwd! pwd) (= n! n) (= m! m)
+           (= t! (ite (< t m) (+ t 1) t))
+           (forall ((j Int)) (= (select inp! j)
+                                (ite (and (<= 1 j) (<= j n))
+                                     (mod (div t! (pow2 (- j 1))) 2)
+                                     0)))
+           (= ok! (or ok (= inp! pwd))))))
+"""
+
+COIN_PROP = """
+(qhp (forall t0)
+     (count t1
+       :diff (finally (not (= b$1 b$2)))
+       :body (globally (= done$1 done$2))
+       :cmp geq
+       :bound 1))
+"""
+
+
+def differential_cases(benchmarks):
+    """(instance, property) pairs: every shipped instance, the small systems
+    above and the benchmark's oracle-traces systems at small sizes."""
+    for name in sorted(SHIPPED_TRACES):
+        setup = load_instance(benchmarks / name / "instance.sexp")
+        yield name, setup.instance, setup.project.prop
+    counter = parse_system(COUNTER)
+    yield "counter", counter_instance(counter, 3, depth=4), parse_property(PROP, counter)
+    coin = parse_system(COIN)
+    coin_inst = FiniteInstance(
+        system=coin,
+        domains={"done": ScalarDomain((False, True)), "b": ScalarDomain((0, 1))},
+        params={},
+        depth=3,
+    )
+    yield "coin", coin_inst, parse_property(COIN_PROP, coin)
+    hats = load_project(benchmarks / "zk-hats")
+    hats_inst = FiniteInstance(
+        system=hats.system,
+        domains={
+            "C": ArrayDomain(1, 2, (0, 1)),
+            "P": ArrayDomain(1, 2, (0, 1)),
+            "i": ScalarDomain(tuple(range(0, 3))),
+            "s": ScalarDomain((False, True)),
+        },
+        params={"R": 2},
+        depth=4,
+        deterministic=True,
+        quant_lo=-1,
+        quant_hi=4,
+    )
+    yield "zk-hats R=2", hats_inst, hats.prop
+    purse = load_project(benchmarks / "electronic-purse")
+    purse_inst = FiniteInstance(
+        system=purse.system,
+        domains={
+            "bal": ScalarDomain(tuple(range(0, 13))),
+            "st": ScalarDomain(tuple(range(0, 5))),
+            "q": ScalarDomain(tuple(range(0, 7))),
+            "rs": ScalarDomain(tuple(range(0, 2))),
+        },
+        params={"dc": 2},
+        depth=4,
+        deterministic=True,
+    )
+    yield "electronic-purse decr=2", purse_inst, purse.prop
+    password = parse_system(PASSWORD_EXHAUSTIVE_ATTACKER)
+    password_inst = FiniteInstance(
+        system=password,
+        domains={
+            "pwd": ArrayDomain(1, 2, (0, 1)),
+            "inp": ArrayDomain(1, 2, (0, 1)),
+            "ok": ScalarDomain((False, True)),
+            "t": ScalarDomain(tuple(range(0, 4))),
+        },
+        params={"n": 2, "m": 3},
+        depth=5,
+        deterministic=True,
+        quant_lo=-1,
+        quant_hi=4,
+    )
+    password_prop = parse_property(
+        (benchmarks / "password-checker" / "property.sexp").read_text(), password
+    )
+    yield "password attacker n=2", password_inst, password_prop
+
+
+def test_solved_enumeration_matches_reference(benchmarks):
+    names = []
+    for name, inst, prop in differential_cases(benchmarks):
+        names.append(name)
+        traces, expected = enumerate_traces(inst), reference_traces(inst)
+        assert outcome(lambda _: traces, inst) == outcome(lambda _: expected, inst), name
+        assert traces, name
+        assert count_equivalence_classes(inst, prop, traces[0], traces) == count_equivalence_classes(
+            inst, prop, expected[0], expected
+        ), name
+    assert len(names) == 10
+
+
+def scalar_instance(init, domains, cap=10**6):
+    """A one-step instance of ``init`` over Int variables a, x and y that never change."""
+    system = parse_system(
+        f"(system defs (vars (a Int) (x Int) (y Int)) (init {init}) "
+        "(tx (and (= a! a) (= x! x) (= y! y))))"
+    )
+    domains = {"a": (0, 1, 2, 3), "x": tuple(range(-2, 8)), "y": (0,), **domains}
+    return FiniteInstance(
+        system=system,
+        domains={name: ScalarDomain(values) for name, values in domains.items()},
+        params={},
+        depth=2,
+        cap=cap,
+    )
+
+
+# Each init solves x (and y) from an equation; the outcome must be the one
+# filtering the whole domain product gives.
+SOLVED_INITS = {
+    "unguarded raise": ("(and (<= 0 a) (= x (div 6 a)))", {}, "division by non-positive divisor"),
+    "guarded raise": ("(and (< 0 a) (= x (div 6 a)))", {}, None),
+    "raise before a matched definition": ("(and (> (div 6 a) 0) (= x a))", {}, "division by non-positive divisor"),
+    "raise before an unmatched definition": (
+        "(and (> (div 6 a) 0) (= x a))",
+        {"x": (5, 6)},
+        "division by non-positive divisor",
+    ),
+    "value outside the domain": ("(= x (+ a 5))", {}, None),
+    "raise at a value the equation excludes": (
+        "(and (> (div 6 x) 0) (= x (+ a 1)))",
+        {},
+        "division by non-positive divisor",
+    ),
+    "x on both sides": ("(= x (- 0 x))", {}, None),
+    "duplicate domain values": ("(and (= x (- a 1)) (= y (* x 2)))", {"x": (0, 1, 1, 2), "y": (0, 2, 2, 4)}, None),
+    "mixed True and 1": ("(= x (- 2 a))", {"x": (True, 1, 0, False, 2)}, None),
+    "second definition from the first": ("(and (= x (+ a 1)) (< a 3) (= y (- x 1)))", {"y": (0, 1, 2)}, None),
+}
+
+
+@pytest.mark.parametrize("case", sorted(SOLVED_INITS))
+def test_solved_init_matches_reference(case):
+    init, domains, error = SOLVED_INITS[case]
+    inst = scalar_instance(init, domains)
+    got = outcome(enumerate_traces, inst)
+    assert got == outcome(reference_traces, inst)
+    if error is None:
+        assert isinstance(got, list) and got
+    else:
+        assert got == (OracleError, error)
+
+
+CONJUNCTS = (
+    "(= x (+ a 1))",
+    "(= y (div 6 a))",
+    "(< a 3)",
+    "(< 0 a)",
+    "(= x (- 0 x))",
+    "(> (div 6 x) 0)",
+    "(= y x)",
+    "(= 2 a)",
+    "(distinct x y)",
+)
+VALUES = st.lists(st.sampled_from((-1, 0, 1, 2, 3, True, False)), min_size=1, max_size=5)
+
+
+@settings(max_examples=400)
+@given(
+    st.lists(st.sampled_from(CONJUNCTS), min_size=1, max_size=4),
+    st.fixed_dictionaries({"a": VALUES, "x": VALUES, "y": VALUES}),
+)
+def test_random_solved_inits_match_reference(conjuncts, domains):
+    inst = scalar_instance(f"(and {' '.join(conjuncts)})", {n: tuple(v) for n, v in domains.items()})
+    assert outcome(enumerate_traces, inst) == outcome(reference_traces, inst)
+
+
+def test_solved_bool_definition_keeps_type():
+    system = parse_system(
+        "(system flag (vars (a Int) (b Bool)) (init (= b (< a 2))) (tx (and (= a! a) (= b! b))))"
+    )
+    inst = FiniteInstance(
+        system=system,
+        domains={"a": ScalarDomain((0, 1, 2, 3)), "b": ScalarDomain((1, True, 0, False))},
+        params={},
+        depth=2,
+    )
+    got = outcome(enumerate_traces, inst)
+    assert got == outcome(reference_traces, inst)
+    assert [t[0][1] for t in got] == [("b", "bool", True)] * 2 + [("b", "bool", False)] * 2
+
+
+def test_cap_judged_on_full_initial_product():
+    # the full product has 4 * 10 * 1 = 40 states; the solved one has 4
+    inst = scalar_instance("(= x (+ a 1))", {}, cap=39)
+    assert outcome(enumerate_traces, inst) == outcome(reference_traces, inst)
+    with pytest.raises(CapExceeded, match="state domain product exceeds cap 39"):
+        enumerate_traces(inst)
+    inst.cap = 40
+    assert len(enumerate_traces(inst)) == 4
 
 
 # -- bounded evaluation ---------------------------------------------------------
