@@ -22,7 +22,7 @@ import sys
 import time
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Any, Mapping, Optional, Sequence
+from typing import Any, Callable, Optional, Sequence
 
 from . import backend
 from .counting import (
@@ -33,6 +33,7 @@ from .counting import (
     parse_proof,
 )
 from .enumeration import (
+    EnumerationError,
     EnumerationWitness,
     discharge,
     gen_injective_vcs,
@@ -42,6 +43,7 @@ from .enumeration import (
 from .oracle import (
     ArrayDomain,
     Domain,
+    FArray,
     FiniteInstance,
     OracleError,
     ScalarDomain,
@@ -49,9 +51,9 @@ from .oracle import (
     count_equivalence_classes,
     enumerate_traces,
 )
-from .qhl import QhpProperty, check_well_defined, parse_property
-from .sexpr import Sexpr, SexprError, parse_one
-from .system import TransitionSystem, parse_system
+from .qhl import QhlError, QhpProperty, check_well_defined, parse_property
+from .sexpr import Sexpr, SexprError, atom, pairs, read_form, sections, single, to_text
+from .system import SystemError_, TransitionSystem, parse_system
 from .terms import (
     App,
     Cmp,
@@ -98,51 +100,51 @@ def load_project(
     timeout_ms: Optional[int] = None,
     debug_dir: Optional[Path] = None,
 ) -> Project:
-    manifest = directory / "project.sexp"
-    if not manifest.is_file():
-        raise ProjectError(f"{directory} has no project.sexp")
-    form = parse_one(manifest.read_text())
-    if not isinstance(form, list) or not form or form[0] != "project":
-        raise ProjectError(f"{manifest} is not a (project ...) file")
-    sections: dict[str, Sexpr] = {}
-    for item in form[1:]:
-        if not isinstance(item, list) or not item or not isinstance(item[0], str):
-            raise ProjectError(f"bad project section {item!r}")
-        sections[item[0]] = item
-    for needed in ("system", "property", "enumeration", "proof", "valid-pred"):
-        if needed not in sections:
-            raise ProjectError(f"project misses ({needed} ...)")
-
-    def read(key: str) -> str:
-        path = directory / str(sections[key][1]).strip('"')
-        if not path.is_file():
-            raise ProjectError(f"missing {key} file {path}")
-        return path.read_text()
-
-    options: dict[str, Sexpr] = {}
-    if "options" in sections:
-        for entry in sections["options"][1:]:
-            options[entry[0]] = entry[1]
+    manifest = _manifest(directory)
+    options = sections("options", manifest.get("options", ()), (), ("timeout-ms", "solver"))
+    file_timeout = single(options, "timeout-ms", int, backend.DEFAULT_TIMEOUT_MS)
+    file_solver = single(options, "solver", str)
     if timeout_ms is None:
-        timeout_ms = int(options.get("timeout-ms", backend.DEFAULT_TIMEOUT_MS))
-    if solver is None and "solver" in options:
-        solver = [str(options["solver"]).strip('"')]
+        timeout_ms = file_timeout
+    if solver is None and file_solver is not None:
+        solver = [file_solver.strip('"')]
 
-    system = parse_system(read("system"))
-    prop = parse_property(read("property"), system, BUILTIN_SIGNATURE)
-    witness = parse_enumeration(read("enumeration"), system)
-    script = parse_proof(read("proof"))
+    system = parse_system(_read(directory, manifest, "system"))
+    prop = parse_property(_read(directory, manifest, "property"), system, BUILTIN_SIGNATURE)
+    witness = parse_enumeration(_read(directory, manifest, "enumeration"), system)
+    script = parse_proof(_read(directory, manifest, "proof"))
     return Project(
         directory,
         system,
         prop,
         witness,
         script,
-        str(sections["valid-pred"][1]),
+        single(manifest, "valid-pred", str),
         list(solver) if solver else None,
         timeout_ms,
         debug_dir,
     )
+
+
+def _manifest(directory: Path) -> dict[str, list]:
+    """The sections of ``directory/project.sexp``."""
+    path = directory / "project.sexp"
+    if not path.is_file():
+        raise ProjectError(f"{directory} has no project.sexp")
+    return sections(
+        "project",
+        read_form(path.read_text(), "project"),
+        ("system", "property", "enumeration", "proof", "valid-pred"),
+        ("options",),
+    )
+
+
+def _read(directory: Path, manifest: dict[str, list], key: str) -> str:
+    """The text of the file that the manifest names for section ``key``."""
+    path = directory / single(manifest, key, str).strip('"')
+    if not path.is_file():
+        raise ProjectError(f"missing {key} file {path}")
+    return path.read_text()
 
 
 # ---------------------------------------------------------------------------
@@ -307,11 +309,12 @@ def run_benchmarks(
         project = load_project(d, solver=solver, timeout_ms=timeout_ms)
         report = verify(project)
         reports.append(report)
+        manifest = _manifest(d)
         rows.append(
             {
                 "project": d.name,
-                "model_lines": _line_count(d / "project.sexp", project, "system"),
-                "proof_lines": _line_count(d / "project.sexp", project, "proof"),
+                "model_lines": len(_read(d, manifest, "system").splitlines()),
+                "proof_lines": len(_read(d, manifest, "proof").splitlines()),
                 "annotations": _annotation_count(project.witness),
                 "verdict": report["verdict"],
                 "wall_ms": report["wall_ms"],
@@ -337,15 +340,6 @@ def run_benchmarks(
     return worst
 
 
-def _line_count(manifest: Path, project: Project, key: str) -> int:
-    form = parse_one(manifest.read_text())
-    for item in form[1:]:
-        if isinstance(item, list) and item and item[0] == key:
-            path = manifest.parent / str(item[1]).strip('"')
-            return sum(1 for _ in path.read_text().splitlines())
-    return 0
-
-
 def _annotation_count(witness: EnumerationWitness) -> int:
     return (
         len(witness.skolem_init)
@@ -359,21 +353,25 @@ def _annotation_count(witness: EnumerationWitness) -> int:
 # Oracle front end
 
 
+def _ints(items: Sequence[Sexpr]) -> tuple[int, ...]:
+    return tuple(atom(v, int, "an integer") for v in items)
+
+
 def parse_domain(expr: Sexpr) -> Domain:
-    if not isinstance(expr, list) or not expr:
-        raise OracleError(f"bad domain {expr!r}")
-    head = expr[0]
-    if head == "range":  # (range lo hi) inclusive
-        return ScalarDomain(tuple(range(int(expr[1]), int(expr[2]) + 1)))
+    """``(range lo hi)`` inclusive, ``(values v ...)``, ``(bool)`` or
+    ``(array lo hi (v ...) [default])``."""
+    head, args = (expr[0], expr[1:]) if isinstance(expr, list) and expr else (None, [])
+    if head == "range" and len(args) == 2:
+        lo, hi = _ints(args)
+        return ScalarDomain(tuple(range(lo, hi + 1)))
     if head == "values":
-        return ScalarDomain(tuple(int(v) for v in expr[1:]))
-    if head == "bool":
+        return ScalarDomain(_ints(args))
+    if head == "bool" and not args:
         return ScalarDomain((False, True))
-    if head == "array":  # (array lo hi (v ...) [default])
-        values = tuple(int(v) for v in expr[3])
-        default = int(expr[4]) if len(expr) > 4 else 0
-        return ArrayDomain(int(expr[1]), int(expr[2]), values, default)
-    raise OracleError(f"unknown domain kind {head!r}")
+    if head == "array" and len(args) in (3, 4) and isinstance(args[2], list):
+        lo, hi, *default = _ints([args[0], args[1], *args[3:]])
+        return ArrayDomain(lo, hi, _ints(args[2]), default[0] if default else 0)
+    raise SexprError(f"bad domain {to_text(expr)}")
 
 
 def parse_value(expr: Sexpr):
@@ -382,12 +380,11 @@ def parse_value(expr: Sexpr):
         return expr
     if expr in ("true", "false"):
         return expr == "true"
-    if isinstance(expr, list) and expr and expr[0] == "arr":
-        from .oracle import FArray
-
-        default = int(expr[3]) if len(expr) > 3 else 0
-        return FArray(int(expr[1]), tuple(int(v) for v in expr[2]), default)
-    raise OracleError(f"bad value {expr!r}")
+    head, args = (expr[0], expr[1:]) if isinstance(expr, list) and expr else (None, [])
+    if head == "arr" and len(args) in (2, 3) and isinstance(args[1], list):
+        lo, *default = _ints([args[0], *args[2:]])
+        return FArray(lo, _ints(args[1]), default[0] if default else 0)
+    raise SexprError(f"bad value {to_text(expr)}")
 
 
 @dataclass(frozen=True)
@@ -398,38 +395,37 @@ class OracleSetup:
 
 
 def load_instance(path: Path, depth: Optional[int] = None) -> OracleSetup:
-    form = parse_one(path.read_text())
-    if not isinstance(form, list) or not form or form[0] != "instance":
-        raise OracleError(f"{path} is not an (instance ...) file")
-    sections: dict[str, Sexpr] = {}
-    for item in form[1:]:
-        sections[item[0]] = item
-    project_dir = path.parent / str(sections.get("project", ["project", "."])[1]).strip('"')
-    project = load_project(project_dir)
-    params = {e[0]: parse_value(e[1]) for e in sections.get("params", ["params"])[1:]}
-    init_fix = {
-        e[0]: parse_value(e[1]) for e in sections.get("init-fix", ["init-fix"])[1:]
-    }
-    domains = {
-        e[0]: parse_domain(e[1]) for e in sections.get("domains", ["domains"])[1:]
-    }
-    count_domains = {
-        e[0]: parse_domain(e[1]) for e in sections.get("count-vars", ["count-vars"])[1:]
-    }
-    kw: dict[str, Sexpr] = sections
+    found = sections(
+        "instance",
+        read_form(path.read_text(), "instance"),
+        (),
+        ("project", "params", "init-fix", "domains", "count-vars", "depth", "stable-from",
+         "deterministic", "quant-bounds"),
+    )
+
+    def entries(section: str, parse: Callable) -> dict:
+        return {n: parse(e) for n, e in pairs(section, found.get(section, ())).items()}
+
+    project = load_project(path.parent / single(found, "project", str, ".").strip('"'))
+    file_depth = single(found, "depth", int, 4)
+    deterministic = single(found, "deterministic", str, "false")
+    if deterministic not in ("true", "false"):
+        raise SexprError(f"(deterministic ...) takes true or false, got {deterministic}")
+    bounds = _ints(found.get("quant-bounds", (-2, 8)))
+    if len(bounds) != 2:
+        raise SexprError(f"(quant-bounds ...) takes two integers, got {len(bounds)}")
     instance = FiniteInstance(
         system=project.system,
-        domains=domains,
-        params=params,
-        depth=depth if depth is not None else int(kw.get("depth", ["depth", 4])[1]),
-        stable_from=int(kw["stable-from"][1]) if "stable-from" in kw else None,
-        deterministic=str(kw.get("deterministic", ["deterministic", "false"])[1])
-        == "true",
-        quant_lo=int(kw["quant-bounds"][1]) if "quant-bounds" in kw else -2,
-        quant_hi=int(kw["quant-bounds"][2]) if "quant-bounds" in kw else 8,
-        init_fix=init_fix,
+        domains=entries("domains", parse_domain),
+        params=entries("params", parse_value),
+        depth=file_depth if depth is None else depth,
+        stable_from=single(found, "stable-from", int),
+        deterministic=deterministic == "true",
+        quant_lo=bounds[0],
+        quant_hi=bounds[1],
+        init_fix=entries("init-fix", parse_value),
     )
-    return OracleSetup(project, instance, count_domains)
+    return OracleSetup(project, instance, entries("count-vars", parse_domain))
 
 
 def oracle_main(args: argparse.Namespace) -> int:
@@ -515,7 +511,16 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
             return run_benchmarks(
                 args.suite, solver=solver, timeout_ms=args.timeout, json_out=args.json
             )
-    except (ProjectError, SexprError, OracleError, OSError, backend.BackendError) as exc:
+    except (
+        ProjectError,
+        SexprError,
+        QhlError,
+        SystemError_,
+        EnumerationError,
+        OracleError,
+        OSError,
+        backend.BackendError,
+    ) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 3
     return 3

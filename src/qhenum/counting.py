@@ -18,7 +18,7 @@ from typing import Callable, Mapping, Optional, Sequence, Union
 
 from . import backend
 from .backend import DEFAULT_LOGIC, OBLIGATION_LOGIC, Session
-from .sexpr import Sexpr, SexprError, parse_one, to_text
+from .sexpr import Sexpr, SexprError, atom, pairs, read_form, sections, single, to_text
 from .terms import (
     INT,
     Add,
@@ -691,12 +691,7 @@ class _Scope:
         return {vn: vs for name in names for vn, vs in self.preds[name].vars}
 
     def bindings(self, entries: Sequence[Sexpr], env: Mapping[str, Sort]) -> dict[str, Term]:
-        out: dict[str, Term] = {}
-        for entry in entries:
-            if not (isinstance(entry, list) and len(entry) == 2 and isinstance(entry[0], str)):
-                raise SexprError(f"bad binding {to_text(entry)}, expected (name term)")
-            out[entry[0]] = self.term(entry[1], env)
-        return out
+        return {name: self.term(e, env) for name, e in pairs("binding", entries).items()}
 
 
 def _arity(form: list, count: int, sections: bool = False) -> None:
@@ -704,26 +699,6 @@ def _arity(form: list, count: int, sections: bool = False) -> None:
     given = len(form) - 1
     if given < count or (given > count and not sections):
         raise SexprError(f"{form[0]} takes {count} arguments, got {given}: {to_text(form)}")
-
-
-def _atom(expr: Sexpr, kind: type, what: str) -> Sexpr:
-    if not isinstance(expr, kind):
-        raise SexprError(f"expected {what}, got {to_text(expr)}")
-    return expr
-
-
-def _sections(rule: str, items: Sequence[Sexpr], required: tuple, optional: tuple = ()) -> dict:
-    """The entries of each ``(name ...)`` section, by name."""
-    found: dict[str, list] = {}
-    for item in items:
-        name = item[0] if isinstance(item, list) and item else None
-        if name not in (*required, *optional) or name in found:
-            raise SexprError(f"{rule}: unexpected {to_text(item)}")
-        found[name] = item[1:]
-    for name in required:
-        if name not in found:
-            raise SexprError(f"{rule} needs a ({name} ...) section")
-    return found
 
 
 def _parse_refs(payload: type, count: int) -> Callable:
@@ -738,7 +713,7 @@ def _parse_const(with_models: bool) -> Callable:
     def parse(form: list, scope: _Scope) -> ConstBound:
         _arity(form, 2, sections=with_models)
         ref = scope.ref(form[1])
-        c = _atom(form[2], int, "an integer count")
+        c = atom(form[2], int, "an integer count")
         if len(form) == 3:
             return ConstBound(ref, c)
         env = scope.env(ref)
@@ -755,7 +730,7 @@ def _parse_const(with_models: bool) -> Callable:
 def _parse_injective(form: list, scope: _Scope) -> Injection:
     _arity(form, 2, sections=True)
     f, g = scope.ref(form[1]), scope.ref(form[2])
-    found = _sections("injective", form[3:], ("witness",))
+    found = sections("injective", form[3:], ("witness",))
     return Injection(f, g, scope.bindings(found["witness"], scope.env(f, g)))
 
 
@@ -765,14 +740,10 @@ def _parse_ind(payload: type, names: tuple[str, ...]) -> Callable:
     def parse(form: list, scope: _Scope):
         _arity(form, 3, sections=True)
         f, g = scope.ref(form[1]), scope.ref(form[2])
-        n = _atom(form[3], str, "a parameter name")
+        n = atom(form[3], str, "a parameter name")
         env = scope.env(f, g)
-        found = _sections(form[0], form[4:], names, ("guard",))
-        guard = TRUE
-        if "guard" in found:
-            if len(found["guard"]) != 1:
-                raise SexprError(f"{form[0]}: (guard ...) takes one term")
-            guard = scope.term(found["guard"][0], env)
+        found = sections(form[0], form[4:], names, ("guard",))
+        guard = scope.term(single(found, "guard", default="true"), env)
         return payload(f, g, n, *(scope.bindings(found[name], env) for name in names), guard)
 
     return parse
@@ -781,7 +752,7 @@ def _parse_ind(payload: type, names: tuple[str, ...]) -> Callable:
 def _parse_close(form: list, scope: _Scope) -> Close:
     _arity(form, 7)
     ref = scope.ref(form[1])
-    n = _atom(form[2], str, "a parameter name")
+    n = atom(form[2], str, "a parameter name")
     env = {vn: vs for vn, vs in scope.env(ref).items() if vn == n}
     if not env:
         raise SexprError(f"close: {n} not a variable of {_ref_names(ref)}")
@@ -792,7 +763,7 @@ def _parse_close(form: list, scope: _Scope) -> Close:
         scope.term(form[4], {}),
         scope.term(form[5], env),
         scope.term(form[6], env),
-        _atom(form[7], str, "a relation symbol"),
+        atom(form[7], str, "a relation symbol"),
     )
 
 
@@ -862,28 +833,24 @@ def check_script(script: ProofScript, session: Session) -> ScriptResult:
 
 
 def parse_proof(text: str) -> ProofScript:
-    form = parse_one(text)
-    if not isinstance(form, list) or not form or form[0] != "proof":
-        raise SexprError("expected (proof ...)")
+    items = read_form(text, "proof")
     scope = _Scope()
     steps: list[ProofStep] = []
     goal: Optional[Term] = None
     try:
-        for item in form[1:]:
-            if not isinstance(item, list) or not item:
-                raise SexprError(f"bad proof section {item!r}")
-            head = item[0]
+        for item in items:
+            head = item[0] if isinstance(item, list) and item else None
             if head == "declare-pred":
                 _declare(item, scope)
             elif head == "step":
                 _arity(item, 1, sections=True)
-                index = _atom(item[1], int, "an integer step index")
+                index = atom(item[1], int, "an integer step index")
                 steps.append(ProofStep(index, tuple(_parse_app(a, scope) for a in item[2:])))
-            elif head == "goal":
+            elif head == "goal" and goal is None:
                 _arity(item, 1)
                 goal = scope.term(item[1], {})
             else:
-                raise SexprError(f"unknown proof section {head!r}")
+                raise SexprError(f"proof: unexpected {to_text(item)}")
     except (TermError, KernelError) as exc:
         raise SexprError(str(exc)) from exc
     return ProofScript(tuple(scope.preds.values()), tuple(steps), goal)
@@ -891,7 +858,7 @@ def parse_proof(text: str) -> ProofScript:
 
 def _declare(item: list, scope: _Scope) -> None:
     _arity(item, 4)
-    name = _atom(item[1], str, "a predicate name")
+    name = atom(item[1], str, "a predicate name")
     if name in scope.preds:
         raise SexprError(f"predicate {name} declared twice")
     if not isinstance(item[2], list) or not all(

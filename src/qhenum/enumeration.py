@@ -21,12 +21,12 @@ from __future__ import annotations
 
 import time
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Mapping, Optional, Sequence, Union
 
 from .backend import Session
 from .qhl import QhpProperty, app_to_formula, difference_term
-from .sexpr import Sexpr, SexprError, parse_one
+from .sexpr import Sexpr, SexprError, atom, pairs, read_form, sections, single, to_text
 from .system import TransitionSystem
 from .terms import (
     Add,
@@ -44,9 +44,7 @@ from .terms import (
     Term,
     TermError,
     Var,
-    check_sorts,
     conj,
-    free_vars,
     indexed,
     neq,
     retag_free,
@@ -103,12 +101,6 @@ class EnumerationWitness:
     cover: tuple[tuple[str, SkolemEntry], ...] = ()  # per enum var, over X1, X2
     diff_mode: DiffMode = AtInit()
     diff_index: Optional[Term] = None  # over enum copies 1 and 2
-
-    def sort_of(self, name: str) -> Sort:
-        for vname, sort in self.enum_vars:
-            if vname == name:
-                return sort
-        raise EnumerationError(f"unknown enumeration variable {name!r}")
 
 
 @dataclass(frozen=True)
@@ -518,74 +510,60 @@ def parse_enumeration(
     signature: Signature = Signature(),
 ) -> EnumerationWitness:
     """Read an ``(enumeration (enum-vars ...) (valid ...) (trel ...) ...)`` file."""
-    form = parse_one(text)
-    if not isinstance(form, list) or not form or form[0] != "enumeration":
-        raise SexprError("expected (enumeration ...)")
-    sections: dict[str, list] = {}
-    strengthen: list[Sexpr] = []
-    for item in form[1:]:
-        if not isinstance(item, list) or not item or not isinstance(item[0], str):
-            raise SexprError(f"bad enumeration section {item!r}")
-        if item[0] == "strengthen":
-            strengthen.extend(item[1:])
-        else:
-            sections[item[0]] = item
-    for needed in ("enum-vars", "valid", "trel"):
-        if needed not in sections:
-            raise SexprError(f"enumeration file missing ({needed} ...)")
-
-    enum_vars = tuple(
-        (entry[0], sort_from_sexpr(entry[1])) for entry in sections["enum-vars"][1:]
+    found = sections(
+        "enumeration",
+        read_form(text, "enumeration"),
+        ("enum-vars", "valid", "trel"),
+        ("skolem-init", "skolem", "skolem-step", "cover", "diff-at-index", "diff-index"),
+        ("strengthen",),
     )
-    env_y = {n: s for n, s in enum_vars}
+    if "skolem" in found:
+        if "skolem-init" in found:
+            raise SexprError("enumeration: skolem is an alias of skolem-init, give one")
+        found["skolem-init"] = found.pop("skolem")
+    enum_vars = tuple(
+        (n, sort_from_sexpr(s)) for n, s in pairs("enum-vars", found["enum-vars"]).items()
+    )
+    env_y = dict(enum_vars)
     env_x1 = {f"{n}$1": s for n, s in system.state_vars}
     env_x2 = {f"{n}$2": s for n, s in system.state_vars}
     env_x1p = {f"{n}$1!": s for n, s in system.state_vars}
-    env_plain = {n: s for n, s in system.state_vars}
-
-    def parse_in(expr: Sexpr, env: Mapping[str, Sort]) -> Term:
-        try:
-            return term_from_sexpr(expr, env, signature)
-        except TermError as exc:
-            raise SexprError(str(exc)) from exc
+    env_plain = dict(system.state_vars)
 
     def parse_entry(expr: Sexpr, env: Mapping[str, Sort]) -> SkolemEntry:
-        if isinstance(expr, list) and expr and expr[0] == "pointwise":
-            index = expr[1][0]
-            body = parse_in(expr[2], {**env, index: INT})
-            return Pointwise(index, body)
-        return parse_in(expr, env)
+        if isinstance(expr, list) and expr[:1] == ["pointwise"]:
+            if len(expr) != 3 or not (isinstance(expr[1], list) and len(expr[1]) == 1):
+                raise SexprError(f"expected (pointwise (index) term), got {to_text(expr)}")
+            index = atom(expr[1][0], str, "an index variable")
+            return Pointwise(index, term_from_sexpr(expr[2], {**env, index: INT}, signature))
+        return term_from_sexpr(expr, env, signature)
 
     def parse_entries(
         section: str, env: Mapping[str, Sort]
     ) -> tuple[tuple[str, SkolemEntry], ...]:
-        if section not in sections:
-            return ()
-        return tuple(
-            (entry[0], parse_entry(entry[1], env)) for entry in sections[section][1:]
+        entries = pairs(section, found.get(section, ()))
+        return tuple((n, parse_entry(e, env)) for n, e in entries.items())
+
+    try:
+        valid = term_from_sexpr(single(found, "valid"), {**env_y, **env_x1}, signature)
+        trel = term_from_sexpr(single(found, "trel"), {**env_y, **env_x1, **env_x2}, signature)
+        skolem_init = parse_entries("skolem-init", {**env_y, **env_x1})
+        skolem_step = parse_entries("skolem-step", {**env_y, **env_x1, **env_x2, **env_x1p})
+        cover = parse_entries("cover", {**env_x1, **env_x2})
+        strengthening = tuple(
+            term_from_sexpr(s, env_plain, signature) for s in found.get("strengthen", ())
         )
-
-    valid = parse_in(sections["valid"][1], {**env_y, **env_x1})
-    trel = parse_in(sections["trel"][1], {**env_y, **env_x1, **env_x2})
-    init_key = "skolem-init" if "skolem-init" in sections else "skolem"
-    skolem_init = parse_entries(init_key, {**env_y, **env_x1})
-    skolem_step = parse_entries(
-        "skolem-step", {**env_y, **env_x1, **env_x2, **env_x1p}
-    )
-    cover = parse_entries("cover", {**env_x1, **env_x2})
-    strengthening = tuple(parse_in(s, env_plain) for s in strengthen)
-
-    diff_mode: DiffMode = AtInit()
-    if "diff-at-index" in sections:
-        kw = {e[0]: e[1] for e in sections["diff-at-index"][1:]}
-        diff_mode = AtIndex(kw["counter"], parse_in(kw["target"], env_x1))
-    diff_index = None
-    if "diff-index" in sections:
-        env_ab = {}
-        for n, s in enum_vars:
-            env_ab[f"{n}$1"] = s
-            env_ab[f"{n}$2"] = s
-        diff_index = parse_in(sections["diff-index"][1], env_ab)
+        diff_mode: DiffMode = AtInit()
+        if "diff-at-index" in found:
+            kw = sections("diff-at-index", found["diff-at-index"], ("counter", "target"))
+            target = term_from_sexpr(single(kw, "target"), env_x1, signature)
+            diff_mode = AtIndex(single(kw, "counter", str), target)
+        diff_index = None
+        if "diff-index" in found:
+            env_ab = {f"{n}${i}": s for n, s in enum_vars for i in (1, 2)}
+            diff_index = term_from_sexpr(single(found, "diff-index"), env_ab, signature)
+    except TermError as exc:
+        raise SexprError(str(exc)) from exc
     return EnumerationWitness(
         enum_vars,
         valid,

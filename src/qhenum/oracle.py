@@ -35,7 +35,6 @@ from .terms import (
     ConstArray,
     Distinct,
     Div,
-    Exists,
     Forall,
     Implies,
     IntLit,

@@ -5,9 +5,9 @@ single-alternation counting template ``forall t0. # t1 : diff. body <| N(Z)``.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Mapping, Optional, Sequence, Union
+from typing import Mapping, Optional, Sequence
 
-from .sexpr import Sexpr, SexprError, parse_one
+from .sexpr import Sexpr, SexprError, atom, read_form, sections, single, to_text
 from .system import TransitionSystem
 from .terms import (
     And,
@@ -17,7 +17,6 @@ from .terms import (
     Not,
     PLAIN,
     Signature,
-    Sub,
     Tag,
     Term,
     TermError,
@@ -214,31 +213,18 @@ def parse_property(
     signature: Signature = Signature(),
 ) -> QhpProperty:
     """Read a ``(qhp (forall t0) (count t1 :diff ... :body ... :cmp ... :bound ...))`` file."""
-    form = parse_one(text)
-    if not isinstance(form, list) or not form or form[0] != "qhp":
-        raise SexprError("expected (qhp ...)")
-    forall_var = None
-    count_section = None
-    for item in form[1:]:
-        if isinstance(item, list) and item and item[0] == "forall":
-            forall_var = item[1]
-        elif isinstance(item, list) and item and item[0] == "count":
-            count_section = item
-    if forall_var is None or count_section is None:
-        raise SexprError("qhp needs (forall t) and (count t ...) sections")
-    count_var = count_section[1]
-    kw: dict[str, Sexpr] = {}
-    rest = count_section[2:]
-    i = 0
-    while i < len(rest):
-        key = rest[i]
-        if not (isinstance(key, str) and key.startswith(":")):
-            raise SexprError(f"expected keyword, got {key!r}")
-        kw[key[1:]] = rest[i + 1]
-        i += 2
-    for needed in ("diff", "body", "cmp", "bound"):
-        if needed not in kw:
-            raise SexprError(f"count section missing :{needed}")
+    found = sections("qhp", read_form(text, "qhp"), ("forall", "count"))
+    forall_var = single(found, "forall", str)
+    if not found["count"]:
+        raise SexprError("(count ...) needs a trace variable")
+    count_var = atom(found["count"][0], str, "a trace variable")
+    rest = found["count"][1:]
+    keywords = []
+    for i in range(0, len(rest), 2):
+        if not (isinstance(rest[i], str) and rest[i].startswith(":")) or i + 1 == len(rest):
+            raise SexprError(f"count: expected :keyword value, got {to_text(rest[i:i + 2])}")
+        keywords.append(rest[i : i + 2])
+    kw = sections("count", keywords, (":diff", ":body", ":cmp", ":bound"), (":assuming",))
 
     env2 = {}
     for vname, sort in system.state_vars:
@@ -253,16 +239,14 @@ def parse_property(
         return HFinally(app) if expr[0] == "finally" else HGlobally(app)
 
     try:
-        diff = temporal(kw["diff"], (f"{count_var}.a", f"{count_var}.b"))
-        body = temporal(kw["body"], (forall_var, count_var))
+        diff = temporal(single(kw, ":diff"), (f"{count_var}.a", f"{count_var}.b"))
+        body = temporal(single(kw, ":body"), (forall_var, count_var))
         env_z = {z: system.sort_of(z) for z in system.params}
-        bound = term_from_sexpr(kw["bound"], env_z, signature)
-        assuming = (
-            term_from_sexpr(kw["assuming"], env_z, signature) if "assuming" in kw else TRUE
-        )
+        bound = term_from_sexpr(single(kw, ":bound"), env_z, signature)
+        assuming = term_from_sexpr(single(kw, ":assuming", default="true"), env_z, signature)
     except TermError as exc:
         raise SexprError(str(exc)) from exc
-    cmp = kw["cmp"]
+    cmp = single(kw, ":cmp")
     if cmp in ("lt", "gt"):
         if not isinstance(bound, IntLit):
             raise QhlError("strict comparators require a literal bound")

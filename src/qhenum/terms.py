@@ -9,10 +9,10 @@ primed flag.  Tags render as name suffixes: ``x``, ``x!``, ``x$1``, ``x$1!``.
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Iterator, Mapping, Optional
 
-from .sexpr import Sexpr, SexprError, parse_one, to_text
+from .sexpr import Sexpr, SexprError, atom, pairs, parse_one, to_text
 
 
 # ---------------------------------------------------------------------------
@@ -725,6 +725,13 @@ def term_to_text(term: Term) -> str:
     return to_text(term_to_sexpr(term))
 
 
+# operators of fixed arity
+_ARITY = {
+    "*": 2, "div": 2, "mod": 2, "=": 2, "<": 2, "<=": 2, ">": 2, ">=": 2,
+    "not": 1, "ite": 3, "select": 2, "store": 3, "const-arr": 1,
+}
+
+
 def term_from_sexpr(
     expr: Sexpr,
     env: Mapping[str, Sort],
@@ -758,13 +765,16 @@ def term_from_sexpr(
         if head in ("forall", "exists"):
             if len(e) != 3:
                 raise SexprError("quantifier needs binder and body")
-            bound = tuple((b[0], sort_from_sexpr(b[1])) for b in e[1])
+            binders = pairs("binder", atom(e[1], list, "a binder list"))
+            bound = tuple((name, sort_from_sexpr(sort)) for name, sort in binders.items())
             inner = dict(scope)
             for name, sort in bound:
                 inner[name] = sort
             body = go(e[2], inner)
             return (Forall if head == "forall" else Exists)(bound, body)
         args = [go(a, scope) for a in e[1:]]
+        if isinstance(head, str) and _ARITY.get(head, len(args)) != len(args):
+            raise SexprError(f"{head} takes {_ARITY[head]} arguments, got {len(args)}")
         if head == "+":
             return Add(tuple(args))
         if head == "-":
@@ -776,16 +786,12 @@ def term_from_sexpr(
                 return Sub(args[0], args[1])
             raise SexprError("subtraction takes one or two arguments")
         if head == "*":
-            if len(args) != 2:
-                raise SexprError("multiplication takes two arguments")
             return Mul(args[0], args[1])
         if head == "div":
             return Div(args[0], args[1])
         if head == "mod":
             return Mod(args[0], args[1])
         if head in ("=", "<", "<=", ">", ">="):
-            if len(args) != 2:
-                raise SexprError(f"{head} takes two arguments")
             return Cmp(head, args[0], args[1])
         if head == "distinct":
             return Distinct(tuple(args))
@@ -796,6 +802,8 @@ def term_from_sexpr(
         if head == "or":
             return Or(tuple(args))
         if head == "=>":
+            if not args:
+                raise SexprError("=> takes at least one argument")
             out = args[-1]
             for a in reversed(args[:-1]):
                 out = Implies(a, out)
@@ -807,8 +815,6 @@ def term_from_sexpr(
         if head == "store":
             return Store(args[0], args[1], args[2])
         if head == "const-arr":
-            if len(args) != 1:
-                raise SexprError("const-arr takes one argument")
             return ConstArray(args[0])
         if isinstance(head, list) and head[:2] == ["as", "const"]:
             if len(head) != 3 or len(args) != 1:

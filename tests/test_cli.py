@@ -268,25 +268,51 @@ def test_verify_unknown_counting_premise_exits_2(benchmarks, case_solver, capsys
     assert report["stages"]["counting"]["reason"] == "goal: solver returned unknown"
 
 
-# an unknown atom in a term of each project file
-MALFORMED_TERMS = {
-    "system.sexp": ("(= st 0)", "(= st zzz)"),
-    "property.sexp": (":bound dc", ":bound zzz"),
-    "enumeration.sexp": ("(< y dc$1)", "(< y zzz)"),
-}
+BOTH = ("verify", "oracle")
+
+# (file, old text, new text, error message, commands that reach the fault);
+# every case is a malformed input that must exit 3 with one error line
+MALFORMED_TERMS = [
+    pytest.param("system.sexp", "(= st 0)", "(= st zzz)", "unknown atom 'zzz'", BOTH,
+                 id="system.sexp"),
+    pytest.param("property.sexp", ":bound dc", ":bound zzz", "unknown atom 'zzz'", BOTH,
+                 id="property.sexp"),
+    pytest.param("enumeration.sexp", "(< y dc$1)", "(< y zzz)", "unknown atom 'zzz'", BOTH,
+                 id="enumeration.sexp"),
+    pytest.param("property.sexp", ":cmp geq", ":cmp gt",
+                 "strict comparators require a literal bound", BOTH, id="strict-cmp"),
+    pytest.param("instance.sexp", "(depth 4)", "(depth x)",
+                 "(depth ...) takes an integer, got (depth x)", ("oracle",), id="depth-x"),
+    pytest.param("project.sexp", "(valid-pred V)", "(valid-pred V) (options (timeout-ms))",
+                 "(timeout-ms ...) takes an integer, got (timeout-ms)", BOTH,
+                 id="timeout-arity"),
+    pytest.param("enumeration.sexp", "(q q$1) (rs y))", "(q q$1))",
+                 "skolem-init lacks terms for rs", ("verify",), id="skolem-lacks-rs"),
+    pytest.param("enumeration.sexp", "(strengthen", "(strenghten",
+                 "enumeration: unexpected (strenghten ...)", BOTH, id="misspelled-section"),
+    pytest.param("system.sexp", "(vars (bal Int)", "(vars (bal Int) (bal Int)",
+                 "vars: bal given twice", BOTH, id="duplicate-var"),
+    pytest.param("instance.sexp", "(depth 4)", "depth", "instance: unexpected depth",
+                 ("oracle",), id="instance-atom"),
+    pytest.param("system.sexp", "(- bal dc) bal)", "(- bal dc))",
+                 "ite takes 3 arguments, got 2", BOTH, id="term-arity"),
+    pytest.param("proof.sexp", "(forall ((dc Int))", "(forall dc",
+                 "expected a binder list, got dc", BOTH, id="binder-atom"),
+]
 
 
-@pytest.mark.parametrize("filename", sorted(MALFORMED_TERMS))
-def test_malformed_term_exits_3(benchmarks, stub_solver, tmp_path, capsys, filename):
+@pytest.mark.parametrize("filename, old, new, message, commands", MALFORMED_TERMS)
+def test_malformed_term_exits_3(
+    benchmarks, stub_solver, tmp_path, capsys, filename, old, new, message, commands
+):
     purse = copy_benchmark(benchmarks, "electronic-purse", tmp_path / "purse")
-    old, new = MALFORMED_TERMS[filename]
     path = purse / filename
     assert old in path.read_text()
     path.write_text(path.read_text().replace(old, new))
-    for argv in (
-        ["verify", str(purse), "--solver", stub_solver("unsat")[0]],
-        ["oracle", "--instance", str(purse / "instance.sexp"), "--count-classes"],
-    ):
-        assert main(argv) == 3
-        err = capsys.readouterr().err
-        assert err == "error: unknown atom 'zzz'\n"
+    argv = {
+        "verify": ["verify", str(purse), "--solver", stub_solver("unsat")[0]],
+        "oracle": ["oracle", "--instance", str(purse / "instance.sexp"), "--count-classes"],
+    }
+    for command in commands:
+        assert main(argv[command]) == 3
+        assert capsys.readouterr().err == f"error: {message}\n"

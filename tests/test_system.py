@@ -1,25 +1,8 @@
 import pytest
 
-from qhenum.backend import Session
-from qhenum.system import (
-    InductiveObligation,
-    SystemError_,
-    check_inductive,
-    check_totality,
-    make_system,
-    parse_system,
-    self_compose,
-)
+from qhenum.system import SystemError_, make_system, parse_system
 from qhenum.sexpr import SexprError
-from qhenum.terms import (
-    Cmp,
-    INT,
-    IntLit,
-    PRIMED,
-    Var,
-    free_vars,
-    term_from_text,
-)
+from qhenum.terms import Cmp, INT, IntLit, PRIMED, Var
 
 COUNTER = """
 (system counter
@@ -27,13 +10,6 @@ COUNTER = """
   (params n)
   (init (and (= x 0) (>= n 1)))
   (tx (and (= n! n) (= x! (ite (< x n) (+ x 1) x)))))
-"""
-
-STUCK = """
-(system stuck
-  (vars (x Int))
-  (init (= x 0))
-  (tx (and (= x! (+ x 1)) (< x 2))))
 """
 
 
@@ -69,50 +45,3 @@ def test_make_system_rejects_stray_variables():
             Cmp("=", x, IntLit(0)),
             Cmp("=", x, x),
         )
-
-
-def test_self_compose(counter):
-    composed = self_compose(counter, 2)
-    assert composed.copies == 2
-    free = {v.mangled for v in free_vars(composed.system.init)}
-    assert free == {"x$1", "n$1", "x$2", "n$2"}
-    with pytest.raises(SystemError_):
-        self_compose(counter, 0)
-
-
-def test_inductive_invariant_proved(counter, solver):
-    inv = term_from_text("(and (<= 0 x) (<= x n))", {"x": INT, "n": INT})
-    result = check_inductive(InductiveObligation(counter, inv), Session(solver))
-    assert result.status == "proved"
-
-
-def test_inductive_base_failure(counter, solver):
-    inv = term_from_text("(>= x 1)", {"x": INT})
-    result = check_inductive(InductiveObligation(counter, inv), Session(solver))
-    assert result.status == "base_fails"
-    assert result.model is not None
-
-
-def test_inductive_step_failure(counter, solver):
-    # holds initially but is not preserved
-    inv = term_from_text("(= x 0)", {"x": INT})
-    result = check_inductive(InductiveObligation(counter, inv), Session(solver))
-    assert result.status == "step_fails"
-
-
-def test_inductive_on_composition(counter, solver):
-    composed = self_compose(counter, 2)
-    env = {"x$1": INT, "x$2": INT, "n$1": INT, "n$2": INT}
-    inv = term_from_text("(=> (and (= n$1 n$2) (= x$1 x$2)) (= x$1 x$2))", env)
-    result = check_inductive(
-        InductiveObligation(composed.system, inv, copies=2), Session(solver)
-    )
-    assert result.status == "proved"
-
-
-def test_totality(counter, solver):
-    assert check_totality(counter, Session(solver)).status == "total"
-    stuck = parse_system(STUCK)
-    result = check_totality(stuck, Session(solver))
-    assert result.status == "not_total"
-    assert result.model is not None
