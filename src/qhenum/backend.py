@@ -18,12 +18,9 @@ from .terms import (
     Signature,
     Sort,
     Term,
+    TermWriter,
     UninterpSort,
-    free_vars,
-    iter_subterms,
-    sort_to_sexpr,
-    term_to_sexpr,
-    App,
+    sort_to_text,
 )
 
 
@@ -64,7 +61,7 @@ MBQI_OPTIONS: tuple[tuple[str, str], ...] = (("smt.mbqi", "true"),)
 
 @dataclass(frozen=True)
 class Query:
-    assertions: tuple[Term, ...]
+    assertions: tuple[str, ...]  # SMT-LIB text of each assertion
     logic: str = DEFAULT_LOGIC
     options: tuple[tuple[str, str], ...] = VALIDITY_OPTIONS
     sorts: tuple[str, ...] = ()
@@ -105,25 +102,24 @@ def build_query(
     timeout_ms: int = DEFAULT_TIMEOUT_MS,
     get_model: bool = False,
 ) -> Query:
-    """Collect declarations for the free symbols of ``assertions``."""
-    consts: dict[str, Sort] = {}
+    """Render ``assertions`` and declare their free symbols."""
+    writer = TermWriter()
+    texts: list[str] = []
     funcs: dict[str, tuple[tuple[Sort, ...], Sort]] = {}
     for formula in assertions:
-        for v in free_vars(formula):
-            prev = consts.get(v.mangled)
-            if prev is not None and prev != v.sort:
-                raise EmitError(f"constant {v.mangled} used at two sorts")
-            consts[v.mangled] = v.sort
-        for sub in iter_subterms(formula):
-            if isinstance(sub, App):
-                rank = signature.rank(sub.func)
-                funcs[sub.func] = rank
+        texts.append(writer.text(formula))
+        if writer.clash is not None:
+            raise EmitError(f"constant {writer.clash} used at two sorts")
+        for name in writer.funcs:
+            if name not in funcs:
+                funcs[name] = signature.rank(name)
+    consts = writer.consts
     all_sorts = list(consts.values())
     for args, res in funcs.values():
         all_sorts.extend(args)
         all_sorts.append(res)
     return Query(
-        assertions=tuple(assertions),
+        assertions=tuple(texts),
         logic=logic,
         options=options,
         sorts=tuple(sorted(_uninterp_sorts(all_sorts))),
@@ -142,13 +138,12 @@ def emit(query: Query) -> str:
     for sort_name in query.sorts:
         lines.append(f"(declare-sort {sort_name} 0)")
     for fname, arg_sorts, result in query.functions:
-        args_txt = " ".join(sexpr.to_text(sort_to_sexpr(s)) for s in arg_sorts)
-        res_txt = sexpr.to_text(sort_to_sexpr(result))
-        lines.append(f"(declare-fun {fname} ({args_txt}) {res_txt})")
+        args_txt = " ".join(map(sort_to_text, arg_sorts))
+        lines.append(f"(declare-fun {fname} ({args_txt}) {sort_to_text(result)})")
     for cname, sort in query.consts:
-        lines.append(f"(declare-const {cname} {sexpr.to_text(sort_to_sexpr(sort))})")
-    for formula in query.assertions:
-        lines.append(f"(assert {sexpr.to_text(term_to_sexpr(formula))})")
+        lines.append(f"(declare-const {cname} {sort_to_text(sort)})")
+    for text in query.assertions:
+        lines.append(f"(assert {text})")
     lines.append("(check-sat)")
     if query.get_model:
         lines.append("(get-model)")

@@ -403,10 +403,23 @@ def load_instance(path: Path, depth: Optional[int] = None) -> OracleSetup:
          "deterministic", "quant-bounds"),
     )
 
-    def entries(section: str, parse: Callable) -> dict:
-        return {n: parse(e) for n, e in pairs(section, found.get(section, ())).items()}
-
     project = load_project(path.parent / single(found, "project", str, ".").strip('"'))
+    state_vars = {n for n, _ in project.system.state_vars}
+    known = {
+        "domains": (state_vars, "state variable"),
+        "init-fix": (state_vars, "state variable"),
+        "params": (set(project.system.params), "system parameter"),
+    }
+
+    def entries(section: str, parse: Callable) -> dict:
+        given = pairs(section, found.get(section, ()))
+        if section in known:
+            names, what = known[section]
+            for name in given:
+                if name not in names:
+                    raise SexprError(f"{section}: {name} is not a {what}")
+        return {n: parse(e) for n, e in given.items()}
+
     file_depth = single(found, "depth", int, 4)
     deterministic = single(found, "deterministic", str, "false")
     if deterministic not in ("true", "false"):

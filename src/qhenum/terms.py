@@ -10,7 +10,8 @@ from __future__ import annotations
 
 import re
 from dataclasses import dataclass
-from typing import Iterator, Mapping, Optional
+from operator import attrgetter
+from typing import Any, Callable, Mapping, Optional
 
 from .sexpr import Sexpr, SexprError, atom, pairs, parse_one, to_text
 
@@ -49,13 +50,13 @@ BOOL = BoolSort()
 INT = IntSort()
 
 
-def sort_to_sexpr(sort: Sort) -> Sexpr:
+def sort_to_text(sort: Sort) -> str:
     if isinstance(sort, BoolSort):
         return "Bool"
     if isinstance(sort, IntSort):
         return "Int"
     if isinstance(sort, ArraySort):
-        return ["Array", sort_to_sexpr(sort.index), sort_to_sexpr(sort.element)]
+        return f"(Array {sort_to_text(sort.index)} {sort_to_text(sort.element)})"
     if isinstance(sort, UninterpSort):
         return sort.name
     raise TypeError(f"unknown sort {sort!r}")
@@ -350,30 +351,39 @@ def eq(a: Term, b: Term) -> Term:
 # Traversal
 
 
+_PAIR = attrgetter("left", "right")
+_CHILDREN: dict[type, Callable[[Any], tuple[Term, ...]]] = {
+    Var: lambda t: (),
+    IntLit: lambda t: (),
+    BoolLit: lambda t: (),
+    App: attrgetter("args"),
+    Add: attrgetter("args"),
+    Sub: _PAIR,
+    Neg: lambda t: (t.operand,),
+    Mul: _PAIR,
+    Div: _PAIR,
+    Mod: _PAIR,
+    Cmp: _PAIR,
+    Distinct: attrgetter("args"),
+    Not: lambda t: (t.operand,),
+    And: attrgetter("args"),
+    Or: attrgetter("args"),
+    Implies: _PAIR,
+    Ite: attrgetter("cond", "then", "other"),
+    Select: attrgetter("array", "index"),
+    Store: attrgetter("array", "index", "value"),
+    ConstArray: lambda t: (t.value,),
+    Forall: lambda t: (t.body,),
+    Exists: lambda t: (t.body,),
+}
+
+
 def _children(term: Term) -> tuple[Term, ...]:
-    if isinstance(term, (Var, IntLit, BoolLit)):
-        return ()
-    if isinstance(term, (App, Add, Distinct, And, Or)):
-        return term.args
-    if isinstance(term, (Sub, Mul, Div, Mod)):
-        return (term.left, term.right)
-    if isinstance(term, (Neg, Not)):
-        return (term.operand,)
-    if isinstance(term, Cmp):
-        return (term.left, term.right)
-    if isinstance(term, Implies):
-        return (term.left, term.right)
-    if isinstance(term, Ite):
-        return (term.cond, term.then, term.other)
-    if isinstance(term, Select):
-        return (term.array, term.index)
-    if isinstance(term, Store):
-        return (term.array, term.index, term.value)
-    if isinstance(term, ConstArray):
-        return (term.value,)
-    if isinstance(term, Quant):
-        return (term.body,)
-    raise TypeError(f"unknown term {term!r}")
+    try:
+        children = _CHILDREN[type(term)]
+    except KeyError:
+        raise TypeError(f"unknown term {term!r}") from None
+    return children(term)
 
 
 def free_vars(term: Term, bound: frozenset[str] = frozenset()) -> frozenset[Var]:
@@ -388,12 +398,6 @@ def free_vars(term: Term, bound: frozenset[str] = frozenset()) -> frozenset[Var]
     for child in _children(term):
         out |= free_vars(child, bound)
     return out
-
-
-def iter_subterms(term: Term) -> Iterator[Term]:
-    yield term
-    for child in _children(term):
-        yield from iter_subterms(child)
 
 
 # ---------------------------------------------------------------------------
@@ -522,45 +526,18 @@ def check_sorts(
 
 
 def _rebuild(term: Term, children: tuple[Term, ...]) -> Term:
-    if isinstance(term, App):
+    kind = type(term)
+    if kind is App:
         return App(term.func, children)
-    if isinstance(term, Add):
-        return Add(children)
-    if isinstance(term, Sub):
-        return Sub(*children)
-    if isinstance(term, Neg):
-        return Neg(*children)
-    if isinstance(term, Mul):
-        return Mul(*children)
-    if isinstance(term, Div):
-        return Div(*children)
-    if isinstance(term, Mod):
-        return Mod(*children)
-    if isinstance(term, Cmp):
+    if kind is Cmp:
         return Cmp(term.op, *children)
-    if isinstance(term, Distinct):
-        return Distinct(children)
-    if isinstance(term, Not):
-        return Not(*children)
-    if isinstance(term, And):
-        return And(children)
-    if isinstance(term, Or):
-        return Or(children)
-    if isinstance(term, Implies):
-        return Implies(*children)
-    if isinstance(term, Ite):
-        return Ite(*children)
-    if isinstance(term, Select):
-        return Select(*children)
-    if isinstance(term, Store):
-        return Store(*children)
-    if isinstance(term, ConstArray):
+    if kind is ConstArray:
         return ConstArray(children[0], term.sort)
-    if isinstance(term, Forall):
-        return Forall(term.bound, children[0])
-    if isinstance(term, Exists):
-        return Exists(term.bound, children[0])
-    raise TypeError(f"unknown term {term!r}")
+    if kind is Forall or kind is Exists:
+        return kind(term.bound, children[0])
+    if kind in (Add, Distinct, And, Or):
+        return kind(children)
+    return kind(*children)
 
 
 def substitute(term: Term, bindings: Mapping[Var, Term]) -> Term:
@@ -669,60 +646,68 @@ def retag_free(term: Term, mapping: Mapping[Tag, Tag]) -> Term:
 # Text syntax (SMT-LIB2 style)
 
 
-def term_to_sexpr(term: Term) -> Sexpr:
-    if isinstance(term, Var):
-        return term.mangled
-    if isinstance(term, IntLit):
-        if term.value < 0:
-            return ["-", -term.value]
-        return term.value
-    if isinstance(term, BoolLit):
-        return "true" if term.value else "false"
-    if isinstance(term, App):
-        if not term.args:
-            return term.func
-        return [term.func, *map(term_to_sexpr, term.args)]
-    if isinstance(term, Add):
-        return ["+", *map(term_to_sexpr, term.args)]
-    if isinstance(term, Sub):
-        return ["-", term_to_sexpr(term.left), term_to_sexpr(term.right)]
-    if isinstance(term, Neg):
-        return ["-", term_to_sexpr(term.operand)]
-    if isinstance(term, Mul):
-        return ["*", term_to_sexpr(term.left), term_to_sexpr(term.right)]
-    if isinstance(term, Div):
-        return ["div", term_to_sexpr(term.left), term_to_sexpr(term.right)]
-    if isinstance(term, Mod):
-        return ["mod", term_to_sexpr(term.left), term_to_sexpr(term.right)]
-    if isinstance(term, Cmp):
-        return [term.op, term_to_sexpr(term.left), term_to_sexpr(term.right)]
-    if isinstance(term, Distinct):
-        return ["distinct", *map(term_to_sexpr, term.args)]
-    if isinstance(term, Not):
-        return ["not", term_to_sexpr(term.operand)]
-    if isinstance(term, And):
-        return ["and", *map(term_to_sexpr, term.args)]
-    if isinstance(term, Or):
-        return ["or", *map(term_to_sexpr, term.args)]
-    if isinstance(term, Implies):
-        return ["=>", term_to_sexpr(term.left), term_to_sexpr(term.right)]
-    if isinstance(term, Ite):
-        return ["ite", term_to_sexpr(term.cond), term_to_sexpr(term.then), term_to_sexpr(term.other)]
-    if isinstance(term, Select):
-        return ["select", term_to_sexpr(term.array), term_to_sexpr(term.index)]
-    if isinstance(term, Store):
-        return ["store", term_to_sexpr(term.array), term_to_sexpr(term.index), term_to_sexpr(term.value)]
-    if isinstance(term, ConstArray):
-        return [["as", "const", sort_to_sexpr(term.sort)], term_to_sexpr(term.value)]
-    if isinstance(term, Quant):
-        head = "forall" if isinstance(term, Forall) else "exists"
-        binder = [[name, sort_to_sexpr(sort)] for name, sort in term.bound]
-        return [head, binder, term_to_sexpr(term.body)]
-    raise TypeError(f"unknown term {term!r}")
+class TermWriter:
+    """Writes SMT-LIB text of terms, one walk per term.
+
+    The walk also records each free constant (``consts``: mangled name to
+    sort; ``clash``: the first name seen at two sorts) and each applied
+    function symbol (``funcs``, parents before arguments). Bound means what
+    it means in ``free_vars``. A writer records across all terms it writes.
+    """
+
+    __slots__ = ("consts", "funcs", "clash")
+
+    def __init__(self) -> None:
+        self.consts: dict[str, Sort] = {}
+        self.funcs: dict[str, None] = {}
+        self.clash: Optional[str] = None
+
+    def text(self, term: Term, bound: frozenset[str] = frozenset()) -> str:
+        kind = type(term)
+        if kind is Var:
+            if term.name in bound and term.tag == PLAIN:
+                return term.name
+            name = term.mangled
+            prev = self.consts.setdefault(name, term.sort)
+            if prev is not term.sort and prev != term.sort and self.clash is None:
+                self.clash = name
+            return name
+        if kind is IntLit:
+            return str(term.value) if term.value >= 0 else f"(- {-term.value})"
+        if kind is BoolLit:
+            return "true" if term.value else "false"
+        if kind is Forall or kind is Exists:
+            binder = " ".join([f"({name} {sort_to_text(sort)})" for name, sort in term.bound])
+            inner = bound | {name for name, _ in term.bound}
+            return f"({_HEADS[kind]} ({binder}) {self.text(term.body, inner)})"
+        children = _children(term)
+        if kind is App:
+            self.funcs[term.func] = None
+            if not children:
+                return term.func
+            head = term.func
+        elif kind is Cmp:
+            head = term.op
+        elif kind is ConstArray:
+            head = f"(as const {sort_to_text(term.sort)})"
+        else:
+            head = _HEADS[kind]
+        return "(" + " ".join([head, *[self.text(c, bound) for c in children]]) + ")"
+
+
+_HEADS = {
+    Add: "+", Sub: "-", Neg: "-", Mul: "*", Div: "div", Mod: "mod", Distinct: "distinct",
+    Not: "not", And: "and", Or: "or", Implies: "=>", Ite: "ite", Select: "select",
+    Store: "store", Forall: "forall", Exists: "exists",
+}
 
 
 def term_to_text(term: Term) -> str:
-    return to_text(term_to_sexpr(term))
+    return TermWriter().text(term)
+
+
+def term_to_sexpr(term: Term) -> Sexpr:
+    return parse_one(term_to_text(term))
 
 
 # operators of fixed arity

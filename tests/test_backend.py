@@ -1,4 +1,5 @@
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from qhenum.backend import (
     MODEL_OPTIONS,
@@ -7,7 +8,6 @@ from qhenum.backend import (
     VALIDITY_OPTIONS,
     EmitError,
     ProtocolError,
-    Query,
     Session,
     SolverSpawnError,
     build_query,
@@ -16,19 +16,39 @@ from qhenum.backend import (
     solve,
 )
 from qhenum.terms import (
+    Add,
+    And,
+    App,
     ArraySort,
     BOOL,
+    BoolLit,
+    BoolSort,
     Cmp,
     ConstArray,
+    Distinct,
+    Div,
+    Forall,
     INT,
+    Implies,
     IntLit,
+    IntSort,
+    Ite,
+    Mod,
+    Mul,
+    Neg,
     Not,
+    Or,
+    PLAIN,
+    Quant,
     Select,
     Signature,
     Store,
+    Sub,
     UninterpSort,
+    UnknownSymbol,
     Var,
     term_from_text,
+    term_to_text,
 )
 
 ARR = ArraySort(INT, INT)
@@ -117,9 +137,7 @@ def test_solve_missing_binary_raises():
 
 
 def test_timeout_yields_unknown(solver):
-    query = Query(
-        assertions=(Cmp("=", IntLit(0), IntLit(0)),), timeout_ms=0, get_model=False
-    )
+    query = build_query([Cmp("=", IntLit(0), IntLit(0))], timeout_ms=0)
     verdict = solve(query, solver)
     assert verdict.status == "unknown"
     assert verdict.transcript == "timeout"
@@ -178,3 +196,165 @@ def test_session_sends_with_model_and_numbers_debug_files(stub_solver, tmp_path)
             get_model=True,
         )
         assert (debug / name).read_text() == emit(query)
+
+
+# How build_query collected declarations before it rendered each assertion in
+# one walk: a free-variable walk and a subterm walk per assertion. Kept as the
+# reference for the declarations and for the order of their errors.
+
+
+def reference_children(term):
+    if isinstance(term, (Var, IntLit, BoolLit)):
+        return ()
+    if isinstance(term, (App, Add, Distinct, And, Or)):
+        return term.args
+    if isinstance(term, (Sub, Mul, Div, Mod, Cmp, Implies)):
+        return (term.left, term.right)
+    if isinstance(term, (Neg, Not)):
+        return (term.operand,)
+    if isinstance(term, Ite):
+        return (term.cond, term.then, term.other)
+    if isinstance(term, Select):
+        return (term.array, term.index)
+    if isinstance(term, Store):
+        return (term.array, term.index, term.value)
+    if isinstance(term, ConstArray):
+        return (term.value,)
+    if isinstance(term, Quant):
+        return (term.body,)
+    raise TypeError(f"unknown term {term!r}")
+
+
+def reference_free_vars(term, bound=frozenset()):
+    if isinstance(term, Var):
+        if term.tag == PLAIN and term.name in bound:
+            return frozenset()
+        return frozenset({term})
+    if isinstance(term, Quant):
+        return reference_free_vars(term.body, bound | {name for name, _ in term.bound})
+    out = frozenset()
+    for child in reference_children(term):
+        out |= reference_free_vars(child, bound)
+    return out
+
+
+def reference_subterms(term):
+    yield term
+    for child in reference_children(term):
+        yield from reference_subterms(child)
+
+
+def reference_sort_text(sort):
+    if isinstance(sort, BoolSort):
+        return "Bool"
+    if isinstance(sort, IntSort):
+        return "Int"
+    if isinstance(sort, ArraySort):
+        return f"(Array {reference_sort_text(sort.index)} {reference_sort_text(sort.element)})"
+    return sort.name
+
+
+def reference_declarations(assertions, signature):
+    """(sorts, functions, consts) of a query over ``assertions``."""
+    consts = {}
+    funcs = {}
+    for formula in assertions:
+        for v in reference_free_vars(formula):
+            prev = consts.get(v.mangled)
+            if prev is not None and prev != v.sort:
+                raise EmitError(f"constant {v.mangled} used at two sorts")
+            consts[v.mangled] = v.sort
+        for sub in reference_subterms(formula):
+            if isinstance(sub, App):
+                funcs[sub.func] = signature.rank(sub.func)
+    names = set()
+
+    def walk(sort):
+        if isinstance(sort, UninterpSort):
+            names.add(sort.name)
+        elif isinstance(sort, ArraySort):
+            walk(sort.index)
+            walk(sort.element)
+
+    for sort in consts.values():
+        walk(sort)
+    for args, res in funcs.values():
+        for sort in (*args, res):
+            walk(sort)
+    return (
+        tuple(sorted(names)),
+        tuple((n, *funcs[n]) for n in sorted(funcs)),
+        tuple(sorted(consts.items())),
+    )
+
+
+def reference_emit(assertions, signature):
+    sorts, functions, consts = reference_declarations(assertions, signature)
+    lines = ["(set-logic ALL)", "(set-option :smt.mbqi false)"]
+    lines += [f"(declare-sort {name} 0)" for name in sorts]
+    for name, args, res in functions:
+        args_text = " ".join(map(reference_sort_text, args))
+        lines.append(f"(declare-fun {name} ({args_text}) {reference_sort_text(res)})")
+    lines += [f"(declare-const {name} {reference_sort_text(sort)})" for name, sort in consts]
+    lines += [f"(assert {term_to_text(formula)})" for formula in assertions]
+    return "\n".join([*lines, "(check-sat)", "(get-model)"]) + "\n"
+
+
+def outcome(make):
+    """The result of ``make()``, or the type of its error; the message too
+    where it is deterministic (a clash reports any one of its names)."""
+    try:
+        return make()
+    except EmitError:
+        return EmitError
+    except (TypeError, UnknownSymbol) as exc:
+        return type(exc), str(exc)
+
+
+@settings(max_examples=400)
+@given(data=st.data())
+def test_query_matches_reference_collection(any_term, term_signature, data):
+    assertions = data.draw(st.lists(any_term, min_size=1, max_size=3))
+
+    def build():
+        query = build_query(assertions, term_signature, logic=OBLIGATION_LOGIC, get_model=True)
+        return (query.sorts, query.functions, query.consts), emit(query)
+
+    def reference():
+        return reference_declarations(assertions, term_signature), reference_emit(
+            assertions, term_signature
+        )
+
+    assert outcome(build) == outcome(reference)
+
+
+class Opaque:
+    """Not a term: no renderer knows it."""
+
+
+X_INT, X_BOOL = Var("x", INT), Var("x", BOOL)
+
+
+@pytest.mark.parametrize(
+    "assertions, error",
+    [
+        # within one assertion: an unknown node, then a clash, then a symbol
+        ([And((App("u", (X_INT,)), X_BOOL, Opaque()))], TypeError),
+        ([And((App("u", (X_INT,)), X_BOOL))], EmitError),
+        ([App("u", (X_INT,))], UnknownSymbol),
+        # the first unknown symbol in pre-order is named
+        ([Cmp("=", App("u", (App("v", ()),)), App("w", ()))], UnknownSymbol),
+        # across assertions: the first faulty assertion decides
+        ([Cmp("=", X_INT, IntLit(0)), And((X_BOOL, Opaque()))], TypeError),
+        ([Cmp("=", X_INT, IntLit(0)), And((App("u", ()), X_BOOL))], EmitError),
+        ([App("u", ()), And((X_INT, X_BOOL, Opaque()))], UnknownSymbol),
+        # a bound name is no constant, whatever its sort
+        ([And((X_BOOL, Forall((("x", INT),), Cmp("=", X_INT, IntLit(0))), App("u", ())))],
+         UnknownSymbol),
+    ],
+)
+def test_errors_keep_their_order(assertions, error):
+    with pytest.raises(error) as info:
+        build_query(assertions)
+    expected = outcome(lambda: reference_declarations(assertions, Signature()))
+    assert expected in (error, (error, str(info.value)))

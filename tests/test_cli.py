@@ -298,6 +298,12 @@ MALFORMED_TERMS = [
                  "ite takes 3 arguments, got 2", BOTH, id="term-arity"),
     pytest.param("proof.sexp", "(forall ((dc Int))", "(forall dc",
                  "expected a binder list, got dc", BOTH, id="binder-atom"),
+    pytest.param("instance.sexp", "(rs (range 0 1)))", "(rs (range 0 1)) (zz (range 0 1)))",
+                 "domains: zz is not a state variable", ("oracle",), id="domain-not-a-var"),
+    pytest.param("instance.sexp", "(depth 4)", "(depth 4) (init-fix (zz 0))",
+                 "init-fix: zz is not a state variable", ("oracle",), id="init-fix-not-a-var"),
+    pytest.param("instance.sexp", "(params (dc 2))", "(params (dc 2) (bal 1))",
+                 "params: bal is not a system parameter", ("oracle",), id="param-not-a-param"),
 ]
 
 

@@ -1,21 +1,38 @@
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import given, settings, strategies as st
 
+from qhenum.sexpr import to_text
 from qhenum.terms import (
+    App,
     ArraySort,
     BOOL,
+    BoolLit,
+    BoolSort,
     ConstArray,
     Cmp,
+    Distinct,
+    Div,
     Exists,
     Forall,
     INT,
+    Implies,
     IntLit,
+    IntSort,
+    Ite,
+    Mod,
+    Mul,
+    Neg,
+    Not,
+    Or,
     PLAIN,
+    Quant,
     RankMismatch,
     Select,
     Signature,
     Store,
+    Sub,
     UnboundVariable,
+    UninterpSort,
     Var,
     Add,
     And,
@@ -27,6 +44,7 @@ from qhenum.terms import (
     retag_free,
     substitute,
     term_from_text,
+    term_to_sexpr,
     term_to_text,
 )
 
@@ -142,3 +160,97 @@ def test_substitution_eliminates_variable(term, k):
     x = Var("x", INT)
     out = substitute(term, {x: IntLit(k)})
     assert x not in free_vars(out)
+
+
+# The s-expression renderer that ``term_to_text`` replaced, kept as the
+# reference for its text.
+
+
+def reference_sort(sort):
+    if isinstance(sort, BoolSort):
+        return "Bool"
+    if isinstance(sort, IntSort):
+        return "Int"
+    if isinstance(sort, ArraySort):
+        return ["Array", reference_sort(sort.index), reference_sort(sort.element)]
+    if isinstance(sort, UninterpSort):
+        return sort.name
+    raise TypeError(f"unknown sort {sort!r}")
+
+
+def reference_sexpr(term):
+    if isinstance(term, Var):
+        return term.mangled
+    if isinstance(term, IntLit):
+        if term.value < 0:
+            return ["-", -term.value]
+        return term.value
+    if isinstance(term, BoolLit):
+        return "true" if term.value else "false"
+    if isinstance(term, App):
+        if not term.args:
+            return term.func
+        return [term.func, *map(reference_sexpr, term.args)]
+    if isinstance(term, Add):
+        return ["+", *map(reference_sexpr, term.args)]
+    if isinstance(term, Sub):
+        return ["-", reference_sexpr(term.left), reference_sexpr(term.right)]
+    if isinstance(term, Neg):
+        return ["-", reference_sexpr(term.operand)]
+    if isinstance(term, Mul):
+        return ["*", reference_sexpr(term.left), reference_sexpr(term.right)]
+    if isinstance(term, Div):
+        return ["div", reference_sexpr(term.left), reference_sexpr(term.right)]
+    if isinstance(term, Mod):
+        return ["mod", reference_sexpr(term.left), reference_sexpr(term.right)]
+    if isinstance(term, Cmp):
+        return [term.op, reference_sexpr(term.left), reference_sexpr(term.right)]
+    if isinstance(term, Distinct):
+        return ["distinct", *map(reference_sexpr, term.args)]
+    if isinstance(term, Not):
+        return ["not", reference_sexpr(term.operand)]
+    if isinstance(term, And):
+        return ["and", *map(reference_sexpr, term.args)]
+    if isinstance(term, Or):
+        return ["or", *map(reference_sexpr, term.args)]
+    if isinstance(term, Implies):
+        return ["=>", reference_sexpr(term.left), reference_sexpr(term.right)]
+    if isinstance(term, Ite):
+        return ["ite", *map(reference_sexpr, (term.cond, term.then, term.other))]
+    if isinstance(term, Select):
+        return ["select", reference_sexpr(term.array), reference_sexpr(term.index)]
+    if isinstance(term, Store):
+        return ["store", *map(reference_sexpr, (term.array, term.index, term.value))]
+    if isinstance(term, ConstArray):
+        return [["as", "const", reference_sort(term.sort)], reference_sexpr(term.value)]
+    if isinstance(term, Quant):
+        head = "forall" if isinstance(term, Forall) else "exists"
+        binder = [[name, reference_sort(sort)] for name, sort in term.bound]
+        return [head, binder, reference_sexpr(term.body)]
+    raise TypeError(f"unknown term {term!r}")
+
+
+@settings(max_examples=400)
+@given(data=st.data())
+def test_text_matches_reference_renderer(any_term, data):
+    term = data.draw(any_term)
+    assert term_to_text(term) == to_text(reference_sexpr(term))
+    assert term_to_sexpr(term) == reference_sexpr(term)
+
+
+def test_text_of_edge_cases():
+    x = Var("x", INT)
+    tr = UninterpSort("Tr")
+    cases = [
+        (IntLit(-3), "(- 3)"),
+        (Neg(IntLit(-3)), "(- (- 3))"),
+        (App("c", ()), "c"),
+        (And(()), "(and)"),
+        (Forall((), BoolLit(True)), "(forall () true)"),
+        (ConstArray(Var("t", tr), ArraySort(INT, tr)), "((as const (Array Int Tr)) t)"),
+        (Exists((("x", BOOL),), Cmp("=", x, x.with_tag((1, True)))), "(exists ((x Bool)) (= x x$1!))"),
+        (Forall((("x", INT),), Exists((("y", INT),), Cmp("<", x, Var("y", INT, None, True)))),
+         "(forall ((x Int)) (exists ((y Int)) (< x y!)))"),
+    ]
+    for term, text in cases:
+        assert term_to_text(term) == text == to_text(reference_sexpr(term))
