@@ -114,7 +114,7 @@ def build_query(
             if name not in funcs:
                 funcs[name] = signature.rank(name)
     consts = writer.consts
-    all_sorts = list(consts.values())
+    all_sorts = [*consts.values(), *writer.sorts]
     for args, res in funcs.values():
         all_sorts.extend(args)
         all_sorts.append(res)

@@ -456,7 +456,7 @@ def oracle_main(args: argparse.Namespace) -> int:
     name = args.brute_count
     if name == "valid":
         formula = retag_free(setup.project.witness.valid, {indexed(1): PLAIN})
-        counted = {n: setup.count_domains[n] for n, _ in setup.project.witness.enum_vars}
+        counted_names = [n for n, _ in setup.project.witness.enum_vars]
     else:
         decl = None
         for pred in setup.project.script.declarations:
@@ -466,7 +466,11 @@ def oracle_main(args: argparse.Namespace) -> int:
             print(f"no such formula {name!r}", file=sys.stderr)
             return 3
         formula = decl.body
-        counted = {c: setup.count_domains[c] for c in decl.counted}
+        counted_names = decl.counted
+    for n in counted_names:
+        if n not in setup.count_domains:
+            raise SexprError(f"count-vars: no domain for {n}")
+    counted = {n: setup.count_domains[n] for n in counted_names}
     print(brute_count(formula, counted, setup.instance.params,
                       setup.instance.quant_lo, setup.instance.quant_hi))
     return 0

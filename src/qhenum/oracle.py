@@ -405,6 +405,63 @@ def eval_term(
     return compile_term(term, quant_lo, quant_hi, funcs)(env)
 
 
+_INT = frozenset({int})
+
+
+def _typed(value: Value) -> tuple:
+    """A stand-in for ``value`` in a memo key. ``True == 1`` and both hash
+    alike, so the stand-in carries each value's type, also inside arrays."""
+    if type(value) is not FArray:
+        return (type(value), value)
+    if type(value.default) is int and _INT.issuperset(map(type, value.vals)):
+        return (FArray, value.lo, value.vals, value.default)
+    return (FArray, value.lo, tuple(map(_typed, value.vals)), _typed(value.default))
+
+
+def _memoized(compiled: Compiled, names: Sequence[str]) -> Compiled:
+    """``compiled``, remembering its value for each binding of ``names``.
+
+    ``names`` must hold every env key the evaluation may read. An env that
+    lacks one of them is not looked up; an evaluation that raises is not
+    stored, so it raises again on the next call.
+    """
+    table: dict[tuple, Value] = {}
+
+    def memo(env: Mapping[str, Value]) -> Value:
+        try:
+            key = tuple([_typed(env[name]) for name in names])
+        except KeyError:
+            return compiled(env)
+        try:
+            return table[key]
+        except KeyError:
+            value = table[key] = compiled(env)
+            return value
+
+    return memo
+
+
+def _memo_conjunction(conjuncts: Sequence[Term], quant_lo: int, quant_hi: int) -> Compiled:
+    """``compile_term(And(conjuncts))``, each conjunct memoized on the values
+    of its own free variables. Conjuncts are evaluated in order up to the
+    first false one; the tables live as long as the returned closure."""
+    # a compiled term reads the env only at its variables' mangled names, and
+    # a bound variable's name is rebound by its quantifier: so ``free_vars``
+    # names every key a conjunct's value can depend on
+    parts = [
+        _memoized(compile_term(c, quant_lo, quant_hi), sorted({v.mangled for v in free_vars(c)}))
+        for c in conjuncts
+    ]
+
+    def conj(env: Mapping[str, Value]) -> bool:
+        for part in parts:
+            if not part(env):
+                return False
+        return True
+
+    return conj
+
+
 # ---------------------------------------------------------------------------
 # Trace enumeration
 
@@ -511,6 +568,8 @@ class TransitionPlan:
 
     ``enumerate_traces`` builds one per call and hands it to every
     ``successors`` call; the plan reflects the instance as it was when built.
+    ``tx`` remembers each conjunct's values, and ``state_keys`` maps the id
+    of each state ``successors`` returned to the state and its key.
     """
 
     def __init__(self, instance: FiniteInstance) -> None:
@@ -541,11 +600,12 @@ class TransitionPlan:
         self.names = names
         self.key_order = sorted(names)
         # the definitions hold by construction, so tx checks only the rest
-        self.tx = compile_term(And(rest), lo, hi)
+        self.tx = _memo_conjunction(rest, lo, hi)
         self.defs = [(f"{name}!", compile_term(rhs, lo, hi)) for _, name, rhs in defs]
         self.free_keys = [f"{name}!" for name in free]
         self.free_values = [list(doms[name]) for name in free]
         self.next_vars = [(name, f"{name}!", _member(doms[name])) for name in names]
+        self.state_keys: dict[int, tuple[State, tuple]] = {}
 
 
 def successors(
@@ -578,6 +638,7 @@ def successors(
             if key not in seen:
                 seen.add(key)
                 out.append(nxt)
+                plan.state_keys[id(nxt)] = (nxt, key)
     if instance.deterministic and len(out) > 1:
         raise OracleError("instance declared deterministic but a state has several successors")
     return out
@@ -614,7 +675,7 @@ def _initial_states(instance: FiniteInstance) -> list[State]:
 
     defs = _definitional_order(conjuncts, target, ready)
     lo, hi = instance.quant_lo, instance.quant_hi
-    init = compile_term(instance.system.init, lo, hi)
+    init = _memo_conjunction(conjuncts, lo, hi)
     names = list(doms)
     values = {name: list(doms[name]) for name in names}
     solved = [(x, compile_term(rhs, lo, hi), _value_index(values[x])) for _, x, rhs in defs]
@@ -648,18 +709,20 @@ def _initial_states(instance: FiniteInstance) -> list[State]:
 def enumerate_traces(instance: FiniteInstance) -> list[BoundedTrace]:
     """All depth-d trace prefixes of the instance, in canonical order."""
     plan = TransitionPlan(instance)
-    level: list[tuple[State, ...]] = [(s,) for s in _initial_states(instance)]
+    # each prefix travels with its states' keys, which order the result
+    level: list[tuple[tuple[State, ...], tuple]] = [
+        ((s,), (_state_key(s, plan.key_order),)) for s in _initial_states(instance)
+    ]
     for _ in range(instance.depth - 1):
-        nxt_level: list[tuple[State, ...]] = []
-        for prefix in level:
+        nxt_level: list[tuple[tuple[State, ...], tuple]] = []
+        for prefix, keys in level:
             for succ in successors(instance, prefix[-1], plan):
-                nxt_level.append(prefix + (succ,))
+                nxt_level.append((prefix + (succ,), keys + (plan.state_keys[id(succ)][1],)))
                 if len(nxt_level) > instance.cap:
                     raise CapExceeded(f"trace count exceeds cap {instance.cap}")
         level = nxt_level
-    traces = [BoundedTrace(t) for t in level]
-    traces.sort(key=lambda tr: tuple(_state_key(s, plan.key_order) for s in tr.states))
-    return traces
+    level.sort(key=operator.itemgetter(1))
+    return [BoundedTrace(states) for states, _ in level]
 
 
 # ---------------------------------------------------------------------------
@@ -688,27 +751,34 @@ def _not3(a: TV) -> TV:
     return None if a is None else (not a)
 
 
+def _same_state(a: State, b: State) -> bool:
+    """Whether ``state_key(a) == state_key(b)``, without building either:
+    ``==`` holds for ``True`` and ``1``, so the types are compared too."""
+    return a == b and all(type(v) is type(b[n]) for n, v in a.items())
+
+
 def _settled(trace: BoundedTrace) -> bool:
-    for k in range(len(trace.states) - 1):
-        if state_key(trace.states[k]) == state_key(trace.states[k + 1]):
-            return True
-    return False
+    states = trace.states
+    return any(_same_state(states[k], states[k + 1]) for k in range(len(states) - 1))
 
 
 class BoundedPlan:
-    """Compiled predicate bodies and settled flags for ``eval_bounded``.
+    """Compiled predicate bodies, settled flags and state envs for
+    ``eval_bounded``.
 
     ``count_equivalence_classes`` builds one per call and hands it to every
     ``eval_bounded`` call, so that each predicate application is compiled
-    once and each trace's settledness is computed once. Entries are keyed by
-    object identity and hold their key, so a plan must not outlive the
-    traces and property it was used with.
+    once, each trace's settledness is computed once, and each state's env
+    as a given trace copy is built once. Entries are keyed by object
+    identity and hold their key, so a plan must not outlive the traces and
+    property it was used with.
     """
 
     def __init__(self, instance: FiniteInstance) -> None:
         self.quant_lo, self.quant_hi = instance.quant_lo, instance.quant_hi
         self._atoms: dict[int, tuple[PredApp, Compiled]] = {}
         self._settled: dict[int, tuple[BoundedTrace, bool]] = {}
+        self._envs: dict[tuple[int, int, int], tuple[BoundedTrace, dict[str, Value]]] = {}
 
     def atom(self, app: PredApp) -> Compiled:
         entry = self._atoms.get(id(app))
@@ -721,6 +791,16 @@ class BoundedPlan:
         entry = self._settled.get(id(trace))
         if entry is None:
             entry = self._settled[id(trace)] = (trace, _settled(trace))
+        return entry[1]
+
+    def env(self, trace: BoundedTrace, p: int, j: int) -> dict[str, Value]:
+        """State ``p`` of ``trace`` keyed as trace copy ``j + 1``; not to be mutated."""
+        key = (id(trace), p, j)
+        entry = self._envs.get(key)
+        if entry is None:
+            suffix = f"${j + 1}"
+            env = {name + suffix: value for name, value in trace.states[p].items()}
+            entry = self._envs[key] = (trace, env)
         return entry[1]
 
 
@@ -758,9 +838,7 @@ def eval_bounded(
         for j, tv in enumerate(app.trace_vars):
             if tv not in traces:
                 raise OracleError(f"trace variable {tv} unbound")
-            state = traces[tv].states[p]
-            for name, value in state.items():
-                env[f"{name}${j + 1}"] = value
+            env.update(plan.env(traces[tv], p, j))
         return bool(plan.atom(app)(env))
 
     def ev(node: HyperLtlBody, p: int) -> TV:
@@ -838,7 +916,8 @@ def count_equivalence_classes(
             candidates.append(t)
     if not candidates:
         return 0
-    assert isinstance(prop.diff, HFinally) and isinstance(prop.diff.operand, PredApp)
+    if not (isinstance(prop.diff, HFinally) and isinstance(prop.diff.operand, PredApp)):
+        raise OracleError("diff is not of the form F(predicate)")
     tva, tvb = prop.diff.operand.trace_vars
     n = len(candidates)
     parent = list(range(n))

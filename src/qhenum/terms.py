@@ -650,17 +650,19 @@ class TermWriter:
     """Writes SMT-LIB text of terms, one walk per term.
 
     The walk also records each free constant (``consts``: mangled name to
-    sort; ``clash``: the first name seen at two sorts) and each applied
-    function symbol (``funcs``, parents before arguments). Bound means what
-    it means in ``free_vars``. A writer records across all terms it writes.
+    sort; ``clash``: the first name seen at two sorts), each applied
+    function symbol (``funcs``, parents before arguments) and each sort
+    written in a binder or an ``as const`` (``sorts``). Bound means what it
+    means in ``free_vars``. A writer records across all terms it writes.
     """
 
-    __slots__ = ("consts", "funcs", "clash")
+    __slots__ = ("consts", "funcs", "clash", "sorts")
 
     def __init__(self) -> None:
         self.consts: dict[str, Sort] = {}
         self.funcs: dict[str, None] = {}
         self.clash: Optional[str] = None
+        self.sorts: dict[Sort, None] = {}
 
     def text(self, term: Term, bound: frozenset[str] = frozenset()) -> str:
         kind = type(term)
@@ -677,6 +679,8 @@ class TermWriter:
         if kind is BoolLit:
             return "true" if term.value else "false"
         if kind is Forall or kind is Exists:
+            for _, sort in term.bound:
+                self.sorts[sort] = None
             binder = " ".join([f"({name} {sort_to_text(sort)})" for name, sort in term.bound])
             inner = bound | {name for name, _ in term.bound}
             return f"({_HEADS[kind]} ({binder}) {self.text(term.body, inner)})"
@@ -689,6 +693,7 @@ class TermWriter:
         elif kind is Cmp:
             head = term.op
         elif kind is ConstArray:
+            self.sorts[term.sort] = None
             head = f"(as const {sort_to_text(term.sort)})"
         else:
             head = _HEADS[kind]

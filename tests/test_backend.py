@@ -81,6 +81,23 @@ def test_emit_const_array_and_uninterp_sort():
     assert "((as const (Array Int Int)) 0)" in text
 
 
+TR = UninterpSort("Tr")
+
+
+@pytest.mark.parametrize(
+    "formula",
+    [
+        Forall((("t", TR),), Cmp("=", Var("t", TR), Var("t", TR))),
+        Cmp("=", Select(ConstArray(IntLit(0), ArraySort(TR, INT)), Var("i", INT)), IntLit(0)),
+    ],
+    ids=["binder", "as-const"],
+)
+def test_sort_only_in_binder_or_const_array_is_declared(formula):
+    query = build_query([formula])
+    assert query.sorts == ("Tr",)
+    assert "(declare-sort Tr 0)\n" in emit(query)
+
+
 def test_emit_function_declarations():
     sig = Signature().extend("cnt.V", (INT,), INT)
     formula = term_from_text("(= (cnt.V n) 1)", {"n": INT}, sig)
@@ -258,6 +275,7 @@ def reference_declarations(assertions, signature):
     """(sorts, functions, consts) of a query over ``assertions``."""
     consts = {}
     funcs = {}
+    written = []  # sorts written in binders and as-const heads
     for formula in assertions:
         for v in reference_free_vars(formula):
             prev = consts.get(v.mangled)
@@ -267,6 +285,10 @@ def reference_declarations(assertions, signature):
         for sub in reference_subterms(formula):
             if isinstance(sub, App):
                 funcs[sub.func] = signature.rank(sub.func)
+            elif isinstance(sub, Quant):
+                written.extend(sort for _, sort in sub.bound)
+            elif isinstance(sub, ConstArray):
+                written.append(sub.sort)
     names = set()
 
     def walk(sort):
@@ -276,7 +298,7 @@ def reference_declarations(assertions, signature):
             walk(sort.index)
             walk(sort.element)
 
-    for sort in consts.values():
+    for sort in (*consts.values(), *written):
         walk(sort)
     for args, res in funcs.values():
         for sort in (*args, res):

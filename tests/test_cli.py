@@ -270,7 +270,8 @@ def test_verify_unknown_counting_premise_exits_2(benchmarks, case_solver, capsys
 
 BOTH = ("verify", "oracle")
 
-# (file, old text, new text, error message, commands that reach the fault);
+# (file, old text, new text, error message, commands that reach the fault:
+# "valid" and "V" are oracle --brute-count of that formula);
 # every case is a malformed input that must exit 3 with one error line
 MALFORMED_TERMS = [
     pytest.param("system.sexp", "(= st 0)", "(= st zzz)", "unknown atom 'zzz'", BOTH,
@@ -304,6 +305,10 @@ MALFORMED_TERMS = [
                  "init-fix: zz is not a state variable", ("oracle",), id="init-fix-not-a-var"),
     pytest.param("instance.sexp", "(params (dc 2))", "(params (dc 2) (bal 1))",
                  "params: bal is not a system parameter", ("oracle",), id="param-not-a-param"),
+    pytest.param("property.sexp", ":diff (finally", ":diff (globally",
+                 "diff is not of the form F(predicate)", ("oracle",), id="diff-not-finally"),
+    pytest.param("instance.sexp", "(count-vars (y (range 0 6)))", "",
+                 "count-vars: no domain for y", ("valid", "V"), id="count-var-no-domain"),
 ]
 
 
@@ -318,6 +323,8 @@ def test_malformed_term_exits_3(
     argv = {
         "verify": ["verify", str(purse), "--solver", stub_solver("unsat")[0]],
         "oracle": ["oracle", "--instance", str(purse / "instance.sexp"), "--count-classes"],
+        "valid": ["oracle", "--instance", str(purse / "instance.sexp"), "--brute-count", "valid"],
+        "V": ["oracle", "--instance", str(purse / "instance.sexp"), "--brute-count", "V"],
     }
     for command in commands:
         assert main(argv[command]) == 3

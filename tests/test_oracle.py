@@ -23,27 +23,33 @@ from qhenum.oracle import (
     state_key,
     successors,
     values_equal,
+    _settled,
 )
 from qhenum.qhl import parse_property
-from qhenum.system import parse_system
+from qhenum.system import TransitionSystem, parse_system
 from qhenum.terms import (
     BOOL,
     INT,
     TRUE,
     And,
     App,
+    ArraySort,
     Div,
     Cmp,
+    Distinct,
     Forall,
     IntLit,
     Ite,
     Mod,
+    Or,
     Select,
     Store,
     UninterpSort,
     Var,
     free_vars,
+    mangle,
     term_from_text,
+    term_to_text,
 )
 
 COUNTER = """
@@ -546,6 +552,7 @@ SOLVED_INITS = {
     "x on both sides": ("(= x (- 0 x))", {}, None),
     "duplicate domain values": ("(and (= x (- a 1)) (= y (* x 2)))", {"x": (0, 1, 1, 2), "y": (0, 2, 2, 4)}, None),
     "mixed True and 1": ("(= x (- 2 a))", {"x": (True, 1, 0, False, 2)}, None),
+    "unsolved True and 1": ("(and (distinct x 1) (distinct y x))", {"x": (True, 1, 0), "y": (1, True)}, None),
     "second definition from the first": ("(and (= x (+ a 1)) (< a 3) (= y (- x 1)))", {"y": (0, 1, 2)}, None),
 }
 
@@ -611,7 +618,100 @@ def test_cap_judged_on_full_initial_product():
     assert len(enumerate_traces(inst)) == 4
 
 
+# -- memoized conjunctions --------------------------------------------------------
+
+
+def transition_plan(tx):
+    """The plan of a system without state variables whose tx is ``tx``."""
+    system = TransitionSystem("memo", (), (), TRUE, tx)
+    return TransitionPlan(FiniteInstance(system, {}, {}, depth=1, quant_lo=-1, quant_hi=1))
+
+
+def evaluation(compiled, env):
+    """The value of ``compiled`` at ``env``, or the type and message of its error."""
+    try:
+        return compiled(env)
+    except Exception as exc:  # ill-sorted terms raise TypeError and others too
+        return type(exc), str(exc)
+
+
+ENV_NAMES = sorted(
+    mangle(name, (copy, primed))
+    for name in ("x", "y", "b", "a", "t", "m", "z")
+    for copy in (None, 1, 2)
+    for primed in (False, True)
+)
+ENV_VALUES = (-2, -1, 0, 1, 2, 3, True, False, FArray(0, (1, 2)), FArray(0, (1, True)),
+              FArray(0, (1, 1)), FArray(-1, (0,), 1), FArray(0, (FArray(0, (True,)),)),
+              FArray(0, (FArray(0, (1,)),)))
+
+
+@settings(max_examples=300, deadline=None)
+@given(data=st.data())
+def test_memoized_tx_agrees_with_plain_compilation(any_term, data):
+    # top-level equations could be solved as definitions and leave tx; a
+    # product could grow an array window past memory, so none is drawn
+    conjunct = any_term.filter(
+        lambda t: not (isinstance(t, Cmp) and t.op == "=") and "(* " not in term_to_text(t)
+    )
+    conjuncts = data.draw(st.lists(conjunct, min_size=1, max_size=4))
+    envs = data.draw(
+        st.lists(st.dictionaries(st.sampled_from(ENV_NAMES), st.sampled_from(ENV_VALUES)),
+                 min_size=1, max_size=6)
+    )
+    plan = transition_plan(And(tuple(conjuncts)))
+    plain = compile_term(And(tuple(conjuncts)), -1, 1)
+    # every env twice, so that the second round reads what the first stored
+    for env in envs + envs:
+        assert evaluation(plan.tx, env) == evaluation(plain, env)
+
+
+def test_memoized_tx_tells_true_from_one():
+    x, a = Var("x", INT, None, True), Var("a", ArraySort(INT, INT), None, True)
+    plan = transition_plan(And((Distinct((x, IntLit(1))), Distinct((Select(a, IntLit(0)), IntLit(1))))))
+    other = {"a!": FArray(0, (0,))}
+    for _ in range(2):
+        assert plan.tx({"x!": True, **other}) is True
+        assert plan.tx({"x!": 1, **other}) is False
+    for _ in range(2):
+        assert plan.tx({"x!": 0, "a!": FArray(0, (True,))}) is True
+        assert plan.tx({"x!": 0, "a!": FArray(0, (1,))}) is False
+
+
+def test_memoized_tx_recomputes_raising_and_unbound_evaluations():
+    # (or (> a 0) (> (div 6 b!) 0)) reads b! only where a <= 0
+    a, b = Var("a", INT), Var("b", INT, None, True)
+    plan = transition_plan(Or((Cmp(">", a, IntLit(0)), Cmp(">", Div(IntLit(6), b), IntLit(0)))))
+    calls = [
+        ({"a": 1}, True),
+        ({"a": 0}, (OracleError, "unbound variable b! in oracle evaluation")),
+        ({"a": 0, "b!": 0}, (OracleError, "division by non-positive divisor")),
+        ({"a": 0, "b!": 2}, True),
+        ({"a": 0, "b!": 7}, False),
+    ]
+    for _ in range(3):
+        for env, expected in calls:
+            assert evaluation(plan.tx, env) == expected
+
+
 # -- bounded evaluation ---------------------------------------------------------
+
+
+@pytest.mark.parametrize(
+    "first, second, settled",
+    [
+        ({"x": 1, "a": FArray(0, (1,))}, {"x": 1, "a": FArray(0, (1,))}, True),
+        ({"x": True}, {"x": 1}, False),
+        ({"x": 0}, {"x": False}, False),
+        ({"a": FArray(0, (0,))}, {"a": FArray(0, ())}, False),
+        ({"a": FArray(0, (2,))}, {"a": 2}, False),
+        ({"x": 1}, {"y": 1}, False),
+    ],
+)
+def test_settled_compares_states_by_type(first, second, settled):
+    assert (state_key(first) == state_key(second)) is settled
+    assert _settled(BoundedTrace((first, second))) is settled
+    assert _settled(BoundedTrace(({"x": 5}, first, second))) is settled
 
 
 def test_bounded_eval_unknown_without_settling(counter):
