@@ -399,8 +399,8 @@ def load_instance(path: Path, depth: Optional[int] = None) -> OracleSetup:
         "instance",
         read_form(path.read_text(), "instance"),
         (),
-        ("project", "params", "init-fix", "domains", "count-vars", "depth", "stable-from",
-         "deterministic", "quant-bounds"),
+        ("project", "params", "init-fix", "domains", "count-vars", "depth", "deterministic",
+         "quant-bounds"),
     )
 
     project = load_project(path.parent / single(found, "project", str, ".").strip('"'))
@@ -432,7 +432,6 @@ def load_instance(path: Path, depth: Optional[int] = None) -> OracleSetup:
         domains=entries("domains", parse_domain),
         params=entries("params", parse_value),
         depth=file_depth if depth is None else depth,
-        stable_from=single(found, "stable-from", int),
         deterministic=deterministic == "true",
         quant_lo=bounds[0],
         quant_hi=bounds[1],
@@ -446,8 +445,7 @@ def oracle_main(args: argparse.Namespace) -> int:
     if args.count_classes:
         traces = enumerate_traces(setup.instance)
         if not (0 <= args.pivot < len(traces)):
-            print(f"pivot index out of range (have {len(traces)} traces)", file=sys.stderr)
-            return 3
+            raise OracleError(f"pivot index out of range (have {len(traces)} traces)")
         result = count_equivalence_classes(
             setup.instance, setup.project.prop, traces[args.pivot], traces
         )
@@ -463,8 +461,7 @@ def oracle_main(args: argparse.Namespace) -> int:
             if pred.name == name:
                 decl = pred
         if decl is None:
-            print(f"no such formula {name!r}", file=sys.stderr)
-            return 3
+            raise OracleError(f"no such formula {name!r}")
         formula = decl.body
         counted_names = decl.counted
     for n in counted_names:

@@ -514,13 +514,9 @@ def parse_enumeration(
         "enumeration",
         read_form(text, "enumeration"),
         ("enum-vars", "valid", "trel"),
-        ("skolem-init", "skolem", "skolem-step", "cover", "diff-at-index", "diff-index"),
+        ("skolem-init", "skolem-step", "cover", "diff-at-index", "diff-index"),
         ("strengthen",),
     )
-    if "skolem" in found:
-        if "skolem-init" in found:
-            raise SexprError("enumeration: skolem is an alias of skolem-init, give one")
-        found["skolem-init"] = found.pop("skolem")
     enum_vars = tuple(
         (n, sort_from_sexpr(s)) for n, s in pairs("enum-vars", found["enum-vars"]).items()
     )

@@ -105,12 +105,14 @@ Value = Union[int, bool, FArray]
 
 def values_equal(a: Value, b: Value) -> bool:
     if isinstance(a, FArray) and isinstance(b, FArray):
-        if a.default != b.default:
+        if a.lo == b.lo and len(a.vals) == len(b.vals):
+            return _typed(a) == _typed(b)
+        if not values_equal(a.default, b.default):
             # unequal defaults differ somewhere outside both windows
             return False
         lo = min(a.lo, b.lo)
         hi = max(a.lo + len(a.vals), b.lo + len(b.vals))
-        return all(a.get(i) == b.get(i) for i in range(lo, hi))
+        return all(values_equal(a.get(i), b.get(i)) for i in range(lo, hi))
     if isinstance(a, bool) != isinstance(b, bool):
         return False
     return a == b
@@ -148,6 +150,21 @@ Domain = Union[ScalarDomain, ArrayDomain]
 State = dict  # variable name -> Value
 
 
+_INT = frozenset({int})
+
+
+def _typed(value: Value) -> tuple:
+    """A stand-in for ``value`` in a memo or state key. ``True == 1`` and
+    both hash alike, so the stand-in carries each value's type name, also
+    inside arrays, and stays orderable; an array of ints keeps its plain
+    contents."""
+    if type(value) is not FArray:
+        return (type(value).__name__, value)
+    if type(value.default) is int and _INT.issuperset(map(type, value.vals)):
+        return ("arr", value.lo, value.vals, value.default)
+    return ("typed-arr", value.lo, tuple(map(_typed, value.vals)), _typed(value.default))
+
+
 def state_key(state: State) -> tuple:
     return _state_key(state, sorted(state))
 
@@ -156,8 +173,8 @@ def _state_key(state: State, order: Sequence[str]) -> tuple:
     out = []
     for name in order:
         v = state[name]
-        if isinstance(v, FArray):
-            out.append((name, "arr", v.lo, v.vals, v.default))
+        if type(v) is FArray:
+            out.append((name, *_typed(v)))
         else:
             out.append((name, type(v).__name__, v))
     return tuple(out)
@@ -169,7 +186,7 @@ class FiniteInstance:
     domains: dict[str, Domain]
     params: dict[str, Value]
     depth: int
-    stable_from: Optional[int] = None
+    # a checked claim: ``successors`` raises at a state with several successors
     deterministic: bool = False
     quant_lo: int = -2
     quant_hi: int = 8
@@ -403,19 +420,6 @@ def eval_term(
 ) -> Value:
     """Evaluate ``term`` in ``env`` (keyed by mangled variable names)."""
     return compile_term(term, quant_lo, quant_hi, funcs)(env)
-
-
-_INT = frozenset({int})
-
-
-def _typed(value: Value) -> tuple:
-    """A stand-in for ``value`` in a memo key. ``True == 1`` and both hash
-    alike, so the stand-in carries each value's type, also inside arrays."""
-    if type(value) is not FArray:
-        return (type(value), value)
-    if type(value.default) is int and _INT.issuperset(map(type, value.vals)):
-        return (FArray, value.lo, value.vals, value.default)
-    return (FArray, value.lo, tuple(map(_typed, value.vals)), _typed(value.default))
 
 
 def _memoized(compiled: Compiled, names: Sequence[str]) -> Compiled:
@@ -751,33 +755,25 @@ def _not3(a: TV) -> TV:
     return None if a is None else (not a)
 
 
-def _same_state(a: State, b: State) -> bool:
-    """Whether ``state_key(a) == state_key(b)``, without building either:
-    ``==`` holds for ``True`` and ``1``, so the types are compared too."""
-    return a == b and all(type(v) is type(b[n]) for n, v in a.items())
-
-
-def _settled(trace: BoundedTrace) -> bool:
-    states = trace.states
-    return any(_same_state(states[k], states[k + 1]) for k in range(len(states) - 1))
-
-
 class BoundedPlan:
-    """Compiled predicate bodies, settled flags and state envs for
+    """Compiled predicate bodies, pinned tails and state envs for
     ``eval_bounded``.
 
     ``count_equivalence_classes`` builds one per call and hands it to every
     ``eval_bounded`` call, so that each predicate application is compiled
-    once, each trace's settledness is computed once, and each state's env
-    as a given trace copy is built once. Entries are keyed by object
+    once, each last state's successors are computed once, and each state's
+    env as a given trace copy is built once. Entries are keyed by object
     identity and hold their key, so a plan must not outlive the traces and
     property it was used with.
     """
 
     def __init__(self, instance: FiniteInstance) -> None:
+        self.instance = instance
         self.quant_lo, self.quant_hi = instance.quant_lo, instance.quant_hi
         self._atoms: dict[int, tuple[PredApp, Compiled]] = {}
-        self._settled: dict[int, tuple[BoundedTrace, bool]] = {}
+        self._transitions = TransitionPlan(instance)
+        self._pinned: dict[int, tuple[BoundedTrace, bool]] = {}
+        self._pinned_states: dict[tuple, bool] = {}
         self._envs: dict[tuple[int, int, int], tuple[BoundedTrace, dict[str, Value]]] = {}
 
     def atom(self, app: PredApp) -> Compiled:
@@ -787,10 +783,20 @@ class BoundedPlan:
             entry = self._atoms[id(app)] = (app, compiled)
         return entry[1]
 
-    def settled(self, trace: BoundedTrace) -> bool:
-        entry = self._settled.get(id(trace))
+    def pinned(self, trace: BoundedTrace) -> bool:
+        """Whether the last state of ``trace`` has itself as its only
+        successor, so that the trace stays in it forever."""
+        entry = self._pinned.get(id(trace))
         if entry is None:
-            entry = self._settled[id(trace)] = (trace, _settled(trace))
+            plan = self._transitions
+            last = trace.states[-1]
+            key = _state_key(last, plan.key_order)
+            pinned = self._pinned_states.get(key)
+            if pinned is None:
+                nxt = successors(self.instance, last, plan)
+                pinned = len(nxt) == 1 and plan.state_keys[id(nxt[0])][1] == key
+                self._pinned_states[key] = pinned
+            entry = self._pinned[id(trace)] = (trace, pinned)
         return entry[1]
 
     def env(self, trace: BoundedTrace, p: int, j: int) -> dict[str, Value]:
@@ -812,28 +818,21 @@ def eval_bounded(
 ) -> TV:
     """Three-valued bounded evaluation at position 0.
 
-    A verdict requiring knowledge of the infinite tail is only produced when
-    the tail is pinned: either the instance's stabilization certificate covers
-    the explored depth, or the instance is deterministic and every involved
-    trace has reached a self-loop within the prefix.
+    A verdict that depends on the infinite tail is given only when every
+    trace is pinned: its last state has itself as its only successor. That
+    is asked only once the evaluation reaches past the prefix.
     """
     if plan is None:
         plan = BoundedPlan(instance)
     depths = {t.depth for t in traces.values()}
-    if len(depths) != 1:
-        raise OracleError("traces of unequal depth")
+    if len(depths) != 1 or 0 in depths:
+        raise OracleError("traces must be non-empty and of equal depth")
     d = depths.pop()
-    tail_known = False
-    if instance.stable_from is not None and d - 1 >= instance.stable_from:
-        tail_known = True
-    elif instance.deterministic and all(plan.settled(t) for t in traces.values()):
-        tail_known = True
+
+    def tail_known() -> bool:
+        return all(plan.pinned(t) for t in traces.values())
 
     def atom(app: PredApp, p: int) -> TV:
-        if p >= d:
-            if not tail_known:
-                return None
-            p = d - 1
         env: dict[str, Value] = {}
         for j, tv in enumerate(app.trace_vars):
             if tv not in traces:
@@ -841,6 +840,8 @@ def eval_bounded(
             env.update(plan.env(traces[tv], p, j))
         return bool(plan.atom(app)(env))
 
+    # positions stay below d: past the prefix, a pinned trace repeats its
+    # last state, so the tail is evaluated at d - 1
     def ev(node: HyperLtlBody, p: int) -> TV:
         if isinstance(node, PredApp):
             return atom(node, p)
@@ -853,7 +854,7 @@ def eval_bounded(
         if isinstance(node, HImplies):
             return _or3(_not3(ev(node.left, p)), ev(node.right, p))
         if isinstance(node, HNext):
-            if p + 1 >= d and not tail_known:
+            if p + 1 >= d and not tail_known():
                 return None
             return ev(node.operand, min(p + 1, d - 1))
         if isinstance(node, HGlobally):
@@ -862,23 +863,18 @@ def eval_bounded(
                 acc = _and3(acc, ev(node.operand, k))
                 if acc is False:
                     return False
-            if not tail_known:
-                acc = _and3(acc, None)
-            return acc
+            return True if acc and tail_known() else None
         if isinstance(node, HFinally):
             acc = False
             for k in range(p, d):
                 acc = _or3(acc, ev(node.operand, k))
                 if acc is True:
                     return True
-            if not tail_known:
-                acc = _or3(acc, None)
-            return acc
+            return False if acc is False and tail_known() else None
         if isinstance(node, HUntil):
-            if tail_known:
-                u = ev(node.right, d - 1)
-            else:
-                u = _or3(ev(node.right, d - 1), _and3(ev(node.left, d - 1), None))
+            u = ev(node.right, d - 1)
+            if u is not True and not tail_known():
+                u = _or3(u, _and3(ev(node.left, d - 1), None))
             for k in range(d - 2, p - 1, -1):
                 u = _or3(ev(node.right, k), _and3(ev(node.left, k), u))
             return u

@@ -309,6 +309,10 @@ MALFORMED_TERMS = [
                  "diff is not of the form F(predicate)", ("oracle",), id="diff-not-finally"),
     pytest.param("instance.sexp", "(count-vars (y (range 0 6)))", "",
                  "count-vars: no domain for y", ("valid", "V"), id="count-var-no-domain"),
+    pytest.param("enumeration.sexp", "(skolem-init", "(skolem",
+                 "enumeration: unexpected (skolem ...)", BOTH, id="skolem-alias"),
+    pytest.param("instance.sexp", "(depth 4)", "(depth 4) (stable-from 1)",
+                 "instance: unexpected (stable-from ...)", ("oracle",), id="stable-from"),
 ]
 
 
@@ -329,3 +333,17 @@ def test_malformed_term_exits_3(
     for command in commands:
         assert main(argv[command]) == 3
         assert capsys.readouterr().err == f"error: {message}\n"
+
+
+@pytest.mark.parametrize(
+    "args, message",
+    [
+        (["--count-classes", "--pivot", "99"], "pivot index out of range (have 13 traces)"),
+        (["--brute-count", "Nope"], "no such formula 'Nope'"),
+    ],
+    ids=["pivot", "formula"],
+)
+def test_oracle_usage_error_exits_3(benchmarks, capsys, args, message):
+    instance = benchmarks / "electronic-purse" / "instance.sexp"
+    assert main(["oracle", "--instance", str(instance), *args]) == 3
+    assert capsys.readouterr().err == f"error: {message}\n"

@@ -1,5 +1,7 @@
+import dataclasses
 import hashlib
 import itertools
+from unittest import mock
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -7,6 +9,7 @@ from hypothesis import given, settings, strategies as st
 from qhenum.cli import load_instance, load_project
 from qhenum.oracle import (
     ArrayDomain,
+    BoundedPlan,
     BoundedTrace,
     CapExceeded,
     FArray,
@@ -23,9 +26,17 @@ from qhenum.oracle import (
     state_key,
     successors,
     values_equal,
-    _settled,
 )
-from qhenum.qhl import parse_property
+from qhenum.qhl import (
+    HAnd,
+    HFinally,
+    HGlobally,
+    HNext,
+    HUntil,
+    PredApp,
+    StatePredicate,
+    parse_property,
+)
 from qhenum.system import TransitionSystem, parse_system
 from qhenum.terms import (
     BOOL,
@@ -112,6 +123,9 @@ def test_values_equal():
     assert not values_equal(FArray(1, (), default=0), FArray(1, (), default=1))
     assert not values_equal(True, 1)
     assert values_equal(3, 3)
+    assert not values_equal(FArray(0, (True,)), FArray(0, (1,)))
+    assert not values_equal(FArray(0, (), True), FArray(0, (), 1))
+    assert values_equal(FArray(0, (True,), False), FArray(0, (True, False), False))
 
 
 def test_domains():
@@ -271,7 +285,7 @@ def test_successors_with_and_without_plan(counter):
 # to which traces exist or to their order shows here
 SHIPPED_TRACES = {
     "electronic-purse": (13, "5d872b65e92e995f1a80564fd774a53af6141f3142448a97f23ae95d4d959abd", 2),
-    "f-y-array-shuffle": (6, "7742bf2c15bdb785c31b6f2354fe6810533a053b626fcd71cbf3e84088d04adf", "unknown"),
+    "f-y-array-shuffle": (6, "7742bf2c15bdb785c31b6f2354fe6810533a053b626fcd71cbf3e84088d04adf", 6),
     "password-checker": (16, "142cef8ea372e21c8e01e8501270bc412d6fea97b2fc5bc186ec43a51ad8fcb3", "unknown"),
     "path-oram": (54, "8a984b06293692cfb7ae428cb3a7e00cabf50a51c9a6a80e1c6e429f3eed5077", "unknown"),
     "zk-hats": (16, "fc9f6c1d231daf0a005b38fc8c734e0dd5720d87970e10850374b072c7744ab6", 3),
@@ -706,12 +720,15 @@ def test_memoized_tx_recomputes_raising_and_unbound_evaluations():
         ({"a": FArray(0, (0,))}, {"a": FArray(0, ())}, False),
         ({"a": FArray(0, (2,))}, {"a": 2}, False),
         ({"x": 1}, {"y": 1}, False),
+        ({"a": FArray(0, (True,))}, {"a": FArray(0, (1,))}, False),
+        ({"a": FArray(0, (), True)}, {"a": FArray(0, (), 1)}, False),
+        ({"a": FArray(0, (True, 2))}, {"a": FArray(0, (True, 2))}, True),
     ],
 )
 def test_settled_compares_states_by_type(first, second, settled):
+    # a tail is pinned when the last state's only successor has its key
     assert (state_key(first) == state_key(second)) is settled
-    assert _settled(BoundedTrace((first, second))) is settled
-    assert _settled(BoundedTrace(({"x": 5}, first, second))) is settled
+    sorted([state_key(first), state_key(second)])  # keys stay orderable
 
 
 def test_bounded_eval_unknown_without_settling(counter):
@@ -730,15 +747,6 @@ def test_bounded_eval_settles_deterministically(counter):
     assert eval_bounded(prop.diff, {"t1.a": t, "t1.b": t}, inst) is False
 
 
-def test_stable_from_certificate(counter):
-    prop = parse_property(PROP, counter)
-    inst = counter_instance(counter, 3, depth=2)
-    inst.deterministic = False
-    inst.stable_from = 1  # wrong in general, but pins the tail for the check
-    t = enumerate_traces(inst)[0]
-    assert eval_bounded(prop.body, {"t0": t, "t1": t}, inst) is True
-
-
 def test_count_classes_single_trace(counter):
     prop = parse_property(PROP, counter)
     inst = counter_instance(counter, 2, depth=4)
@@ -751,6 +759,137 @@ def test_count_classes_unknown_when_tail_open(counter):
     inst = counter_instance(counter, 3, depth=2)
     traces = enumerate_traces(inst)
     assert count_equivalence_classes(inst, prop, traces[0], traces) == "unknown"
+
+
+STAY_OR_STEP = """
+(system stay-or-step
+  (vars (x Int) (n Int))
+  (params n)
+  (init (= x 0))
+  (tx (and (= n! n) (or (= x! x) (= x! (+ x 1))))))
+"""
+
+
+def test_last_state_with_two_successors_is_not_pinned():
+    system = parse_system(STAY_OR_STEP)
+    prop = parse_property(PROP, system)
+    inst = FiniteInstance(system, {"x": ScalarDomain((0, 1, 2))}, {"n": 1}, depth=2)
+    traces = enumerate_traces(inst)
+    assert [[s["x"] for s in t.states] for t in traces] == [[0, 0], [0, 1]]
+    # x = 0 may stay or step: only itself as a successor would pin it
+    stay = traces[0]
+    assert BoundedPlan(inst).pinned(stay) is False
+    assert eval_bounded(prop.body, {"t0": stay, "t1": stay}, inst) is None
+    assert count_equivalence_classes(inst, prop, stay, traces) == "unknown"
+    # a declared deterministic instance raises, but only once the tail is needed
+    inst.deterministic = True
+    assert eval_bounded(prop.diff, {"t1.a": stay, "t1.b": traces[1]}, inst) is True
+    with pytest.raises(OracleError, match="declared deterministic"):
+        eval_bounded(prop.body, {"t0": stay, "t1": stay}, inst)
+
+
+def test_last_state_without_successor_in_domain_is_not_pinned(counter):
+    prop = parse_property(PROP, counter)
+    inst = counter_instance(counter, 3, depth=2)
+    inst.domains = {"x": ScalarDomain((0, 1))}
+    (trace,) = enumerate_traces(inst)
+    assert [s["x"] for s in trace.states] == [0, 1]
+    # x = 1 steps to 2, outside the domain
+    assert successors(inst, trace.states[-1]) == []
+    assert BoundedPlan(inst).pinned(trace) is False
+    assert eval_bounded(prop.body, {"t0": trace, "t1": trace}, inst) is None
+
+
+def test_absorbing_end_pins_nondeterministic_traces():
+    # coin picks b once and then stays: the instance is not deterministic,
+    # but each trace's last state has itself as its only successor
+    coin = parse_system(COIN)
+    inst = FiniteInstance(
+        system=coin,
+        domains={"done": ScalarDomain((False, True)), "b": ScalarDomain((0, 1))},
+        params={},
+        depth=2,
+    )
+    traces = enumerate_traces(inst)
+    assert all(BoundedPlan(inst).pinned(t) for t in traces)
+    prop = parse_property(COIN_PROP, coin)
+    assert count_equivalence_classes(inst, prop, traces[0], traces) == 2
+
+
+def test_eval_bounded_rejects_empty_traces(counter):
+    inst = counter_instance(counter, 1, depth=1)
+    prop = parse_property(PROP, counter)
+    empty = BoundedTrace(())
+    with pytest.raises(OracleError, match="non-empty"):
+        eval_bounded(prop.body, {"t0": empty, "t1": empty}, inst)
+
+
+STEP_COUNTER = """
+(system step-counter
+  (vars (x Int) (n Int) (k Int))
+  (params n k)
+  (init (and (<= 0 x) (<= x 2)))
+  (tx (and (= n! n) (= k! k) (= x! (ite (<= (+ x k) n) (+ x k) x)))))
+"""
+
+STEP_ENV = {f"{name}${copy}": INT for name in ("x", "n", "k") for copy in (1, 2)}
+
+
+def step_app(text):
+    return PredApp(StatePredicate(2, term_from_text(text, STEP_ENV)), ("t0", "t1"))
+
+
+# property files give only F and G bodies; X and U are built by hand
+STEP_BODIES = (
+    HGlobally(step_app("(= n$1 n$2)")),
+    HGlobally(step_app("(<= x$1 x$2)")),
+    HFinally(step_app("(= x$1 x$2)")),
+    HNext(HNext(step_app("(< x$1 x$2)"))),
+    HUntil(step_app("(<= x$1 x$2)"), step_app("(= x$2 n$2)")),
+    HAnd(HGlobally(step_app("(>= x$2 0)")), HFinally(step_app("(= x$1 n$1)"))),
+)
+
+
+def settled(trace):
+    """The rule the absorbing-end rule replaced: a trace of a deterministic
+    instance with two equal consecutive states stays in that state."""
+    s = trace.states
+    return any(state_key(s[k]) == state_key(s[k + 1]) for k in range(len(s) - 1))
+
+
+@settings(max_examples=150, deadline=None)
+@given(
+    bound=st.integers(0, 4),
+    step=st.integers(0, 2),
+    domain=st.sets(st.integers(0, 5), min_size=1),
+    depth=st.integers(1, 5),
+    body=st.sampled_from(STEP_BODIES),
+)
+def test_absorbing_end_agrees_with_settled_rule(bound, step, domain, depth, body):
+    system = parse_system(STEP_COUNTER)
+    prop = dataclasses.replace(parse_property(PROP, system), body=body)
+    inst = FiniteInstance(
+        system, {"x": ScalarDomain(tuple(sorted(domain)))}, {"n": bound, "k": step},
+        depth=depth, deterministic=True,
+    )
+    traces = enumerate_traces(inst)
+    plan = BoundedPlan(inst)
+    assert all(plan.pinned(t) for t in traces if settled(t))
+    pairs = [({"t0": a, "t1": b}, {"t1.a": a, "t1.b": b}) for a in traces for b in traces]
+    with mock.patch.object(BoundedPlan, "pinned", lambda self, trace: settled(trace)):
+        expected = [
+            (eval_bounded(prop.body, on_body, inst), eval_bounded(prop.diff, on_diff, inst))
+            for on_body, on_diff in pairs
+        ]
+        expected_classes = [count_equivalence_classes(inst, prop, t, traces) for t in traces]
+    for (on_body, on_diff), (body_verdict, diff_verdict) in zip(pairs, expected):
+        if body_verdict is not None:
+            assert eval_bounded(prop.body, on_body, inst) is body_verdict
+        if diff_verdict is not None:
+            assert eval_bounded(prop.diff, on_diff, inst) is diff_verdict
+    for pivot, classes in zip(traces, expected_classes):
+        if classes != "unknown":
+            assert count_equivalence_classes(inst, prop, pivot, traces) == classes
 
 
 # -- brute counting --------------------------------------------------------------
