@@ -223,8 +223,9 @@ def _ref_names(ref: PredRef) -> list[str]:
 # ---------------------------------------------------------------------------
 # Premises: the queries a rule needs answered before its conclusion is admitted
 
-# An attempt is (options, logic, cap on the session timeout or None); the
-# next attempt runs only when the previous one answered unknown.
+# An attempt is (options, logic, cap on its timeout or None); the next
+# attempt runs only when the previous one answered unknown within the time
+# the premise has left (``Kernel.send``).
 VALIDITY = ((backend.VALIDITY_OPTIONS, OBLIGATION_LOGIC, None),)
 # E-matching proves entailments but rarely finishes counterexample searches;
 # retry with model-based instantiation before giving up
@@ -313,14 +314,21 @@ class Kernel:
         return True
 
     def send(self, premises: Sequence[Premise]) -> None:
-        """Send the premises in order; raise at the first that fails."""
+        """Send the premises in order; raise at the first that fails.
+
+        The session timeout is one time budget for all attempts of a
+        premise: an attempt gets what the earlier ones left, at most its cap,
+        and once they used it all no further attempt is sent.
+        """
         for premise in premises:
+            left = self.session.timeout_ms
             for options, logic, cap in premise.attempts:
-                timeout = min(self.session.timeout_ms, cap or self.session.timeout_ms)
+                timeout = min(left, cap or left)
                 verdict = self.session.check(
                     premise.assertions, premise.label, self.signature, options, logic, timeout
                 )
-                if verdict.status != "unknown":
+                left -= verdict.wall_ms
+                if verdict.status != "unknown" or left <= 0:
                     break
             if verdict.status == "unknown":
                 raise QueryUnknown(f"{premise.label}: solver returned unknown")

@@ -70,7 +70,8 @@ class Pointwise:
     body: Term
 
 
-SkolemEntry = Union[Term, Pointwise]
+# classes named as strings, so that typing's Union cache holds none of them
+SkolemEntry = Union["Term", "Pointwise"]
 
 
 @dataclass(frozen=True)
@@ -87,7 +88,7 @@ class AtIndex:
     target: Term  # over X copy 1
 
 
-DiffMode = Union[AtInit, AtIndex]
+DiffMode = Union["AtInit", "AtIndex"]
 
 
 @dataclass(frozen=True)

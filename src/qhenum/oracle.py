@@ -100,7 +100,10 @@ class FArray:
         return FArray(lo, tuple(vals), self.default)
 
 
-Value = Union[int, bool, FArray]
+# the package's classes are named as strings in module-level aliases: typing
+# caches every Union it builds, and a class held there keeps its module alive
+# after the package is dropped from ``sys.modules`` and imported again
+Value = Union[int, bool, "FArray"]
 
 
 def values_equal(a: Value, b: Value) -> bool:
@@ -144,7 +147,7 @@ class ArrayDomain:
         return len(self.values) ** (self.hi - self.lo + 1)
 
 
-Domain = Union[ScalarDomain, ArrayDomain]
+Domain = Union["ScalarDomain", "ArrayDomain"]
 
 State = dict  # variable name -> Value
 
@@ -574,8 +577,7 @@ class TransitionPlan:
 
     ``enumerate_traces`` builds one per call and hands it to every
     ``successors`` call; the plan reflects the instance as it was when built.
-    ``tx`` remembers each conjunct's values, and ``state_keys`` maps the id
-    of each state ``successors`` returned to the state and its key.
+    ``tx`` remembers each conjunct's values.
     """
 
     def __init__(self, instance: FiniteInstance) -> None:
@@ -611,12 +613,22 @@ class TransitionPlan:
         self.free_keys = [f"{name}!" for name in free]
         self.free_values = [list(doms[name]) for name in free]
         self.next_vars = [(name, f"{name}!", _member(doms[name])) for name in names]
-        self.state_keys: dict[int, tuple[State, tuple]] = {}
 
 
 def successors(
     instance: FiniteInstance, state: State, plan: Optional[TransitionPlan] = None
 ) -> list[State]:
+    """The states ``tx`` allows after ``state``, within the domains.
+
+    Candidates come in product order of the free next-state variables' domain
+    values (after solving the ``tx`` equations); a candidate is kept when
+    ``tx`` holds on it, no evaluation raised and every value lies in its
+    variable's domain. A candidate whose state key equals an earlier kept
+    one, type-exact (``true`` is not ``1``), is dropped; no key is built
+    before a second candidate passes these checks. Raises ``OracleError``
+    when the instance is declared deterministic and more than one state
+    remains.
+    """
     if plan is None:
         plan = TransitionPlan(instance)
     base_env = {name: state[name] for name in plan.names}
@@ -640,11 +652,14 @@ def successors(
                 break
             nxt[name] = value
         else:
-            key = _state_key(nxt, plan.key_order)
-            if key not in seen:
+            if out and not seen:
+                seen.add(_state_key(out[0], plan.key_order))
+            if seen:
+                key = _state_key(nxt, plan.key_order)
+                if key in seen:
+                    continue
                 seen.add(key)
-                out.append(nxt)
-                plan.state_keys[id(nxt)] = (nxt, key)
+            out.append(nxt)
     if instance.deterministic and len(out) > 1:
         raise OracleError("instance declared deterministic but a state has several successors")
     return out
@@ -658,8 +673,11 @@ def _initial_states(instance: FiniteInstance) -> list[State]:
     ``x`` takes only the domain values equal to ``e``, and init is evaluated
     in full on each such candidate. Where ``e`` equals no domain value, init
     is evaluated on one candidate, so that an earlier conjunct that raises
-    still raises. On any OracleError the whole product goes through the
-    plain filter, which raises the first failing candidate's error.
+    still raises. A conjunct whose only free variable is an unsolved ``x``,
+    free in no earlier conjunct, is evaluated once per value of ``x`` first,
+    and ``x`` keeps only the values it holds on. On any OracleError, or when
+    that leaves a domain empty, the whole product goes through the plain
+    filter, which raises the first failing candidate's error.
     """
     doms = _var_domains(instance, initial=True)
     product = _product_states(doms, instance.cap)
@@ -687,43 +705,83 @@ def _initial_states(instance: FiniteInstance) -> list[State]:
     solved = [(x, compile_term(rhs, lo, hi), _value_index(values[x])) for _, x, rhs in defs]
     defined = {x for x, _, _ in solved}
     others = [name for name in names if name not in defined]
+    # conjuncts whose one free variable is unsolved and free in no earlier
+    # conjunct: such a conjunct rejects a value on every candidate, and the
+    # conjuncts before it, which do not read the value, raise on a kept value
+    # wherever they raise on a rejected one
+    filters = []
+    for i, free in enumerate(frees):
+        name = next(iter(free)) if len(free) == 1 else None
+        if name in others and not any(name in f for f in frees[:i]):
+            filters.append((name, compile_term(conjuncts[i], lo, hi)))
 
     def candidate(index: Mapping[str, int]) -> State:
         # a variable not solved yet takes its first value
         return {name: values[name][index.get(name, 0)] for name in names}
 
-    found: list[State] = []
     try:
-        for combo in itertools.product(*(range(len(values[n])) for n in others)):
-            partial = [dict(zip(others, combo))]
-            for x, rhs, lookup in solved:
-                grown = []
-                for index in partial:
-                    matches = lookup(rhs(candidate(index)))
-                    if not matches:
-                        # every candidate fails this equation, after the
-                        # conjuncts before it, which may raise
-                        init(candidate(index))
-                    grown.extend({**index, x: k} for k in matches)
-                partial = grown
-            found.extend(state for state in map(candidate, partial) if init(state))
+        for name, holds in filters:
+            values[name] = [v for v in values[name] if holds({name: v})]
+        # with a domain emptied, only the plain filter tells whether an
+        # earlier conjunct raises
+        if all(values.values()):
+            found: list[State] = []
+            for combo in itertools.product(*(range(len(values[n])) for n in others)):
+                partial = [dict(zip(others, combo))]
+                for x, rhs, lookup in solved:
+                    grown = []
+                    for index in partial:
+                        matches = lookup(rhs(candidate(index)))
+                        if not matches:
+                            # every candidate fails this equation, after the
+                            # conjuncts before it, which may raise
+                            init(candidate(index))
+                        grown.extend({**index, x: k} for k in matches)
+                    partial = grown
+                found.extend(state for state in map(candidate, partial) if init(state))
+            return found
     except OracleError:
-        return [s for s in product if init(s)]
-    return found
+        pass
+    return [s for s in product if init(s)]
+
+
+def _ranks(states: Sequence[State], order: Sequence[str]) -> Sequence[int]:
+    """The place of each of ``states`` in their order by state key; a lone
+    state gets 0 without a key."""
+    if len(states) < 2:
+        return (0,) * len(states)
+    keys = [_state_key(s, order) for s in states]
+    ranks = [0] * len(keys)
+    for rank, i in enumerate(sorted(range(len(keys)), key=keys.__getitem__)):
+        ranks[i] = rank
+    return ranks
 
 
 def enumerate_traces(instance: FiniteInstance) -> list[BoundedTrace]:
-    """All depth-d trace prefixes of the instance, in canonical order."""
+    """All depth-d trace prefixes of the instance, in canonical order.
+
+    The canonical order is lexicographic by the traces' tuples of state keys
+    (``state_key``); traces with equal tuples keep the order in which they
+    were expanded: initial states in domain product order, successors in
+    ``successors`` order.
+    """
     plan = TransitionPlan(instance)
-    # each prefix travels with its states' keys, which order the result
+    # A prefix travels with its sort key: its initial state's key, then the
+    # rank of each later state among its predecessor's successors. Siblings
+    # are distinct, so ranks order them as their keys do, and prefixes whose
+    # states agree by key so far end in the same state and so have the same
+    # siblings: the order is the one of full key tuples. Initial states are
+    # not ranked: equal ones, from a domain that repeats a value, have equal
+    # successors, and their traces must interleave.
     level: list[tuple[tuple[State, ...], tuple]] = [
         ((s,), (_state_key(s, plan.key_order),)) for s in _initial_states(instance)
     ]
     for _ in range(instance.depth - 1):
         nxt_level: list[tuple[tuple[State, ...], tuple]] = []
-        for prefix, keys in level:
-            for succ in successors(instance, prefix[-1], plan):
-                nxt_level.append((prefix + (succ,), keys + (plan.state_keys[id(succ)][1],)))
+        for prefix, order in level:
+            states = successors(instance, prefix[-1], plan)
+            for succ, rank in zip(states, _ranks(states, plan.key_order)):
+                nxt_level.append((prefix + (succ,), order + (rank,)))
                 if len(nxt_level) > instance.cap:
                     raise CapExceeded(f"trace count exceeds cap {instance.cap}")
         level = nxt_level
@@ -796,7 +854,7 @@ class BoundedPlan:
         pinned = self._pinned.get(key)
         if pinned is None:
             nxt = successors(self.instance, last, plan)
-            pinned = self._pinned[key] = len(nxt) == 1 and plan.state_keys[id(nxt[0])][1] == key
+            pinned = self._pinned[key] = len(nxt) == 1 and _state_key(nxt[0], plan.key_order) == key
         return pinned
 
     def env(self, trace: BoundedTrace, p: int, j: int) -> dict[str, Value]:

@@ -1,12 +1,16 @@
 import pytest
 
-from qhenum.backend import Session
+from qhenum.backend import Session, Verdict
 from qhenum.counting import (
+    ENTAILMENT,
+    MODEL_SEARCH,
     RULES,
     DeclaredPred,
     Kernel,
     KernelError,
     NotValid,
+    Premise,
+    QueryUnknown,
     RuleApp,
     VarsOverlap,
     apply_rule,
@@ -618,3 +622,38 @@ def test_unknown_admits_no_fact(steps, rejected_at, sent, stub_solver, tmp_path)
     if len(sent) == 2:
         assert "(set-option :smt.mbqi true)" not in (debug / names[0]).read_text()
         assert "(set-option :smt.mbqi true)" in (debug / names[1]).read_text()
+
+
+class UnknownAfter:
+    """A session whose attempts answer unknown after the given wall times;
+    it records the timeout each attempt was given."""
+
+    def __init__(self, timeout_ms, walls):
+        self.timeout_ms = timeout_ms
+        self.walls = list(walls)
+        self.timeouts = []
+
+    def check(self, assertions, label, signature, options, logic, timeout_ms):
+        self.timeouts.append(timeout_ms)
+        return Verdict("unknown", None, self.walls.pop(0))
+
+
+@pytest.mark.parametrize(
+    "attempts, timeout, walls, sent",
+    [
+        # a retry gets what the first attempt left of the session timeout
+        (ENTAILMENT, 20_000, [300, 0], [20_000, 19_700]),
+        # a first attempt that used the whole budget is not retried
+        (ENTAILMENT, 20_000, [20_000], [20_000]),
+        (MODEL_SEARCH, 20_000, [15_000, 0], [15_000, 5_000]),
+        (MODEL_SEARCH, 12_000, [2_000, 0], [12_000, 10_000]),
+        (MODEL_SEARCH, 20_000, [20_400], [15_000]),
+    ],
+    ids=["retry", "spent", "capped", "capped-retry", "overrun"],
+)
+def test_premise_attempts_share_one_time_budget(attempts, timeout, walls, sent):
+    session = UnknownAfter(timeout, walls)
+    premise = Premise("p", (), "p: not valid", attempts=attempts)
+    with pytest.raises(QueryUnknown, match="p: solver returned unknown"):
+        Kernel(session).send([premise])
+    assert session.timeouts == sent

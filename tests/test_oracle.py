@@ -570,6 +570,21 @@ SOLVED_INITS = {
     "mixed True and 1": ("(= x (- 2 a))", {"x": (True, 1, 0, False, 2)}, None),
     "unsolved True and 1": ("(and (distinct x 1) (distinct y x))", {"x": (True, 1, 0), "y": (1, True)}, None),
     "second definition from the first": ("(and (= x (+ a 1)) (< a 3) (= y (- x 1)))", {"y": (0, 1, 2)}, None),
+    # a conjunct on one variable filters its domain before the product
+    "raise before a filter": ("(and (> (div 6 a) 0) (< x 3))", {}, "division by non-positive divisor"),
+    "filter emptied after a raise": ("(and (> (div 6 a) 0) (> x 100))", {}, "division by non-positive divisor"),
+    "filter emptied after a two-variable raise": (
+        "(and (> (div 6 (+ a y)) 0) (> x 100))",
+        {},
+        "division by non-positive divisor",
+    ),
+    "raise after a filter": ("(and (< x 0) (> (div 6 x) 0))", {}, "division by non-positive divisor"),
+    "filter on a variable an earlier conjunct reads": (
+        "(and (> (div 6 (+ a x)) 0) (> x 2))",
+        {},
+        "division by non-positive divisor",
+    ),
+    "bare x filter over True and 1": ("(and x (< a 2))", {"x": (True, 1, 0)}, None),
 }
 
 
@@ -595,6 +610,8 @@ CONJUNCTS = (
     "(= y x)",
     "(= 2 a)",
     "(distinct x y)",
+    "(< x 2)",
+    "x",
 )
 VALUES = st.lists(st.sampled_from((-1, 0, 1, 2, 3, True, False)), min_size=1, max_size=5)
 
@@ -606,6 +623,37 @@ VALUES = st.lists(st.sampled_from((-1, 0, 1, 2, 3, True, False)), min_size=1, ma
 )
 def test_random_solved_inits_match_reference(conjuncts, domains):
     inst = scalar_instance(f"(and {' '.join(conjuncts)})", {n: tuple(v) for n, v in domains.items()})
+    assert outcome(enumerate_traces, inst) == outcome(reference_traces, inst)
+
+
+def branching_instance(init, a, x):
+    """A depth-3 instance over Int variables a and x, where x may stay or
+    grow by one at each step."""
+    system = parse_system(
+        f"(system branch (vars (a Int) (x Int)) (init {init}) "
+        "(tx (and (= a! a) (<= x x!) (<= x! (+ x 1)))))"
+    )
+    return FiniteInstance(
+        system=system,
+        domains={"a": ScalarDomain(a), "x": ScalarDomain(x)},
+        params={},
+        depth=3,
+    )
+
+
+def test_equal_initial_states_interleave_their_traces():
+    # both initial states are (a 5, x 0): their traces have equal keys and
+    # alternate in the canonical order, rather than following each other
+    inst = branching_instance("(= x 0)", (5, 5), (0, 1, 2))
+    got = outcome(enumerate_traces, inst)
+    assert got == outcome(reference_traces, inst)
+    assert len(got) == 8 and got[0] == got[1]
+
+
+@settings(max_examples=200)
+@given(st.sampled_from(("true", "(= x 0)", "(<= x 1)")), VALUES, VALUES)
+def test_random_branching_traces_match_reference(init, a, x):
+    inst = branching_instance(init, tuple(a), tuple(x))
     assert outcome(enumerate_traces, inst) == outcome(reference_traces, inst)
 
 
