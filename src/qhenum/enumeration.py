@@ -25,7 +25,7 @@ from dataclasses import dataclass
 from typing import Mapping, Optional, Sequence, Union
 
 from .backend import Session
-from .qhl import QhpProperty, app_to_formula, difference_term
+from .qhl import QhpProperty, difference_term, predicate_to_formula
 from .sexpr import Sexpr, SexprError, atom, pairs, read_form, sections, single, to_text
 from .system import TransitionSystem
 from .terms import (
@@ -186,15 +186,7 @@ def _strengthen_at(witness: EnumerationWitness, copy: int) -> list[Term]:
 
 
 def _psi(prop: QhpProperty, first: int, second: int, primed: bool = False) -> Term:
-    assert prop.body.operand is not None  # well-definedness checked upstream
-    app = prop.body.operand
-    return app_to_formula(
-        app,
-        {
-            prop.forall_var: indexed(first, primed),
-            prop.count_var: indexed(second, primed),
-        },
-    )
+    return predicate_to_formula(prop.body.pred, (indexed(first, primed), indexed(second, primed)))
 
 
 def _obs(prop: QhpProperty, copy: int) -> Term:

@@ -1,8 +1,8 @@
 """Explicit-state brute-force engine for finite instantiations.
 
-Enumerates bounded traces, evaluates temporal bodies with three-valued
-bounded semantics, counts difference-equivalence classes, and model-counts
-finite-domain formulas exactly.
+Enumerates bounded traces, decides a property's ``G`` body and ``F``
+difference on pairs of them, counts difference-equivalence classes, and
+model-counts finite-domain formulas exactly.
 """
 
 from __future__ import annotations
@@ -12,19 +12,7 @@ import operator
 from dataclasses import dataclass, field
 from typing import Callable, Iterator, Mapping, Optional, Sequence, Union
 
-from .qhl import (
-    HAnd,
-    HFinally,
-    HGlobally,
-    HImplies,
-    HNext,
-    HNot,
-    HOr,
-    HUntil,
-    HyperLtlBody,
-    PredApp,
-    QhpProperty,
-)
+from .qhl import HFinally, HGlobally, QhpProperty, StatePredicate
 from .system import TransitionSystem
 from .terms import (
     Add,
@@ -790,57 +778,34 @@ def enumerate_traces(instance: FiniteInstance) -> list[BoundedTrace]:
 
 
 # ---------------------------------------------------------------------------
-# Bounded three-valued evaluation
-
-TV = Optional[bool]  # True / False / None (unknown)
-
-
-def _and3(a: TV, b: TV) -> TV:
-    if a is False or b is False:
-        return False
-    if a is True and b is True:
-        return True
-    return None
-
-
-def _or3(a: TV, b: TV) -> TV:
-    if a is True or b is True:
-        return True
-    if a is False and b is False:
-        return False
-    return None
-
-
-def _not3(a: TV) -> TV:
-    return None if a is None else (not a)
+# Bounded evaluation
 
 
 class BoundedPlan:
-    """Compiled predicate bodies, pinned tails and state envs for
-    ``eval_bounded``.
+    """Compiled predicates, pinned tails and state envs for ``eval_bounded``.
 
     ``count_equivalence_classes`` builds one per call and hands it to every
-    ``eval_bounded`` call, so that each predicate application is compiled
-    once, each last state's successors are computed once per state key on a
-    transition plan built when first needed, and each state's env as a given
-    trace copy is built once. Atom and env entries are keyed by object
-    identity and hold their key, so a plan must not outlive the traces and
-    property it was used with.
+    ``eval_bounded`` call, so that each predicate is compiled once, each last
+    state's successors are computed once per state key on a transition plan
+    built when first needed, and each state's env as a given trace copy is
+    built once. Predicate and env entries are keyed by object identity and
+    hold their key, so a plan must not outlive the traces and property it
+    was used with.
     """
 
     def __init__(self, instance: FiniteInstance) -> None:
         self.instance = instance
         self.quant_lo, self.quant_hi = instance.quant_lo, instance.quant_hi
-        self._atoms: dict[int, tuple[PredApp, Compiled]] = {}
+        self._preds: dict[int, tuple[StatePredicate, Compiled]] = {}
         self._transitions: Optional[TransitionPlan] = None
         self._pinned: dict[tuple, bool] = {}
         self._envs: dict[tuple[int, int, int], tuple[BoundedTrace, dict[str, Value]]] = {}
 
-    def atom(self, app: PredApp) -> Compiled:
-        entry = self._atoms.get(id(app))
+    def predicate(self, pred: StatePredicate) -> Compiled:
+        entry = self._preds.get(id(pred))
         if entry is None:
-            compiled = compile_term(app.pred.body, self.quant_lo, self.quant_hi)
-            entry = self._atoms[id(app)] = (app, compiled)
+            compiled = compile_term(pred.body, self.quant_lo, self.quant_hi)
+            entry = self._preds[id(pred)] = (pred, compiled)
         return entry[1]
 
     def pinned(self, trace: BoundedTrace) -> bool:
@@ -869,76 +834,33 @@ class BoundedPlan:
 
 
 def eval_bounded(
-    body: HyperLtlBody,
-    traces: Mapping[str, BoundedTrace],
+    formula: Union[HFinally, HGlobally],
+    first: BoundedTrace,
+    second: BoundedTrace,
     instance: FiniteInstance,
     plan: Optional[BoundedPlan] = None,
-) -> TV:
-    """Three-valued bounded evaluation at position 0.
+) -> Optional[bool]:
+    """Bounded verdict of ``G pred`` or ``F pred`` at position 0, with
+    ``first`` as copy 1 and ``second`` as copy 2 of ``pred``.
 
-    A verdict that depends on the infinite tail is given only when every
-    trace is pinned: its last state has itself as its only successor. That
-    is asked only once the evaluation reaches past the prefix.
+    The prefix decides ``G`` false and ``F`` true. Otherwise the verdict
+    depends on the infinite tail, and is given (``G`` true, ``F`` false)
+    only when both traces are pinned: the last state of each has itself as
+    its only successor, so the prefix's last position repeats forever.
+    Pinning is asked only once the prefix has not decided; else ``None``.
     """
     if plan is None:
         plan = BoundedPlan(instance)
-    depths = {t.depth for t in traces.values()}
-    if len(depths) != 1 or 0 in depths:
+    if first.depth != second.depth or first.depth == 0:
         raise OracleError("traces must be non-empty and of equal depth")
-    d = depths.pop()
-
-    def tail_known() -> bool:
-        return all(plan.pinned(t) for t in traces.values())
-
-    def atom(app: PredApp, p: int) -> TV:
-        env: dict[str, Value] = {}
-        for j, tv in enumerate(app.trace_vars):
-            if tv not in traces:
-                raise OracleError(f"trace variable {tv} unbound")
-            env.update(plan.env(traces[tv], p, j))
-        return bool(plan.atom(app)(env))
-
-    # positions stay below d: past the prefix, a pinned trace repeats its
-    # last state, so the tail is evaluated at d - 1
-    def ev(node: HyperLtlBody, p: int) -> TV:
-        if isinstance(node, PredApp):
-            return atom(node, p)
-        if isinstance(node, HNot):
-            return _not3(ev(node.operand, p))
-        if isinstance(node, HAnd):
-            return _and3(ev(node.left, p), ev(node.right, p))
-        if isinstance(node, HOr):
-            return _or3(ev(node.left, p), ev(node.right, p))
-        if isinstance(node, HImplies):
-            return _or3(_not3(ev(node.left, p)), ev(node.right, p))
-        if isinstance(node, HNext):
-            if p + 1 >= d and not tail_known():
-                return None
-            return ev(node.operand, min(p + 1, d - 1))
-        if isinstance(node, HGlobally):
-            acc: TV = True
-            for k in range(p, d):
-                acc = _and3(acc, ev(node.operand, k))
-                if acc is False:
-                    return False
-            return True if acc and tail_known() else None
-        if isinstance(node, HFinally):
-            acc = False
-            for k in range(p, d):
-                acc = _or3(acc, ev(node.operand, k))
-                if acc is True:
-                    return True
-            return False if acc is False and tail_known() else None
-        if isinstance(node, HUntil):
-            u = ev(node.right, d - 1)
-            if u is not True and not tail_known():
-                u = _or3(u, _and3(ev(node.left, d - 1), None))
-            for k in range(d - 2, p - 1, -1):
-                u = _or3(ev(node.right, k), _and3(ev(node.left, k), u))
-            return u
-        raise OracleError(f"cannot evaluate body node {node!r}")
-
-    return ev(body, 0)
+    holds = plan.predicate(formula.pred)
+    decided = isinstance(formula, HFinally)  # the value that decides on the prefix
+    for p in range(first.depth):
+        if bool(holds({**plan.env(first, p, 0), **plan.env(second, p, 1)})) is decided:
+            return decided
+    if plan.pinned(first) and plan.pinned(second):
+        return not decided
+    return None
 
 
 # ---------------------------------------------------------------------------
@@ -954,25 +876,20 @@ def count_equivalence_classes(
     """Number of difference-equivalence classes among body-related traces.
 
     Returns ``"unknown"`` if any body or pairwise difference verdict is
-    three-valued unknown.
+    ``None`` (see ``eval_bounded``).
     """
     if traces is None:
         traces = enumerate_traces(instance)
     plan = BoundedPlan(instance)
     candidates = []
     for t in traces:
-        verdict = eval_bounded(
-            prop.body, {prop.forall_var: pivot, prop.count_var: t}, instance, plan
-        )
+        verdict = eval_bounded(prop.body, pivot, t, instance, plan)
         if verdict is None:
             return "unknown"
         if verdict:
             candidates.append(t)
     if not candidates:
         return 0
-    if not (isinstance(prop.diff, HFinally) and isinstance(prop.diff.operand, PredApp)):
-        raise OracleError("diff is not of the form F(predicate)")
-    tva, tvb = prop.diff.operand.trace_vars
     n = len(candidates)
     parent = list(range(n))
 
@@ -984,9 +901,7 @@ def count_equivalence_classes(
 
     for i in range(n):
         for j in range(i + 1, n):
-            delta = eval_bounded(
-                prop.diff, {tva: candidates[i], tvb: candidates[j]}, instance, plan
-            )
+            delta = eval_bounded(prop.diff, candidates[i], candidates[j], instance, plan)
             if delta is None:
                 return "unknown"
             if not delta:

@@ -1,13 +1,14 @@
-"""Quantitative HyperLTL: state predicates, temporal bodies, and the
-single-alternation counting template ``forall t0. # t1 : diff. body <| N(Z)``.
+"""Quantitative HyperLTL properties of the one shape trace enumeration
+proves, ``forall t0. # t1 : F(diff). G(body) <| N(Z)``, where ``diff`` and
+``body`` are binary state predicates (see ``QhpProperty``).
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Mapping, Optional, Sequence
+from typing import Optional, Sequence
 
-from .sexpr import Sexpr, SexprError, atom, read_form, sections, single, to_text
+from .sexpr import SexprError, atom, read_form, sections, single, to_text
 from .system import TransitionSystem
 from .terms import (
     And,
@@ -51,70 +52,30 @@ class StatePredicate:
 
 
 @dataclass(frozen=True)
-class HyperLtlBody:
-    pass
+class HFinally:
+    """``F pred``: ``pred`` holds at some position."""
 
-
-@dataclass(frozen=True)
-class PredApp(HyperLtlBody):
     pred: StatePredicate
-    trace_vars: tuple[str, ...]
-
-    def __post_init__(self) -> None:
-        if len(self.trace_vars) != self.pred.arity:
-            raise QhlError("predicate application arity mismatch")
 
 
 @dataclass(frozen=True)
-class HNot(HyperLtlBody):
-    operand: HyperLtlBody
+class HGlobally:
+    """``G pred``: ``pred`` holds at every position."""
 
-
-@dataclass(frozen=True)
-class HAnd(HyperLtlBody):
-    left: HyperLtlBody
-    right: HyperLtlBody
-
-
-@dataclass(frozen=True)
-class HOr(HyperLtlBody):
-    left: HyperLtlBody
-    right: HyperLtlBody
-
-
-@dataclass(frozen=True)
-class HImplies(HyperLtlBody):
-    left: HyperLtlBody
-    right: HyperLtlBody
-
-
-@dataclass(frozen=True)
-class HNext(HyperLtlBody):
-    operand: HyperLtlBody
-
-
-@dataclass(frozen=True)
-class HUntil(HyperLtlBody):
-    left: HyperLtlBody
-    right: HyperLtlBody
-
-
-@dataclass(frozen=True)
-class HFinally(HyperLtlBody):
-    operand: HyperLtlBody
-
-
-@dataclass(frozen=True)
-class HGlobally(HyperLtlBody):
-    operand: HyperLtlBody
+    pred: StatePredicate
 
 
 @dataclass(frozen=True)
 class QhpProperty:
-    forall_var: str
-    count_var: str
-    diff: HyperLtlBody
-    body: HyperLtlBody
+    """``forall pivot. # counted : diff. body <| bound``.
+
+    Copy 1 of ``body`` is the pivot and copy 2 the counted trace; copies 1
+    and 2 of ``diff`` are two counted traces, which must eventually differ
+    to count apart.
+    """
+
+    diff: HFinally
+    body: HGlobally
     cmp: str  # leq | eq | geq
     bound: Term
     assuming: Term = TRUE
@@ -128,15 +89,6 @@ def predicate_to_formula(pred: StatePredicate, assignment: Sequence[Tag]) -> Ter
         )
     mapping = {indexed(i + 1): tag for i, tag in enumerate(assignment)}
     return retag_free(pred.body, mapping)
-
-
-def app_to_formula(app: PredApp, assignment: Mapping[str, Tag]) -> Term:
-    tags = []
-    for tv in app.trace_vars:
-        if tv not in assignment:
-            raise MissingAssignment(f"trace variable {tv} unassigned")
-        tags.append(assignment[tv])
-    return predicate_to_formula(app.pred, tags)
 
 
 @dataclass(frozen=True)
@@ -163,33 +115,19 @@ def _difference_pattern(pred: StatePredicate) -> Optional[Term]:
 
 def difference_term(prop: QhpProperty) -> Term:
     """The observation term f with diff = F(f(s1) != f(s2)), over copy 1."""
-    assert isinstance(prop.diff, HFinally) and isinstance(prop.diff.operand, PredApp)
-    f = _difference_pattern(prop.diff.operand.pred)
+    f = _difference_pattern(prop.diff.pred)
     if f is None:
         raise QhlError("difference formula is not of the shape f(s1) != f(s2)")
     return f
 
 
 def check_well_defined(prop: QhpProperty, system: TransitionSystem) -> WellDefinedResult:
-    """Syntactic well-definedness: diff is a difference pattern, body is a
-    top-level G whose conjunction forces equality of every parameter."""
-    diff = prop.diff
-    if not (isinstance(diff, HFinally) and isinstance(diff.operand, PredApp)):
-        return WellDefinedResult(False, "diff is not of the form F(predicate)")
-    dapp = diff.operand
-    if dapp.pred.arity != 2 or len(set(dapp.trace_vars)) != 2:
-        return WellDefinedResult(False, "diff predicate must relate two distinct traces")
-    if _difference_pattern(dapp.pred) is None:
+    """Syntactic well-definedness: diff is a difference pattern and the
+    conjunction of body forces equality of every parameter."""
+    if _difference_pattern(prop.diff.pred) is None:
         return WellDefinedResult(False, "diff predicate is not a difference pattern f(s1) != f(s2)")
-    body = prop.body
-    if not (isinstance(body, HGlobally) and isinstance(body.operand, PredApp)):
-        return WellDefinedResult(False, "body is not of the form G(predicate)")
-    bapp = body.operand
-    if bapp.trace_vars != (prop.forall_var, prop.count_var):
-        return WellDefinedResult(False, "body predicate must be applied to (forall var, count var)")
-    conjuncts = (
-        list(bapp.pred.body.args) if isinstance(bapp.pred.body, And) else [bapp.pred.body]
-    )
+    body = prop.body.pred.body
+    conjuncts = list(body.args) if isinstance(body, And) else [body]
     for z in system.params:
         z1 = Var(z, system.sort_of(z), 1, False)
         z2 = Var(z, system.sort_of(z), 2, False)
@@ -212,12 +150,16 @@ def parse_property(
     system: TransitionSystem,
     signature: Signature = Signature(),
 ) -> QhpProperty:
-    """Read a ``(qhp (forall t0) (count t1 :diff ... :body ... :cmp ... :bound ...))`` file."""
+    """Read a ``(qhp (forall t0) (count t1 :diff ... :body ... :cmp ... :bound ...))`` file.
+
+    The trace names are labels only: copies 1 and 2 of each predicate carry
+    the roles.
+    """
     found = sections("qhp", read_form(text, "qhp"), ("forall", "count"))
-    forall_var = single(found, "forall", str)
+    single(found, "forall", str)
     if not found["count"]:
         raise SexprError("(count ...) needs a trace variable")
-    count_var = atom(found["count"][0], str, "a trace variable")
+    atom(found["count"][0], str, "a trace variable")
     rest = found["count"][1:]
     keywords = []
     for i in range(0, len(rest), 2):
@@ -231,16 +173,15 @@ def parse_property(
         env2[f"{vname}$1"] = sort
         env2[f"{vname}$2"] = sort
 
-    def temporal(expr: Sexpr, trace_vars: tuple[str, str]) -> HyperLtlBody:
-        if not (isinstance(expr, list) and len(expr) == 2 and expr[0] in ("finally", "globally")):
-            raise SexprError("diff/body must be (finally <pred>) or (globally <pred>)")
-        pred = StatePredicate(2, term_from_sexpr(expr[1], env2, signature))
-        app = PredApp(pred, trace_vars)
-        return HFinally(app) if expr[0] == "finally" else HGlobally(app)
+    def temporal(key: str, head: str, shape: str) -> StatePredicate:
+        expr = single(kw, key)
+        if not (isinstance(expr, list) and len(expr) == 2 and expr[0] == head):
+            raise SexprError(f"{key[1:]} is not of the form {shape}(predicate)")
+        return StatePredicate(2, term_from_sexpr(expr[1], env2, signature))
 
     try:
-        diff = temporal(single(kw, ":diff"), (f"{count_var}.a", f"{count_var}.b"))
-        body = temporal(single(kw, ":body"), (forall_var, count_var))
+        diff = HFinally(temporal(":diff", "finally", "F"))
+        body = HGlobally(temporal(":body", "globally", "G"))
         env_z = {z: system.sort_of(z) for z in system.params}
         bound = term_from_sexpr(single(kw, ":bound"), env_z, signature)
         assuming = term_from_sexpr(single(kw, ":assuming", default="true"), env_z, signature)
@@ -254,4 +195,4 @@ def parse_property(
         cmp = "leq" if cmp == "lt" else "geq"
     if cmp not in ("leq", "eq", "geq"):
         raise SexprError(f"bad comparator {cmp!r}")
-    return QhpProperty(forall_var, count_var, diff, body, cmp, bound, assuming)
+    return QhpProperty(diff, body, cmp, bound, assuming)

@@ -10,6 +10,8 @@ from qhenum.cli import (
     main,
     verify,
 )
+from qhenum.enumeration import gen_injective_vcs
+from qhenum.terms import term_to_text
 
 SYSTEM = """
 (system chooser
@@ -258,6 +260,25 @@ def test_verify_malformed_proof_exits_3(benchmarks, stub_solver, tmp_path, capsy
     assert err.startswith("error: ") and "Traceback" not in err
 
 
+def test_trace_names_are_labels_only(benchmarks, tmp_path, capsys):
+    # copies 1 and 2 of each predicate carry the roles: naming the pivot
+    # like the counted trace must change neither a query nor a count
+    purse = copy_benchmark(benchmarks, "electronic-purse", tmp_path / "purse")
+    prop = purse / "property.sexp"
+    assert "(forall t0)" in prop.read_text()
+    prop.write_text(prop.read_text().replace("(forall t0)", "(forall t1)"))
+
+    def psi(directory):
+        project = load_project(directory)
+        bundle = gen_injective_vcs(project.system, project.prop, project.witness)
+        (ob,) = [ob for ob in bundle.obligations if ob.label == "existence-step/psi"]
+        return [term_to_text(a) for a in ob.assertions]
+
+    assert psi(purse) == psi(benchmarks / "electronic-purse")
+    assert main(["oracle", "--instance", str(purse / "instance.sexp"), "--count-classes"]) == 0
+    assert capsys.readouterr().out == "2\n"
+
+
 def test_verify_unknown_counting_premise_exits_2(benchmarks, case_solver, capsys):
     # counting queries mention a count symbol, enumeration queries do not
     cmd = case_solver("cnt.", "unknown", "unsat")
@@ -306,7 +327,9 @@ MALFORMED_TERMS = [
     pytest.param("instance.sexp", "(params (dc 2))", "(params (dc 2) (bal 1))",
                  "params: bal is not a system parameter", ("oracle",), id="param-not-a-param"),
     pytest.param("property.sexp", ":diff (finally", ":diff (globally",
-                 "diff is not of the form F(predicate)", ("oracle",), id="diff-not-finally"),
+                 "diff is not of the form F(predicate)", BOTH, id="diff-not-finally"),
+    pytest.param("property.sexp", ":body (globally", ":body (finally",
+                 "body is not of the form G(predicate)", BOTH, id="body-not-globally"),
     pytest.param("instance.sexp", "(count-vars (y (range 0 6)))", "",
                  "count-vars: no domain for y", ("valid", "V"), id="count-var-no-domain"),
     pytest.param("enumeration.sexp", "(skolem-init", "(skolem",

@@ -4,7 +4,7 @@ import itertools
 from unittest import mock
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from qhenum.cli import load_instance, load_project
 from qhenum.oracle import (
@@ -27,16 +27,7 @@ from qhenum.oracle import (
     successors,
     values_equal,
 )
-from qhenum.qhl import (
-    HAnd,
-    HFinally,
-    HGlobally,
-    HNext,
-    HUntil,
-    PredApp,
-    StatePredicate,
-    parse_property,
-)
+from qhenum.qhl import HFinally, HGlobally, StatePredicate, parse_property
 from qhenum.system import TransitionSystem, parse_system
 from qhenum.terms import (
     BOOL,
@@ -785,15 +776,15 @@ def test_bounded_eval_unknown_without_settling(counter):
     inst = counter_instance(counter, 3, depth=2)
     t = enumerate_traces(inst)[0]
     # depth 2 of 'x counts to 3' never settles: G verdict must stay unknown
-    assert eval_bounded(prop.body, {"t0": t, "t1": t}, inst) is None
+    assert eval_bounded(prop.body, t, t, inst) is None
 
 
 def test_bounded_eval_settles_deterministically(counter):
     prop = parse_property(PROP, counter)
     inst = counter_instance(counter, 1, depth=3)
     t = enumerate_traces(inst)[0]
-    assert eval_bounded(prop.body, {"t0": t, "t1": t}, inst) is True
-    assert eval_bounded(prop.diff, {"t1.a": t, "t1.b": t}, inst) is False
+    assert eval_bounded(prop.body, t, t, inst) is True
+    assert eval_bounded(prop.diff, t, t, inst) is False
 
 
 def test_count_classes_single_trace(counter):
@@ -828,13 +819,13 @@ def test_last_state_with_two_successors_is_not_pinned():
     # x = 0 may stay or step: only itself as a successor would pin it
     stay = traces[0]
     assert BoundedPlan(inst).pinned(stay) is False
-    assert eval_bounded(prop.body, {"t0": stay, "t1": stay}, inst) is None
+    assert eval_bounded(prop.body, stay, stay, inst) is None
     assert count_equivalence_classes(inst, prop, stay, traces) == "unknown"
     # a declared deterministic instance raises, but only once the tail is needed
     inst.deterministic = True
-    assert eval_bounded(prop.diff, {"t1.a": stay, "t1.b": traces[1]}, inst) is True
+    assert eval_bounded(prop.diff, stay, traces[1], inst) is True
     with pytest.raises(OracleError, match="declared deterministic"):
-        eval_bounded(prop.body, {"t0": stay, "t1": stay}, inst)
+        eval_bounded(prop.body, stay, stay, inst)
 
 
 def test_last_state_without_successor_in_domain_is_not_pinned(counter):
@@ -846,7 +837,7 @@ def test_last_state_without_successor_in_domain_is_not_pinned(counter):
     # x = 1 steps to 2, outside the domain
     assert successors(inst, trace.states[-1]) == []
     assert BoundedPlan(inst).pinned(trace) is False
-    assert eval_bounded(prop.body, {"t0": trace, "t1": trace}, inst) is None
+    assert eval_bounded(prop.body, trace, trace, inst) is None
 
 
 def test_absorbing_end_pins_nondeterministic_traces():
@@ -870,7 +861,7 @@ def test_eval_bounded_rejects_empty_traces(counter):
     prop = parse_property(PROP, counter)
     empty = BoundedTrace(())
     with pytest.raises(OracleError, match="non-empty"):
-        eval_bounded(prop.body, {"t0": empty, "t1": empty}, inst)
+        eval_bounded(prop.body, empty, empty, inst)
 
 
 STEP_COUNTER = """
@@ -884,18 +875,14 @@ STEP_COUNTER = """
 STEP_ENV = {f"{name}${copy}": INT for name in ("x", "n", "k") for copy in (1, 2)}
 
 
-def step_app(text):
-    return PredApp(StatePredicate(2, term_from_text(text, STEP_ENV)), ("t0", "t1"))
+def step_app(temporal, text):
+    return temporal(StatePredicate(2, term_from_text(text, STEP_ENV)))
 
 
-# property files give only F and G bodies; X and U are built by hand
 STEP_BODIES = (
-    HGlobally(step_app("(= n$1 n$2)")),
-    HGlobally(step_app("(<= x$1 x$2)")),
-    HFinally(step_app("(= x$1 x$2)")),
-    HNext(HNext(step_app("(< x$1 x$2)"))),
-    HUntil(step_app("(<= x$1 x$2)"), step_app("(= x$2 n$2)")),
-    HAnd(HGlobally(step_app("(>= x$2 0)")), HFinally(step_app("(= x$1 n$1)"))),
+    step_app(HGlobally, "(= n$1 n$2)"),
+    step_app(HGlobally, "(<= x$1 x$2)"),
+    step_app(HFinally, "(= x$1 x$2)"),
 )
 
 
@@ -924,21 +911,156 @@ def test_absorbing_end_agrees_with_settled_rule(bound, step, domain, depth, body
     traces = enumerate_traces(inst)
     plan = BoundedPlan(inst)
     assert all(plan.pinned(t) for t in traces if settled(t))
-    pairs = [({"t0": a, "t1": b}, {"t1.a": a, "t1.b": b}) for a in traces for b in traces]
+    pairs = [(a, b) for a in traces for b in traces]
     with mock.patch.object(BoundedPlan, "pinned", lambda self, trace: settled(trace)):
         expected = [
-            (eval_bounded(prop.body, on_body, inst), eval_bounded(prop.diff, on_diff, inst))
-            for on_body, on_diff in pairs
+            (eval_bounded(prop.body, a, b, inst), eval_bounded(prop.diff, a, b, inst))
+            for a, b in pairs
         ]
         expected_classes = [count_equivalence_classes(inst, prop, t, traces) for t in traces]
-    for (on_body, on_diff), (body_verdict, diff_verdict) in zip(pairs, expected):
+    for (a, b), (body_verdict, diff_verdict) in zip(pairs, expected):
         if body_verdict is not None:
-            assert eval_bounded(prop.body, on_body, inst) is body_verdict
+            assert eval_bounded(prop.body, a, b, inst) is body_verdict
         if diff_verdict is not None:
-            assert eval_bounded(prop.diff, on_diff, inst) is diff_verdict
+            assert eval_bounded(prop.diff, a, b, inst) is diff_verdict
     for pivot, classes in zip(traces, expected_classes):
         if classes != "unknown":
             assert count_equivalence_classes(inst, prop, pivot, traces) == classes
+
+
+def _and3(a, b):
+    if a is False or b is False:
+        return False
+    return True if a is True and b is True else None
+
+
+def _or3(a, b):
+    if a is True or b is True:
+        return True
+    return False if a is False and b is False else None
+
+
+def reference_eval(formula, first, second, instance):
+    """The recursive three-valued evaluator ``eval_bounded`` replaced, cut
+    down to one predicate under ``F`` or ``G``: ``first`` is copy 1 and
+    ``second`` copy 2 of the predicate, and a verdict that needs the tail is
+    given only when both traces' last states are their own only successor."""
+    traces = (first, second)
+    depths = {t.depth for t in traces}
+    if len(depths) != 1 or 0 in depths:
+        raise OracleError("traces must be non-empty and of equal depth")
+    d = depths.pop()
+
+    def pinned(trace):
+        last = trace.states[-1]
+        nxt = successors(instance, last)
+        return len(nxt) == 1 and state_key(nxt[0]) == state_key(last)
+
+    def tail_known():
+        return all(pinned(t) for t in traces)
+
+    def ev(node, p):
+        if isinstance(node, StatePredicate):
+            env = {}
+            for j, trace in enumerate(traces):
+                env.update({f"{name}${j + 1}": v for name, v in trace.states[p].items()})
+            return bool(compile_term(node.body, instance.quant_lo, instance.quant_hi)(env))
+        if isinstance(node, HGlobally):
+            acc = True
+            for k in range(p, d):
+                acc = _and3(acc, ev(node.pred, k))
+                if acc is False:
+                    return False
+            return True if acc and tail_known() else None
+        if isinstance(node, HFinally):
+            acc = False
+            for k in range(p, d):
+                acc = _or3(acc, ev(node.pred, k))
+                if acc is True:
+                    return True
+            return False if acc is False and tail_known() else None
+        raise AssertionError(f"not a reference node: {node!r}")
+
+    return ev(formula, 0)
+
+
+def reference_classes(instance, prop, pivot, traces):
+    candidates = []
+    for t in traces:
+        verdict = reference_eval(prop.body, pivot, t, instance)
+        if verdict is None:
+            return "unknown"
+        if verdict:
+            candidates.append(t)
+    label = list(range(len(candidates)))
+    for i, a in enumerate(candidates):
+        for j in range(i + 1, len(candidates)):
+            delta = reference_eval(prop.diff, a, candidates[j], instance)
+            if delta is None:
+                return "unknown"
+            if not delta:
+                label = [label[j] if l == label[i] else l for l in label]
+    return len(set(label))
+
+
+def verdict_or_error(call, *args):
+    try:
+        result = call(*args)
+    except OracleError as exc:
+        return type(exc), str(exc)
+    return type(result), result
+
+
+# k is no state variable of stay-or-step, and (div 2 x$2) needs x > 0: both raise
+REFERENCE_PREDICATES = (
+    "(= n$1 n$2)",
+    "(<= x$1 x$2)",
+    "(= x$1 x$2)",
+    "(= x$2 n$2)",
+    "(< x$1 n$1)",
+    "(= k$1 k$2)",
+    "(> (div 2 x$2) 0)",
+)
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    system_text=st.sampled_from((STEP_COUNTER, STAY_OR_STEP)),
+    bound=st.integers(0, 4),
+    step=st.integers(0, 2),
+    domain=st.sets(st.integers(0, 5), min_size=1),
+    depth=st.integers(1, 4),
+    deterministic=st.booleans(),
+    body=st.tuples(st.sampled_from((HFinally, HGlobally)), st.sampled_from(REFERENCE_PREDICATES)),
+    diff=st.sampled_from(REFERENCE_PREDICATES),
+)
+# x = 0 may stay or step, so the pin question of G raises on a declared deterministic instance
+@example(STAY_OR_STEP, 1, 0, {0, 1}, 1, True, (HGlobally, "(= n$1 n$2)"), "(= x$1 x$2)")
+def test_eval_bounded_matches_reference(
+    system_text, bound, step, domain, depth, deterministic, body, diff
+):
+    system = parse_system(system_text)
+    params = {name: value for name, value in (("n", bound), ("k", step)) if name in system.params}
+    inst = FiniteInstance(
+        system, {"x": ScalarDomain(tuple(sorted(domain)))}, params,
+        depth=depth, deterministic=deterministic,
+    )
+    try:
+        traces = enumerate_traces(inst)
+    except OracleError:
+        return  # the deterministic claim fails during enumeration, before any verdict
+    prop = dataclasses.replace(
+        parse_property(PROP, system), body=step_app(*body), diff=step_app(HFinally, diff)
+    )
+    plan = BoundedPlan(inst)
+    for formula in (prop.body, prop.diff):
+        for a in traces:
+            for b in traces:
+                expected = verdict_or_error(reference_eval, formula, a, b, inst)
+                assert verdict_or_error(eval_bounded, formula, a, b, inst, plan) == expected
+    for pivot in traces:
+        expected = verdict_or_error(reference_classes, inst, prop, pivot, traces)
+        assert verdict_or_error(count_equivalence_classes, inst, prop, pivot, traces) == expected
 
 
 # -- brute counting --------------------------------------------------------------

@@ -4,11 +4,9 @@ from qhenum.qhl import (
     HFinally,
     HGlobally,
     MissingAssignment,
-    PredApp,
     QhlError,
     QhpProperty,
     StatePredicate,
-    app_to_formula,
     check_well_defined,
     difference_term,
     parse_property,
@@ -46,8 +44,6 @@ def prop(system):
 
 
 def test_parse_property(prop):
-    assert prop.forall_var == "t0"
-    assert prop.count_var == "t1"
     assert prop.cmp == "geq"
     assert prop.bound == Var("n", INT)
     assert isinstance(prop.diff, HFinally)
@@ -70,9 +66,6 @@ def test_predicate_instantiation():
     assert out == term_from_text("(= x$3 x$5)", {"x$3": INT, "x$5": INT})
     with pytest.raises(MissingAssignment):
         predicate_to_formula(pred, (indexed(3),))
-    app = PredApp(pred, ("t0", "t1"))
-    with pytest.raises(MissingAssignment):
-        app_to_formula(app, {"t0": indexed(1)})
 
 
 def test_predicate_body_must_stay_in_copies():
@@ -106,8 +99,6 @@ def test_body_must_force_parameter_equality(system):
 
 def test_bound_must_use_parameters_only(system):
     bad = QhpProperty(
-        forall_var="t0",
-        count_var="t1",
         diff=parse_property(PROP, system).diff,
         body=parse_property(PROP, system).body,
         cmp="geq",
