@@ -10,18 +10,10 @@ import threading
 import time
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Iterable, Optional, Sequence
+from typing import Optional, Sequence
 
 from . import sexpr
-from .terms import (
-    ArraySort,
-    Signature,
-    Sort,
-    Term,
-    TermWriter,
-    UninterpSort,
-    sort_to_text,
-)
+from .terms import BUILTIN_SIGNATURE, Signature, Sort, Term, TermWriter, sort_to_text
 
 
 class BackendError(RuntimeError):
@@ -64,7 +56,6 @@ class Query:
     assertions: tuple[str, ...]  # SMT-LIB text of each assertion
     logic: str = DEFAULT_LOGIC
     options: tuple[tuple[str, str], ...] = VALIDITY_OPTIONS
-    sorts: tuple[str, ...] = ()
     functions: tuple[tuple[str, tuple[Sort, ...], Sort], ...] = ()
     consts: tuple[tuple[str, Sort], ...] = ()
     timeout_ms: int = DEFAULT_TIMEOUT_MS
@@ -79,24 +70,9 @@ class Verdict:
     transcript: str = ""
 
 
-def _uninterp_sorts(sorts: Iterable[Sort]) -> set[str]:
-    names: set[str] = set()
-
-    def walk(s: Sort) -> None:
-        if isinstance(s, UninterpSort):
-            names.add(s.name)
-        elif isinstance(s, ArraySort):
-            walk(s.index)
-            walk(s.element)
-
-    for s in sorts:
-        walk(s)
-    return names
-
-
 def build_query(
     assertions: Sequence[Term],
-    signature: Signature = Signature(),
+    signature: Signature = BUILTIN_SIGNATURE,
     logic: str = DEFAULT_LOGIC,
     options: tuple[tuple[str, str], ...] = VALIDITY_OPTIONS,
     timeout_ms: int = DEFAULT_TIMEOUT_MS,
@@ -113,18 +89,12 @@ def build_query(
         for name in writer.funcs:
             if name not in funcs:
                 funcs[name] = signature.rank(name)
-    consts = writer.consts
-    all_sorts = [*consts.values(), *writer.sorts]
-    for args, res in funcs.values():
-        all_sorts.extend(args)
-        all_sorts.append(res)
     return Query(
         assertions=tuple(texts),
         logic=logic,
         options=options,
-        sorts=tuple(sorted(_uninterp_sorts(all_sorts))),
         functions=tuple((n, *funcs[n]) for n in sorted(funcs)),
-        consts=tuple(sorted(consts.items())),
+        consts=tuple(sorted(writer.consts.items())),
         timeout_ms=timeout_ms,
         get_model=get_model,
     )
@@ -135,8 +105,6 @@ def emit(query: Query) -> str:
     lines: list[str] = [f"(set-logic {query.logic})"]
     for name, value in query.options:
         lines.append(f"(set-option :{name} {value})")
-    for sort_name in query.sorts:
-        lines.append(f"(declare-sort {sort_name} 0)")
     for fname, arg_sorts, result in query.functions:
         args_txt = " ".join(map(sort_to_text, arg_sorts))
         lines.append(f"(declare-fun {fname} ({args_txt}) {sort_to_text(result)})")
@@ -249,7 +217,7 @@ class Session:
         self,
         assertions: Sequence[Term],
         label: str,
-        signature: Signature = Signature(),
+        signature: Signature = BUILTIN_SIGNATURE,
         options: tuple[tuple[str, str], ...] = VALIDITY_OPTIONS,
         logic: str = OBLIGATION_LOGIC,
         timeout_ms: Optional[int] = None,

@@ -27,7 +27,6 @@ from typing import Any, Callable, Optional, Sequence
 from . import backend
 from .counting import (
     BUILTIN_AXIOMS,
-    BUILTIN_SIGNATURE,
     ProofScript,
     check_script,
     parse_proof,
@@ -110,7 +109,7 @@ def load_project(
         solver = [file_solver.strip('"')]
 
     system = parse_system(_read(directory, manifest, "system"))
-    prop = parse_property(_read(directory, manifest, "property"), system, BUILTIN_SIGNATURE)
+    prop = parse_property(_read(directory, manifest, "property"), system)
     witness = parse_enumeration(_read(directory, manifest, "enumeration"), system)
     script = parse_proof(_read(directory, manifest, "proof"))
     return Project(
@@ -177,6 +176,7 @@ def _link_formula(project: Project) -> Term:
 
 
 LINK_STATUS = {"unsat": "passed", "sat": "failed"}
+SCRIPT_STATUS = {"accepted": "passed", "rejected": "failed", "unknown": "unknown"}
 
 
 def verify(project: Project) -> dict[str, Any]:
@@ -242,7 +242,7 @@ def verify(project: Project) -> dict[str, Any]:
     t0 = time.monotonic()
     result = check_script(project.script, session)
     report["stages"]["counting"] = {
-        "verdict": "passed" if result.status == "accepted" else "failed",
+        "verdict": SCRIPT_STATUS[result.status],
         "rejected_at": result.rejected_at,
         "reason": result.reason,
         "wall_ms": int((time.monotonic() - t0) * 1000),
@@ -265,9 +265,7 @@ def verify(project: Project) -> dict[str, Any]:
             project.prop.assuming, Cmp("<=", IntLit(0), project.prop.bound)
         )
         goal = Forall(zparams, nonneg) if zparams else nonneg
-        verdict = session.check(
-            [*BUILTIN_AXIOMS, Not(goal)], "link-bound-nonneg", BUILTIN_SIGNATURE
-        )
+        verdict = session.check([*BUILTIN_AXIOMS, Not(goal)], "link-bound-nonneg")
         link_status = LINK_STATUS.get(verdict.status, "unknown")
     report["stages"]["link"] = {
         "verdict": link_status,
@@ -359,18 +357,26 @@ def _ints(items: Sequence[Sexpr]) -> tuple[int, ...]:
 
 def parse_domain(expr: Sexpr) -> Domain:
     """``(range lo hi)`` inclusive, ``(values v ...)``, ``(bool)`` or
-    ``(array lo hi (v ...) [default])``."""
+    ``(array lo hi (v ...) [default])``; a value list names each value once."""
     head, args = (expr[0], expr[1:]) if isinstance(expr, list) and expr else (None, [])
+
+    def value_set(items: Sequence[Sexpr]) -> tuple[int, ...]:
+        values = _ints(items)
+        for i, v in enumerate(values):
+            if v in values[:i]:
+                raise SexprError(f"domain {to_text(expr)} repeats {v}")
+        return values
+
     if head == "range" and len(args) == 2:
         lo, hi = _ints(args)
         return ScalarDomain(tuple(range(lo, hi + 1)))
     if head == "values":
-        return ScalarDomain(_ints(args))
+        return ScalarDomain(value_set(args))
     if head == "bool" and not args:
         return ScalarDomain((False, True))
     if head == "array" and len(args) in (3, 4) and isinstance(args[2], list):
         lo, hi, *default = _ints([args[0], args[1], *args[3:]])
-        return ArrayDomain(lo, hi, _ints(args[2]), default[0] if default else 0)
+        return ArrayDomain(lo, hi, value_set(args[2]), default[0] if default else 0)
     raise SexprError(f"bad domain {to_text(expr)}")
 
 

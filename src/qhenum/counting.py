@@ -20,6 +20,7 @@ from . import backend
 from .backend import DEFAULT_LOGIC, OBLIGATION_LOGIC, Session
 from .sexpr import Sexpr, SexprError, atom, pairs, read_form, sections, single, to_text
 from .terms import (
+    BUILTIN_SIGNATURE,
     INT,
     Add,
     And,
@@ -79,8 +80,6 @@ class StepMismatch(NotValid):
 # Built-in recursive count functions
 
 _N = Var("n", INT)
-
-BUILTIN_SIGNATURE = Signature().extend("pow2", (INT,), INT).extend("fact", (INT,), INT)
 
 # Base and step equations plus positivity; the positivity facts are ordinary
 # consequences of the recurrences but are out of reach of a non-inductive

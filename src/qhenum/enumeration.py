@@ -39,7 +39,6 @@ from .terms import (
     PLAIN,
     PRIMED,
     Select,
-    Signature,
     Sort,
     Term,
     TermError,
@@ -469,16 +468,14 @@ def gen_surjective_vcs(
 DISCHARGE_WORKERS = 8
 
 
-def discharge(
-    bundle: VcBundle, session: Session, signature: Signature = Signature()
-) -> DischargeReport:
+def discharge(bundle: VcBundle, session: Session) -> DischargeReport:
     """Run every obligation through the solver, one process each."""
     start = time.monotonic()
 
     def run(ob: Obligation) -> ObligationResult:
         if ob.syntactic:
             return ObligationResult(ob.label, "proved", 0)
-        verdict = session.check(ob.assertions, ob.label, signature)
+        verdict = session.check(ob.assertions, ob.label)
         status = {"unsat": "proved", "sat": "failed"}.get(verdict.status, "unknown")
         return ObligationResult(
             ob.label, status, verdict.wall_ms, verdict.model if status == "failed" else None
@@ -497,11 +494,7 @@ def discharge(
 # Witness file parsing
 
 
-def parse_enumeration(
-    text: str,
-    system: TransitionSystem,
-    signature: Signature = Signature(),
-) -> EnumerationWitness:
+def parse_enumeration(text: str, system: TransitionSystem) -> EnumerationWitness:
     """Read an ``(enumeration (enum-vars ...) (valid ...) (trel ...) ...)`` file."""
     found = sections(
         "enumeration",
@@ -524,8 +517,8 @@ def parse_enumeration(
             if len(expr) != 3 or not (isinstance(expr[1], list) and len(expr[1]) == 1):
                 raise SexprError(f"expected (pointwise (index) term), got {to_text(expr)}")
             index = atom(expr[1][0], str, "an index variable")
-            return Pointwise(index, term_from_sexpr(expr[2], {**env, index: INT}, signature))
-        return term_from_sexpr(expr, env, signature)
+            return Pointwise(index, term_from_sexpr(expr[2], {**env, index: INT}))
+        return term_from_sexpr(expr, env)
 
     def parse_entries(
         section: str, env: Mapping[str, Sort]
@@ -534,23 +527,23 @@ def parse_enumeration(
         return tuple((n, parse_entry(e, env)) for n, e in entries.items())
 
     try:
-        valid = term_from_sexpr(single(found, "valid"), {**env_y, **env_x1}, signature)
-        trel = term_from_sexpr(single(found, "trel"), {**env_y, **env_x1, **env_x2}, signature)
+        valid = term_from_sexpr(single(found, "valid"), {**env_y, **env_x1})
+        trel = term_from_sexpr(single(found, "trel"), {**env_y, **env_x1, **env_x2})
         skolem_init = parse_entries("skolem-init", {**env_y, **env_x1})
         skolem_step = parse_entries("skolem-step", {**env_y, **env_x1, **env_x2, **env_x1p})
         cover = parse_entries("cover", {**env_x1, **env_x2})
         strengthening = tuple(
-            term_from_sexpr(s, env_plain, signature) for s in found.get("strengthen", ())
+            term_from_sexpr(s, env_plain) for s in found.get("strengthen", ())
         )
         diff_mode: DiffMode = AtInit()
         if "diff-at-index" in found:
             kw = sections("diff-at-index", found["diff-at-index"], ("counter", "target"))
-            target = term_from_sexpr(single(kw, "target"), env_x1, signature)
+            target = term_from_sexpr(single(kw, "target"), env_x1)
             diff_mode = AtIndex(single(kw, "counter", str), target)
         diff_index = None
         if "diff-index" in found:
             env_ab = {f"{n}${i}": s for n, s in enum_vars for i in (1, 2)}
-            diff_index = term_from_sexpr(single(found, "diff-index"), env_ab, signature)
+            diff_index = term_from_sexpr(single(found, "diff-index"), env_ab)
     except TermError as exc:
         raise SexprError(str(exc)) from exc
     return EnumerationWitness(

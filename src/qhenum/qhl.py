@@ -17,7 +17,6 @@ from .terms import (
     IntLit,
     Not,
     PLAIN,
-    Signature,
     Tag,
     Term,
     TermError,
@@ -145,11 +144,7 @@ def check_well_defined(prop: QhpProperty, system: TransitionSystem) -> WellDefin
     return WellDefinedResult(True)
 
 
-def parse_property(
-    text: str,
-    system: TransitionSystem,
-    signature: Signature = Signature(),
-) -> QhpProperty:
+def parse_property(text: str, system: TransitionSystem) -> QhpProperty:
     """Read a ``(qhp (forall t0) (count t1 :diff ... :body ... :cmp ... :bound ...))`` file.
 
     The trace names are labels only: copies 1 and 2 of each predicate carry
@@ -177,14 +172,14 @@ def parse_property(
         expr = single(kw, key)
         if not (isinstance(expr, list) and len(expr) == 2 and expr[0] == head):
             raise SexprError(f"{key[1:]} is not of the form {shape}(predicate)")
-        return StatePredicate(2, term_from_sexpr(expr[1], env2, signature))
+        return StatePredicate(2, term_from_sexpr(expr[1], env2))
 
     try:
         diff = HFinally(temporal(":diff", "finally", "F"))
         body = HGlobally(temporal(":body", "globally", "G"))
         env_z = {z: system.sort_of(z) for z in system.params}
-        bound = term_from_sexpr(single(kw, ":bound"), env_z, signature)
-        assuming = term_from_sexpr(single(kw, ":assuming", default="true"), env_z, signature)
+        bound = term_from_sexpr(single(kw, ":bound"), env_z)
+        assuming = term_from_sexpr(single(kw, ":assuming", default="true"), env_z)
     except TermError as exc:
         raise SexprError(str(exc)) from exc
     cmp = single(kw, ":cmp")

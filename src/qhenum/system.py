@@ -9,7 +9,6 @@ from .sexpr import SexprError, atom, pairs, read_form, sections, single
 from .terms import (
     PLAIN,
     PRIMED,
-    Signature,
     Sort,
     Tag,
     Term,
@@ -65,7 +64,7 @@ def make_system(
     return TransitionSystem(name, tuple(state_vars), tuple(params), init, tx)
 
 
-def parse_system(text: str, signature: Signature = Signature()) -> TransitionSystem:
+def parse_system(text: str) -> TransitionSystem:
     """Read a ``(system [name] (vars ...) (params ...) (init ...) (tx ...))`` file."""
     items = read_form(text, "system")
     name = "system"
@@ -77,8 +76,8 @@ def parse_system(text: str, signature: Signature = Signature()) -> TransitionSys
     env_plain = dict(state_vars)
     env_tx = {**env_plain, **{f"{n}!": s for n, s in state_vars}}
     try:
-        init = term_from_sexpr(single(found, "init"), env_plain, signature)
-        tx = term_from_sexpr(single(found, "tx"), env_tx, signature)
+        init = term_from_sexpr(single(found, "init"), env_plain)
+        tx = term_from_sexpr(single(found, "tx"), env_tx)
     except TermError as exc:
         raise SexprError(str(exc)) from exc
     return make_system(name, state_vars, params, init, tx)

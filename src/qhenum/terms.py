@@ -1,7 +1,8 @@
 """Sorted first-order terms and formulas.
 
 Terms are immutable trees over booleans, linear integer arithmetic, arrays,
-and uninterpreted functions.  A formula is a boolean-sorted term.  Every
+and the function symbols of a ``Signature``; the sorts are ``Int``, ``Bool``
+and ``(Array S T)``.  A formula is a boolean-sorted term.  Every
 variable carries a *tag*: a copy index (``None`` or a positive integer) and a
 primed flag.  Tags render as name suffixes: ``x``, ``x!``, ``x$1``, ``x$1!``.
 """
@@ -41,11 +42,6 @@ class ArraySort(Sort):
     element: Sort
 
 
-@dataclass(frozen=True)
-class UninterpSort(Sort):
-    name: str
-
-
 BOOL = BoolSort()
 INT = IntSort()
 
@@ -57,8 +53,6 @@ def sort_to_text(sort: Sort) -> str:
         return "Int"
     if isinstance(sort, ArraySort):
         return f"(Array {sort_to_text(sort.index)} {sort_to_text(sort.element)})"
-    if isinstance(sort, UninterpSort):
-        return sort.name
     raise TypeError(f"unknown sort {sort!r}")
 
 
@@ -67,13 +61,9 @@ def sort_from_sexpr(expr: Sexpr) -> Sort:
         return BOOL
     if expr == "Int":
         return INT
-    if isinstance(expr, list):
-        if len(expr) == 3 and expr[0] == "Array":
-            return ArraySort(sort_from_sexpr(expr[1]), sort_from_sexpr(expr[2]))
-        raise SexprError(f"bad sort {to_text(expr)}")
-    if isinstance(expr, str):
-        return UninterpSort(expr)
-    raise SexprError(f"bad sort {expr!r}")
+    if isinstance(expr, list) and len(expr) == 3 and expr[0] == "Array":
+        return ArraySort(sort_from_sexpr(expr[1]), sort_from_sexpr(expr[2]))
+    raise SexprError(f"bad sort {to_text(expr)}")
 
 
 # ---------------------------------------------------------------------------
@@ -128,7 +118,9 @@ class Signature:
         return Signature(self.functions + ((name, args, res),))
 
 
-EMPTY_SIGNATURE = Signature()
+# The recursive count functions every term may apply; the proof kernel
+# extends this with its count symbols ``cnt.*``.
+BUILTIN_SIGNATURE = Signature((("pow2", (INT,), INT), ("fact", (INT,), INT)))
 
 
 # ---------------------------------------------------------------------------
@@ -406,7 +398,7 @@ def free_vars(term: Term, bound: frozenset[str] = frozenset()) -> frozenset[Var]
 
 def check_sorts(
     term: Term,
-    signature: Signature = EMPTY_SIGNATURE,
+    signature: Signature = BUILTIN_SIGNATURE,
     environment: Optional[Mapping[str, Sort]] = None,
 ) -> Sort:
     """Return the sort of ``term``; raise on ill-sorted trees.
@@ -621,7 +613,15 @@ def retag(term: Term, frm: Tag, to: Tag) -> Term:
 
 
 def retag_free(term: Term, mapping: Mapping[Tag, Tag]) -> Term:
-    """Retag free variables per ``mapping``; tags outside it are left alone."""
+    """Retag free variables per ``mapping``; tags outside it are left alone.
+
+    Only a variable retagged to ``PLAIN`` can be captured by a binder, so
+    that case goes through ``substitute``, which renames the binder.
+    """
+    if PLAIN in mapping.values():
+        return substitute(
+            term, {v: v.with_tag(mapping[v.tag]) for v in free_vars(term) if v.tag in mapping}
+        )
 
     def go(t: Term, bound: frozenset[str]) -> Term:
         if isinstance(t, Var):
@@ -650,19 +650,17 @@ class TermWriter:
     """Writes SMT-LIB text of terms, one walk per term.
 
     The walk also records each free constant (``consts``: mangled name to
-    sort; ``clash``: the first name seen at two sorts), each applied
-    function symbol (``funcs``, parents before arguments) and each sort
-    written in a binder or an ``as const`` (``sorts``). Bound means what it
-    means in ``free_vars``. A writer records across all terms it writes.
+    sort; ``clash``: the first name seen at two sorts) and each applied
+    function symbol (``funcs``, parents before arguments). Bound means what
+    it means in ``free_vars``. A writer records across all terms it writes.
     """
 
-    __slots__ = ("consts", "funcs", "clash", "sorts")
+    __slots__ = ("consts", "funcs", "clash")
 
     def __init__(self) -> None:
         self.consts: dict[str, Sort] = {}
         self.funcs: dict[str, None] = {}
         self.clash: Optional[str] = None
-        self.sorts: dict[Sort, None] = {}
 
     def text(self, term: Term, bound: frozenset[str] = frozenset()) -> str:
         kind = type(term)
@@ -679,8 +677,6 @@ class TermWriter:
         if kind is BoolLit:
             return "true" if term.value else "false"
         if kind is Forall or kind is Exists:
-            for _, sort in term.bound:
-                self.sorts[sort] = None
             binder = " ".join([f"({name} {sort_to_text(sort)})" for name, sort in term.bound])
             inner = bound | {name for name, _ in term.bound}
             return f"({_HEADS[kind]} ({binder}) {self.text(term.body, inner)})"
@@ -693,7 +689,6 @@ class TermWriter:
         elif kind is Cmp:
             head = term.op
         elif kind is ConstArray:
-            self.sorts[term.sort] = None
             head = f"(as const {sort_to_text(term.sort)})"
         else:
             head = _HEADS[kind]
@@ -725,12 +720,13 @@ _ARITY = {
 def term_from_sexpr(
     expr: Sexpr,
     env: Mapping[str, Sort],
-    signature: Signature = EMPTY_SIGNATURE,
+    signature: Signature = BUILTIN_SIGNATURE,
 ) -> Term:
     """Build a term from s-expression syntax.
 
     ``env`` maps mangled variable names to sorts; quantifier binders extend
-    it locally.
+    it locally. A symbol applied outside ``signature``, or to the wrong
+    number of arguments, raises a ``TermError``.
     """
 
     def go(e: Sexpr, scope: Mapping[str, Sort]) -> Term:
@@ -814,6 +810,9 @@ def term_from_sexpr(
                 raise SexprError("(as const <sort>) needs an array sort")
             return ConstArray(args[0], sort)
         if isinstance(head, str):
+            arg_sorts, _ = signature.rank(head)
+            if len(arg_sorts) != len(args):
+                raise RankMismatch(f"{head} takes {len(arg_sorts)} arguments, got {len(args)}")
             return App(head, tuple(args))
         raise SexprError(f"bad term head {head!r}")
 
@@ -821,6 +820,6 @@ def term_from_sexpr(
 
 
 def term_from_text(
-    text: str, env: Mapping[str, Sort], signature: Signature = EMPTY_SIGNATURE
+    text: str, env: Mapping[str, Sort], signature: Signature = BUILTIN_SIGNATURE
 ) -> Term:
     return term_from_sexpr(parse_one(text), env, signature)

@@ -31,7 +31,6 @@ from qhenum.terms import (
     Signature,
     Store,
     Sub,
-    UninterpSort,
     Var,
 )
 
@@ -92,16 +91,14 @@ def case_solver(tmp_path):
     return make
 
 
-TR = UninterpSort("Tr")
 # every free variable name has one sort, except z, which may clash
-VAR_SORTS = {"x": INT, "y": INT, "b": BOOL, "a": ArraySort(INT, INT), "t": TR,
-             "m": ArraySort(INT, TR)}
+VAR_SORTS = {"x": INT, "y": INT, "b": BOOL, "a": ArraySort(INT, INT), "m": ArraySort(INT, BOOL)}
 TERM_SIGNATURE = (
     Signature()
     .extend("c", (), INT)
     .extend("f", (INT,), INT)
-    .extend("g", (INT, TR), BOOL)
-    .extend("h", (ArraySort(INT, TR),), TR)
+    .extend("g", (INT, BOOL), BOOL)
+    .extend("h", (ArraySort(INT, BOOL),), BOOL)
 )
 
 
@@ -114,8 +111,8 @@ def any_term():
     but not in ``TERM_SIGNATURE``.
     """
     names = st.sampled_from(sorted(VAR_SORTS))
-    sorts = st.sampled_from([INT, BOOL, TR, ArraySort(INT, INT), ArraySort(INT, BOOL),
-                             ArraySort(TR, INT), ArraySort(INT, ArraySort(INT, INT))])
+    sorts = st.sampled_from([INT, BOOL, ArraySort(INT, INT), ArraySort(INT, BOOL),
+                             ArraySort(BOOL, INT), ArraySort(INT, ArraySort(INT, INT))])
     array_sorts = sorts.filter(lambda s: isinstance(s, ArraySort))
     tags = st.tuples(st.sampled_from([None, 1, 2]), st.booleans())
     leaves = st.one_of(

@@ -44,7 +44,6 @@ from qhenum.terms import (
     Signature,
     Store,
     Sub,
-    UninterpSort,
     UnknownSymbol,
     Var,
     term_from_text,
@@ -71,31 +70,10 @@ def test_emit_golden():
     )
 
 
-def test_emit_const_array_and_uninterp_sort():
-    tr = UninterpSort("Tr")
-    t = Var("t", tr)
+def test_emit_const_array():
     formula = Cmp("=", Select(ConstArray(IntLit(0)), IntLit(3)), IntLit(0))
-    query = build_query([formula, Cmp("=", t, t)])
-    text = emit(query)
-    assert "(declare-sort Tr 0)" in text
+    text = emit(build_query([formula]))
     assert "((as const (Array Int Int)) 0)" in text
-
-
-TR = UninterpSort("Tr")
-
-
-@pytest.mark.parametrize(
-    "formula",
-    [
-        Forall((("t", TR),), Cmp("=", Var("t", TR), Var("t", TR))),
-        Cmp("=", Select(ConstArray(IntLit(0), ArraySort(TR, INT)), Var("i", INT)), IntLit(0)),
-    ],
-    ids=["binder", "as-const"],
-)
-def test_sort_only_in_binder_or_const_array_is_declared(formula):
-    query = build_query([formula])
-    assert query.sorts == ("Tr",)
-    assert "(declare-sort Tr 0)\n" in emit(query)
 
 
 def test_emit_function_declarations():
@@ -268,14 +246,13 @@ def reference_sort_text(sort):
         return "Int"
     if isinstance(sort, ArraySort):
         return f"(Array {reference_sort_text(sort.index)} {reference_sort_text(sort.element)})"
-    return sort.name
+    raise TypeError(f"unknown sort {sort!r}")
 
 
 def reference_declarations(assertions, signature):
-    """(sorts, functions, consts) of a query over ``assertions``."""
+    """(functions, consts) of a query over ``assertions``."""
     consts = {}
     funcs = {}
-    written = []  # sorts written in binders and as-const heads
     for formula in assertions:
         for v in reference_free_vars(formula):
             prev = consts.get(v.mangled)
@@ -285,35 +262,15 @@ def reference_declarations(assertions, signature):
         for sub in reference_subterms(formula):
             if isinstance(sub, App):
                 funcs[sub.func] = signature.rank(sub.func)
-            elif isinstance(sub, Quant):
-                written.extend(sort for _, sort in sub.bound)
-            elif isinstance(sub, ConstArray):
-                written.append(sub.sort)
-    names = set()
-
-    def walk(sort):
-        if isinstance(sort, UninterpSort):
-            names.add(sort.name)
-        elif isinstance(sort, ArraySort):
-            walk(sort.index)
-            walk(sort.element)
-
-    for sort in (*consts.values(), *written):
-        walk(sort)
-    for args, res in funcs.values():
-        for sort in (*args, res):
-            walk(sort)
     return (
-        tuple(sorted(names)),
         tuple((n, *funcs[n]) for n in sorted(funcs)),
         tuple(sorted(consts.items())),
     )
 
 
 def reference_emit(assertions, signature):
-    sorts, functions, consts = reference_declarations(assertions, signature)
+    functions, consts = reference_declarations(assertions, signature)
     lines = ["(set-logic ALL)", "(set-option :smt.mbqi false)"]
-    lines += [f"(declare-sort {name} 0)" for name in sorts]
     for name, args, res in functions:
         args_text = " ".join(map(reference_sort_text, args))
         lines.append(f"(declare-fun {name} ({args_text}) {reference_sort_text(res)})")
@@ -340,7 +297,7 @@ def test_query_matches_reference_collection(any_term, term_signature, data):
 
     def build():
         query = build_query(assertions, term_signature, logic=OBLIGATION_LOGIC, get_model=True)
-        return (query.sorts, query.functions, query.consts), emit(query)
+        return (query.functions, query.consts), emit(query)
 
     def reference():
         return reference_declarations(assertions, term_signature), reference_emit(

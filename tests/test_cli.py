@@ -8,9 +8,11 @@ from qhenum.cli import (
     load_instance,
     load_project,
     main,
+    parse_domain,
     verify,
 )
 from qhenum.enumeration import gen_injective_vcs
+from qhenum.sexpr import SexprError
 from qhenum.terms import term_to_text
 
 SYSTEM = """
@@ -287,6 +289,22 @@ def test_verify_unknown_counting_premise_exits_2(benchmarks, case_solver, capsys
     assert (report["verdict"], report["failed_stage"], code) == ("unknown", "counting", 2)
     assert report["stages"]["enumeration"]["verdict"] == "passed"
     assert report["stages"]["counting"]["reason"] == "goal: solver returned unknown"
+    assert report["stages"]["counting"]["verdict"] == "unknown"
+
+
+def test_builtin_symbol_in_system_reaches_the_solver(benchmarks, case_solver, tmp_path, capsys):
+    # every loader reads pow2 and fact, and every query declares what it applies
+    purse = copy_benchmark(benchmarks, "electronic-purse", tmp_path / "purse")
+    system = purse / "system.sexp"
+    system.write_text(system.read_text().replace("(>= dc 1)", "(>= (pow2 dc) 1)"))
+    debug = tmp_path / "debug"
+    stub = case_solver("smt.mbqi", "unsat", "sat\n(model)")
+    code = main(["verify", str(purse), "--solver", stub[0], "--debug-dir", str(debug)])
+    assert (json.loads(capsys.readouterr().out)["verdict"], code) == ("QHP-verified", 0)
+    (init,) = debug.glob("*-existence-base_init.smt2")
+    assert "(declare-fun pow2 (Int) Int)\n" in init.read_text()
+    assert main(["oracle", "--instance", str(purse / "instance.sexp"), "--count-classes"]) == 0
+    assert capsys.readouterr().out == "2\n"
 
 
 BOTH = ("verify", "oracle")
@@ -336,7 +354,25 @@ MALFORMED_TERMS = [
                  "enumeration: unexpected (skolem ...)", BOTH, id="skolem-alias"),
     pytest.param("instance.sexp", "(depth 4)", "(depth 4) (stable-from 1)",
                  "instance: unexpected (stable-from ...)", ("oracle",), id="stable-from"),
+    pytest.param("system.sexp", "(rs Int)", "(rs Itn)", "bad sort Itn", BOTH, id="sort-typo"),
+    pytest.param("proof.sexp", "(forall ((dc Int))", "(forall ((dc Itn))", "bad sort Itn", BOTH,
+                 id="binder-sort-typo"),
+    pytest.param("system.sexp", "(>= dc 1)", "(>= (fooo dc) 1)",
+                 "unknown function symbol 'fooo'", BOTH, id="unknown-function"),
+    pytest.param("system.sexp", "(>= dc 1)", "(>= (pow2 dc dc) 1)",
+                 "pow2 takes 1 arguments, got 2", BOTH, id="function-arity"),
+    pytest.param("instance.sexp", "(y (range 0 6))", "(y (values 0 0 1 2 3 4 5 6))",
+                 "domain (values 0 0 1 2 3 4 5 6) repeats 0", ("valid",),
+                 id="count-domain-repeats"),
+    pytest.param("instance.sexp", "(rs (range 0 1))", "(rs (values 0 1 1))",
+                 "domain (values 0 1 1) repeats 1", ("oracle",), id="state-domain-repeats"),
 ]
+
+
+def test_array_domain_names_each_element_value_once():
+    with pytest.raises(SexprError) as err:
+        parse_domain(["array", 1, 3, [1, 2, 2]])
+    assert str(err.value) == "domain (array 1 3 (1 2 2)) repeats 2"
 
 
 @pytest.mark.parametrize("filename, old, new, message, commands", MALFORMED_TERMS)

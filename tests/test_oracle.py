@@ -46,7 +46,6 @@ from qhenum.terms import (
     Or,
     Select,
     Store,
-    UninterpSort,
     Var,
     free_vars,
     mangle,
@@ -170,8 +169,8 @@ FAULTY = [
     (Select(IntLit(1), IntLit(0)), "select on non-array value"),
     (Store(IntLit(1), IntLit(0), IntLit(2)), "store on non-array value"),
     (
-        Forall((("u", UninterpSort("U")),), TRUE),
-        "cannot enumerate quantifier over UninterpSort(name='U')",
+        Forall((("u", ArraySort(INT, INT)),), TRUE),
+        "cannot enumerate quantifier over ArraySort(index=IntSort(), element=IntSort())",
     ),
 ]
 

@@ -32,7 +32,6 @@ from qhenum.terms import (
     Store,
     Sub,
     UnboundVariable,
-    UninterpSort,
     Var,
     Add,
     And,
@@ -131,6 +130,33 @@ def test_retag_free():
     assert names == {"x", "y"}
 
 
+def test_retag_free_to_plain_renames_a_capturing_binder():
+    n = Var("n", INT)
+    term = Forall((("n", INT),), Cmp("<=", n, n.with_tag(indexed(1))))
+    out = retag_free(term, {indexed(1): PLAIN})
+    assert out == Forall((("n~1", INT),), Cmp("<=", Var("n~1", INT), n))
+    assert free_vars(out) == {n}
+
+
+TAGS = st.tuples(st.sampled_from([None, 1, 2]), st.booleans())
+
+
+@settings(max_examples=400)
+@given(data=st.data())
+def test_retag_free_is_substitution_of_free_variables(any_term, data):
+    # a variable retagged to PLAIN is captured by a binder of its name, so
+    # the term is often bound by one and PLAIN is often a target
+    term = data.draw(any_term)
+    names = sorted({v.name for v in free_vars(term)})
+    if names and data.draw(st.booleans()):
+        term = Forall(((data.draw(st.sampled_from(names)), INT),), term)
+    mapping = data.draw(st.dictionaries(TAGS, st.one_of(st.just(PLAIN), TAGS), max_size=3))
+    expected = substitute(
+        term, {v: v.with_tag(mapping[v.tag]) for v in free_vars(term) if v.tag in mapping}
+    )
+    assert retag_free(term, mapping) == expected
+
+
 def test_quantifier_shadowing_blocks_substitution():
     x = Var("x", INT)
     term = Forall((("x", INT),), Cmp("=", x, IntLit(0)))
@@ -173,8 +199,6 @@ def reference_sort(sort):
         return "Int"
     if isinstance(sort, ArraySort):
         return ["Array", reference_sort(sort.index), reference_sort(sort.element)]
-    if isinstance(sort, UninterpSort):
-        return sort.name
     raise TypeError(f"unknown sort {sort!r}")
 
 
@@ -240,14 +264,13 @@ def test_text_matches_reference_renderer(any_term, data):
 
 def test_text_of_edge_cases():
     x = Var("x", INT)
-    tr = UninterpSort("Tr")
     cases = [
         (IntLit(-3), "(- 3)"),
         (Neg(IntLit(-3)), "(- (- 3))"),
         (App("c", ()), "c"),
         (And(()), "(and)"),
         (Forall((), BoolLit(True)), "(forall () true)"),
-        (ConstArray(Var("t", tr), ArraySort(INT, tr)), "((as const (Array Int Tr)) t)"),
+        (ConstArray(Var("b", BOOL), ArraySort(INT, BOOL)), "((as const (Array Int Bool)) b)"),
         (Exists((("x", BOOL),), Cmp("=", x, x.with_tag((1, True)))), "(exists ((x Bool)) (= x x$1!))"),
         (Forall((("x", INT),), Exists((("y", INT),), Cmp("<", x, Var("y", INT, None, True)))),
          "(forall ((x Int)) (exists ((y Int)) (< x y!)))"),
