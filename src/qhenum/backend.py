@@ -50,6 +50,11 @@ MODEL_OPTIONS: tuple[tuple[str, str], ...] = ()
 # models the default search misses.
 MBQI_OPTIONS: tuple[tuple[str, str], ...] = (("smt.mbqi", "true"),)
 
+# An attempt is (options, logic, cap on its timeout or None); the next
+# attempt runs only when the previous one answered unknown within the time
+# the obligation has left (``Session.ask``).
+VALIDITY = ((VALIDITY_OPTIONS, OBLIGATION_LOGIC, None),)
+
 
 @dataclass(frozen=True)
 class Query:
@@ -68,6 +73,25 @@ class Verdict:
     model: Optional[tuple[tuple[str, str], ...]] = None
     wall_ms: int = 0
     transcript: str = ""
+
+
+@dataclass(frozen=True)
+class Obligation:
+    """A question for the solver about the conjunction of ``assertions``."""
+
+    label: str
+    assertions: tuple[Term, ...]
+    needs: str = "unsat"  # unsat: no counterexample; sat: the models exist
+    attempts: tuple = VALIDITY
+    syntactic: bool = False  # discharged by construction, no solver call
+
+
+@dataclass(frozen=True)
+class Answer:
+    label: str
+    status: str  # proved | failed | unknown
+    wall_ms: int
+    model: Optional[tuple[tuple[str, str], ...]] = None  # a failed one's countermodel
 
 
 def build_query(
@@ -193,7 +217,7 @@ def solve(
 
 
 class Session:
-    """The one way a run reaches the solver.
+    """The one way a run reaches the solver: ``ask`` an ``Obligation``.
 
     The solver command is resolved once. Every query asks for a model, and
     with a debug directory each query text is written to ``NNN-<label>.smt2``,
@@ -213,24 +237,38 @@ class Session:
         self._sent = 0
         self._lock = threading.Lock()
 
-    def check(
-        self,
-        assertions: Sequence[Term],
-        label: str,
-        signature: Signature = BUILTIN_SIGNATURE,
-        options: tuple[tuple[str, str], ...] = VALIDITY_OPTIONS,
-        logic: str = OBLIGATION_LOGIC,
-        timeout_ms: Optional[int] = None,
-    ) -> Verdict:
-        query = build_query(
-            assertions,
-            signature=signature,
-            logic=logic,
-            options=options,
-            timeout_ms=self.timeout_ms if timeout_ms is None else timeout_ms,
-            get_model=True,
-        )
-        return solve(query, self.cmd, self._debug_path(label))
+    def ask(self, obligation: Obligation, signature: Signature = BUILTIN_SIGNATURE) -> Answer:
+        """Put ``obligation`` to the solver and read its answer.
+
+        The session timeout is one time budget for all attempts: an attempt
+        gets what the earlier ones left, at most its cap, and once they used
+        it all no further attempt is sent. The last verdict decides: the one
+        the obligation needs proves it, unknown stays unknown, and any other
+        fails it with the solver's model.
+        """
+        label = obligation.label
+        if obligation.syntactic:
+            return Answer(label, "proved", 0)
+        left = self.timeout_ms
+        for options, logic, cap in obligation.attempts:
+            query = build_query(
+                obligation.assertions,
+                signature=signature,
+                logic=logic,
+                options=options,
+                timeout_ms=min(left, cap or left),
+                get_model=True,
+            )
+            verdict = solve(query, self.cmd, self._debug_path(label))
+            left -= verdict.wall_ms
+            if verdict.status != "unknown" or left <= 0:
+                break
+        wall_ms = self.timeout_ms - left
+        if verdict.status == "unknown":
+            return Answer(label, "unknown", wall_ms)
+        if verdict.status == obligation.needs:
+            return Answer(label, "proved", wall_ms)
+        return Answer(label, "failed", wall_ms, verdict.model)
 
     def _debug_path(self, label: str) -> Optional[Path]:
         if self.debug_dir is None:

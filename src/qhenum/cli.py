@@ -150,16 +150,15 @@ def _read(directory: Path, manifest: dict[str, list], key: str) -> str:
 # Verification pipeline
 
 
-def _skipped() -> dict[str, Any]:
-    return {"verdict": "skipped"}
+def _for_all_params(project: Project, body: Term) -> Term:
+    params = tuple((z, project.system.sort_of(z)) for z in project.system.params)
+    return Forall(params, body) if params else body
 
 
 def _link_formula(project: Project) -> Term:
     """The final claim: for all parameters, goal count ◁ property bound."""
-    decl = None
-    for pred in project.script.declarations:
-        if pred.name == project.valid_pred:
-            decl = pred
+    preds = {pred.name: pred for pred in project.script.declarations}
+    decl = preds.get(project.valid_pred)
     if decl is None:
         raise ProjectError(f"proof script declares no predicate {project.valid_pred}")
     witness_valid = retag_free(project.witness.valid, {indexed(1): PLAIN})
@@ -170,18 +169,29 @@ def _link_formula(project: Project) -> Term:
         )
     count = App(f"cnt.{decl.name}", tuple(Var(n, s) for n, s in decl.params))
     op = CMP_OPS[project.prop.cmp]
-    params = tuple((z, project.system.sort_of(z)) for z in project.system.params)
-    claim = Implies(project.prop.assuming, Cmp(op, count, project.prop.bound))
-    return Forall(params, claim) if params else claim
+    return _for_all_params(
+        project, Implies(project.prop.assuming, Cmp(op, count, project.prop.bound))
+    )
 
 
-LINK_STATUS = {"unsat": "passed", "sat": "failed"}
+STAGES = ("well-definedness", "enumeration", "counting", "link")
 SCRIPT_STATUS = {"accepted": "passed", "rejected": "failed", "unknown": "unknown"}
+# The run verdict when a stage that did not pass ends it.
+RUN_VERDICT = {"failed": STAGE_FAILED, "unknown": UNKNOWN}
+
+
+def _worst(answers: Sequence[backend.Answer]) -> str:
+    """The stage verdict of ``answers``: the worst of them."""
+    statuses = {a.status for a in answers}
+    return next((s for s in ("failed", "unknown") if s in statuses), "passed")
 
 
 def verify(project: Project) -> dict[str, Any]:
     started = time.monotonic()
+    # a valid-pred that names no matching predicate fails before any query
+    claim = _link_formula(project)
     session = backend.Session(project.solver, project.timeout_ms, project.debug_dir)
+    stages: dict[str, Any] = {stage: {"verdict": "skipped"} for stage in STAGES}
     report: dict[str, Any] = {
         "schema": "report/v1",
         "tool": TOOL_ID,
@@ -189,35 +199,34 @@ def verify(project: Project) -> dict[str, Any]:
         "project": project.directory.name,
         "verdict": UNKNOWN,
         "failed_stage": None,
-        "stages": {
-            "well-definedness": _skipped(),
-            "enumeration": _skipped(),
-            "counting": _skipped(),
-            "link": _skipped(),
-        },
+        "stages": stages,
     }
 
-    def finish(verdict: str, failed_stage: Optional[str] = None) -> dict[str, Any]:
-        report["verdict"] = verdict
+    def finish(failed_stage: Optional[str] = None) -> dict[str, Any]:
+        """End the run at ``failed_stage``, the first that did not pass."""
+        if failed_stage is None:
+            report["verdict"] = VERIFIED
+        else:
+            report["verdict"] = RUN_VERDICT[stages[failed_stage]["verdict"]]
         report["failed_stage"] = failed_stage
         report["wall_ms"] = int((time.monotonic() - started) * 1000)
         return report
 
     wd = check_well_defined(project.prop, project.system)
-    report["stages"]["well-definedness"] = {
+    stages["well-definedness"] = {
         "verdict": "passed" if wd.ok else "failed",
         "reason": wd.reason,
     }
     if not wd.ok:
-        return finish(STAGE_FAILED, "well-definedness")
+        return finish("well-definedness")
 
     kinds = {"geq": ("injective",), "leq": ("surjective",), "eq": ("injective", "surjective")}
     bundles = []
-    status = "passed"
+    answers: list[backend.Answer] = []
     for kind in kinds[project.prop.cmp]:
         gen = gen_injective_vcs if kind == "injective" else gen_surjective_vcs
-        bundle = gen(project.system, project.prop, project.witness)
-        rep = discharge(bundle, session)
+        rep = discharge(gen(project.system, project.prop, project.witness), session)
+        answers.extend(rep.results)
         bundles.append(
             {
                 "kind": kind,
@@ -229,53 +238,41 @@ def verify(project: Project) -> dict[str, Any]:
                 ],
             }
         )
-        if any(r.status == "failed" for r in rep.results):
-            status = "failed"
-        elif not rep.established and status != "failed":
-            status = "unknown"
-    report["stages"]["enumeration"] = {"verdict": status, "bundles": bundles}
-    if status == "failed":
-        return finish(STAGE_FAILED, "enumeration")
-    if status == "unknown":
-        return finish(UNKNOWN, "enumeration")
+    stages["enumeration"] = {"verdict": _worst(answers), "bundles": bundles}
+    if stages["enumeration"]["verdict"] != "passed":
+        return finish("enumeration")
 
     t0 = time.monotonic()
     result = check_script(project.script, session)
-    report["stages"]["counting"] = {
+    stages["counting"] = {
         "verdict": SCRIPT_STATUS[result.status],
         "rejected_at": result.rejected_at,
         "reason": result.reason,
         "wall_ms": int((time.monotonic() - t0) * 1000),
     }
     if result.status != "accepted":
-        return finish(UNKNOWN if result.status == "unknown" else STAGE_FAILED, "counting")
+        return finish("counting")
 
     t0 = time.monotonic()
-    assertions = [*BUILTIN_AXIOMS, *(f.axiom for f in result.facts)]
-    if project.script.goal is not None:
-        assertions.append(project.script.goal)
-    assertions.append(Not(_link_formula(project)))
-    verdict = session.check(assertions, "link", result.signature)
-    link_status = LINK_STATUS.get(verdict.status, "unknown")
-    if link_status == "passed" and project.prop.cmp == "leq":
-        zparams = tuple(
-            (z, project.system.sort_of(z)) for z in project.system.params
-        )
-        nonneg = Implies(
-            project.prop.assuming, Cmp("<=", IntLit(0), project.prop.bound)
-        )
-        goal = Forall(zparams, nonneg) if zparams else nonneg
-        verdict = session.check([*BUILTIN_AXIOMS, Not(goal)], "link-bound-nonneg")
-        link_status = LINK_STATUS.get(verdict.status, "unknown")
-    report["stages"]["link"] = {
-        "verdict": link_status,
+    # an accepted script has a goal
+    facts = (*BUILTIN_AXIOMS, *(f.axiom for f in result.facts), project.script.goal)
+    asks = [backend.Obligation("link", (*facts, Not(claim)))]
+    if project.prop.cmp == "leq":
+        nonneg = Implies(project.prop.assuming, Cmp("<=", IntLit(0), project.prop.bound))
+        bound_claim = _for_all_params(project, nonneg)
+        asks.append(backend.Obligation("link-bound-nonneg", (*BUILTIN_AXIOMS, Not(bound_claim))))
+    answers = []
+    for obligation in asks:
+        answers.append(session.ask(obligation, result.signature))
+        if answers[-1].status != "proved":
+            break
+    stages["link"] = {
+        "verdict": _worst(answers),
         "wall_ms": int((time.monotonic() - t0) * 1000),
     }
-    if link_status == "failed":
-        return finish(STAGE_FAILED, "link")
-    if link_status == "unknown":
-        return finish(UNKNOWN, "link")
-    return finish(VERIFIED)
+    if stages["link"]["verdict"] != "passed":
+        return finish("link")
+    return finish()
 
 
 EXIT_BY_VERDICT = {VERIFIED: 0, STAGE_FAILED: 1, UNKNOWN: 2}

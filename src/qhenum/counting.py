@@ -3,21 +3,21 @@
 Symbolic model counts are uninterpreted integer functions of the parameters.
 Each inference rule is one entry of ``RULES``: a payload dataclass, the parser
 of its s-expression form, and a build function that returns the rule's
-premises and its conclusion without sending anything. ``apply_rule`` sends
+premises and its conclusion without sending anything. ``apply_rule`` asks
 the premises through ``Kernel.send`` and admits the conclusion (a CountFact,
-a quantified axiom) only when every premise gets the verdict it needs, so
-``unknown`` never admits a fact. A final entailment query discharges the
-script goal from the admitted facts plus the defining axioms of the declared
-recursive count functions.
+a quantified axiom) only when every premise is proved, so ``unknown`` never
+admits a fact. A final entailment query discharges the script goal from the
+admitted facts plus the defining axioms of the declared recursive count
+functions.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Callable, Mapping, Optional, Sequence, Union
 
 from . import backend
-from .backend import DEFAULT_LOGIC, OBLIGATION_LOGIC, Session
+from .backend import DEFAULT_LOGIC, OBLIGATION_LOGIC, VALIDITY, Obligation, Session
 from .sexpr import Sexpr, SexprError, atom, pairs, read_form, sections, single, to_text
 from .terms import (
     BUILTIN_SIGNATURE,
@@ -65,14 +65,6 @@ class NotValid(KernelError):
 
 
 class VarsOverlap(KernelError):
-    pass
-
-
-class BaseMismatch(NotValid):
-    pass
-
-
-class StepMismatch(NotValid):
     pass
 
 
@@ -222,12 +214,10 @@ def _ref_names(ref: PredRef) -> list[str]:
 # ---------------------------------------------------------------------------
 # Premises: the queries a rule needs answered before its conclusion is admitted
 
-# An attempt is (options, logic, cap on its timeout or None); the next
-# attempt runs only when the previous one answered unknown within the time
-# the premise has left (``Kernel.send``).
-VALIDITY = ((backend.VALIDITY_OPTIONS, OBLIGATION_LOGIC, None),)
-# E-matching proves entailments but rarely finishes counterexample searches;
-# retry with model-based instantiation before giving up
+# Which attempt ladder a premise climbs is the rule's choice; plain validity
+# premises take ``backend.VALIDITY``. E-matching proves entailments but rarely
+# finishes counterexample searches; retry with model-based instantiation
+# before giving up
 ENTAILMENT = (*VALIDITY, (backend.MBQI_OPTIONS, OBLIGATION_LOGIC, None))
 # the default tactic handles some quantified bodies, model-based
 # instantiation handles others
@@ -238,22 +228,17 @@ MODEL_SEARCH = (
 
 
 @dataclass(frozen=True)
-class Premise:
-    label: str
-    assertions: tuple[Term, ...]
-    failure: str  # the message when the solver gives the other verdict
-    needs: str = "unsat"  # unsat: no counterexample; sat: the models exist
-    attempts: tuple = VALIDITY
-    error: type = NotValid
+class Premise(Obligation):
+    failure: str = field(kw_only=True)  # the message when it is not proved
 
 
 def _valid(label: str, hyps: Sequence[Term], concl: Term, failure: str = "") -> Premise:
     """The premise that ``hyps`` imply ``concl``."""
-    return Premise(label, (*hyps, Not(concl)), failure or f"{label}: premise not valid")
+    return Premise(label, (*hyps, Not(concl)), failure=failure or f"{label}: premise not valid")
 
 
 # ---------------------------------------------------------------------------
-# The kernel: fact store, reference resolution, and the one verdict path
+# The kernel: fact store, reference resolution, and the premises it asks
 
 
 class Kernel:
@@ -300,10 +285,10 @@ class Kernel:
             return CountTerm(formula, base.counted, remaining, base.symbol, args)
         raise KernelError(f"bad predicate reference {ref!r}")
 
-    def entailment(self, goal: Term, label: str, failure: str, error: type = NotValid) -> Premise:
+    def entailment(self, goal: Term, label: str, failure: str) -> Premise:
         """The premise that the admitted facts entail ``goal``."""
         assertions = (*BUILTIN_AXIOMS, *(f.axiom for f in self.facts), Not(goal))
-        return Premise(label, assertions, failure, attempts=ENTAILMENT, error=error)
+        return Premise(label, assertions, attempts=ENTAILMENT, failure=failure)
 
     def entails(self, goal: Term, label: str = "entailment") -> bool:
         try:
@@ -313,26 +298,13 @@ class Kernel:
         return True
 
     def send(self, premises: Sequence[Premise]) -> None:
-        """Send the premises in order; raise at the first that fails.
-
-        The session timeout is one time budget for all attempts of a
-        premise: an attempt gets what the earlier ones left, at most its cap,
-        and once they used it all no further attempt is sent.
-        """
+        """Ask the premises in order; raise at the first that is not proved."""
         for premise in premises:
-            left = self.session.timeout_ms
-            for options, logic, cap in premise.attempts:
-                timeout = min(left, cap or left)
-                verdict = self.session.check(
-                    premise.assertions, premise.label, self.signature, options, logic, timeout
-                )
-                left -= verdict.wall_ms
-                if verdict.status != "unknown" or left <= 0:
-                    break
-            if verdict.status == "unknown":
+            answer = self.session.ask(premise, self.signature)
+            if answer.status == "unknown":
                 raise QueryUnknown(f"{premise.label}: solver returned unknown")
-            if verdict.status != premise.needs:
-                raise premise.error(premise.failure, verdict.model)
+            if answer.status == "failed":
+                raise NotValid(premise.failure, answer.model)
 
 
 # ---------------------------------------------------------------------------
@@ -494,7 +466,7 @@ def _distinct_models(kernel: Kernel, p: ConstBound, direction: str):
 
 def _build_const_ub(kernel: Kernel, p: ConstBound):
     ct, _, distinct, label = _distinct_models(kernel, p, "ub")
-    premise = Premise(label, distinct, f"{label}: {p.c} distinct models exist")
+    premise = Premise(label, distinct, failure=f"{label}: {p.c} distinct models exist")
     concl = Cmp("<=", ct.app(), IntLit(p.c - 1))
     return (premise,), _conclude("const-ub", label, concl, ct)
 
@@ -515,9 +487,9 @@ def _build_const_lb(kernel: Kernel, p: ConstBound):
         premise = Premise(
             label,
             distinct,
-            f"{label}: no {p.c} distinct models exist",
             needs="sat",
             attempts=MODEL_SEARCH,
+            failure=f"{label}: no {p.c} distinct models exist",
         )
     else:
         # with free parameters the conclusion is universally quantified, so
@@ -647,20 +619,19 @@ def _build_close(kernel: Kernel, p: Close):
     # that makes the induction go through), with a non-negative step factor
     flipped = {"=": "=", "<=": ">=", ">=": "<="}[p.rel]
     facts = (
-        ("base", Cmp(p.rel, cnt(p.n0), p.base), BaseMismatch),
-        ("step", from_n0(Cmp(p.rel, cnt(n_succ), Mul(p.factor, cnt(n)))), StepMismatch),
+        ("base", Cmp(p.rel, cnt(p.n0), p.base)),
+        ("step", from_n0(Cmp(p.rel, cnt(n_succ), Mul(p.factor, cnt(n))))),
     )
     closed = (
-        ("closed-base", Cmp(flipped, closed_at(p.n0), p.base), BaseMismatch),
-        ("closed-step", from_n0(Cmp(flipped, closed_at(n_succ), Mul(p.factor, closed_at(n)))),
-         StepMismatch),
-        ("factor-nonneg", from_n0(Cmp(">=", p.factor, IntLit(0))), StepMismatch),
-        ("closed-nonneg", from_n0(Cmp(">=", p.closed_form, IntLit(0))), StepMismatch),
+        ("closed-base", Cmp(flipped, closed_at(p.n0), p.base)),
+        ("closed-step", from_n0(Cmp(flipped, closed_at(n_succ), Mul(p.factor, closed_at(n))))),
+        ("factor-nonneg", from_n0(Cmp(">=", p.factor, IntLit(0)))),
+        ("closed-nonneg", from_n0(Cmp(">=", p.closed_form, IntLit(0)))),
     )
     premises = tuple(
-        kernel.entailment(goal, f"{label}/{tag}", f"{label}: {tag} {failed}", error)
+        kernel.entailment(goal, f"{label}/{tag}", f"{label}: {tag} {failed}")
         for checks, failed in ((facts, "fact not entailed"), (closed, "check failed"))
-        for tag, goal, error in checks
+        for tag, goal in checks
     )
     concl = from_n0(Cmp(p.rel, cnt(n), p.closed_form))
     return premises, CountFact(concl, "close-recurrence", label)

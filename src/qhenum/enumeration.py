@@ -24,7 +24,7 @@ from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from typing import Mapping, Optional, Sequence, Union
 
-from .backend import Session
+from .backend import Answer, Obligation, Session
 from .qhl import QhpProperty, difference_term, predicate_to_formula
 from .sexpr import Sexpr, SexprError, atom, pairs, read_form, sections, single, to_text
 from .system import TransitionSystem
@@ -74,20 +74,12 @@ SkolemEntry = Union["Term", "Pointwise"]
 
 
 @dataclass(frozen=True)
-class AtInit:
-    """Counted traces already differ in the observation at the initial state."""
-
-
-@dataclass(frozen=True)
 class AtIndex:
     """Counted traces differ in the observation once a designated counter
     variable (kept in lockstep by trel) reaches a target value."""
 
     counter: str
     target: Term  # over X copy 1
-
-
-DiffMode = Union["AtInit", "AtIndex"]
 
 
 @dataclass(frozen=True)
@@ -99,15 +91,8 @@ class EnumerationWitness:
     skolem_step: tuple[tuple[str, SkolemEntry], ...]  # per copy-2 next-state var
     strengthening: tuple[Term, ...] = ()  # copy-local, over plain X
     cover: tuple[tuple[str, SkolemEntry], ...] = ()  # per enum var, over X1, X2
-    diff_mode: DiffMode = AtInit()
-    diff_index: Optional[Term] = None  # over enum copies 1 and 2
-
-
-@dataclass(frozen=True)
-class Obligation:
-    label: str
-    assertions: tuple[Term, ...]  # proved iff their conjunction is unsat
-    syntactic: bool = False  # discharged by construction, no solver call
+    # None: counted traces already differ in the observation at the initial state
+    diff_mode: Optional[AtIndex] = None
 
 
 @dataclass(frozen=True)
@@ -117,17 +102,9 @@ class VcBundle:
 
 
 @dataclass(frozen=True)
-class ObligationResult:
-    label: str
-    status: str  # proved | failed | unknown
-    wall_ms: int
-    model: Optional[tuple[tuple[str, str], ...]] = None
-
-
-@dataclass(frozen=True)
 class DischargeReport:
     kind: str
-    results: tuple[ObligationResult, ...]
+    results: tuple[Answer, ...]
     established: bool
     wall_ms: int
 
@@ -280,24 +257,12 @@ def _distinctness(
         "b",
     )
     differ = _enum_vars_differ(witness, "a", "b")
-    obs2, obs3 = _obs(prop, 2), _obs(prop, 3)
-    if witness.diff_index is not None:
-        delta = substitute(
-            witness.diff_index,
-            {
-                Var(n, s, c): Var(f"{n}.{'a' if c == 1 else 'b'}", s)
-                for n, s in witness.enum_vars
-                for c in (1, 2)
-            },
-        )
-        observed_diff = neq(Select(obs2, delta), Select(obs3, delta))
-    else:
-        observed_diff = neq(obs2, obs3)
+    observed_diff = neq(_obs(prop, 2), _obs(prop, 3))
     inv1 = _strengthen_at(witness, 1)
     inv2 = _strengthen_at(witness, 2)
     inv3 = _strengthen_at(witness, 3)
     mode = witness.diff_mode
-    if isinstance(mode, AtInit):
+    if mode is None:
         return [
             Obligation(
                 "distinctness",
@@ -469,21 +434,11 @@ DISCHARGE_WORKERS = 8
 
 
 def discharge(bundle: VcBundle, session: Session) -> DischargeReport:
-    """Run every obligation through the solver, one process each."""
+    """Ask every obligation, one solver process each."""
     start = time.monotonic()
-
-    def run(ob: Obligation) -> ObligationResult:
-        if ob.syntactic:
-            return ObligationResult(ob.label, "proved", 0)
-        verdict = session.check(ob.assertions, ob.label)
-        status = {"unsat": "proved", "sat": "failed"}.get(verdict.status, "unknown")
-        return ObligationResult(
-            ob.label, status, verdict.wall_ms, verdict.model if status == "failed" else None
-        )
-
     workers = max(1, min(DISCHARGE_WORKERS, len(bundle.obligations)))
     with ThreadPoolExecutor(max_workers=workers) as pool:
-        results = tuple(pool.map(run, bundle.obligations))
+        results = tuple(pool.map(session.ask, bundle.obligations))
     established = all(r.status == "proved" for r in results)
     return DischargeReport(
         bundle.kind, results, established, int((time.monotonic() - start) * 1000)
@@ -500,7 +455,7 @@ def parse_enumeration(text: str, system: TransitionSystem) -> EnumerationWitness
         "enumeration",
         read_form(text, "enumeration"),
         ("enum-vars", "valid", "trel"),
-        ("skolem-init", "skolem-step", "cover", "diff-at-index", "diff-index"),
+        ("skolem-init", "skolem-step", "cover", "diff-at-index"),
         ("strengthen",),
     )
     enum_vars = tuple(
@@ -535,15 +490,11 @@ def parse_enumeration(text: str, system: TransitionSystem) -> EnumerationWitness
         strengthening = tuple(
             term_from_sexpr(s, env_plain) for s in found.get("strengthen", ())
         )
-        diff_mode: DiffMode = AtInit()
+        diff_mode = None
         if "diff-at-index" in found:
             kw = sections("diff-at-index", found["diff-at-index"], ("counter", "target"))
             target = term_from_sexpr(single(kw, "target"), env_x1)
             diff_mode = AtIndex(single(kw, "counter", str), target)
-        diff_index = None
-        if "diff-index" in found:
-            env_ab = {f"{n}${i}": s for n, s in enum_vars for i in (1, 2)}
-            diff_index = term_from_sexpr(single(found, "diff-index"), env_ab)
     except TermError as exc:
         raise SexprError(str(exc)) from exc
     return EnumerationWitness(
@@ -555,5 +506,4 @@ def parse_enumeration(text: str, system: TransitionSystem) -> EnumerationWitness
         strengthening,
         cover,
         diff_mode,
-        diff_index,
     )

@@ -74,15 +74,20 @@ def stub_solver(tmp_path):
 @pytest.fixture
 def case_solver(tmp_path):
     """Make a solver command whose reply depends on the query text: ``hit``
-    when the query contains ``pattern``, ``miss`` otherwise."""
+    when the query contains ``pattern``, ``miss`` otherwise. Each
+    ``(pattern, reply)`` of ``before`` is tried first, in order."""
     numbers = itertools.count(1)
 
-    def make(pattern: str, hit: str, miss: str) -> list[str]:
+    def make(pattern: str, hit: str, miss: str, before=()) -> list[str]:
         script = tmp_path / f"case-solver-{next(numbers)}.sh"
+        arms = "".join(
+            f"  *'{text}'*) cat <<'REPLY'\n{reply}\nREPLY\n  ;;\n"
+            for text, reply in (*before, (pattern, hit))
+        )
         script.write_text(
             "#!/bin/sh\n"
             "query=$(cat)\n"
-            f'case "$query" in\n  *{pattern}*) cat <<\'REPLY\'\n{hit}\nREPLY\n  ;;\n'
+            f'case "$query" in\n{arms}'
             f"  *) cat <<'REPLY'\n{miss}\nREPLY\n  ;;\nesac\n"
         )
         script.chmod(0o755)

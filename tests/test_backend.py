@@ -7,6 +7,7 @@ from qhenum.backend import (
     STDERR_LIMIT,
     VALIDITY_OPTIONS,
     EmitError,
+    Obligation,
     ProtocolError,
     Session,
     SolverSpawnError,
@@ -168,11 +169,12 @@ def test_session_sends_with_model_and_numbers_debug_files(stub_solver, tmp_path)
     debug = tmp_path / "debug"
     session = Session(stub_solver("unsat"), timeout_ms=7000, debug_dir=debug)
     x = Var("x", INT)
-    first = [Cmp("=", x, IntLit(1))]
-    second = [Cmp("<", x, IntLit(0))]
-    assert session.check(first, "base/init").status == "unsat"
-    verdict = session.check(second, "link", options=MODEL_OPTIONS, timeout_ms=900)
-    assert verdict.status == "unsat"
+    first = (Cmp("=", x, IntLit(1)),)
+    second = (Cmp("<", x, IntLit(0)),)
+    assert session.ask(Obligation("base/init", first)).status == "proved"
+    capped = ((MODEL_OPTIONS, OBLIGATION_LOGIC, 900),)
+    answer = session.ask(Obligation("link", second, attempts=capped))
+    assert (answer.label, answer.status) == ("link", "proved")
     assert sorted(p.name for p in debug.iterdir()) == [
         "001-base_init.smt2",
         "001-base_init.smt2.out",
@@ -191,6 +193,32 @@ def test_session_sends_with_model_and_numbers_debug_files(stub_solver, tmp_path)
             get_model=True,
         )
         assert (debug / name).read_text() == emit(query)
+
+
+@pytest.mark.parametrize(
+    "reply, needs, status, model",
+    [
+        ("unsat", "unsat", "proved", None),
+        ("sat\n(model (define-fun x () Int 3))", "unsat", "failed", (("x", "3"),)),
+        ("sat", "sat", "proved", None),
+        ("unsat", "sat", "failed", None),
+        ("unknown", "unsat", "unknown", None),
+        ("unknown", "sat", "unknown", None),
+    ],
+)
+def test_ask_reads_the_verdict_once(stub_solver, reply, needs, status, model):
+    session = Session(stub_solver(reply))
+    obligation = Obligation("q", (Cmp("=", Var("x", INT), IntLit(3)),), needs=needs)
+    answer = session.ask(obligation)
+    assert (answer.label, answer.status, answer.model) == ("q", status, model)
+
+
+def test_syntactic_obligation_is_proved_without_a_query(tmp_path):
+    debug = tmp_path / "debug"
+    session = Session(["/nonexistent/solver-binary"], debug_dir=debug)
+    answer = session.ask(Obligation("totality", (), syntactic=True))
+    assert (answer.status, answer.wall_ms) == ("proved", 0)
+    assert not debug.exists()
 
 
 # How build_query collected declarations before it rendered each assertion in

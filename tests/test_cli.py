@@ -2,6 +2,7 @@ import json
 
 import pytest
 
+from qhenum import backend
 from qhenum.cli import (
     EXIT_BY_VERDICT,
     ProjectError,
@@ -290,6 +291,74 @@ def test_verify_unknown_counting_premise_exits_2(benchmarks, case_solver, capsys
     assert report["stages"]["enumeration"]["verdict"] == "passed"
     assert report["stages"]["counting"]["reason"] == "goal: solver returned unknown"
     assert report["stages"]["counting"]["verdict"] == "unknown"
+
+
+# Text that one query alone sends, under the answers of the split stub:
+# the purse's distinctness obligation, the goal its link query asserts, and
+# the password checker's bound check.
+PURSE_DISTINCTNESS = "(not (not (= bal$2 bal$3)))"
+PURSE_LINK = "(assert (forall ((dc Int)) (=> (>= dc 1) (>= (cnt.V dc) dc))))"
+PASSWORD_BOUND_NONNEG = "(<= 0 (- (pow2 n) 1))"
+# unsat to validity queries, sat to model searches: verifies every project
+SPLIT_STUB = ("smt.mbqi", "unsat", "sat\n(model)")
+
+
+@pytest.mark.parametrize(
+    "name, target, reply, verdict, stage, code",
+    [
+        ("electronic-purse", PURSE_DISTINCTNESS, "sat", "stage-failed", "enumeration", 1),
+        ("electronic-purse", PURSE_DISTINCTNESS, "unknown", "unknown", "enumeration", 2),
+        ("electronic-purse", PURSE_LINK, "sat", "stage-failed", "link", 1),
+        ("electronic-purse", PURSE_LINK, "unknown", "unknown", "link", 2),
+        ("password-checker", PASSWORD_BOUND_NONNEG, "sat", "stage-failed", "link", 1),
+    ],
+    ids=["enumeration-sat", "enumeration-unknown", "link-sat", "link-unknown",
+         "bound-nonneg-sat"],
+)
+def test_verify_stage_outcome(
+    benchmarks, case_solver, capsys, name, target, reply, verdict, stage, code
+):
+    cmd = case_solver(*SPLIT_STUB, before=[(target, reply)])
+    exit_code = main(["verify", str(benchmarks / name), "--solver", cmd[0]])
+    report = json.loads(capsys.readouterr().out)
+    assert (report["verdict"], report["failed_stage"], exit_code) == (verdict, stage, code)
+    stage_verdict = "failed" if reply == "sat" else "unknown"
+    assert report["stages"][stage]["verdict"] == stage_verdict
+
+
+def test_verify_bad_valid_pred_sends_no_query(benchmarks, stub_solver, tmp_path, capsys):
+    purse = copy_benchmark(benchmarks, "electronic-purse", tmp_path / "purse")
+    manifest = purse / "project.sexp"
+    manifest.write_text(manifest.read_text().replace("(valid-pred V)", "(valid-pred Nope)"))
+    debug = tmp_path / "debug"
+    code = main(["verify", str(purse), "--solver", stub_solver("unsat")[0],
+                 "--debug-dir", str(debug)])
+    assert code == 3
+    assert capsys.readouterr().err == "error: proof script declares no predicate Nope\n"
+    assert not list(debug.glob("*.smt2"))
+
+
+@pytest.mark.parametrize(
+    "name",
+    ["electronic-purse", "f-y-array-shuffle", "password-checker", "path-oram", "zk-hats"],
+)
+def test_every_query_is_asked(benchmarks, case_solver, monkeypatch, tmp_path, capsys, name):
+    # each query the solver sees was put to it by Session.ask
+    asked = []
+    ask = backend.Session.ask
+
+    def recording_ask(self, obligation, *args, **kwargs):
+        if not obligation.syntactic:
+            asked.append(obligation.label.replace("/", "_"))
+        return ask(self, obligation, *args, **kwargs)
+
+    monkeypatch.setattr(backend.Session, "ask", recording_ask)
+    debug = tmp_path / "debug"
+    cmd = case_solver(*SPLIT_STUB)
+    code = main(["verify", str(benchmarks / name), "--solver", cmd[0], "--debug-dir", str(debug)])
+    assert (json.loads(capsys.readouterr().out)["verdict"], code) == ("QHP-verified", 0)
+    sent = [p.name[4:-len(".smt2")] for p in debug.glob("*.smt2")]
+    assert sent and sorted(asked) == sorted(sent)
 
 
 def test_builtin_symbol_in_system_reaches_the_solver(benchmarks, case_solver, tmp_path, capsys):

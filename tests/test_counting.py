@@ -1,5 +1,6 @@
 import pytest
 
+from qhenum import backend
 from qhenum.backend import Session, Verdict
 from qhenum.counting import (
     ENTAILMENT,
@@ -624,20 +625,6 @@ def test_unknown_admits_no_fact(steps, rejected_at, sent, stub_solver, tmp_path)
         assert "(set-option :smt.mbqi true)" in (debug / names[1]).read_text()
 
 
-class UnknownAfter:
-    """A session whose attempts answer unknown after the given wall times;
-    it records the timeout each attempt was given."""
-
-    def __init__(self, timeout_ms, walls):
-        self.timeout_ms = timeout_ms
-        self.walls = list(walls)
-        self.timeouts = []
-
-    def check(self, assertions, label, signature, options, logic, timeout_ms):
-        self.timeouts.append(timeout_ms)
-        return Verdict("unknown", None, self.walls.pop(0))
-
-
 @pytest.mark.parametrize(
     "attempts, timeout, walls, sent",
     [
@@ -651,9 +638,16 @@ class UnknownAfter:
     ],
     ids=["retry", "spent", "capped", "capped-retry", "overrun"],
 )
-def test_premise_attempts_share_one_time_budget(attempts, timeout, walls, sent):
-    session = UnknownAfter(timeout, walls)
-    premise = Premise("p", (), "p: not valid", attempts=attempts)
+def test_premise_attempts_share_one_time_budget(monkeypatch, attempts, timeout, walls, sent):
+    # every attempt answers unknown after the given wall time
+    timeouts, wall = [], iter(walls)
+
+    def solve(query, solver=None, debug_path=None):
+        timeouts.append(query.timeout_ms)
+        return Verdict("unknown", None, next(wall))
+
+    monkeypatch.setattr(backend, "solve", solve)
+    premise = Premise("p", (), attempts=attempts, failure="p: not valid")
     with pytest.raises(QueryUnknown, match="p: solver returned unknown"):
-        Kernel(session).send([premise])
-    assert session.timeouts == sent
+        Kernel(Session(["unused-solver"], timeout)).send([premise])
+    assert timeouts == sent

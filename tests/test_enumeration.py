@@ -6,15 +6,14 @@ import pytest
 from qhenum.backend import (
     OBLIGATION_LOGIC,
     VALIDITY_OPTIONS,
+    Obligation,
     Session,
     build_query,
     emit,
 )
 from qhenum.enumeration import (
     AtIndex,
-    AtInit,
     MissingWitness,
-    Obligation,
     VcBundle,
     discharge,
     gen_injective_vcs,
@@ -70,8 +69,7 @@ def witness(system):
 
 def test_parse_enumeration(witness):
     assert [n for n, _ in witness.enum_vars] == ["Y"]
-    assert witness.diff_mode == AtInit()
-    assert witness.diff_index is None
+    assert witness.diff_mode is None
     assert witness.strengthening == ()
 
 
