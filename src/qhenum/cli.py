@@ -25,12 +25,7 @@ from pathlib import Path
 from typing import Any, Callable, Optional, Sequence
 
 from . import backend
-from .counting import (
-    BUILTIN_AXIOMS,
-    ProofScript,
-    check_script,
-    parse_proof,
-)
+from .counting import ProofScript, check_script, entailment, parse_proof
 from .enumeration import (
     EnumerationError,
     EnumerationWitness,
@@ -54,15 +49,12 @@ from .qhl import QhlError, QhpProperty, check_well_defined, parse_property
 from .sexpr import Sexpr, SexprError, atom, pairs, read_form, sections, single, to_text
 from .system import SystemError_, TransitionSystem, parse_system
 from .terms import (
-    App,
     Cmp,
     Forall,
     Implies,
     IntLit,
-    Not,
     PLAIN,
     Term,
-    Var,
     indexed,
     retag_free,
 )
@@ -91,6 +83,11 @@ class Project:
     solver: Optional[list[str]]
     timeout_ms: int
     debug_dir: Optional[Path]
+    lines: dict[str, int]  # the line count of each file the manifest names, by section
+
+
+# The manifest sections that name a project file, in the order they are parsed.
+FILES = ("system", "property", "enumeration", "proof")
 
 
 def load_project(
@@ -108,10 +105,11 @@ def load_project(
     if solver is None and file_solver is not None:
         solver = [file_solver.strip('"')]
 
-    system = parse_system(_read(directory, manifest, "system"))
-    prop = parse_property(_read(directory, manifest, "property"), system)
-    witness = parse_enumeration(_read(directory, manifest, "enumeration"), system)
-    script = parse_proof(_read(directory, manifest, "proof"))
+    texts = {key: _read(directory, manifest, key) for key in FILES}
+    system = parse_system(texts["system"])
+    prop = parse_property(texts["property"], system)
+    witness = parse_enumeration(texts["enumeration"], system)
+    script = parse_proof(texts["proof"])
     return Project(
         directory,
         system,
@@ -122,6 +120,7 @@ def load_project(
         list(solver) if solver else None,
         timeout_ms,
         debug_dir,
+        {key: len(text.splitlines()) for key, text in texts.items()},
     )
 
 
@@ -133,7 +132,7 @@ def _manifest(directory: Path) -> dict[str, list]:
     return sections(
         "project",
         read_form(path.read_text(), "project"),
-        ("system", "property", "enumeration", "proof", "valid-pred"),
+        (*FILES, "valid-pred"),
         ("options",),
     )
 
@@ -157,20 +156,18 @@ def _for_all_params(project: Project, body: Term) -> Term:
 
 def _link_formula(project: Project) -> Term:
     """The final claim: for all parameters, goal count ◁ property bound."""
-    preds = {pred.name: pred for pred in project.script.declarations}
-    decl = preds.get(project.valid_pred)
-    if decl is None:
+    count = project.script.counts.get(project.valid_pred)
+    if count is None:
         raise ProjectError(f"proof script declares no predicate {project.valid_pred}")
     witness_valid = retag_free(project.witness.valid, {indexed(1): PLAIN})
-    if witness_valid != decl.body:
+    if witness_valid != count.formula:
         raise ProjectError(
-            f"predicate {decl.name} in the proof script does not match the "
+            f"predicate {count.name} in the proof script does not match the "
             "enumeration's valid predicate"
         )
-    count = App(f"cnt.{decl.name}", tuple(Var(n, s) for n, s in decl.params))
     op = CMP_OPS[project.prop.cmp]
     return _for_all_params(
-        project, Implies(project.prop.assuming, Cmp(op, count, project.prop.bound))
+        project, Implies(project.prop.assuming, Cmp(op, count.app(), project.prop.bound))
     )
 
 
@@ -254,16 +251,15 @@ def verify(project: Project) -> dict[str, Any]:
         return finish("counting")
 
     t0 = time.monotonic()
-    # an accepted script has a goal
-    facts = (*BUILTIN_AXIOMS, *(f.axiom for f in result.facts), project.script.goal)
-    asks = [backend.Obligation("link", (*facts, Not(claim)))]
+    # an accepted script has a goal; the link is retried like it
+    asks = [entailment((*(f.axiom for f in result.facts), project.script.goal), claim, "link")]
     if project.prop.cmp == "leq":
         nonneg = Implies(project.prop.assuming, Cmp("<=", IntLit(0), project.prop.bound))
         bound_claim = _for_all_params(project, nonneg)
-        asks.append(backend.Obligation("link-bound-nonneg", (*BUILTIN_AXIOMS, Not(bound_claim))))
+        asks.append(entailment((), bound_claim, "link-bound-nonneg", attempts=backend.VALIDITY))
     answers = []
     for obligation in asks:
-        answers.append(session.ask(obligation, result.signature))
+        answers.append(session.ask(obligation, project.script.signature))
         if answers[-1].status != "proved":
             break
     stages["link"] = {
@@ -304,12 +300,11 @@ def run_benchmarks(
         project = load_project(d, solver=solver, timeout_ms=timeout_ms)
         report = verify(project)
         reports.append(report)
-        manifest = _manifest(d)
         rows.append(
             {
                 "project": d.name,
-                "model_lines": len(_read(d, manifest, "system").splitlines()),
-                "proof_lines": len(_read(d, manifest, "proof").splitlines()),
+                "model_lines": project.lines["system"],
+                "proof_lines": project.lines["proof"],
                 "annotations": _annotation_count(project.witness),
                 "verdict": report["verdict"],
                 "wall_ms": report["wall_ms"],
@@ -459,14 +454,11 @@ def oracle_main(args: argparse.Namespace) -> int:
         formula = retag_free(setup.project.witness.valid, {indexed(1): PLAIN})
         counted_names = [n for n, _ in setup.project.witness.enum_vars]
     else:
-        decl = None
-        for pred in setup.project.script.declarations:
-            if pred.name == name:
-                decl = pred
-        if decl is None:
+        count = setup.project.script.counts.get(name)
+        if count is None:
             raise OracleError(f"no such formula {name!r}")
-        formula = decl.body
-        counted_names = decl.counted
+        formula = count.formula
+        counted_names = [v.name for v in count.counted]
     for n in counted_names:
         if n not in setup.count_domains:
             raise SexprError(f"count-vars: no domain for {n}")

@@ -1,25 +1,29 @@
 """Model-counting proof kernel.
 
 Symbolic model counts are uninterpreted integer functions of the parameters.
-Each inference rule is one entry of ``RULES``: a payload dataclass, the parser
-of its s-expression form, and a build function that returns the rule's
-premises and its conclusion without sending anything. ``apply_rule`` asks
-the premises through ``Kernel.send`` and admits the conclusion (a CountFact,
-a quantified axiom) only when every premise is proved, so ``unknown`` never
-admits a fact. A final entailment query discharges the script goal from the
-admitted facts plus the defining axioms of the declared recursive count
-functions.
+``parse_proof`` resolves a script once: every predicate reference becomes
+the ``CountTerm`` the builds read, and the script's signature is fixed at
+load. Each inference rule is one entry of ``RULES``: the parser of its
+s-expression form, which returns the rule's arguments, and a build function
+that returns the rule's premises and its conclusion without sending
+anything. ``apply_rule`` asks the premises through ``Kernel.send`` and admits
+the conclusion (a CountFact, a quantified axiom) only when every premise is
+proved, so ``unknown`` never admits a fact. A final entailment query
+discharges the script goal from the admitted facts plus the defining axioms
+of the declared recursive count functions.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Callable, Mapping, Optional, Sequence, Union
+from functools import cached_property
+from typing import Callable, Mapping, Optional, Sequence
 
 from . import backend
 from .backend import DEFAULT_LOGIC, OBLIGATION_LOGIC, VALIDITY, Obligation, Session
 from .sexpr import Sexpr, SexprError, atom, pairs, read_form, sections, single, to_text
 from .terms import (
+    BOOL,
     BUILTIN_SIGNATURE,
     INT,
     Add,
@@ -41,10 +45,12 @@ from .terms import (
     TermError,
     TRUE,
     Var,
+    check_sorts,
     conj,
     free_vars,
     neq,
     sort_from_sexpr,
+    sort_to_text,
     substitute,
     term_from_sexpr,
 )
@@ -109,43 +115,28 @@ BUILTIN_AXIOMS: tuple[Term, ...] = (
 
 
 # ---------------------------------------------------------------------------
-# Predicates, count terms, facts
-
-
-@dataclass(frozen=True)
-class DeclaredPred:
-    name: str
-    vars: tuple[tuple[str, Sort], ...]
-    counted: tuple[str, ...]
-    body: Term
-
-    def __post_init__(self) -> None:
-        names = [n for n, _ in self.vars]
-        if len(set(names)) != len(names):
-            raise KernelError(f"predicate {self.name}: duplicate variables")
-        for c in self.counted:
-            if c not in names:
-                raise KernelError(f"predicate {self.name}: counted var {c} undeclared")
-        if not self.counted:
-            raise KernelError(f"predicate {self.name}: no counted variables")
-
-    @property
-    def params(self) -> tuple[tuple[str, Sort], ...]:
-        return tuple((n, s) for n, s in self.vars if n not in self.counted)
-
-
-# A reference to a countable formula inside a script:
-#   "V" | ("and", ref, ref) | ("at", "V", (term, ...))
-PredRef = Union[str, tuple]
+# Count terms, facts
 
 
 @dataclass(frozen=True)
 class CountTerm:
-    formula: Term
+    """A resolved predicate reference: ``symbol`` applied to ``args`` counts
+    the models over ``counted`` of ``formula``, whose free parameters are
+    ``params``. ``name`` is the symbol without ``cnt.``, as rule labels show
+    it; an ``(at P t…)`` reference keeps P's symbol and name."""
+
+    name: str
+    body: Term
     counted: tuple[Var, ...]
     params: tuple[Var, ...]
     symbol: str
     args: tuple[Term, ...]
+    bindings: tuple[tuple[Var, Term], ...] = ()  # what (at P t…) gives P's parameters
+
+    @cached_property
+    def formula(self) -> Term:
+        """``body`` with the bindings substituted, on first use."""
+        return substitute(self.body, dict(self.bindings)) if self.bindings else self.body
 
     def app(self) -> Term:
         return App(self.symbol, self.args)
@@ -161,7 +152,7 @@ class CountFact:
 @dataclass(frozen=True)
 class RuleApp:
     rule: str
-    payload: object  # an instance of RULES[rule].payload
+    args: tuple  # what RULES[rule].parse returned, in the order its build takes them
 
 
 @dataclass(frozen=True)
@@ -172,9 +163,10 @@ class ProofStep:
 
 @dataclass(frozen=True)
 class ProofScript:
-    declarations: tuple[DeclaredPred, ...]
+    counts: dict[str, CountTerm]  # each declared predicate's count, by name
     steps: tuple[ProofStep, ...]
     goal: Optional[Term]
+    signature: Signature  # the built-ins and every count symbol the script names
 
 
 @dataclass(frozen=True)
@@ -183,32 +175,6 @@ class ScriptResult:
     rejected_at: Optional[str] = None
     reason: str = ""
     facts: tuple[CountFact, ...] = ()
-    signature: Signature = BUILTIN_SIGNATURE
-
-
-def _closed(params: Sequence[Var], body: Term) -> Term:
-    if not params:
-        return body
-    bound = tuple((v.name, v.sort) for v in params)
-    return Forall(bound, body)
-
-
-def _ref_key(ref: PredRef) -> str:
-    if isinstance(ref, str):
-        return ref
-    if ref[0] == "and":
-        return f"{_ref_key(ref[1])}&{_ref_key(ref[2])}"
-    if ref[0] == "at":
-        return ref[1]
-    raise KernelError(f"bad predicate reference {ref!r}")
-
-
-def _ref_names(ref: PredRef) -> list[str]:
-    if isinstance(ref, str):
-        return [ref]
-    if ref[0] == "and":
-        return _ref_names(ref[1]) + _ref_names(ref[2])
-    return [ref[1]]
 
 
 # ---------------------------------------------------------------------------
@@ -237,58 +203,34 @@ def _valid(label: str, hyps: Sequence[Term], concl: Term, failure: str = "") -> 
     return Premise(label, (*hyps, Not(concl)), failure=failure or f"{label}: premise not valid")
 
 
+def entailment(
+    hyps: Sequence[Term], goal: Term, label: str, failure: str = "", attempts=ENTAILMENT
+) -> Premise:
+    """The premise that ``hyps`` and the built-in axioms entail ``goal``."""
+    return Premise(
+        label,
+        (*BUILTIN_AXIOMS, *hyps, Not(goal)),
+        attempts=attempts,
+        failure=failure or f"{label}: not entailed",
+    )
+
+
 # ---------------------------------------------------------------------------
-# The kernel: fact store, reference resolution, and the premises it asks
+# The kernel: the admitted facts and the premises it asks
 
 
 class Kernel:
-    """Declared predicates, admitted facts, and the signature of their counts."""
+    """The facts admitted so far, and the session and signature their
+    premises are asked with."""
 
-    def __init__(self, session: Session) -> None:
+    def __init__(self, session: Session, signature: Signature) -> None:
         self.session = session
-        self.preds: dict[str, DeclaredPred] = {}
+        self.signature = signature
         self.facts: list[CountFact] = []
-        self.signature: Signature = BUILTIN_SIGNATURE
-
-    def declare_pred(self, pred: DeclaredPred) -> None:
-        if pred.name in self.preds:
-            raise KernelError(f"predicate {pred.name} declared twice")
-        self.preds[pred.name] = pred
-        # the goal may name a count that no step resolves
-        self.signature = self.signature.extend(
-            f"cnt.{pred.name}", tuple(s for _, s in pred.params), INT
-        )
-
-    def resolve(self, ref: PredRef) -> CountTerm:
-        if isinstance(ref, str):
-            pred = self.preds.get(ref)
-            if pred is None:
-                raise KernelError(f"unknown predicate {ref!r}")
-            counted = tuple(Var(c, dict(pred.vars)[c]) for c in pred.counted)
-            params = tuple(Var(n, s) for n, s in pred.params)
-            return CountTerm(pred.body, counted, params, f"cnt.{ref}", tuple(params))
-        if isinstance(ref, tuple) and ref and ref[0] == "and":
-            a, b = self.resolve(ref[1]), self.resolve(ref[2])
-            if a.counted != b.counted:
-                raise KernelError("conjunction of predicates with different counted vars")
-            params = tuple(sorted(set(a.params) | set(b.params), key=lambda v: v.name))
-            symbol = f"cnt.{_ref_key(ref)}"
-            self.signature = self.signature.extend(symbol, tuple(v.sort for v in params), INT)
-            return CountTerm(conj(a.formula, b.formula), a.counted, params, symbol, tuple(params))
-        if isinstance(ref, tuple) and ref and ref[0] == "at":
-            base = self.resolve(ref[1])
-            args = tuple(ref[2])
-            if len(args) != len(base.params):
-                raise KernelError(f"instantiation arity mismatch for {ref[1]}")
-            formula = substitute(base.formula, dict(zip(base.params, args)))
-            remaining = tuple(dict.fromkeys(v for a in args for v in free_vars(a)))
-            return CountTerm(formula, base.counted, remaining, base.symbol, args)
-        raise KernelError(f"bad predicate reference {ref!r}")
 
     def entailment(self, goal: Term, label: str, failure: str) -> Premise:
         """The premise that the admitted facts entail ``goal``."""
-        assertions = (*BUILTIN_AXIOMS, *(f.axiom for f in self.facts), Not(goal))
-        return Premise(label, assertions, attempts=ENTAILMENT, failure=failure)
+        return entailment([f.axiom for f in self.facts], goal, label, failure)
 
     def entails(self, goal: Term, label: str = "entailment") -> bool:
         try:
@@ -308,83 +250,14 @@ class Kernel:
 
 
 # ---------------------------------------------------------------------------
-# Rule payloads and builds. A build resolves references, checks side
-# conditions, and returns (premises, conclusion); it sends nothing.
-
-
-@dataclass(frozen=True)
-class OneRef:
-    ref: PredRef
-
-
-@dataclass(frozen=True)
-class ConstBound:
-    ref: PredRef
-    c: int
-    models: Optional[tuple[Mapping[str, Term], ...]] = None
-
-
-@dataclass(frozen=True)
-class Subset:
-    f: PredRef
-    g: PredRef
-
-
-@dataclass(frozen=True)
-class Split:
-    f: PredRef
-    g: PredRef
-    h: PredRef
-
-
-@dataclass(frozen=True)
-class Product:
-    h: PredRef
-    f: PredRef
-    g: PredRef
-
-
-@dataclass(frozen=True)
-class Injection:
-    f: PredRef
-    g: PredRef
-    witness: Mapping[str, Term]
-
-
-@dataclass(frozen=True)
-class IndGeq:
-    f: PredRef
-    g: PredRef
-    n: str
-    witness: Mapping[str, Term]
-    guard: Term = TRUE
-
-
-@dataclass(frozen=True)
-class IndLeq:
-    f: PredRef
-    g: PredRef
-    n: str
-    hx: Mapping[str, Term]
-    hy: Mapping[str, Term]
-    guard: Term = TRUE
-
-
-@dataclass(frozen=True)
-class Close:
-    ref: PredRef
-    n: str
-    n0: Term
-    base: Term
-    factor: Term
-    closed_form: Term
-    rel: str
+# Rule builds. A build checks side conditions on its parsed arguments and
+# returns (premises, conclusion); it sends nothing.
 
 
 def _conclude(rule: str, label: str, concl: Term, *cts: CountTerm, guard: Term = TRUE):
-    params = tuple(dict.fromkeys(v for ct in cts for v in ct.params))
+    bound = tuple(dict.fromkeys((v.name, v.sort) for ct in cts for v in ct.params))
     body = concl if guard == TRUE else Implies(guard, concl)
-    return CountFact(_closed(params, body), rule, label)
+    return CountFact(Forall(bound, body) if bound else body, rule, label)
 
 
 def _copies(counted: Sequence[Var], count: int) -> list[dict[Var, Var]]:
@@ -419,8 +292,7 @@ def _injective(
     return _valid(label, (*hyps, *models), _differ(*images))
 
 
-def _build_range(kernel: Kernel, p: OneRef):
-    ct = kernel.resolve(p.ref)
+def _build_range(kernel: Kernel, ct: CountTerm):
     if len(ct.counted) != 1:
         raise KernelError("range rule needs exactly one counted variable")
     v = ct.counted[0]
@@ -445,40 +317,38 @@ def _build_range(kernel: Kernel, p: OneRef):
         raise shape_error
     width = Sub(upper, lower)
     concl = Cmp("=", ct.app(), Ite(Cmp(">=", width, IntLit(0)), width, IntLit(0)))
-    return (), _conclude("range", f"range({_ref_key(p.ref)})", concl, ct)
+    return (), _conclude("range", f"range({ct.name})", concl, ct)
 
 
-def _build_positive(kernel: Kernel, p: OneRef):
-    ct = kernel.resolve(p.ref)
+def _build_positive(kernel: Kernel, ct: CountTerm):
     concl = Cmp(">=", ct.app(), IntLit(0))
-    return (), _conclude("positive", f"positive({_ref_key(p.ref)})", concl, ct)
+    return (), _conclude("positive", f"positive({ct.name})", concl, ct)
 
 
-def _distinct_models(kernel: Kernel, p: ConstBound, direction: str):
-    if p.c < 1:
+def _distinct_models(ct: CountTerm, c: int, direction: str):
+    if c < 1:
         raise KernelError("constant bound needs c >= 1")
-    ct = kernel.resolve(p.ref)
-    copies = _copies(ct.counted, p.c)
+    copies = _copies(ct.counted, c)
     bodies = [substitute(ct.formula, m) for m in copies]
-    label = f"const-{direction}({_ref_key(p.ref)},{p.c})"
-    return ct, copies, (*bodies, *_pairwise(copies)), label
+    label = f"const-{direction}({ct.name},{c})"
+    return copies, (*bodies, *_pairwise(copies)), label
 
 
-def _build_const_ub(kernel: Kernel, p: ConstBound):
-    ct, _, distinct, label = _distinct_models(kernel, p, "ub")
-    premise = Premise(label, distinct, failure=f"{label}: {p.c} distinct models exist")
-    concl = Cmp("<=", ct.app(), IntLit(p.c - 1))
+def _build_const_ub(kernel: Kernel, ct: CountTerm, c: int):
+    _, distinct, label = _distinct_models(ct, c, "ub")
+    premise = Premise(label, distinct, failure=f"{label}: {c} distinct models exist")
+    concl = Cmp("<=", ct.app(), IntLit(c - 1))
     return (premise,), _conclude("const-ub", label, concl, ct)
 
 
-def _build_const_lb(kernel: Kernel, p: ConstBound):
-    ct, copies, distinct, label = _distinct_models(kernel, p, "lb")
-    if p.models is not None:
+def _build_const_lb(kernel: Kernel, ct: CountTerm, c: int, models: Optional[tuple] = None):
+    copies, distinct, label = _distinct_models(ct, c, "lb")
+    if models is not None:
         # explicit witness models: substitute them into the body and check
         # the resulting (near-)ground formula is valid
-        if len(p.models) != p.c:
-            raise KernelError(f"{label}: needs exactly {p.c} (model ...) sections")
-        wmaps = [_witness_map(label, "model", ct.counted, m) for m in p.models]
+        if len(models) != c:
+            raise KernelError(f"{label}: needs exactly {c} (model ...) sections")
+        wmaps = [_witness_map(label, "model", ct.counted, m) for m in models]
         wbodies = [substitute(ct.formula, w) for w in wmaps]
         premise = _valid(label, (), conj(*wbodies, *_pairwise(wmaps)))
     elif not ct.params:
@@ -489,7 +359,7 @@ def _build_const_lb(kernel: Kernel, p: ConstBound):
             distinct,
             needs="sat",
             attempts=MODEL_SEARCH,
-            failure=f"{label}: no {p.c} distinct models exist",
+            failure=f"{label}: no {c} distinct models exist",
         )
     else:
         # with free parameters the conclusion is universally quantified, so
@@ -499,41 +369,37 @@ def _build_const_lb(kernel: Kernel, p: ConstBound):
             label,
             (),
             Exists(bound, conj(*distinct)),
-            f"{label}: fewer than {p.c} models for some parameters",
+            f"{label}: fewer than {c} models for some parameters",
         )
-    concl = Cmp(">=", ct.app(), IntLit(p.c))
+    concl = Cmp(">=", ct.app(), IntLit(c))
     return (premise,), _conclude("const-lb", label, concl, ct)
 
 
-def _build_ub(kernel: Kernel, p: Subset):
-    f, g = kernel.resolve(p.f), kernel.resolve(p.g)
+def _build_ub(kernel: Kernel, f: CountTerm, g: CountTerm):
     if f.counted != g.counted:
         raise KernelError("ub rule needs identical counted variables")
-    label = f"ub({_ref_key(p.f)},{_ref_key(p.g)})"
+    label = f"ub({f.name},{g.name})"
     premise = _valid(label, (f.formula,), g.formula)
     return (premise,), _conclude("ub", label, Cmp("<=", f.app(), g.app()), f, g)
 
 
-def _build_or(kernel: Kernel, p: Split):
-    f, g, h = kernel.resolve(p.f), kernel.resolve(p.g), kernel.resolve(p.h)
+def _build_or(kernel: Kernel, f: CountTerm, g: CountTerm, h: CountTerm, overlap: CountTerm):
     if not (f.counted == g.counted == h.counted):
         raise KernelError("or rule needs identical counted variables")
-    overlap = kernel.resolve(("and", p.g, p.h))
-    label = f"or({_ref_key(p.f)},{_ref_key(p.g)},{_ref_key(p.h)})"
+    label = f"or({f.name},{g.name},{h.name})"
     premise = _valid(label, (), Cmp("=", f.formula, Or((g.formula, h.formula))))
     concl = Cmp("=", f.app(), Sub(Add((g.app(), h.app())), overlap.app()))
     return (premise,), _conclude("or", label, concl, f, g, h)
 
 
 def _product(rule: str, rel: str, disjoint: bool) -> Callable:
-    def build(kernel: Kernel, p: Product):
-        h, f, g = kernel.resolve(p.h), kernel.resolve(p.f), kernel.resolve(p.g)
+    def build(kernel: Kernel, h: CountTerm, f: CountTerm, g: CountTerm):
         f_set, g_set = set(f.counted), set(g.counted)
         if disjoint and f_set & g_set:
             raise VarsOverlap("disjoint rule needs disjoint counted variables")
         if set(h.counted) != f_set | g_set:
             raise KernelError("product rule: counted vars of h must be those of f and g")
-        label = f"{rule}({_ref_key(p.h)},{_ref_key(p.f)},{_ref_key(p.g)})"
+        label = f"{rule}({h.name},{f.name},{g.name})"
         premise = _valid(label, (), Cmp("=", h.formula, conj(f.formula, g.formula)))
         concl = Cmp(rel, h.app(), Mul(f.app(), g.app()))
         return (premise,), _conclude(rule, label, concl, h, f, g)
@@ -541,10 +407,9 @@ def _product(rule: str, rel: str, disjoint: bool) -> Callable:
     return build
 
 
-def _build_injective(kernel: Kernel, p: Injection):
-    f, g = kernel.resolve(p.f), kernel.resolve(p.g)
-    label = f"injective({_ref_key(p.f)},{_ref_key(p.g)})"
-    wmap = _witness_map(label, "witness", g.counted, p.witness)
+def _build_injective(kernel: Kernel, f: CountTerm, g: CountTerm, witness: Mapping[str, Term]):
+    label = f"injective({f.name},{g.name})"
+    wmap = _witness_map(label, "witness", g.counted, witness)
     premises = (
         # f(X) implies g(F(X))
         _valid(f"{label}/into", (f.formula,), substitute(g.formula, wmap)),
@@ -553,63 +418,65 @@ def _build_injective(kernel: Kernel, p: Injection):
     return premises, _conclude("injectivity", label, Cmp("<=", f.app(), g.app()), f, g)
 
 
-def _induction(kernel: Kernel, p, direction: str):
-    """The count terms, f at n+1 and its count, and the label of an ind rule."""
-    f, g = kernel.resolve(p.f), kernel.resolve(p.g)
+def _induction(f: CountTerm, g: CountTerm, n_name: str, direction: str):
+    """f at n+1 and its count, and the label of an ind rule."""
     if set(v.name for v in f.counted) & set(v.name for v in g.counted):
         raise KernelError("ind rule: counted variables of f and g must not share names")
-    nvars = [v for v in f.params if v.name == p.n]
+    nvars = [v for v in f.params if v.name == n_name]
     if not nvars:
-        raise KernelError(f"ind rule: {p.n} is not a parameter of f")
+        raise KernelError(f"ind rule: {n_name} is not a parameter of f")
     n = nvars[0]
     n_succ = Add((n, IntLit(1)))
     f_at_succ = substitute(f.formula, {n: n_succ})
     app_f_succ = App(f.symbol, tuple(n_succ if a == n else a for a in f.args))
-    label = f"ind-{direction}({_ref_key(p.f)},{_ref_key(p.g)})"
-    return f, g, f_at_succ, app_f_succ, label
+    return f_at_succ, app_f_succ, f"ind-{direction}({f.name},{g.name})"
 
 
-def _build_ind_geq(kernel: Kernel, p: IndGeq):
-    f, g, f_at_succ, app_f_succ, label = _induction(kernel, p, "geq")
-    wmap = _witness_map(label, "witness", f.counted, p.witness)
+def _build_ind_geq(kernel: Kernel, f: CountTerm, g: CountTerm, n: str, witness: dict, guard: Term):
+    f_at_succ, app_f_succ, label = _induction(f, g, n, "geq")
+    wmap = _witness_map(label, "witness", f.counted, witness)
     joint = conj(f.formula, g.formula)
     premises = (
-        _valid(f"{label}/lift", (p.guard, f.formula, g.formula), substitute(f_at_succ, wmap)),
-        _injective(f"{label}/inj", (p.guard,), joint, (*f.counted, *g.counted), wmap),
+        _valid(f"{label}/lift", (guard, f.formula, g.formula), substitute(f_at_succ, wmap)),
+        _injective(f"{label}/inj", (guard,), joint, (*f.counted, *g.counted), wmap),
     )
     concl = Cmp(">=", app_f_succ, Mul(f.app(), g.app()))
-    return premises, _conclude("ind-geq", label, concl, f, g, guard=p.guard)
+    return premises, _conclude("ind-geq", label, concl, f, g, guard=guard)
 
 
-def _build_ind_leq(kernel: Kernel, p: IndLeq):
-    f, g, f_at_succ, app_f_succ, label = _induction(kernel, p, "leq")
-    xmap = _witness_map(label, "hx", f.counted, p.hx)
-    ymap = _witness_map(label, "hy", g.counted, p.hy)
+def _build_ind_leq(
+    kernel: Kernel, f: CountTerm, g: CountTerm, n: str, hx: dict, hy: dict, guard: Term
+):
+    f_at_succ, app_f_succ, label = _induction(f, g, n, "leq")
+    xmap = _witness_map(label, "hx", f.counted, hx)
+    ymap = _witness_map(label, "hy", g.counted, hy)
     lowered = conj(substitute(f.formula, xmap), substitute(g.formula, ymap))
     premises = (
-        _valid(f"{label}/lower", (p.guard, f_at_succ), lowered),
-        _injective(f"{label}/inj", (p.guard,), f_at_succ, f.counted, {**xmap, **ymap}),
+        _valid(f"{label}/lower", (guard, f_at_succ), lowered),
+        _injective(f"{label}/inj", (guard,), f_at_succ, f.counted, {**xmap, **ymap}),
     )
     concl = Cmp("<=", app_f_succ, Mul(f.app(), g.app()))
-    return premises, _conclude("ind-leq", label, concl, f, g, guard=p.guard)
+    return premises, _conclude("ind-leq", label, concl, f, g, guard=guard)
 
 
-def _build_close(kernel: Kernel, p: Close):
-    if p.rel not in ("=", "<=", ">="):
+def _build_close(
+    kernel: Kernel, ct: CountTerm, n_name: str, n0: Term, base: Term, factor: Term,
+    closed_form: Term, rel: str,
+):
+    if rel not in ("=", "<=", ">="):
         raise KernelError("close_recurrence relation must be =, <=, or >=")
-    ct = kernel.resolve(p.ref)
-    if len(ct.params) != 1 or ct.params[0].name != p.n:
-        raise KernelError(f"close_recurrence needs a count with the single parameter {p.n}")
+    if len(ct.params) != 1 or ct.params[0].name != n_name:
+        raise KernelError(f"close_recurrence needs a count with the single parameter {n_name}")
     n = ct.params[0]
-    label = f"close({_ref_key(p.ref)})"
+    label = f"close({ct.name})"
     n_succ = Add((n, IntLit(1)))
-    guard = Cmp(">=", n, p.n0)
+    guard = Cmp(">=", n, n0)
 
     def cnt(arg: Term) -> Term:
         return App(ct.symbol, (arg,))
 
     def closed_at(arg: Term) -> Term:
-        return substitute(p.closed_form, {n: arg})
+        return substitute(closed_form, {n: arg})
 
     def from_n0(body: Term) -> Term:
         return Forall(((n.name, INT),), Implies(guard, body))
@@ -617,59 +484,94 @@ def _build_close(kernel: Kernel, p: Close):
     # the admitted recurrence facts must entail the base and step equations;
     # the closed form must satisfy the same base and step (in the direction
     # that makes the induction go through), with a non-negative step factor
-    flipped = {"=": "=", "<=": ">=", ">=": "<="}[p.rel]
+    flipped = {"=": "=", "<=": ">=", ">=": "<="}[rel]
     facts = (
-        ("base", Cmp(p.rel, cnt(p.n0), p.base)),
-        ("step", from_n0(Cmp(p.rel, cnt(n_succ), Mul(p.factor, cnt(n))))),
+        ("base", Cmp(rel, cnt(n0), base)),
+        ("step", from_n0(Cmp(rel, cnt(n_succ), Mul(factor, cnt(n))))),
     )
     closed = (
-        ("closed-base", Cmp(flipped, closed_at(p.n0), p.base)),
-        ("closed-step", from_n0(Cmp(flipped, closed_at(n_succ), Mul(p.factor, closed_at(n))))),
-        ("factor-nonneg", from_n0(Cmp(">=", p.factor, IntLit(0)))),
-        ("closed-nonneg", from_n0(Cmp(">=", p.closed_form, IntLit(0)))),
+        ("closed-base", Cmp(flipped, closed_at(n0), base)),
+        ("closed-step", from_n0(Cmp(flipped, closed_at(n_succ), Mul(factor, closed_at(n))))),
+        ("factor-nonneg", from_n0(Cmp(">=", factor, IntLit(0)))),
+        ("closed-nonneg", from_n0(Cmp(">=", closed_form, IntLit(0)))),
     )
     premises = tuple(
         kernel.entailment(goal, f"{label}/{tag}", f"{label}: {tag} {failed}")
         for checks, failed in ((facts, "fact not entailed"), (closed, "check failed"))
         for tag, goal in checks
     )
-    concl = from_n0(Cmp(p.rel, cnt(n), p.closed_form))
+    concl = from_n0(Cmp(rel, cnt(n), closed_form))
     return premises, CountFact(concl, "close-recurrence", label)
 
 
 # ---------------------------------------------------------------------------
-# Rule parsers: each checks the arity and the atom types of its form and
-# raises SexprError on a malformed one.
+# Rule parsers: each checks the arity, the atom types and the sorts of its
+# form, raises SexprError on a malformed one, and returns its build's
+# arguments.
 
 
 class _Scope:
-    """What a rule's parser sees: the predicates declared so far and the
+    """What a rule's parser sees: the counts declared so far and the
     signature their count symbols extend."""
 
     def __init__(self) -> None:
-        self.preds: dict[str, DeclaredPred] = {}
+        self.counts: dict[str, CountTerm] = {}
         self.sig = BUILTIN_SIGNATURE
 
-    def term(self, expr: Sexpr, env: Mapping[str, Sort]) -> Term:
-        return term_from_sexpr(expr, env, self.sig)
+    def term(self, expr: Sexpr, env: Mapping[str, Sort], sort: Optional[Sort], what: str) -> Term:
+        """``expr`` as a well-sorted term, of ``sort`` unless that is None."""
+        term = term_from_sexpr(expr, env, self.sig)
+        actual = check_sorts(term, self.sig)
+        if sort is not None and actual != sort:
+            raise SexprError(f"{what} has sort {sort_to_text(actual)}, not {sort_to_text(sort)}")
+        return term
 
-    def ref(self, expr: Sexpr) -> PredRef:
-        if isinstance(expr, str) and expr in self.preds:
-            return expr
+    def ref(self, expr: Sexpr) -> CountTerm:
+        if isinstance(expr, str) and expr in self.counts:
+            return self.counts[expr]
         if isinstance(expr, list) and len(expr) == 3 and expr[0] == "and":
-            return ("and", self.ref(expr[1]), self.ref(expr[2]))
+            return self.conj(self.ref(expr[1]), self.ref(expr[2]))
         if isinstance(expr, list) and len(expr) >= 2 and expr[0] == "at":
-            if not (isinstance(expr[1], str) and expr[1] in self.preds):
+            base = self.counts.get(expr[1]) if isinstance(expr[1], str) else None
+            if base is None:
                 raise SexprError(f"unknown predicate {expr[1]!r} in at-reference")
-            return ("at", expr[1], tuple(self.term(a, {}) for a in expr[2:]))
+            if len(expr) - 2 != len(base.params):
+                raise SexprError(f"instantiation arity mismatch for {base.name}")
+            # the arguments are closed terms, so no parameter remains
+            args = tuple(
+                self.term(a, {}, p.sort, f"(at {base.name} ...) argument {p.name}")
+                for a, p in zip(expr[2:], base.params)
+            )
+            bindings = tuple(zip(base.params, args))
+            return CountTerm(base.name, base.body, base.counted, (), base.symbol, args, bindings)
         raise SexprError(f"bad or undeclared predicate reference {to_text(expr)}")
 
-    def env(self, *refs: PredRef) -> dict[str, Sort]:
-        names = [name for ref in refs for name in _ref_names(ref)]
-        return {vn: vs for name in names for vn, vs in self.preds[name].vars}
+    def conj(self, a: CountTerm, b: CountTerm) -> CountTerm:
+        """The count of ``(and a b)``, whose symbol joins the signature."""
+        if a.counted != b.counted:
+            raise SexprError("conjunction of predicates with different counted vars")
+        if a.bindings or b.bindings:  # cnt.P&Q would drop the arguments of (at P t…)
+            raise SexprError(f"conjunction of {a.name} and {b.name} instantiates one with at")
+        params = tuple(sorted(set(a.params) | set(b.params), key=lambda v: v.name))
+        name = f"{a.name}&{b.name}"
+        self.sig = self.sig.extend(f"cnt.{name}", tuple(v.sort for v in params), INT)
+        return CountTerm(name, conj(a.formula, b.formula), a.counted, params, f"cnt.{name}", params)
 
-    def bindings(self, entries: Sequence[Sexpr], env: Mapping[str, Sort]) -> dict[str, Term]:
-        return {name: self.term(e, env) for name, e in pairs("binding", entries).items()}
+    def env(self, *cts: CountTerm) -> dict[str, Sort]:
+        """The variables a section over ``cts`` may name: their counted
+        variables and remaining parameters."""
+        return {v.name: v.sort for ct in cts for v in (*ct.counted, *ct.params)}
+
+    def bindings(
+        self, entries: Sequence[Sexpr], env: Mapping[str, Sort], ct: CountTerm, section: str
+    ) -> dict[str, Term]:
+        """A witness section: the term it gives each of ``ct``'s counted
+        variables, of that variable's sort."""
+        sorts = {v.name: v.sort for v in ct.counted}
+        return {
+            name: self.term(e, env, sorts.get(name), f"{section} {name}")
+            for name, e in pairs("binding", entries).items()
+        }
 
 
 def _arity(form: list, count: int, sections: bool = False) -> None:
@@ -679,68 +581,76 @@ def _arity(form: list, count: int, sections: bool = False) -> None:
         raise SexprError(f"{form[0]} takes {count} arguments, got {given}: {to_text(form)}")
 
 
-def _parse_refs(payload: type, count: int) -> Callable:
-    def parse(form: list, scope: _Scope):
+def _parse_refs(count: int) -> Callable:
+    def parse(form: list, scope: _Scope) -> tuple:
         _arity(form, count)
-        return payload(*(scope.ref(e) for e in form[1:]))
+        return tuple(scope.ref(e) for e in form[1:])
 
     return parse
 
 
+def _parse_or(form: list, scope: _Scope) -> tuple:
+    _arity(form, 3)
+    f, g, h = (scope.ref(e) for e in form[1:])
+    return f, g, h, scope.conj(g, h)
+
+
 def _parse_const(with_models: bool) -> Callable:
-    def parse(form: list, scope: _Scope) -> ConstBound:
+    def parse(form: list, scope: _Scope) -> tuple:
         _arity(form, 2, sections=with_models)
-        ref = scope.ref(form[1])
+        ct = scope.ref(form[1])
         c = atom(form[2], int, "an integer count")
         if len(form) == 3:
-            return ConstBound(ref, c)
-        env = scope.env(ref)
+            return ct, c
+        env = scope.env(ct)
         models = []
         for item in form[3:]:
             if not (isinstance(item, list) and item and item[0] == "model"):
                 raise SexprError(f"{form[0]}: expected (model ...), got {to_text(item)}")
-            models.append(scope.bindings(item[1:], env))
-        return ConstBound(ref, c, tuple(models))
+            models.append(scope.bindings(item[1:], env, ct, "model"))
+        return ct, c, tuple(models)
 
     return parse
 
 
-def _parse_injective(form: list, scope: _Scope) -> Injection:
+def _parse_injective(form: list, scope: _Scope) -> tuple:
     _arity(form, 2, sections=True)
     f, g = scope.ref(form[1]), scope.ref(form[2])
     found = sections("injective", form[3:], ("witness",))
-    return Injection(f, g, scope.bindings(found["witness"], scope.env(f, g)))
+    return f, g, scope.bindings(found["witness"], scope.env(f, g), g, "witness")
 
 
-def _parse_ind(payload: type, names: tuple[str, ...]) -> Callable:
-    """The parser of an ind rule whose witness maps are the sections ``names``."""
+def _parse_ind(*maps: str) -> Callable:
+    """The parser of an ind rule whose witness maps are the sections
+    ``maps``: the first binds f's counted variables, a second g's."""
 
-    def parse(form: list, scope: _Scope):
+    def parse(form: list, scope: _Scope) -> tuple:
         _arity(form, 3, sections=True)
         f, g = scope.ref(form[1]), scope.ref(form[2])
         n = atom(form[3], str, "a parameter name")
         env = scope.env(f, g)
-        found = sections(form[0], form[4:], names, ("guard",))
-        guard = scope.term(single(found, "guard", default="true"), env)
-        return payload(f, g, n, *(scope.bindings(found[name], env) for name in names), guard)
+        found = sections(form[0], form[4:], maps, ("guard",))
+        guard = scope.term(single(found, "guard", default="true"), env, BOOL, "guard")
+        binds = (scope.bindings(found[m], env, ct, m) for m, ct in zip(maps, (f, g)))
+        return (f, g, n, *binds, guard)
 
     return parse
 
 
-def _parse_close(form: list, scope: _Scope) -> Close:
+def _parse_close(form: list, scope: _Scope) -> tuple:
     _arity(form, 7)
-    ref = scope.ref(form[1])
+    ct = scope.ref(form[1])
     n = atom(form[2], str, "a parameter name")
-    env = {vn: vs for vn, vs in scope.env(ref).items() if vn == n}
+    env = {vn: vs for vn, vs in scope.env(ct).items() if vn == n}
     if not env:
-        raise SexprError(f"close: {n} not a variable of {_ref_names(ref)}")
-    return Close(
-        ref,
+        raise SexprError(f"close: {n} not a variable of {ct.name}")
+    return (
+        ct,
         n,
-        scope.term(form[3], {}),
-        scope.term(form[4], {}),
-        scope.term(form[5], env),
-        scope.term(form[6], env),
+        scope.term(form[3], {}, INT, "close n0"),
+        scope.term(form[4], {}, INT, "close base"),
+        scope.term(form[5], env, INT, "close factor"),
+        scope.term(form[6], env, INT, "close closed form"),
         atom(form[7], str, "a relation symbol"),
     )
 
@@ -751,24 +661,23 @@ def _parse_close(form: list, scope: _Scope) -> Close:
 
 @dataclass(frozen=True)
 class Rule:
-    payload: type
-    parse: Callable  # (form, scope) -> payload
-    build: Callable  # (kernel, payload) -> (premises, CountFact)
+    parse: Callable  # (form, scope) -> the build's arguments after the kernel
+    build: Callable  # (kernel, *arguments) -> (premises, CountFact)
 
 
 RULES: dict[str, Rule] = {
-    "range": Rule(OneRef, _parse_refs(OneRef, 1), _build_range),
-    "positive": Rule(OneRef, _parse_refs(OneRef, 1), _build_positive),
-    "const-lb": Rule(ConstBound, _parse_const(with_models=True), _build_const_lb),
-    "const-ub": Rule(ConstBound, _parse_const(with_models=False), _build_const_ub),
-    "ub": Rule(Subset, _parse_refs(Subset, 2), _build_ub),
-    "or": Rule(Split, _parse_refs(Split, 3), _build_or),
-    "and-ub": Rule(Product, _parse_refs(Product, 3), _product("and-ub", "<=", disjoint=False)),
-    "disjoint": Rule(Product, _parse_refs(Product, 3), _product("disjoint", "=", disjoint=True)),
-    "injective": Rule(Injection, _parse_injective, _build_injective),
-    "ind-geq": Rule(IndGeq, _parse_ind(IndGeq, ("witness",)), _build_ind_geq),
-    "ind-leq": Rule(IndLeq, _parse_ind(IndLeq, ("hx", "hy")), _build_ind_leq),
-    "close": Rule(Close, _parse_close, _build_close),
+    "range": Rule(_parse_refs(1), _build_range),
+    "positive": Rule(_parse_refs(1), _build_positive),
+    "const-lb": Rule(_parse_const(with_models=True), _build_const_lb),
+    "const-ub": Rule(_parse_const(with_models=False), _build_const_ub),
+    "ub": Rule(_parse_refs(2), _build_ub),
+    "or": Rule(_parse_or, _build_or),
+    "and-ub": Rule(_parse_refs(3), _product("and-ub", "<=", disjoint=False)),
+    "disjoint": Rule(_parse_refs(3), _product("disjoint", "=", disjoint=True)),
+    "injective": Rule(_parse_injective, _build_injective),
+    "ind-geq": Rule(_parse_ind("witness"), _build_ind_geq),
+    "ind-leq": Rule(_parse_ind("hx", "hy"), _build_ind_leq),
+    "close": Rule(_parse_close, _build_close),
 }
 
 
@@ -777,19 +686,14 @@ RULES: dict[str, Rule] = {
 
 
 def apply_rule(kernel: Kernel, app: RuleApp) -> CountFact:
-    rule = RULES.get(app.rule)
-    if rule is None:
-        raise KernelError(f"unknown rule {app.rule!r}")
-    premises, fact = rule.build(kernel, app.payload)
+    premises, fact = RULES[app.rule].build(kernel, *app.args)
     kernel.send(premises)
     kernel.facts.append(fact)
     return fact
 
 
 def check_script(script: ProofScript, session: Session) -> ScriptResult:
-    kernel = Kernel(session)
-    for pred in script.declarations:
-        kernel.declare_pred(pred)
+    kernel = Kernel(session, script.signature)
     at = "goal"
     try:
         for step in script.steps:
@@ -802,8 +706,8 @@ def check_script(script: ProofScript, session: Session) -> ScriptResult:
         kernel.send([kernel.entailment(script.goal, "goal", "goal not entailed by admitted facts")])
     except KernelError as exc:
         status = "unknown" if isinstance(exc, QueryUnknown) else "rejected"
-        return ScriptResult(status, at, str(exc), tuple(kernel.facts), kernel.signature)
-    return ScriptResult("accepted", facts=tuple(kernel.facts), signature=kernel.signature)
+        return ScriptResult(status, at, str(exc), tuple(kernel.facts))
+    return ScriptResult("accepted", facts=tuple(kernel.facts))
 
 
 # ---------------------------------------------------------------------------
@@ -826,31 +730,41 @@ def parse_proof(text: str) -> ProofScript:
                 steps.append(ProofStep(index, tuple(_parse_app(a, scope) for a in item[2:])))
             elif head == "goal" and goal is None:
                 _arity(item, 1)
-                goal = scope.term(item[1], {})
+                goal = scope.term(item[1], {}, BOOL, "goal")
             else:
                 raise SexprError(f"proof: unexpected {to_text(item)}")
-    except (TermError, KernelError) as exc:
+    except TermError as exc:
         raise SexprError(str(exc)) from exc
-    return ProofScript(tuple(scope.preds.values()), tuple(steps), goal)
+    return ProofScript(scope.counts, tuple(steps), goal, scope.sig)
 
 
 def _declare(item: list, scope: _Scope) -> None:
     _arity(item, 4)
     name = atom(item[1], str, "a predicate name")
-    if name in scope.preds:
+    if name in scope.counts:
         raise SexprError(f"predicate {name} declared twice")
     if not isinstance(item[2], list) or not all(
         isinstance(b, list) and len(b) == 2 and isinstance(b[0], str) for b in item[2]
     ):
         raise SexprError(f"declare-pred {name}: expected ((var sort) ...)")
     variables = tuple((b[0], sort_from_sexpr(b[1])) for b in item[2])
-    counted = item[3]
-    if not (isinstance(counted, list) and counted and counted[0] == "counted"):
+    if not (isinstance(item[3], list) and item[3] and item[3][0] == "counted"):
         raise SexprError("declare-pred needs a (counted ...) section")
-    body = scope.term(item[4], dict(variables))
-    pred = DeclaredPred(name, variables, tuple(counted[1:]), body)
-    scope.preds[name] = pred
-    scope.sig = scope.sig.extend(f"cnt.{name}", tuple(s for _, s in pred.params), INT)
+    counted = item[3][1:]
+    sorts = dict(variables)
+    if len(sorts) != len(variables):
+        raise SexprError(f"predicate {name}: duplicate variables")
+    for c in counted:
+        if c not in sorts:
+            raise SexprError(f"predicate {name}: counted var {c} undeclared")
+    if not counted:
+        raise SexprError(f"predicate {name}: no counted variables")
+    body = scope.term(item[4], sorts, BOOL, f"predicate {name} body")
+    params = tuple(Var(n, s) for n, s in variables if n not in counted)
+    symbol = f"cnt.{name}"
+    scope.sig = scope.sig.extend(symbol, tuple(v.sort for v in params), INT)
+    counted_vars = tuple(Var(c, sorts[c]) for c in counted)
+    scope.counts[name] = CountTerm(name, body, counted_vars, params, symbol, params)
 
 
 def _parse_app(form: Sexpr, scope: _Scope) -> RuleApp:

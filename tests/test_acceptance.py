@@ -18,12 +18,8 @@ import pytest
 from qhenum.backend import Session
 from qhenum.cli import load_project, run_benchmarks
 from qhenum.counting import (
-    BUILTIN_SIGNATURE,
-    RULES,
-    DeclaredPred,
     Kernel,
     NotValid,
-    RuleApp,
     apply_rule,
     check_script,
     parse_proof,
@@ -42,10 +38,10 @@ from qhenum.qhl import parse_property
 from qhenum.sexpr import parse_one, to_text
 from qhenum.system import parse_system
 from qhenum.terms import (
+    BUILTIN_SIGNATURE,
     INT,
     PLAIN,
     And,
-    IntLit,
     indexed,
     retag_free,
     term_from_text,
@@ -185,12 +181,12 @@ class CountedSet:
     params: tuple[str, ...]
 
 
-def declare(kernel, registry, name, variables, counted, body_text):
+def declare(decls, registry, name, variables, counted, body_text):
     env = {n: s for n, s in variables}
-    body = term_from_text(body_text, env)
-    kernel.declare_pred(DeclaredPred(name, tuple(variables), tuple(counted), body))
+    binders = " ".join(f"({n} Int)" for n, _ in variables)
+    decls.append(f"(declare-pred {name} ({binders}) (counted {' '.join(counted)}) {body_text})")
     params = tuple(n for n, _ in variables if n not in counted)
-    registry[name] = CountedSet(body, tuple(counted), params)
+    registry[name] = CountedSet(term_from_text(body_text, env), tuple(counted), params)
 
 
 def sweep_count(entry, args=()):
@@ -213,81 +209,77 @@ def validate_facts(registry, facts):
         assert holds is True, f"admitted {fact.rule} fact violated numerically"
 
 
-def apply(kernel, rule, *fields):
-    return apply_rule(kernel, RuleApp(rule, RULES[rule].payload(*fields)))
+def parse_apps(decls, *apps):
+    """The script that declares ``decls`` and applies ``apps`` in one step."""
+    return parse_proof(f"(proof {' '.join(decls)} (step 1 {' '.join(apps)}))")
 
 
-def scenario_range(rng, kernel, registry):
+def scenario_range(rng, decls, registry):
     lo = rng.randint(0, 3)
-    declare(kernel, registry, "R", [("v", INT), ("k", INT)], ["v"],
+    declare(decls, registry, "R", [("v", INT), ("k", INT)], ["v"],
             f"(and (<= {lo} v) (< v k))")
-    return [apply(kernel, "range", "R"), apply(kernel, "positive", "R")]
+    return ["(range R)", "(positive R)"]
 
 
-def scenario_const_bounds(rng, kernel, registry):
+def scenario_const_bounds(rng, decls, registry):
     points = rng.sample(range(0, 9), rng.randint(1, 4))
     eqs = " ".join(f"(= v {p})" for p in points)
     body = f"(or {eqs})" if len(points) > 1 else eqs
-    declare(kernel, registry, "S", [("v", INT)], ["v"], body)
-    models = [{"v": IntLit(p)} for p in points]
-    return [
-        apply(kernel, "const-lb", "S", len(points), models),
-        apply(kernel, "const-ub", "S", len(points) + 1),
-    ]
+    declare(decls, registry, "S", [("v", INT)], ["v"], body)
+    models = " ".join(f"(model (v {p}))" for p in points)
+    return [f"(const-lb S {len(points)} {models})", f"(const-ub S {len(points) + 1})"]
 
 
-def scenario_subset(rng, kernel, registry):
+def scenario_subset(rng, decls, registry):
     g_lo = rng.randint(0, 3)
     g_hi = g_lo + rng.randint(1, 5)
     f_lo = rng.randint(g_lo, g_hi)
     f_hi = rng.randint(f_lo, g_hi)
-    declare(kernel, registry, "F", [("v", INT)], ["v"],
+    declare(decls, registry, "F", [("v", INT)], ["v"],
             f"(and (<= {f_lo} v) (< v {f_hi}))")
-    declare(kernel, registry, "G", [("v", INT)], ["v"],
+    declare(decls, registry, "G", [("v", INT)], ["v"],
             f"(and (<= {g_lo} v) (< v {g_hi}))")
-    return [apply(kernel, "ub", "F", "G")]
+    return ["(ub F G)"]
 
 
-def scenario_union(rng, kernel, registry):
+def scenario_union(rng, decls, registry):
     a = rng.randint(0, 3)
     b = a + rng.randint(0, 3)
     m = rng.randint(a, b) if b > a else a
     c = rng.randint(b, b + 3)
-    declare(kernel, registry, "F", [("v", INT)], ["v"],
+    declare(decls, registry, "F", [("v", INT)], ["v"],
             f"(and (<= {a} v) (< v {c}))")
-    declare(kernel, registry, "G", [("v", INT)], ["v"],
+    declare(decls, registry, "G", [("v", INT)], ["v"],
             f"(and (<= {a} v) (< v {b}))")
-    declare(kernel, registry, "H", [("v", INT)], ["v"],
+    declare(decls, registry, "H", [("v", INT)], ["v"],
             f"(and (<= {m} v) (< v {c}))")
-    fact = apply(kernel, "or", "F", "G", "H")
     registry["G&H"] = CountedSet(
         And((registry["G"].body, registry["H"].body)), ("v",), ()
     )
-    return [fact]
+    return ["(or F G H)"]
 
 
-def scenario_product(rng, kernel, registry):
+def scenario_product(rng, decls, registry):
     v_lo, w_lo = rng.randint(0, 3), rng.randint(0, 3)
     v_hi = v_lo + rng.randint(0, 3)
     w_hi = w_lo + rng.randint(0, 3)
     fv = f"(and (<= {v_lo} v) (< v {v_hi}))"
     gw = f"(and (<= {w_lo} w) (< w {w_hi}))"
-    declare(kernel, registry, "P", [("v", INT), ("w", INT)], ["v", "w"],
+    declare(decls, registry, "P", [("v", INT), ("w", INT)], ["v", "w"],
             f"(and {fv} {gw})")
-    declare(kernel, registry, "F", [("v", INT)], ["v"], fv)
-    declare(kernel, registry, "G", [("w", INT)], ["w"], gw)
-    return [apply(kernel, "disjoint", "P", "F", "G"), apply(kernel, "and-ub", "P", "F", "G")]
+    declare(decls, registry, "F", [("v", INT)], ["v"], fv)
+    declare(decls, registry, "G", [("w", INT)], ["w"], gw)
+    return ["(disjoint P F G)", "(and-ub P F G)"]
 
 
-def scenario_injection(rng, kernel, registry):
+def scenario_injection(rng, decls, registry):
     m = rng.randint(1, 4)
     stride = rng.randint(1, 3)
     shift = rng.randint(0, 3)
-    declare(kernel, registry, "F", [("v", INT)], ["v"], f"(and (<= 0 v) (< v {m}))")
-    declare(kernel, registry, "G", [("w", INT)], ["w"],
+    declare(decls, registry, "F", [("v", INT)], ["v"], f"(and (<= 0 v) (< v {m}))")
+    declare(decls, registry, "G", [("w", INT)], ["w"],
             f"(and (<= 0 w) (< w {shift + stride * (m - 1) + 1}))")
-    witness = {"w": term_from_text(f"(+ (* {stride} v) {shift})", {"v": INT})}
-    return [apply(kernel, "injective", "F", "G", witness)]
+    return [f"(injective F G (witness (w (+ (* {stride} v) {shift}))))"]
 
 
 SCENARIOS = (
@@ -304,10 +296,11 @@ def test_randomized_kernel_sweep(solver):
     rng = random.Random(20260823)
     validated = 0
     for iteration in range(200):
-        kernel = Kernel(Session(solver, 10_000))
-        registry = {}
+        decls, registry = [], {}
         scenario = SCENARIOS[iteration % len(SCENARIOS)]
-        facts = scenario(rng, kernel, registry)
+        script = parse_apps(decls, *scenario(rng, decls, registry))
+        kernel = Kernel(Session(solver, 10_000), script.signature)
+        facts = [apply_rule(kernel, app) for app in script.steps[0].apps]
         assert facts
         validate_facts(registry, facts)
         validated += len(facts)
@@ -319,8 +312,9 @@ def test_randomized_kernel_sweep(solver):
             if not entry.params:
                 count = sweep_count(entry)
                 before = len(kernel.facts)
+                (claim,) = parse_apps(decls, f"(const-lb {entry_name} {count + 1})").steps[0].apps
                 with pytest.raises(NotValid):
-                    apply(kernel, "const-lb", entry_name, count + 1)
+                    apply_rule(kernel, claim)
                 assert len(kernel.facts) == before
     assert validated >= 200
 

@@ -326,6 +326,27 @@ def test_verify_stage_outcome(
     assert report["stages"][stage]["verdict"] == stage_verdict
 
 
+def test_verify_link_is_retried_like_the_goal(benchmarks, case_solver, tmp_path, capsys):
+    # E-matching leaves the link unknown, model-based instantiation proves it
+    cmd = case_solver(*SPLIT_STUB, before=[("smt.mbqi true", "unsat"), (PURSE_LINK, "unknown")])
+    debug = tmp_path / "debug"
+    code = main(["verify", str(benchmarks / "electronic-purse"), "--solver", cmd[0],
+                 "--debug-dir", str(debug)])
+    assert (json.loads(capsys.readouterr().out)["verdict"], code) == ("QHP-verified", 0)
+    first, retry = sorted(debug.glob("*-link.smt2"))
+    assert "(set-option :smt.mbqi false)" in first.read_text()
+    assert "(set-option :smt.mbqi true)" in retry.read_text()
+
+
+def test_bench_table_counts_model_and_proof_lines(benchmarks, case_solver, capsys):
+    assert main(["bench", str(benchmarks), "--solver", case_solver(*SPLIT_STUB)[0]]) == 0
+    _, *rows = capsys.readouterr().out.splitlines()
+    assert {row.split()[0]: row.split()[1:3] for row in rows} == {
+        d.name: [str(len((d / f).read_text().splitlines())) for f in ("system.sexp", "proof.sexp")]
+        for d in benchmarks.iterdir()
+    }
+
+
 def test_verify_bad_valid_pred_sends_no_query(benchmarks, stub_solver, tmp_path, capsys):
     purse = copy_benchmark(benchmarks, "electronic-purse", tmp_path / "purse")
     manifest = purse / "project.sexp"
@@ -435,6 +456,8 @@ MALFORMED_TERMS = [
                  id="count-domain-repeats"),
     pytest.param("instance.sexp", "(rs (range 0 1))", "(rs (values 0 1 1))",
                  "domain (values 0 1 1) repeats 1", ("oracle",), id="state-domain-repeats"),
+    pytest.param("proof.sexp", "(range V)", "(range (at V 1 2))",
+                 "instantiation arity mismatch for V", BOTH, id="at-arity"),
 ]
 
 
@@ -452,8 +475,10 @@ def test_malformed_term_exits_3(
     path = purse / filename
     assert old in path.read_text()
     path.write_text(path.read_text().replace(old, new))
+    debug = tmp_path / "debug"
     argv = {
-        "verify": ["verify", str(purse), "--solver", stub_solver("unsat")[0]],
+        "verify": ["verify", str(purse), "--solver", stub_solver("unsat")[0],
+                   "--debug-dir", str(debug)],
         "oracle": ["oracle", "--instance", str(purse / "instance.sexp"), "--count-classes"],
         "valid": ["oracle", "--instance", str(purse / "instance.sexp"), "--brute-count", "valid"],
         "V": ["oracle", "--instance", str(purse / "instance.sexp"), "--brute-count", "V"],
@@ -461,6 +486,7 @@ def test_malformed_term_exits_3(
     for command in commands:
         assert main(argv[command]) == 3
         assert capsys.readouterr().err == f"error: {message}\n"
+    assert not debug.exists()  # no query was sent
 
 
 @pytest.mark.parametrize(

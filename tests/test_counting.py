@@ -1,4 +1,8 @@
+from pathlib import Path
+
 import pytest
+
+from test_query_stream import RULE_SCRIPT
 
 from qhenum import backend
 from qhenum.backend import Session, Verdict
@@ -6,38 +10,44 @@ from qhenum.counting import (
     ENTAILMENT,
     MODEL_SEARCH,
     RULES,
-    DeclaredPred,
     Kernel,
     KernelError,
     NotValid,
     Premise,
     QueryUnknown,
-    RuleApp,
     VarsOverlap,
     apply_rule,
     check_script,
     parse_proof,
 )
 from qhenum.sexpr import SexprError
-from qhenum.terms import INT, IntLit, Var, term_from_text
+from qhenum.terms import (
+    BUILTIN_SIGNATURE,
+    INT,
+    App,
+    Cmp,
+    IntLit,
+    Var,
+    sort_to_text,
+    substitute,
+    term_from_text,
+)
 
 TIMEOUT = 20_000
+BENCHMARKS = Path(__file__).resolve().parents[1] / "benchmarks"
 
 
 def pred(name, variables, counted, body_text):
-    env = {n: s for n, s in variables}
-    return DeclaredPred(name, tuple(variables), tuple(counted), term_from_text(body_text, env))
+    """The declare-pred form of a predicate."""
+    binders = " ".join(f"({n} {sort_to_text(s)})" for n, s in variables)
+    return f"(declare-pred {name} ({binders}) (counted {' '.join(counted)}) {body_text})"
 
 
-def apply(kernel, rule, *fields):
-    return apply_rule(kernel, RuleApp(rule, RULES[rule].payload(*fields)))
-
-
-def make_kernel(solver, *preds):
-    kernel = Kernel(Session(solver, TIMEOUT))
-    for p in preds:
-        kernel.declare_pred(p)
-    return kernel
+def make_kernel(solver, preds, *apps, timeout=TIMEOUT):
+    """A kernel for the script that declares ``preds`` and applies ``apps``
+    in one step, and those applications as parsed."""
+    script = parse_proof(f"(proof {' '.join(preds)} (step 1 {' '.join(apps)}))")
+    return Kernel(Session(solver, timeout), script.signature), script.steps[0].apps
 
 
 V, W, B, K, N = [("v", INT)], [("w", INT)], [("b", INT)], ("k", INT), ("n", INT)
@@ -47,26 +57,24 @@ V, W, B, K, N = [("v", INT)], [("w", INT)], [("b", INT)], ("k", INT), ("n", INT)
 
 
 def test_declare_pred_validation():
-    with pytest.raises(KernelError):
-        pred("P", V, [], "(= v 0)")  # no counted variables
-    with pytest.raises(KernelError):
-        pred("P", V, ["q"], "(= v 0)")  # counted var undeclared
-    with pytest.raises(KernelError):
-        pred("P", V + V, ["v"], "(= v 0)")  # duplicate variables
-
-
-def test_unknown_predicate_rejected(solver):
-    kernel = make_kernel(solver)
-    with pytest.raises(KernelError):
-        apply(kernel, "positive", "nope")
+    for declaration, message in [
+        (pred("P", V, [], "(= v 0)"), "predicate P: no counted variables"),
+        (pred("P", V, ["q"], "(= v 0)"), "predicate P: counted var q undeclared"),
+        (pred("P", V + V, ["v"], "(= v 0)"), "predicate P: duplicate variables"),
+    ]:
+        with pytest.raises(SexprError) as err:
+            parse_proof(f"(proof {declaration})")
+        assert str(err.value) == message
 
 
 # -- range ---------------------------------------------------------------------
 
 
 def test_range_accepts_interval(solver):
-    kernel = make_kernel(solver, pred("R", V + [K], ["v"], "(and (<= 0 v) (< v k))"))
-    fact = apply(kernel, "range", "R")
+    kernel, (app,) = make_kernel(
+        solver, [pred("R", V + [K], ["v"], "(and (<= 0 v) (< v k))")], "(range R)"
+    )
+    fact = apply_rule(kernel, app)
     assert fact.rule == "range"
     assert kernel.entails(
         term_from_text("(= (cnt.R 5) 5)", {}, kernel.signature), "t"
@@ -77,128 +85,183 @@ def test_range_accepts_interval(solver):
 
 
 def test_range_rejects_wrong_shape(solver):
-    kernel = make_kernel(
+    kernel, (r1, r2, r3) = make_kernel(
         solver,
-        pred("R1", V + [K], ["v"], "(and (< 0 v) (< v k))"),
-        pred("R2", V + [K], ["v"], "(and (<= 0 v) (< v v))"),
-        pred("R3", V + [W[0], K], ["v", "w"], "(and (<= 0 v) (< v k))"),
+        [
+            pred("R1", V + [K], ["v"], "(and (< 0 v) (< v k))"),
+            pred("R2", V + [K], ["v"], "(and (<= 0 v) (< v v))"),
+            pred("R3", V + [W[0], K], ["v", "w"], "(and (<= 0 v) (< v k))"),
+        ],
+        "(range R1)",
+        "(range R2)",
+        "(range R3)",
     )
     with pytest.raises(KernelError):
-        apply(kernel, "range", "R1")  # strict lower bound
+        apply_rule(kernel, r1)  # strict lower bound
     with pytest.raises(KernelError):
-        apply(kernel, "range", "R2")  # bound mentions the counted variable
+        apply_rule(kernel, r2)  # bound mentions the counted variable
     with pytest.raises(KernelError):
-        apply(kernel, "range", "R3")  # two counted variables
+        apply_rule(kernel, r3)  # two counted variables
 
 
 # -- positive --------------------------------------------------------------------
 
 
 def test_positive(solver):
-    kernel = make_kernel(solver, pred("P", V + [K], ["v"], "(= v k)"))
-    apply(kernel, "positive", "P")
+    kernel, (app,) = make_kernel(solver, [pred("P", V + [K], ["v"], "(= v k)")], "(positive P)")
+    apply_rule(kernel, app)
     assert kernel.entails(
         term_from_text("(forall ((k Int)) (>= (cnt.P k) 0))", {}, kernel.signature),
         "t",
     )
 
 
+def test_at_reference_instantiates_parameter_and_keeps_symbol(stub_solver):
+    body = "(and (<= 0 v) (< v k))"
+    script = parse_proof(
+        f"(proof {pred('P', V + [K], ['v'], body)} (step 1 (positive (at P 3))))"
+    )
+    (app,) = script.steps[0].apps
+    (count,) = app.args
+    plain = script.counts["P"]
+    assert (count.name, count.symbol, count.args, count.params) == ("P", "cnt.P", (IntLit(3),), ())
+    assert count.formula == substitute(plain.formula, {Var("k", INT): IntLit(3)})
+    fact = apply_rule(Kernel(Session(stub_solver("unsat"), TIMEOUT), script.signature), app)
+    assert fact.label == "positive(P)"
+    assert fact.axiom == Cmp(">=", App("cnt.P", (IntLit(3),)), IntLit(0))
+
+
 # -- const bounds -----------------------------------------------------------------
 
 
 def test_const_lb_model_search(solver):
-    kernel = make_kernel(solver, pred("P", V, ["v"], "(and (<= 0 v) (< v 3))"))
-    apply(kernel, "const-lb", "P", 3)
+    kernel, (lb3, lb4) = make_kernel(
+        solver,
+        [pred("P", V, ["v"], "(and (<= 0 v) (< v 3))")],
+        "(const-lb P 3)",
+        "(const-lb P 4)",
+    )
+    apply_rule(kernel, lb3)
     assert kernel.entails(term_from_text("(>= cnt.P 3)", {}, kernel.signature), "t")
     with pytest.raises(NotValid):
-        apply(kernel, "const-lb", "P", 4)
+        apply_rule(kernel, lb4)
 
 
 def test_const_lb_explicit_witnesses(solver):
-    kernel = make_kernel(solver, pred("P", V, ["v"], "(and (<= 0 v) (< v 3))"))
-    models = [{"v": IntLit(0)}, {"v": IntLit(2)}]
-    apply(kernel, "const-lb", "P", 2, models)
+    kernel, (app,) = make_kernel(
+        solver,
+        [pred("P", V, ["v"], "(and (<= 0 v) (< v 3))")],
+        "(const-lb P 2 (model (v 0)) (model (v 2)))",
+    )
+    apply_rule(kernel, app)
     assert kernel.entails(term_from_text("(>= cnt.P 2)", {}, kernel.signature), "t")
 
 
 def test_const_lb_bad_witnesses_rejected(solver):
-    kernel = make_kernel(solver, pred("P", V, ["v"], "(and (<= 0 v) (< v 3))"))
+    kernel, (outside, equal, too_few) = make_kernel(
+        solver,
+        [pred("P", V, ["v"], "(and (<= 0 v) (< v 3))")],
+        "(const-lb P 2 (model (v 0)) (model (v 5)))",
+        "(const-lb P 2 (model (v 1)) (model (v 1)))",
+        "(const-lb P 2 (model (v 0)))",
+    )
     with pytest.raises(NotValid):
         # 5 violates the body
-        apply(kernel, "const-lb", "P", 2, [{"v": IntLit(0)}, {"v": IntLit(5)}])
+        apply_rule(kernel, outside)
     with pytest.raises(NotValid):
         # witnesses are not pairwise distinct
-        apply(kernel, "const-lb", "P", 2, [{"v": IntLit(1)}, {"v": IntLit(1)}])
+        apply_rule(kernel, equal)
     with pytest.raises(KernelError):
-        apply(kernel, "const-lb", "P", 2, [{"v": IntLit(0)}])
+        apply_rule(kernel, too_few)
 
 
 def test_const_lb_parameterized(solver):
-    kernel = make_kernel(
+    kernel, (p1, p2, q1) = make_kernel(
         solver,
-        pred("P", V + [K], ["v"], "(or (= v 0) (= v k))"),
-        pred("Q", V + [K], ["v"], "(and (= v 0) (= v k))"),
+        [
+            pred("P", V + [K], ["v"], "(or (= v 0) (= v k))"),
+            pred("Q", V + [K], ["v"], "(and (= v 0) (= v k))"),
+        ],
+        "(const-lb P 1)",
+        "(const-lb P 2)",
+        "(const-lb Q 1)",
     )
-    apply(kernel, "const-lb", "P", 1)
+    apply_rule(kernel, p1)
     assert kernel.entails(
         term_from_text("(forall ((k Int)) (>= (cnt.P k) 1))", {}, kernel.signature),
         "t",
     )
     with pytest.raises(NotValid):
-        apply(kernel, "const-lb", "P", 2)  # fails when k = 0
+        apply_rule(kernel, p2)  # fails when k = 0
     with pytest.raises(NotValid):
-        apply(kernel, "const-lb", "Q", 1)  # fails when k != 0
+        apply_rule(kernel, q1)  # fails when k != 0
 
 
 def test_const_ub(solver):
-    kernel = make_kernel(solver, pred("P", V, ["v"], "(= v 7)"))
-    apply(kernel, "const-ub", "P", 2)
+    kernel, (ub2, ub1) = make_kernel(
+        solver, [pred("P", V, ["v"], "(= v 7)")], "(const-ub P 2)", "(const-ub P 1)"
+    )
+    apply_rule(kernel, ub2)
     assert kernel.entails(term_from_text("(<= cnt.P 1)", {}, kernel.signature), "t")
     with pytest.raises(NotValid):
-        apply(kernel, "const-ub", "P", 1)  # one model does exist
+        apply_rule(kernel, ub1)  # one model does exist
 
 
 def test_const_bound_rejects_degenerate_count(solver):
-    kernel = make_kernel(solver, pred("P", V, ["v"], "(= v 7)"))
+    kernel, (app,) = make_kernel(solver, [pred("P", V, ["v"], "(= v 7)")], "(const-lb P 0)")
     with pytest.raises(KernelError):
-        apply(kernel, "const-lb", "P", 0)
+        apply_rule(kernel, app)
 
 
 # -- ub (subset) --------------------------------------------------------------------
 
 
 def test_ub(solver):
-    kernel = make_kernel(
+    kernel, (fg, gf) = make_kernel(
         solver,
-        pred("F", V, ["v"], "(and (<= 0 v) (< v 2))"),
-        pred("G", V, ["v"], "(and (<= 0 v) (< v 5))"),
+        [
+            pred("F", V, ["v"], "(and (<= 0 v) (< v 2))"),
+            pred("G", V, ["v"], "(and (<= 0 v) (< v 5))"),
+        ],
+        "(ub F G)",
+        "(ub G F)",
     )
-    apply(kernel, "ub", "F", "G")
+    apply_rule(kernel, fg)
     assert kernel.entails(
         term_from_text("(<= cnt.F cnt.G)", {}, kernel.signature), "t"
     )
     with pytest.raises(NotValid):
-        apply(kernel, "ub", "G", "F")  # G is not a subset of F
+        apply_rule(kernel, gf)  # G is not a subset of F
 
 
 def test_ub_countermodel_reaches_not_valid(stub_solver):
     # the stub answers every query with a model: the kernel must keep it
     cmd = stub_solver("sat\n(model (define-fun v () Int 5))")
-    kernel = Kernel(Session(cmd, TIMEOUT))
-    kernel.declare_pred(pred("F", V, ["v"], "(and (<= 0 v) (< v 5))"))
-    kernel.declare_pred(pred("G", V, ["v"], "(and (<= 0 v) (< v 2))"))
+    kernel, (app,) = make_kernel(
+        cmd,
+        [
+            pred("F", V, ["v"], "(and (<= 0 v) (< v 5))"),
+            pred("G", V, ["v"], "(and (<= 0 v) (< v 2))"),
+        ],
+        "(ub F G)",
+    )
     with pytest.raises(NotValid) as info:
-        apply(kernel, "ub", "F", "G")
+        apply_rule(kernel, app)
     assert info.value.model == (("v", "5"),)
 
 
 def test_ub_unsat_with_model_error_is_valid(stub_solver):
     # asking for a model after unsat makes the solver print an error line
     cmd = stub_solver('unsat\n(error "line 9 column 10: model is not available")')
-    kernel = Kernel(Session(cmd, TIMEOUT))
-    kernel.declare_pred(pred("F", V, ["v"], "(and (<= 0 v) (< v 2))"))
-    kernel.declare_pred(pred("G", V, ["v"], "(and (<= 0 v) (< v 5))"))
-    fact = apply(kernel, "ub", "F", "G")
+    kernel, (app,) = make_kernel(
+        cmd,
+        [
+            pred("F", V, ["v"], "(and (<= 0 v) (< v 2))"),
+            pred("G", V, ["v"], "(and (<= 0 v) (< v 5))"),
+        ],
+        "(ub F G)",
+    )
+    fact = apply_rule(kernel, app)
     assert fact.rule == "ub" and kernel.facts == [fact]
 
 
@@ -206,25 +269,32 @@ def test_ub_unsat_with_model_error_is_valid(stub_solver):
 
 
 def test_or(solver):
-    kernel = make_kernel(
+    kernel, (fgh, gfh) = make_kernel(
         solver,
-        pred("F", V, ["v"], "(and (<= 0 v) (< v 4))"),
-        pred("G", V, ["v"], "(and (<= 0 v) (< v 2))"),
-        pred("H", V, ["v"], "(and (<= 2 v) (< v 4))"),
+        [
+            pred("F", V, ["v"], "(and (<= 0 v) (< v 4))"),
+            pred("G", V, ["v"], "(and (<= 0 v) (< v 2))"),
+            pred("H", V, ["v"], "(and (<= 2 v) (< v 4))"),
+        ],
+        "(or F G H)",
+        "(or G F H)",
     )
-    apply(kernel, "or", "F", "G", "H")
+    apply_rule(kernel, fgh)
     with pytest.raises(NotValid):
-        apply(kernel, "or", "G", "F", "H")  # G != F or H
+        apply_rule(kernel, gfh)  # G != F or H
 
 
 def test_or_overlap_is_subtracted(solver):
-    kernel = make_kernel(
+    kernel, (app,) = make_kernel(
         solver,
-        pred("F", V, ["v"], "(and (<= 0 v) (< v 4))"),
-        pred("G", V, ["v"], "(and (<= 0 v) (< v 3))"),
-        pred("H", V, ["v"], "(and (<= 2 v) (< v 4))"),
+        [
+            pred("F", V, ["v"], "(and (<= 0 v) (< v 4))"),
+            pred("G", V, ["v"], "(and (<= 0 v) (< v 3))"),
+            pred("H", V, ["v"], "(and (<= 2 v) (< v 4))"),
+        ],
+        "(or F G H)",
     )
-    apply(kernel, "or", "F", "G", "H")
+    apply_rule(kernel, app)
     goal = term_from_text(
         "(= cnt.F (- (+ cnt.G cnt.H) cnt.G&H))", {}, kernel.signature
     )
@@ -235,105 +305,111 @@ def test_or_overlap_is_subtracted(solver):
 
 
 def test_disjoint(solver):
-    kernel = make_kernel(
+    kernel, (app,) = make_kernel(
         solver,
-        pred("H", V + W, ["v", "w"], "(and (and (<= 0 v) (< v 2)) (and (<= 0 w) (< w 3)))"),
-        pred("F", V, ["v"], "(and (<= 0 v) (< v 2))"),
-        pred("G", W, ["w"], "(and (<= 0 w) (< w 3))"),
+        [
+            pred("H", V + W, ["v", "w"], "(and (and (<= 0 v) (< v 2)) (and (<= 0 w) (< w 3)))"),
+            pred("F", V, ["v"], "(and (<= 0 v) (< v 2))"),
+            pred("G", W, ["w"], "(and (<= 0 w) (< w 3))"),
+        ],
+        "(disjoint H F G)",
     )
-    apply(kernel, "disjoint", "H", "F", "G")
+    apply_rule(kernel, app)
     assert kernel.entails(
         term_from_text("(= cnt.H (* cnt.F cnt.G))", {}, kernel.signature), "t"
     )
 
 
 def test_disjoint_rejects_shared_variables(solver):
-    kernel = make_kernel(
+    kernel, (app,) = make_kernel(
         solver,
-        pred("H", V, ["v"], "(and (<= 0 v) (< v 2))"),
-        pred("F", V, ["v"], "(<= 0 v)"),
-        pred("G", V, ["v"], "(< v 2)"),
+        [
+            pred("H", V, ["v"], "(and (<= 0 v) (< v 2))"),
+            pred("F", V, ["v"], "(<= 0 v)"),
+            pred("G", V, ["v"], "(< v 2)"),
+        ],
+        "(disjoint H F G)",
     )
     with pytest.raises(VarsOverlap):
-        apply(kernel, "disjoint", "H", "F", "G")
+        apply_rule(kernel, app)
 
 
 def test_and_ub(solver):
-    kernel = make_kernel(
+    kernel, (app,) = make_kernel(
         solver,
-        pred("H", V, ["v"], "(and (<= 0 v) (< v 2))"),
-        pred("F", V, ["v"], "(<= 0 v)"),
-        pred("G", W, ["w"], "(< w 2)"),
+        [
+            pred("H", V, ["v"], "(and (<= 0 v) (< v 2))"),
+            pred("F", V, ["v"], "(<= 0 v)"),
+            pred("G", W, ["w"], "(< w 2)"),
+        ],
+        "(and-ub H F G)",
     )
     with pytest.raises(KernelError):
-        apply(kernel, "and-ub", "H", "F", "G")  # counted vars of h miss w
-    kernel2 = make_kernel(
+        apply_rule(kernel, app)  # counted vars of h miss w
+    kernel2, (good, bad) = make_kernel(
         solver,
-        pred("H", V + W, ["v", "w"], "(and (and (<= 0 v) (< v 2)) (and (<= 0 w) (< w 3)))"),
-        pred("F", V, ["v"], "(and (<= 0 v) (< v 2))"),
-        pred("G", W, ["w"], "(and (<= 0 w) (< w 3))"),
-        pred("Bad", W, ["w"], "(and (<= 0 w) (< w 1))"),
+        [
+            pred("H", V + W, ["v", "w"], "(and (and (<= 0 v) (< v 2)) (and (<= 0 w) (< w 3)))"),
+            pred("F", V, ["v"], "(and (<= 0 v) (< v 2))"),
+            pred("G", W, ["w"], "(and (<= 0 w) (< w 3))"),
+            pred("Bad", W, ["w"], "(and (<= 0 w) (< w 1))"),
+        ],
+        "(and-ub H F G)",
+        "(and-ub H F Bad)",
     )
-    apply(kernel2, "and-ub", "H", "F", "G")
+    apply_rule(kernel2, good)
     with pytest.raises(NotValid):
-        apply(kernel2, "and-ub", "H", "F", "Bad")
+        apply_rule(kernel2, bad)
 
 
 # -- injective ---------------------------------------------------------------------------------
 
+INJECTIVE_PREDS = (
+    pred("F", V, ["v"], "(and (<= 0 v) (< v 3))"),
+    pred("G", W, ["w"], "(and (<= 0 w) (< w 6))"),
+)
+
 
 def test_injective(solver):
-    kernel = make_kernel(
-        solver,
-        pred("F", V, ["v"], "(and (<= 0 v) (< v 3))"),
-        pred("G", W, ["w"], "(and (<= 0 w) (< w 6))"),
-    )
-    env = {"v": INT}
-    apply(kernel, "injective", "F", "G", {"w": term_from_text("(* 2 v)", env)})
+    kernel, (app,) = make_kernel(solver, INJECTIVE_PREDS, "(injective F G (witness (w (* 2 v))))")
+    apply_rule(kernel, app)
     assert kernel.entails(
         term_from_text("(<= cnt.F cnt.G)", {}, kernel.signature), "t"
     )
 
 
 def test_injective_rejects_collapsing_witness(solver):
-    kernel = make_kernel(
-        solver,
-        pred("F", V, ["v"], "(and (<= 0 v) (< v 3))"),
-        pred("G", W, ["w"], "(and (<= 0 w) (< w 6))"),
-    )
+    kernel, (app,) = make_kernel(solver, INJECTIVE_PREDS, "(injective F G (witness (w 0)))")
     with pytest.raises(NotValid):
-        apply(kernel, "injective", "F", "G", {"w": IntLit(0)})
+        apply_rule(kernel, app)
 
 
 def test_injective_rejects_escaping_image(solver):
-    kernel = make_kernel(
+    kernel, (app,) = make_kernel(
         solver,
-        pred("F", V, ["v"], "(and (<= 0 v) (< v 3))"),
-        pred("G", W, ["w"], "(and (<= 0 w) (< w 2))"),
+        [
+            pred("F", V, ["v"], "(and (<= 0 v) (< v 3))"),
+            pred("G", W, ["w"], "(and (<= 0 w) (< w 2))"),
+        ],
+        "(injective F G (witness (w v)))",
     )
     with pytest.raises(NotValid):
-        apply(kernel, "injective", "F", "G", {"w": term_from_text("v", {"v": INT})})
+        apply_rule(kernel, app)
 
 
 # -- induction ----------------------------------------------------------------------------------
 
 
 def test_ind_geq(solver):
-    kernel = make_kernel(
+    kernel, (app,) = make_kernel(
         solver,
-        pred("F", V + [N], ["v"], "(and (<= 0 v) (< v n))"),
-        pred("G", B, ["b"], "(= b 0)"),
+        [
+            pred("F", V + [N], ["v"], "(and (<= 0 v) (< v n))"),
+            pred("G", B, ["b"], "(= b 0)"),
+        ],
+        "(ind-geq F G n (witness (v v)) (guard (>= n 0)))",
     )
-    env = {"v": INT, "b": INT}
-    apply(
-        kernel,
-        "ind-geq",
-        "F",
-        "G",
-        "n",
-        {"v": term_from_text("v", env)},
-        term_from_text("(>= n 0)", {"n": INT}),
-    )
+    apply_rule(kernel, app)
     goal = term_from_text(
         "(forall ((n Int)) (=> (>= n 0) (>= (cnt.F (+ n 1)) (* (cnt.F n) cnt.G))))",
         {},
@@ -343,34 +419,32 @@ def test_ind_geq(solver):
 
 
 def test_ind_geq_rejects_noninjective_lift(solver):
-    kernel = make_kernel(
+    kernel, (app,) = make_kernel(
         solver,
-        pred("F", V + [N], ["v"], "(and (<= 0 v) (< v n))"),
-        pred("G", B, ["b"], "(and (<= 0 b) (< b 2))"),
-    )
-    env = {"v": INT, "b": INT}
-    with pytest.raises(NotValid):
+        [
+            pred("F", V + [N], ["v"], "(and (<= 0 v) (< v n))"),
+            pred("G", B, ["b"], "(and (<= 0 b) (< b 2))"),
+        ],
         # ignores b, so two g-models map to one lifted model
-        apply(kernel, "ind-geq", "F", "G", "n", {"v": term_from_text("v", env)})
+        "(ind-geq F G n (witness (v v)))",
+    )
+    with pytest.raises(NotValid):
+        apply_rule(kernel, app)
+
+
+IND_LEQ_PREDS = (
+    pred("F", V + [N], ["v"], "(and (<= 0 v) (< v (* 2 n)))"),
+    pred("G", B, ["b"], "(and (<= 0 b) (< b 2))"),
+)
 
 
 def test_ind_leq(solver):
-    kernel = make_kernel(
+    kernel, (app,) = make_kernel(
         solver,
-        pred("F", V + [N], ["v"], "(and (<= 0 v) (< v (* 2 n)))"),
-        pred("G", B, ["b"], "(and (<= 0 b) (< b 2))"),
+        IND_LEQ_PREDS,
+        "(ind-leq F G n (hx (v (div v 2))) (hy (b (mod v 2))) (guard (>= n 1)))",
     )
-    env = {"v": INT}
-    apply(
-        kernel,
-        "ind-leq",
-        "F",
-        "G",
-        "n",
-        {"v": term_from_text("(div v 2)", env)},
-        {"b": term_from_text("(mod v 2)", env)},
-        term_from_text("(>= n 1)", {"n": INT}),
-    )
+    apply_rule(kernel, app)
     goal = term_from_text(
         "(forall ((n Int)) (=> (>= n 1) (<= (cnt.F (+ n 1)) (* (cnt.F n) cnt.G))))",
         {},
@@ -380,50 +454,48 @@ def test_ind_leq(solver):
 
 
 def test_ind_leq_rejects_bad_lowering(solver):
-    kernel = make_kernel(
+    kernel, (app,) = make_kernel(
         solver,
-        pred("F", V + [N], ["v"], "(and (<= 0 v) (< v (* 2 n)))"),
-        pred("G", B, ["b"], "(and (<= 0 b) (< b 2))"),
-    )
-    env = {"v": INT}
-    with pytest.raises(NotValid):
+        IND_LEQ_PREDS,
         # identity does not land back in F at n
-        apply(
-            kernel,
-            "ind-leq",
-            "F",
-            "G",
-            "n",
-            {"v": term_from_text("v", env)},
-            {"b": term_from_text("0", env)},
-            term_from_text("(>= n 1)", {"n": INT}),
-        )
+        "(ind-leq F G n (hx (v v)) (hy (b 0)) (guard (>= n 1)))",
+    )
+    with pytest.raises(NotValid):
+        apply_rule(kernel, app)
 
 
 def test_ind_requires_fresh_counted_names(solver):
-    kernel = make_kernel(
+    kernel, (app,) = make_kernel(
         solver,
-        pred("F", V + [N], ["v"], "(and (<= 0 v) (< v n))"),
-        pred("G", V, ["v"], "(= v 0)"),
+        [
+            pred("F", V + [N], ["v"], "(and (<= 0 v) (< v n))"),
+            pred("G", V, ["v"], "(= v 0)"),
+        ],
+        "(ind-geq F G n (witness (v v)))",
     )
     with pytest.raises(KernelError):
-        apply(kernel, "ind-geq", "F", "G", "n", {"v": Var("v", INT)})
+        apply_rule(kernel, app)
 
 
 # -- close --------------------------------------------------------------------------------------
 
 
-def close_kernel(solver, timeout=TIMEOUT):
-    kernel = Kernel(Session(solver, timeout))
-    kernel.declare_pred(pred("F", V + [N], ["v"], "(and (<= 0 v) (< v n))"))
-    apply(kernel, "range", "F")
-    return kernel
+def close_kernel(solver, close, timeout=TIMEOUT):
+    """A kernel that has admitted the range of F, and the parsed ``close``."""
+    kernel, (range_f, app) = make_kernel(
+        solver,
+        [pred("F", V + [N], ["v"], "(and (<= 0 v) (< v n))")],
+        "(range F)",
+        close,
+        timeout=timeout,
+    )
+    apply_rule(kernel, range_f)
+    return kernel, app
 
 
 def test_close_recurrence(solver):
-    kernel = close_kernel(solver)
-    one = IntLit(1)
-    apply(kernel, "close", "F", "n", one, one, one, one, ">=")
+    kernel, app = close_kernel(solver, "(close F n 1 1 1 1 >=)")
+    apply_rule(kernel, app)
     goal = term_from_text(
         "(forall ((n Int)) (=> (>= n 1) (>= (cnt.F n) 1)))", {}, kernel.signature
     )
@@ -436,38 +508,30 @@ def test_close_recurrence(solver):
 
 
 def test_close_base_mismatch(solver):
-    kernel = close_kernel(solver, timeout=3000)
+    kernel, app = close_kernel(solver, "(close F n 1 5 1 1 >=)", timeout=3000)
     before = len(kernel.facts)
     with pytest.raises(KernelError):
-        apply(kernel, "close", "F", "n", IntLit(1), IntLit(5), IntLit(1), IntLit(1), ">=")
+        apply_rule(kernel, app)
     assert len(kernel.facts) == before
 
 
 def test_close_step_mismatch(solver):
-    kernel = close_kernel(solver, timeout=3000)
+    # facts do not entail doubling
+    kernel, app = close_kernel(solver, "(close F n 1 1 2 (pow2 (- n 1)) >=)", timeout=3000)
     before = len(kernel.facts)
     with pytest.raises(KernelError):
-        # facts do not entail doubling
-        apply(
-            kernel,
-            "close",
-            "F",
-            "n",
-            IntLit(1),
-            IntLit(1),
-            IntLit(2),
-            term_from_text("(pow2 (- n 1))", {"n": INT}, kernel.signature),
-            ">=",
-        )
+        apply_rule(kernel, app)
     assert len(kernel.facts) == before
 
 
 def test_close_needs_single_parameter(solver):
-    kernel = make_kernel(
-        solver, pred("F", V + [K, N], ["v"], "(and (<= 0 v) (< v n))")
+    kernel, (app,) = make_kernel(
+        solver,
+        [pred("F", V + [K, N], ["v"], "(and (<= 0 v) (< v n))")],
+        "(close F n 1 1 1 1 >=)",
     )
     with pytest.raises(KernelError):
-        apply(kernel, "close", "F", "n", IntLit(1), IntLit(1), IntLit(1), IntLit(1), ">=")
+        apply_rule(kernel, app)
 
 
 # -- scripts ------------------------------------------------------------------------------------
@@ -522,8 +586,28 @@ def test_parse_proof_const_lb_models():
     (step,) = script.steps
     (app,) = step.apps
     assert app.rule == "const-lb"
-    assert app.payload.c == 2
-    assert app.payload.models == ({"v": IntLit(0)}, {"v": IntLit(1)})
+    count, c, models = app.args
+    assert count == script.counts["P"]
+    assert c == 2
+    assert models == ({"v": IntLit(0)}, {"v": IntLit(1)})
+
+
+def test_goal_may_name_a_conjunction_count_resolved_before_it(stub_solver):
+    declared = pred("F", V, ["v"], "(< v 2)") + pred("G", V, ["v"], "(> v 0)")
+    goal = "(goal (>= cnt.F&G 0))"
+    script = parse_proof(f"(proof {declared} (step 1 (positive (and F G))) {goal})")
+    assert script.signature.rank("cnt.F&G") == ((), INT)
+    result = check_script(script, Session(stub_solver("unsat"), TIMEOUT))
+    assert (result.status, [f.label for f in result.facts]) == ("accepted", ["positive(F&G)"])
+    with pytest.raises(SexprError, match="unknown atom 'cnt.F&G'"):
+        parse_proof(f"(proof {declared} {goal} (step 1 (positive (and F G))))")
+
+
+def test_every_rule_is_pinned_by_a_query_stream():
+    # the query-stream pins run the shipped proofs and RULE_SCRIPT
+    texts = [RULE_SCRIPT, *((d / "proof.sexp").read_text() for d in BENCHMARKS.iterdir())]
+    applied = {app.rule for text in texts for step in parse_proof(text).steps for app in step.apps}
+    assert applied == set(RULES)
 
 
 # -- malformed scripts ----------------------------------------------------------------------------
@@ -554,6 +638,18 @@ DECLARED = "(declare-pred P ((v Int) (n Int)) (counted v) (and (<= 0 v) (< v n))
         "(declare-pred Q ((v Int)) (counted w) true)",
         "(goal)",
         "(goal (>= cnt.Q 1))",
+        "(step 1 (positive (at P 1 2)))",
+        "(step 1 (positive (and (at P 1) P)))",
+        "(declare-pred W ((w Int)) (counted w) true) (step 1 (positive (and P W)))",
+        "(declare-pred Q ((v Int)) (counted v) (+ v 1))",
+        "(goal (+ cnt.Q 1))",
+        "(step 1 (positive (at P true)))",
+        "(step 1 (injective P P (witness (v true))))",
+        "(step 1 (const-lb P 1 (model (v true))))",
+        "(step 1 (ind-leq P P n (hx (v true)) (hy (v 0))))",
+        "(step 1 (ind-leq P P n (hx (v 0)) (hy (v true))))",
+        "(step 1 (ind-geq P P n (witness (v 0)) (guard 1)))",
+        "(step 1 (close P n 1 1 true 1 =))",
     ],
 )
 def test_parse_proof_rejects_malformed_scripts(section):
@@ -649,5 +745,5 @@ def test_premise_attempts_share_one_time_budget(monkeypatch, attempts, timeout, 
     monkeypatch.setattr(backend, "solve", solve)
     premise = Premise("p", (), attempts=attempts, failure="p: not valid")
     with pytest.raises(QueryUnknown, match="p: solver returned unknown"):
-        Kernel(Session(["unused-solver"], timeout)).send([premise])
+        Kernel(Session(["unused-solver"], timeout), BUILTIN_SIGNATURE).send([premise])
     assert timeouts == sent
