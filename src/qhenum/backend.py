@@ -13,7 +13,7 @@ from pathlib import Path
 from typing import Optional, Sequence
 
 from . import sexpr
-from .terms import BUILTIN_SIGNATURE, Signature, Sort, Term, TermWriter, sort_to_text
+from .terms import BUILTIN_SIGNATURE, Signature, Sort, Term, render, sort_to_text
 
 
 class BackendError(RuntimeError):
@@ -102,15 +102,28 @@ def build_query(
     timeout_ms: int = DEFAULT_TIMEOUT_MS,
     get_model: bool = False,
 ) -> Query:
-    """Render ``assertions`` and declare their free symbols."""
-    writer = TermWriter()
+    """Render ``assertions`` and declare their free symbols.
+
+    Each assertion's rendering is its term's ``smt``, made on first use and
+    kept with the term object. Within an assertion an unknown node raises
+    ``TypeError``, then a constant at two sorts ``EmitError``, then a symbol
+    ``signature`` lacks ``UnknownSymbol``; the first faulty assertion decides.
+    """
     texts: list[str] = []
+    consts: dict[str, Sort] = {}
     funcs: dict[str, tuple[tuple[Sort, ...], Sort]] = {}
     for formula in assertions:
-        texts.append(writer.text(formula))
-        if writer.clash is not None:
-            raise EmitError(f"constant {writer.clash} used at two sorts")
-        for name in writer.funcs:
+        # a root that is no Term is walked uncached, which raises TypeError
+        rendered = formula.smt if isinstance(formula, Term) else render(formula)
+        texts.append(rendered.text)
+        clash = rendered.clash
+        for name, sort in rendered.consts:
+            prev = consts.setdefault(name, sort)
+            if clash is None and prev is not sort and prev != sort:
+                clash = name
+        if clash is not None:
+            raise EmitError(f"constant {clash} used at two sorts")
+        for name in rendered.funcs:
             if name not in funcs:
                 funcs[name] = signature.rank(name)
     return Query(
@@ -118,7 +131,7 @@ def build_query(
         logic=logic,
         options=options,
         functions=tuple((n, *funcs[n]) for n in sorted(funcs)),
-        consts=tuple(sorted(writer.consts.items())),
+        consts=tuple(sorted(consts.items())),
         timeout_ms=timeout_ms,
         get_model=get_model,
     )

@@ -275,10 +275,15 @@ def _pairwise(maps: Sequence[Mapping[Var, Term]]) -> list[Term]:
 def _witness_map(
     label: str, section: str, counted: Sequence[Var], binding: Mapping[str, Term]
 ) -> dict[Var, Term]:
-    """The term ``binding`` gives each counted variable, by name."""
+    """The term ``binding`` gives each counted variable, by name; it binds
+    every counted variable and nothing else."""
     for v in counted:
         if v.name not in binding:
             raise KernelError(f"{label}: {section} missing {v.name}")
+    names = {v.name for v in counted}
+    for name in binding:
+        if name not in names:
+            raise KernelError(f"{label}: {section} binds {name}, which is not counted")
     return {v: binding[v.name] for v in counted}
 
 

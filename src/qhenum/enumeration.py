@@ -170,11 +170,11 @@ def _obs(prop: QhpProperty, copy: int) -> Term:
 
 
 def _prerequisites(
-    system: TransitionSystem, witness: EnumerationWitness, base_label: str, step_label: str
+    system: TransitionSystem, inv: Optional[Term], base_label: str, step_label: str
 ) -> list[Obligation]:
-    if not witness.strengthening:
+    """That the strengthening ``inv`` (None: there is none) is inductive."""
+    if inv is None:
         return []
-    inv = conj(*witness.strengthening)
     inv_next = retag_free(inv, {PLAIN: PRIMED})
     return [
         Obligation(f"{base_label}/inv-init", (system.init, Not(inv))),
@@ -192,8 +192,15 @@ def _init_at(system: TransitionSystem, copy: int) -> Term:
     return retag_free(system.init, {PLAIN: indexed(copy)})
 
 
+def _strengthening(witness: EnumerationWitness) -> Optional[Term]:
+    return conj(*witness.strengthening) if witness.strengthening else None
+
+
 # ---------------------------------------------------------------------------
 # Bundle generation
+#
+# Each generator builds every per-copy term once and hands the same object to
+# each obligation that carries it, so each is rendered once per bundle.
 
 
 def gen_injective_vcs(
@@ -201,53 +208,43 @@ def gen_injective_vcs(
     prop: QhpProperty,
     witness: EnumerationWitness,
 ) -> VcBundle:
-    obligations: list[Obligation] = []
-    obligations.append(Obligation("totality-of-witness", (), syntactic=True))
     ski = _skolem_equations(system, witness.skolem_init, 2, False, "skolem-init")
     sks = _skolem_equations(system, witness.skolem_step, 2, True, "skolem-step")
-    obligations.extend(_prerequisites(system, witness, "existence-base", "existence-step"))
-
-    inv1 = _strengthen_at(witness, 1)
-    inv2 = _strengthen_at(witness, 2)
+    inv = _strengthening(witness)
+    inv1, inv2, inv3 = (_strengthen_at(witness, copy) for copy in (1, 2, 3))
+    init1 = _init_at(system, 1)
     trel_next = retag_free(
         witness.trel,
         {indexed(1): indexed(1, True), indexed(2): indexed(2, True)},
     )
-
-    base_hyps = (_init_at(system, 1), witness.valid, *ski)
-    obligations.append(
-        Obligation("existence-base/init", (*base_hyps, Not(_init_at(system, 2))))
-    )
-    obligations.append(
-        Obligation("existence-base/rel", (*base_hyps, Not(witness.trel)))
-    )
-    step_hyps = (
-        witness.valid,
-        witness.trel,
-        *inv1,
-        *inv2,
-        _tx_at(system, 1),
-        *sks,
-    )
-    obligations.append(
-        Obligation("existence-step/tx", (*step_hyps, Not(_tx_at(system, 2))))
-    )
-    obligations.append(
-        Obligation("existence-step/rel", (*step_hyps, Not(trel_next)))
-    )
-    obligations.append(
+    base_hyps = (init1, witness.valid, *ski)
+    step_hyps = (witness.valid, witness.trel, *inv1, *inv2, _tx_at(system, 1), *sks)
+    obligations = [
+        Obligation("totality-of-witness", (), syntactic=True),
+        *_prerequisites(system, inv, "existence-base", "existence-step"),
+        Obligation("existence-base/init", (*base_hyps, Not(_init_at(system, 2)))),
+        Obligation("existence-base/rel", (*base_hyps, Not(witness.trel))),
+        Obligation("existence-step/tx", (*step_hyps, Not(_tx_at(system, 2)))),
+        Obligation("existence-step/rel", (*step_hyps, Not(trel_next))),
         Obligation(
             "existence-step/psi",
             (witness.valid, witness.trel, *inv1, *inv2, Not(_psi(prop, 1, 2))),
-        )
-    )
-    obligations.extend(_distinctness(system, prop, witness))
+        ),
+        *_distinctness(system, prop, witness, init1, inv, (*inv1, *inv2, *inv3)),
+    ]
     return VcBundle("injective", tuple(obligations))
 
 
 def _distinctness(
-    system: TransitionSystem, prop: QhpProperty, witness: EnumerationWitness
+    system: TransitionSystem,
+    prop: QhpProperty,
+    witness: EnumerationWitness,
+    init1: Term,
+    inv: Optional[Term],
+    inv_copies: tuple[Term, ...],
 ) -> list[Obligation]:
+    """The distinctness obligations, given ``init`` at copy 1 and the
+    strengthening, whole (``inv``) and at copies 1 to 3 (``inv_copies``)."""
     valid_a = _enum_copy(witness, witness.valid, "a")
     valid_b = _enum_copy(witness, witness.valid, "b")
     trel_a = _enum_copy(witness, witness.trel, "a")
@@ -258,24 +255,19 @@ def _distinctness(
     )
     differ = _enum_vars_differ(witness, "a", "b")
     observed_diff = neq(_obs(prop, 2), _obs(prop, 3))
-    inv1 = _strengthen_at(witness, 1)
-    inv2 = _strengthen_at(witness, 2)
-    inv3 = _strengthen_at(witness, 3)
     mode = witness.diff_mode
     if mode is None:
         return [
             Obligation(
                 "distinctness",
                 (
-                    _init_at(system, 1),
+                    init1,
                     valid_a,
                     valid_b,
                     differ,
                     trel_a,
                     trel_b,
-                    *inv1,
-                    *inv2,
-                    *inv3,
+                    *inv_copies,
                     Not(observed_diff),
                 ),
             )
@@ -286,8 +278,7 @@ def _distinctness(
     counter = system.var(mode.counter)
     counter_next = system.var(mode.counter, PRIMED)
     target_plain = retag_free(mode.target, {indexed(1): PLAIN})
-    inv_plain = conj(*witness.strengthening) if witness.strengthening else None
-    progress_hyps = ([inv_plain] if inv_plain is not None else []) + [system.tx]
+    progress_hyps = ([inv] if inv is not None else []) + [system.tx]
     return [
         Obligation(
             "distinctness/lockstep",
@@ -315,9 +306,7 @@ def _distinctness(
                 differ,
                 trel_a,
                 trel_b,
-                *inv1,
-                *inv2,
-                *inv3,
+                *inv_copies,
                 Cmp("=", counter2, mode.target),
                 Cmp("=", counter3, mode.target),
                 Not(observed_diff),
@@ -331,8 +320,6 @@ def gen_surjective_vcs(
     prop: QhpProperty,
     witness: EnumerationWitness,
 ) -> VcBundle:
-    obligations: list[Obligation] = []
-    obligations.append(Obligation("totality-of-witness", (), syntactic=True))
     given = dict(witness.cover)
     missing = [n for n, _ in witness.enum_vars if n not in given]
     if missing:
@@ -340,64 +327,48 @@ def gen_surjective_vcs(
     cover_eqs = [
         _entry_equation(Var(n, s), given[n]) for n, s in witness.enum_vars
     ]
-    obligations.extend(
-        _prerequisites(system, witness, "surj-cover-base", "surj-cover-step")
-    )
-    inv1 = _strengthen_at(witness, 1)
-    inv2 = _strengthen_at(witness, 2)
-    inv3 = _strengthen_at(witness, 3)
+    inv1, inv2, inv3 = (_strengthen_at(witness, copy) for copy in (1, 2, 3))
+    init1, init2, init3 = (_init_at(system, copy) for copy in (1, 2, 3))
+    tx1, tx2, tx3 = (_tx_at(system, copy) for copy in (1, 2, 3))
     trel_next = retag_free(
         witness.trel,
         {indexed(1): indexed(1, True), indexed(2): indexed(2, True)},
     )
-    obligations.append(
-        Obligation(
-            "surj-cover-base",
-            (
-                _init_at(system, 1),
-                _init_at(system, 2),
-                _psi(prop, 1, 2),
-                *cover_eqs,
-                Not(conj(witness.valid, witness.trel)),
-            ),
-        )
-    )
-    obligations.append(
-        Obligation(
-            "surj-cover-step",
-            (
-                witness.valid,
-                witness.trel,
-                *inv1,
-                *inv2,
-                _tx_at(system, 1),
-                _tx_at(system, 2),
-                _psi(prop, 1, 2, primed=True),
-                Not(trel_next),
-            ),
-        )
-    )
     trel_13 = retag_free(witness.trel, {indexed(2): indexed(3)})
     obs2, obs3 = _obs(prop, 2), _obs(prop, 3)
-    obligations.append(
-        Obligation(
-            "surj-distinct/base",
-            (
-                witness.valid,
-                _init_at(system, 1),
-                _init_at(system, 2),
-                _init_at(system, 3),
-                witness.trel,
-                trel_13,
-                Not(Cmp("=", obs2, obs3)),
-            ),
-        )
-    )
     psi_12n = _psi(prop, 1, 2, primed=True)
     psi_13n = retag_free(
         _psi(prop, 1, 3), {indexed(1): indexed(1, True), indexed(3): indexed(3, True)}
     )
-    obligations.append(
+    obligations = [
+        Obligation("totality-of-witness", (), syntactic=True),
+        *_prerequisites(system, _strengthening(witness), "surj-cover-base", "surj-cover-step"),
+        Obligation(
+            "surj-cover-base",
+            (
+                init1,
+                init2,
+                _psi(prop, 1, 2),
+                *cover_eqs,
+                Not(conj(witness.valid, witness.trel)),
+            ),
+        ),
+        Obligation(
+            "surj-cover-step",
+            (witness.valid, witness.trel, *inv1, *inv2, tx1, tx2, psi_12n, Not(trel_next)),
+        ),
+        Obligation(
+            "surj-distinct/base",
+            (
+                witness.valid,
+                init1,
+                init2,
+                init3,
+                witness.trel,
+                trel_13,
+                Not(Cmp("=", obs2, obs3)),
+            ),
+        ),
         Obligation(
             "surj-distinct/step",
             (
@@ -408,9 +379,9 @@ def gen_surjective_vcs(
                 *inv2,
                 *inv3,
                 Cmp("=", obs2, obs3),
-                _tx_at(system, 1),
-                _tx_at(system, 2),
-                _tx_at(system, 3),
+                tx1,
+                tx2,
+                tx3,
                 psi_12n,
                 psi_13n,
                 Not(
@@ -421,8 +392,8 @@ def gen_surjective_vcs(
                     )
                 ),
             ),
-        )
-    )
+        ),
+    ]
     return VcBundle("surjective", tuple(obligations))
 
 

@@ -1,7 +1,21 @@
 """S-expression reading and writing, and the section reader of input files.
 
 Atoms are symbols (``str``) or integers (``int``); lists are Python lists.
-Comments run from ``;`` to end of line.
+The text is read in one regular-expression scan, by these token rules:
+
+* whitespace is space, tab, CR and LF, and nothing else;
+* ``;`` starts a comment, up to the next LF, wherever a token could start
+  (so also right after an atom);
+* ``(`` and ``)`` are tokens of their own;
+* ``|...|`` is one token up to the next ``|``, whatever it holds in
+  between (a ``;``, ``(`` or line break is kept);
+* any other run of characters up to whitespace, a paren or ``;`` is an
+  atom, which may contain ``|`` after its first character (``a|b|`` is one
+  atom);
+* an atom is an integer exactly when ``atom.lstrip("-").isdigit()`` holds.
+
+A ``|`` with no closing ``|``, an unmatched ``)`` and an unclosed ``(`` raise
+``SexprError``.
 
 Every input file is one ``(head section ...)`` form whose sections are
 ``(name arg ...)`` lists. ``read_form``, ``sections``, ``single``, ``pairs``
@@ -10,6 +24,7 @@ and ``atom`` check that shape and raise ``SexprError`` on anything else.
 
 from __future__ import annotations
 
+import re
 from typing import Any, Sequence, Union
 
 Sexpr = Union[str, int, list]
@@ -19,71 +34,34 @@ class SexprError(ValueError):
     pass
 
 
-_DELIMS = "()"
-_WS = " \t\r\n"
-
-
-def tokenize(text: str) -> list[str]:
-    tokens: list[str] = []
-    i = 0
-    n = len(text)
-    while i < n:
-        c = text[i]
-        if c in _WS:
-            i += 1
-        elif c == ";":
-            while i < n and text[i] != "\n":
-                i += 1
-        elif c in _DELIMS:
-            tokens.append(c)
-            i += 1
-        elif c == "|":
-            j = text.find("|", i + 1)
-            if j < 0:
-                raise SexprError("unterminated |symbol|")
-            tokens.append(text[i : j + 1])
-            i = j + 1
-        else:
-            j = i
-            while j < n and text[j] not in _WS and text[j] not in _DELIMS and text[j] != ";":
-                j += 1
-            tokens.append(text[i:j])
-            i = j
-    return tokens
-
-
-def _from_token(token: str) -> Sexpr:
-    if token.lstrip("-").isdigit() and token not in ("-", ""):
-        return int(token)
-    return token
+# One match per token: an atom, a paren or a |quoted| symbol (group 1), or a
+# comment (group 1 empty). Whitespace matches nothing, so ``findall`` skips
+# it. A quote with no closing ``|`` runs to the end of the text.
+_TOKEN = re.compile(r";[^\n]*|([^ \t\r\n();|][^ \t\r\n();]*|[()]|\|[^|]*\|?)")
 
 
 def parse_all(text: str) -> list[Sexpr]:
-    tokens = tokenize(text)
-    pos = 0
-
-    def read() -> Sexpr:
-        nonlocal pos
-        if pos >= len(tokens):
-            raise SexprError("unexpected end of input")
-        tok = tokens[pos]
-        pos += 1
+    tokens = _TOKEN.findall(text)
+    # only the last token can be a quote that ran to the end unclosed
+    if tokens and tokens[-1][:1] == "|" and not tokens[-1].endswith("|", 1):
+        raise SexprError("unterminated |symbol|")
+    out: list[Sexpr] = []
+    items = out
+    open_lists: list[list] = []
+    for tok in tokens:
         if tok == "(":
-            items = []
-            while True:
-                if pos >= len(tokens):
-                    raise SexprError("unbalanced parentheses")
-                if tokens[pos] == ")":
-                    pos += 1
-                    return items
-                items.append(read())
-        if tok == ")":
-            raise SexprError("unexpected ')'")
-        return _from_token(tok)
-
-    out = []
-    while pos < len(tokens):
-        out.append(read())
+            open_lists.append(items)
+            inner: list = []
+            items.append(inner)
+            items = inner
+        elif tok == ")":
+            if not open_lists:
+                raise SexprError("unexpected ')'")
+            items = open_lists.pop()
+        elif tok:
+            items.append(int(tok) if tok.lstrip("-").isdigit() else tok)
+    if open_lists:
+        raise SexprError("unbalanced parentheses")
     return out
 
 

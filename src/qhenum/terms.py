@@ -11,8 +11,9 @@ from __future__ import annotations
 
 import re
 from dataclasses import dataclass
+from functools import cached_property
 from operator import attrgetter
-from typing import Any, Callable, Mapping, Optional
+from typing import Any, Callable, Mapping, NamedTuple, Optional
 
 from .sexpr import Sexpr, SexprError, atom, pairs, parse_one, to_text
 
@@ -162,7 +163,12 @@ def demangle(text: str) -> tuple[str, Tag]:
 
 @dataclass(frozen=True)
 class Term:
-    pass
+    @cached_property
+    def smt(self) -> "Rendered":
+        """This term's ``render``, on first use; every query that carries
+        the same term object reuses it. Threads that ask at once may each
+        walk the term; they keep equal results."""
+        return render(self)
 
 
 @dataclass(frozen=True)
@@ -700,6 +706,21 @@ _HEADS = {
     Not: "not", And: "and", Or: "or", Implies: "=>", Ite: "ite", Select: "select",
     Store: "store", Forall: "forall", Exists: "exists",
 }
+
+
+class Rendered(NamedTuple):
+    """What one ``TermWriter`` walk of a term found."""
+
+    text: str
+    consts: tuple[tuple[str, Sort], ...]  # free constants, first seen first
+    funcs: tuple[str, ...]  # applied symbols, parents before arguments
+    clash: Optional[str]  # the first constant seen at two sorts
+
+
+def render(term: Term) -> Rendered:
+    writer = TermWriter()
+    text = writer.text(term)
+    return Rendered(text, tuple(writer.consts.items()), tuple(writer.funcs), writer.clash)
 
 
 def term_to_text(term: Term) -> str:

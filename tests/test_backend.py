@@ -16,6 +16,7 @@ from qhenum.backend import (
     resolve_solver,
     solve,
 )
+from qhenum import terms
 from qhenum.terms import (
     Add,
     And,
@@ -365,3 +366,44 @@ def test_errors_keep_their_order(assertions, error):
         build_query(assertions)
     expected = outcome(lambda: reference_declarations(assertions, Signature()))
     assert expected in (error, (error, str(info.value)))
+
+
+# -- each assertion term is rendered once ---------------------------------------
+
+
+@settings(max_examples=200)
+@given(data=st.data())
+def test_query_built_again_is_equal(any_term, term_signature, data):
+    assertions = data.draw(st.lists(any_term, min_size=1, max_size=3))
+
+    def build():
+        return build_query(assertions, term_signature, logic=OBLIGATION_LOGIC, get_model=True)
+
+    assert outcome(build) == outcome(build)
+
+
+def test_term_object_is_rendered_once(monkeypatch):
+    walks = []
+    render = terms.render
+    monkeypatch.setattr(terms, "render", lambda term: walks.append(term) or render(term))
+    shared = Cmp("=", X_INT, IntLit(0))
+    first = build_query([shared, Not(shared)])
+    second = build_query([Not(shared), shared])
+    assert walks == [shared, Not(shared), Not(shared)]
+    assert first.assertions == second.assertions[::-1]
+
+
+def test_rendered_term_still_clashes_with_a_neighbour():
+    clean = Cmp("=", X_INT, IntLit(0))
+    query = build_query([clean])
+    for assertions in ([X_BOOL, clean], [clean, X_BOOL]):
+        with pytest.raises(EmitError, match="constant x used at two sorts"):
+            build_query(assertions)
+    assert build_query([clean]) == query
+
+
+@pytest.mark.parametrize("assertions", [[And((X_BOOL, Opaque()))], [Opaque()]])
+def test_unknown_node_raises_on_every_call(assertions):
+    for _ in range(3):
+        with pytest.raises(TypeError, match="unknown term"):
+            build_query(assertions)

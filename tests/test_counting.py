@@ -687,6 +687,34 @@ def test_missing_witness_variable_rejects_step_before_any_query(step, reason, st
     assert not debug.exists()
 
 
+STRAY_SCRIPT = """
+(proof
+  (declare-pred F ((v Int)) (counted v) (and (<= 0 v) (< v 2)))
+  (declare-pred G ((w Int)) (counted w) (and (<= 0 w) (< w 4)))
+  (declare-pred H ((v Int) (n Int)) (counted v) (and (<= 0 v) (< v n)))
+  (step 1 {step})
+  (goal true))
+"""
+
+
+@pytest.mark.parametrize(
+    "step, reason",
+    [
+        ("(injective F G (witness (w v) (wq 7)))", "injective(F,G): witness binds wq, which is not counted"),
+        ("(ind-geq H G n (witness (v 1) (w 2)))", "ind-geq(H,G): witness binds w, which is not counted"),
+        ("(ind-leq H G n (hx (v 1)) (hy (w 0) (n 1)))", "ind-leq(H,G): hy binds n, which is not counted"),
+        ("(const-lb G 1 (model (w 0) (v 1)))", "const-lb(G,1): model binds v, which is not counted"),
+    ],
+)
+def test_stray_witness_entry_rejects_step_before_any_query(step, reason, stub_solver, tmp_path):
+    debug = tmp_path / "debug"
+    script = parse_proof(STRAY_SCRIPT.format(step=step))
+    result = check_script(script, Session(stub_solver("unsat"), TIMEOUT, debug))
+    assert (result.status, result.rejected_at, result.reason) == ("rejected", "step 1", reason)
+    assert result.facts == ()
+    assert not debug.exists()
+
+
 UNKNOWN_SCRIPT = """
 (proof
   (declare-pred P ((v Int)) (counted v) (and (<= 0 v) (< v 3)))

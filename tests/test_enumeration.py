@@ -11,6 +11,7 @@ from qhenum.backend import (
     build_query,
     emit,
 )
+from qhenum.cli import load_project
 from qhenum.enumeration import (
     AtIndex,
     MissingWitness,
@@ -214,3 +215,27 @@ def test_discharge_shares_one_debug_numbering(stub_solver, tmp_path):
                 get_model=True,
             )
         )
+
+
+BUNDLE_GENERATORS = {
+    "geq": (gen_injective_vcs,),
+    "leq": (gen_surjective_vcs,),
+    "eq": (gen_injective_vcs, gen_surjective_vcs),
+}
+
+
+@pytest.mark.parametrize(
+    "name",
+    ["electronic-purse", "f-y-array-shuffle", "password-checker", "path-oram", "zk-hats"],
+)
+def test_bundle_builds_each_assertion_once(benchmarks, name):
+    """Value-equal assertions of one bundle are one object, so each is
+    rendered once however many obligations carry it."""
+    project = load_project(benchmarks / name)
+    for gen in BUNDLE_GENERATORS[project.prop.cmp]:
+        bundle = gen(project.system, project.prop, project.witness)
+        first: dict = {}
+        for ob in bundle.obligations:
+            for term in ob.assertions:
+                kept = first.setdefault(term, term)
+                assert kept is term, f"{bundle.kind} {ob.label}: a second copy of an assertion"

@@ -1,5 +1,5 @@
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import given, settings, strategies as st
 
 from qhenum.sexpr import SexprError, parse_all, parse_one, to_text
 
@@ -53,3 +53,103 @@ sexprs = st.recursive(atoms, lambda inner: st.lists(inner, max_size=4), max_leav
 @given(sexprs)
 def test_round_trip_any(expr):
     assert parse_one(to_text(expr)) == expr
+
+
+# -- the reader against a character-at-a-time reference ----------------------
+
+
+def reference_tokenize(text):
+    tokens = []
+    i = 0
+    n = len(text)
+    while i < n:
+        c = text[i]
+        if c in " \t\r\n":
+            i += 1
+        elif c == ";":
+            while i < n and text[i] != "\n":
+                i += 1
+        elif c in "()":
+            tokens.append(c)
+            i += 1
+        elif c == "|":
+            j = text.find("|", i + 1)
+            if j < 0:
+                raise SexprError("unterminated |symbol|")
+            tokens.append(text[i : j + 1])
+            i = j + 1
+        else:
+            j = i
+            while j < n and text[j] not in " \t\r\n" and text[j] not in "()" and text[j] != ";":
+                j += 1
+            tokens.append(text[i:j])
+            i = j
+    return tokens
+
+
+def reference_atom(token):
+    if token.lstrip("-").isdigit() and token not in ("-", ""):
+        return int(token)
+    return token
+
+
+def reference_parse_all(text):
+    tokens = reference_tokenize(text)
+    pos = 0
+
+    def read():
+        nonlocal pos
+        tok = tokens[pos]
+        pos += 1
+        if tok == "(":
+            items = []
+            while True:
+                if pos >= len(tokens):
+                    raise SexprError("unbalanced parentheses")
+                if tokens[pos] == ")":
+                    pos += 1
+                    return items
+                items.append(read())
+        if tok == ")":
+            raise SexprError("unexpected ')'")
+        return reference_atom(tok)
+
+    out = []
+    while pos < len(tokens):
+        out.append(read())
+    return out
+
+
+def read_outcome(read, text):
+    """The forms ``read`` gives for ``text``, or its error's type and message."""
+    try:
+        return read(text)
+    except (SexprError, ValueError) as exc:
+        return type(exc), str(exc)
+
+
+@pytest.mark.parametrize(
+    "text, expected",
+    [
+        ("a|b|", ["a|b|"]),
+        ("(|x;y| 1)", [["|x;y|", 1]]),
+        ("(a) ; trailing comment, no newline", [["a"]]),
+        ("(a |b", (SexprError, "unterminated |symbol|")),
+        ("a;b\nc", ["a", "c"]),
+        ("(|a\n(b| -)", [["|a\n(b|", "-"]]),
+        ("\f1 1\f", ["\f1", "1\f"]),
+        (") |x", (SexprError, "unterminated |symbol|")),
+        ("(a))", (SexprError, "unexpected ')'")),
+        ("((a)", (SexprError, "unbalanced parentheses")),
+        ("--5", (ValueError, "invalid literal for int() with base 10: '--5'")),
+    ],
+)
+def test_reader_rows(text, expected):
+    assert read_outcome(parse_all, text) == expected
+    assert read_outcome(reference_parse_all, text) == expected
+
+
+@settings(max_examples=2000)
+@given(st.text(alphabet="()|;-0123456789ax \t\n\f", max_size=40))
+def test_reader_matches_reference(text):
+    assert read_outcome(parse_all, text) == read_outcome(reference_parse_all, text)
