@@ -49,12 +49,17 @@ from .qhl import QhlError, QhpProperty, check_well_defined, parse_property
 from .sexpr import Sexpr, SexprError, atom, pairs, read_form, sections, single, to_text
 from .system import SystemError_, TransitionSystem, parse_system
 from .terms import (
+    BOOL,
+    INT,
+    ArraySort,
     Cmp,
     Forall,
     Implies,
     IntLit,
     PLAIN,
+    Sort,
     Term,
+    expect_sort,
     indexed,
     retag_free,
 )
@@ -385,6 +390,14 @@ def parse_value(expr: Sexpr):
     raise SexprError(f"bad value {to_text(expr)}")
 
 
+def _check_sort(what: str, value: Any, sort: Sort) -> None:
+    """A parsed value, or the values of a parsed domain (all of one kind),
+    must be of ``sort``."""
+    for v in value.values[:1] if isinstance(value, ScalarDomain) else (value,):
+        actual = BOOL if isinstance(v, bool) else INT if isinstance(v, int) else ArraySort(INT, INT)
+        expect_sort(actual, sort, what)
+
+
 @dataclass(frozen=True)
 class OracleSetup:
     project: Project
@@ -402,21 +415,24 @@ def load_instance(path: Path, depth: Optional[int] = None) -> OracleSetup:
     )
 
     project = load_project(path.parent / single(found, "project", str, ".").strip('"'))
-    state_vars = {n for n, _ in project.system.state_vars}
+    state_vars = dict(project.system.state_vars)
     known = {
         "domains": (state_vars, "state variable"),
         "init-fix": (state_vars, "state variable"),
-        "params": (set(project.system.params), "system parameter"),
+        "params": ({z: state_vars[z] for z in project.system.params}, "system parameter"),
     }
 
     def entries(section: str, parse: Callable) -> dict:
-        given = pairs(section, found.get(section, ()))
+        """The parsed value of each entry; one that names a state variable
+        or parameter must be of its sort."""
+        given = {n: parse(e) for n, e in pairs(section, found.get(section, ())).items()}
         if section in known:
-            names, what = known[section]
-            for name in given:
-                if name not in names:
+            sorts, what = known[section]
+            for name, value in given.items():
+                if name not in sorts:
                     raise SexprError(f"{section}: {name} is not a {what}")
-        return {n: parse(e) for n, e in given.items()}
+                _check_sort(f"{section} {name}", value, sorts[name])
+        return given
 
     file_depth = single(found, "depth", int, 4)
     deterministic = single(found, "deterministic", str, "false")
@@ -452,17 +468,18 @@ def oracle_main(args: argparse.Namespace) -> int:
     name = args.brute_count
     if name == "valid":
         formula = retag_free(setup.project.witness.valid, {indexed(1): PLAIN})
-        counted_names = [n for n, _ in setup.project.witness.enum_vars]
+        counted_vars = setup.project.witness.enum_vars
     else:
         count = setup.project.script.counts.get(name)
         if count is None:
             raise OracleError(f"no such formula {name!r}")
         formula = count.formula
-        counted_names = [v.name for v in count.counted]
-    for n in counted_names:
+        counted_vars = tuple((v.name, v.sort) for v in count.counted)
+    for n, sort in counted_vars:
         if n not in setup.count_domains:
             raise SexprError(f"count-vars: no domain for {n}")
-    counted = {n: setup.count_domains[n] for n in counted_names}
+        _check_sort(f"count-vars {n}", setup.count_domains[n], sort)
+    counted = {n: setup.count_domains[n] for n, _ in counted_vars}
     print(brute_count(formula, counted, setup.instance.params,
                       setup.instance.quant_lo, setup.instance.quant_hi))
     return 0

@@ -42,15 +42,12 @@ from .terms import (
     Sort,
     Sub,
     Term,
-    TermError,
     TRUE,
     Var,
-    check_sorts,
     conj,
     free_vars,
     neq,
     sort_from_sexpr,
-    sort_to_text,
     substitute,
     term_from_sexpr,
 )
@@ -272,21 +269,6 @@ def _pairwise(maps: Sequence[Mapping[Var, Term]]) -> list[Term]:
     return [_differ(a, b) for i, a in enumerate(maps) for b in maps[i + 1:]]
 
 
-def _witness_map(
-    label: str, section: str, counted: Sequence[Var], binding: Mapping[str, Term]
-) -> dict[Var, Term]:
-    """The term ``binding`` gives each counted variable, by name; it binds
-    every counted variable and nothing else."""
-    for v in counted:
-        if v.name not in binding:
-            raise KernelError(f"{label}: {section} missing {v.name}")
-    names = {v.name for v in counted}
-    for name in binding:
-        if name not in names:
-            raise KernelError(f"{label}: {section} binds {name}, which is not counted")
-    return {v: binding[v.name] for v in counted}
-
-
 def _injective(
     label: str, hyps: tuple, body: Term, counted: Sequence[Var], wmap: Mapping[Var, Term]
 ) -> Premise:
@@ -346,14 +328,11 @@ def _build_const_ub(kernel: Kernel, ct: CountTerm, c: int):
     return (premise,), _conclude("const-ub", label, concl, ct)
 
 
-def _build_const_lb(kernel: Kernel, ct: CountTerm, c: int, models: Optional[tuple] = None):
+def _build_const_lb(kernel: Kernel, ct: CountTerm, c: int, wmaps: Optional[tuple] = None):
     copies, distinct, label = _distinct_models(ct, c, "lb")
-    if models is not None:
+    if wmaps is not None:
         # explicit witness models: substitute them into the body and check
         # the resulting (near-)ground formula is valid
-        if len(models) != c:
-            raise KernelError(f"{label}: needs exactly {c} (model ...) sections")
-        wmaps = [_witness_map(label, "model", ct.counted, m) for m in models]
         wbodies = [substitute(ct.formula, w) for w in wmaps]
         premise = _valid(label, (), conj(*wbodies, *_pairwise(wmaps)))
     elif not ct.params:
@@ -412,9 +391,8 @@ def _product(rule: str, rel: str, disjoint: bool) -> Callable:
     return build
 
 
-def _build_injective(kernel: Kernel, f: CountTerm, g: CountTerm, witness: Mapping[str, Term]):
+def _build_injective(kernel: Kernel, f: CountTerm, g: CountTerm, wmap: Mapping[Var, Term]):
     label = f"injective({f.name},{g.name})"
-    wmap = _witness_map(label, "witness", g.counted, witness)
     premises = (
         # f(X) implies g(F(X))
         _valid(f"{label}/into", (f.formula,), substitute(g.formula, wmap)),
@@ -437,9 +415,8 @@ def _induction(f: CountTerm, g: CountTerm, n_name: str, direction: str):
     return f_at_succ, app_f_succ, f"ind-{direction}({f.name},{g.name})"
 
 
-def _build_ind_geq(kernel: Kernel, f: CountTerm, g: CountTerm, n: str, witness: dict, guard: Term):
+def _build_ind_geq(kernel: Kernel, f: CountTerm, g: CountTerm, n: str, wmap: dict, guard: Term):
     f_at_succ, app_f_succ, label = _induction(f, g, n, "geq")
-    wmap = _witness_map(label, "witness", f.counted, witness)
     joint = conj(f.formula, g.formula)
     premises = (
         _valid(f"{label}/lift", (guard, f.formula, g.formula), substitute(f_at_succ, wmap)),
@@ -450,11 +427,9 @@ def _build_ind_geq(kernel: Kernel, f: CountTerm, g: CountTerm, n: str, witness: 
 
 
 def _build_ind_leq(
-    kernel: Kernel, f: CountTerm, g: CountTerm, n: str, hx: dict, hy: dict, guard: Term
+    kernel: Kernel, f: CountTerm, g: CountTerm, n: str, xmap: dict, ymap: dict, guard: Term
 ):
     f_at_succ, app_f_succ, label = _induction(f, g, n, "leq")
-    xmap = _witness_map(label, "hx", f.counted, hx)
-    ymap = _witness_map(label, "hy", g.counted, hy)
     lowered = conj(substitute(f.formula, xmap), substitute(g.formula, ymap))
     premises = (
         _valid(f"{label}/lower", (guard, f_at_succ), lowered),
@@ -510,9 +485,9 @@ def _build_close(
 
 
 # ---------------------------------------------------------------------------
-# Rule parsers: each checks the arity, the atom types and the sorts of its
-# form, raises SexprError on a malformed one, and returns its build's
-# arguments.
+# Rule parsers: each checks the arity, the atom types, the sorts and the
+# witness bindings of its form, raises SexprError on a malformed one, and
+# returns its build's arguments.
 
 
 class _Scope:
@@ -522,14 +497,11 @@ class _Scope:
     def __init__(self) -> None:
         self.counts: dict[str, CountTerm] = {}
         self.sig = BUILTIN_SIGNATURE
+        self.variables: dict[str, Var] = {}  # one Var per name in the script
 
-    def term(self, expr: Sexpr, env: Mapping[str, Sort], sort: Optional[Sort], what: str) -> Term:
-        """``expr`` as a well-sorted term, of ``sort`` unless that is None."""
-        term = term_from_sexpr(expr, env, self.sig)
-        actual = check_sorts(term, self.sig)
-        if sort is not None and actual != sort:
-            raise SexprError(f"{what} has sort {sort_to_text(actual)}, not {sort_to_text(sort)}")
-        return term
+    def term(self, expr: Sexpr, env: Mapping[str, Sort], sort: Sort, what: str) -> Term:
+        """``expr`` as a term of ``sort``."""
+        return term_from_sexpr(expr, env, self.sig, sort, what, self.variables)
 
     def ref(self, expr: Sexpr) -> CountTerm:
         if isinstance(expr, str) and expr in self.counts:
@@ -568,14 +540,22 @@ class _Scope:
         return {v.name: v.sort for ct in cts for v in (*ct.counted, *ct.params)}
 
     def bindings(
-        self, entries: Sequence[Sexpr], env: Mapping[str, Sort], ct: CountTerm, section: str
-    ) -> dict[str, Term]:
-        """A witness section: the term it gives each of ``ct``'s counted
-        variables, of that variable's sort."""
-        sorts = {v.name: v.sort for v in ct.counted}
+        self, entries: Sequence[Sexpr], env: Mapping[str, Sort], ct: CountTerm, section: str,
+        label: str,
+    ) -> dict[Var, Term]:
+        """A witness section of the rule application ``label``: the term it
+        gives each of ``ct``'s counted variables, of that variable's sort. It
+        binds every counted variable and nothing else."""
+        given = pairs("binding", entries)
+        for v in ct.counted:
+            if v.name not in given:
+                raise SexprError(f"{label}: {section} missing {v.name}")
+        names = {v.name for v in ct.counted}
+        for name in given:
+            if name not in names:
+                raise SexprError(f"{label}: {section} binds {name}, which is not counted")
         return {
-            name: self.term(e, env, sorts.get(name), f"{section} {name}")
-            for name, e in pairs("binding", entries).items()
+            v: self.term(given[v.name], env, v.sort, f"{section} {v.name}") for v in ct.counted
         }
 
 
@@ -607,12 +587,15 @@ def _parse_const(with_models: bool) -> Callable:
         c = atom(form[2], int, "an integer count")
         if len(form) == 3:
             return ct, c
+        label = f"{form[0]}({ct.name},{c})"
+        if len(form) - 3 != c:
+            raise SexprError(f"{label}: needs exactly {c} (model ...) sections")
         env = scope.env(ct)
         models = []
         for item in form[3:]:
             if not (isinstance(item, list) and item and item[0] == "model"):
                 raise SexprError(f"{form[0]}: expected (model ...), got {to_text(item)}")
-            models.append(scope.bindings(item[1:], env, ct, "model"))
+            models.append(scope.bindings(item[1:], env, ct, "model", label))
         return ct, c, tuple(models)
 
     return parse
@@ -622,7 +605,8 @@ def _parse_injective(form: list, scope: _Scope) -> tuple:
     _arity(form, 2, sections=True)
     f, g = scope.ref(form[1]), scope.ref(form[2])
     found = sections("injective", form[3:], ("witness",))
-    return f, g, scope.bindings(found["witness"], scope.env(f, g), g, "witness")
+    label = f"injective({f.name},{g.name})"
+    return f, g, scope.bindings(found["witness"], scope.env(f, g), g, "witness", label)
 
 
 def _parse_ind(*maps: str) -> Callable:
@@ -636,7 +620,8 @@ def _parse_ind(*maps: str) -> Callable:
         env = scope.env(f, g)
         found = sections(form[0], form[4:], maps, ("guard",))
         guard = scope.term(single(found, "guard", default="true"), env, BOOL, "guard")
-        binds = (scope.bindings(found[m], env, ct, m) for m, ct in zip(maps, (f, g)))
+        label = f"{form[0]}({f.name},{g.name})"
+        binds = (scope.bindings(found[m], env, ct, m, label) for m, ct in zip(maps, (f, g)))
         return (f, g, n, *binds, guard)
 
     return parse
@@ -724,22 +709,19 @@ def parse_proof(text: str) -> ProofScript:
     scope = _Scope()
     steps: list[ProofStep] = []
     goal: Optional[Term] = None
-    try:
-        for item in items:
-            head = item[0] if isinstance(item, list) and item else None
-            if head == "declare-pred":
-                _declare(item, scope)
-            elif head == "step":
-                _arity(item, 1, sections=True)
-                index = atom(item[1], int, "an integer step index")
-                steps.append(ProofStep(index, tuple(_parse_app(a, scope) for a in item[2:])))
-            elif head == "goal" and goal is None:
-                _arity(item, 1)
-                goal = scope.term(item[1], {}, BOOL, "goal")
-            else:
-                raise SexprError(f"proof: unexpected {to_text(item)}")
-    except TermError as exc:
-        raise SexprError(str(exc)) from exc
+    for item in items:
+        head = item[0] if isinstance(item, list) and item else None
+        if head == "declare-pred":
+            _declare(item, scope)
+        elif head == "step":
+            _arity(item, 1, sections=True)
+            index = atom(item[1], int, "an integer step index")
+            steps.append(ProofStep(index, tuple(_parse_app(a, scope) for a in item[2:])))
+        elif head == "goal" and goal is None:
+            _arity(item, 1)
+            goal = scope.term(item[1], {}, BOOL, "goal")
+        else:
+            raise SexprError(f"proof: unexpected {to_text(item)}")
     return ProofScript(scope.counts, tuple(steps), goal, scope.sig)
 
 

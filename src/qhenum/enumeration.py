@@ -22,6 +22,7 @@ from __future__ import annotations
 import time
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
+from functools import partial
 from typing import Mapping, Optional, Sequence, Union
 
 from .backend import Answer, Obligation, Session
@@ -29,7 +30,9 @@ from .qhl import QhpProperty, difference_term, predicate_to_formula
 from .sexpr import Sexpr, SexprError, atom, pairs, read_form, sections, single, to_text
 from .system import TransitionSystem
 from .terms import (
+    BOOL,
     Add,
+    ArraySort,
     Cmp,
     IntLit,
     Forall,
@@ -41,13 +44,13 @@ from .terms import (
     Select,
     Sort,
     Term,
-    TermError,
     Var,
     conj,
     indexed,
     neq,
     retag_free,
     sort_from_sexpr,
+    sort_to_text,
     substitute,
     term_from_sexpr,
 )
@@ -437,37 +440,50 @@ def parse_enumeration(text: str, system: TransitionSystem) -> EnumerationWitness
     env_x2 = {f"{n}$2": s for n, s in system.state_vars}
     env_x1p = {f"{n}$1!": s for n, s in system.state_vars}
     env_plain = dict(system.state_vars)
-
-    def parse_entry(expr: Sexpr, env: Mapping[str, Sort]) -> SkolemEntry:
-        if isinstance(expr, list) and expr[:1] == ["pointwise"]:
-            if len(expr) != 3 or not (isinstance(expr[1], list) and len(expr[1]) == 1):
-                raise SexprError(f"expected (pointwise (index) term), got {to_text(expr)}")
-            index = atom(expr[1][0], str, "an index variable")
-            return Pointwise(index, term_from_sexpr(expr[2], {**env, index: INT}))
-        return term_from_sexpr(expr, env)
+    read = partial(term_from_sexpr, variables={})  # one Var per name in this file
 
     def parse_entries(
-        section: str, env: Mapping[str, Sort]
+        section: str, targets: Mapping[str, Sort], what: str, env: Mapping[str, Sort]
     ) -> tuple[tuple[str, SkolemEntry], ...]:
-        entries = pairs(section, found.get(section, ()))
-        return tuple((n, parse_entry(e, env)) for n, e in entries.items())
+        """Each entry's term, of its target's sort; a ``(pointwise (j) body)``
+        entry gives an array target entrywise, by a body of the element sort."""
+        out = []
+        for name, expr in pairs(section, found.get(section, ())).items():
+            sort = targets.get(name)
+            if sort is None:
+                raise SexprError(f"{section}: {name} is not {what}")
+            where = f"{section} {name}"
+            if not (isinstance(expr, list) and expr[:1] == ["pointwise"]):
+                out.append((name, read(expr, env, sort=sort, what=where)))
+                continue
+            if len(expr) != 3 or not (isinstance(expr[1], list) and len(expr[1]) == 1):
+                raise SexprError(f"expected (pointwise (index) term), got {to_text(expr)}")
+            if not (isinstance(sort, ArraySort) and sort.index == INT):
+                raise SexprError(f"{where} is {sort_to_text(sort)}, not an array over Int")
+            index = atom(expr[1][0], str, "an index variable")
+            body = read(expr[2], {**env, index: INT}, sort=sort.element, what=where)
+            out.append((name, Pointwise(index, body)))
+        return tuple(out)
 
-    try:
-        valid = term_from_sexpr(single(found, "valid"), {**env_y, **env_x1})
-        trel = term_from_sexpr(single(found, "trel"), {**env_y, **env_x1, **env_x2})
-        skolem_init = parse_entries("skolem-init", {**env_y, **env_x1})
-        skolem_step = parse_entries("skolem-step", {**env_y, **env_x1, **env_x2, **env_x1p})
-        cover = parse_entries("cover", {**env_x1, **env_x2})
-        strengthening = tuple(
-            term_from_sexpr(s, env_plain) for s in found.get("strengthen", ())
-        )
-        diff_mode = None
-        if "diff-at-index" in found:
-            kw = sections("diff-at-index", found["diff-at-index"], ("counter", "target"))
-            target = term_from_sexpr(single(kw, "target"), env_x1)
-            diff_mode = AtIndex(single(kw, "counter", str), target)
-    except TermError as exc:
-        raise SexprError(str(exc)) from exc
+    states = "a state variable"
+    valid = read(single(found, "valid"), {**env_y, **env_x1}, sort=BOOL, what="valid")
+    trel = read(single(found, "trel"), {**env_y, **env_x1, **env_x2}, sort=BOOL, what="trel")
+    skolem_init = parse_entries("skolem-init", env_plain, states, {**env_y, **env_x1})
+    skolem_step = parse_entries(
+        "skolem-step", env_plain, states, {**env_y, **env_x1, **env_x2, **env_x1p}
+    )
+    cover = parse_entries("cover", env_y, "an enumeration variable", {**env_x1, **env_x2})
+    strengthening = tuple(
+        read(s, env_plain, sort=BOOL, what="strengthen") for s in found.get("strengthen", ())
+    )
+    diff_mode = None
+    if "diff-at-index" in found:
+        kw = sections("diff-at-index", found["diff-at-index"], ("counter", "target"))
+        counter = single(kw, "counter", str)
+        if counter not in env_plain:
+            raise SexprError(f"diff-at-index: counter {counter} is not {states}")
+        target = read(single(kw, "target"), env_x1, sort=env_plain[counter], what="target")
+        diff_mode = AtIndex(counter, target)
     return EnumerationWitness(
         enum_vars,
         valid,

@@ -6,11 +6,14 @@ proves, ``forall t0. # t1 : F(diff). G(body) <| N(Z)``, where ``diff`` and
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import partial
 from typing import Optional, Sequence
 
 from .sexpr import SexprError, atom, read_form, sections, single, to_text
 from .system import TransitionSystem
 from .terms import (
+    BOOL,
+    INT,
     And,
     Cmp,
     Distinct,
@@ -19,7 +22,6 @@ from .terms import (
     PLAIN,
     Tag,
     Term,
-    TermError,
     TRUE,
     Var,
     free_vars,
@@ -168,20 +170,19 @@ def parse_property(text: str, system: TransitionSystem) -> QhpProperty:
         env2[f"{vname}$1"] = sort
         env2[f"{vname}$2"] = sort
 
+    read = partial(term_from_sexpr, variables={})  # one Var per name in this file
+
     def temporal(key: str, head: str, shape: str) -> StatePredicate:
         expr = single(kw, key)
         if not (isinstance(expr, list) and len(expr) == 2 and expr[0] == head):
             raise SexprError(f"{key[1:]} is not of the form {shape}(predicate)")
-        return StatePredicate(2, term_from_sexpr(expr[1], env2))
+        return StatePredicate(2, read(expr[1], env2, sort=BOOL, what=key[1:]))
 
-    try:
-        diff = HFinally(temporal(":diff", "finally", "F"))
-        body = HGlobally(temporal(":body", "globally", "G"))
-        env_z = {z: system.sort_of(z) for z in system.params}
-        bound = term_from_sexpr(single(kw, ":bound"), env_z)
-        assuming = term_from_sexpr(single(kw, ":assuming", default="true"), env_z)
-    except TermError as exc:
-        raise SexprError(str(exc)) from exc
+    diff = HFinally(temporal(":diff", "finally", "F"))
+    body = HGlobally(temporal(":body", "globally", "G"))
+    env_z = {z: system.sort_of(z) for z in system.params}
+    bound = read(single(kw, ":bound"), env_z, sort=INT, what="bound")
+    assuming = read(single(kw, ":assuming", default="true"), env_z, sort=BOOL, what="assuming")
     cmp = single(kw, ":cmp")
     if cmp in ("lt", "gt"):
         if not isinstance(bound, IntLit):

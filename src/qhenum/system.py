@@ -3,16 +3,17 @@
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import partial
 from typing import Sequence
 
-from .sexpr import SexprError, atom, pairs, read_form, sections, single
+from .sexpr import atom, pairs, read_form, sections, single
 from .terms import (
+    BOOL,
     PLAIN,
     PRIMED,
     Sort,
     Tag,
     Term,
-    TermError,
     Var,
     free_vars,
     sort_from_sexpr,
@@ -75,9 +76,7 @@ def parse_system(text: str) -> TransitionSystem:
     params = tuple(atom(p, str, "a parameter name") for p in found.get("params", ()))
     env_plain = dict(state_vars)
     env_tx = {**env_plain, **{f"{n}!": s for n, s in state_vars}}
-    try:
-        init = term_from_sexpr(single(found, "init"), env_plain)
-        tx = term_from_sexpr(single(found, "tx"), env_tx)
-    except TermError as exc:
-        raise SexprError(str(exc)) from exc
+    read = partial(term_from_sexpr, sort=BOOL, variables={})  # one Var per name in this file
+    init = read(single(found, "init"), env_plain, what="init")
+    tx = read(single(found, "tx"), env_tx, what="tx")
     return make_system(name, state_vars, params, init, tx)

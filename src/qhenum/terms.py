@@ -5,6 +5,12 @@ and the function symbols of a ``Signature``; the sorts are ``Int``, ``Bool``
 and ``(Array S T)``.  A formula is a boolean-sorted term.  Every
 variable carries a *tag*: a copy index (``None`` or a positive integer) and a
 primed flag.  Tags render as name suffixes: ``x``, ``x!``, ``x$1``, ``x$1!``.
+
+The grammar is written once: ``_GRAMMAR`` gives each head its node kind and
+arity, and ``_SORT_RULES`` gives each node kind its sort rule.
+``term_from_sexpr``, the one reader of every input file, applies a node's
+rule as it builds the node, so a read term is well sorted without a second
+walk; ``check_sorts`` applies the same rules to terms built in code.
 """
 
 from __future__ import annotations
@@ -13,9 +19,9 @@ import re
 from dataclasses import dataclass
 from functools import cached_property
 from operator import attrgetter
-from typing import Any, Callable, Mapping, NamedTuple, Optional
+from typing import Any, Callable, Mapping, NamedTuple, Optional, Sequence
 
-from .sexpr import Sexpr, SexprError, atom, pairs, parse_one, to_text
+from .sexpr import Sexpr, SexprError, atom, parse_one, to_text
 
 
 # ---------------------------------------------------------------------------
@@ -71,8 +77,8 @@ def sort_from_sexpr(expr: Sexpr) -> Sort:
 # Signature
 
 
-class TermError(ValueError):
-    pass
+class TermError(SexprError):
+    """A term that is not well formed or not well sorted: an input error."""
 
 
 class UnknownSymbol(TermError):
@@ -399,7 +405,96 @@ def free_vars(term: Term, bound: frozenset[str] = frozenset()) -> frozenset[Var]
 
 
 # ---------------------------------------------------------------------------
-# Sort checking
+# Sort rules
+#
+# One rule per node kind: given the node and the sorts of its children, in
+# ``_children`` order (a quantifier's body read in its binder's scope), the
+# node's sort, or a TermError. The reader applies a node's rule as it builds
+# the node, ``check_sorts`` as it walks a built term; each handles variables
+# itself.
+
+
+def expect_sort(actual: Sort, sort: Sort, what: str) -> Sort:
+    """Return ``sort``; raise unless ``actual``, the sort of ``what``, is it."""
+    if actual is not sort and actual != sort:
+        raise RankMismatch(f"{what} has sort {sort_to_text(actual)}, not {sort_to_text(sort)}")
+    return sort
+
+
+def _all_of(sort: Sort, what: str) -> Callable[[Term, Sequence[Sort], Signature], Sort]:
+    """The rule of a node of ``sort`` whose arguments are all of ``sort``."""
+
+    def rule(t: Term, sorts: Sequence[Sort], signature: Signature) -> Sort:
+        for s in sorts:
+            if s is not sort:
+                expect_sort(s, sort, what)
+        return sort
+
+    return rule
+
+
+def _app_sort(t: App, sorts: Sequence[Sort], signature: Signature) -> Sort:
+    arg_sorts, result = signature.rank(t.func)
+    if len(sorts) != len(arg_sorts):
+        raise RankMismatch(f"{t.func} takes {len(arg_sorts)} arguments, got {len(sorts)}")
+    for s, expected in zip(sorts, arg_sorts):
+        expect_sort(s, expected, f"argument of {t.func}")
+    return result
+
+
+def _cmp_sort(t: Cmp, sorts: Sequence[Sort], signature: Signature) -> Sort:
+    left, right = sorts
+    if left != right:
+        raise RankMismatch(f"comparison of {sort_to_text(left)} with {sort_to_text(right)}")
+    if t.op != "=":
+        expect_sort(left, INT, f"operand of {t.op}")
+    return BOOL
+
+
+def _distinct_sort(t: Distinct, sorts: Sequence[Sort], signature: Signature) -> Sort:
+    if len(set(sorts)) != 1:
+        raise RankMismatch("distinct over mixed sorts")
+    return BOOL
+
+
+def _ite_sort(t: Ite, sorts: Sequence[Sort], signature: Signature) -> Sort:
+    expect_sort(sorts[0], BOOL, "ite condition")
+    return expect_sort(sorts[2], sorts[1], "ite else branch")
+
+
+def _array_sort(t: Term, sorts: Sequence[Sort], signature: Signature) -> Sort:
+    """The rule of ``select`` and ``store``, by the sort of their array."""
+    op = "select" if len(sorts) == 2 else "store"
+    arr = sorts[0]
+    if not isinstance(arr, ArraySort):
+        raise RankMismatch(f"{op} on {sort_to_text(arr)}")
+    expect_sort(sorts[1], arr.index, f"{op} index")
+    if len(sorts) == 2:
+        return arr.element
+    expect_sort(sorts[2], arr.element, "store value")
+    return arr
+
+
+def _const_sort(t: ConstArray, sorts: Sequence[Sort], signature: Signature) -> Sort:
+    expect_sort(sorts[0], t.sort.element, "constant array value")
+    return t.sort
+
+
+def _quant_sort(t: Quant, sorts: Sequence[Sort], signature: Signature) -> Sort:
+    names = [name for name, _ in t.bound]
+    if len(set(names)) != len(names):
+        raise RankMismatch("duplicate bound variable names in one binder")
+    return expect_sort(sorts[0], BOOL, "quantifier body")
+
+
+_SORT_RULES: dict[type, Callable[[Any, Sequence[Sort], Signature], Sort]] = {
+    IntLit: lambda t, sorts, signature: INT, BoolLit: lambda t, sorts, signature: BOOL,
+    App: _app_sort, Cmp: _cmp_sort, Distinct: _distinct_sort, Ite: _ite_sort,
+    Select: _array_sort, Store: _array_sort, ConstArray: _const_sort,
+    Forall: _quant_sort, Exists: _quant_sort,
+    **dict.fromkeys((Add, Sub, Neg, Mul, Div, Mod), _all_of(INT, "arithmetic argument")),
+    **dict.fromkeys((Not, And, Or, Implies), _all_of(BOOL, "connective argument")),
+}
 
 
 def check_sorts(
@@ -407,114 +502,30 @@ def check_sorts(
     signature: Signature = BUILTIN_SIGNATURE,
     environment: Optional[Mapping[str, Sort]] = None,
 ) -> Sort:
-    """Return the sort of ``term``; raise on ill-sorted trees.
+    """Return the sort of a term built in code; raise on ill-sorted trees.
 
-    ``environment`` maps mangled variable names to sorts; every free variable
-    must appear in it and agree with its inline sort annotation.
+    A bound variable must carry its binder's sort. ``environment`` maps
+    mangled variable names to sorts; when given, every free variable must
+    appear in it at its inline sort.
     """
     env = dict(environment) if environment else None
 
     def go(t: Term, bound: dict[str, Sort]) -> Sort:
-        if isinstance(t, Var):
+        kind = type(t)
+        if kind is Var:
             if t.tag == PLAIN and t.name in bound:
-                if bound[t.name] != t.sort:
-                    raise SortMismatch(f"bound variable {t.name} sort mismatch")
-                return t.sort
-            if env is not None:
+                expect_sort(t.sort, bound[t.name], f"bound variable {t.name}")
+            elif env is not None:
                 declared = env.get(t.mangled)
                 if declared is None:
                     raise UnboundVariable(f"free variable {t.mangled} not in environment")
-                if declared != t.sort:
-                    raise RankMismatch(
-                        f"variable {t.mangled}: annotated {t.sort}, declared {declared}"
-                    )
+                expect_sort(t.sort, declared, f"variable {t.mangled}")
             return t.sort
-        if isinstance(t, IntLit):
-            return INT
-        if isinstance(t, BoolLit):
-            return BOOL
-        if isinstance(t, App):
-            arg_sorts, result = signature.rank(t.func)
-            actual = tuple(go(a, bound) for a in t.args)
-            if actual != arg_sorts:
-                raise RankMismatch(f"application of {t.func}: expected {arg_sorts}, got {actual}")
-            return result
-        if isinstance(t, (Add,)):
-            for a in t.args:
-                if go(a, bound) != INT:
-                    raise RankMismatch("arithmetic over non-integer")
-            return INT
-        if isinstance(t, (Sub, Mul, Div, Mod)):
-            if go(t.left, bound) != INT or go(t.right, bound) != INT:
-                raise RankMismatch("arithmetic over non-integer")
-            return INT
-        if isinstance(t, Neg):
-            if go(t.operand, bound) != INT:
-                raise RankMismatch("negation of non-integer")
-            return INT
-        if isinstance(t, Cmp):
-            ls, rs = go(t.left, bound), go(t.right, bound)
-            if ls != rs:
-                raise RankMismatch(f"comparison of {ls} with {rs}")
-            if t.op != "=" and ls != INT:
-                raise RankMismatch(f"ordered comparison over {ls}")
-            return BOOL
-        if isinstance(t, Distinct):
-            sorts = {go(a, bound) for a in t.args}
-            if len(sorts) != 1:
-                raise RankMismatch("distinct over mixed sorts")
-            return BOOL
-        if isinstance(t, Not):
-            if go(t.operand, bound) != BOOL:
-                raise RankMismatch("negation of non-boolean")
-            return BOOL
-        if isinstance(t, (And, Or)):
-            for a in t.args:
-                if go(a, bound) != BOOL:
-                    raise RankMismatch("connective over non-boolean")
-            return BOOL
-        if isinstance(t, Implies):
-            if go(t.left, bound) != BOOL or go(t.right, bound) != BOOL:
-                raise RankMismatch("implication over non-boolean")
-            return BOOL
-        if isinstance(t, Ite):
-            if go(t.cond, bound) != BOOL:
-                raise RankMismatch("ite condition not boolean")
-            ts, es = go(t.then, bound), go(t.other, bound)
-            if ts != es:
-                raise RankMismatch("ite branches of different sorts")
-            return ts
-        if isinstance(t, Select):
-            arr = go(t.array, bound)
-            if not isinstance(arr, ArraySort):
-                raise RankMismatch("select on non-array")
-            if go(t.index, bound) != arr.index:
-                raise RankMismatch("select index sort mismatch")
-            return arr.element
-        if isinstance(t, Store):
-            arr = go(t.array, bound)
-            if not isinstance(arr, ArraySort):
-                raise RankMismatch("store on non-array")
-            if go(t.index, bound) != arr.index:
-                raise RankMismatch("store index sort mismatch")
-            if go(t.value, bound) != arr.element:
-                raise RankMismatch("store value sort mismatch")
-            return arr
-        if isinstance(t, ConstArray):
-            if go(t.value, bound) != t.sort.element:
-                raise RankMismatch("constant array value sort mismatch")
-            return t.sort
-        if isinstance(t, Quant):
-            names = [name for name, _ in t.bound]
-            if len(set(names)) != len(names):
-                raise RankMismatch("duplicate bound variable names in one binder")
-            inner = dict(bound)
-            for name, sort in t.bound:
-                inner[name] = sort
-            if go(t.body, inner) != BOOL:
-                raise RankMismatch("quantifier body not boolean")
-            return BOOL
-        raise TypeError(f"unknown term {t!r}")
+        if kind is Forall or kind is Exists:
+            sorts: Sequence[Sort] = (go(t.body, {**bound, **dict(t.bound)}),)
+        else:
+            sorts = [go(c, bound) for c in _children(t)]
+        return _SORT_RULES[kind](t, sorts, signature)
 
     return go(term, {})
 
@@ -594,28 +605,12 @@ def substitute(term: Term, bindings: Mapping[Var, Term]) -> Term:
 
 
 def retag(term: Term, frm: Tag, to: Tag) -> Term:
-    """Move every free variable from tag ``frm`` to tag ``to``."""
-    if frm == to:
-        return term
-
-    def go(t: Term, bound: frozenset[str]) -> Term:
-        if isinstance(t, Var):
-            if t.tag == PLAIN and t.name in bound:
-                return t
-            if t.tag != frm:
-                raise TagMismatch(f"variable {t.mangled} does not carry tag {frm}")
-            return t.with_tag(to)
-        if isinstance(t, Quant):
-            inner = bound | {name for name, _ in t.bound}
-            body = go(t.body, inner)
-            cls = Forall if isinstance(t, Forall) else Exists
-            return cls(t.bound, body)
-        children = _children(t)
-        if not children:
-            return t
-        return _rebuild(t, tuple(go(c, bound) for c in children))
-
-    return go(term, frozenset())
+    """Move every free variable from tag ``frm`` to tag ``to``; every free
+    variable must carry ``frm``."""
+    for v in free_vars(term):
+        if v.tag != frm:
+            raise TagMismatch(f"variable {v.mangled} does not carry tag {frm}")
+    return retag_free(term, {frm: to})
 
 
 def retag_free(term: Term, mapping: Mapping[Tag, Tag]) -> Term:
@@ -701,11 +696,18 @@ class TermWriter:
         return "(" + " ".join([head, *[self.text(c, bound) for c in children]]) + ")"
 
 
-_HEADS = {
-    Add: "+", Sub: "-", Neg: "-", Mul: "*", Div: "div", Mod: "mod", Distinct: "distinct",
-    Not: "not", And: "and", Or: "or", Implies: "=>", Ite: "ite", Select: "select",
-    Store: "store", Forall: "forall", Exists: "exists",
+# The grammar: each head's node kind and arity (None: any number). "-" of
+# one argument is Neg; a head outside the table applies a function symbol of
+# the signature.
+_GRAMMAR: dict[str, tuple[type, Optional[int]]] = {
+    "+": (Add, None), "-": (Sub, 2), "*": (Mul, 2), "div": (Div, 2), "mod": (Mod, 2),
+    "=": (Cmp, 2), "<": (Cmp, 2), "<=": (Cmp, 2), ">": (Cmp, 2), ">=": (Cmp, 2),
+    "distinct": (Distinct, None), "not": (Not, 1), "and": (And, None), "or": (Or, None),
+    "=>": (Implies, 2), "ite": (Ite, 3), "select": (Select, 2), "store": (Store, 3),
+    "const-arr": (ConstArray, 1), "forall": (Forall, 2), "exists": (Exists, 2),
 }
+# The head each kind is written with (Cmp writes its op, ConstArray its sort).
+_HEADS = {kind: head for head, (kind, _) in _GRAMMAR.items()} | {Neg: "-"}
 
 
 class Rendered(NamedTuple):
@@ -731,113 +733,94 @@ def term_to_sexpr(term: Term) -> Sexpr:
     return parse_one(term_to_text(term))
 
 
-# operators of fixed arity
-_ARITY = {
-    "*": 2, "div": 2, "mod": 2, "=": 2, "<": 2, "<=": 2, ">": 2, ">=": 2,
-    "not": 1, "ite": 3, "select": 2, "store": 3, "const-arr": 1,
-}
-
-
 def term_from_sexpr(
     expr: Sexpr,
     env: Mapping[str, Sort],
     signature: Signature = BUILTIN_SIGNATURE,
+    sort: Optional[Sort] = None,
+    what: str = "term",
+    variables: Optional[dict[str, Var]] = None,
 ) -> Term:
-    """Build a term from s-expression syntax.
+    """Build a well-sorted term from s-expression syntax, in one walk.
 
     ``env`` maps mangled variable names to sorts; quantifier binders extend
-    it locally. A symbol applied outside ``signature``, or to the wrong
-    number of arguments, raises a ``TermError``.
+    it locally. Each node's sort rule runs as the node is built, and the
+    term must have ``sort`` unless that is None (``what`` names it in the
+    error). ``variables`` holds the ``Var`` of each name, at its latest sort,
+    for all calls that share it, such as the terms of one file. A malformed
+    form raises a ``SexprError``, an ill-sorted one a ``TermError``.
     """
+    if variables is None:
+        variables = {}
 
-    def go(e: Sexpr, scope: Mapping[str, Sort]) -> Term:
+    def go(e: Sexpr, scope: Mapping[str, Sort]) -> tuple[Term, Sort]:
         if isinstance(e, int):
-            return IntLit(e)
+            return IntLit(e), INT
         if isinstance(e, str):
             if e == "true":
-                return TRUE
+                return TRUE, BOOL
             if e == "false":
-                return FALSE
-            if e in scope:
-                base, tag = demangle(e)
-                return Var(base, scope[e], tag[0], tag[1])
+                return FALSE, BOOL
+            s = scope.get(e)
+            if s is not None:
+                var = variables.get(e)
+                if var is None or (var.sort is not s and var.sort != s):
+                    base, (copy, primed) = demangle(e)
+                    var = variables[e] = Var(base, s, copy, primed)
+                return var, s
             if signature.has(e):
-                arg_sorts, _ = signature.rank(e)
+                arg_sorts, result = signature.rank(e)
                 if arg_sorts == ():
-                    return App(e, ())
+                    return App(e, ()), result
             raise UnboundVariable(f"unknown atom {e!r}")
         if not isinstance(e, list) or not e:
             raise SexprError(f"bad term {e!r}")
-        head = e[0]
-        if head in ("forall", "exists"):
-            if len(e) != 3:
-                raise SexprError("quantifier needs binder and body")
-            binders = pairs("binder", atom(e[1], list, "a binder list"))
-            bound = tuple((name, sort_from_sexpr(sort)) for name, sort in binders.items())
-            inner = dict(scope)
-            for name, sort in bound:
-                inner[name] = sort
-            body = go(e[2], inner)
-            return (Forall if head == "forall" else Exists)(bound, body)
-        args = [go(a, scope) for a in e[1:]]
-        if isinstance(head, str) and _ARITY.get(head, len(args)) != len(args):
-            raise SexprError(f"{head} takes {_ARITY[head]} arguments, got {len(args)}")
-        if head == "+":
-            return Add(tuple(args))
-        if head == "-":
-            if len(args) == 1:
-                if isinstance(args[0], IntLit):
-                    return IntLit(-args[0].value)
-                return Neg(args[0])
-            if len(args) == 2:
-                return Sub(args[0], args[1])
-            raise SexprError("subtraction takes one or two arguments")
-        if head == "*":
-            return Mul(args[0], args[1])
-        if head == "div":
-            return Div(args[0], args[1])
-        if head == "mod":
-            return Mod(args[0], args[1])
-        if head in ("=", "<", "<=", ">", ">="):
-            return Cmp(head, args[0], args[1])
-        if head == "distinct":
-            return Distinct(tuple(args))
-        if head == "not":
-            return Not(args[0])
-        if head == "and":
-            return And(tuple(args))
-        if head == "or":
-            return Or(tuple(args))
-        if head == "=>":
-            if not args:
-                raise SexprError("=> takes at least one argument")
-            out = args[-1]
-            for a in reversed(args[:-1]):
-                out = Implies(a, out)
-            return out
-        if head == "ite":
-            return Ite(args[0], args[1], args[2])
-        if head == "select":
-            return Select(args[0], args[1])
-        if head == "store":
-            return Store(args[0], args[1], args[2])
-        if head == "const-arr":
-            return ConstArray(args[0])
-        if isinstance(head, list) and head[:2] == ["as", "const"]:
-            if len(head) != 3 or len(args) != 1:
-                raise SexprError("(as const <sort>) takes a sort and one argument")
-            sort = sort_from_sexpr(head[2])
-            if not isinstance(sort, ArraySort):
-                raise SexprError("(as const <sort>) needs an array sort")
-            return ConstArray(args[0], sort)
+        head, n = e[0], len(e) - 1
+        if head == "=>" and n > 2:  # (=> a b c) is (=> a (=> b c))
+            return go(["=>", e[1], ["=>", *e[2:]]], scope)
         if isinstance(head, str):
-            arg_sorts, _ = signature.rank(head)
-            if len(arg_sorts) != len(args):
-                raise RankMismatch(f"{head} takes {len(arg_sorts)} arguments, got {len(args)}")
-            return App(head, tuple(args))
-        raise SexprError(f"bad term head {head!r}")
+            kind, arity = _GRAMMAR.get(head, (App, None))
+        elif isinstance(head, list) and head[:2] == ["as", "const"] and len(head) == 3:
+            kind, arity = ConstArray, 1
+        else:
+            raise SexprError(f"bad term head {to_text(head)}")
+        if arity is not None and n != arity:
+            if not (kind is Sub and n == 1):
+                raise SexprError(f"{to_text(head)} takes {arity} arguments, got {n}")
+            kind = Neg
+        if kind is Forall or kind is Exists:
+            binders = atom(e[1], list, "a binder list")
+            for b in binders:
+                if not (isinstance(b, list) and len(b) == 2 and isinstance(b[0], str)):
+                    raise SexprError(f"bad binder {to_text(b)}, expected (name sort)")
+            bound = tuple((name, sort_from_sexpr(s)) for name, s in binders)
+            body, body_sort = go(e[2], {**scope, **dict(bound)})
+            node = kind(bound, body)
+            return node, _SORT_RULES[kind](node, (body_sort,), signature)
+        args, sorts = [], []
+        for a in e[1:]:
+            t, s = go(a, scope)
+            args.append(t)
+            sorts.append(s)
+        if kind is Neg and isinstance(args[0], IntLit):
+            return IntLit(-args[0].value), INT
+        if kind is App:
+            node = App(head, tuple(args))
+        elif kind is Cmp:
+            node = Cmp(head, *args)
+        elif isinstance(head, list):
+            array = sort_from_sexpr(head[2])
+            if not isinstance(array, ArraySort):
+                raise SexprError("(as const <sort>) needs an array sort")
+            node = ConstArray(args[0], array)
+        else:
+            node = kind(tuple(args)) if arity is None else kind(*args)
+        return node, _SORT_RULES[kind](node, sorts, signature)
 
-    return go(expr, env)
+    term, actual = go(expr, env)
+    if sort is not None:
+        expect_sort(actual, sort, what)
+    return term
 
 
 def term_from_text(

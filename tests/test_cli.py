@@ -458,6 +458,19 @@ MALFORMED_TERMS = [
                  "domain (values 0 1 1) repeats 1", ("oracle",), id="state-domain-repeats"),
     pytest.param("proof.sexp", "(range V)", "(range (at V 1 2))",
                  "instantiation arity mismatch for V", BOTH, id="at-arity"),
+    # every loaded term, and every instance value, is of its position's sort
+    pytest.param("system.sexp", "(= st 0)", "(= st true)", "comparison of Int with Bool", BOTH,
+                 id="init-sort"),
+    pytest.param("property.sexp", ":bound dc", ":bound (>= dc 1)",
+                 "bound has sort Bool, not Int", BOTH, id="bound-sort"),
+    pytest.param("enumeration.sexp", "(st 0) (dc dc$1)", "(st true) (dc dc$1)",
+                 "skolem-init st has sort Bool, not Int", BOTH, id="skolem-sort"),
+    pytest.param("instance.sexp", "(rs (range 0 1))", "(rs (bool))",
+                 "domains rs has sort Bool, not Int", ("oracle",), id="domain-sort"),
+    pytest.param("instance.sexp", "(params (dc 2))", "(params (dc true))",
+                 "params dc has sort Bool, not Int", ("oracle",), id="param-sort"),
+    pytest.param("instance.sexp", "(y (range 0 6))", "(y (bool))",
+                 "count-vars y has sort Bool, not Int", ("valid",), id="count-var-sort"),
 ]
 
 

@@ -589,7 +589,8 @@ def test_parse_proof_const_lb_models():
     count, c, models = app.args
     assert count == script.counts["P"]
     assert c == 2
-    assert models == ({"v": IntLit(0)}, {"v": IntLit(1)})
+    v = Var("v", INT)
+    assert models == ({v: IntLit(0)}, {v: IntLit(1)})
 
 
 def test_goal_may_name_a_conjunction_count_resolved_before_it(stub_solver):
@@ -668,6 +669,9 @@ WITNESS_SCRIPT = """
 """
 
 
+# A witness section that misses a counted variable or binds another is
+# rejected at load, before any query; so is a const-lb whose (model ...)
+# sections do not number c.
 @pytest.mark.parametrize(
     "step, reason",
     [
@@ -676,15 +680,13 @@ WITNESS_SCRIPT = """
         ("(ind-leq F G n (hx (v 1)) (hy (q 0)))", "ind-leq(F,G): hy missing b"),
         ("(injective G F (witness (q 1)))", "injective(G,F): witness missing v"),
         ("(const-lb G 1 (model (q 0)))", "const-lb(G,1): model missing b"),
+        ("(const-lb G 2 (model (b 0)))", "const-lb(G,2): needs exactly 2 (model ...) sections"),
     ],
 )
-def test_missing_witness_variable_rejects_step_before_any_query(step, reason, stub_solver, tmp_path):
-    debug = tmp_path / "debug"
-    script = parse_proof(WITNESS_SCRIPT.format(step=step))
-    result = check_script(script, Session(stub_solver("unsat"), TIMEOUT, debug))
-    assert (result.status, result.rejected_at, result.reason) == ("rejected", "step 1", reason)
-    assert result.facts == ()
-    assert not debug.exists()
+def test_missing_witness_variable_rejects_step_before_any_query(step, reason):
+    with pytest.raises(SexprError) as err:
+        parse_proof(WITNESS_SCRIPT.format(step=step))
+    assert str(err.value) == reason
 
 
 STRAY_SCRIPT = """
@@ -706,13 +708,10 @@ STRAY_SCRIPT = """
         ("(const-lb G 1 (model (w 0) (v 1)))", "const-lb(G,1): model binds v, which is not counted"),
     ],
 )
-def test_stray_witness_entry_rejects_step_before_any_query(step, reason, stub_solver, tmp_path):
-    debug = tmp_path / "debug"
-    script = parse_proof(STRAY_SCRIPT.format(step=step))
-    result = check_script(script, Session(stub_solver("unsat"), TIMEOUT, debug))
-    assert (result.status, result.rejected_at, result.reason) == ("rejected", "step 1", reason)
-    assert result.facts == ()
-    assert not debug.exists()
+def test_stray_witness_entry_rejects_step_before_any_query(step, reason):
+    with pytest.raises(SexprError) as err:
+        parse_proof(STRAY_SCRIPT.format(step=step))
+    assert str(err.value) == reason
 
 
 UNKNOWN_SCRIPT = """

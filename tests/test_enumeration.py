@@ -79,6 +79,31 @@ def test_parse_enumeration_requires_core_sections(system):
         parse_enumeration("(enumeration (enum-vars (Y Int)) (valid true))", system)
 
 
+@pytest.mark.parametrize(
+    "old, new, message",
+    [
+        ("(valid (and (<= 0 Y) (< Y 2)))", "(valid Y)", "valid has sort Int, not Bool"),
+        ("(cover (Y o$2))", "(cover (Y (< o$2 1)))", "cover Y has sort Bool, not Int"),
+        ("(cover (Y o$2))", "(cover (Z o$2))", "cover: Z is not an enumeration variable"),
+        ("(skolem-init (c Y)", "(skolem-init (z Y) (c Y)",
+         "skolem-init: z is not a state variable"),
+        ("(skolem-step (c Y)", "(skolem-step (c (pointwise (j) Y))",
+         "skolem-step c is Int, not an array over Int"),
+        ("(cover (Y o$2))", "(cover (Y o$2)) (diff-at-index (counter k) (target 1))",
+         "diff-at-index: counter k is not a state variable"),
+        ("(cover (Y o$2))", "(cover (Y o$2)) (diff-at-index (counter c) (target true))",
+         "target has sort Bool, not Int"),
+    ],
+    ids=["valid", "cover", "stray-cover", "stray-skolem", "pointwise-scalar", "counter",
+         "target"],
+)
+def test_parse_enumeration_reads_each_term_at_its_sort(system, old, new, message):
+    assert old in WITNESS
+    with pytest.raises(SexprError) as err:
+        parse_enumeration(WITNESS.replace(old, new), system)
+    assert str(err.value) == message
+
+
 def test_missing_skolem_entry(system, prop):
     text = WITNESS.replace("(skolem-init (c Y) (o Y))", "(skolem-init (c Y))")
     witness = parse_enumeration(text, system)

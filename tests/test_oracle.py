@@ -28,6 +28,7 @@ from qhenum.oracle import (
     values_equal,
 )
 from qhenum.qhl import HFinally, HGlobally, StatePredicate, parse_property
+from qhenum.sexpr import parse_one
 from qhenum.system import TransitionSystem, parse_system
 from qhenum.terms import (
     BOOL,
@@ -49,6 +50,7 @@ from qhenum.terms import (
     Var,
     free_vars,
     mangle,
+    term_from_sexpr,
     term_from_text,
     term_to_text,
 )
@@ -523,11 +525,28 @@ def test_solved_enumeration_matches_reference(benchmarks):
 
 
 def scalar_instance(init, domains, cap=10**6):
-    """A one-step instance of ``init`` over Int variables a, x and y that never change."""
+    """A one-step instance of ``init`` over Int variables a, x and y that never change.
+
+    A conjunct of ``init`` that is a bare variable filters by the truth of
+    its values. That is ill sorted, so no loaded file can hold it: it is
+    built in code, and every other conjunct is read.
+    """
     system = parse_system(
-        f"(system defs (vars (a Int) (x Int) (y Int)) (init {init}) "
+        "(system defs (vars (a Int) (x Int) (y Int)) (init true) "
         "(tx (and (= a! a) (= x! x) (= y! y))))"
     )
+    env = dict(system.state_vars)
+
+    def read(expr):
+        if isinstance(expr, str) and expr in env:
+            return Var(expr, INT)
+        return term_from_sexpr(expr, env)
+
+    expr = parse_one(init)
+    if isinstance(expr, list) and expr[0] == "and":
+        system = dataclasses.replace(system, init=And(tuple(map(read, expr[1:]))))
+    else:
+        system = dataclasses.replace(system, init=read(expr))
     domains = {"a": (0, 1, 2, 3), "x": tuple(range(-2, 8)), "y": (0,), **domains}
     return FiniteInstance(
         system=system,

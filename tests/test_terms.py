@@ -1,4 +1,7 @@
+import dataclasses
+
 import pytest
+from conftest import VAR_SORTS
 from hypothesis import given, settings, strategies as st
 
 from qhenum.sexpr import to_text
@@ -31,6 +34,9 @@ from qhenum.terms import (
     Signature,
     Store,
     Sub,
+    TagMismatch,
+    Term,
+    TermError,
     UnboundVariable,
     Var,
     Add,
@@ -40,8 +46,10 @@ from qhenum.terms import (
     free_vars,
     indexed,
     mangle,
+    retag,
     retag_free,
     substitute,
+    term_from_sexpr,
     term_from_text,
     term_to_sexpr,
     term_to_text,
@@ -96,6 +104,40 @@ def test_sort_checking():
     assert check_sorts(ConstArray(IntLit(0))) == ARR
     with pytest.raises(RankMismatch):
         check_sorts(ConstArray(Var("b", BOOL)))
+
+
+@pytest.mark.parametrize(
+    "text, message",
+    [
+        ("(+ x b)", "arithmetic argument has sort Bool, not Int"),
+        ("(- b)", "arithmetic argument has sort Bool, not Int"),
+        ("(and b x)", "connective argument has sort Int, not Bool"),
+        ("(= x b)", "comparison of Int with Bool"),
+        ("(< b b)", "operand of < has sort Bool, not Int"),
+        ("(distinct x b)", "distinct over mixed sorts"),
+        ("(ite x 1 2)", "ite condition has sort Int, not Bool"),
+        ("(ite b 1 true)", "ite else branch has sort Bool, not Int"),
+        ("(select x 1)", "select on Int"),
+        ("(select a b)", "select index has sort Bool, not Int"),
+        ("(store a 1 b)", "store value has sort Bool, not Int"),
+        ("((as const (Array Int Bool)) 0)", "constant array value has sort Int, not Bool"),
+        ("(forall ((j Int)) j)", "quantifier body has sort Int, not Bool"),
+        ("(exists ((j Int) (j Bool)) true)", "duplicate bound variable names in one binder"),
+        ("(pow2 b)", "argument of pow2 has sort Bool, not Int"),
+        ("(pow2 1 2)", "pow2 takes 1 arguments, got 2"),
+    ],
+)
+def test_reader_applies_each_sort_rule(text, message):
+    with pytest.raises(RankMismatch) as err:
+        term_from_text(text, {"x": INT, "b": BOOL, "a": ARR})
+    assert str(err.value) == message
+
+
+def test_reader_builds_each_variable_once_per_table():
+    variables = {}
+    first = term_from_sexpr("x$1", {"x$1": INT}, variables=variables)
+    assert term_from_sexpr(["+", "x$1", 1], {"x$1": INT}, variables=variables).args[0] is first
+    assert term_from_sexpr("x$1", {"x$1": BOOL}, variables=variables) == Var("x", BOOL, 1)
 
 
 def test_free_vars_respect_binders():
@@ -155,6 +197,114 @@ def test_retag_free_is_substitution_of_free_variables(any_term, data):
         term, {v: v.with_tag(mapping[v.tag]) for v in free_vars(term) if v.tag in mapping}
     )
     assert retag_free(term, mapping) == expected
+
+
+def test_retag_moves_one_tag_of_free_variables_only():
+    j, x = Var("j", INT), Var("x", INT)
+    term = Forall((("j", INT),), Cmp("<", j, x))
+    moved = Forall((("j", INT),), Cmp("<", j, x.with_tag(indexed(1))))
+    assert retag(term, PLAIN, indexed(1)) == moved
+    with pytest.raises(TagMismatch):
+        retag(Add((x, x.with_tag(indexed(2)))), PLAIN, indexed(1))
+
+
+# every free name the reader knows, at each tag; z is unknown to it
+READ_ENV = {
+    mangle(name, (copy, primed)): sort
+    for name, sort in VAR_SORTS.items()
+    for copy in (None, 1, 2)
+    for primed in (False, True)
+}
+
+
+def as_read(term, scope):
+    """``term`` with each variable at the sort its text is read at: a bound
+    one at its binder's, a free one at ``READ_ENV``'s (if it has one)."""
+    if isinstance(term, Var):
+        return dataclasses.replace(term, sort=scope.get(term.mangled, term.sort))
+    if isinstance(term, Quant):
+        scope = {**scope, **dict(term.bound)}
+    changes = {}
+    for field in dataclasses.fields(term):
+        value = getattr(term, field.name)
+        if isinstance(value, Term):
+            changes[field.name] = as_read(value, scope)
+        elif isinstance(value, tuple) and value and isinstance(value[0], Term):
+            changes[field.name] = tuple(as_read(v, scope) for v in value)
+    return dataclasses.replace(term, **changes)
+
+
+SORTS = (INT, BOOL, ARR, ArraySort(INT, BOOL))
+BINDERS = (("j", INT), ("k", ArraySort(INT, BOOL)))
+KINDS = {
+    INT: (Ite, Add, Neg, Sub, Mul, Div, Mod, Select, App),
+    BOOL: (Ite, Cmp, Distinct, Not, And, Or, Implies, Select, App, Forall, Exists),
+}
+
+
+@st.composite
+def sorted_terms(draw, sort, bound=(), depth=0):
+    """A well-sorted term of ``sort`` over ``VAR_SORTS``, the symbols of
+    ``term_signature`` and the ``BINDERS`` in ``bound``."""
+
+    def sub(s, scope=bound):
+        return draw(sorted_terms(s, scope, depth + 1))
+
+    def some(s, least=0):
+        return tuple(sub(s) for _ in range(draw(st.integers(least, 3))))
+
+    if depth >= 3 or draw(st.booleans()):
+        names = [n for n, s in {**VAR_SORTS, **dict(bound)}.items() if s == sort]
+        if names and draw(st.booleans()):
+            return Var(draw(st.sampled_from(names)), sort)
+        if sort == INT:
+            return App("c", ()) if draw(st.booleans()) else IntLit(draw(st.integers(-9, 9)))
+        if sort == BOOL:
+            return BoolLit(draw(st.booleans()))
+        return ConstArray(sub(sort.element), sort)
+    kind = draw(st.sampled_from(KINDS.get(sort, (Ite, Store))))
+    if kind is Ite:
+        return Ite(sub(BOOL), sub(sort), sub(sort))
+    if kind in (Add, And, Or):
+        return kind(some(sort))
+    if kind in (Neg, Not):
+        return kind(sub(sort))
+    if kind in (Sub, Mul, Div, Mod, Implies):
+        return kind(sub(sort), sub(sort))
+    if kind is Select:
+        return Select(sub(ArraySort(INT, sort)), sub(INT))
+    if kind is Store:
+        return Store(sub(sort), sub(INT), sub(sort.element))
+    if kind is Cmp:
+        op = draw(st.sampled_from(["=", "<", "<=", ">", ">="]))
+        s = draw(st.sampled_from(SORTS)) if op == "=" else INT
+        return Cmp(op, sub(s), sub(s))
+    if kind is Distinct:
+        return Distinct(some(draw(st.sampled_from(SORTS)), least=1))
+    if kind is App:
+        if sort == INT:
+            return App("f", (sub(INT),))
+        if draw(st.booleans()):
+            return App("g", (sub(INT), sub(BOOL)))
+        return App("h", (sub(ArraySort(INT, BOOL)),))
+    binder = draw(st.sampled_from([BINDERS[:1], BINDERS[1:], BINDERS]))
+    return kind(binder, sub(BOOL, tuple({**dict(bound), **dict(binder)}.items())))
+
+
+@settings(max_examples=400)
+@given(data=st.data())
+def test_reader_sorts_terms_as_check_sorts_does(any_term, term_signature, data):
+    # the reader raises exactly when check_sorts does, else reads the same sort
+    well_sorted = st.sampled_from(SORTS).flatmap(sorted_terms)
+    term = as_read(data.draw(st.one_of(any_term, well_sorted)), READ_ENV)
+    expr = term_to_sexpr(term)
+    try:
+        sort = check_sorts(term, term_signature, READ_ENV)
+    except TermError:
+        with pytest.raises(TermError):
+            term_from_sexpr(expr, READ_ENV, term_signature)
+    else:
+        term_from_sexpr(expr, READ_ENV, term_signature, sort)
 
 
 def test_quantifier_shadowing_blocks_substitution():
