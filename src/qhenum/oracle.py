@@ -8,8 +8,11 @@ model-counts finite-domain formulas exactly.
 from __future__ import annotations
 
 import itertools
+import math
 import operator
 from dataclasses import dataclass, field
+from functools import partial
+from types import CodeType, FunctionType
 from typing import Callable, Iterator, Mapping, Optional, Sequence, Union
 
 from .qhl import HFinally, HGlobally, QhpProperty, StatePredicate
@@ -39,6 +42,7 @@ from .terms import (
     Sub,
     Term,
     Var,
+    _children,
     free_vars,
     BoolSort,
     IntSort,
@@ -201,35 +205,199 @@ class FiniteInstance:
 # ---------------------------------------------------------------------------
 # Term evaluation
 #
-# A term is compiled once into a closure ``env -> Value``: variable keys are
-# mangled and quantifier ranges are built at compile time. Compilation never
-# raises; every OracleError is raised by the closure of the faulty node, and
-# only when that node is evaluated. Compiled closures live only as long as
-# the public call that built them.
+# A term is compiled into one generated Python function: one expression,
+# each quantifier body a nested ``def`` over its bound values. Constants
+# (quantifier combinations, ``funcs``, messages, non-int literals) are its
+# globals, never its text. ``_CODE`` keeps each text's code object while this
+# module lives, so compiling a term again builds only the function. Each
+# OracleError is raised when its node is evaluated. A variable is a plain
+# dict lookup; when one misses, the term is compiled with checked lookups and
+# evaluated again, so that the error names the first unbound variable.
 
 Compiled = Callable[[Mapping[str, Value]], Value]
 
+_CODE: dict[str, CodeType] = {}
 
-def _pow2(n: int) -> int:
+
+def _pow2(n: int, *_: Value) -> int:
     if n < 0:
         raise OracleError("pow2 of negative argument")
     return 2**n
 
 
-def _fact(n: int) -> int:
+def _fact(n: int, *_: Value) -> int:
     if n < 0:
         raise OracleError("fact of negative argument")
-    out = 1
-    for k in range(2, n + 1):
-        out *= k
-    return out
+    return math.factorial(n)
 
 
-def _raises(message: str) -> Compiled:
-    def fail(env: Mapping[str, Value]) -> Value:
-        raise OracleError(message)
+def _fail(message: str, *_: Value) -> Value:
+    raise OracleError(message)
 
-    return fail
+
+def _unbound(name: str) -> Value:
+    raise OracleError(f"unbound variable {name} in oracle evaluation")
+
+
+def _div(a: int, b: int) -> int:
+    if b <= 0:
+        raise OracleError("division by non-positive divisor")
+    return a // b
+
+
+def _mod(a: int, b: int) -> int:
+    if b <= 0:
+        raise OracleError("modulus by non-positive divisor")
+    return a % b
+
+
+def _array(value: Value, op: str) -> FArray:
+    if not isinstance(value, FArray):
+        raise OracleError(f"{op} on non-array value")
+    return value
+
+
+def _distinct(*vals: Value) -> bool:
+    return all(not values_equal(v, w) for i, v in enumerate(vals) for w in vals[i + 1 :])
+
+
+_HELPERS = {
+    "_pow2": _pow2, "_fact": _fact, "_fail": _fail, "_unbound": _unbound, "_div": _div,
+    "_mod": _mod, "_array": _array, "_distinct": _distinct, "_eq": values_equal, "_FArray": FArray,
+    "_starmap": itertools.starmap,
+}
+# Each node's text over its children's texts, in ``_children`` order: a
+# string fills one slot per child, a pair joins all children. A connective
+# gives a bool once the first argument that decides it is evaluated.
+_TEXT = {
+    Sub: "({} - {})", Neg: "(-{})", Mul: "({} * {})", Div: "_div({}, {})",
+    Mod: "_mod({}, {})", Not: "(not {})", Implies: "((not {}) or {})",
+    Ite: "({1} if {0} else {2})", Select: "_array({}, 'select').get({})",
+    Store: "_array({}, 'store').put({}, {})", ConstArray: "_FArray(0, (), {})",
+    Add: ("sum([{}])", ", "), Distinct: ("_distinct({})", ", "),
+    And: ("(not not ({}))", " and "), Or: ("(not not ({}))", " or "),
+}
+_COMPARE = {"=": "_eq({}, {})", "<": "({} < {})", "<=": "({} <= {})", ">": "({} > {})"}
+_NESTING = 50  # term levels in one expression; each opens at most three brackets
+
+
+class _Source:
+    """The text of one term's function and the globals it needs. It reads
+    copy ``j`` of a variable from state ``s<j>`` when ``states`` is set, else
+    each variable from ``env`` by mangled name."""
+
+    def __init__(self, states: bool, checked: bool, quant_lo: int, quant_hi: int, funcs) -> None:
+        self.states, self.checked, self.funcs = states, checked, funcs
+        self.quant_lo, self.quant_hi = quant_lo, quant_hi
+        self.globals: dict[str, object] = {}
+        self.names = 0
+        self.defs: list[str] = []
+        self.indent = ""
+
+    def fresh(self, prefix: str) -> str:
+        self.names += 1
+        return f"{prefix}{self.names}"
+
+    def const(self, value: object) -> str:
+        name = f"K{len(self.globals)}"
+        self.globals[name] = value
+        return name
+
+    def read(self, var: Var, name: str) -> str:
+        mapping, key = "env", name
+        if self.states:
+            if var.copy not in (1, 2) or var.primed:
+                return f"_unbound({name!r})"
+            mapping, key = f"s{var.copy}", var.name
+        if self.checked:
+            return f"({mapping}[{key!r}] if {key!r} in {mapping} else _unbound({name!r}))"
+        return f"{mapping}[{key!r}]"
+
+    def body(self, t: Term, scope: Mapping[str, str], indent: str) -> list[str]:
+        """Lines that define the nested functions of ``t`` and return its value."""
+        outer = self.defs, self.indent
+        self.defs, self.indent = [], indent
+        value = self.expr(t, scope, 0)
+        lines = [*self.defs, f"{indent}return {value}"]
+        self.defs, self.indent = outer
+        return lines
+
+    def define(self, params: Sequence[str], t: Term, scope: Mapping[str, str]) -> str:
+        fn = self.fresh("f")
+        lines = self.body(t, scope, self.indent + "    ")
+        self.defs += [f"{self.indent}def {fn}({', '.join(params)}):", *lines]
+        return fn
+
+    def expr(self, t: Term, scope: Mapping[str, str], depth: int) -> str:
+        kind = type(t)
+        if kind is Var:
+            name = t.mangled
+            return scope.get(name) or self.read(t, name)
+        if kind is IntLit or kind is BoolLit:
+            return f"({t.value!r})" if type(t.value) is int else self.const(t.value)
+        if depth > _NESTING:
+            # a def starts a statement, below the 200 nested brackets that
+            # Python's tokenizer allows
+            return self.define((), t, scope) + "()"
+        if isinstance(t, Quant):
+            return self.quantifier(t, scope)
+        if kind not in _TEXT and kind is not Cmp and kind is not App:
+            return f"_fail({self.const(f'cannot evaluate {t!r}')})"
+        args = []
+        for child in _children(t):  # a loop, not a comprehension: one frame per level
+            args.append(self.expr(child, scope, depth + 1))
+        if kind is Cmp:
+            return _COMPARE.get(t.op, "({} >= {})").format(*args)
+        if kind is App:
+            if self.funcs and t.func in self.funcs:
+                return f"{self.const(self.funcs[t.func])}({', '.join(args)})"
+            if t.func in ("pow2", "fact"):
+                return f"_{t.func}({', '.join(args)})"
+            args.insert(0, self.const(f"uninterpreted function {t.func} in oracle evaluation"))
+            return f"_fail({', '.join(args)})"
+        text = _TEXT[kind]
+        if isinstance(text, str):
+            return text.format(*args)
+        if not args and (kind is And or kind is Or):
+            return str(kind is And)
+        return text[0].format(text[1].join(args))
+
+    def quantifier(self, t: Quant, scope: Mapping[str, str]) -> str:
+        ranges: list[Sequence[Value]] = []
+        for _, sort in t.bound:
+            if isinstance(sort, IntSort):
+                ranges.append(range(self.quant_lo, self.quant_hi + 1))
+            elif isinstance(sort, BoolSort):
+                ranges.append((False, True))
+            else:
+                return f"_fail({self.const(f'cannot enumerate quantifier over {sort}')})"
+        params = [self.fresh("v") for _ in t.bound]
+        inner = {**scope, **{name: p for (name, _), p in zip(t.bound, params)}}
+        fn = self.define(params, t.body, inner)
+        combos = self.const(tuple(itertools.product(*ranges)))
+        # every combination is evaluated, so that an error at any bound value
+        # surfaces whatever the others decide
+        return f"{'all' if isinstance(t, Forall) else 'any'}([*_starmap({fn}, {combos})])"
+
+
+def _compile(
+    term: Term, states: bool, quant_lo: int, quant_hi: int, funcs=None, checked: bool = False
+) -> Callable[..., Value]:
+    """``term`` as a function of ``env``, or of ``s1, s2`` when ``states``."""
+    params = "s1, s2" if states else "env"
+    source = _Source(states, checked, quant_lo, quant_hi, funcs)
+    if checked:
+        lines = source.body(term, {}, "    ")
+    else:
+        again = source.const(partial(_compile, term, states, quant_lo, quant_hi, funcs, True))
+        lines = ["    try:", *source.body(term, {}, "        "),
+                 "    except KeyError:", f"        return {again}()({params})"]
+    text = "\n".join([f"def term({params}):", *lines])
+    code = _CODE.get(text)
+    if code is None:
+        module = compile(text, "<oracle term>", "exec")
+        code = _CODE[text] = next(c for c in module.co_consts if isinstance(c, CodeType))
+    return FunctionType(code, {**_HELPERS, **source.globals})
 
 
 def compile_term(
@@ -238,170 +406,12 @@ def compile_term(
     quant_hi: int = 8,
     funcs: Optional[Mapping[str, object]] = None,
 ) -> Compiled:
-    """Compile ``term`` into a closure over an env keyed by mangled names.
+    """Compile ``term`` into a function of an env keyed by mangled names.
 
     Quantifiers range over ``[quant_lo, quant_hi]`` (Int) or both booleans
     and evaluate their body at every combination.
     """
-
-    def comp(t: Term) -> Compiled:
-        if isinstance(t, Var):
-            key = t.mangled
-
-            def var(env):
-                try:
-                    return env[key]
-                except KeyError:
-                    raise OracleError(f"unbound variable {key} in oracle evaluation") from None
-
-            return var
-        if isinstance(t, (IntLit, BoolLit)):
-            value = t.value
-            return lambda env: value
-        if isinstance(t, App):
-            args = [comp(a) for a in t.args]
-            if funcs and t.func in funcs:
-                fn = funcs[t.func]
-            elif t.func == "pow2":
-                fn = lambda *xs: _pow2(xs[0])  # noqa: E731
-            elif t.func == "fact":
-                fn = lambda *xs: _fact(xs[0])  # noqa: E731
-            else:
-                message = f"uninterpreted function {t.func} in oracle evaluation"
-
-                def fn(*xs):
-                    raise OracleError(message)
-
-            return lambda env: fn(*[a(env) for a in args])  # type: ignore[operator]
-        if isinstance(t, Add):
-            args = [comp(a) for a in t.args]
-            return lambda env: sum([a(env) for a in args])
-        if isinstance(t, Sub):
-            left, right = comp(t.left), comp(t.right)
-            return lambda env: left(env) - right(env)
-        if isinstance(t, Neg):
-            operand = comp(t.operand)
-            return lambda env: -operand(env)
-        if isinstance(t, Mul):
-            left, right = comp(t.left), comp(t.right)
-            return lambda env: left(env) * right(env)
-        if isinstance(t, (Div, Mod)):
-            left, right = comp(t.left), comp(t.right)
-            if isinstance(t, Div):
-                op, message = operator.floordiv, "division by non-positive divisor"
-            else:
-                op, message = operator.mod, "modulus by non-positive divisor"
-
-            def divide(env):
-                a, b = left(env), right(env)
-                if b <= 0:
-                    raise OracleError(message)
-                return op(a, b)
-
-            return divide
-        if isinstance(t, Cmp):
-            left, right = comp(t.left), comp(t.right)
-            if t.op == "=":
-
-                return lambda env: values_equal(left(env), right(env))
-            if t.op == "<":
-                return lambda env: left(env) < right(env)
-            if t.op == "<=":
-                return lambda env: left(env) <= right(env)
-            if t.op == ">":
-                return lambda env: left(env) > right(env)
-            return lambda env: left(env) >= right(env)
-        if isinstance(t, Distinct):
-            args = [comp(a) for a in t.args]
-
-            def distinct(env):
-                vals = [a(env) for a in args]
-                return all(
-                    not values_equal(vals[i], vals[j])
-                    for i in range(len(vals))
-                    for j in range(i + 1, len(vals))
-                )
-
-            return distinct
-        if isinstance(t, Not):
-            operand = comp(t.operand)
-            return lambda env: not operand(env)
-        if isinstance(t, And):
-            args = [comp(a) for a in t.args]
-
-            def conj(env):
-                for a in args:
-                    if not a(env):
-                        return False
-                return True
-
-            return conj
-        if isinstance(t, Or):
-            args = [comp(a) for a in t.args]
-
-            def disj(env):
-                for a in args:
-                    if a(env):
-                        return True
-                return False
-
-            return disj
-        if isinstance(t, Implies):
-            left, right = comp(t.left), comp(t.right)
-            return lambda env: (not left(env)) or right(env)
-        if isinstance(t, Ite):
-            cond, then, other = comp(t.cond), comp(t.then), comp(t.other)
-            return lambda env: then(env) if cond(env) else other(env)
-        if isinstance(t, Select):
-            array, index = comp(t.array), comp(t.index)
-
-            def select(env):
-                arr = array(env)
-                if not isinstance(arr, FArray):
-                    raise OracleError("select on non-array value")
-                return arr.get(index(env))
-
-            return select
-        if isinstance(t, Store):
-            array, index, value = comp(t.array), comp(t.index), comp(t.value)
-
-            def store(env):
-                arr = array(env)
-                if not isinstance(arr, FArray):
-                    raise OracleError("store on non-array value")
-                return arr.put(index(env), value(env))
-
-            return store
-        if isinstance(t, ConstArray):
-            value = comp(t.value)
-            return lambda env: FArray(0, (), value(env))
-        if isinstance(t, Quant):
-            ranges = []
-            for name, sort in t.bound:
-                if isinstance(sort, IntSort):
-                    ranges.append([(name, v) for v in range(quant_lo, quant_hi + 1)])
-                elif isinstance(sort, BoolSort):
-                    ranges.append([(name, False), (name, True)])
-                else:
-                    return _raises(f"cannot enumerate quantifier over {sort}")
-            combos = [dict(c) for c in itertools.product(*ranges)]
-            body = comp(t.body)
-            combine = all if isinstance(t, Forall) else any
-
-            def quant(env):
-                # every combination is evaluated, so that an error at any
-                # bound value surfaces whatever the others decide
-                inner = dict(env)
-                results = []
-                for combo in combos:
-                    inner.update(combo)
-                    results.append(body(inner))
-                return combine(results)
-
-            return quant
-        return _raises(f"cannot evaluate {t!r}")
-
-    return comp(term)
+    return _compile(term, False, quant_lo, quant_hi, funcs)
 
 
 def eval_term(
@@ -782,30 +792,29 @@ def enumerate_traces(instance: FiniteInstance) -> list[BoundedTrace]:
 
 
 class BoundedPlan:
-    """Compiled predicates, pinned tails and state envs for ``eval_bounded``.
+    """Compiled predicates and pinned tails for ``eval_bounded``.
 
     ``count_equivalence_classes`` builds one per call and hands it to every
-    ``eval_bounded`` call, so that each predicate is compiled once, each last
-    state's successors are computed once per state key on a transition plan
-    built when first needed, and each state's env as a given trace copy is
-    built once. Predicate and env entries are keyed by object identity and
-    hold their key, so a plan must not outlive the traces and property it
-    was used with.
+    ``eval_bounded`` call, so that each predicate is compiled once and each
+    last state's successors are computed once per state key on a transition
+    plan built when first needed. Predicates are keyed by object identity
+    and held with their key.
     """
 
     def __init__(self, instance: FiniteInstance) -> None:
         self.instance = instance
         self.quant_lo, self.quant_hi = instance.quant_lo, instance.quant_hi
-        self._preds: dict[int, tuple[StatePredicate, Compiled]] = {}
+        self._preds: dict[int, tuple[StatePredicate, Callable[[State, State], Value]]] = {}
         self._transitions: Optional[TransitionPlan] = None
         self._pinned: dict[tuple, bool] = {}
-        self._envs: dict[tuple[int, int, int], tuple[BoundedTrace, dict[str, Value]]] = {}
 
-    def predicate(self, pred: StatePredicate) -> Compiled:
+    def predicate(self, pred: StatePredicate) -> Callable[[State, State], Value]:
+        """``pred`` as ``holds(state1, state2)``: copy ``j`` of a variable is
+        read from ``state_j``."""
         entry = self._preds.get(id(pred))
         if entry is None:
-            compiled = compile_term(pred.body, self.quant_lo, self.quant_hi)
-            entry = self._preds[id(pred)] = (pred, compiled)
+            holds = _compile(pred.body, True, self.quant_lo, self.quant_hi)
+            entry = self._preds[id(pred)] = (pred, holds)
         return entry[1]
 
     def pinned(self, trace: BoundedTrace) -> bool:
@@ -821,16 +830,6 @@ class BoundedPlan:
             nxt = successors(self.instance, last, plan)
             pinned = self._pinned[key] = len(nxt) == 1 and _state_key(nxt[0], plan.key_order) == key
         return pinned
-
-    def env(self, trace: BoundedTrace, p: int, j: int) -> dict[str, Value]:
-        """State ``p`` of ``trace`` keyed as trace copy ``j + 1``; not to be mutated."""
-        key = (id(trace), p, j)
-        entry = self._envs.get(key)
-        if entry is None:
-            suffix = f"${j + 1}"
-            env = {name + suffix: value for name, value in trace.states[p].items()}
-            entry = self._envs[key] = (trace, env)
-        return entry[1]
 
 
 def eval_bounded(
@@ -856,7 +855,7 @@ def eval_bounded(
     holds = plan.predicate(formula.pred)
     decided = isinstance(formula, HFinally)  # the value that decides on the prefix
     for p in range(first.depth):
-        if bool(holds({**plan.env(first, p, 0), **plan.env(second, p, 1)})) is decided:
+        if bool(holds(first.states[p], second.states[p])) is decided:
             return decided
     if plan.pinned(first) and plan.pinned(second):
         return not decided

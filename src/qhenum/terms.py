@@ -508,7 +508,7 @@ def check_sorts(
     mangled variable names to sorts; when given, every free variable must
     appear in it at its inline sort.
     """
-    env = dict(environment) if environment else None
+    env = None if environment is None else dict(environment)
 
     def go(t: Term, bound: dict[str, Sort]) -> Sort:
         kind = type(t)
@@ -785,8 +785,10 @@ def term_from_sexpr(
         else:
             raise SexprError(f"bad term head {to_text(head)}")
         if arity is not None and n != arity:
-            if not (kind is Sub and n == 1):
+            if kind is not Sub:
                 raise SexprError(f"{to_text(head)} takes {arity} arguments, got {n}")
+            if n != 1:
+                raise SexprError(f"- takes 1 or 2 arguments, got {n}")
             kind = Neg
         if kind is Forall or kind is Exists:
             binders = atom(e[1], list, "a binder list")

@@ -1,11 +1,16 @@
 import dataclasses
 import hashlib
 import itertools
+import operator
+import types
 from unittest import mock
 
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
+from conftest import VAR_SORTS
+
+from qhenum import oracle
 from qhenum.cli import load_instance, load_project
 from qhenum.oracle import (
     ArrayDomain,
@@ -32,24 +37,38 @@ from qhenum.sexpr import parse_one
 from qhenum.system import TransitionSystem, parse_system
 from qhenum.terms import (
     BOOL,
+    FALSE,
     INT,
     TRUE,
+    Add,
     And,
     App,
     ArraySort,
-    Div,
+    BoolLit,
+    BoolSort,
     Cmp,
+    ConstArray,
     Distinct,
+    Div,
+    Exists,
     Forall,
+    Implies,
     IntLit,
+    IntSort,
     Ite,
     Mod,
+    Mul,
+    Neg,
+    Not,
     Or,
+    Quant,
     Select,
     Store,
+    Sub,
     Var,
     free_vars,
     mangle,
+    retag_free,
     term_from_sexpr,
     term_from_text,
     term_to_text,
@@ -765,6 +784,312 @@ def test_memoized_tx_recomputes_raising_and_unbound_evaluations():
     for _ in range(3):
         for env, expected in calls:
             assert evaluation(plan.tx, env) == expected
+
+
+# -- generated code against the closure compiler -------------------------------------
+
+
+def _pow2(n):
+    if n < 0:
+        raise OracleError("pow2 of negative argument")
+    return 2**n
+
+
+def _fact(n):
+    if n < 0:
+        raise OracleError("fact of negative argument")
+    out = 1
+    for k in range(2, n + 1):
+        out *= k
+    return out
+
+
+def _raises(message):
+    def fail(env):
+        raise OracleError(message)
+
+    return fail
+
+
+
+def reference_compile(term, quant_lo=-2, quant_hi=8, funcs=None):
+    """The closure compiler ``compile_term`` replaced, unchanged: one closure
+    per node over an env keyed by mangled names."""
+
+    def comp(t):
+        if isinstance(t, Var):
+            key = t.mangled
+
+            def var(env):
+                try:
+                    return env[key]
+                except KeyError:
+                    raise OracleError(f"unbound variable {key} in oracle evaluation") from None
+
+            return var
+        if isinstance(t, (IntLit, BoolLit)):
+            value = t.value
+            return lambda env: value
+        if isinstance(t, App):
+            args = [comp(a) for a in t.args]
+            if funcs and t.func in funcs:
+                fn = funcs[t.func]
+            elif t.func == "pow2":
+                fn = lambda *xs: _pow2(xs[0])  # noqa: E731
+            elif t.func == "fact":
+                fn = lambda *xs: _fact(xs[0])  # noqa: E731
+            else:
+                message = f"uninterpreted function {t.func} in oracle evaluation"
+
+                def fn(*xs):
+                    raise OracleError(message)
+
+            return lambda env: fn(*[a(env) for a in args])  # type: ignore[operator]
+        if isinstance(t, Add):
+            args = [comp(a) for a in t.args]
+            return lambda env: sum([a(env) for a in args])
+        if isinstance(t, Sub):
+            left, right = comp(t.left), comp(t.right)
+            return lambda env: left(env) - right(env)
+        if isinstance(t, Neg):
+            operand = comp(t.operand)
+            return lambda env: -operand(env)
+        if isinstance(t, Mul):
+            left, right = comp(t.left), comp(t.right)
+            return lambda env: left(env) * right(env)
+        if isinstance(t, (Div, Mod)):
+            left, right = comp(t.left), comp(t.right)
+            if isinstance(t, Div):
+                op, message = operator.floordiv, "division by non-positive divisor"
+            else:
+                op, message = operator.mod, "modulus by non-positive divisor"
+
+            def divide(env):
+                a, b = left(env), right(env)
+                if b <= 0:
+                    raise OracleError(message)
+                return op(a, b)
+
+            return divide
+        if isinstance(t, Cmp):
+            left, right = comp(t.left), comp(t.right)
+            if t.op == "=":
+
+                return lambda env: values_equal(left(env), right(env))
+            if t.op == "<":
+                return lambda env: left(env) < right(env)
+            if t.op == "<=":
+                return lambda env: left(env) <= right(env)
+            if t.op == ">":
+                return lambda env: left(env) > right(env)
+            return lambda env: left(env) >= right(env)
+        if isinstance(t, Distinct):
+            args = [comp(a) for a in t.args]
+
+            def distinct(env):
+                vals = [a(env) for a in args]
+                return all(
+                    not values_equal(vals[i], vals[j])
+                    for i in range(len(vals))
+                    for j in range(i + 1, len(vals))
+                )
+
+            return distinct
+        if isinstance(t, Not):
+            operand = comp(t.operand)
+            return lambda env: not operand(env)
+        if isinstance(t, And):
+            args = [comp(a) for a in t.args]
+
+            def conj(env):
+                for a in args:
+                    if not a(env):
+                        return False
+                return True
+
+            return conj
+        if isinstance(t, Or):
+            args = [comp(a) for a in t.args]
+
+            def disj(env):
+                for a in args:
+                    if a(env):
+                        return True
+                return False
+
+            return disj
+        if isinstance(t, Implies):
+            left, right = comp(t.left), comp(t.right)
+            return lambda env: (not left(env)) or right(env)
+        if isinstance(t, Ite):
+            cond, then, other = comp(t.cond), comp(t.then), comp(t.other)
+            return lambda env: then(env) if cond(env) else other(env)
+        if isinstance(t, Select):
+            array, index = comp(t.array), comp(t.index)
+
+            def select(env):
+                arr = array(env)
+                if not isinstance(arr, FArray):
+                    raise OracleError("select on non-array value")
+                return arr.get(index(env))
+
+            return select
+        if isinstance(t, Store):
+            array, index, value = comp(t.array), comp(t.index), comp(t.value)
+
+            def store(env):
+                arr = array(env)
+                if not isinstance(arr, FArray):
+                    raise OracleError("store on non-array value")
+                return arr.put(index(env), value(env))
+
+            return store
+        if isinstance(t, ConstArray):
+            value = comp(t.value)
+            return lambda env: FArray(0, (), value(env))
+        if isinstance(t, Quant):
+            ranges = []
+            for name, sort in t.bound:
+                if isinstance(sort, IntSort):
+                    ranges.append([(name, v) for v in range(quant_lo, quant_hi + 1)])
+                elif isinstance(sort, BoolSort):
+                    ranges.append([(name, False), (name, True)])
+                else:
+                    return _raises(f"cannot enumerate quantifier over {sort}")
+            combos = [dict(c) for c in itertools.product(*ranges)]
+            body = comp(t.body)
+            combine = all if isinstance(t, Forall) else any
+
+            def quant(env):
+                # every combination is evaluated, so that an error at any
+                # bound value surfaces whatever the others decide
+                inner = dict(env)
+                results = []
+                for combo in combos:
+                    inner.update(combo)
+                    results.append(body(inner))
+                return combine(results)
+
+            return quant
+        return _raises(f"cannot evaluate {t!r}")
+
+    return comp(term)
+
+
+# f and g are given to the evaluator, h, u and v stay uninterpreted
+FUNCS = {"f": lambda *xs: len(xs), "g": lambda *xs: xs[-1]}
+
+
+def no_product(any_term):
+    """``any_term`` without ``*``: a product could grow an array window past memory."""
+    return any_term.filter(lambda t: "(* " not in term_to_text(t))
+
+
+@settings(max_examples=400, deadline=None)
+@given(data=st.data())
+def test_generated_code_matches_closure_reference(any_term, data):
+    term = data.draw(no_product(any_term))
+    lo, hi = data.draw(st.sampled_from([(-1, 1), (0, 2)]))
+    envs = data.draw(
+        st.lists(st.dictionaries(st.sampled_from(ENV_NAMES), st.sampled_from(ENV_VALUES)),
+                 min_size=1, max_size=4)
+    )
+    compiled, reference = compile_term(term, lo, hi, FUNCS), reference_compile(term, lo, hi, FUNCS)
+    for env in envs:
+        assert evaluation(compiled, env) == evaluation(reference, env)
+
+
+x_, y_, b_, a_ = Var("x", INT), Var("y", INT), Var("b", BOOL), Var("a", ArraySort(INT, INT))
+
+
+@pytest.mark.parametrize(
+    "term",
+    [
+        # div and mod by a variable: by zero, a negative, a bool, an array
+        Div(x_, y_),
+        Mod(x_, y_),
+        Div(y_, x_),
+        # select and store on a non-array; the index is read only on an array
+        Select(x_, y_),
+        Store(b_, y_, x_),
+        Select(Store(a_, x_, b_), y_),
+        # = is type-exact and distinct too; true is not 1
+        Cmp("=", x_, b_),
+        Distinct((x_, b_, y_)),
+        And((b_, x_)),
+        Or((x_, b_)),
+        Implies(b_, x_),
+        Add((b_, x_)),
+        # quantifiers read every value, also once decided
+        Forall((("j", INT),), Cmp("<", Div(IntLit(1), Var("j", INT)), x_)),
+        Exists((("j", INT), ("c", BOOL)), And((Var("c", BOOL), Cmp("=", Var("j", INT), x_)))),
+        Forall((("x", INT),), Cmp("=", x_, Var("x", INT, 1))),
+        # false comes first: its error surfaces, not the one at true
+        Forall((("c", BOOL),),
+               Cmp("=", Ite(Var("c", BOOL), Div(x_, IntLit(0)), Select(x_, y_)), y_)),
+        # an unbound variable is named by the first lookup that misses
+        Ite(b_, Var("y", INT, 2), Var("x", INT, 1, True)),
+        Cmp("=", Var("k", INT, 2), Var("k", INT, 1)),
+    ],
+    ids=term_to_text,
+)
+def test_generated_code_matches_closure_reference_on_edge_cases(term):
+    values = (-1, 0, 2, True, False, FArray(0, (1, True)))
+    for x, y, b in itertools.product(values, repeat=3):
+        for env in ({"x": x, "y": y, "b": b, "a": FArray(0, (5,))}, {"x": x, "b": b}):
+            expected = evaluation(reference_compile(term, -1, 1), env)
+            assert evaluation(compile_term(term, -1, 1), env) == expected
+
+
+STATE_VALUES = (0, 1, 2, True, False, FArray(0, (1,)), FArray(0, (True,)))
+
+
+@settings(max_examples=300, deadline=None)
+@given(data=st.data())
+def test_two_state_predicate_matches_merged_env(any_term, data):
+    # copy j of a variable is read from state j; the reference reads the two
+    # states merged into one env keyed by mangled names. A predicate's free
+    # variables are copies 1 and 2, unprimed.
+    copies = {(None, False): (1, False), (None, True): (2, False), (1, True): (1, False),
+              (2, True): (2, False)}
+    body = retag_free(data.draw(no_product(any_term)), copies)
+    states = data.draw(
+        st.lists(st.dictionaries(st.sampled_from([*VAR_SORTS, "z"]), st.sampled_from(STATE_VALUES)),
+                 min_size=2, max_size=2)
+    )
+    system = TransitionSystem("two", (), (), TRUE, TRUE)
+    instance = FiniteInstance(system, {}, {}, depth=1, quant_lo=-1, quant_hi=1)
+    holds = BoundedPlan(instance).predicate(StatePredicate(2, body))
+    merged = {f"{name}${j + 1}": v for j, state in enumerate(states) for name, v in state.items()}
+    expected = evaluation(reference_compile(body, -1, 1), merged)
+    assert evaluation(lambda pair: holds(*pair), states) == expected
+
+
+def test_compiling_a_term_twice_adds_one_cache_entry():
+    term = term_from_text("(forall ((j Int)) (< j (+ x 918273)))", {"x": INT})
+    before = len(oracle._CODE)
+    first, second = compile_term(term), compile_term(term, 0, 1)
+    assert len(oracle._CODE) == before + 1
+    assert first.__code__ is second.__code__
+    assert (first({"x": 0}), second({"x": -918272})) == (True, False)
+    assert all(isinstance(code, types.CodeType) for code in oracle._CODE.values())
+
+
+def test_second_enumeration_compiles_nothing(benchmarks):
+    setup = load_instance(benchmarks / "electronic-purse" / "instance.sexp")
+    first = enumerate_traces(setup.instance)
+    cached = dict(oracle._CODE)
+    assert enumerate_traces(setup.instance) == first
+    assert oracle._CODE == cached
+
+
+def test_deep_terms_compile():
+    # Python's tokenizer allows 200 nested brackets in one expression
+    term = b_
+    for _ in range(150):
+        term = Not(Ite(term, Cmp("=", IntLit(1), Add((x_, IntLit(2)))), FALSE))
+    for env in ({"b": True, "x": -1}, {"b": False, "x": 0}, {"b": True}):
+        assert evaluation(compile_term(term), env) == evaluation(reference_compile(term), env)
 
 
 # -- bounded evaluation ---------------------------------------------------------

@@ -4,7 +4,7 @@ import pytest
 from conftest import VAR_SORTS
 from hypothesis import given, settings, strategies as st
 
-from qhenum.sexpr import to_text
+from qhenum.sexpr import SexprError, to_text
 from qhenum.terms import (
     App,
     ArraySort,
@@ -89,6 +89,22 @@ def test_parse_and_print_round_trip():
 def test_unknown_atom_rejected():
     with pytest.raises(UnboundVariable):
         term_from_text("(+ x 1)", {})
+
+
+@pytest.mark.parametrize("text, count", [("(- x x x)", 3), ("(-)", 0)])
+def test_minus_arity_names_both_forms(text, count):
+    with pytest.raises(SexprError) as err:
+        term_from_text(text, {"x": INT})
+    assert str(err.value) == f"- takes 1 or 2 arguments, got {count}"
+
+
+def test_empty_environment_admits_no_free_variable():
+    assert check_sorts(Var("q", INT)) == INT
+    with pytest.raises(UnboundVariable, match="free variable q not in environment"):
+        check_sorts(Var("q", INT), environment={})
+    # a binder's variable needs no environment entry
+    bound = Forall((("q", INT),), Cmp("=", Var("q", INT), IntLit(0)))
+    assert check_sorts(bound, environment={}) == BOOL
 
 
 def test_sort_checking():
