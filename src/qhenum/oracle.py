@@ -10,9 +10,10 @@ from __future__ import annotations
 import itertools
 import math
 import operator
+from collections import defaultdict
 from dataclasses import dataclass, field
 from functools import partial
-from types import CodeType, FunctionType
+from types import CodeType
 from typing import Callable, Iterator, Mapping, Optional, Sequence, Union
 
 from .qhl import HFinally, HGlobally, QhpProperty, StatePredicate
@@ -35,7 +36,6 @@ from .terms import (
     Neg,
     Not,
     Or,
-    PLAIN,
     Quant,
     Select,
     Store,
@@ -55,6 +55,11 @@ class OracleError(ValueError):
 
 class CapExceeded(OracleError):
     pass
+
+
+# what an evaluation raises: an oracle error, or a TypeError where a term
+# built in code is ill sorted (say, ``<`` on an array)
+_ERRORS = (OracleError, TypeError)
 
 
 DEFAULT_CAP = 10**6
@@ -159,6 +164,17 @@ def _typed(value: Value) -> tuple:
     return ("typed-arr", value.lo, tuple(map(_typed, value.vals)), _typed(value.default))
 
 
+def _equal_values(values: Sequence[Value]) -> Callable[[Value], Sequence[Value]]:
+    """Map a value to the members of ``values`` that ``values_equal`` it, repeats included."""
+    if all(type(v) in (int, bool) for v in values):
+        # keyed by (is it a bool, value), as values_equal tells True from 1
+        table: dict[tuple[bool, Value], list[Value]] = {}
+        for v in values:
+            table.setdefault((isinstance(v, bool), v), []).append(v)
+        return lambda value: table.get((isinstance(value, bool), value), ())
+    return lambda value: [v for v in values if values_equal(value, v)]
+
+
 def state_key(state: State) -> tuple:
     return _state_key(state, sorted(state))
 
@@ -261,10 +277,18 @@ def _distinct(*vals: Value) -> bool:
     return all(not values_equal(v, w) for i, v in enumerate(vals) for w in vals[i + 1 :])
 
 
+def _tested(table: dict, test: Callable[..., Value], *args: Value) -> Value:
+    """``test(*args)``, remembered in ``table`` by the arguments' ``_typed`` values."""
+    key = tuple(map(_typed, args))
+    if key not in table:
+        table[key] = test(*args)
+    return table[key]
+
+
 _HELPERS = {
     "_pow2": _pow2, "_fact": _fact, "_fail": _fail, "_unbound": _unbound, "_div": _div,
     "_mod": _mod, "_array": _array, "_distinct": _distinct, "_eq": values_equal, "_FArray": FArray,
-    "_starmap": itertools.starmap,
+    "_starmap": itertools.starmap, "_ERRORS": _ERRORS, "_tested": _tested,
 }
 # Each node's text over its children's texts, in ``_children`` order: a
 # string fills one slot per child, a pair joins all children. A connective
@@ -282,12 +306,12 @@ _NESTING = 50  # term levels in one expression; each opens at most three bracket
 
 
 class _Source:
-    """The text of one term's function and the globals it needs. It reads
-    copy ``j`` of a variable from state ``s<j>`` when ``states`` is set, else
-    each variable from ``env`` by mangled name."""
+    """The text of functions and the globals they need. A variable outside
+    the scope is read, by ``reads``, from ``env`` by mangled name ("env"),
+    as copy ``j`` from state ``s<j>`` ("states"), or not, unbound ("none")."""
 
-    def __init__(self, states: bool, checked: bool, quant_lo: int, quant_hi: int, funcs) -> None:
-        self.states, self.checked, self.funcs = states, checked, funcs
+    def __init__(self, reads: str, checked: bool, quant_lo: int, quant_hi: int, funcs) -> None:
+        self.reads, self.checked, self.funcs = reads, checked, funcs
         self.quant_lo, self.quant_hi = quant_lo, quant_hi
         self.globals: dict[str, object] = {}
         self.names = 0
@@ -305,10 +329,10 @@ class _Source:
 
     def read(self, var: Var, name: str) -> str:
         mapping, key = "env", name
-        if self.states:
-            if var.copy not in (1, 2) or var.primed:
-                return f"_unbound({name!r})"
+        if self.reads == "states" and var.copy in (1, 2) and not var.primed:
             mapping, key = f"s{var.copy}", var.name
+        elif self.reads != "env":
+            return f"_unbound({name!r})"
         if self.checked:
             return f"({mapping}[{key!r}] if {key!r} in {mapping} else _unbound({name!r}))"
         return f"{mapping}[{key!r}]"
@@ -380,24 +404,29 @@ class _Source:
         return f"{'all' if isinstance(t, Forall) else 'any'}([*_starmap({fn}, {combos})])"
 
 
+def _define(source: _Source, lines: Sequence[str], name: str) -> Callable:
+    """The function ``name`` that ``lines`` define, with ``source``'s globals."""
+    text = "\n".join(lines)
+    if text not in _CODE:
+        _CODE[text] = compile(text, "<oracle>", "exec")
+    namespace = {**_HELPERS, **source.globals}
+    exec(_CODE[text], namespace)
+    return namespace[name]
+
+
 def _compile(
     term: Term, states: bool, quant_lo: int, quant_hi: int, funcs=None, checked: bool = False
 ) -> Callable[..., Value]:
     """``term`` as a function of ``env``, or of ``s1, s2`` when ``states``."""
     params = "s1, s2" if states else "env"
-    source = _Source(states, checked, quant_lo, quant_hi, funcs)
+    source = _Source("states" if states else "env", checked, quant_lo, quant_hi, funcs)
     if checked:
         lines = source.body(term, {}, "    ")
     else:
         again = source.const(partial(_compile, term, states, quant_lo, quant_hi, funcs, True))
         lines = ["    try:", *source.body(term, {}, "        "),
                  "    except KeyError:", f"        return {again}()({params})"]
-    text = "\n".join([f"def term({params}):", *lines])
-    code = _CODE.get(text)
-    if code is None:
-        module = compile(text, "<oracle term>", "exec")
-        code = _CODE[text] = next(c for c in module.co_consts if isinstance(c, CodeType))
-    return FunctionType(code, {**_HELPERS, **source.globals})
+    return _define(source, [f"def term({params}):", *lines], "term")
 
 
 def compile_term(
@@ -425,48 +454,139 @@ def eval_term(
     return compile_term(term, quant_lo, quant_hi, funcs)(env)
 
 
-def _memoized(compiled: Compiled, names: Sequence[str]) -> Compiled:
-    """``compiled``, remembering its value for each binding of ``names``.
+# ---------------------------------------------------------------------------
+# Generated search
+#
+# ``init``, ``tx`` and a counted formula are each searched by one generated
+# generator, which yields the loop variables' values of every candidate the
+# term accepts (see README). In ``_DROP`` mode (tx) an error drops the
+# candidates under its test. In ``_ABORT`` mode (init, brute_count) it
+# propagates, so nothing is tested, defined or filtered ahead of an earlier
+# conjunct that may raise, and ``_PLAIN`` decides which error it is.
 
-    ``names`` must hold every env key the evaluation may read. An env that
-    lacks one of them is not looked up; an evaluation that raises is not
-    stored, so it raises again on the next call.
-    """
-    table: dict[tuple, Value] = {}
+_ABORT, _DROP, _PLAIN = "abort", "drop", "plain"
 
-    def memo(env: Mapping[str, Value]) -> Value:
-        try:
-            key = tuple([_typed(env[name]) for name in names])
-        except KeyError:
-            return compiled(env)
-        try:
-            return table[key]
-        except KeyError:
-            value = table[key] = compiled(env)
-            return value
-
-    return memo
+# a generated function raises an OracleError only by calling one of these
+_RAISING = ("_div(", "_mod(", "_pow2(", "_fact(", "_fail(", "_array(", "_unbound(")
 
 
-def _memo_conjunction(conjuncts: Sequence[Term], quant_lo: int, quant_hi: int) -> Compiled:
-    """``compile_term(And(conjuncts))``, each conjunct memoized on the values
-    of its own free variables. Conjuncts are evaluated in order up to the
-    first false one; the tables live as long as the returned closure."""
-    # a compiled term reads the env only at its variables' mangled names, and
-    # a bound variable's name is rebound by its quantifier: so ``free_vars``
-    # names every key a conjunct's value can depend on
-    parts = [
-        _memoized(compile_term(c, quant_lo, quant_hi), sorted({v.mangled for v in free_vars(c)}))
-        for c in conjuncts
-    ]
+def _per_term(build: Callable) -> Callable:
+    """``build``, called once per term object and further arguments; each
+    entry holds its term, so that no other term takes its id meanwhile."""
+    built: dict[tuple, tuple] = {}
 
-    def conj(env: Mapping[str, Value]) -> bool:
-        for part in parts:
-            if not part(env):
-                return False
-        return True
+    def cached(term: Term, *args):
+        key = (id(term), *args)
+        if key not in built:
+            built[key] = (term, build(term, *args))
+        return built[key][1]
 
-    return conj
+    return cached
+
+
+def _reads(term: Term) -> set[str]:
+    return {v.mangled for v in free_vars(term)}
+
+
+@_per_term
+def _search(
+    term: Term, loops: tuple, fixed: tuple, mode: str, quant_lo: int, quant_hi: int
+) -> tuple[Callable[..., Iterator[tuple]], frozenset[str]]:
+    """The generated ``search(env, values, memo)`` of ``term``, and the loop
+    variables it defines. ``values[j]`` lists the values of ``loops[j]``;
+    for a defined one, it maps its value to the values it takes, in
+    ``_ABORT`` mode, or tests it for domain membership, in ``_DROP`` mode.
+    ``memo`` maps a conjunct's index to its test's table."""
+    conjuncts = list(term.args) if isinstance(term, And) else [term]
+    looped = set(loops)
+    slot = {name: f"V{j}" for j, name in enumerate([*loops, *fixed])}
+    source = _Source("none", False, quant_lo, quant_hi, None)
+    lines: list[str] = []
+    defs: dict[str, tuple[int, Term]] = {}  # loop variable -> (conjunct, right-hand side)
+    reads: list[set[str]] = []
+    raises: list[bool] = []
+    calls: list[str] = []  # each conjunct's test, or the values its definition binds
+    for i, c in enumerate(conjuncts):
+        # a top-level (= x e) defines the loop variable x when neither e nor
+        # an earlier conjunct reads x, and no earlier conjunct may raise
+        t = c
+        if mode != _PLAIN and not any(raises) and isinstance(c, Cmp) and c.op == "=":
+            for side, rhs in ((c.left, c.right), (c.right, c.left)):
+                x = side.mangled if isinstance(side, Var) else None
+                if x in looped and x not in _reads(rhs) and not any(x in r for r in reads):
+                    defs[x], t = (i, rhs), rhs
+                    break
+        reads.append(_reads(c))
+        scope = {name: slot[name] for name in sorted(_reads(t) & slot.keys(), key=list(slot).index)}
+        args = ", ".join(scope.values())
+        body = source.body(t, scope, "        " if mode == _DROP else "    ")
+        if mode == _DROP:  # an evaluation that raises gives (): false, and no value
+            body = ["    try:", *body, "    except _ERRORS:", "        return ()"]
+        lines += [f"def t{i}({args}):", *body]
+        raises.append(mode == _ABORT and any(h in line for line in body for h in _RAISING))
+        if t is c:
+            calls.append(f"_tested(memo[{i}], t{i}, {args})" if mode == _DROP else f"t{i}({args})")
+        else:
+            j = loops.index(x)
+            bind = f"(t{i}({args}),) if values[{j}](V{j})"
+            calls.append(bind if mode == _DROP else f"values[{j}](t{i}({args}))")
+    defined = {i: x for x, (i, _) in defs.items()}
+    # a definition binds its variable once the loop variables it reads are
+    # bound; the others loop in product order
+    order: list[str] = []
+    while len(order) < len(loops):
+        ready = [x for x in defs if x not in order and _reads(defs[x][1]) & looped <= {*order}]
+        order.append(ready[0] if ready else next(x for x in loops if x not in {*order, *defs}))
+    # the level of each test: -2 to filter the one variable it reads that
+    # loops, else the shallowest loop that binds what it reads (-1: before
+    # the loops), and no shallower than an earlier conjunct that may raise,
+    # or, in _PLAIN mode, than the deepest loop
+    level = {}
+    floor = len(order) - 1 if mode == _PLAIN else -2
+    for i, uses in enumerate(r & looped for r in reads):
+        if i in defined:
+            at = order.index(defined[i])
+        elif len(uses) == 1 and floor == -2 and not uses <= defs.keys():
+            at = level[i] = -2
+        else:
+            at = level[i] = max(floor, -1, *map(order.index, uses))
+        if raises[i]:
+            floor = max(floor, at)
+
+    # one generator expression: Python nests at most 20 loop statements
+    lines.append("def search(env, values, memo):")
+    lines += [f"    {slot[name]} = env[{name!r}]" for name in fixed]
+    clauses = ["for _ in (0,)"]
+    for at, x in enumerate([None, *order], -1):
+        j = x and loops.index(x)
+        if x in defs:
+            clauses.append(f"for V{j} in {calls[defs[x][0]]}")
+        elif x:
+            kept = "".join(f" if {calls[i]}" for i in level if level[i] == -2 and x in reads[i])
+            lines.append(f"    A{j} = [V{j} for V{j} in values[{j}]{kept}]")
+            clauses.append(f"for V{j} in A{j}")
+        clauses += [f"if {calls[i]}" for i in level if level[i] == at]
+    yielded = "".join(f"V{j}, " for j in range(len(loops)))
+    lines.append(f"    return (({yielded}) {' '.join(clauses)})")
+    return _define(source, lines, "search"), frozenset(defs)
+
+
+def _abort_search(term: Term, doms: Mapping[str, Domain], env: Mapping[str, Value], quant_lo: int,
+                  quant_hi: int, cap: int, what: str, consume: Callable[[Iterator[tuple]], object]):
+    """``consume`` of the tuples of values of the product of ``doms`` that
+    ``term`` accepts, ``env``'s names fixed, once ``cap`` bounds the product.
+    Where filtering the product in order would raise, this raises alike."""
+    sizes = (dom.size() for dom in doms.values())
+    if any(total > cap for total in itertools.accumulate(sizes, operator.mul)):
+        raise CapExceeded(f"{what} exceeds cap {cap}")
+    values = [list(dom) for dom in doms.values()]
+    search, defined = _search(term, tuple(doms), tuple(env), _ABORT, quant_lo, quant_hi)
+    matches = [_equal_values(v) if x in defined else v for x, v in zip(doms, values)]
+    try:
+        return consume(search(env, matches, None))
+    except _ERRORS:
+        plain, _ = _search(term, tuple(doms), tuple(env), _PLAIN, quant_lo, quant_hi)
+        return consume(plain(env, values, None))
 
 
 # ---------------------------------------------------------------------------
@@ -494,123 +614,26 @@ def _var_domains(instance: FiniteInstance, initial: bool = False) -> dict[str, D
     return doms
 
 
-def _product_states(doms: Mapping[str, Domain], cap: int) -> Iterator[State]:
-    """Every state of the domain product, in product order; the cap is
-    checked when this is called."""
-    names = list(doms)
-    total = 1
-    for d in doms.values():
-        total *= d.size()
-        if total > cap:
-            raise CapExceeded(f"state domain product exceeds cap {cap}")
-    return (dict(zip(names, combo)) for combo in itertools.product(*(list(doms[n]) for n in names)))
-
-
-def _value_index(values: Sequence[Value]) -> Callable[[Value], Sequence[int]]:
-    """Map a value to the indices of the domain values ``values_equal`` to it."""
-    if all(type(v) in (int, bool) for v in values):
-        # keyed by (is it a bool, value), as values_equal tells True from 1
-        table: dict[tuple[bool, Value], list[int]] = {}
-        for i, v in enumerate(values):
-            table.setdefault((isinstance(v, bool), v), []).append(i)
-        return lambda value: table.get((isinstance(value, bool), value), ())
-    return lambda value: [i for i, v in enumerate(values) if values_equal(value, v)]
-
-
-def _member(dom: Domain) -> Callable[[Value], object]:
-    """A test, truthy for the values ``successors`` keeps in ``dom``."""
-    if isinstance(dom, ScalarDomain):
-        return _value_index(dom.values)
-    return lambda value: isinstance(value, FArray)
-
-
-def _conjuncts(term: Term) -> list[Term]:
-    return list(term.args) if isinstance(term, And) else [term]
-
-
-def _definitional_order(
-    conjuncts: Sequence[Term],
-    target: Callable[[Term], Optional[str]],
-    ready: Callable[[int, str, Term, set[str]], bool],
-) -> list[tuple[int, str, Term]]:
-    """The equations among ``conjuncts`` that define a variable, in an order
-    in which each right-hand side can be evaluated.
-
-    ``target(side)`` names the variable an equation side may define, or is
-    None; ``ready(i, x, rhs, defined)`` says whether conjunct ``i`` may define
-    ``x`` as ``rhs`` once the variables in ``defined`` are. Returns
-    ``(i, x, rhs)`` triples; each conjunct and each variable is used once.
-    """
-    defs: list[tuple[int, str, Term]] = []
-    defined: set[str] = set()
-    pending = list(range(len(conjuncts)))
-    changed = True
-    while changed:
-        changed = False
-        for i in pending:
-            c = conjuncts[i]
-            if not (isinstance(c, Cmp) and c.op == "="):
-                continue
-            for lhs, rhs in ((c.left, c.right), (c.right, c.left)):
-                name = target(lhs)
-                if name is not None and name not in defined and ready(i, name, rhs, defined):
-                    defs.append((i, name, rhs))
-                    defined.add(name)
-                    pending.remove(i)
-                    changed = True
-                    break
-            if changed:
-                break
-    return defs
-
-
-def _primed_name(side: Term) -> Optional[str]:
-    if isinstance(side, Var) and side.primed and side.copy is None:
-        return side.name
-    return None
-
-
 class TransitionPlan:
-    """Everything ``successors`` derives from an instance, compiled once.
-
-    ``enumerate_traces`` builds one per call and hands it to every
-    ``successors`` call; the plan reflects the instance as it was when built.
-    ``tx`` remembers each conjunct's values.
-    """
+    """Everything ``successors`` derives from an instance, made once: the
+    plan reflects the instance as it was when built, and its tests' memo
+    tables live as long as it. ``enumerate_traces`` builds one per call."""
 
     def __init__(self, instance: FiniteInstance) -> None:
-        system = instance.system
-        lo, hi = instance.quant_lo, instance.quant_hi
-        names = [name for name, _ in system.state_vars]
-        conjuncts = _conjuncts(system.tx)
-        # variables whose primed copy never appears alone on one side of a
-        # top-level equation are genuine choices; definitions may depend on them
-        # because choices are assigned before the definitions are evaluated
-        eq_defined = {
-            name
-            for c in conjuncts
-            if isinstance(c, Cmp) and c.op == "="
-            for name in (_primed_name(c.left), _primed_name(c.right))
-            if name is not None
-        }
-        choices = set(names) - eq_defined
-
-        def ready(i: int, name: str, rhs: Term, defined: set[str]) -> bool:
-            return {v.name for v in free_vars(rhs) if v.primed} <= defined | choices
-
-        defs = _definitional_order(conjuncts, _primed_name, ready)
-        used = {i for i, _, _ in defs}
-        rest = tuple(c for i, c in enumerate(conjuncts) if i not in used)
-        free = sorted(set(names) - {name for _, name, _ in defs})
         doms = _var_domains(instance)
-        self.names = names
-        self.key_order = sorted(names)
-        # the definitions hold by construction, so tx checks only the rest
-        self.tx = _memo_conjunction(rest, lo, hi)
-        self.defs = [(f"{name}!", compile_term(rhs, lo, hi)) for _, name, rhs in defs]
-        self.free_keys = [f"{name}!" for name in free]
-        self.free_values = [list(doms[name]) for name in free]
-        self.next_vars = [(name, f"{name}!", _member(doms[name])) for name in names]
+        self.key_order = sorted(doms)
+        loops = tuple(f"{name}!" for name in self.key_order)
+        tx, lo, hi = instance.system.tx, instance.quant_lo, instance.quant_hi
+        self.search, defined = _search(tx, loops, tuple(doms), _DROP, lo, hi)
+        # a defined variable's domain is not listed, as it may be large: its
+        # values are tested, each against a scalar domain's or for an array
+        self.values = [
+            list(dom) if f"{name}!" not in defined
+            else _equal_values(dom.values) if isinstance(dom, ScalarDomain)
+            else lambda value: isinstance(value, FArray)
+            for name, dom in sorted(doms.items())
+        ]
+        self.memo: defaultdict[int, dict] = defaultdict(dict)
 
 
 def successors(
@@ -618,129 +641,32 @@ def successors(
 ) -> list[State]:
     """The states ``tx`` allows after ``state``, within the domains.
 
-    Candidates come in product order of the free next-state variables' domain
-    values (after solving the ``tx`` equations); a candidate is kept when
+    Candidates come from the generated ``tx`` search, in product order of the
+    next-state variables sorted by name; one that a top-level ``(= x! e)``
+    defines is assigned ``e``. A candidate is kept when every conjunct of
     ``tx`` holds on it, no evaluation raised and every value lies in its
-    variable's domain. A candidate whose state key equals an earlier kept
-    one, type-exact (``true`` is not ``1``), is dropped; no key is built
-    before a second candidate passes these checks. Raises ``OracleError``
-    when the instance is declared deterministic and more than one state
-    remains.
+    domain, whatever the order of the conjuncts. A later candidate with the
+    state key of a kept one, type-exact (``true`` is not ``1``), is dropped.
+    Raises ``OracleError`` when the instance is declared deterministic and
+    more than one state remains.
     """
     if plan is None:
         plan = TransitionPlan(instance)
-    base_env = {name: state[name] for name in plan.names}
     out: list[State] = []
     seen = set()
-    for combo in itertools.product(*plan.free_values):
-        env = dict(base_env)
-        env.update(zip(plan.free_keys, combo))
-        try:
-            for key, rhs in plan.defs:
-                env[key] = rhs(env)
-            if not plan.tx(env):
+    for combo in plan.search(state, plan.values, plan.memo):
+        nxt = dict(zip(plan.key_order, combo))
+        if out and not seen:
+            seen.add(_state_key(out[0], plan.key_order))
+        if seen:
+            key = _state_key(nxt, plan.key_order)
+            if key in seen:
                 continue
-        except OracleError:
-            continue
-        # keep successors inside the declared domains
-        nxt = {}
-        for name, key, member in plan.next_vars:
-            value = env[key]
-            if not member(value):
-                break
-            nxt[name] = value
-        else:
-            if out and not seen:
-                seen.add(_state_key(out[0], plan.key_order))
-            if seen:
-                key = _state_key(nxt, plan.key_order)
-                if key in seen:
-                    continue
-                seen.add(key)
-            out.append(nxt)
+            seen.add(key)
+        out.append(nxt)
     if instance.deterministic and len(out) > 1:
         raise OracleError("instance declared deterministic but a state has several successors")
     return out
-
-
-def _initial_states(instance: FiniteInstance) -> list[State]:
-    """The states of the initial domain product that ``init`` accepts.
-
-    A conjunct ``(= x e)`` of init defines ``x`` when ``x`` has a scalar
-    domain, is not free in ``e`` and is free in no earlier conjunct. Then
-    ``x`` takes only the domain values equal to ``e``, and init is evaluated
-    in full on each such candidate. Where ``e`` equals no domain value, init
-    is evaluated on one candidate, so that an earlier conjunct that raises
-    still raises. A conjunct whose only free variable is an unsolved ``x``,
-    free in no earlier conjunct, is evaluated once per value of ``x`` first,
-    and ``x`` keeps only the values it holds on. On any OracleError, or when
-    that leaves a domain empty, the whole product goes through the plain
-    filter, which raises the first failing candidate's error.
-    """
-    doms = _var_domains(instance, initial=True)
-    product = _product_states(doms, instance.cap)
-    conjuncts = _conjuncts(instance.system.init)
-    frees = [{v.mangled for v in free_vars(c)} for c in conjuncts]
-
-    def target(side: Term) -> Optional[str]:
-        # a defined variable needs a first value to stand in for it
-        if isinstance(side, Var) and side.tag == PLAIN:
-            dom = doms.get(side.name)
-            if isinstance(dom, ScalarDomain) and dom.values:
-                return side.name
-        return None
-
-    def ready(i: int, name: str, rhs: Term, defined: set[str]) -> bool:
-        if name in {v.mangled for v in free_vars(rhs)}:
-            return False
-        return not any(name in f for f in frees[:i])
-
-    defs = _definitional_order(conjuncts, target, ready)
-    lo, hi = instance.quant_lo, instance.quant_hi
-    init = _memo_conjunction(conjuncts, lo, hi)
-    names = list(doms)
-    values = {name: list(doms[name]) for name in names}
-    solved = [(x, compile_term(rhs, lo, hi), _value_index(values[x])) for _, x, rhs in defs]
-    defined = {x for x, _, _ in solved}
-    others = [name for name in names if name not in defined]
-    # conjuncts whose one free variable is unsolved and free in no earlier
-    # conjunct: such a conjunct rejects a value on every candidate, and the
-    # conjuncts before it, which do not read the value, raise on a kept value
-    # wherever they raise on a rejected one
-    filters = []
-    for i, free in enumerate(frees):
-        name = next(iter(free)) if len(free) == 1 else None
-        if name in others and not any(name in f for f in frees[:i]):
-            filters.append((name, compile_term(conjuncts[i], lo, hi)))
-
-    def candidate(index: Mapping[str, int]) -> State:
-        # a variable not solved yet takes its first value
-        return {name: values[name][index.get(name, 0)] for name in names}
-
-    try:
-        for name, holds in filters:
-            values[name] = [v for v in values[name] if holds({name: v})]
-        # with a domain emptied, only the plain filter tells whether an
-        # earlier conjunct raises
-        if all(values.values()):
-            found: list[State] = []
-            for combo in itertools.product(*(range(len(values[n])) for n in others)):
-                partial = [dict(zip(others, combo))]
-                for x, rhs, lookup in solved:
-                    grown = []
-                    for index in partial:
-                        matches = lookup(rhs(candidate(index)))
-                        if not matches:
-                            # every candidate fails this equation, after the
-                            # conjuncts before it, which may raise
-                            init(candidate(index))
-                        grown.extend({**index, x: k} for k in matches)
-                    partial = grown
-                found.extend(state for state in map(candidate, partial) if init(state))
-            return found
-    except OracleError:
-        pass
-    return [s for s in product if init(s)]
 
 
 def _ranks(states: Sequence[State], order: Sequence[str]) -> Sequence[int]:
@@ -758,10 +684,10 @@ def _ranks(states: Sequence[State], order: Sequence[str]) -> Sequence[int]:
 def enumerate_traces(instance: FiniteInstance) -> list[BoundedTrace]:
     """All depth-d trace prefixes of the instance, in canonical order.
 
-    The canonical order is lexicographic by the traces' tuples of state keys
-    (``state_key``); traces with equal tuples keep the order in which they
-    were expanded: initial states in domain product order, successors in
-    ``successors`` order.
+    Initial states come from the generated ``init`` search, successors from
+    ``successors``. The canonical order is lexicographic by the traces'
+    tuples of state keys (``state_key``); traces with equal tuples keep the
+    order in which they were expanded.
     """
     plan = TransitionPlan(instance)
     # A prefix travels with its sort key: its initial state's key, then the
@@ -771,9 +697,12 @@ def enumerate_traces(instance: FiniteInstance) -> list[BoundedTrace]:
     # siblings: the order is the one of full key tuples. Initial states are
     # not ranked: equal ones, from a domain that repeats a value, have equal
     # successors, and their traces must interleave.
-    level: list[tuple[tuple[State, ...], tuple]] = [
-        ((s,), (_state_key(s, plan.key_order),)) for s in _initial_states(instance)
-    ]
+    doms = _var_domains(instance, initial=True)
+    initial = _abort_search(instance.system.init, doms, {}, instance.quant_lo, instance.quant_hi,
+                            instance.cap, "state domain product", list)
+    level: list[tuple[tuple[State, ...], tuple]] = []
+    for state in (dict(zip(doms, combo)) for combo in initial):
+        level.append(((state,), (_state_key(state, plan.key_order),)))
     for _ in range(instance.depth - 1):
         nxt_level: list[tuple[tuple[State, ...], tuple]] = []
         for prefix, order in level:
@@ -791,31 +720,27 @@ def enumerate_traces(instance: FiniteInstance) -> list[BoundedTrace]:
 # Bounded evaluation
 
 
+_predicate = _per_term(lambda body, quant_lo, quant_hi: _compile(body, True, quant_lo, quant_hi))
+
+
 class BoundedPlan:
     """Compiled predicates and pinned tails for ``eval_bounded``.
 
     ``count_equivalence_classes`` builds one per call and hands it to every
-    ``eval_bounded`` call, so that each predicate is compiled once and each
-    last state's successors are computed once per state key on a transition
-    plan built when first needed. Predicates are keyed by object identity
-    and held with their key.
+    ``eval_bounded`` call, so that each last state's successors are computed
+    once per state key on a transition plan built when first needed. Each
+    predicate is compiled once per predicate object while this module lives.
     """
 
     def __init__(self, instance: FiniteInstance) -> None:
         self.instance = instance
-        self.quant_lo, self.quant_hi = instance.quant_lo, instance.quant_hi
-        self._preds: dict[int, tuple[StatePredicate, Callable[[State, State], Value]]] = {}
         self._transitions: Optional[TransitionPlan] = None
         self._pinned: dict[tuple, bool] = {}
 
     def predicate(self, pred: StatePredicate) -> Callable[[State, State], Value]:
         """``pred`` as ``holds(state1, state2)``: copy ``j`` of a variable is
         read from ``state_j``."""
-        entry = self._preds.get(id(pred))
-        if entry is None:
-            holds = _compile(pred.body, True, self.quant_lo, self.quant_hi)
-            entry = self._preds[id(pred)] = (pred, holds)
-        return entry[1]
+        return _predicate(pred.body, self.instance.quant_lo, self.instance.quant_hi)
 
     def pinned(self, trace: BoundedTrace) -> bool:
         """Whether the last state of ``trace`` has itself as its only
@@ -918,19 +843,10 @@ def brute_count(
     quant_hi: int = 8,
     cap: int = DEFAULT_CAP,
 ) -> int:
-    """Exact model count of ``formula`` over the counted variables' domains."""
-    names = list(counted)
-    total = 1
-    for dom in counted.values():
-        total *= dom.size()
-        if total > cap:
-            raise CapExceeded(f"domain product exceeds cap {cap}")
-    holds = compile_term(formula, quant_lo, quant_hi)
-    base_env: dict[str, Value] = dict(params or {})
-    count = 0
-    for combo in itertools.product(*(list(counted[n]) for n in names)):
-        env = dict(base_env)
-        env.update(zip(names, combo))
-        if holds(env):
-            count += 1
-    return count
+    """Exact model count of ``formula`` over the counted variables' domains,
+    from its generated search with the ``params`` not counted fixed. Where
+    filtering the full product in order raises, so does this, with the
+    first failing candidate's error; the cap applies to the full product."""
+    env = {name: value for name, value in (params or {}).items() if name not in counted}
+    return _abort_search(formula, counted, env, quant_lo, quant_hi, cap, "domain product",
+                         lambda found: sum(1 for _ in found))

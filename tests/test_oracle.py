@@ -1,4 +1,5 @@
 import dataclasses
+import functools
 import hashlib
 import itertools
 import operator
@@ -39,6 +40,7 @@ from qhenum.terms import (
     BOOL,
     FALSE,
     INT,
+    PLAIN,
     TRUE,
     Add,
     And,
@@ -67,6 +69,7 @@ from qhenum.terms import (
     Sub,
     Var,
     free_vars,
+    indexed,
     mangle,
     retag_free,
     term_from_sexpr,
@@ -710,13 +713,7 @@ def test_cap_judged_on_full_initial_product():
     assert len(enumerate_traces(inst)) == 4
 
 
-# -- memoized conjunctions --------------------------------------------------------
-
-
-def transition_plan(tx):
-    """The plan of a system without state variables whose tx is ``tx``."""
-    system = TransitionSystem("memo", (), (), TRUE, tx)
-    return TransitionPlan(FiniteInstance(system, {}, {}, depth=1, quant_lo=-1, quant_hi=1))
+# -- the tx search against plain filtering --------------------------------------------
 
 
 def evaluation(compiled, env):
@@ -738,52 +735,126 @@ ENV_VALUES = (-2, -1, 0, 1, 2, 3, True, False, FArray(0, (1, 2)), FArray(0, (1, 
               FArray(0, (FArray(0, (1,)),)))
 
 
-@settings(max_examples=300, deadline=None)
+def tx_instance(state_vars, tx, domains):
+    """A depth-2 instance of a system with ``state_vars`` and ``tx``."""
+    system = TransitionSystem("tx", tuple(state_vars.items()), (), TRUE, tx)
+    return FiniteInstance(system, domains, {}, depth=2, quant_lo=-1, quant_hi=1)
+
+
+def filtered_successors(inst, state):
+    """The candidates of the whole next-state product, in order, on which
+    every conjunct of tx evaluates without error to a truthy value, each
+    state key once."""
+    names = sorted(inst.domains)
+    tests = [compile_term(c, inst.quant_lo, inst.quant_hi) for c in inst.system.tx.args]
+    out, seen = [], set()
+    for combo in itertools.product(*(list(inst.domains[n]) for n in names)):
+        env = {**state, **{f"{n}!": v for n, v in zip(names, combo)}}
+        try:
+            if not all(test(env) for test in tests):
+                continue
+        except (OracleError, TypeError):
+            continue
+        nxt = dict(zip(names, combo))
+        if state_key(nxt) not in seen:
+            seen.add(state_key(nxt))
+            out.append(nxt)
+    return out
+
+
+# every variable of the terms any_term draws but z, with a domain that mixes
+# true and 1, also inside arrays
+TX_VARS = dict(VAR_SORTS)
+TX_DOMAINS = {
+    "x": ScalarDomain((0, True)),
+    "y": ScalarDomain((1, -1)),
+    "b": ScalarDomain((True, 1)),
+    "a": ScalarDomain((FArray(0, (1, 2)), FArray(0, (1, True)))),
+    "m": ArrayDomain(0, 0, (0, 1)),
+}
+
+
+@settings(max_examples=200, deadline=None)
 @given(data=st.data())
-def test_memoized_tx_agrees_with_plain_compilation(any_term, data):
-    # top-level equations could be solved as definitions and leave tx; a
-    # product could grow an array window past memory, so none is drawn
+def test_successors_agree_with_plain_filtering(any_term, data):
+    # a top-level equation would define its variable rather than loop over
+    # it; a product could grow an array window past memory, so none is drawn
     conjunct = any_term.filter(
         lambda t: not (isinstance(t, Cmp) and t.op == "=") and "(* " not in term_to_text(t)
     )
-    conjuncts = data.draw(st.lists(conjunct, min_size=1, max_size=4))
-    envs = data.draw(
-        st.lists(st.dictionaries(st.sampled_from(ENV_NAMES), st.sampled_from(ENV_VALUES)),
-                 min_size=1, max_size=6)
+    # copies 1 and 2 become the current and the next state, so that most
+    # names are bound; z stays unbound
+    copies = {(1, False): PLAIN, (2, False): (None, True), (1, True): (None, True), (2, True): PLAIN}
+    conjuncts = [retag_free(c, copies) for c in data.draw(st.lists(conjunct, min_size=1, max_size=4))]
+    states = data.draw(
+        st.lists(st.fixed_dictionaries({n: st.sampled_from(ENV_VALUES) for n in TX_VARS}),
+                 min_size=1, max_size=3)
     )
-    plan = transition_plan(And(tuple(conjuncts)))
-    plain = compile_term(And(tuple(conjuncts)), -1, 1)
-    # every env twice, so that the second round reads what the first stored
-    for env in envs + envs:
-        assert evaluation(plan.tx, env) == evaluation(plain, env)
+    inst = tx_instance(TX_VARS, And(tuple(conjuncts)), TX_DOMAINS)
+    plan = TransitionPlan(inst)
+    # every state twice, so that the second round reads what the first stored
+    for state in states + states:
+        got = successors(inst, state, plan)
+        assert [state_key(s) for s in got] == [state_key(s) for s in filtered_successors(inst, state)]
 
 
-def test_memoized_tx_tells_true_from_one():
+def test_successors_tell_true_from_one():
     x, a = Var("x", INT, None, True), Var("a", ArraySort(INT, INT), None, True)
-    plan = transition_plan(And((Distinct((x, IntLit(1))), Distinct((Select(a, IntLit(0)), IntLit(1))))))
-    other = {"a!": FArray(0, (0,))}
-    for _ in range(2):
-        assert plan.tx({"x!": True, **other}) is True
-        assert plan.tx({"x!": 1, **other}) is False
-    for _ in range(2):
-        assert plan.tx({"x!": 0, "a!": FArray(0, (True,))}) is True
-        assert plan.tx({"x!": 0, "a!": FArray(0, (1,))}) is False
+    tx = And((Distinct((x, IntLit(1))), Distinct((Select(a, IntLit(0)), IntLit(1)))))
+    arrays = (FArray(0, (0,)), FArray(0, (True,)), FArray(0, (1,)))
+    inst = tx_instance({"x": INT, "a": ArraySort(INT, INT)}, tx,
+                       {"x": ScalarDomain((True, 1)), "a": ScalarDomain(arrays)})
+    plan = TransitionPlan(inst)
+    expected = [{"a": FArray(0, (0,)), "x": True}, {"a": FArray(0, (True,)), "x": True}]
+    for state in ({"x": 1, "a": arrays[2]}, {"x": True, "a": arrays[1]}) * 2:
+        assert [state_key(s) for s in successors(inst, state, plan)] == list(map(state_key, expected))
 
 
-def test_memoized_tx_recomputes_raising_and_unbound_evaluations():
-    # (or (> a 0) (> (div 6 b!) 0)) reads b! only where a <= 0
-    a, b = Var("a", INT), Var("b", INT, None, True)
-    plan = transition_plan(Or((Cmp(">", a, IntLit(0)), Cmp(">", Div(IntLit(6), b), IntLit(0)))))
+def test_successors_drop_raising_and_unbound_evaluations_on_every_call():
+    # (or (> a 0) (> (div 6 b!) 0)) divides only where a <= 0, and
+    # (or (> a 0) (> z! 0)) reads the unbound z! only there
+    a, b, z = Var("a", INT), Var("b", INT, None, True), Var("z", INT, None, True)
+    keep_a = Cmp("=", Var("a", INT, None, True), a)
+    divides = tx_instance(
+        {"a": INT, "b": INT},
+        And((keep_a, Or((Cmp(">", a, IntLit(0)), Cmp(">", Div(IntLit(6), b), IntLit(0)))))),
+        {"a": ScalarDomain((0, 1)), "b": ScalarDomain((0, 2, 7))},
+    )
+    unbound = tx_instance(
+        {"a": INT}, And((keep_a, Or((Cmp(">", a, IntLit(0)), Cmp(">", z, IntLit(0)))))),
+        {"a": ScalarDomain((0, 1))},
+    )
     calls = [
-        ({"a": 1}, True),
-        ({"a": 0}, (OracleError, "unbound variable b! in oracle evaluation")),
-        ({"a": 0, "b!": 0}, (OracleError, "division by non-positive divisor")),
-        ({"a": 0, "b!": 2}, True),
-        ({"a": 0, "b!": 7}, False),
+        (divides, {"a": 1, "b": 0}, [{"a": 1, "b": b} for b in (0, 2, 7)]),
+        (divides, {"a": 0, "b": 0}, [{"a": 0, "b": 2}]),
+        (unbound, {"a": 1}, [{"a": 1}]),
+        (unbound, {"a": 0}, []),
     ]
+    plans = {id(divides): TransitionPlan(divides), id(unbound): TransitionPlan(unbound)}
     for _ in range(3):
-        for env, expected in calls:
-            assert evaluation(plan.tx, env) == expected
+        for inst, state, expected in calls:
+            assert successors(inst, state, plans[id(inst)]) == expected
+
+
+@functools.cache
+def shipped_states(benchmarks, name):
+    """The instance of a shipped instance.sexp and every state of its traces."""
+    inst = load_instance(benchmarks / name / "instance.sexp").instance
+    states = {state_key(s): s for t in enumerate_traces(inst) for s in t.states}
+    return inst, list(states.values())
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.sampled_from(sorted(SHIPPED_TRACES)), st.randoms(use_true_random=False))
+def test_shuffled_tx_conjuncts_keep_successors(benchmarks, name, random):
+    inst, states = shipped_states(benchmarks, name)
+    conjuncts = list(inst.system.tx.args)
+    random.shuffle(conjuncts)
+    shuffled = dataclasses.replace(inst, system=dataclasses.replace(inst.system, tx=And(tuple(conjuncts))))
+    plan, shuffled_plan = TransitionPlan(inst), TransitionPlan(shuffled)
+    for state in states:
+        expected = sorted(map(state_key, successors(inst, state, plan)))
+        assert sorted(map(state_key, successors(shuffled, state, shuffled_plan))) == expected
 
 
 # -- generated code against the closure compiler -------------------------------------
@@ -1448,3 +1519,94 @@ def test_brute_count_matches_interval_arithmetic(lo, width):
         {"lo": lo, "hi": lo + width},
     )
     assert count == width
+
+
+def brute_outcome(count, formula, counted, params):
+    """The model count, or the error type and message."""
+    try:
+        return count(formula, counted, params, -1, 3)
+    except OracleError as exc:
+        return type(exc), str(exc)
+
+
+def filtered_count(formula, counted, params, quant_lo, quant_hi):
+    """The candidates of the counted product, in order, that the whole formula accepts."""
+    holds = compile_term(formula, quant_lo, quant_hi)
+    names = list(counted)
+    return sum(
+        1
+        for combo in itertools.product(*(list(counted[n]) for n in names))
+        if holds({**params, **dict(zip(names, combo))})
+    )
+
+
+def counted_formula(conjuncts):
+    """The conjunction of ``conjuncts`` over a, x, y (Int), m (an Int array)
+    and the parameter k; a bare Int variable is a conjunct, built in code."""
+    env = {"a": INT, "x": INT, "y": INT, "k": INT, "m": ArraySort(INT, INT)}
+    return And(tuple(Var(c, INT) if c in env else term_from_text(c, env) for c in conjuncts))
+
+
+ARRAY_CONJUNCTS = ("(= (select m 0) a)", "(distinct (select m 1) x)", "(< (select m 0) k)")
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    st.lists(st.sampled_from(CONJUNCTS + ARRAY_CONJUNCTS), min_size=1, max_size=4),
+    st.fixed_dictionaries({"a": VALUES, "x": VALUES, "y": VALUES}),
+)
+@example(["(> (div 6 a) 0)", "(> x 100)"], {"a": [1, 0], "x": [0, 1], "y": [0]})
+def test_brute_count_matches_plain_filtering(conjuncts, domains):
+    formula = counted_formula(conjuncts)
+    counted = {n: ScalarDomain(tuple(v)) for n, v in domains.items()}
+    counted["m"] = ArrayDomain(0, 1, (0, 1))
+    params = {"k": 1, "x": 5}  # a counted name is read from its domain, not from params
+    expected = brute_outcome(filtered_count, formula, counted, params)
+    assert brute_outcome(brute_count, formula, counted, params) == expected
+
+
+@pytest.mark.parametrize(
+    "conjuncts",
+    [
+        # no value of x is above 100
+        ("(> (div 6 a) 0)", "(> x 100)"),
+        # a + 5 is no value of x, and y would loop after x is defined
+        ("(> (div 6 (+ a y)) 0)", "(= x (+ a 5))"),
+    ],
+)
+def test_brute_count_raises_before_what_empties_the_product(conjuncts):
+    formula = counted_formula(conjuncts)
+    counted = {"a": ScalarDomain((1, 0)), "x": ScalarDomain(tuple(range(5))), "y": ScalarDomain((0, 1))}
+    expected = (OracleError, "division by non-positive divisor")
+    assert brute_outcome(filtered_count, formula, counted, {}) == expected
+    assert brute_outcome(brute_count, formula, counted, {}) == expected
+
+
+def test_second_call_writes_no_source_text(benchmarks):
+    setup = load_instance(benchmarks / "zk-hats" / "instance.sexp")
+    inst, prop = setup.instance, setup.project.prop
+    valid = retag_free(setup.project.witness.valid, {indexed(1): PLAIN})
+    counted = {n: setup.count_domains[n] for n, _ in setup.project.witness.enum_vars}
+
+    def calls():
+        traces = enumerate_traces(inst)
+        return (traces, count_equivalence_classes(inst, prop, traces[0], traces),
+                brute_count(valid, counted, inst.params, inst.quant_lo, inst.quant_hi))
+
+    first = calls()
+    assert first[1:] == (3, 3)
+    with mock.patch.object(oracle, "_Source", wraps=oracle._Source) as source:
+        assert calls() == first
+    assert source.call_count == 0
+
+
+def test_searches_over_more_variables_than_python_nests():
+    # Python allows 20 nested blocks; here 24 variables share one loop
+    names = [f"v{i}" for i in range(24)]
+    chain = And(tuple(Cmp("<=", Var(a, INT), Var(b, INT)) for a, b in zip(names, names[1:])))
+    step = And(tuple(Cmp("<=", Var(n, INT), Var(n, INT, None, True)) for n in names))
+    domains = {n: ScalarDomain((0, 1) if i % 3 == 2 else (0,)) for i, n in enumerate(names)}
+    assert brute_count(chain, domains) == filtered_count(chain, domains, {}, -2, 8) == 2
+    system = TransitionSystem("wide", tuple((n, INT) for n in names), (), chain, step)
+    inst = FiniteInstance(system=system, domains=domains, params={}, depth=2)
+    assert outcome(enumerate_traces, inst) == outcome(reference_traces, inst)
