@@ -35,6 +35,7 @@ from .enumeration import (
     parse_enumeration,
 )
 from .oracle import (
+    DEFAULT_QUANT,
     ArrayDomain,
     Domain,
     FArray,
@@ -438,7 +439,7 @@ def load_instance(path: Path, depth: Optional[int] = None) -> OracleSetup:
     deterministic = single(found, "deterministic", str, "false")
     if deterministic not in ("true", "false"):
         raise SexprError(f"(deterministic ...) takes true or false, got {deterministic}")
-    bounds = _ints(found.get("quant-bounds", (-2, 8)))
+    bounds = _ints(found.get("quant-bounds", DEFAULT_QUANT))
     if len(bounds) != 2:
         raise SexprError(f"(quant-bounds ...) takes two integers, got {len(bounds)}")
     instance = FiniteInstance(

@@ -47,6 +47,7 @@ from .terms import (
     Var,
     conj,
     indexed,
+    mangle,
     neq,
     retag_free,
     sort_from_sexpr,
@@ -436,9 +437,9 @@ def parse_enumeration(text: str, system: TransitionSystem) -> EnumerationWitness
         (n, sort_from_sexpr(s)) for n, s in pairs("enum-vars", found["enum-vars"]).items()
     )
     env_y = dict(enum_vars)
-    env_x1 = {f"{n}$1": s for n, s in system.state_vars}
-    env_x2 = {f"{n}$2": s for n, s in system.state_vars}
-    env_x1p = {f"{n}$1!": s for n, s in system.state_vars}
+    env_x1 = {mangle(n, indexed(1)): s for n, s in system.state_vars}
+    env_x2 = {mangle(n, indexed(2)): s for n, s in system.state_vars}
+    env_x1p = {mangle(n, indexed(1, True)): s for n, s in system.state_vars}
     env_plain = dict(system.state_vars)
     read = partial(term_from_sexpr, variables={})  # one Var per name in this file
 

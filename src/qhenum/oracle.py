@@ -13,10 +13,9 @@ import operator
 from collections import defaultdict
 from dataclasses import dataclass, field
 from functools import partial
-from types import CodeType
 from typing import Callable, Iterator, Mapping, Optional, Sequence, Union
 
-from .qhl import HFinally, HGlobally, QhpProperty, StatePredicate
+from .qhl import HFinally, HGlobally, QhpProperty
 from .system import TransitionSystem
 from .terms import (
     Add,
@@ -41,9 +40,11 @@ from .terms import (
     Store,
     Sub,
     Term,
+    PRIMED,
     Var,
     _children,
     free_vars,
+    mangle,
     BoolSort,
     IntSort,
 )
@@ -63,6 +64,8 @@ _ERRORS = (OracleError, TypeError)
 
 
 DEFAULT_CAP = 10**6
+# the range of an Int quantifier, ``(lo, hi)`` inclusive, unless given
+DEFAULT_QUANT = (-2, 8)
 
 
 # ---------------------------------------------------------------------------
@@ -201,8 +204,8 @@ class FiniteInstance:
     depth: int
     # a checked claim: ``successors`` raises at a state with several successors
     deterministic: bool = False
-    quant_lo: int = -2
-    quant_hi: int = 8
+    quant_lo: int = DEFAULT_QUANT[0]
+    quant_hi: int = DEFAULT_QUANT[1]
     cap: int = DEFAULT_CAP
     # pins the *initial* value of a state variable without restricting how it
     # may evolve afterwards (unlike params, which freeze it for the whole run)
@@ -224,15 +227,12 @@ class FiniteInstance:
 # A term is compiled into one generated Python function: one expression,
 # each quantifier body a nested ``def`` over its bound values. Constants
 # (quantifier combinations, ``funcs``, messages, non-int literals) are its
-# globals, never its text. ``_CODE`` keeps each text's code object while this
-# module lives, so compiling a term again builds only the function. Each
-# OracleError is raised when its node is evaluated. A variable is a plain
-# dict lookup; when one misses, the term is compiled with checked lookups and
-# evaluated again, so that the error names the first unbound variable.
+# globals, never its text. Each OracleError is raised when its node is
+# evaluated. A variable is a plain dict lookup; when one misses, the term is
+# compiled with checked lookups and evaluated again, so that the error names
+# the first unbound variable.
 
 Compiled = Callable[[Mapping[str, Value]], Value]
-
-_CODE: dict[str, CodeType] = {}
 
 
 def _pow2(n: int, *_: Value) -> int:
@@ -306,13 +306,11 @@ _NESTING = 50  # term levels in one expression; each opens at most three bracket
 
 
 class _Source:
-    """The text of functions and the globals they need. A variable outside
-    the scope is read, by ``reads``, from ``env`` by mangled name ("env"),
-    as copy ``j`` from state ``s<j>`` ("states"), or not, unbound ("none")."""
+    """The text of functions and the globals they need. A variable is read
+    by the text its mangled name has in the scope, or else is unbound."""
 
-    def __init__(self, reads: str, checked: bool, quant_lo: int, quant_hi: int, funcs) -> None:
-        self.reads, self.checked, self.funcs = reads, checked, funcs
-        self.quant_lo, self.quant_hi = quant_lo, quant_hi
+    def __init__(self, quant_lo: int, quant_hi: int, funcs) -> None:
+        self.quant_lo, self.quant_hi, self.funcs = quant_lo, quant_hi, funcs
         self.globals: dict[str, object] = {}
         self.names = 0
         self.defs: list[str] = []
@@ -326,16 +324,6 @@ class _Source:
         name = f"K{len(self.globals)}"
         self.globals[name] = value
         return name
-
-    def read(self, var: Var, name: str) -> str:
-        mapping, key = "env", name
-        if self.reads == "states" and var.copy in (1, 2) and not var.primed:
-            mapping, key = f"s{var.copy}", var.name
-        elif self.reads != "env":
-            return f"_unbound({name!r})"
-        if self.checked:
-            return f"({mapping}[{key!r}] if {key!r} in {mapping} else _unbound({name!r}))"
-        return f"{mapping}[{key!r}]"
 
     def body(self, t: Term, scope: Mapping[str, str], indent: str) -> list[str]:
         """Lines that define the nested functions of ``t`` and return its value."""
@@ -356,7 +344,7 @@ class _Source:
         kind = type(t)
         if kind is Var:
             name = t.mangled
-            return scope.get(name) or self.read(t, name)
+            return scope.get(name) or f"_unbound({name!r})"
         if kind is IntLit or kind is BoolLit:
             return f"({t.value!r})" if type(t.value) is int else self.const(t.value)
         if depth > _NESTING:
@@ -406,33 +394,40 @@ class _Source:
 
 def _define(source: _Source, lines: Sequence[str], name: str) -> Callable:
     """The function ``name`` that ``lines`` define, with ``source``'s globals."""
-    text = "\n".join(lines)
-    if text not in _CODE:
-        _CODE[text] = compile(text, "<oracle>", "exec")
     namespace = {**_HELPERS, **source.globals}
-    exec(_CODE[text], namespace)
+    exec(compile("\n".join(lines), "<oracle>", "exec"), namespace)
     return namespace[name]
 
 
 def _compile(
     term: Term, states: bool, quant_lo: int, quant_hi: int, funcs=None, checked: bool = False
 ) -> Callable[..., Value]:
-    """``term`` as a function of ``env``, or of ``s1, s2`` when ``states``."""
+    """``term`` as a function of ``env``, keyed by mangled names, or of
+    ``s1, s2`` when ``states``: copy ``j`` of a variable, unprimed, is read
+    from ``s<j>`` by its name, and any other variable is unbound."""
     params = "s1, s2" if states else "env"
-    source = _Source("states" if states else "env", checked, quant_lo, quant_hi, funcs)
+    scope = {}
+    for var in free_vars(term):
+        if states and (var.copy not in (1, 2) or var.primed):
+            continue  # unbound
+        name = var.mangled
+        mapping, key = (f"s{var.copy}", var.name) if states else ("env", name)
+        read = f"{mapping}[{key!r}]"
+        scope[name] = f"({read} if {key!r} in {mapping} else _unbound({name!r}))" if checked else read
+    source = _Source(quant_lo, quant_hi, funcs)
     if checked:
-        lines = source.body(term, {}, "    ")
+        lines = source.body(term, scope, "    ")
     else:
         again = source.const(partial(_compile, term, states, quant_lo, quant_hi, funcs, True))
-        lines = ["    try:", *source.body(term, {}, "        "),
+        lines = ["    try:", *source.body(term, scope, "        "),
                  "    except KeyError:", f"        return {again}()({params})"]
     return _define(source, [f"def term({params}):", *lines], "term")
 
 
 def compile_term(
     term: Term,
-    quant_lo: int = -2,
-    quant_hi: int = 8,
+    quant_lo: int = DEFAULT_QUANT[0],
+    quant_hi: int = DEFAULT_QUANT[1],
     funcs: Optional[Mapping[str, object]] = None,
 ) -> Compiled:
     """Compile ``term`` into a function of an env keyed by mangled names.
@@ -446,8 +441,8 @@ def compile_term(
 def eval_term(
     term: Term,
     env: Mapping[str, Value],
-    quant_lo: int = -2,
-    quant_hi: int = 8,
+    quant_lo: int = DEFAULT_QUANT[0],
+    quant_hi: int = DEFAULT_QUANT[1],
     funcs: Optional[Mapping[str, object]] = None,
 ) -> Value:
     """Evaluate ``term`` in ``env`` (keyed by mangled variable names)."""
@@ -471,15 +466,14 @@ _RAISING = ("_div(", "_mod(", "_pow2(", "_fact(", "_fail(", "_array(", "_unbound
 
 
 def _per_term(build: Callable) -> Callable:
-    """``build``, called once per term object and further arguments; each
-    entry holds its term, so that no other term takes its id meanwhile."""
-    built: dict[tuple, tuple] = {}
+    """``build``, called once per term object and further arguments; the
+    result is kept in the term's ``memo`` and freed with the term."""
 
     def cached(term: Term, *args):
-        key = (id(term), *args)
-        if key not in built:
-            built[key] = (term, build(term, *args))
-        return built[key][1]
+        key = (build, *args)
+        if key not in term.memo:
+            term.memo[key] = build(term, *args)
+        return term.memo[key]
 
     return cached
 
@@ -500,7 +494,7 @@ def _search(
     conjuncts = list(term.args) if isinstance(term, And) else [term]
     looped = set(loops)
     slot = {name: f"V{j}" for j, name in enumerate([*loops, *fixed])}
-    source = _Source("none", False, quant_lo, quant_hi, None)
+    source = _Source(quant_lo, quant_hi, None)
     lines: list[str] = []
     defs: dict[str, tuple[int, Term]] = {}  # loop variable -> (conjunct, right-hand side)
     reads: list[set[str]] = []
@@ -615,25 +609,36 @@ def _var_domains(instance: FiniteInstance, initial: bool = False) -> dict[str, D
 
 
 class TransitionPlan:
-    """Everything ``successors`` derives from an instance, made once: the
-    plan reflects the instance as it was when built, and its tests' memo
-    tables live as long as it. ``enumerate_traces`` builds one per call."""
+    """Everything ``successors`` derives from an instance, made once, and
+    each last state's pin: the plan reflects the instance as it was when
+    built, and its tests' memo tables and its pins live as long as it."""
 
     def __init__(self, instance: FiniteInstance) -> None:
+        self.instance = instance
         doms = _var_domains(instance)
         self.key_order = sorted(doms)
-        loops = tuple(f"{name}!" for name in self.key_order)
+        loops = tuple(mangle(name, PRIMED) for name in self.key_order)
         tx, lo, hi = instance.system.tx, instance.quant_lo, instance.quant_hi
         self.search, defined = _search(tx, loops, tuple(doms), _DROP, lo, hi)
         # a defined variable's domain is not listed, as it may be large: its
         # values are tested, each against a scalar domain's or for an array
         self.values = [
-            list(dom) if f"{name}!" not in defined
+            list(dom) if mangle(name, PRIMED) not in defined
             else _equal_values(dom.values) if isinstance(dom, ScalarDomain)
             else lambda value: isinstance(value, FArray)
             for name, dom in sorted(doms.items())
         ]
         self.memo: defaultdict[int, dict] = defaultdict(dict)
+        self.pins: dict[tuple, bool] = {}  # state key -> pinned
+
+    def pinned(self, trace: BoundedTrace) -> bool:
+        """Whether the last state of ``trace`` has itself as its only
+        successor, so that the trace stays in it forever."""
+        key = _state_key(trace.states[-1], self.key_order)
+        if key not in self.pins:
+            nxt = successors(self.instance, trace.states[-1], self)
+            self.pins[key] = len(nxt) == 1 and _state_key(nxt[0], self.key_order) == key
+        return self.pins[key]
 
 
 def successors(
@@ -645,10 +650,11 @@ def successors(
     next-state variables sorted by name; one that a top-level ``(= x! e)``
     defines is assigned ``e``. A candidate is kept when every conjunct of
     ``tx`` holds on it, no evaluation raised and every value lies in its
-    domain, whatever the order of the conjuncts. A later candidate with the
-    state key of a kept one, type-exact (``true`` is not ``1``), is dropped.
-    Raises ``OracleError`` when the instance is declared deterministic and
-    more than one state remains.
+    domain, whatever the order of the conjuncts; of a defined array, only
+    that it is an array is checked, not its window or its elements. A later
+    candidate with the state key of a kept one, type-exact (``true`` is not
+    ``1``), is dropped. Raises ``OracleError`` when the instance is declared
+    deterministic and more than one state remains.
     """
     if plan is None:
         plan = TransitionPlan(instance)
@@ -720,41 +726,8 @@ def enumerate_traces(instance: FiniteInstance) -> list[BoundedTrace]:
 # Bounded evaluation
 
 
+# a predicate body as ``holds(state1, state2)``, compiled once per body object
 _predicate = _per_term(lambda body, quant_lo, quant_hi: _compile(body, True, quant_lo, quant_hi))
-
-
-class BoundedPlan:
-    """Compiled predicates and pinned tails for ``eval_bounded``.
-
-    ``count_equivalence_classes`` builds one per call and hands it to every
-    ``eval_bounded`` call, so that each last state's successors are computed
-    once per state key on a transition plan built when first needed. Each
-    predicate is compiled once per predicate object while this module lives.
-    """
-
-    def __init__(self, instance: FiniteInstance) -> None:
-        self.instance = instance
-        self._transitions: Optional[TransitionPlan] = None
-        self._pinned: dict[tuple, bool] = {}
-
-    def predicate(self, pred: StatePredicate) -> Callable[[State, State], Value]:
-        """``pred`` as ``holds(state1, state2)``: copy ``j`` of a variable is
-        read from ``state_j``."""
-        return _predicate(pred.body, self.instance.quant_lo, self.instance.quant_hi)
-
-    def pinned(self, trace: BoundedTrace) -> bool:
-        """Whether the last state of ``trace`` has itself as its only
-        successor, so that the trace stays in it forever."""
-        plan = self._transitions
-        if plan is None:
-            plan = self._transitions = TransitionPlan(self.instance)
-        last = trace.states[-1]
-        key = _state_key(last, plan.key_order)
-        pinned = self._pinned.get(key)
-        if pinned is None:
-            nxt = successors(self.instance, last, plan)
-            pinned = self._pinned[key] = len(nxt) == 1 and _state_key(nxt[0], plan.key_order) == key
-        return pinned
 
 
 def eval_bounded(
@@ -762,7 +735,7 @@ def eval_bounded(
     first: BoundedTrace,
     second: BoundedTrace,
     instance: FiniteInstance,
-    plan: Optional[BoundedPlan] = None,
+    plan: Optional[TransitionPlan] = None,
 ) -> Optional[bool]:
     """Bounded verdict of ``G pred`` or ``F pred`` at position 0, with
     ``first`` as copy 1 and ``second`` as copy 2 of ``pred``.
@@ -771,17 +744,18 @@ def eval_bounded(
     depends on the infinite tail, and is given (``G`` true, ``F`` false)
     only when both traces are pinned: the last state of each has itself as
     its only successor, so the prefix's last position repeats forever.
-    Pinning is asked only once the prefix has not decided; else ``None``.
+    Pinning is asked only once the prefix has not decided, of ``plan``, or
+    of a transition plan built then; else ``None``.
     """
-    if plan is None:
-        plan = BoundedPlan(instance)
     if first.depth != second.depth or first.depth == 0:
         raise OracleError("traces must be non-empty and of equal depth")
-    holds = plan.predicate(formula.pred)
+    holds = _predicate(formula.pred.body, instance.quant_lo, instance.quant_hi)
     decided = isinstance(formula, HFinally)  # the value that decides on the prefix
     for p in range(first.depth):
         if bool(holds(first.states[p], second.states[p])) is decided:
             return decided
+    if plan is None:
+        plan = TransitionPlan(instance)
     if plan.pinned(first) and plan.pinned(second):
         return not decided
     return None
@@ -795,16 +769,16 @@ def count_equivalence_classes(
     instance: FiniteInstance,
     prop: QhpProperty,
     pivot: BoundedTrace,
-    traces: Optional[Sequence[BoundedTrace]] = None,
+    traces: Sequence[BoundedTrace],
 ) -> Union[int, str]:
-    """Number of difference-equivalence classes among body-related traces.
+    """Number of difference-equivalence classes among the ``traces`` that
+    the body relates to ``pivot``.
 
     Returns ``"unknown"`` if any body or pairwise difference verdict is
-    ``None`` (see ``eval_bounded``).
+    ``None`` (see ``eval_bounded``). Every verdict shares one transition
+    plan, so each last state's successors are computed once per state key.
     """
-    if traces is None:
-        traces = enumerate_traces(instance)
-    plan = BoundedPlan(instance)
+    plan = TransitionPlan(instance)
     candidates = []
     for t in traces:
         verdict = eval_bounded(prop.body, pivot, t, instance, plan)
@@ -839,8 +813,8 @@ def brute_count(
     formula: Term,
     counted: Mapping[str, Domain],
     params: Optional[Mapping[str, Value]] = None,
-    quant_lo: int = -2,
-    quant_hi: int = 8,
+    quant_lo: int = DEFAULT_QUANT[0],
+    quant_hi: int = DEFAULT_QUANT[1],
     cap: int = DEFAULT_CAP,
 ) -> int:
     """Exact model count of ``formula`` over the counted variables' domains,

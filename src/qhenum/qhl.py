@@ -26,6 +26,7 @@ from .terms import (
     Var,
     free_vars,
     indexed,
+    mangle,
     retag_free,
     term_from_sexpr,
 )
@@ -167,8 +168,8 @@ def parse_property(text: str, system: TransitionSystem) -> QhpProperty:
 
     env2 = {}
     for vname, sort in system.state_vars:
-        env2[f"{vname}$1"] = sort
-        env2[f"{vname}$2"] = sort
+        env2[mangle(vname, indexed(1))] = sort
+        env2[mangle(vname, indexed(2))] = sort
 
     read = partial(term_from_sexpr, variables={})  # one Var per name in this file
 

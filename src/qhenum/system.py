@@ -16,6 +16,7 @@ from .terms import (
     Term,
     Var,
     free_vars,
+    mangle,
     sort_from_sexpr,
     term_from_sexpr,
 )
@@ -75,7 +76,7 @@ def parse_system(text: str) -> TransitionSystem:
     state_vars = tuple((n, sort_from_sexpr(s)) for n, s in pairs("vars", found["vars"]).items())
     params = tuple(atom(p, str, "a parameter name") for p in found.get("params", ()))
     env_plain = dict(state_vars)
-    env_tx = {**env_plain, **{f"{n}!": s for n, s in state_vars}}
+    env_tx = {**env_plain, **{mangle(n, PRIMED): s for n, s in state_vars}}
     read = partial(term_from_sexpr, sort=BOOL, variables={})  # one Var per name in this file
     init = read(single(found, "init"), env_plain, what="init")
     tx = read(single(found, "tx"), env_tx, what="tx")

@@ -176,6 +176,12 @@ class Term:
         walk the term; they keep equal results."""
         return render(self)
 
+    @cached_property
+    def memo(self) -> dict:
+        """What the oracle builds from this term object, such as its
+        generated functions, kept as long as the term."""
+        return {}
+
 
 @dataclass(frozen=True)
 class Var(Term):

@@ -1,9 +1,10 @@
 import dataclasses
 import functools
+import gc
 import hashlib
 import itertools
 import operator
-import types
+import weakref
 from unittest import mock
 
 import pytest
@@ -15,7 +16,6 @@ from qhenum import oracle
 from qhenum.cli import load_instance, load_project
 from qhenum.oracle import (
     ArrayDomain,
-    BoundedPlan,
     BoundedTrace,
     CapExceeded,
     FArray,
@@ -1128,30 +1128,10 @@ def test_two_state_predicate_matches_merged_env(any_term, data):
         st.lists(st.dictionaries(st.sampled_from([*VAR_SORTS, "z"]), st.sampled_from(STATE_VALUES)),
                  min_size=2, max_size=2)
     )
-    system = TransitionSystem("two", (), (), TRUE, TRUE)
-    instance = FiniteInstance(system, {}, {}, depth=1, quant_lo=-1, quant_hi=1)
-    holds = BoundedPlan(instance).predicate(StatePredicate(2, body))
+    holds = oracle._predicate(body, -1, 1)
     merged = {f"{name}${j + 1}": v for j, state in enumerate(states) for name, v in state.items()}
     expected = evaluation(reference_compile(body, -1, 1), merged)
     assert evaluation(lambda pair: holds(*pair), states) == expected
-
-
-def test_compiling_a_term_twice_adds_one_cache_entry():
-    term = term_from_text("(forall ((j Int)) (< j (+ x 918273)))", {"x": INT})
-    before = len(oracle._CODE)
-    first, second = compile_term(term), compile_term(term, 0, 1)
-    assert len(oracle._CODE) == before + 1
-    assert first.__code__ is second.__code__
-    assert (first({"x": 0}), second({"x": -918272})) == (True, False)
-    assert all(isinstance(code, types.CodeType) for code in oracle._CODE.values())
-
-
-def test_second_enumeration_compiles_nothing(benchmarks):
-    setup = load_instance(benchmarks / "electronic-purse" / "instance.sexp")
-    first = enumerate_traces(setup.instance)
-    cached = dict(oracle._CODE)
-    assert enumerate_traces(setup.instance) == first
-    assert oracle._CODE == cached
 
 
 def test_deep_terms_compile():
@@ -1232,7 +1212,7 @@ def test_last_state_with_two_successors_is_not_pinned():
     assert [[s["x"] for s in t.states] for t in traces] == [[0, 0], [0, 1]]
     # x = 0 may stay or step: only itself as a successor would pin it
     stay = traces[0]
-    assert BoundedPlan(inst).pinned(stay) is False
+    assert TransitionPlan(inst).pinned(stay) is False
     assert eval_bounded(prop.body, stay, stay, inst) is None
     assert count_equivalence_classes(inst, prop, stay, traces) == "unknown"
     # a declared deterministic instance raises, but only once the tail is needed
@@ -1250,7 +1230,7 @@ def test_last_state_without_successor_in_domain_is_not_pinned(counter):
     assert [s["x"] for s in trace.states] == [0, 1]
     # x = 1 steps to 2, outside the domain
     assert successors(inst, trace.states[-1]) == []
-    assert BoundedPlan(inst).pinned(trace) is False
+    assert TransitionPlan(inst).pinned(trace) is False
     assert eval_bounded(prop.body, trace, trace, inst) is None
 
 
@@ -1265,7 +1245,7 @@ def test_absorbing_end_pins_nondeterministic_traces():
         depth=2,
     )
     traces = enumerate_traces(inst)
-    assert all(BoundedPlan(inst).pinned(t) for t in traces)
+    assert all(TransitionPlan(inst).pinned(t) for t in traces)
     prop = parse_property(COIN_PROP, coin)
     assert count_equivalence_classes(inst, prop, traces[0], traces) == 2
 
@@ -1323,10 +1303,10 @@ def test_absorbing_end_agrees_with_settled_rule(bound, step, domain, depth, body
         depth=depth, deterministic=True,
     )
     traces = enumerate_traces(inst)
-    plan = BoundedPlan(inst)
+    plan = TransitionPlan(inst)
     assert all(plan.pinned(t) for t in traces if settled(t))
     pairs = [(a, b) for a in traces for b in traces]
-    with mock.patch.object(BoundedPlan, "pinned", lambda self, trace: settled(trace)):
+    with mock.patch.object(TransitionPlan, "pinned", lambda self, trace: settled(trace)):
         expected = [
             (eval_bounded(prop.body, a, b, inst), eval_bounded(prop.diff, a, b, inst))
             for a, b in pairs
@@ -1466,7 +1446,7 @@ def test_eval_bounded_matches_reference(
     prop = dataclasses.replace(
         parse_property(PROP, system), body=step_app(*body), diff=step_app(HFinally, diff)
     )
-    plan = BoundedPlan(inst)
+    plan = TransitionPlan(inst)
     for formula in (prop.body, prop.diff):
         for a in traces:
             for b in traces:
@@ -1598,6 +1578,38 @@ def test_second_call_writes_no_source_text(benchmarks):
     with mock.patch.object(oracle, "_Source", wraps=oracle._Source) as source:
         assert calls() == first
     assert source.call_count == 0
+
+
+def test_used_terms_are_freed_once_dropped():
+    # the generated functions of a term are kept on the term, not in a table
+    # that outlives it
+    coin = parse_system(COIN)
+    prop = parse_property(COIN_PROP, coin)
+    inst = FiniteInstance(coin, {"done": ScalarDomain((False, True)), "b": ScalarDomain((0, 1))},
+                          {}, depth=2)
+    formula = term_from_text("(and (<= 0 v) (< v 2))", {"v": INT})
+    traces = enumerate_traces(inst)
+    assert count_equivalence_classes(inst, prop, traces[0], traces) == 2
+    assert brute_count(formula, {"v": ScalarDomain((0, 1, 2))}) == 2
+    used = (coin.init, coin.tx, prop.body.pred.body, prop.diff.pred.body, formula)
+    refs = [weakref.ref(term) for term in used]
+    del coin, prop, inst, formula, traces, used
+    gc.collect()
+    assert [ref() for ref in refs] == [None] * len(refs)
+
+
+def test_class_count_computes_successors_once_per_last_state():
+    # k = 0: every trace stays where it starts, so the body's G is left open
+    # by each prefix and asks for the pivot's pin once per trace
+    system = parse_system(STEP_COUNTER)
+    prop = parse_property(PROP, system)
+    inst = FiniteInstance(system, {"x": ScalarDomain((0, 1, 2, 3))}, {"n": 3, "k": 0},
+                          depth=2, deterministic=True)
+    traces = enumerate_traces(inst)
+    with mock.patch.object(oracle, "successors", wraps=oracle.successors) as calls:
+        assert count_equivalence_classes(inst, prop, traces[0], traces) == 3
+    keys = [state_key(call.args[1]) for call in calls.call_args_list]
+    assert sorted(keys) == sorted({state_key(t.states[-1]) for t in traces})
 
 
 def test_searches_over_more_variables_than_python_nests():
