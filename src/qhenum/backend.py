@@ -13,7 +13,7 @@ from pathlib import Path
 from typing import Optional, Sequence
 
 from . import sexpr
-from .terms import BUILTIN_SIGNATURE, Signature, Sort, Term, render, sort_to_text
+from .terms import BUILTIN_SIGNATURE, Record, Signature, Sort, Term, render, sort_to_text
 
 
 class BackendError(RuntimeError):
@@ -58,6 +58,8 @@ VALIDITY = ((VALIDITY_OPTIONS, OBLIGATION_LOGIC, None),)
 
 @dataclass(frozen=True)
 class Query:
+    """One SMT-LIB query; a dataclass, as ``build_query`` builds it with keywords."""
+
     assertions: tuple[str, ...]  # SMT-LIB text of each assertion
     logic: str = DEFAULT_LOGIC
     options: tuple[tuple[str, str], ...] = VALIDITY_OPTIONS
@@ -67,8 +69,7 @@ class Query:
     get_model: bool = False
 
 
-@dataclass(frozen=True)
-class Verdict:
+class Verdict(Record):
     status: str  # sat | unsat | unknown
     model: Optional[tuple[tuple[str, str], ...]] = None
     wall_ms: int = 0
@@ -77,7 +78,8 @@ class Verdict:
 
 @dataclass(frozen=True)
 class Obligation:
-    """A question for the solver about the conjunction of ``assertions``."""
+    """A question for the solver about the conjunction of ``assertions``; a
+    dataclass, as it is built with keywords and ``Premise`` extends it."""
 
     label: str
     assertions: tuple[Term, ...]
@@ -86,8 +88,7 @@ class Obligation:
     syntactic: bool = False  # discharged by construction, no solver call
 
 
-@dataclass(frozen=True)
-class Answer:
+class Answer(Record):
     label: str
     status: str  # proved | failed | unknown
     wall_ms: int

@@ -20,7 +20,6 @@ import argparse
 import json
 import sys
 import time
-from dataclasses import dataclass
 from pathlib import Path
 from typing import Any, Callable, Optional, Sequence
 
@@ -58,6 +57,7 @@ from .terms import (
     Implies,
     IntLit,
     PLAIN,
+    Record,
     Sort,
     Term,
     expect_sort,
@@ -78,8 +78,7 @@ class ProjectError(ValueError):
     pass
 
 
-@dataclass(frozen=True)
-class Project:
+class Project(Record):
     directory: Path
     system: TransitionSystem
     prop: QhpProperty
@@ -399,8 +398,7 @@ def _check_sort(what: str, value: Any, sort: Sort) -> None:
         expect_sort(actual, sort, what)
 
 
-@dataclass(frozen=True)
-class OracleSetup:
+class OracleSetup(Record):
     project: Project
     instance: FiniteInstance
     count_domains: dict[str, Domain]

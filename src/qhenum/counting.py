@@ -38,6 +38,7 @@ from .terms import (
     Mul,
     Not,
     Or,
+    Record,
     Signature,
     Sort,
     Sub,
@@ -115,8 +116,7 @@ BUILTIN_AXIOMS: tuple[Term, ...] = (
 # Count terms, facts
 
 
-@dataclass(frozen=True)
-class CountTerm:
+class CountTerm(Record):
     """A resolved predicate reference: ``symbol`` applied to ``args`` counts
     the models over ``counted`` of ``formula``, whose free parameters are
     ``params``. ``name`` is the symbol without ``cnt.``, as rule labels show
@@ -139,27 +139,23 @@ class CountTerm:
         return App(self.symbol, self.args)
 
 
-@dataclass(frozen=True)
-class CountFact:
+class CountFact(Record):
     axiom: Term
     rule: str
     label: str
 
 
-@dataclass(frozen=True)
-class RuleApp:
+class RuleApp(Record):
     rule: str
     args: tuple  # what RULES[rule].parse returned, in the order its build takes them
 
 
-@dataclass(frozen=True)
-class ProofStep:
+class ProofStep(Record):
     index: int
     apps: tuple[RuleApp, ...]
 
 
-@dataclass(frozen=True)
-class ProofScript:
+class ProofScript(Record):
     counts: dict[str, CountTerm]  # each declared predicate's count, by name
     steps: tuple[ProofStep, ...]
     goal: Optional[Term]
@@ -168,6 +164,8 @@ class ProofScript:
 
 @dataclass(frozen=True)
 class ScriptResult:
+    """A proof script's verdict; a dataclass, as it is built with keywords."""
+
     status: str  # accepted | rejected | unknown
     rejected_at: Optional[str] = None
     reason: str = ""
@@ -192,6 +190,8 @@ MODEL_SEARCH = (
 
 @dataclass(frozen=True)
 class Premise(Obligation):
+    """A rule's premise; a dataclass for its keyword-only ``failure``."""
+
     failure: str = field(kw_only=True)  # the message when it is not proved
 
 
@@ -649,8 +649,7 @@ def _parse_close(form: list, scope: _Scope) -> tuple:
 # The rule table
 
 
-@dataclass(frozen=True)
-class Rule:
+class Rule(Record):
     parse: Callable  # (form, scope) -> the build's arguments after the kernel
     build: Callable  # (kernel, *arguments) -> (premises, CountFact)
 

@@ -21,7 +21,6 @@ from __future__ import annotations
 
 import time
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass
 from functools import partial
 from typing import Mapping, Optional, Sequence, Union
 
@@ -41,6 +40,7 @@ from .terms import (
     Or,
     PLAIN,
     PRIMED,
+    Record,
     Select,
     Sort,
     Term,
@@ -65,8 +65,7 @@ class MissingWitness(EnumerationError):
     pass
 
 
-@dataclass(frozen=True)
-class Pointwise:
+class Pointwise(Record):
     """An array-valued witness given entrywise: target[index] = body."""
 
     index: str
@@ -77,8 +76,7 @@ class Pointwise:
 SkolemEntry = Union["Term", "Pointwise"]
 
 
-@dataclass(frozen=True)
-class AtIndex:
+class AtIndex(Record):
     """Counted traces differ in the observation once a designated counter
     variable (kept in lockstep by trel) reaches a target value."""
 
@@ -86,8 +84,7 @@ class AtIndex:
     target: Term  # over X copy 1
 
 
-@dataclass(frozen=True)
-class EnumerationWitness:
+class EnumerationWitness(Record):
     enum_vars: tuple[tuple[str, Sort], ...]
     valid: Term  # over Y and X copy 1
     trel: Term  # over Y, X copy 1, X copy 2
@@ -99,14 +96,12 @@ class EnumerationWitness:
     diff_mode: Optional[AtIndex] = None
 
 
-@dataclass(frozen=True)
-class VcBundle:
+class VcBundle(Record):
     kind: str  # injective | surjective
     obligations: tuple[Obligation, ...]
 
 
-@dataclass(frozen=True)
-class DischargeReport:
+class DischargeReport(Record):
     kind: str
     results: tuple[Answer, ...]
     established: bool

@@ -36,6 +36,7 @@ from .terms import (
     Not,
     Or,
     Quant,
+    Record,
     Select,
     Store,
     Sub,
@@ -74,7 +75,8 @@ DEFAULT_QUANT = (-2, 8)
 
 @dataclass(frozen=True)
 class FArray:
-    """Integer array with explicit window [lo, lo+len) and a default outside."""
+    """Integer array with explicit window [lo, lo+len) and a default outside;
+    a dataclass, as tests build it with keywords."""
 
     lo: int
     vals: tuple[int, ...]
@@ -120,8 +122,7 @@ def values_equal(a: Value, b: Value) -> bool:
     )
 
 
-@dataclass(frozen=True)
-class ScalarDomain:
+class ScalarDomain(Record):
     values: tuple[Value, ...]
 
     def __iter__(self) -> Iterator[Value]:
@@ -131,8 +132,7 @@ class ScalarDomain:
         return len(self.values)
 
 
-@dataclass(frozen=True)
-class ArrayDomain:
+class ArrayDomain(Record):
     lo: int
     hi: int  # inclusive
     values: tuple[int, ...]
@@ -198,6 +198,8 @@ def _state_key(state: State, order: Sequence[str]) -> tuple:
 
 @dataclass
 class FiniteInstance:
+    """A system over finite domains; a dataclass, as it is mutable and checked once built."""
+
     system: TransitionSystem
     domains: dict[str, Domain]
     params: dict[str, Value]
@@ -228,9 +230,9 @@ class FiniteInstance:
 # each quantifier body a nested ``def`` over its bound values. Constants
 # (quantifier combinations, ``funcs``, messages, non-int literals) are its
 # globals, never its text. Each OracleError is raised when its node is
-# evaluated. A variable is a plain dict lookup; when one misses, the term is
-# compiled with checked lookups and evaluated again, so that the error names
-# the first unbound variable.
+# evaluated. A variable is a plain dict lookup; when one misses, the term's
+# text with checked lookups is compiled and evaluated again, so that the
+# error names the first unbound variable.
 
 Compiled = Callable[[Mapping[str, Value]], Value]
 
@@ -400,28 +402,31 @@ def _define(source: _Source, lines: Sequence[str], name: str) -> Callable:
 
 
 def _compile(
-    term: Term, states: bool, quant_lo: int, quant_hi: int, funcs=None, checked: bool = False
+    term: Term, states: bool, quant_lo: int, quant_hi: int, funcs=None
 ) -> Callable[..., Value]:
     """``term`` as a function of ``env``, keyed by mangled names, or of
     ``s1, s2`` when ``states``: copy ``j`` of a variable, unprimed, is read
-    from ``s<j>`` by its name, and any other variable is unbound."""
+    from ``s<j>`` by its name, and any other variable is unbound.
+
+    The checked retry keeps its source text, not ``term``: a predicate's
+    function sits in its term's ``memo``, and holding the term would make a
+    cycle that only the cycle collector frees."""
     params = "s1, s2" if states else "env"
-    scope = {}
+    plain, checked = {}, {}
     for var in free_vars(term):
         if states and (var.copy not in (1, 2) or var.primed):
             continue  # unbound
         name = var.mangled
         mapping, key = (f"s{var.copy}", var.name) if states else ("env", name)
-        read = f"{mapping}[{key!r}]"
-        scope[name] = f"({read} if {key!r} in {mapping} else _unbound({name!r}))" if checked else read
+        read = plain[name] = f"{mapping}[{key!r}]"
+        checked[name] = f"({read} if {key!r} in {mapping} else _unbound({name!r}))"
+    header = f"def term({params}):"
+    retry = _Source(quant_lo, quant_hi, funcs)
+    again = partial(_define, retry, [header, *retry.body(term, checked, "    ")], "term")
     source = _Source(quant_lo, quant_hi, funcs)
-    if checked:
-        lines = source.body(term, scope, "    ")
-    else:
-        again = source.const(partial(_compile, term, states, quant_lo, quant_hi, funcs, True))
-        lines = ["    try:", *source.body(term, scope, "        "),
-                 "    except KeyError:", f"        return {again}()({params})"]
-    return _define(source, [f"def term({params}):", *lines], "term")
+    lines = ["    try:", *source.body(term, plain, "        "),
+             "    except KeyError:", f"        return {source.const(again)}()({params})"]
+    return _define(source, [header, *lines], "term")
 
 
 def compile_term(
@@ -587,8 +592,7 @@ def _abort_search(term: Term, doms: Mapping[str, Domain], env: Mapping[str, Valu
 # Trace enumeration
 
 
-@dataclass(frozen=True)
-class BoundedTrace:
+class BoundedTrace(Record):
     states: tuple  # tuple of State dicts (treated as immutable)
 
     @property

@@ -20,6 +20,7 @@ from .terms import (
     IntLit,
     Not,
     PLAIN,
+    Record,
     Tag,
     Term,
     TRUE,
@@ -42,7 +43,8 @@ class MissingAssignment(QhlError):
 
 @dataclass(frozen=True)
 class StatePredicate:
-    """A k-ary predicate over states: body uses variable copies 1..k."""
+    """A k-ary predicate over states: body uses variable copies 1..k; a
+    dataclass for its ``__post_init__`` check."""
 
     arity: int
     body: Term
@@ -53,15 +55,13 @@ class StatePredicate:
                 raise QhlError(f"predicate body mentions {v.mangled} outside copies 1..{self.arity}")
 
 
-@dataclass(frozen=True)
-class HFinally:
+class HFinally(Record):
     """``F pred``: ``pred`` holds at some position."""
 
     pred: StatePredicate
 
 
-@dataclass(frozen=True)
-class HGlobally:
+class HGlobally(Record):
     """``G pred``: ``pred`` holds at every position."""
 
     pred: StatePredicate
@@ -73,7 +73,8 @@ class QhpProperty:
 
     Copy 1 of ``body`` is the pivot and copy 2 the counted trace; copies 1
     and 2 of ``diff`` are two counted traces, which must eventually differ
-    to count apart.
+    to count apart. A dataclass, as tests build it with keywords and copy it
+    with ``replace``.
     """
 
     diff: HFinally
@@ -93,8 +94,7 @@ def predicate_to_formula(pred: StatePredicate, assignment: Sequence[Tag]) -> Ter
     return retag_free(pred.body, mapping)
 
 
-@dataclass(frozen=True)
-class WellDefinedResult:
+class WellDefinedResult(Record):
     ok: bool
     reason: str = ""
 

@@ -28,6 +28,8 @@ class SystemError_(ValueError):
 
 @dataclass(frozen=True)
 class TransitionSystem:
+    """A symbolic transition system; a dataclass, as tests copy it with ``replace``."""
+
     name: str
     state_vars: tuple[tuple[str, Sort], ...]
     params: tuple[str, ...]

@@ -1598,6 +1598,36 @@ def test_used_terms_are_freed_once_dropped():
     assert [ref() for ref in refs] == [None] * len(refs)
 
 
+def test_compiled_predicates_are_freed_without_the_cycle_collector():
+    # a predicate's function sits in its body's memo and must not refer back
+    # to the body, or the body would wait for the cycle collector
+    coin = parse_system(COIN)
+    prop = parse_property(COIN_PROP, coin)
+    inst = FiniteInstance(coin, {"done": ScalarDomain((False, True)), "b": ScalarDomain((0, 1))},
+                          {}, depth=2)
+    traces = enumerate_traces(inst)
+    gc.collect()
+    gc.disable()
+    try:
+        assert count_equivalence_classes(inst, prop, traces[0], traces) == 2
+        bodies = (prop.body.pred.body, prop.diff.pred.body)
+        assert all(body.memo for body in bodies)
+        refs = [weakref.ref(body) for body in bodies]
+        del coin, prop, inst, traces, bodies
+        assert [ref() for ref in refs] == [None, None]
+    finally:
+        gc.enable()
+
+
+def test_compiled_predicate_names_an_unbound_variable_on_retry():
+    # the plain lookup misses, and the checked retry names the variable
+    body = term_from_text("(= x$1 y$2)", {"x$1": INT, "y$2": INT})
+    holds = oracle._predicate(body, -1, 1)
+    assert holds({"x": 1}, {"y": 1}) is True
+    with pytest.raises(OracleError, match=r"unbound variable y\$2"):
+        holds({"x": 1}, {"x": 1})
+
+
 def test_class_count_computes_successors_once_per_last_state():
     # k = 0: every trace stays where it starts, so the body's G is left open
     # by each prefix and asks for the pivot's pin once per trace

@@ -1,4 +1,5 @@
-import dataclasses
+import copy
+import pickle
 
 import pytest
 from conftest import VAR_SORTS
@@ -30,6 +31,7 @@ from qhenum.terms import (
     PLAIN,
     Quant,
     RankMismatch,
+    Record,
     Select,
     Signature,
     Store,
@@ -237,17 +239,18 @@ def as_read(term, scope):
     """``term`` with each variable at the sort its text is read at: a bound
     one at its binder's, a free one at ``READ_ENV``'s (if it has one)."""
     if isinstance(term, Var):
-        return dataclasses.replace(term, sort=scope.get(term.mangled, term.sort))
+        return Var(term.name, scope.get(term.mangled, term.sort), term.copy, term.primed)
     if isinstance(term, Quant):
         scope = {**scope, **dict(term.bound)}
-    changes = {}
-    for field in dataclasses.fields(term):
-        value = getattr(term, field.name)
+    fields = []
+    for name in term._fields:
+        value = getattr(term, name)
         if isinstance(value, Term):
-            changes[field.name] = as_read(value, scope)
+            value = as_read(value, scope)
         elif isinstance(value, tuple) and value and isinstance(value[0], Term):
-            changes[field.name] = tuple(as_read(v, scope) for v in value)
-    return dataclasses.replace(term, **changes)
+            value = tuple(as_read(v, scope) for v in value)
+        fields.append(value)
+    return type(term)(*fields)
 
 
 SORTS = (INT, BOOL, ARR, ArraySort(INT, BOOL))
@@ -443,3 +446,44 @@ def test_text_of_edge_cases():
     ]
     for term, text in cases:
         assert term_to_text(term) == text == to_text(reference_sexpr(term))
+
+
+def test_record_fields_defaults_and_arity():
+    # fields are the parent's, then the class's own annotations; class
+    # attributes are defaults; past four fields one generic __init__ checks
+    class Point(Record):
+        x: int
+        y: int = 0
+
+    class Point3(Point):
+        z: int = 0
+
+    class Wide(Record):
+        a: int
+        b: int
+        c: int
+        d: int
+        e: int = 5
+
+    assert Point3._fields == ("x", "y", "z")
+    assert Point3(1) == Point3(1, 0, 0) != Point(1)
+    assert repr(Point3(1, 2)).endswith("<locals>.Point3(x=1, y=2, z=0)")  # the qualified name
+    assert Wide(1, 2, 3, 4) == Wide(1, 2, 3, 4, 5)
+    with pytest.raises(TypeError):
+        Point()
+    with pytest.raises(TypeError, match=r"takes 5 arguments \(4 required\), got 3"):
+        Wide(1, 2, 3)
+    with pytest.raises(TypeError, match="'b' follows a field with a default"):
+
+        class Bad(Record):
+            a: int = 0
+            b: int
+
+
+def test_copies_carry_fields_not_cached_values():
+    # a term the oracle has used holds generated functions in its memo
+    term = And((Var("p", BOOL), BoolLit(True)))
+    assert term.smt.text == "(and p true)"
+    term.memo["f"] = lambda: None
+    for twin in (copy.copy(term), copy.deepcopy(term), pickle.loads(pickle.dumps(term))):
+        assert twin == term and "memo" not in vars(twin) and "smt" not in vars(twin)
