@@ -79,13 +79,14 @@ class Verdict(Record):
 @dataclass(frozen=True)
 class Obligation:
     """A question for the solver about the conjunction of ``assertions``; a
-    dataclass, as it is built with keywords and ``Premise`` extends it."""
+    dataclass, as it is built with keywords."""
 
     label: str
     assertions: tuple[Term, ...]
     needs: str = "unsat"  # unsat: no counterexample; sat: the models exist
     attempts: tuple = VALIDITY
     syntactic: bool = False  # discharged by construction, no solver call
+    failure: str = ""  # what a proof kernel reports when it is not proved
 
 
 class Answer(Record):
@@ -175,13 +176,9 @@ def resolve_solver(solver: Optional[Sequence[str]] = None) -> list[str]:
     )
 
 
-def solve(
-    query: Query,
-    solver: Optional[Sequence[str]] = None,
-    debug_path: Optional[Path] = None,
-) -> Verdict:
-    """Run ``query`` through the external solver; timeouts yield ``unknown``."""
-    cmd = resolve_solver(solver)
+def solve(query: Query, solver: Sequence[str], debug_path: Optional[Path] = None) -> Verdict:
+    """Run ``query`` through the solver command ``solver``, as
+    ``resolve_solver`` picks it; timeouts yield ``unknown``."""
     text = emit(query)
     if debug_path is not None:
         debug_path.parent.mkdir(parents=True, exist_ok=True)
@@ -189,7 +186,7 @@ def solve(
     start = time.monotonic()
     try:
         proc = subprocess.run(
-            cmd,
+            solver,
             input=text,
             capture_output=True,
             text=True,

@@ -1,21 +1,22 @@
 """Model-counting proof kernel.
 
 Symbolic model counts are uninterpreted integer functions of the parameters.
-``parse_proof`` resolves a script once: every predicate reference becomes
-the ``CountTerm`` the builds read, and the script's signature is fixed at
-load. Each inference rule is one entry of ``RULES``: the parser of its
-s-expression form, which returns the rule's arguments, and a build function
-that returns the rule's premises and its conclusion without sending
-anything. ``apply_rule`` asks the premises through ``Kernel.send`` and admits
-the conclusion (a CountFact, a quantified axiom) only when every premise is
-proved, so ``unknown`` never admits a fact. A final entailment query
-discharges the script goal from the admitted facts plus the defining axioms
-of the declared recursive count functions.
+``parse_proof`` resolves and checks a script once: every predicate reference
+becomes the ``CountTerm`` the builds read, and the script's signature is
+fixed at load. Each inference rule is one entry of ``RULES``: the parser of
+its s-expression form, which checks the rule's side conditions and returns
+its arguments, and a build function that returns the rule's premises and its
+conclusion; a build neither raises nor sends anything. ``apply_rule`` asks
+the premises through ``Kernel.send`` and admits the conclusion (a CountFact,
+a quantified axiom) only when every premise is proved, so a step is rejected
+only on a solver's answer and ``unknown`` never admits a fact. A final
+entailment query discharges the script goal from the admitted facts plus the
+defining axioms of the declared recursive count functions.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import cached_property
 from typing import Callable, Mapping, Optional, Sequence
 
@@ -46,6 +47,7 @@ from .terms import (
     TRUE,
     Var,
     conj,
+    expect_sort,
     free_vars,
     neq,
     sort_from_sexpr,
@@ -66,10 +68,6 @@ class NotValid(KernelError):
     def __init__(self, message: str, model=None):
         super().__init__(message)
         self.model = model
-
-
-class VarsOverlap(KernelError):
-    pass
 
 
 # ---------------------------------------------------------------------------
@@ -188,23 +186,16 @@ MODEL_SEARCH = (
 )
 
 
-@dataclass(frozen=True)
-class Premise(Obligation):
-    """A rule's premise; a dataclass for its keyword-only ``failure``."""
-
-    failure: str = field(kw_only=True)  # the message when it is not proved
-
-
-def _valid(label: str, hyps: Sequence[Term], concl: Term, failure: str = "") -> Premise:
+def _valid(label: str, hyps: Sequence[Term], concl: Term, failure: str = "") -> Obligation:
     """The premise that ``hyps`` imply ``concl``."""
-    return Premise(label, (*hyps, Not(concl)), failure=failure or f"{label}: premise not valid")
+    return Obligation(label, (*hyps, Not(concl)), failure=failure or f"{label}: premise not valid")
 
 
 def entailment(
     hyps: Sequence[Term], goal: Term, label: str, failure: str = "", attempts=ENTAILMENT
-) -> Premise:
+) -> Obligation:
     """The premise that ``hyps`` and the built-in axioms entail ``goal``."""
-    return Premise(
+    return Obligation(
         label,
         (*BUILTIN_AXIOMS, *hyps, Not(goal)),
         attempts=attempts,
@@ -225,7 +216,7 @@ class Kernel:
         self.signature = signature
         self.facts: list[CountFact] = []
 
-    def entailment(self, goal: Term, label: str, failure: str) -> Premise:
+    def entailment(self, goal: Term, label: str, failure: str) -> Obligation:
         """The premise that the admitted facts entail ``goal``."""
         return entailment([f.axiom for f in self.facts], goal, label, failure)
 
@@ -236,7 +227,7 @@ class Kernel:
             return False
         return True
 
-    def send(self, premises: Sequence[Premise]) -> None:
+    def send(self, premises: Sequence[Obligation]) -> None:
         """Ask the premises in order; raise at the first that is not proved."""
         for premise in premises:
             answer = self.session.ask(premise, self.signature)
@@ -247,8 +238,9 @@ class Kernel:
 
 
 # ---------------------------------------------------------------------------
-# Rule builds. A build checks side conditions on its parsed arguments and
-# returns (premises, conclusion); it sends nothing.
+# Rule builds. A build takes the arguments its rule's parser returned, whose
+# side conditions the parser checked, and returns (premises, conclusion); it
+# neither raises nor sends anything.
 
 
 def _conclude(rule: str, label: str, concl: Term, *cts: CountTerm, guard: Term = TRUE):
@@ -271,7 +263,7 @@ def _pairwise(maps: Sequence[Mapping[Var, Term]]) -> list[Term]:
 
 def _injective(
     label: str, hyps: tuple, body: Term, counted: Sequence[Var], wmap: Mapping[Var, Term]
-) -> Premise:
+) -> Obligation:
     """The premise that ``wmap`` maps distinct models of ``body`` apart."""
     m1, m2 = _copies(counted, 2)
     images = [{v: substitute(t, m) for v, t in wmap.items()} for m in (m1, m2)]
@@ -279,29 +271,7 @@ def _injective(
     return _valid(label, (*hyps, *models), _differ(*images))
 
 
-def _build_range(kernel: Kernel, ct: CountTerm):
-    if len(ct.counted) != 1:
-        raise KernelError("range rule needs exactly one counted variable")
-    v = ct.counted[0]
-    body = ct.formula
-    shape_error = KernelError(
-        "range rule needs a body of the shape (and (<= lower v) (< v upper))"
-    )
-    if not (isinstance(body, And) and len(body.args) == 2):
-        raise shape_error
-    lo_c, hi_c = body.args
-    if not (
-        isinstance(lo_c, Cmp)
-        and lo_c.op == "<="
-        and lo_c.right == v
-        and isinstance(hi_c, Cmp)
-        and hi_c.op == "<"
-        and hi_c.left == v
-    ):
-        raise shape_error
-    lower, upper = lo_c.left, hi_c.right
-    if any(fv == v for t in (lower, upper) for fv in free_vars(t)):
-        raise shape_error
+def _build_range(kernel: Kernel, ct: CountTerm, lower: Term, upper: Term):
     width = Sub(upper, lower)
     concl = Cmp("=", ct.app(), Ite(Cmp(">=", width, IntLit(0)), width, IntLit(0)))
     return (), _conclude("range", f"range({ct.name})", concl, ct)
@@ -313,8 +283,6 @@ def _build_positive(kernel: Kernel, ct: CountTerm):
 
 
 def _distinct_models(ct: CountTerm, c: int, direction: str):
-    if c < 1:
-        raise KernelError("constant bound needs c >= 1")
     copies = _copies(ct.counted, c)
     bodies = [substitute(ct.formula, m) for m in copies]
     label = f"const-{direction}({ct.name},{c})"
@@ -323,7 +291,7 @@ def _distinct_models(ct: CountTerm, c: int, direction: str):
 
 def _build_const_ub(kernel: Kernel, ct: CountTerm, c: int):
     _, distinct, label = _distinct_models(ct, c, "ub")
-    premise = Premise(label, distinct, failure=f"{label}: {c} distinct models exist")
+    premise = Obligation(label, distinct, failure=f"{label}: {c} distinct models exist")
     concl = Cmp("<=", ct.app(), IntLit(c - 1))
     return (premise,), _conclude("const-ub", label, concl, ct)
 
@@ -338,7 +306,7 @@ def _build_const_lb(kernel: Kernel, ct: CountTerm, c: int, wmaps: Optional[tuple
     elif not ct.params:
         # no parameters: a satisfying assignment of c distinct models is
         # direct evidence for the lower bound
-        premise = Premise(
+        premise = Obligation(
             label,
             distinct,
             needs="sat",
@@ -360,29 +328,20 @@ def _build_const_lb(kernel: Kernel, ct: CountTerm, c: int, wmaps: Optional[tuple
 
 
 def _build_ub(kernel: Kernel, f: CountTerm, g: CountTerm):
-    if f.counted != g.counted:
-        raise KernelError("ub rule needs identical counted variables")
     label = f"ub({f.name},{g.name})"
     premise = _valid(label, (f.formula,), g.formula)
     return (premise,), _conclude("ub", label, Cmp("<=", f.app(), g.app()), f, g)
 
 
 def _build_or(kernel: Kernel, f: CountTerm, g: CountTerm, h: CountTerm, overlap: CountTerm):
-    if not (f.counted == g.counted == h.counted):
-        raise KernelError("or rule needs identical counted variables")
     label = f"or({f.name},{g.name},{h.name})"
     premise = _valid(label, (), Cmp("=", f.formula, Or((g.formula, h.formula))))
     concl = Cmp("=", f.app(), Sub(Add((g.app(), h.app())), overlap.app()))
     return (premise,), _conclude("or", label, concl, f, g, h)
 
 
-def _product(rule: str, rel: str, disjoint: bool) -> Callable:
+def _product(rule: str, rel: str) -> Callable:
     def build(kernel: Kernel, h: CountTerm, f: CountTerm, g: CountTerm):
-        f_set, g_set = set(f.counted), set(g.counted)
-        if disjoint and f_set & g_set:
-            raise VarsOverlap("disjoint rule needs disjoint counted variables")
-        if set(h.counted) != f_set | g_set:
-            raise KernelError("product rule: counted vars of h must be those of f and g")
         label = f"{rule}({h.name},{f.name},{g.name})"
         premise = _valid(label, (), Cmp("=", h.formula, conj(f.formula, g.formula)))
         concl = Cmp(rel, h.app(), Mul(f.app(), g.app()))
@@ -401,21 +360,15 @@ def _build_injective(kernel: Kernel, f: CountTerm, g: CountTerm, wmap: Mapping[V
     return premises, _conclude("injectivity", label, Cmp("<=", f.app(), g.app()), f, g)
 
 
-def _induction(f: CountTerm, g: CountTerm, n_name: str, direction: str):
+def _induction(f: CountTerm, g: CountTerm, n: Var, direction: str):
     """f at n+1 and its count, and the label of an ind rule."""
-    if set(v.name for v in f.counted) & set(v.name for v in g.counted):
-        raise KernelError("ind rule: counted variables of f and g must not share names")
-    nvars = [v for v in f.params if v.name == n_name]
-    if not nvars:
-        raise KernelError(f"ind rule: {n_name} is not a parameter of f")
-    n = nvars[0]
     n_succ = Add((n, IntLit(1)))
     f_at_succ = substitute(f.formula, {n: n_succ})
     app_f_succ = App(f.symbol, tuple(n_succ if a == n else a for a in f.args))
     return f_at_succ, app_f_succ, f"ind-{direction}({f.name},{g.name})"
 
 
-def _build_ind_geq(kernel: Kernel, f: CountTerm, g: CountTerm, n: str, wmap: dict, guard: Term):
+def _build_ind_geq(kernel: Kernel, f: CountTerm, g: CountTerm, n: Var, wmap: dict, guard: Term):
     f_at_succ, app_f_succ, label = _induction(f, g, n, "geq")
     joint = conj(f.formula, g.formula)
     premises = (
@@ -427,7 +380,7 @@ def _build_ind_geq(kernel: Kernel, f: CountTerm, g: CountTerm, n: str, wmap: dic
 
 
 def _build_ind_leq(
-    kernel: Kernel, f: CountTerm, g: CountTerm, n: str, xmap: dict, ymap: dict, guard: Term
+    kernel: Kernel, f: CountTerm, g: CountTerm, n: Var, xmap: dict, ymap: dict, guard: Term
 ):
     f_at_succ, app_f_succ, label = _induction(f, g, n, "leq")
     lowered = conj(substitute(f.formula, xmap), substitute(g.formula, ymap))
@@ -440,14 +393,9 @@ def _build_ind_leq(
 
 
 def _build_close(
-    kernel: Kernel, ct: CountTerm, n_name: str, n0: Term, base: Term, factor: Term,
+    kernel: Kernel, ct: CountTerm, n: Var, n0: Term, base: Term, factor: Term,
     closed_form: Term, rel: str,
 ):
-    if rel not in ("=", "<=", ">="):
-        raise KernelError("close_recurrence relation must be =, <=, or >=")
-    if len(ct.params) != 1 or ct.params[0].name != n_name:
-        raise KernelError(f"close_recurrence needs a count with the single parameter {n_name}")
-    n = ct.params[0]
     label = f"close({ct.name})"
     n_succ = Add((n, IntLit(1)))
     guard = Cmp(">=", n, n0)
@@ -486,8 +434,8 @@ def _build_close(
 
 # ---------------------------------------------------------------------------
 # Rule parsers: each checks the arity, the atom types, the sorts and the
-# witness bindings of its form, raises SexprError on a malformed one, and
-# returns its build's arguments.
+# witness bindings of its form and the side conditions of its rule, raises
+# SexprError on a malformed one, and returns its build's arguments.
 
 
 class _Scope:
@@ -566,18 +514,54 @@ def _arity(form: list, count: int, sections: bool = False) -> None:
         raise SexprError(f"{form[0]} takes {count} arguments, got {given}: {to_text(form)}")
 
 
-def _parse_refs(count: int) -> Callable:
-    def parse(form: list, scope: _Scope) -> tuple:
-        _arity(form, count)
-        return tuple(scope.ref(e) for e in form[1:])
+def _parse_ref(form: list, scope: _Scope) -> tuple:
+    _arity(form, 1)
+    return (scope.ref(form[1]),)
 
-    return parse
+
+def _parse_range(form: list, scope: _Scope) -> tuple:
+    (ct,) = _parse_ref(form, scope)
+    if len(ct.counted) != 1:
+        raise SexprError("range rule needs exactly one counted variable")
+    (v,) = ct.counted
+    body = ct.formula
+    if isinstance(body, And) and len(body.args) == 2:
+        low, high = body.args
+        if (
+            isinstance(low, Cmp) and low.op == "<=" and low.right == v
+            and isinstance(high, Cmp) and high.op == "<" and high.left == v
+            and v not in free_vars(low.left) | free_vars(high.right)
+        ):
+            return ct, low.left, high.right
+    raise SexprError("range rule needs a body of the shape (and (<= lower v) (< v upper))")
+
+
+def _parse_ub(form: list, scope: _Scope) -> tuple:
+    _arity(form, 2)
+    f, g = scope.ref(form[1]), scope.ref(form[2])
+    if f.counted != g.counted:
+        raise SexprError("ub rule needs identical counted variables")
+    return f, g
 
 
 def _parse_or(form: list, scope: _Scope) -> tuple:
     _arity(form, 3)
     f, g, h = (scope.ref(e) for e in form[1:])
-    return f, g, h, scope.conj(g, h)
+    overlap = scope.conj(g, h)  # which checks that g and h count the same variables
+    if f.counted != g.counted:
+        raise SexprError("or rule needs identical counted variables")
+    return f, g, h, overlap
+
+
+def _parse_product(form: list, scope: _Scope) -> tuple:
+    _arity(form, 3)
+    h, f, g = (scope.ref(e) for e in form[1:])
+    f_set, g_set = set(f.counted), set(g.counted)
+    if form[0] == "disjoint" and f_set & g_set:
+        raise SexprError("disjoint rule needs disjoint counted variables")
+    if set(h.counted) != f_set | g_set:
+        raise SexprError("product rule: counted vars of h must be those of f and g")
+    return h, f, g
 
 
 def _parse_const(with_models: bool) -> Callable:
@@ -585,6 +569,8 @@ def _parse_const(with_models: bool) -> Callable:
         _arity(form, 2, sections=with_models)
         ct = scope.ref(form[1])
         c = atom(form[2], int, "an integer count")
+        if c < 1:
+            raise SexprError("constant bound needs c >= 1")
         if len(form) == 3:
             return ct, c
         label = f"{form[0]}({ct.name},{c})"
@@ -616,7 +602,13 @@ def _parse_ind(*maps: str) -> Callable:
     def parse(form: list, scope: _Scope) -> tuple:
         _arity(form, 3, sections=True)
         f, g = scope.ref(form[1]), scope.ref(form[2])
-        n = atom(form[3], str, "a parameter name")
+        name = atom(form[3], str, "a parameter name")
+        if {v.name for v in f.counted} & {v.name for v in g.counted}:
+            raise SexprError("ind rule: counted variables of f and g must not share names")
+        n = next((v for v in f.params if v.name == name), None)
+        if n is None:
+            raise SexprError(f"ind rule: {name} is not a parameter of f")
+        expect_sort(n.sort, INT, f"ind rule: {name}")
         env = scope.env(f, g)
         found = sections(form[0], form[4:], maps, ("guard",))
         guard = scope.term(single(found, "guard", default="true"), env, BOOL, "guard")
@@ -630,10 +622,14 @@ def _parse_ind(*maps: str) -> Callable:
 def _parse_close(form: list, scope: _Scope) -> tuple:
     _arity(form, 7)
     ct = scope.ref(form[1])
-    n = atom(form[2], str, "a parameter name")
-    env = {vn: vs for vn, vs in scope.env(ct).items() if vn == n}
-    if not env:
-        raise SexprError(f"close: {n} not a variable of {ct.name}")
+    name = atom(form[2], str, "a parameter name")
+    if [v.name for v in ct.params] != [name]:
+        raise SexprError(f"close_recurrence needs a count with the single parameter {name}")
+    rel = atom(form[7], str, "a relation symbol")
+    if rel not in ("=", "<=", ">="):
+        raise SexprError("close_recurrence relation must be =, <=, or >=")
+    (n,) = ct.params
+    env = {name: expect_sort(n.sort, INT, f"close_recurrence parameter {name}")}
     return (
         ct,
         n,
@@ -641,7 +637,7 @@ def _parse_close(form: list, scope: _Scope) -> tuple:
         scope.term(form[4], {}, INT, "close base"),
         scope.term(form[5], env, INT, "close factor"),
         scope.term(form[6], env, INT, "close closed form"),
-        atom(form[7], str, "a relation symbol"),
+        rel,
     )
 
 
@@ -655,14 +651,14 @@ class Rule(Record):
 
 
 RULES: dict[str, Rule] = {
-    "range": Rule(_parse_refs(1), _build_range),
-    "positive": Rule(_parse_refs(1), _build_positive),
+    "range": Rule(_parse_range, _build_range),
+    "positive": Rule(_parse_ref, _build_positive),
     "const-lb": Rule(_parse_const(with_models=True), _build_const_lb),
     "const-ub": Rule(_parse_const(with_models=False), _build_const_ub),
-    "ub": Rule(_parse_refs(2), _build_ub),
+    "ub": Rule(_parse_ub, _build_ub),
     "or": Rule(_parse_or, _build_or),
-    "and-ub": Rule(_parse_refs(3), _product("and-ub", "<=", disjoint=False)),
-    "disjoint": Rule(_parse_refs(3), _product("disjoint", "=", disjoint=True)),
+    "and-ub": Rule(_parse_product, _product("and-ub", "<=")),
+    "disjoint": Rule(_parse_product, _product("disjoint", "=")),
     "injective": Rule(_parse_injective, _build_injective),
     "ind-geq": Rule(_parse_ind("witness"), _build_ind_geq),
     "ind-leq": Rule(_parse_ind("hx", "hy"), _build_ind_leq),

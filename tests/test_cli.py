@@ -165,6 +165,19 @@ def test_verify_rejected_proof_exits_1(tmp_path):
     assert report["failed_stage"] == "counting"
 
 
+def test_manifest_options_give_solver_and_timeout(tmp_path):
+    options = '(options (solver "my-z3") (timeout-ms 7000))'
+    d = write_project(
+        tmp_path / "options",
+        **{"project.sexp": PROJECT.replace("(options (timeout-ms 20000))", options)},
+    )
+    project = load_project(d)
+    assert (project.solver, project.timeout_ms) == (["my-z3"], 7000)
+    # explicit arguments win over the manifest
+    project = load_project(d, solver=["other-z3", "-in"], timeout_ms=5)
+    assert (project.solver, project.timeout_ms) == (["other-z3", "-in"], 5)
+
+
 def test_verify_usage_error_exits_3(tmp_path):
     assert main(["verify", str(tmp_path / "absent")]) == 3
 
@@ -261,6 +274,29 @@ def test_verify_malformed_proof_exits_3(benchmarks, stub_solver, tmp_path, capsy
     err = capsys.readouterr().err
     assert code == 3
     assert err.startswith("error: ") and "Traceback" not in err
+
+
+@pytest.mark.parametrize(
+    "step, message",
+    [
+        ("(const-lb V 0)", "constant bound needs c >= 1"),
+        ("(close V dc 1 1 1 dc >)", "close_recurrence relation must be =, <=, or >="),
+        ("(ind-geq V V dc (witness (y y)))",
+         "ind rule: counted variables of f and g must not share names"),
+    ],
+)
+def test_verify_bad_step_starts_no_solver(benchmarks, tmp_path, capsys, step, message):
+    # a rule's side conditions are checked at load: the solver never runs
+    purse = copy_benchmark(benchmarks, "electronic-purse", tmp_path / "purse")
+    proof = purse / "proof.sexp"
+    proof.write_text(proof.read_text().replace("(range V)", step))
+    log = tmp_path / "solver.log"
+    stub = tmp_path / "logging-solver.sh"
+    stub.write_text(f"#!/bin/sh\necho run >> '{log}'\ncat > /dev/null\necho unsat\n")
+    stub.chmod(0o755)
+    assert main(["verify", str(purse), "--solver", str(stub)]) == 3
+    assert capsys.readouterr().err == f"error: {message}\n"
+    assert not log.exists()
 
 
 def test_trace_names_are_labels_only(benchmarks, tmp_path, capsys):

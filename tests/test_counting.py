@@ -5,7 +5,7 @@ import pytest
 from test_query_stream import RULE_SCRIPT
 
 from qhenum import backend
-from qhenum.backend import Session, Verdict
+from qhenum.backend import Obligation, Session, Verdict
 from qhenum.counting import (
     ENTAILMENT,
     MODEL_SEARCH,
@@ -13,15 +13,14 @@ from qhenum.counting import (
     Kernel,
     KernelError,
     NotValid,
-    Premise,
     QueryUnknown,
-    VarsOverlap,
     apply_rule,
     check_script,
     parse_proof,
 )
 from qhenum.sexpr import SexprError
 from qhenum.terms import (
+    BOOL,
     BUILTIN_SIGNATURE,
     INT,
     App,
@@ -48,6 +47,14 @@ def make_kernel(solver, preds, *apps, timeout=TIMEOUT):
     in one step, and those applications as parsed."""
     script = parse_proof(f"(proof {' '.join(preds)} (step 1 {' '.join(apps)}))")
     return Kernel(Session(solver, timeout), script.signature), script.steps[0].apps
+
+
+def load_error(preds, app):
+    """The message with which loading the script that declares ``preds``
+    and applies ``app`` fails."""
+    with pytest.raises(SexprError) as err:
+        parse_proof(f"(proof {' '.join(preds)} (step 1 {app}))")
+    return str(err.value)
 
 
 V, W, B, K, N = [("v", INT)], [("w", INT)], [("b", INT)], ("k", INT), ("n", INT)
@@ -84,24 +91,17 @@ def test_range_accepts_interval(solver):
     )
 
 
-def test_range_rejects_wrong_shape(solver):
-    kernel, (r1, r2, r3) = make_kernel(
-        solver,
-        [
-            pred("R1", V + [K], ["v"], "(and (< 0 v) (< v k))"),
-            pred("R2", V + [K], ["v"], "(and (<= 0 v) (< v v))"),
-            pred("R3", V + [W[0], K], ["v", "w"], "(and (<= 0 v) (< v k))"),
-        ],
-        "(range R1)",
-        "(range R2)",
-        "(range R3)",
-    )
-    with pytest.raises(KernelError):
-        apply_rule(kernel, r1)  # strict lower bound
-    with pytest.raises(KernelError):
-        apply_rule(kernel, r2)  # bound mentions the counted variable
-    with pytest.raises(KernelError):
-        apply_rule(kernel, r3)  # two counted variables
+def test_range_rejects_wrong_shape():
+    shape = "range rule needs a body of the shape (and (<= lower v) (< v upper))"
+    for variables, counted, body, message in [
+        (V + [K], ["v"], "(and (< 0 v) (< v k))", shape),  # strict lower bound
+        (V + [K], ["v"], "(and (<= 0 v) (< v v))", shape),  # bound mentions v
+        (V + [K], ["v"], "(and (<= 0 v) (< v k) (< v 9))", shape),  # three conjuncts
+        (V + [K], ["v"], "(and (< v k) (<= 0 v))", shape),  # conjuncts swapped
+        (V + W + [K], ["v", "w"], "(and (<= 0 v) (< v k))",
+         "range rule needs exactly one counted variable"),
+    ]:
+        assert load_error([pred("R", variables, counted, body)], "(range R)") == message
 
 
 # -- positive --------------------------------------------------------------------
@@ -158,12 +158,13 @@ def test_const_lb_explicit_witnesses(solver):
 
 
 def test_const_lb_bad_witnesses_rejected(solver):
-    kernel, (outside, equal, too_few) = make_kernel(
+    # too few (model ...) sections are rejected at load: see
+    # test_missing_witness_variable_rejects_step_before_any_query
+    kernel, (outside, equal) = make_kernel(
         solver,
         [pred("P", V, ["v"], "(and (<= 0 v) (< v 3))")],
         "(const-lb P 2 (model (v 0)) (model (v 5)))",
         "(const-lb P 2 (model (v 1)) (model (v 1)))",
-        "(const-lb P 2 (model (v 0)))",
     )
     with pytest.raises(NotValid):
         # 5 violates the body
@@ -171,8 +172,6 @@ def test_const_lb_bad_witnesses_rejected(solver):
     with pytest.raises(NotValid):
         # witnesses are not pairwise distinct
         apply_rule(kernel, equal)
-    with pytest.raises(KernelError):
-        apply_rule(kernel, too_few)
 
 
 def test_const_lb_parameterized(solver):
@@ -207,10 +206,10 @@ def test_const_ub(solver):
         apply_rule(kernel, ub1)  # one model does exist
 
 
-def test_const_bound_rejects_degenerate_count(solver):
-    kernel, (app,) = make_kernel(solver, [pred("P", V, ["v"], "(= v 7)")], "(const-lb P 0)")
-    with pytest.raises(KernelError):
-        apply_rule(kernel, app)
+def test_const_bound_rejects_degenerate_count():
+    apps = ["(const-lb P 0)", "(const-ub P 0)", "(const-ub P -1)", "(const-lb P 0 (model (v 7)))"]
+    for app in apps:
+        assert load_error([pred("P", V, ["v"], "(= v 7)")], app) == "constant bound needs c >= 1"
 
 
 # -- ub (subset) --------------------------------------------------------------------
@@ -320,32 +319,17 @@ def test_disjoint(solver):
     )
 
 
-def test_disjoint_rejects_shared_variables(solver):
-    kernel, (app,) = make_kernel(
-        solver,
-        [
-            pred("H", V, ["v"], "(and (<= 0 v) (< v 2))"),
-            pred("F", V, ["v"], "(<= 0 v)"),
-            pred("G", V, ["v"], "(< v 2)"),
-        ],
-        "(disjoint H F G)",
-    )
-    with pytest.raises(VarsOverlap):
-        apply_rule(kernel, app)
+def test_disjoint_rejects_shared_variables():
+    preds = [
+        pred("H", V, ["v"], "(and (<= 0 v) (< v 2))"),
+        pred("F", V, ["v"], "(<= 0 v)"),
+        pred("G", V, ["v"], "(< v 2)"),
+    ]
+    message = "disjoint rule needs disjoint counted variables"
+    assert load_error(preds, "(disjoint H F G)") == message
 
 
 def test_and_ub(solver):
-    kernel, (app,) = make_kernel(
-        solver,
-        [
-            pred("H", V, ["v"], "(and (<= 0 v) (< v 2))"),
-            pred("F", V, ["v"], "(<= 0 v)"),
-            pred("G", W, ["w"], "(< w 2)"),
-        ],
-        "(and-ub H F G)",
-    )
-    with pytest.raises(KernelError):
-        apply_rule(kernel, app)  # counted vars of h miss w
     kernel2, (good, bad) = make_kernel(
         solver,
         [
@@ -464,17 +448,11 @@ def test_ind_leq_rejects_bad_lowering(solver):
         apply_rule(kernel, app)
 
 
-def test_ind_requires_fresh_counted_names(solver):
-    kernel, (app,) = make_kernel(
-        solver,
-        [
-            pred("F", V + [N], ["v"], "(and (<= 0 v) (< v n))"),
-            pred("G", V, ["v"], "(= v 0)"),
-        ],
-        "(ind-geq F G n (witness (v v)))",
-    )
-    with pytest.raises(KernelError):
-        apply_rule(kernel, app)
+def test_ind_requires_fresh_counted_names():
+    preds = [pred("F", V + [N], ["v"], "(and (<= 0 v) (< v n))"), pred("G", V, ["v"], "(= v 0)")]
+    message = "ind rule: counted variables of f and g must not share names"
+    assert load_error(preds, "(ind-geq F G n (witness (v v)))") == message
+    assert load_error(preds, "(ind-leq F G n (hx (v v)) (hy (v 0)))") == message
 
 
 # -- close --------------------------------------------------------------------------------------
@@ -524,14 +502,22 @@ def test_close_step_mismatch(solver):
     assert len(kernel.facts) == before
 
 
-def test_close_needs_single_parameter(solver):
-    kernel, (app,) = make_kernel(
-        solver,
-        [pred("F", V + [K, N], ["v"], "(and (<= 0 v) (< v n))")],
-        "(close F n 1 1 1 1 >=)",
-    )
-    with pytest.raises(KernelError):
-        apply_rule(kernel, app)
+def test_close_needs_single_parameter():
+    two = [pred("F", V + [K, N], ["v"], "(and (<= 0 v) (< v n))")]
+    one = [pred("F", V + [N], ["v"], "(and (<= 0 v) (< v n))")]
+    message = "close_recurrence needs a count with the single parameter {}"
+    for preds, app, n in [
+        (two, "(close F n 1 1 1 1 >=)", "n"),  # a second parameter k
+        (one, "(close F v 1 1 1 1 >=)", "v"),  # the counted variable
+        (one, "(close F k 1 1 1 1 >=)", "k"),  # no variable of F
+        (one, "(close (at F 3) n 1 1 1 1 >=)", "n"),  # no parameter left
+    ]:
+        assert load_error(preds, app) == message.format(n)
+    relation = "close_recurrence relation must be =, <=, or >="
+    assert load_error(one, "(close F n 1 1 1 1 >)") == relation
+    boolean = [pred("F", V + [("n", BOOL)], ["v"], "(and (<= 0 v) (< v 3))")]
+    sort = "close_recurrence parameter n has sort Bool, not Int"
+    assert load_error(boolean, "(close F n 1 1 1 1 =)") == sort
 
 
 # -- scripts ------------------------------------------------------------------------------------
@@ -552,11 +538,12 @@ def test_check_script_accepts(solver):
     assert [f.rule for f in result.facts] == ["range", "positive"]
 
 
-def test_check_script_rejects_bad_step(solver):
+def test_check_script_rejects_bad_step():
+    # a step whose side condition fails never reaches check_script
     bad = SCRIPT.replace("(and (<= 0 v) (< v k))", "(and (< 0 v) (< v k))")
-    result = check_script(parse_proof(bad), Session(solver, TIMEOUT))
-    assert result.status != "accepted"
-    assert result.rejected_at == "step 1"
+    with pytest.raises(SexprError) as err:
+        parse_proof(bad)
+    assert str(err.value) == "range rule needs a body of the shape (and (<= lower v) (< v upper))"
 
 
 def test_check_script_rejects_unentailed_goal(solver):
@@ -694,6 +681,7 @@ STRAY_SCRIPT = """
   (declare-pred F ((v Int)) (counted v) (and (<= 0 v) (< v 2)))
   (declare-pred G ((w Int)) (counted w) (and (<= 0 w) (< w 4)))
   (declare-pred H ((v Int) (n Int)) (counted v) (and (<= 0 v) (< v n)))
+  (declare-pred B ((v Int) (b Bool)) (counted v) (and b (= v 0)))
   (step 1 {step})
   (goal true))
 """
@@ -709,6 +697,27 @@ STRAY_SCRIPT = """
     ],
 )
 def test_stray_witness_entry_rejects_step_before_any_query(step, reason):
+    with pytest.raises(SexprError) as err:
+        parse_proof(STRAY_SCRIPT.format(step=step))
+    assert str(err.value) == reason
+
+
+# A rule's side conditions are checked at load as well; the tests of range,
+# const-lb/ub, disjoint, ind and close above pin their other messages.
+@pytest.mark.parametrize(
+    "step, reason",
+    [
+        ("(ub F G)", "ub rule needs identical counted variables"),
+        ("(or G F F)", "or rule needs identical counted variables"),
+        ("(or F F G)", "conjunction of predicates with different counted vars"),
+        ("(and-ub F F G)", "product rule: counted vars of h must be those of f and g"),
+        ("(disjoint F F G)", "product rule: counted vars of h must be those of f and g"),
+        ("(ind-geq H G k (witness (v 1)))", "ind rule: k is not a parameter of f"),
+        ("(ind-leq H G v (hx (v 1)) (hy (w 0)))", "ind rule: v is not a parameter of f"),
+        ("(ind-geq B G b (witness (v 1)))", "ind rule: b has sort Bool, not Int"),
+    ],
+)
+def test_side_condition_rejects_step_before_any_query(step, reason):
     with pytest.raises(SexprError) as err:
         parse_proof(STRAY_SCRIPT.format(step=step))
     assert str(err.value) == reason
@@ -770,7 +779,7 @@ def test_premise_attempts_share_one_time_budget(monkeypatch, attempts, timeout, 
         return Verdict("unknown", None, next(wall))
 
     monkeypatch.setattr(backend, "solve", solve)
-    premise = Premise("p", (), attempts=attempts, failure="p: not valid")
+    premise = Obligation("p", (), attempts=attempts, failure="p: not valid")
     with pytest.raises(QueryUnknown, match="p: solver returned unknown"):
         Kernel(Session(["unused-solver"], timeout), BUILTIN_SIGNATURE).send([premise])
     assert timeouts == sent

@@ -43,7 +43,6 @@ KEPT_DATACLASSES = [
     "FArray",  # built with keywords in tests
     "FiniteInstance",  # mutable, a factory default, __post_init__
     "Obligation",  # built with keywords
-    "Premise",  # a keyword-only field
     "QhpProperty",  # built with keywords and copied with dataclasses.replace in tests
     "Query",  # built with keywords
     "ScriptResult",  # built with keywords
