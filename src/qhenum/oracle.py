@@ -48,6 +48,7 @@ from .terms import (
     mangle,
     BoolSort,
     IntSort,
+    PLAIN,
 )
 
 
@@ -108,12 +109,20 @@ class FArray:
 Value = Union[int, bool, "FArray"]
 
 
+_INT = frozenset({int})
+
+
 def values_equal(a: Value, b: Value) -> bool:
     # type-exact: True is not 1, also inside arrays
     if type(a) is not type(b):
         return False
     if type(a) is not FArray:
         return a == b
+    if (a.lo == b.lo and len(a.vals) == len(b.vals) and type(a.default) is int
+            and _INT.issuperset(map(type, a.vals))):
+        # a holds ints alone, so == is type-exact once b holds ints alone
+        return (a.vals == b.vals and a.default == b.default and type(b.default) is int
+                and _INT.issuperset(map(type, b.vals)))
     lo = min(a.lo, b.lo)
     hi = max(a.lo + len(a.vals), b.lo + len(b.vals))
     # unequal defaults differ somewhere outside both windows
@@ -146,13 +155,21 @@ class ArrayDomain(Record):
     def size(self) -> int:
         return len(self.values) ** (self.hi - self.lo + 1)
 
+    def __contains__(self, value: Value) -> bool:
+        """Whether ``value`` ``values_equal`` a member: an array with its
+        entries in ``[lo, hi]`` among ``values``, and the rest ``default``."""
+        if type(value) is not FArray or not values_equal(value.default, self.default):
+            return False
+        return all(
+            any(values_equal(value.get(i), v) for v in self.values) if self.lo <= i <= self.hi
+            else values_equal(value.get(i), self.default)
+            for i in range(min(value.lo, self.lo), max(value.lo + len(value.vals), self.hi + 1))
+        )
+
 
 Domain = Union["ScalarDomain", "ArrayDomain"]
 
 State = dict  # variable name -> Value
-
-
-_INT = frozenset({int})
 
 
 def _typed(value: Value) -> tuple:
@@ -167,15 +184,26 @@ def _typed(value: Value) -> tuple:
     return ("typed-arr", value.lo, tuple(map(_typed, value.vals)), _typed(value.default))
 
 
-def _equal_values(values: Sequence[Value]) -> Callable[[Value], Sequence[Value]]:
-    """Map a value to the members of ``values`` that ``values_equal`` it, repeats included."""
-    if all(type(v) in (int, bool) for v in values):
-        # keyed by (is it a bool, value), as values_equal tells True from 1
-        table: dict[tuple[bool, Value], list[Value]] = {}
-        for v in values:
-            table.setdefault((isinstance(v, bool), v), []).append(v)
-        return lambda value: table.get((isinstance(value, bool), value), ())
-    return lambda value: [v for v in values if values_equal(value, v)]
+def _table(values: Sequence[Value]) -> Union[dict, "_Scan"]:
+    """``values`` by typed key ``(type(v), v)``: ``key in table`` tests
+    membership and ``table.get(key, ())`` lists the members that
+    ``values_equal`` the key's value, repeats included."""
+    if not all(type(v) in (int, bool) for v in values):
+        return _Scan(values)
+    table: dict[tuple, list[Value]] = {}
+    for v in values:
+        table.setdefault((type(v), v), []).append(v)
+    return table
+
+
+class _Scan(list):
+    """A ``_table`` of other values, scanned, as equal arrays may differ in window."""
+
+    def get(self, key: tuple, default: Sequence[Value] = ()) -> list[Value]:
+        return [v for v in self if values_equal(key[1], v)]
+
+    def __contains__(self, key: tuple) -> bool:
+        return bool(self.get(key))
 
 
 def state_key(state: State) -> tuple:
@@ -489,13 +517,17 @@ def _reads(term: Term) -> set[str]:
 
 @_per_term
 def _search(
-    term: Term, loops: tuple, fixed: tuple, mode: str, quant_lo: int, quant_hi: int
+    term: Term, loops: tuple, fixed: tuple, mode: str, quant_lo: int, quant_hi: int,
+    arrays: frozenset = frozenset(),
 ) -> tuple[Callable[..., Iterator[tuple]], frozenset[str]]:
     """The generated ``search(env, values, memo)`` of ``term``, and the loop
     variables it defines. ``values[j]`` lists the values of ``loops[j]``;
-    for a defined one, it maps its value to the values it takes, in
-    ``_ABORT`` mode, or tests it for domain membership, in ``_DROP`` mode.
-    ``memo`` maps a conjunct's index to its test's table."""
+    for a defined one, it is a table by typed key (see ``_table``) that
+    lists the members equal to its value, in ``_ABORT`` mode, or tests its
+    value for domain membership, in ``_DROP`` mode; there, for the loop
+    variables in ``arrays``, it is an ``ArrayDomain``, and the one that a
+    frame ``(= x! x)`` defines is only tested to be an array. ``memo`` maps
+    a conjunct's index to its test's table."""
     conjuncts = list(term.args) if isinstance(term, And) else [term]
     looped = set(loops)
     slot = {name: f"V{j}" for j, name in enumerate([*loops, *fixed])}
@@ -504,7 +536,7 @@ def _search(
     defs: dict[str, tuple[int, Term]] = {}  # loop variable -> (conjunct, right-hand side)
     reads: list[set[str]] = []
     raises: list[bool] = []
-    calls: list[str] = []  # each conjunct's test, or the values its definition binds
+    calls: list[str] = []  # each conjunct's test, or the clause its definition binds by
     for i, c in enumerate(conjuncts):
         # a top-level (= x e) defines the loop variable x when neither e nor
         # an earlier conjunct reads x, and no earlier conjunct may raise
@@ -518,17 +550,29 @@ def _search(
         reads.append(_reads(c))
         scope = {name: slot[name] for name in sorted(_reads(t) & slot.keys(), key=list(slot).index)}
         args = ", ".join(scope.values())
-        body = source.body(t, scope, "        " if mode == _DROP else "    ")
-        if mode == _DROP:  # an evaluation that raises gives (): false, and no value
-            body = ["    try:", *body, "    except _ERRORS:", "        return ()"]
-        lines += [f"def t{i}({args}):", *body]
-        raises.append(mode == _ABORT and any(h in line for line in body for h in _RAISING))
+        if t is not c and type(t) is Var and t.mangled in scope:
+            value = scope[t.mangled]  # a bound variable is its own value: nothing to call
+            raises.append(False)
+        else:
+            body = source.body(t, scope, "        " if mode == _DROP else "    ")
+            if mode == _DROP:  # an evaluation that raises gives (): false, and no value
+                body = ["    try:", *body, "    except _ERRORS:", "        return ()"]
+            lines += [f"def t{i}({args}):", *body]
+            raises.append(mode == _ABORT and any(h in line for line in body for h in _RAISING))
+            value = f"t{i}({args})"
         if t is c:
-            calls.append(f"_tested(memo[{i}], t{i}, {args})" if mode == _DROP else f"t{i}({args})")
+            calls.append(f"_tested(memo[{i}], t{i}, {args})" if mode == _DROP else value)
         else:
             j = loops.index(x)
-            bind = f"(t{i}({args}),) if values[{j}](V{j})"
-            calls.append(bind if mode == _DROP else f"values[{j}](t{i}({args}))")
+            if mode == _ABORT:
+                members = f"values[{j}].get((type(W{j}), W{j}), ())"
+                calls.append(f"for W{j} in ({value},) for V{j} in {members}")
+            elif x not in arrays:
+                calls.append(f"for V{j} in ({value},) if (type(V{j}), V{j}) in values[{j}]")
+            elif type(t) is Var and t.tag == PLAIN and mangle(t.name, PRIMED) == x:
+                calls.append(f"for V{j} in ({value},) if type(V{j}) is _FArray")
+            else:
+                calls.append(f"for V{j} in ({value},) if V{j} in values[{j}]")
     defined = {i: x for x, (i, _) in defs.items()}
     # a definition binds its variable once the loop variables it reads are
     # bound; the others loop in product order
@@ -559,7 +603,7 @@ def _search(
     for at, x in enumerate([None, *order], -1):
         j = x and loops.index(x)
         if x in defs:
-            clauses.append(f"for V{j} in {calls[defs[x][0]]}")
+            clauses.append(calls[defs[x][0]])
         elif x:
             kept = "".join(f" if {calls[i]}" for i in level if level[i] == -2 and x in reads[i])
             lines.append(f"    A{j} = [V{j} for V{j} in values[{j}]{kept}]")
@@ -576,11 +620,12 @@ def _abort_search(term: Term, doms: Mapping[str, Domain], env: Mapping[str, Valu
     ``term`` accepts, ``env``'s names fixed, once ``cap`` bounds the product.
     Where filtering the product in order would raise, this raises alike."""
     sizes = (dom.size() for dom in doms.values())
-    if any(total > cap for total in itertools.accumulate(sizes, operator.mul)):
+    # the product of no domains has one candidate
+    if any(total > cap for total in itertools.accumulate(sizes, operator.mul, initial=1)):
         raise CapExceeded(f"{what} exceeds cap {cap}")
     values = [list(dom) for dom in doms.values()]
     search, defined = _search(term, tuple(doms), tuple(env), _ABORT, quant_lo, quant_hi)
-    matches = [_equal_values(v) if x in defined else v for x, v in zip(doms, values)]
+    matches = [_table(v) if x in defined else v for x, v in zip(doms, values)]
     try:
         return consume(search(env, matches, None))
     except _ERRORS:
@@ -600,18 +645,6 @@ class BoundedTrace(Record):
         return len(self.states)
 
 
-def _var_domains(instance: FiniteInstance, initial: bool = False) -> dict[str, Domain]:
-    doms: dict[str, Domain] = {}
-    for name, _ in instance.system.state_vars:
-        if name in instance.params:
-            doms[name] = ScalarDomain((instance.params[name],))
-        elif initial and name in instance.init_fix:
-            doms[name] = ScalarDomain((instance.init_fix[name],))
-        else:
-            doms[name] = instance.domains[name]
-    return doms
-
-
 class TransitionPlan:
     """Everything ``successors`` derives from an instance, made once, and
     each last state's pin: the plan reflects the instance as it was when
@@ -619,18 +652,22 @@ class TransitionPlan:
 
     def __init__(self, instance: FiniteInstance) -> None:
         self.instance = instance
-        doms = _var_domains(instance)
+        doms: dict[str, Domain] = {
+            name: ScalarDomain((instance.params[name],)) if name in instance.params
+            else instance.domains[name]
+            for name, _ in instance.system.state_vars
+        }
         self.key_order = sorted(doms)
         loops = tuple(mangle(name, PRIMED) for name in self.key_order)
         tx, lo, hi = instance.system.tx, instance.quant_lo, instance.quant_hi
-        self.search, defined = _search(tx, loops, tuple(doms), _DROP, lo, hi)
+        arrays = frozenset(x for x, name in zip(loops, self.key_order)
+                           if isinstance(doms[name], ArrayDomain))
+        self.search, defined = _search(tx, loops, tuple(doms), _DROP, lo, hi, arrays)
         # a defined variable's domain is not listed, as it may be large: its
-        # values are tested, each against a scalar domain's or for an array
+        # value is looked up in a scalar domain's table or an array domain
         self.values = [
-            list(dom) if mangle(name, PRIMED) not in defined
-            else _equal_values(dom.values) if isinstance(dom, ScalarDomain)
-            else lambda value: isinstance(value, FArray)
-            for name, dom in sorted(doms.items())
+            list(dom) if x not in defined else dom if x in arrays else _table(dom.values)
+            for x, dom in zip(loops, map(doms.get, self.key_order))
         ]
         self.memo: defaultdict[int, dict] = defaultdict(dict)
         self.pins: dict[tuple, bool] = {}  # state key -> pinned
@@ -652,12 +689,14 @@ def successors(
 
     Candidates come from the generated ``tx`` search, in product order of the
     next-state variables sorted by name; one that a top-level ``(= x! e)``
-    defines is assigned ``e``. A candidate is kept when every conjunct of
-    ``tx`` holds on it, no evaluation raised and every value lies in its
-    domain, whatever the order of the conjuncts; of a defined array, only
-    that it is an array is checked, not its window or its elements. A later
-    candidate with the state key of a kept one, type-exact (``true`` is not
-    ``1``), is dropped. Raises ``OracleError`` when the instance is declared
+    defines is assigned ``e``, and a variable ``e`` is bound as it is. A
+    candidate is kept when every conjunct of ``tx`` holds on it, no
+    evaluation raised and every value lies in its domain, type-exact
+    (``true`` is not ``1``), whatever the order of the conjuncts. Of an
+    array that a frame ``(= x! x)`` defines, only that it is an array is
+    checked: for a state that ``enumerate_traces`` produces, ``x`` lies in
+    its domain. A later candidate with the state key of a kept one is
+    dropped. Raises ``OracleError`` when the instance is declared
     deterministic and more than one state remains.
     """
     if plan is None:
@@ -694,10 +733,11 @@ def _ranks(states: Sequence[State], order: Sequence[str]) -> Sequence[int]:
 def enumerate_traces(instance: FiniteInstance) -> list[BoundedTrace]:
     """All depth-d trace prefixes of the instance, in canonical order.
 
-    Initial states come from the generated ``init`` search, successors from
-    ``successors``. The canonical order is lexicographic by the traces'
-    tuples of state keys (``state_key``); traces with equal tuples keep the
-    order in which they were expanded.
+    Initial states come from the generated ``init`` search, with parameters
+    and ``init_fix`` values as fixed names; successors from ``successors``.
+    The canonical order is lexicographic by the traces' tuples of state keys
+    (``state_key``); traces with equal tuples keep the order in which they
+    were expanded.
     """
     plan = TransitionPlan(instance)
     # A prefix travels with its sort key: its initial state's key, then the
@@ -707,11 +747,15 @@ def enumerate_traces(instance: FiniteInstance) -> list[BoundedTrace]:
     # siblings: the order is the one of full key tuples. Initial states are
     # not ranked: equal ones, from a domain that repeats a value, have equal
     # successors, and their traces must interleave.
-    doms = _var_domains(instance, initial=True)
-    initial = _abort_search(instance.system.init, doms, {}, instance.quant_lo, instance.quant_hi,
+    names = [name for name, _ in instance.system.state_vars]
+    fixed = {**instance.init_fix, **instance.params}
+    env = {name: fixed[name] for name in names if name in fixed}
+    doms = {name: instance.domains[name] for name in names if name not in env}
+    initial = _abort_search(instance.system.init, doms, env, instance.quant_lo, instance.quant_hi,
                             instance.cap, "state domain product", list)
     level: list[tuple[tuple[State, ...], tuple]] = []
-    for state in (dict(zip(doms, combo)) for combo in initial):
+    for free in (dict(zip(doms, combo)) for combo in initial):
+        state = {name: free[name] if name in free else env[name] for name in names}
         level.append(((state,), (_state_key(state, plan.key_order),)))
     for _ in range(instance.depth - 1):
         nxt_level: list[tuple[tuple[State, ...], tuple]] = []

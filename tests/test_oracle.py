@@ -144,6 +144,47 @@ def test_values_equal():
     assert values_equal(FArray(0, (FArray(0, (1,)),)), FArray(0, (FArray(0, (1, 0)),)))
 
 
+def reference_values_equal(a, b):
+    """values_equal element by element, over the union of both windows."""
+    if type(a) is not type(b):
+        return False
+    if type(a) is not FArray:
+        return a == b
+    window = range(min(a.lo, b.lo), max(a.lo + len(a.vals), b.lo + len(b.vals)))
+    return reference_values_equal(a.default, b.default) and all(
+        reference_values_equal(a.get(i), b.get(i)) for i in window
+    )
+
+
+def farrays(elements):
+    windows = st.lists(elements, max_size=3).map(tuple)
+    return st.builds(FArray, st.integers(-1, 1), windows, elements)
+
+
+SCALARS = st.sampled_from((0, 1, 2, True, False))
+# arrays of ints and bools, and arrays that hold such arrays
+NESTED = farrays(SCALARS) | farrays(SCALARS | farrays(SCALARS))
+
+
+def rewindowed(data, value):
+    """``value`` read over windows drawn anew, or kept, inside too: it
+    equals ``value`` where the entries it drops are the default."""
+    if type(value) is not FArray:
+        return value
+    lo, width = value.lo, len(value.vals)
+    if data.draw(st.booleans()):
+        lo, width = data.draw(st.integers(-2, 2)), data.draw(st.integers(0, 4))
+    vals = tuple(rewindowed(data, value.get(i)) for i in range(lo, lo + width))
+    return FArray(lo, vals, value.default)
+
+
+@settings(max_examples=500)
+@given(NESTED, st.data())
+def test_values_equal_matches_elementwise_reference(a, data):
+    b = data.draw(st.sampled_from((rewindowed(data, a), a)) | NESTED)
+    assert values_equal(a, b) == values_equal(b, a) == reference_values_equal(a, b)
+
+
 def test_domains():
     assert ScalarDomain((1, 2, 3)).size() == 3
     dom = ArrayDomain(1, 2, (0, 1))
@@ -546,7 +587,7 @@ def test_solved_enumeration_matches_reference(benchmarks):
     assert len(names) == 10
 
 
-def scalar_instance(init, domains, cap=10**6):
+def scalar_instance(init, domains, cap=10**6, params=None, init_fix=None):
     """A one-step instance of ``init`` over Int variables a, x and y that never change.
 
     A conjunct of ``init`` that is a bare variable filters by the truth of
@@ -573,9 +614,10 @@ def scalar_instance(init, domains, cap=10**6):
     return FiniteInstance(
         system=system,
         domains={name: ScalarDomain(values) for name, values in domains.items()},
-        params={},
+        params=params or {},
         depth=2,
         cap=cap,
+        init_fix=init_fix or {},
     )
 
 
@@ -647,14 +689,49 @@ CONJUNCTS = (
 VALUES = st.lists(st.sampled_from((-1, 0, 1, 2, 3, True, False)), min_size=1, max_size=5)
 
 
+# a parameter or init-fix entry may fix any of a, x and y; a parameter wins
+FIXED = st.dictionaries(st.sampled_from("axy"), st.sampled_from((-1, 0, 1, 2, True)), max_size=2)
+
+
 @settings(max_examples=400)
 @given(
-    st.lists(st.sampled_from(CONJUNCTS), min_size=1, max_size=4),
+    st.lists(st.sampled_from(CONJUNCTS + ("(> (div 6 a) 0)",)), min_size=1, max_size=4),
     st.fixed_dictionaries({"a": VALUES, "x": VALUES, "y": VALUES}),
+    FIXED,
+    FIXED,
 )
-def test_random_solved_inits_match_reference(conjuncts, domains):
-    inst = scalar_instance(f"(and {' '.join(conjuncts)})", {n: tuple(v) for n, v in domains.items()})
+# a conjunct that raises and reads the parameter alone
+@example(["(< x 2)", "(> (div 6 a) 0)"], {"a": [1], "x": [0, 1], "y": [0]}, {"a": 0}, {})
+@example(["(= x (+ a 1))", "(< y 1)"], {"a": [0], "x": [0], "y": [0]}, {"a": 0}, {"x": 1, "y": 0})
+def test_random_solved_inits_match_reference(conjuncts, domains, params, init_fix):
+    domains = {n: tuple(v) for n, v in domains.items()}
+    inst = scalar_instance(f"(and {' '.join(conjuncts)})", domains, params=params, init_fix=init_fix)
     assert outcome(enumerate_traces, inst) == outcome(reference_traces, inst)
+
+
+def test_init_conjunct_over_an_array_and_a_parameter_filters_the_array():
+    # x is declared between C and the parameter R, so a test at R's loop
+    # would run once per (C, x) pair: 4 * 5 times, not 4
+    system = parse_system(
+        "(system filter (vars (C (Array Int Int)) (x Int) (R Int)) (params R) "
+        "(init (<= (select C 1) R)) (tx (and (= C! C) (= x! x) (= R! R))))"
+    )
+    inst = FiniteInstance(
+        system=system,
+        domains={"C": ArrayDomain(1, 2, (0, 1)), "x": ScalarDomain(tuple(range(5)))},
+        params={"R": 0},
+        depth=1,
+    )
+    selects = []
+
+    def array(value, op):
+        selects.append(value)
+        return oracle._array(value, op)
+
+    with mock.patch.dict(oracle._HELPERS, {"_array": array}):
+        got = outcome(enumerate_traces, inst)
+    assert got == outcome(reference_traces, inst) and len(got) == 2 * 5
+    assert len(selects) == 4
 
 
 def branching_instance(init, a, x):
@@ -808,6 +885,52 @@ def test_successors_tell_true_from_one():
     expected = [{"a": FArray(0, (0,)), "x": True}, {"a": FArray(0, (True,)), "x": True}]
     for state in ({"x": 1, "a": arrays[2]}, {"x": True, "a": arrays[1]}) * 2:
         assert [state_key(s) for s in successors(inst, state, plan)] == list(map(state_key, expected))
+
+
+def test_successors_test_a_defined_scalar_for_its_domain_by_type():
+    b, n, v = (Var(name, INT, None, True) for name in ("b", "n", "v"))
+    one, true = IntLit(1), BoolLit(True)
+    cases = [
+        ({"b": BOOL}, Cmp("=", b, one), {"b": ScalarDomain((False, True))}, []),
+        ({"n": INT}, Cmp("=", n, true), {"n": ScalarDomain((0, 1))}, []),
+        ({"v": INT}, Cmp("=", v, one), {"v": ScalarDomain((True, 1, 0))}, [{"v": 1}]),
+        ({"v": INT}, Cmp("=", true, v), {"v": ScalarDomain((True, 1, 0))}, [{"v": True}]),
+    ]
+    for state_vars, tx, domains, expected in cases:
+        inst = tx_instance(state_vars, tx, domains)
+        plan = TransitionPlan(inst)
+        for state in ({name: 0 for name in state_vars},) * 2:
+            got = successors(inst, state, plan)
+            assert list(map(state_key, got)) == list(map(state_key, expected))
+
+
+A = Var("A", ArraySort(INT, INT))
+A_NEXT = Var("A", ArraySort(INT, INT), None, True)
+
+
+@pytest.mark.parametrize(
+    "rhs, start, kept",
+    [
+        (Store(A, IntLit(1), IntLit(5)), (0, 0), False),  # 5 is not a value of the domain
+        (Store(A, IntLit(1), IntLit(1)), (0, 0), True),
+        (Store(A, IntLit(1), TRUE), (0, 0), False),  # true is not 1
+        (Store(A, IntLit(3), IntLit(1)), (0, 0), False),  # outside [1, 2], not the default
+        (Store(A, IntLit(3), IntLit(0)), (0, 0), True),
+        (ConstArray(IntLit(1)), (0, 0), False),  # default 1, not 0
+        (ConstArray(IntLit(0)), (0, 0), True),  # the window [1, 2] read from the default
+        (Store(ConstArray(IntLit(0)), IntLit(2), IntLit(1)), (1, 1), True),  # window [0, 2]
+        (IntLit(0), (0, 0), False),
+        # a frame keeps the current value, which lies in the domain for a
+        # state that enumeration produces: it is only checked to be an array
+        (A, (5, 0), True),
+    ],
+)
+def test_successors_test_a_defined_array_for_its_domain(rhs, start, kept):
+    domain = {"A": ArrayDomain(1, 2, (0, 1))}
+    inst = tx_instance({"A": ArraySort(INT, INT)}, Cmp("=", A_NEXT, rhs), domain)
+    state = {"A": FArray(1, start)}
+    value = compile_term(rhs)(state)
+    assert successors(inst, state) == ([{"A": value}] if kept else [])
 
 
 def test_successors_drop_raising_and_unbound_evaluations_on_every_call():
