@@ -400,6 +400,10 @@ class _Source:
         text = _TEXT[kind]
         if isinstance(text, str):
             return text.format(*args)
+        if kind is Add and all(a.isidentifier() or a.strip("()-").isdigit() for a in args[1:]):
+            # sum's value and error, with no list: only the first argument
+            # may raise, and it is evaluated before anything is added
+            return f"(0 + {' + '.join(args)})" if args else "(0)"
         if not args and (kind is And or kind is Or):
             return str(kind is And)
         return text[0].format(text[1].join(args))
@@ -486,11 +490,13 @@ def eval_term(
 # Generated search
 #
 # ``init``, ``tx`` and a counted formula are each searched by one generated
-# generator, which yields the loop variables' values of every candidate the
-# term accepts (see README). In ``_DROP`` mode (tx) an error drops the
-# candidates under its test. In ``_ABORT`` mode (init, brute_count) it
-# propagates, so nothing is tested, defined or filtered ahead of an earlier
-# conjunct that may raise, and ``_PLAIN`` decides which error it is.
+# function around one comprehension over the candidates the term accepts
+# (see README): a generator of their loop variables' values for ``init``
+# and a counted formula, the expansion of a whole trace level for ``tx``.
+# In ``_DROP`` mode (tx) an error drops the candidates under its test. In
+# ``_ABORT`` mode (init, brute_count) it propagates, so nothing is tested,
+# defined or filtered ahead of an earlier conjunct that may raise, and
+# ``_PLAIN`` decides which error it is.
 
 _ABORT, _DROP, _PLAIN = "abort", "drop", "plain"
 
@@ -518,16 +524,22 @@ def _reads(term: Term) -> set[str]:
 @_per_term
 def _search(
     term: Term, loops: tuple, fixed: tuple, mode: str, quant_lo: int, quant_hi: int,
-    arrays: frozenset = frozenset(),
-) -> tuple[Callable[..., Iterator[tuple]], frozenset[str]]:
-    """The generated ``search(env, values, memo)`` of ``term``, and the loop
-    variables it defines. ``values[j]`` lists the values of ``loops[j]``;
-    for a defined one, it is a table by typed key (see ``_table``) that
-    lists the members equal to its value, in ``_ABORT`` mode, or tests its
-    value for domain membership, in ``_DROP`` mode; there, for the loop
-    variables in ``arrays``, it is an ``ArrayDomain``, and the one that a
-    frame ``(= x! x)`` defines is only tested to be an array. ``memo`` maps
-    a conjunct's index to its test's table."""
+    arrays: frozenset = frozenset(), keys: tuple = (),
+) -> tuple[Callable, frozenset[str]]:
+    """The generated function of ``term``, and the loop variables it
+    defines: ``search(env, values, memo)``, a generator of the loop
+    variables' values of every candidate, or, in ``_DROP`` mode,
+    ``expand(level, values, memo, branch)``, the level after ``level``: the
+    fixed names are read from the last state of each ``(prefix, order)``, a
+    lone candidate extends the prefix with rank 0 as the state that maps
+    ``keys[j]`` to the value of ``loops[j]``, and several go to
+    ``branch(out, prefix, order, states)``. ``values[j]`` lists the values
+    of ``loops[j]``; for a defined one, it is a table by typed key (see
+    ``_table``) that lists the members equal to its value, in ``_ABORT``
+    mode, or tests its value for domain membership, in ``_DROP`` mode;
+    there, for the loop variables in ``arrays``, it is an ``ArrayDomain``,
+    and the one that a frame ``(= x! x)`` defines is only tested to be an
+    array. ``memo`` maps a conjunct's index to its test's table."""
     conjuncts = list(term.args) if isinstance(term, And) else [term]
     looped = set(loops)
     slot = {name: f"V{j}" for j, name in enumerate([*loops, *fixed])}
@@ -580,15 +592,18 @@ def _search(
     while len(order) < len(loops):
         ready = [x for x in defs if x not in order and _reads(defs[x][1]) & looped <= {*order}]
         order.append(ready[0] if ready else next(x for x in loops if x not in {*order, *defs}))
-    # the level of each test: -2 to filter the one variable it reads that
-    # loops, else the shallowest loop that binds what it reads (-1: before
-    # the loops), and no shallower than an earlier conjunct that may raise,
-    # or, in _PLAIN mode, than the deepest loop
+    # the level of each test: -3 to guard the filters when it reads no loop
+    # variable and no earlier conjunct may raise, -2 to filter the one
+    # variable it reads that loops, else the shallowest loop that binds what
+    # it reads (-1: before the loops), and no shallower than an earlier
+    # conjunct that may raise, or, in _PLAIN mode, than the deepest loop
     level = {}
     floor = len(order) - 1 if mode == _PLAIN else -2
     for i, uses in enumerate(r & looped for r in reads):
         if i in defined:
             at = order.index(defined[i])
+        elif not uses and floor == -2 and not any(raises[:i]):
+            at = level[i] = -3
         elif len(uses) == 1 and floor == -2 and not uses <= defs.keys():
             at = level[i] = -2
         else:
@@ -596,9 +611,16 @@ def _search(
         if raises[i]:
             floor = max(floor, at)
 
-    # one generator expression: Python nests at most 20 loop statements
-    lines.append("def search(env, values, memo):")
-    lines += [f"    {slot[name]} = env[{name!r}]" for name in fixed]
+    # one comprehension: Python nests at most 20 loop statements
+    drop = mode == _DROP
+    pad = "        " if drop else "    "
+    lines += (["def expand(level, values, memo, branch):", "    out = []",
+               "    for prefix, order in level:", "        env = prefix[-1]"] if drop
+              else ["def search(env, values, memo):"])
+    lines += [f"{pad}{slot[name]} = env[{name!r}]" for name in fixed]
+    guards = " and ".join(calls[i] for i in level if level[i] == -3)
+    if guards:
+        lines += [f"{pad}if not ({guards}):", f"{pad}    {'continue' if drop else 'return ()'}"]
     clauses = ["for _ in (0,)"]
     for at, x in enumerate([None, *order], -1):
         j = x and loops.index(x)
@@ -606,12 +628,19 @@ def _search(
             clauses.append(calls[defs[x][0]])
         elif x:
             kept = "".join(f" if {calls[i]}" for i in level if level[i] == -2 and x in reads[i])
-            lines.append(f"    A{j} = [V{j} for V{j} in values[{j}]{kept}]")
+            lines.append(f"{pad}A{j} = [V{j} for V{j} in values[{j}]{kept}]")
             clauses.append(f"for V{j} in A{j}")
         clauses += [f"if {calls[i]}" for i in level if level[i] == at]
-    yielded = "".join(f"V{j}, " for j in range(len(loops)))
-    lines.append(f"    return (({yielded}) {' '.join(clauses)})")
-    return _define(source, lines, "search"), frozenset(defs)
+    if not drop:
+        yielded = "".join(f"V{j}, " for j in range(len(loops)))
+        lines.append(f"    return (({yielded}) {' '.join(clauses)})")
+        return _define(source, lines, "search"), frozenset(defs)
+    state = ", ".join(f"{key!r}: V{j}" for j, key in enumerate(keys))
+    lines += [f"        found = [{{{state}}} {' '.join(clauses)}]", "        if len(found) == 1:",
+              "            out.append((prefix + (found[0],), order + (0,)))",
+              "        elif found:", "            branch(out, prefix, order, found)",
+              "    return out"]
+    return _define(source, lines, "expand"), frozenset(defs)
 
 
 def _abort_search(term: Term, doms: Mapping[str, Domain], env: Mapping[str, Value], quant_lo: int,
@@ -646,8 +675,8 @@ class BoundedTrace(Record):
 
 
 class TransitionPlan:
-    """Everything ``successors`` derives from an instance, made once, and
-    each last state's pin: the plan reflects the instance as it was when
+    """Everything the ``tx`` expansion derives from an instance, made once,
+    and each last state's pin: the plan reflects the instance as it was when
     built, and its tests' memo tables and its pins live as long as it."""
 
     def __init__(self, instance: FiniteInstance) -> None:
@@ -657,17 +686,16 @@ class TransitionPlan:
             else instance.domains[name]
             for name, _ in instance.system.state_vars
         }
-        self.key_order = sorted(doms)
-        loops = tuple(mangle(name, PRIMED) for name in self.key_order)
+        keys = self.key_order = tuple(sorted(doms))
+        loops = tuple(mangle(name, PRIMED) for name in keys)
         tx, lo, hi = instance.system.tx, instance.quant_lo, instance.quant_hi
-        arrays = frozenset(x for x, name in zip(loops, self.key_order)
-                           if isinstance(doms[name], ArrayDomain))
-        self.search, defined = _search(tx, loops, tuple(doms), _DROP, lo, hi, arrays)
+        arrays = frozenset(x for x, name in zip(loops, keys) if isinstance(doms[name], ArrayDomain))
+        self.expand, defined = _search(tx, loops, tuple(doms), _DROP, lo, hi, arrays, keys)
         # a defined variable's domain is not listed, as it may be large: its
         # value is looked up in a scalar domain's table or an array domain
         self.values = [
             list(dom) if x not in defined else dom if x in arrays else _table(dom.values)
-            for x, dom in zip(loops, map(doms.get, self.key_order))
+            for x, dom in zip(loops, map(doms.get, keys))
         ]
         self.memo: defaultdict[int, dict] = defaultdict(dict)
         self.pins: dict[tuple, bool] = {}  # state key -> pinned
@@ -682,62 +710,57 @@ class TransitionPlan:
         return self.pins[key]
 
 
+def _siblings(key_order: Sequence[str], deterministic: bool, cap: float, out: list,
+              prefix: tuple, order: tuple, found: Sequence[State]) -> None:
+    """Append to ``out`` each of several next states ``found`` after
+    ``prefix``, with ``order`` extended by its rank by state key among them.
+    Each state is keyed once; a later one with a kept one's key is dropped."""
+    kept: dict[tuple, State] = {}
+    for state in found:
+        kept.setdefault(_state_key(state, key_order), state)
+    if deterministic and len(kept) > 1:
+        raise OracleError("instance declared deterministic but a state has several successors")
+    ranks = {key: rank for rank, key in enumerate(sorted(kept))}
+    for key, state in kept.items():
+        out.append((prefix + (state,), order + (ranks[key],)))
+        if len(out) > cap:
+            raise CapExceeded(f"trace count exceeds cap {cap}")
+
+
 def successors(
     instance: FiniteInstance, state: State, plan: Optional[TransitionPlan] = None
 ) -> list[State]:
-    """The states ``tx`` allows after ``state``, within the domains.
+    """The states ``tx`` allows after ``state``, within the domains: the
+    ``tx`` expansion of the level of ``state`` alone.
 
-    Candidates come from the generated ``tx`` search, in product order of the
-    next-state variables sorted by name; one that a top-level ``(= x! e)``
-    defines is assigned ``e``, and a variable ``e`` is bound as it is. A
-    candidate is kept when every conjunct of ``tx`` holds on it, no
-    evaluation raised and every value lies in its domain, type-exact
-    (``true`` is not ``1``), whatever the order of the conjuncts. Of an
-    array that a frame ``(= x! x)`` defines, only that it is an array is
-    checked: for a state that ``enumerate_traces`` produces, ``x`` lies in
-    its domain. A later candidate with the state key of a kept one is
-    dropped. Raises ``OracleError`` when the instance is declared
-    deterministic and more than one state remains.
+    Candidates come in product order of the next-state variables sorted by
+    name; one that a top-level ``(= x! e)`` defines is assigned ``e``, and a
+    variable ``e`` is bound as it is. A candidate is kept when every
+    conjunct of ``tx`` holds on it, no evaluation raised and every value
+    lies in its domain, type-exact (``true`` is not ``1``), whatever the
+    order of the conjuncts. Of an array that a frame ``(= x! x)`` defines,
+    only that it is an array is checked: for a state that
+    ``enumerate_traces`` produces, ``x`` lies in its domain. A later
+    candidate with the state key of a kept one is dropped. Raises
+    ``OracleError`` when the instance is declared deterministic and more
+    than one state remains.
     """
     if plan is None:
         plan = TransitionPlan(instance)
-    out: list[State] = []
-    seen = set()
-    for combo in plan.search(state, plan.values, plan.memo):
-        nxt = dict(zip(plan.key_order, combo))
-        if out and not seen:
-            seen.add(_state_key(out[0], plan.key_order))
-        if seen:
-            key = _state_key(nxt, plan.key_order)
-            if key in seen:
-                continue
-            seen.add(key)
-        out.append(nxt)
-    if instance.deterministic and len(out) > 1:
-        raise OracleError("instance declared deterministic but a state has several successors")
-    return out
-
-
-def _ranks(states: Sequence[State], order: Sequence[str]) -> Sequence[int]:
-    """The place of each of ``states`` in their order by state key; a lone
-    state gets 0 without a key."""
-    if len(states) < 2:
-        return (0,) * len(states)
-    keys = [_state_key(s, order) for s in states]
-    ranks = [0] * len(keys)
-    for rank, i in enumerate(sorted(range(len(keys)), key=keys.__getitem__)):
-        ranks[i] = rank
-    return ranks
+    branch = partial(_siblings, plan.key_order, instance.deterministic, math.inf)
+    level = plan.expand([((state,), ())], plan.values, plan.memo, branch)
+    return [prefix[-1] for prefix, _ in level]
 
 
 def enumerate_traces(instance: FiniteInstance) -> list[BoundedTrace]:
     """All depth-d trace prefixes of the instance, in canonical order.
 
     Initial states come from the generated ``init`` search, with parameters
-    and ``init_fix`` values as fixed names; successors from ``successors``.
-    The canonical order is lexicographic by the traces' tuples of state keys
-    (``state_key``); traces with equal tuples keep the order in which they
-    were expanded.
+    and ``init_fix`` values as fixed names; each further level is one call
+    of the ``tx`` expansion, which extends each prefix by the ``successors``
+    of its last state. The canonical order is lexicographic by the traces'
+    tuples of state keys (``state_key``); traces with equal tuples keep the
+    order in which they were expanded.
     """
     plan = TransitionPlan(instance)
     # A prefix travels with its sort key: its initial state's key, then the
@@ -757,15 +780,11 @@ def enumerate_traces(instance: FiniteInstance) -> list[BoundedTrace]:
     for free in (dict(zip(doms, combo)) for combo in initial):
         state = {name: free[name] if name in free else env[name] for name in names}
         level.append(((state,), (_state_key(state, plan.key_order),)))
+    branch = partial(_siblings, plan.key_order, instance.deterministic, instance.cap)
     for _ in range(instance.depth - 1):
-        nxt_level: list[tuple[tuple[State, ...], tuple]] = []
-        for prefix, order in level:
-            states = successors(instance, prefix[-1], plan)
-            for succ, rank in zip(states, _ranks(states, plan.key_order)):
-                nxt_level.append((prefix + (succ,), order + (rank,)))
-                if len(nxt_level) > instance.cap:
-                    raise CapExceeded(f"trace count exceeds cap {instance.cap}")
-        level = nxt_level
+        level = plan.expand(level, plan.values, plan.memo, branch)
+        if len(level) > instance.cap:  # a lone successor is appended uncounted
+            raise CapExceeded(f"trace count exceeds cap {instance.cap}")
     level.sort(key=operator.itemgetter(1))
     return [BoundedTrace(states) for states, _ in level]
 

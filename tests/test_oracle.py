@@ -449,12 +449,10 @@ def reference_traces(inst):
             except OracleError:
                 continue
             nxt = {name: env[f"{name}!"] for name in names}
-            if all(
-                any(values_equal(nxt[n], v) for v in doms[n].values)
-                if isinstance(doms[n], ScalarDomain)
-                else isinstance(nxt[n], FArray)
-                for n in names
-            ) and state_key(nxt) not in seen:
+            # an array domain lists its arrays: a defined array must equal one
+            if all(any(values_equal(nxt[n], v) for v in doms[n]) for n in names) and (
+                state_key(nxt) not in seen
+            ):
                 seen.add(state_key(nxt))
                 out.append(nxt)
         if inst.deterministic and len(out) > 1:
@@ -734,9 +732,35 @@ def test_init_conjunct_over_an_array_and_a_parameter_filters_the_array():
     assert len(selects) == 4
 
 
-def branching_instance(init, a, x):
-    """A depth-3 instance over Int variables a and x, where x may stay or
-    grow by one at each step."""
+@pytest.mark.parametrize("rounds, traces", [(0, 0), (1, 4)])
+def test_init_test_of_a_parameter_runs_before_the_array_filters(benchmarks, rounds, traces):
+    # hats' (>= R 1) reads the parameter alone: at R = 0 it fails before
+    # either array filter selects from any of the 4 arrays of its domain
+    hats = load_project(benchmarks / "zk-hats")
+    inst = FiniteInstance(
+        system=hats.system,
+        domains={"C": ArrayDomain(1, 2, (0, 1)), "P": ArrayDomain(1, 2, (0, 1)),
+                 "i": ScalarDomain((0, 1)), "s": ScalarDomain((False, True))},
+        params={"R": rounds},
+        depth=1,
+        quant_lo=-1,
+        quant_hi=2,
+    )
+    arrays = []
+
+    def array(value, op):
+        arrays.append(value)
+        return oracle._array(value, op)
+
+    with mock.patch.dict(oracle._HELPERS, {"_array": array}):
+        got = outcome(enumerate_traces, inst)
+    assert got == outcome(reference_traces, inst) and len(got) == traces
+    assert bool(arrays) == bool(rounds)
+
+
+def branching_instance(init, a, x, depth=3):
+    """An instance over Int variables a and x, where x may stay or grow by
+    one at each step."""
     system = parse_system(
         f"(system branch (vars (a Int) (x Int)) (init {init}) "
         "(tx (and (= a! a) (<= x x!) (<= x! (+ x 1)))))"
@@ -745,7 +769,7 @@ def branching_instance(init, a, x):
         system=system,
         domains={"a": ScalarDomain(a), "x": ScalarDomain(x)},
         params={},
-        depth=3,
+        depth=depth,
     )
 
 
@@ -763,6 +787,36 @@ def test_equal_initial_states_interleave_their_traces():
 def test_random_branching_traces_match_reference(init, a, x):
     inst = branching_instance(init, tuple(a), tuple(x))
     assert outcome(enumerate_traces, inst) == outcome(reference_traces, inst)
+
+
+def test_trace_cap_counts_every_branch():
+    # x's domain repeats 1, so x! = 1 is found twice and kept once; from
+    # x = 0 three steps give 7 traces out of 4 initial candidates. At cap 6
+    # the seventh trace is a lone successor, the last of its level.
+    inst = branching_instance("(= x 0)", (5,), (0, 1, 1, 2), depth=4)
+    inst.cap = 7
+    got = outcome(enumerate_traces, inst)
+    assert got == outcome(reference_traces, inst) and len(got) == 7
+    for cap in (6, 5, 4):
+        inst.cap = cap
+        expected = (CapExceeded, f"trace count exceeds cap {cap}")
+        assert outcome(enumerate_traces, inst) == outcome(reference_traces, inst) == expected
+
+
+def test_successors_are_the_expansion_of_one_state():
+    # the successors of a prefix's last state are the states that follow
+    # the prefix in the traces, each once
+    inst = branching_instance("(<= x 1)", (5, 5), (0, 1, 1, 2), depth=4)
+    states = {state_key(s): s for t in enumerate_traces(inst) for s in t.states}
+    traces = outcome(enumerate_traces, inst)
+    assert traces == outcome(reference_traces, inst)
+    plan = TransitionPlan(inst)
+    for depth in range(1, inst.depth):
+        for prefix in dict.fromkeys(t[:depth] for t in traces):
+            following = [t[depth] for t in traces if t[:depth] == prefix]
+            got = [state_key(s) for s in successors(inst, states[prefix[-1]], plan)]
+            assert sorted(got) == list(dict.fromkeys(following))
+            assert got == [state_key(s) for s in filtered_successors(inst, states[prefix[-1]])]
 
 
 def test_solved_bool_definition_keeps_type():
@@ -931,6 +985,7 @@ def test_successors_test_a_defined_array_for_its_domain(rhs, start, kept):
     state = {"A": FArray(1, start)}
     value = compile_term(rhs)(state)
     assert successors(inst, state) == ([{"A": value}] if kept else [])
+    assert outcome(enumerate_traces, inst) == outcome(reference_traces, inst)
 
 
 def test_successors_drop_raising_and_unbound_evaluations_on_every_call():
@@ -1213,7 +1268,12 @@ x_, y_, b_, a_ = Var("x", INT), Var("y", INT), Var("b", BOOL), Var("a", ArraySor
         And((b_, x_)),
         Or((x_, b_)),
         Implies(b_, x_),
+        # + gives sum's value and error; it adds in place only where no
+        # argument after the first can raise (here, none or an env lookup)
         Add((b_, x_)),
+        Add((x_,)),
+        Add(()),
+        Add((x_, b_, y_)),
         # quantifiers read every value, also once decided
         Forall((("j", INT),), Cmp("<", Div(IntLit(1), Var("j", INT)), x_)),
         Exists((("j", INT), ("c", BOOL)), And((Var("c", BOOL), Cmp("=", Var("j", INT), x_)))),
@@ -1666,6 +1726,17 @@ def test_brute_count_matches_plain_filtering(conjuncts, domains):
     params = {"k": 1, "x": 5}  # a counted name is read from its domain, not from params
     expected = brute_outcome(filtered_count, formula, counted, params)
     assert brute_outcome(brute_count, formula, counted, params) == expected
+
+
+@pytest.mark.parametrize("text", ["(< (+ a x) 3)", "(< (+ 2 a x) 3)", "(< (+ a) 3)", "(< (+ x a) 3)"])
+def test_brute_count_adds_as_sum_does(text):
+    # the search adds its bound values in place; with bools and an array
+    # among them, the count and the first error must be those of sum
+    formula = term_from_text(text, {"a": INT, "x": INT})
+    for a in ((0, True, 2), (True, FArray(0, (1,)), 1)):
+        counted = {"a": ScalarDomain(a), "x": ScalarDomain((True, 1, 0))}
+        expected = evaluation(lambda f: filtered_count(f, counted, {}, -2, 8), formula)
+        assert evaluation(lambda f: brute_count(f, counted), formula) == expected
 
 
 @pytest.mark.parametrize(
