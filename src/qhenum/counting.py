@@ -220,13 +220,6 @@ class Kernel:
         """The premise that the admitted facts entail ``goal``."""
         return entailment([f.axiom for f in self.facts], goal, label, failure)
 
-    def entails(self, goal: Term, label: str = "entailment") -> bool:
-        try:
-            self.send([self.entailment(goal, label, f"{label}: not entailed")])
-        except NotValid:
-            return False
-        return True
-
     def send(self, premises: Sequence[Obligation]) -> None:
         """Ask the premises in order; raise at the first that is not proved."""
         for premise in premises:

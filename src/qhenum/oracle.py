@@ -49,6 +49,7 @@ from .terms import (
     BoolSort,
     IntSort,
     PLAIN,
+    sort_to_text,
 )
 
 
@@ -58,11 +59,6 @@ class OracleError(ValueError):
 
 class CapExceeded(OracleError):
     pass
-
-
-# what an evaluation raises: an oracle error, or a TypeError where a term
-# built in code is ill sorted (say, ``<`` on an array)
-_ERRORS = (OracleError, TypeError)
 
 
 DEFAULT_CAP = 10**6
@@ -256,51 +252,34 @@ class FiniteInstance:
 #
 # A term is compiled into one generated Python function: one expression,
 # each quantifier body a nested ``def`` over its bound values. Constants
-# (quantifier combinations, ``funcs``, messages, non-int literals) are its
-# globals, never its text. Each OracleError is raised when its node is
-# evaluated. A variable is a plain dict lookup; when one misses, the term's
-# text with checked lookups is compiled and evaluated again, so that the
-# error names the first unbound variable.
+# (quantifier combinations, ``funcs``, non-int literals) are its globals,
+# never its text. Evaluation is total on well-sorted terms: each partial
+# operation has one fixed value (see README), and a term that cannot be
+# evaluated (it reads a variable that cannot be bound, applies a function
+# not given, quantifies over a sort other than Int and Bool, or has a node
+# kind not known here) is refused with an OracleError when it is compiled,
+# also where the refused part lies in a branch that is never taken.
 
 Compiled = Callable[[Mapping[str, Value]], Value]
 
-
-def _pow2(n: int, *_: Value) -> int:
-    if n < 0:
-        raise OracleError("pow2 of negative argument")
-    return 2**n
+_MISSING = "unbound variable {} in oracle evaluation"
 
 
-def _fact(n: int, *_: Value) -> int:
-    if n < 0:
-        raise OracleError("fact of negative argument")
-    return math.factorial(n)
+def _pow2(n: int) -> int:
+    return 2**n if n >= 0 else 0
 
 
-def _fail(message: str, *_: Value) -> Value:
-    raise OracleError(message)
-
-
-def _unbound(name: str) -> Value:
-    raise OracleError(f"unbound variable {name} in oracle evaluation")
+def _fact(n: int) -> int:
+    return math.factorial(n) if n >= 0 else 1
 
 
 def _div(a: int, b: int) -> int:
-    if b <= 0:
-        raise OracleError("division by non-positive divisor")
-    return a // b
+    # SMT-LIB's Euclidean division: the remainder lies in [0, |b|)
+    return (a - a % abs(b)) // b if b else 0
 
 
 def _mod(a: int, b: int) -> int:
-    if b <= 0:
-        raise OracleError("modulus by non-positive divisor")
-    return a % b
-
-
-def _array(value: Value, op: str) -> FArray:
-    if not isinstance(value, FArray):
-        raise OracleError(f"{op} on non-array value")
-    return value
+    return a % abs(b) if b else a
 
 
 def _distinct(*vals: Value) -> bool:
@@ -316,9 +295,9 @@ def _tested(table: dict, test: Callable[..., Value], *args: Value) -> Value:
 
 
 _HELPERS = {
-    "_pow2": _pow2, "_fact": _fact, "_fail": _fail, "_unbound": _unbound, "_div": _div,
-    "_mod": _mod, "_array": _array, "_distinct": _distinct, "_eq": values_equal, "_FArray": FArray,
-    "_starmap": itertools.starmap, "_ERRORS": _ERRORS, "_tested": _tested,
+    "_pow2": _pow2, "_fact": _fact, "_div": _div, "_mod": _mod, "_distinct": _distinct,
+    "_eq": values_equal, "_FArray": FArray, "_starmap": itertools.starmap, "_tested": _tested,
+    "_OracleError": OracleError,
 }
 # Each node's text over its children's texts, in ``_children`` order: a
 # string fills one slot per child, a pair joins all children. A connective
@@ -326,9 +305,8 @@ _HELPERS = {
 _TEXT = {
     Sub: "({} - {})", Neg: "(-{})", Mul: "({} * {})", Div: "_div({}, {})",
     Mod: "_mod({}, {})", Not: "(not {})", Implies: "((not {}) or {})",
-    Ite: "({1} if {0} else {2})", Select: "_array({}, 'select').get({})",
-    Store: "_array({}, 'store').put({}, {})", ConstArray: "_FArray(0, (), {})",
-    Add: ("sum([{}])", ", "), Distinct: ("_distinct({})", ", "),
+    Ite: "({1} if {0} else {2})", Select: "{}.get({})", Store: "{}.put({}, {})",
+    ConstArray: "_FArray(0, (), {})", Distinct: ("_distinct({})", ", "),
     And: ("(not not ({}))", " and "), Or: ("(not not ({}))", " or "),
 }
 _COMPARE = {"=": "_eq({}, {})", "<": "({} < {})", "<=": "({} <= {})", ">": "({} > {})"}
@@ -337,7 +315,7 @@ _NESTING = 50  # term levels in one expression; each opens at most three bracket
 
 class _Source:
     """The text of functions and the globals they need. A variable is read
-    by the text its mangled name has in the scope, or else is unbound."""
+    by the text its mangled name has in the scope; any other is refused."""
 
     def __init__(self, quant_lo: int, quant_hi: int, funcs) -> None:
         self.quant_lo, self.quant_hi, self.funcs = quant_lo, quant_hi, funcs
@@ -373,8 +351,9 @@ class _Source:
     def expr(self, t: Term, scope: Mapping[str, str], depth: int) -> str:
         kind = type(t)
         if kind is Var:
-            name = t.mangled
-            return scope.get(name) or f"_unbound({name!r})"
+            if t.mangled not in scope:
+                raise OracleError(_MISSING.format(t.mangled))
+            return scope[t.mangled]
         if kind is IntLit or kind is BoolLit:
             return f"({t.value!r})" if type(t.value) is int else self.const(t.value)
         if depth > _NESTING:
@@ -383,27 +362,27 @@ class _Source:
             return self.define((), t, scope) + "()"
         if isinstance(t, Quant):
             return self.quantifier(t, scope)
-        if kind not in _TEXT and kind is not Cmp and kind is not App:
-            return f"_fail({self.const(f'cannot evaluate {t!r}')})"
+        if kind is App:
+            if self.funcs and t.func in self.funcs:
+                fn = self.const(self.funcs[t.func])
+            elif t.func in ("pow2", "fact"):
+                fn = f"_{t.func}"
+            else:
+                raise OracleError(f"uninterpreted function {t.func} in oracle evaluation")
+        elif kind not in _TEXT and kind is not Cmp and kind is not Add:
+            raise OracleError(f"cannot evaluate {t!r}")
         args = []
         for child in _children(t):  # a loop, not a comprehension: one frame per level
             args.append(self.expr(child, scope, depth + 1))
+        if kind is App:
+            return f"{fn}({', '.join(args)})"
         if kind is Cmp:
             return _COMPARE.get(t.op, "({} >= {})").format(*args)
-        if kind is App:
-            if self.funcs and t.func in self.funcs:
-                return f"{self.const(self.funcs[t.func])}({', '.join(args)})"
-            if t.func in ("pow2", "fact"):
-                return f"_{t.func}({', '.join(args)})"
-            args.insert(0, self.const(f"uninterpreted function {t.func} in oracle evaluation"))
-            return f"_fail({', '.join(args)})"
+        if kind is Add:  # from 0, so that a sum of booleans is an int, as sum's is
+            return f"({' + '.join(['0', *args])})"
         text = _TEXT[kind]
         if isinstance(text, str):
             return text.format(*args)
-        if kind is Add and all(a.isidentifier() or a.strip("()-").isdigit() for a in args[1:]):
-            # sum's value and error, with no list: only the first argument
-            # may raise, and it is evaluated before anything is added
-            return f"(0 + {' + '.join(args)})" if args else "(0)"
         if not args and (kind is And or kind is Or):
             return str(kind is And)
         return text[0].format(text[1].join(args))
@@ -416,14 +395,13 @@ class _Source:
             elif isinstance(sort, BoolSort):
                 ranges.append((False, True))
             else:
-                return f"_fail({self.const(f'cannot enumerate quantifier over {sort}')})"
+                raise OracleError(f"cannot enumerate quantifier over {sort_to_text(sort)}")
         params = [self.fresh("v") for _ in t.bound]
         inner = {**scope, **{name: p for (name, _), p in zip(t.bound, params)}}
         fn = self.define(params, t.body, inner)
         combos = self.const(tuple(itertools.product(*ranges)))
-        # every combination is evaluated, so that an error at any bound value
-        # surfaces whatever the others decide
-        return f"{'all' if isinstance(t, Forall) else 'any'}([*_starmap({fn}, {combos})])"
+        # all and any stop at the first combination that decides them
+        return f"{'all' if isinstance(t, Forall) else 'any'}(_starmap({fn}, {combos}))"
 
 
 def _define(source: _Source, lines: Sequence[str], name: str) -> Callable:
@@ -438,27 +416,19 @@ def _compile(
 ) -> Callable[..., Value]:
     """``term`` as a function of ``env``, keyed by mangled names, or of
     ``s1, s2`` when ``states``: copy ``j`` of a variable, unprimed, is read
-    from ``s<j>`` by its name, and any other variable is unbound.
-
-    The checked retry keeps its source text, not ``term``: a predicate's
-    function sits in its term's ``memo``, and holding the term would make a
-    cycle that only the cycle collector frees."""
-    params = "s1, s2" if states else "env"
-    plain, checked = {}, {}
-    for var in free_vars(term):
+    from ``s<j>`` by its name, and any other variable is refused. The
+    function reads each free variable once, on entry, in order of mangled
+    name, and raises an OracleError that names the first one missing."""
+    lines, scope = [f"def term({'s1, s2' if states else 'env'}):"], {}
+    for name, var in sorted({v.mangled: v for v in free_vars(term)}.items()):
         if states and (var.copy not in (1, 2) or var.primed):
-            continue  # unbound
-        name = var.mangled
-        mapping, key = (f"s{var.copy}", var.name) if states else ("env", name)
-        read = plain[name] = f"{mapping}[{key!r}]"
-        checked[name] = f"({read} if {key!r} in {mapping} else _unbound({name!r}))"
-    header = f"def term({params}):"
-    retry = _Source(quant_lo, quant_hi, funcs)
-    again = partial(_define, retry, [header, *retry.body(term, checked, "    ")], "term")
+            continue  # refused where the term reads it
+        scope[name] = f"V{len(scope)}"
+        read = f"s{var.copy}[{var.name!r}]" if states else f"env[{name!r}]"
+        lines += ["    try:", f"        {scope[name]} = {read}", "    except KeyError:",
+                  f"        raise _OracleError({_MISSING.format(name)!r}) from None"]
     source = _Source(quant_lo, quant_hi, funcs)
-    lines = ["    try:", *source.body(term, plain, "        "),
-             "    except KeyError:", f"        return {source.const(again)}()({params})"]
-    return _define(source, [header, *lines], "term")
+    return _define(source, [*lines, *source.body(term, scope, "    ")], "term")
 
 
 def compile_term(
@@ -469,8 +439,7 @@ def compile_term(
 ) -> Compiled:
     """Compile ``term`` into a function of an env keyed by mangled names.
 
-    Quantifiers range over ``[quant_lo, quant_hi]`` (Int) or both booleans
-    and evaluate their body at every combination.
+    Quantifiers range over ``[quant_lo, quant_hi]`` (Int) or both booleans.
     """
     return _compile(term, False, quant_lo, quant_hi, funcs)
 
@@ -491,17 +460,11 @@ def eval_term(
 #
 # ``init``, ``tx`` and a counted formula are each searched by one generated
 # function around one comprehension over the candidates the term accepts
-# (see README): a generator of their loop variables' values for ``init``
-# and a counted formula, the expansion of a whole trace level for ``tx``.
-# In ``_DROP`` mode (tx) an error drops the candidates under its test. In
-# ``_ABORT`` mode (init, brute_count) it propagates, so nothing is tested,
-# defined or filtered ahead of an earlier conjunct that may raise, and
-# ``_PLAIN`` decides which error it is.
+# (see README): ``search``, a generator of their loop variables' values, for
+# ``init`` and a counted formula, and ``expand``, the expansion of a whole
+# trace level, for ``tx``. The mode picks which of the two is generated.
 
-_ABORT, _DROP, _PLAIN = "abort", "drop", "plain"
-
-# a generated function raises an OracleError only by calling one of these
-_RAISING = ("_div(", "_mod(", "_pow2(", "_fact(", "_fail(", "_array(", "_unbound(")
+_SEARCH, _EXPAND = "search", "expand"
 
 
 def _per_term(build: Callable) -> Callable:
@@ -528,32 +491,33 @@ def _search(
 ) -> tuple[Callable, frozenset[str]]:
     """The generated function of ``term``, and the loop variables it
     defines: ``search(env, values, memo)``, a generator of the loop
-    variables' values of every candidate, or, in ``_DROP`` mode,
-    ``expand(level, values, memo, branch)``, the level after ``level``: the
-    fixed names are read from the last state of each ``(prefix, order)``, a
-    lone candidate extends the prefix with rank 0 as the state that maps
-    ``keys[j]`` to the value of ``loops[j]``, and several go to
-    ``branch(out, prefix, order, states)``. ``values[j]`` lists the values
-    of ``loops[j]``; for a defined one, it is a table by typed key (see
-    ``_table``) that lists the members equal to its value, in ``_ABORT``
-    mode, or tests its value for domain membership, in ``_DROP`` mode;
-    there, for the loop variables in ``arrays``, it is an ``ArrayDomain``,
-    and the one that a frame ``(= x! x)`` defines is only tested to be an
-    array. ``memo`` maps a conjunct's index to its test's table."""
+    variables' values of every candidate, or ``expand(level, values, memo,
+    branch)``, the level after ``level``: the fixed names are read from the
+    last state of each ``(prefix, order)``, a lone candidate extends the
+    prefix with rank 0 as the state that maps ``keys[j]`` to the value of
+    ``loops[j]``, and several go to ``branch(out, prefix, order, states)``.
+    ``values[j]`` lists the values of ``loops[j]``; for a defined one, it is
+    a table by typed key (see ``_table``) that lists the members equal to
+    its value, in ``search``, or tests its value for domain membership, in
+    ``expand``; there, for the loop variables in ``arrays``, it is an
+    ``ArrayDomain``, and the one that a frame ``(= x! x)`` defines is only
+    tested to be an array. ``memo`` maps a conjunct's index to its test's
+    table, in ``expand``. A variable other than the loop variables and the
+    fixed names is refused when the function is generated."""
     conjuncts = list(term.args) if isinstance(term, And) else [term]
     looped = set(loops)
     slot = {name: f"V{j}" for j, name in enumerate([*loops, *fixed])}
     source = _Source(quant_lo, quant_hi, None)
+    expand = mode == _EXPAND
     lines: list[str] = []
     defs: dict[str, tuple[int, Term]] = {}  # loop variable -> (conjunct, right-hand side)
     reads: list[set[str]] = []
-    raises: list[bool] = []
     calls: list[str] = []  # each conjunct's test, or the clause its definition binds by
     for i, c in enumerate(conjuncts):
         # a top-level (= x e) defines the loop variable x when neither e nor
-        # an earlier conjunct reads x, and no earlier conjunct may raise
+        # an earlier conjunct reads x
         t = c
-        if mode != _PLAIN and not any(raises) and isinstance(c, Cmp) and c.op == "=":
+        if isinstance(c, Cmp) and c.op == "=":
             for side, rhs in ((c.left, c.right), (c.right, c.left)):
                 x = side.mangled if isinstance(side, Var) else None
                 if x in looped and x not in _reads(rhs) and not any(x in r for r in reads):
@@ -564,19 +528,14 @@ def _search(
         args = ", ".join(scope.values())
         if t is not c and type(t) is Var and t.mangled in scope:
             value = scope[t.mangled]  # a bound variable is its own value: nothing to call
-            raises.append(False)
         else:
-            body = source.body(t, scope, "        " if mode == _DROP else "    ")
-            if mode == _DROP:  # an evaluation that raises gives (): false, and no value
-                body = ["    try:", *body, "    except _ERRORS:", "        return ()"]
-            lines += [f"def t{i}({args}):", *body]
-            raises.append(mode == _ABORT and any(h in line for line in body for h in _RAISING))
+            lines += [f"def t{i}({args}):", *source.body(t, scope, "    ")]
             value = f"t{i}({args})"
         if t is c:
-            calls.append(f"_tested(memo[{i}], t{i}, {args})" if mode == _DROP else value)
+            calls.append(f"_tested(memo[{i}], t{i}, {args})" if expand else value)
         else:
             j = loops.index(x)
-            if mode == _ABORT:
+            if not expand:
                 members = f"values[{j}].get((type(W{j}), W{j}), ())"
                 calls.append(f"for W{j} in ({value},) for V{j} in {members}")
             elif x not in arrays:
@@ -585,81 +544,69 @@ def _search(
                 calls.append(f"for V{j} in ({value},) if type(V{j}) is _FArray")
             else:
                 calls.append(f"for V{j} in ({value},) if V{j} in values[{j}]")
-    defined = {i: x for x, (i, _) in defs.items()}
+    defined = {i for i, _ in defs.values()}
     # a definition binds its variable once the loop variables it reads are
     # bound; the others loop in product order
     order: list[str] = []
     while len(order) < len(loops):
         ready = [x for x in defs if x not in order and _reads(defs[x][1]) & looped <= {*order}]
         order.append(ready[0] if ready else next(x for x in loops if x not in {*order, *defs}))
-    # the level of each test: -3 to guard the filters when it reads no loop
-    # variable and no earlier conjunct may raise, -2 to filter the one
-    # variable it reads that loops, else the shallowest loop that binds what
-    # it reads (-1: before the loops), and no shallower than an earlier
-    # conjunct that may raise, or, in _PLAIN mode, than the deepest loop
+    # the level of each test: -2 to guard the filters when it reads no loop
+    # variable, -1 to filter the one variable it reads that loops and is not
+    # defined, else the shallowest loop that binds what it reads
     level = {}
-    floor = len(order) - 1 if mode == _PLAIN else -2
     for i, uses in enumerate(r & looped for r in reads):
         if i in defined:
-            at = order.index(defined[i])
-        elif not uses and floor == -2 and not any(raises[:i]):
-            at = level[i] = -3
-        elif len(uses) == 1 and floor == -2 and not uses <= defs.keys():
-            at = level[i] = -2
+            continue
+        if not uses:
+            level[i] = -2
+        elif len(uses) == 1 and not uses <= defs.keys():
+            level[i] = -1
         else:
-            at = level[i] = max(floor, -1, *map(order.index, uses))
-        if raises[i]:
-            floor = max(floor, at)
+            level[i] = max(map(order.index, uses))
 
     # one comprehension: Python nests at most 20 loop statements
-    drop = mode == _DROP
-    pad = "        " if drop else "    "
+    pad = "        " if expand else "    "
     lines += (["def expand(level, values, memo, branch):", "    out = []",
-               "    for prefix, order in level:", "        env = prefix[-1]"] if drop
+               "    for prefix, order in level:", "        env = prefix[-1]"] if expand
               else ["def search(env, values, memo):"])
     lines += [f"{pad}{slot[name]} = env[{name!r}]" for name in fixed]
-    guards = " and ".join(calls[i] for i in level if level[i] == -3)
+    guards = " and ".join(calls[i] for i in level if level[i] == -2)
     if guards:
-        lines += [f"{pad}if not ({guards}):", f"{pad}    {'continue' if drop else 'return ()'}"]
+        lines += [f"{pad}if not ({guards}):", f"{pad}    {'continue' if expand else 'return ()'}"]
     clauses = ["for _ in (0,)"]
-    for at, x in enumerate([None, *order], -1):
-        j = x and loops.index(x)
+    for at, x in enumerate(order):
+        j = loops.index(x)
         if x in defs:
             clauses.append(calls[defs[x][0]])
-        elif x:
-            kept = "".join(f" if {calls[i]}" for i in level if level[i] == -2 and x in reads[i])
+        else:
+            kept = "".join(f" if {calls[i]}" for i in level if level[i] == -1 and x in reads[i])
             lines.append(f"{pad}A{j} = [V{j} for V{j} in values[{j}]{kept}]")
             clauses.append(f"for V{j} in A{j}")
         clauses += [f"if {calls[i]}" for i in level if level[i] == at]
-    if not drop:
+    if not expand:
         yielded = "".join(f"V{j}, " for j in range(len(loops)))
         lines.append(f"    return (({yielded}) {' '.join(clauses)})")
-        return _define(source, lines, "search"), frozenset(defs)
-    state = ", ".join(f"{key!r}: V{j}" for j, key in enumerate(keys))
-    lines += [f"        found = [{{{state}}} {' '.join(clauses)}]", "        if len(found) == 1:",
-              "            out.append((prefix + (found[0],), order + (0,)))",
-              "        elif found:", "            branch(out, prefix, order, found)",
-              "    return out"]
-    return _define(source, lines, "expand"), frozenset(defs)
+    else:
+        state = ", ".join(f"{key!r}: V{j}" for j, key in enumerate(keys))
+        lines += [f"        found = [{{{state}}} {' '.join(clauses)}]", "        if len(found) == 1:",
+                  "            out.append((prefix + (found[0],), order + (0,)))",
+                  "        elif found:", "            branch(out, prefix, order, found)",
+                  "    return out"]
+    return _define(source, lines, mode), frozenset(defs)
 
 
-def _abort_search(term: Term, doms: Mapping[str, Domain], env: Mapping[str, Value], quant_lo: int,
-                  quant_hi: int, cap: int, what: str, consume: Callable[[Iterator[tuple]], object]):
+def _accepted(term: Term, doms: Mapping[str, Domain], env: Mapping[str, Value], quant_lo: int,
+              quant_hi: int, cap: int, what: str, consume: Callable[[Iterator[tuple]], object]):
     """``consume`` of the tuples of values of the product of ``doms`` that
-    ``term`` accepts, ``env``'s names fixed, once ``cap`` bounds the product.
-    Where filtering the product in order would raise, this raises alike."""
+    ``term`` accepts, ``env``'s names fixed, once ``cap`` bounds the product."""
     sizes = (dom.size() for dom in doms.values())
     # the product of no domains has one candidate
     if any(total > cap for total in itertools.accumulate(sizes, operator.mul, initial=1)):
         raise CapExceeded(f"{what} exceeds cap {cap}")
-    values = [list(dom) for dom in doms.values()]
-    search, defined = _search(term, tuple(doms), tuple(env), _ABORT, quant_lo, quant_hi)
-    matches = [_table(v) if x in defined else v for x, v in zip(doms, values)]
-    try:
-        return consume(search(env, matches, None))
-    except _ERRORS:
-        plain, _ = _search(term, tuple(doms), tuple(env), _PLAIN, quant_lo, quant_hi)
-        return consume(plain(env, values, None))
+    search, defined = _search(term, tuple(doms), tuple(env), _SEARCH, quant_lo, quant_hi)
+    values = [_table(list(dom)) if x in defined else list(dom) for x, dom in doms.items()]
+    return consume(search(env, values, None))
 
 
 # ---------------------------------------------------------------------------
@@ -690,7 +637,7 @@ class TransitionPlan:
         loops = tuple(mangle(name, PRIMED) for name in keys)
         tx, lo, hi = instance.system.tx, instance.quant_lo, instance.quant_hi
         arrays = frozenset(x for x, name in zip(loops, keys) if isinstance(doms[name], ArrayDomain))
-        self.expand, defined = _search(tx, loops, tuple(doms), _DROP, lo, hi, arrays, keys)
+        self.expand, defined = _search(tx, loops, tuple(doms), _EXPAND, lo, hi, arrays, keys)
         # a defined variable's domain is not listed, as it may be large: its
         # value is looked up in a scalar domain's table or an array domain
         self.values = [
@@ -736,11 +683,10 @@ def successors(
     Candidates come in product order of the next-state variables sorted by
     name; one that a top-level ``(= x! e)`` defines is assigned ``e``, and a
     variable ``e`` is bound as it is. A candidate is kept when every
-    conjunct of ``tx`` holds on it, no evaluation raised and every value
-    lies in its domain, type-exact (``true`` is not ``1``), whatever the
-    order of the conjuncts. Of an array that a frame ``(= x! x)`` defines,
-    only that it is an array is checked: for a state that
-    ``enumerate_traces`` produces, ``x`` lies in its domain. A later
+    conjunct of ``tx`` holds on it and every value lies in its domain,
+    type-exact (``true`` is not ``1``). Of an array that a frame
+    ``(= x! x)`` defines, only that it is an array is checked: for a state
+    that ``enumerate_traces`` produces, ``x`` lies in its domain. A later
     candidate with the state key of a kept one is dropped. Raises
     ``OracleError`` when the instance is declared deterministic and more
     than one state remains.
@@ -774,8 +720,8 @@ def enumerate_traces(instance: FiniteInstance) -> list[BoundedTrace]:
     fixed = {**instance.init_fix, **instance.params}
     env = {name: fixed[name] for name in names if name in fixed}
     doms = {name: instance.domains[name] for name in names if name not in env}
-    initial = _abort_search(instance.system.init, doms, env, instance.quant_lo, instance.quant_hi,
-                            instance.cap, "state domain product", list)
+    initial = _accepted(instance.system.init, doms, env, instance.quant_lo, instance.quant_hi,
+                        instance.cap, "state domain product", list)
     level: list[tuple[tuple[State, ...], tuple]] = []
     for free in (dict(zip(doms, combo)) for combo in initial):
         state = {name: free[name] if name in free else env[name] for name in names}
@@ -885,9 +831,8 @@ def brute_count(
     cap: int = DEFAULT_CAP,
 ) -> int:
     """Exact model count of ``formula`` over the counted variables' domains,
-    from its generated search with the ``params`` not counted fixed. Where
-    filtering the full product in order raises, so does this, with the
-    first failing candidate's error; the cap applies to the full product."""
+    from its generated search with the ``params`` not counted fixed; the cap
+    applies to the full product."""
     env = {name: value for name, value in (params or {}).items() if name not in counted}
-    return _abort_search(formula, counted, env, quant_lo, quant_hi, cap, "domain product",
-                         lambda found: sum(1 for _ in found))
+    return _accepted(formula, counted, env, quant_lo, quant_hi, cap, "domain product",
+                     lambda found: sum(1 for _ in found))

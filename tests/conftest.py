@@ -27,6 +27,7 @@ from qhenum.terms import (
     Neg,
     Not,
     Or,
+    PLAIN,
     Select,
     Signature,
     Store,
@@ -105,6 +106,65 @@ TERM_SIGNATURE = (
     .extend("g", (INT, BOOL), BOOL)
     .extend("h", (ArraySort(INT, BOOL),), BOOL)
 )
+
+
+SORTS = (INT, BOOL, ArraySort(INT, INT), ArraySort(INT, BOOL))
+BINDERS = (("j", INT), ("k", ArraySort(INT, BOOL)))
+KINDS = {
+    INT: (Ite, Add, Neg, Sub, Mul, Div, Mod, Select, App),
+    BOOL: (Ite, Cmp, Distinct, Not, And, Or, Implies, Select, App, Forall, Exists),
+}
+
+
+@st.composite
+def sorted_terms(draw, sort, bound=(), depth=0, tags=(PLAIN,), binders=BINDERS, apps=True):
+    """A well-sorted term of ``sort`` over ``VAR_SORTS``, each free name
+    with one of ``tags``, the symbols of ``TERM_SIGNATURE`` (unless not
+    ``apps``) and the ``binders`` in ``bound``."""
+
+    def sub(s, scope=bound):
+        return draw(sorted_terms(s, scope, depth + 1, tags, binders, apps))
+
+    def some(s, least=0):
+        return tuple(sub(s) for _ in range(draw(st.integers(least, 3))))
+
+    if depth >= 3 or draw(st.booleans()):
+        names = [n for n, s in {**VAR_SORTS, **dict(bound)}.items() if s == sort]
+        if names and draw(st.booleans()):
+            name = draw(st.sampled_from(names))
+            return Var(name, sort, *(PLAIN if name in dict(bound) else draw(st.sampled_from(tags))))
+        if sort == INT:
+            return App("c", ()) if apps and draw(st.booleans()) else IntLit(draw(st.integers(-9, 9)))
+        if sort == BOOL:
+            return BoolLit(draw(st.booleans()))
+        return ConstArray(sub(sort.element), sort)
+    kind = draw(st.sampled_from([k for k in KINDS.get(sort, (Ite, Store)) if apps or k is not App]))
+    if kind is Ite:
+        return Ite(sub(BOOL), sub(sort), sub(sort))
+    if kind in (Add, And, Or):
+        return kind(some(sort))
+    if kind in (Neg, Not):
+        return kind(sub(sort))
+    if kind in (Sub, Mul, Div, Mod, Implies):
+        return kind(sub(sort), sub(sort))
+    if kind is Select:
+        return Select(sub(ArraySort(INT, sort)), sub(INT))
+    if kind is Store:
+        return Store(sub(sort), sub(INT), sub(sort.element))
+    if kind is Cmp:
+        op = draw(st.sampled_from(["=", "<", "<=", ">", ">="]))
+        s = draw(st.sampled_from(SORTS)) if op == "=" else INT
+        return Cmp(op, sub(s), sub(s))
+    if kind is Distinct:
+        return Distinct(some(draw(st.sampled_from(SORTS)), least=1))
+    if kind is App:
+        if sort == INT:
+            return App("f", (sub(INT),))
+        if draw(st.booleans()):
+            return App("g", (sub(INT), sub(BOOL)))
+        return App("h", (sub(ArraySort(INT, BOOL)),))
+    binder = draw(st.sampled_from([binders[:1], binders[1:], binders]))
+    return kind(binder, sub(BOOL, tuple({**dict(bound), **dict(binder)}.items())))
 
 
 @pytest.fixture(scope="session")

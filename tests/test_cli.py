@@ -538,6 +538,20 @@ def test_malformed_term_exits_3(
     assert not debug.exists()  # no query was sent
 
 
+def test_oracle_refuses_a_quantifier_over_an_array_before_counting(benchmarks, tmp_path, capsys):
+    # the quantifier lies in a branch never taken, and is refused all the same
+    hats = copy_benchmark(benchmarks, "zk-hats", tmp_path / "hats")
+    proof = hats / "proof.sexp"
+    v1 = "(forall ((j Int)) (= (select e j) 0)))\n  (declare-pred Vf"
+    refused = ("(and (forall ((j Int)) (= (select e j) 0))"
+               " (or true (forall ((u (Array Int Int))) (= (select u 0) 0)))))\n  (declare-pred Vf")
+    assert v1 in proof.read_text()
+    proof.write_text(proof.read_text().replace(v1, refused))
+    code = main(["oracle", "--instance", str(hats / "instance.sexp"), "--brute-count", "V1"])
+    assert code == 3
+    assert capsys.readouterr().err == "error: cannot enumerate quantifier over (Array Int Int)\n"
+
+
 @pytest.mark.parametrize(
     "args, message",
     [

@@ -83,12 +83,12 @@ def test_range_accepts_interval(solver):
     )
     fact = apply_rule(kernel, app)
     assert fact.rule == "range"
-    assert kernel.entails(
-        term_from_text("(= (cnt.R 5) 5)", {}, kernel.signature), "t"
-    )
-    assert kernel.entails(
-        term_from_text("(= (cnt.R (- 2)) 0)", {}, kernel.signature), "t"
-    )
+    kernel.send([kernel.entailment(
+        term_from_text("(= (cnt.R 5) 5)", {}, kernel.signature), "t", "t: not entailed"
+    )])
+    kernel.send([kernel.entailment(
+        term_from_text("(= (cnt.R (- 2)) 0)", {}, kernel.signature), "t", "t: not entailed"
+    )])
 
 
 def test_range_rejects_wrong_shape():
@@ -110,10 +110,11 @@ def test_range_rejects_wrong_shape():
 def test_positive(solver):
     kernel, (app,) = make_kernel(solver, [pred("P", V + [K], ["v"], "(= v k)")], "(positive P)")
     apply_rule(kernel, app)
-    assert kernel.entails(
+    kernel.send([kernel.entailment(
         term_from_text("(forall ((k Int)) (>= (cnt.P k) 0))", {}, kernel.signature),
         "t",
-    )
+        "t: not entailed",
+    )])
 
 
 def test_at_reference_instantiates_parameter_and_keeps_symbol(stub_solver):
@@ -142,7 +143,9 @@ def test_const_lb_model_search(solver):
         "(const-lb P 4)",
     )
     apply_rule(kernel, lb3)
-    assert kernel.entails(term_from_text("(>= cnt.P 3)", {}, kernel.signature), "t")
+    kernel.send([kernel.entailment(
+        term_from_text("(>= cnt.P 3)", {}, kernel.signature), "t", "t: not entailed"
+    )])
     with pytest.raises(NotValid):
         apply_rule(kernel, lb4)
 
@@ -154,7 +157,9 @@ def test_const_lb_explicit_witnesses(solver):
         "(const-lb P 2 (model (v 0)) (model (v 2)))",
     )
     apply_rule(kernel, app)
-    assert kernel.entails(term_from_text("(>= cnt.P 2)", {}, kernel.signature), "t")
+    kernel.send([kernel.entailment(
+        term_from_text("(>= cnt.P 2)", {}, kernel.signature), "t", "t: not entailed"
+    )])
 
 
 def test_const_lb_bad_witnesses_rejected(solver):
@@ -186,10 +191,11 @@ def test_const_lb_parameterized(solver):
         "(const-lb Q 1)",
     )
     apply_rule(kernel, p1)
-    assert kernel.entails(
+    kernel.send([kernel.entailment(
         term_from_text("(forall ((k Int)) (>= (cnt.P k) 1))", {}, kernel.signature),
         "t",
-    )
+        "t: not entailed",
+    )])
     with pytest.raises(NotValid):
         apply_rule(kernel, p2)  # fails when k = 0
     with pytest.raises(NotValid):
@@ -201,7 +207,9 @@ def test_const_ub(solver):
         solver, [pred("P", V, ["v"], "(= v 7)")], "(const-ub P 2)", "(const-ub P 1)"
     )
     apply_rule(kernel, ub2)
-    assert kernel.entails(term_from_text("(<= cnt.P 1)", {}, kernel.signature), "t")
+    kernel.send([kernel.entailment(
+        term_from_text("(<= cnt.P 1)", {}, kernel.signature), "t", "t: not entailed"
+    )])
     with pytest.raises(NotValid):
         apply_rule(kernel, ub1)  # one model does exist
 
@@ -226,9 +234,9 @@ def test_ub(solver):
         "(ub G F)",
     )
     apply_rule(kernel, fg)
-    assert kernel.entails(
-        term_from_text("(<= cnt.F cnt.G)", {}, kernel.signature), "t"
-    )
+    kernel.send([kernel.entailment(
+        term_from_text("(<= cnt.F cnt.G)", {}, kernel.signature), "t", "t: not entailed"
+    )])
     with pytest.raises(NotValid):
         apply_rule(kernel, gf)  # G is not a subset of F
 
@@ -297,7 +305,7 @@ def test_or_overlap_is_subtracted(solver):
     goal = term_from_text(
         "(= cnt.F (- (+ cnt.G cnt.H) cnt.G&H))", {}, kernel.signature
     )
-    assert kernel.entails(goal, "t")
+    kernel.send([kernel.entailment(goal, "t", "t: not entailed")])
 
 
 # -- products -----------------------------------------------------------------------------
@@ -314,9 +322,9 @@ def test_disjoint(solver):
         "(disjoint H F G)",
     )
     apply_rule(kernel, app)
-    assert kernel.entails(
-        term_from_text("(= cnt.H (* cnt.F cnt.G))", {}, kernel.signature), "t"
-    )
+    kernel.send([kernel.entailment(
+        term_from_text("(= cnt.H (* cnt.F cnt.G))", {}, kernel.signature), "t", "t: not entailed"
+    )])
 
 
 def test_disjoint_rejects_shared_variables():
@@ -357,9 +365,9 @@ INJECTIVE_PREDS = (
 def test_injective(solver):
     kernel, (app,) = make_kernel(solver, INJECTIVE_PREDS, "(injective F G (witness (w (* 2 v))))")
     apply_rule(kernel, app)
-    assert kernel.entails(
-        term_from_text("(<= cnt.F cnt.G)", {}, kernel.signature), "t"
-    )
+    kernel.send([kernel.entailment(
+        term_from_text("(<= cnt.F cnt.G)", {}, kernel.signature), "t", "t: not entailed"
+    )])
 
 
 def test_injective_rejects_collapsing_witness(solver):
@@ -399,7 +407,7 @@ def test_ind_geq(solver):
         {},
         kernel.signature,
     )
-    assert kernel.entails(goal, "t")
+    kernel.send([kernel.entailment(goal, "t", "t: not entailed")])
 
 
 def test_ind_geq_rejects_noninjective_lift(solver):
@@ -434,7 +442,7 @@ def test_ind_leq(solver):
         {},
         kernel.signature,
     )
-    assert kernel.entails(goal, "t")
+    kernel.send([kernel.entailment(goal, "t", "t: not entailed")])
 
 
 def test_ind_leq_rejects_bad_lowering(solver):
@@ -477,7 +485,7 @@ def test_close_recurrence(solver):
     goal = term_from_text(
         "(forall ((n Int)) (=> (>= n 1) (>= (cnt.F n) 1)))", {}, kernel.signature
     )
-    assert kernel.entails(goal, "t")
+    kernel.send([kernel.entailment(goal, "t", "t: not entailed")])
 
 
 # A failed entailment behind close can surface either as an explicit mismatch

@@ -3,14 +3,15 @@ import functools
 import gc
 import hashlib
 import itertools
-import operator
+import math
+import re
 import weakref
 from unittest import mock
 
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
-from conftest import VAR_SORTS
+from conftest import BINDERS, SORTS, VAR_SORTS, sorted_terms
 
 from qhenum import oracle
 from qhenum.cli import load_instance, load_project
@@ -65,6 +66,7 @@ from qhenum.terms import (
     Or,
     Quant,
     Select,
+    Signature,
     Store,
     Sub,
     Var,
@@ -72,6 +74,7 @@ from qhenum.terms import (
     indexed,
     mangle,
     retag_free,
+    sort_to_text,
     term_from_sexpr,
     term_from_text,
     term_to_text,
@@ -225,59 +228,121 @@ def test_eval_term_builtins():
     assert eval_term(term_from_text("(fact 4)", {}), {}) == 24
 
 
-# Each faulty term raises its OracleError only when it is evaluated.
-FAULTY = [
-    (Var("x", INT), "unbound variable x in oracle evaluation"),
+def smtlib_div_mod(a, b):
+    """``(div a b)`` and ``(mod a b)`` as SMT-LIB's Ints theory defines them
+    for ``b != 0``: ``a = b * q + r`` with ``0 <= r < |b|``, found by search."""
+    for r in range(abs(b)):
+        if (a - r) % b == 0:
+            return (a - r) // b, r
+    raise AssertionError("no remainder")
+
+
+def div_mod(a, b):
+    """The oracle's ``(div a b)`` and ``(mod a b)``."""
+    return (eval_term(Div(Var("a", INT), Var("b", INT)), {"a": a, "b": b}),
+            eval_term(Mod(Var("a", INT), Var("b", INT)), {"a": a, "b": b}))
+
+
+@given(st.integers(-50, 50), st.integers(-12, 12))
+@example(7, 2)
+@example(-7, 2)
+@example(7, -2)
+@example(-7, -2)
+def test_div_and_mod_have_their_smtlib_values(a, b):
+    # Euclidean division for b != 0; at b = 0, (div a 0) = 0 and (mod a 0) = a,
+    # so that a = b * q + r holds there too
+    assert div_mod(a, b) == (smtlib_div_mod(a, b) if b else (0, a))
+
+
+def test_div_and_mod_of_seven_and_two_at_every_sign():
+    assert [div_mod(a, b) for a, b in ((7, 2), (-7, 2), (7, -2), (-7, -2))] == [
+        (3, 1), (-4, 1), (-3, 1), (4, 1)
+    ]
+
+
+@given(st.integers(-30, 30))
+def test_pow2_and_fact_of_every_integer(n):
+    # counting.BUILTIN_AXIOMS constrain both only at n >= 0; below, pow2 is 0 and fact is 1
+    n_ = IntLit(n)
+    assert eval_term(App("pow2", (n_,)), {}) == (2**n if n >= 0 else 0)
+    assert eval_term(App("fact", (n_,)), {}) == (math.factorial(n) if n >= 0 else 1)
+
+
+# Each refused term raises its OracleError when it is compiled, also in a
+# branch that is never taken.
+REFUSED = [
     (App("f", (IntLit(1),)), "uninterpreted function f in oracle evaluation"),
-    (Div(IntLit(1), IntLit(0)), "division by non-positive divisor"),
-    (Mod(IntLit(1), IntLit(-1)), "modulus by non-positive divisor"),
-    (Select(IntLit(1), IntLit(0)), "select on non-array value"),
-    (Store(IntLit(1), IntLit(0), IntLit(2)), "store on non-array value"),
-    (
-        Forall((("u", ArraySort(INT, INT)),), TRUE),
-        "cannot enumerate quantifier over ArraySort(index=IntSort(), element=IntSort())",
-    ),
+    (Forall((("u", ArraySort(INT, INT)),), TRUE), "cannot enumerate quantifier over (Array Int Int)"),
 ]
 
 
-@pytest.mark.parametrize("faulty, message", FAULTY)
-def test_eval_errors_surface_only_when_evaluated(faulty, message):
-    term = Ite(Var("c", BOOL), IntLit(1), faulty)
+@pytest.mark.parametrize("refused, message", REFUSED, ids=["function", "array-quantifier"])
+def test_refused_at_compile_even_in_an_untaken_branch(refused, message):
+    term = Ite(TRUE, IntLit(1), refused)
+    with pytest.raises(OracleError) as err:
+        compile_term(term)
+    assert str(err.value) == message
+    # also where a search or a predicate compiles it
+    formula = Cmp("=", Var("v", INT), term)
+    with pytest.raises(OracleError) as err:
+        brute_count(formula, {"v": ScalarDomain((0, 1))})
+    assert str(err.value) == message
+    with pytest.raises(OracleError) as err:
+        oracle._predicate(formula.right, -1, 1)
+    assert str(err.value) == message
+
+
+def test_variable_refused_where_it_cannot_be_bound():
+    # a search binds its loop variables and fixed names, a two-state
+    # predicate copies 1 and 2 unprimed; z lies in a branch never taken
+    z = Ite(TRUE, IntLit(1), Var("z", INT))
+    with pytest.raises(OracleError, match=r"^unbound variable z in oracle evaluation$"):
+        brute_count(Cmp("=", Var("v", INT), z), {"v": ScalarDomain((0, 1))}, {"w": 0})
+    system = TransitionSystem("s", (("v", INT),), (), TRUE, Cmp("=", Var("v", INT, None, True), z))
+    with pytest.raises(OracleError, match=r"^unbound variable z in oracle evaluation$"):
+        TransitionPlan(FiniteInstance(system, {"v": ScalarDomain((0, 1))}, {}, depth=2))
+    for var in (Var("x", INT, 3), Var("x", INT, 1, True), Var("x", INT)):
+        with pytest.raises(OracleError, match=f"^unbound variable {re.escape(var.mangled)} "):
+            oracle._predicate(Cmp("=", IntLit(1), Ite(TRUE, IntLit(1), var)), -1, 1)
+
+
+def test_compiled_term_names_a_missing_variable_on_every_call():
+    # the generated function reads every free variable on entry, in order of
+    # mangled name, and raises for the first one missing, taken branch or not
+    term = Ite(Var("c", BOOL), IntLit(1), Add((Var("y", INT), Var("x", INT, 2))))
     compiled = compile_term(term)
-    assert compiled({"c": True}) == 1
-    assert eval_term(term, {"c": True}) == 1
-    with pytest.raises(OracleError) as err:
-        compiled({"c": False})
-    assert str(err.value) == message
-    with pytest.raises(OracleError) as err:
-        eval_term(term, {"c": False})
-    assert str(err.value) == message
+    assert compiled({"c": True, "x$2": 0, "y": 0}) == 1
+    assert compiled({"c": False, "x$2": 2, "y": 3}) == 5
+    for env, missing in (({"c": True, "y": 0}, "x$2"), ({"x$2": 0}, "c"), ({"c": True, "x$2": 0}, "y")):
+        with pytest.raises(OracleError) as err:
+            compiled(env)
+        assert str(err.value) == f"unbound variable {missing} in oracle evaluation"
 
 
 def test_eval_untaken_branch_is_not_evaluated():
-    term = Ite(TRUE, IntLit(1), App("f", (Var("x", INT),)))
-    assert eval_term(term, {}) == 1
-    # the arguments are evaluated before the function is looked up
-    taken = Ite(Var("c", BOOL), IntLit(1), App("f", (Var("x", INT),)))
-    with pytest.raises(OracleError, match="unbound variable x "):
-        eval_term(taken, {"c": False})
-    with pytest.raises(OracleError, match="uninterpreted function f "):
-        eval_term(taken, {"c": False, "x": 0})
+    calls = []
+    funcs = {"f": lambda v: calls.append(v) or v}
+    term = Ite(Var("c", BOOL), IntLit(1), App("f", (Var("x", INT),)))
+    compiled = compile_term(term, funcs=funcs)
+    assert compiled({"c": True, "x": 5}) == 1 and calls == []
+    assert compiled({"c": False, "x": 5}) == 5 and calls == [5]
 
 
 @pytest.mark.parametrize(
-    "text",
+    "text, value",
     [
-        # false at j = -2, raises at j = -1
-        "(forall ((j Int)) (and (>= j -1) (> (div 1 j) -5)))",
-        # true at j = -2, raises at j = 0
-        "(exists ((j Int)) (or (< j -1) (> (div 1 j) 0)))",
+        # false at j = 0
+        ("(forall ((j Int)) (< (f j) 0))", False),
+        # true at j = 0
+        ("(exists ((j Int)) (= (f j) 0))", True),
     ],
+    ids=["forall", "exists"],
 )
-def test_quantifiers_evaluate_every_value(text):
-    term = term_from_text(text, {})
-    with pytest.raises(OracleError, match="division by non-positive divisor"):
-        eval_term(term, {}, quant_lo=-2, quant_hi=2)
+def test_quantifiers_stop_at_their_first_deciding_value(text, value):
+    calls = []
+    term = term_from_text(text, {}, Signature().extend("f", (INT,), INT))
+    assert eval_term(term, {}, -2, 2, {"f": lambda j: calls.append(j) or j}) is value
+    assert calls == [-2, -1, 0]
 
 
 # -- trace enumeration ---------------------------------------------------------
@@ -620,55 +685,38 @@ def scalar_instance(init, domains, cap=10**6, params=None, init_fix=None):
 
 
 # Each init solves x (and y) from an equation; the outcome must be the one
-# filtering the whole domain product gives.
+# filtering the whole domain product gives, with that many initial states.
+# A row named for a raise divides by a value that may be zero or negative:
+# (div 6 0) is 0 and (div 6 (- 2)) is -3, as in SMT-LIB.
 SOLVED_INITS = {
-    "unguarded raise": ("(and (<= 0 a) (= x (div 6 a)))", {}, "division by non-positive divisor"),
-    "guarded raise": ("(and (< 0 a) (= x (div 6 a)))", {}, None),
-    "raise before a matched definition": ("(and (> (div 6 a) 0) (= x a))", {}, "division by non-positive divisor"),
-    "raise before an unmatched definition": (
-        "(and (> (div 6 a) 0) (= x a))",
-        {"x": (5, 6)},
-        "division by non-positive divisor",
-    ),
-    "value outside the domain": ("(= x (+ a 5))", {}, None),
-    "raise at a value the equation excludes": (
-        "(and (> (div 6 x) 0) (= x (+ a 1)))",
-        {},
-        "division by non-positive divisor",
-    ),
-    "x on both sides": ("(= x (- 0 x))", {}, None),
-    "duplicate domain values": ("(and (= x (- a 1)) (= y (* x 2)))", {"x": (0, 1, 1, 2), "y": (0, 2, 2, 4)}, None),
-    "mixed True and 1": ("(= x (- 2 a))", {"x": (True, 1, 0, False, 2)}, None),
-    "unsolved True and 1": ("(and (distinct x 1) (distinct y x))", {"x": (True, 1, 0), "y": (1, True)}, None),
-    "second definition from the first": ("(and (= x (+ a 1)) (< a 3) (= y (- x 1)))", {"y": (0, 1, 2)}, None),
+    "unguarded raise": ("(and (<= 0 a) (= x (div 6 a)))", {}, 4),
+    "guarded raise": ("(and (< 0 a) (= x (div 6 a)))", {}, 3),
+    "raise before a matched definition": ("(and (> (div 6 a) 0) (= x a))", {}, 3),
+    "raise before an unmatched definition": ("(and (> (div 6 a) 0) (= x a))", {"x": (5, 6)}, 0),
+    "value outside the domain": ("(= x (+ a 5))", {}, 3),
+    "raise at a value the equation excludes": ("(and (> (div 6 x) 0) (= x (+ a 1)))", {}, 4),
+    "x on both sides": ("(= x (- 0 x))", {}, 4),
+    "duplicate domain values": ("(and (= x (- a 1)) (= y (* x 2)))", {"x": (0, 1, 1, 2), "y": (0, 2, 2, 4)}, 6),
+    "mixed True and 1": ("(= x (- 2 a))", {"x": (True, 1, 0, False, 2)}, 3),
+    "unsolved True and 1": ("(and (distinct x 1) (distinct y x))", {"x": (True, 1, 0), "y": (1, True)}, 12),
+    "second definition from the first": ("(and (= x (+ a 1)) (< a 3) (= y (- x 1)))", {"y": (0, 1, 2)}, 3),
     # a conjunct on one variable filters its domain before the product
-    "raise before a filter": ("(and (> (div 6 a) 0) (< x 3))", {}, "division by non-positive divisor"),
-    "filter emptied after a raise": ("(and (> (div 6 a) 0) (> x 100))", {}, "division by non-positive divisor"),
-    "filter emptied after a two-variable raise": (
-        "(and (> (div 6 (+ a y)) 0) (> x 100))",
-        {},
-        "division by non-positive divisor",
-    ),
-    "raise after a filter": ("(and (< x 0) (> (div 6 x) 0))", {}, "division by non-positive divisor"),
-    "filter on a variable an earlier conjunct reads": (
-        "(and (> (div 6 (+ a x)) 0) (> x 2))",
-        {},
-        "division by non-positive divisor",
-    ),
-    "bare x filter over True and 1": ("(and x (< a 2))", {"x": (True, 1, 0)}, None),
+    "raise before a filter": ("(and (> (div 6 a) 0) (< x 3))", {}, 15),
+    "filter emptied after a raise": ("(and (> (div 6 a) 0) (> x 100))", {}, 0),
+    "filter emptied after a two-variable raise": ("(and (> (div 6 (+ a y)) 0) (> x 100))", {}, 0),
+    "raise after a filter": ("(and (< x 0) (> (div 6 x) 0))", {}, 0),
+    "filter on a variable an earlier conjunct reads": ("(and (> (div 6 (+ a x)) 0) (> x 2))", {}, 10),
+    "bare x filter over True and 1": ("(and x (< a 2))", {"x": (True, 1, 0)}, 4),
 }
 
 
 @pytest.mark.parametrize("case", sorted(SOLVED_INITS))
 def test_solved_init_matches_reference(case):
-    init, domains, error = SOLVED_INITS[case]
+    init, domains, count = SOLVED_INITS[case]
     inst = scalar_instance(init, domains)
     got = outcome(enumerate_traces, inst)
     assert got == outcome(reference_traces, inst)
-    if error is None:
-        assert isinstance(got, list) and got
-    else:
-        assert got == (OracleError, error)
+    assert len(got) == count
 
 
 CONJUNCTS = (
@@ -698,7 +746,7 @@ FIXED = st.dictionaries(st.sampled_from("axy"), st.sampled_from((-1, 0, 1, 2, Tr
     FIXED,
     FIXED,
 )
-# a conjunct that raises and reads the parameter alone
+# a conjunct that divides by the parameter alone, which is 0
 @example(["(< x 2)", "(> (div 6 a) 0)"], {"a": [1], "x": [0, 1], "y": [0]}, {"a": 0}, {})
 @example(["(= x (+ a 1))", "(< y 1)"], {"a": [0], "x": [0], "y": [0]}, {"a": 0}, {"x": 1, "y": 0})
 def test_random_solved_inits_match_reference(conjuncts, domains, params, init_fix):
@@ -720,13 +768,13 @@ def test_init_conjunct_over_an_array_and_a_parameter_filters_the_array():
         params={"R": 0},
         depth=1,
     )
-    selects = []
+    selects, select = [], FArray.get
 
-    def array(value, op):
-        selects.append(value)
-        return oracle._array(value, op)
+    def get(array, index):
+        selects.append(array)
+        return select(array, index)
 
-    with mock.patch.dict(oracle._HELPERS, {"_array": array}):
+    with mock.patch.object(FArray, "get", get):
         got = outcome(enumerate_traces, inst)
     assert got == outcome(reference_traces, inst) and len(got) == 2 * 5
     assert len(selects) == 4
@@ -746,13 +794,13 @@ def test_init_test_of_a_parameter_runs_before_the_array_filters(benchmarks, roun
         quant_lo=-1,
         quant_hi=2,
     )
-    arrays = []
+    arrays, select = [], FArray.get
 
-    def array(value, op):
-        arrays.append(value)
-        return oracle._array(value, op)
+    def get(array, index):
+        arrays.append(array)
+        return select(array, index)
 
-    with mock.patch.dict(oracle._HELPERS, {"_array": array}):
+    with mock.patch.object(FArray, "get", get):
         got = outcome(enumerate_traces, inst)
     assert got == outcome(reference_traces, inst) and len(got) == traces
     assert bool(arrays) == bool(rounds)
@@ -851,19 +899,33 @@ def evaluation(compiled, env):
     """The value of ``compiled`` at ``env``, or the type and message of its error."""
     try:
         return compiled(env)
-    except Exception as exc:  # ill-sorted terms raise TypeError and others too
+    except Exception as exc:  # an ill-sorted term built in code raises TypeError and others too
         return type(exc), str(exc)
 
 
-ENV_NAMES = sorted(
-    mangle(name, (copy, primed))
-    for name in ("x", "y", "b", "a", "t", "m", "z")
-    for copy in (None, 1, 2)
-    for primed in (False, True)
-)
-ENV_VALUES = (-2, -1, 0, 1, 2, 3, True, False, FArray(0, (1, 2)), FArray(0, (1, True)),
-              FArray(0, (1, 1)), FArray(-1, (0,), 1), FArray(0, (FArray(0, (True,)),)),
-              FArray(0, (FArray(0, (1,)),)))
+# values of an Int or Bool variable, which mix true and 1, and of an array
+SCALAR_VALUES = (-2, -1, 0, 1, 2, 3, True, False)
+ARRAY_VALUES = (FArray(0, (1, 2)), FArray(0, (1, True)), FArray(0, (1, 1)), FArray(-1, (0,), 1))
+# quantifiers the oracle evaluates
+SCALAR_BINDERS = (("j", INT), ("p", BOOL))
+
+
+def value_of(sort):
+    return st.sampled_from(ARRAY_VALUES if isinstance(sort, ArraySort) else SCALAR_VALUES)
+
+
+def envs(data, tags, most=4):
+    """Up to ``most`` envs that bind every name of ``VAR_SORTS`` with one of
+    ``tags`` to a value of its sort, but for at most one left out."""
+    full = st.fixed_dictionaries(
+        {mangle(name, tag): value_of(sort) for name, sort in VAR_SORTS.items() for tag in tags}
+    )
+    out = []
+    for env in data.draw(st.lists(full, min_size=1, max_size=most)):
+        for name in data.draw(st.lists(st.sampled_from(sorted(env)), max_size=1)):
+            del env[name]
+        out.append(env)
+    return out
 
 
 def tx_instance(state_vars, tx, domains):
@@ -874,17 +936,13 @@ def tx_instance(state_vars, tx, domains):
 
 def filtered_successors(inst, state):
     """The candidates of the whole next-state product, in order, on which
-    every conjunct of tx evaluates without error to a truthy value, each
-    state key once."""
+    every conjunct of tx evaluates to a truthy value, each state key once."""
     names = sorted(inst.domains)
     tests = [compile_term(c, inst.quant_lo, inst.quant_hi) for c in inst.system.tx.args]
     out, seen = [], set()
     for combo in itertools.product(*(list(inst.domains[n]) for n in names)):
         env = {**state, **{f"{n}!": v for n, v in zip(names, combo)}}
-        try:
-            if not all(test(env) for test in tests):
-                continue
-        except (OracleError, TypeError):
+        if not all(test(env) for test in tests):
             continue
         nxt = dict(zip(names, combo))
         if state_key(nxt) not in seen:
@@ -893,8 +951,8 @@ def filtered_successors(inst, state):
     return out
 
 
-# every variable of the terms any_term draws but z, with a domain that mixes
-# true and 1, also inside arrays
+# every variable of VAR_SORTS, with a domain that mixes true and 1, also
+# inside arrays
 TX_VARS = dict(VAR_SORTS)
 TX_DOMAINS = {
     "x": ScalarDomain((0, True)),
@@ -907,18 +965,17 @@ TX_DOMAINS = {
 
 @settings(max_examples=200, deadline=None)
 @given(data=st.data())
-def test_successors_agree_with_plain_filtering(any_term, data):
+def test_successors_agree_with_plain_filtering(data):
     # a top-level equation would define its variable rather than loop over
-    # it; a product could grow an array window past memory, so none is drawn
-    conjunct = any_term.filter(
-        lambda t: not (isinstance(t, Cmp) and t.op == "=") and "(* " not in term_to_text(t)
+    # it, so none is drawn; a variable is read from the current state or,
+    # primed, from the candidate; tx is given no functions
+    tags = (PLAIN, (None, True))
+    conjunct = sorted_terms(BOOL, tags=tags, binders=SCALAR_BINDERS, apps=False).filter(
+        lambda t: not (isinstance(t, Cmp) and t.op == "=")
     )
-    # copies 1 and 2 become the current and the next state, so that most
-    # names are bound; z stays unbound
-    copies = {(1, False): PLAIN, (2, False): (None, True), (1, True): (None, True), (2, True): PLAIN}
-    conjuncts = [retag_free(c, copies) for c in data.draw(st.lists(conjunct, min_size=1, max_size=4))]
+    conjuncts = data.draw(st.lists(conjunct, min_size=1, max_size=4))
     states = data.draw(
-        st.lists(st.fixed_dictionaries({n: st.sampled_from(ENV_VALUES) for n in TX_VARS}),
+        st.lists(st.fixed_dictionaries({n: value_of(s) for n, s in TX_VARS.items()}),
                  min_size=1, max_size=3)
     )
     inst = tx_instance(TX_VARS, And(tuple(conjuncts)), TX_DOMAINS)
@@ -988,30 +1045,18 @@ def test_successors_test_a_defined_array_for_its_domain(rhs, start, kept):
     assert outcome(enumerate_traces, inst) == outcome(reference_traces, inst)
 
 
-def test_successors_drop_raising_and_unbound_evaluations_on_every_call():
-    # (or (> a 0) (> (div 6 b!) 0)) divides only where a <= 0, and
-    # (or (> a 0) (> z! 0)) reads the unbound z! only there
-    a, b, z = Var("a", INT), Var("b", INT, None, True), Var("z", INT, None, True)
+def test_successors_divide_as_smtlib_does_on_every_call():
+    # (div 7 b!) is -3 at b! = -2 alone: the remainder lies in [0, |b|), so
+    # (div 7 (- 3)) is -2, and (div 7 0) is 0. Only a <= 0 asks for it.
+    a, b = Var("a", INT), Var("b", INT, None, True)
     keep_a = Cmp("=", Var("a", INT, None, True), a)
-    divides = tx_instance(
-        {"a": INT, "b": INT},
-        And((keep_a, Or((Cmp(">", a, IntLit(0)), Cmp(">", Div(IntLit(6), b), IntLit(0)))))),
-        {"a": ScalarDomain((0, 1)), "b": ScalarDomain((0, 2, 7))},
-    )
-    unbound = tx_instance(
-        {"a": INT}, And((keep_a, Or((Cmp(">", a, IntLit(0)), Cmp(">", z, IntLit(0)))))),
-        {"a": ScalarDomain((0, 1))},
-    )
-    calls = [
-        (divides, {"a": 1, "b": 0}, [{"a": 1, "b": b} for b in (0, 2, 7)]),
-        (divides, {"a": 0, "b": 0}, [{"a": 0, "b": 2}]),
-        (unbound, {"a": 1}, [{"a": 1}]),
-        (unbound, {"a": 0}, []),
-    ]
-    plans = {id(divides): TransitionPlan(divides), id(unbound): TransitionPlan(unbound)}
+    divides = Or((Cmp(">", a, IntLit(0)), Cmp("=", Div(IntLit(7), b), IntLit(-3))))
+    inst = tx_instance({"a": INT, "b": INT}, And((keep_a, divides)),
+                       {"a": ScalarDomain((0, 1)), "b": ScalarDomain((0, 2, -2, -3))})
+    plan = TransitionPlan(inst)
     for _ in range(3):
-        for inst, state, expected in calls:
-            assert successors(inst, state, plans[id(inst)]) == expected
+        assert successors(inst, {"a": 1, "b": 0}, plan) == [{"a": 1, "b": b} for b in (0, 2, -2, -3)]
+        assert successors(inst, {"a": 0, "b": 0}, plan) == [{"a": 0, "b": -2}]
 
 
 @functools.cache
@@ -1038,62 +1083,40 @@ def test_shuffled_tx_conjuncts_keep_successors(benchmarks, name, random):
 # -- generated code against the closure compiler -------------------------------------
 
 
-def _pow2(n):
-    if n < 0:
-        raise OracleError("pow2 of negative argument")
-    return 2**n
-
-
-def _fact(n):
-    if n < 0:
-        raise OracleError("fact of negative argument")
-    out = 1
-    for k in range(2, n + 1):
-        out *= k
-    return out
-
-
-def _raises(message):
-    def fail(env):
-        raise OracleError(message)
-
-    return fail
-
+def reference_div_mod(a, b):
+    """SMT-LIB's ``div`` and ``mod``: ``q`` rounds ``a / b`` down for
+    ``b > 0`` and up for ``b < 0``, and ``r = a - b * q``; at ``b = 0``,
+    ``q`` is 0 and ``r`` is ``a``."""
+    if b == 0:
+        return 0, a
+    q = a // b if b > 0 else -(a // -b)
+    return q, a - b * q
 
 
 def reference_compile(term, quant_lo=-2, quant_hi=8, funcs=None):
-    """The closure compiler ``compile_term`` replaced, unchanged: one closure
-    per node over an env keyed by mangled names."""
+    """A closure compiler, one closure per node, over an env keyed by
+    mangled names, with the oracle's semantics: what cannot be evaluated is
+    refused when compiled, and a call raises for the first free variable,
+    in order of mangled name, that the env lacks."""
 
     def comp(t):
         if isinstance(t, Var):
             key = t.mangled
-
-            def var(env):
-                try:
-                    return env[key]
-                except KeyError:
-                    raise OracleError(f"unbound variable {key} in oracle evaluation") from None
-
-            return var
+            return lambda env: env[key]
         if isinstance(t, (IntLit, BoolLit)):
             value = t.value
             return lambda env: value
         if isinstance(t, App):
-            args = [comp(a) for a in t.args]
             if funcs and t.func in funcs:
                 fn = funcs[t.func]
             elif t.func == "pow2":
-                fn = lambda *xs: _pow2(xs[0])  # noqa: E731
+                fn = lambda n: 2**n if n >= 0 else 0  # noqa: E731
             elif t.func == "fact":
-                fn = lambda *xs: _fact(xs[0])  # noqa: E731
+                fn = lambda n: math.prod(range(1, n + 1))  # noqa: E731
             else:
-                message = f"uninterpreted function {t.func} in oracle evaluation"
-
-                def fn(*xs):
-                    raise OracleError(message)
-
-            return lambda env: fn(*[a(env) for a in args])  # type: ignore[operator]
+                raise OracleError(f"uninterpreted function {t.func} in oracle evaluation")
+            args = [comp(a) for a in t.args]
+            return lambda env: fn(*[a(env) for a in args])
         if isinstance(t, Add):
             args = [comp(a) for a in t.args]
             return lambda env: sum([a(env) for a in args])
@@ -1108,22 +1131,11 @@ def reference_compile(term, quant_lo=-2, quant_hi=8, funcs=None):
             return lambda env: left(env) * right(env)
         if isinstance(t, (Div, Mod)):
             left, right = comp(t.left), comp(t.right)
-            if isinstance(t, Div):
-                op, message = operator.floordiv, "division by non-positive divisor"
-            else:
-                op, message = operator.mod, "modulus by non-positive divisor"
-
-            def divide(env):
-                a, b = left(env), right(env)
-                if b <= 0:
-                    raise OracleError(message)
-                return op(a, b)
-
-            return divide
+            part = 0 if isinstance(t, Div) else 1
+            return lambda env: reference_div_mod(left(env), right(env))[part]
         if isinstance(t, Cmp):
             left, right = comp(t.left), comp(t.right)
             if t.op == "=":
-
                 return lambda env: values_equal(left(env), right(env))
             if t.op == "<":
                 return lambda env: left(env) < right(env)
@@ -1175,24 +1187,10 @@ def reference_compile(term, quant_lo=-2, quant_hi=8, funcs=None):
             return lambda env: then(env) if cond(env) else other(env)
         if isinstance(t, Select):
             array, index = comp(t.array), comp(t.index)
-
-            def select(env):
-                arr = array(env)
-                if not isinstance(arr, FArray):
-                    raise OracleError("select on non-array value")
-                return arr.get(index(env))
-
-            return select
+            return lambda env: array(env).get(index(env))
         if isinstance(t, Store):
             array, index, value = comp(t.array), comp(t.index), comp(t.value)
-
-            def store(env):
-                arr = array(env)
-                if not isinstance(arr, FArray):
-                    raise OracleError("store on non-array value")
-                return arr.put(index(env), value(env))
-
-            return store
+            return lambda env: array(env).put(index(env), value(env))
         if isinstance(t, ConstArray):
             value = comp(t.value)
             return lambda env: FArray(0, (), value(env))
@@ -1204,47 +1202,52 @@ def reference_compile(term, quant_lo=-2, quant_hi=8, funcs=None):
                 elif isinstance(sort, BoolSort):
                     ranges.append([(name, False), (name, True)])
                 else:
-                    return _raises(f"cannot enumerate quantifier over {sort}")
+                    raise OracleError(f"cannot enumerate quantifier over {sort_to_text(sort)}")
             combos = [dict(c) for c in itertools.product(*ranges)]
             body = comp(t.body)
             combine = all if isinstance(t, Forall) else any
+            return lambda env: combine(body({**env, **combo}) for combo in combos)
+        raise OracleError(f"cannot evaluate {t!r}")
 
-            def quant(env):
-                # every combination is evaluated, so that an error at any
-                # bound value surfaces whatever the others decide
-                inner = dict(env)
-                results = []
-                for combo in combos:
-                    inner.update(combo)
-                    results.append(body(inner))
-                return combine(results)
+    names = sorted({v.mangled for v in free_vars(term)})
+    root = comp(term)
 
-            return quant
-        return _raises(f"cannot evaluate {t!r}")
+    def compiled(env):
+        for name in names:
+            if name not in env:
+                raise OracleError(f"unbound variable {name} in oracle evaluation")
+        return root(env)
 
-    return comp(term)
+    return compiled
 
 
-# f and g are given to the evaluator, h, u and v stay uninterpreted
-FUNCS = {"f": lambda *xs: len(xs), "g": lambda *xs: xs[-1]}
+# the symbols of TERM_SIGNATURE, given to the evaluator
+FUNCS = {"c": lambda: 3, "f": lambda x: 2 * x - 1, "g": lambda x, p: p if x > 0 else not p,
+         "h": lambda m: m.get(0)}
+ALL_TAGS = tuple((copy, primed) for copy in (None, 1, 2) for primed in (False, True))
 
 
-def no_product(any_term):
-    """``any_term`` without ``*``: a product could grow an array window past memory."""
-    return any_term.filter(lambda t: "(* " not in term_to_text(t))
+def compiled_or_refused(compile_fn, term, *args):
+    """The compiled function of ``term``, or a function that gives the
+    type and message of the refusal."""
+    try:
+        return compile_fn(term, *args)
+    except OracleError as exc:
+        refusal = type(exc), str(exc)
+    return lambda *_: refusal
 
 
 @settings(max_examples=400, deadline=None)
 @given(data=st.data())
-def test_generated_code_matches_closure_reference(any_term, data):
-    term = data.draw(no_product(any_term))
+def test_generated_code_matches_closure_reference(data):
+    # a quantifier over an array sort is refused, by both alike
+    binders = data.draw(st.sampled_from([SCALAR_BINDERS, BINDERS]))
+    term = data.draw(st.sampled_from(SORTS).flatmap(
+        functools.partial(sorted_terms, tags=ALL_TAGS, binders=binders)))
     lo, hi = data.draw(st.sampled_from([(-1, 1), (0, 2)]))
-    envs = data.draw(
-        st.lists(st.dictionaries(st.sampled_from(ENV_NAMES), st.sampled_from(ENV_VALUES)),
-                 min_size=1, max_size=4)
-    )
-    compiled, reference = compile_term(term, lo, hi, FUNCS), reference_compile(term, lo, hi, FUNCS)
-    for env in envs:
+    compiled = compiled_or_refused(compile_term, term, lo, hi, FUNCS)
+    reference = compiled_or_refused(reference_compile, term, lo, hi, FUNCS)
+    for env in envs(data, ALL_TAGS):
         assert evaluation(compiled, env) == evaluation(reference, env)
 
 
@@ -1254,11 +1257,11 @@ x_, y_, b_, a_ = Var("x", INT), Var("y", INT), Var("b", BOOL), Var("a", ArraySor
 @pytest.mark.parametrize(
     "term",
     [
-        # div and mod by a variable: by zero, a negative, a bool, an array
+        # div and mod by a variable: by zero, a negative, a bool
         Div(x_, y_),
         Mod(x_, y_),
         Div(y_, x_),
-        # select and store on a non-array; the index is read only on an array
+        # select and store on a non-array, a term built in code: Python's error
         Select(x_, y_),
         Store(b_, y_, x_),
         Select(Store(a_, x_, b_), y_),
@@ -1268,51 +1271,44 @@ x_, y_, b_, a_ = Var("x", INT), Var("y", INT), Var("b", BOOL), Var("a", ArraySor
         And((b_, x_)),
         Or((x_, b_)),
         Implies(b_, x_),
-        # + gives sum's value and error; it adds in place only where no
-        # argument after the first can raise (here, none or an env lookup)
+        # + adds from 0: a sum of booleans is an int
         Add((b_, x_)),
         Add((x_,)),
         Add(()),
         Add((x_, b_, y_)),
-        # quantifiers read every value, also once decided
+        # quantifiers stop at the first deciding value
         Forall((("j", INT),), Cmp("<", Div(IntLit(1), Var("j", INT)), x_)),
         Exists((("j", INT), ("c", BOOL)), And((Var("c", BOOL), Cmp("=", Var("j", INT), x_)))),
         Forall((("x", INT),), Cmp("=", x_, Var("x", INT, 1))),
-        # false comes first: its error surfaces, not the one at true
         Forall((("c", BOOL),),
                Cmp("=", Ite(Var("c", BOOL), Div(x_, IntLit(0)), Select(x_, y_)), y_)),
-        # an unbound variable is named by the first lookup that misses
+        # an unbound variable is named in order of mangled name
         Ite(b_, Var("y", INT, 2), Var("x", INT, 1, True)),
         Cmp("=", Var("k", INT, 2), Var("k", INT, 1)),
     ],
     ids=term_to_text,
 )
 def test_generated_code_matches_closure_reference_on_edge_cases(term):
-    values = (-1, 0, 2, True, False, FArray(0, (1, True)))
+    values = (-2, -1, 0, 2, True, False)
     for x, y, b in itertools.product(values, repeat=3):
         for env in ({"x": x, "y": y, "b": b, "a": FArray(0, (5,))}, {"x": x, "b": b}):
             expected = evaluation(reference_compile(term, -1, 1), env)
             assert evaluation(compile_term(term, -1, 1), env) == expected
 
 
-STATE_VALUES = (0, 1, 2, True, False, FArray(0, (1,)), FArray(0, (True,)))
-
-
 @settings(max_examples=300, deadline=None)
 @given(data=st.data())
-def test_two_state_predicate_matches_merged_env(any_term, data):
+def test_two_state_predicate_matches_merged_env(data):
     # copy j of a variable is read from state j; the reference reads the two
     # states merged into one env keyed by mangled names. A predicate's free
     # variables are copies 1 and 2, unprimed.
-    copies = {(None, False): (1, False), (None, True): (2, False), (1, True): (1, False),
-              (2, True): (2, False)}
-    body = retag_free(data.draw(no_product(any_term)), copies)
-    states = data.draw(
-        st.lists(st.dictionaries(st.sampled_from([*VAR_SORTS, "z"]), st.sampled_from(STATE_VALUES)),
-                 min_size=2, max_size=2)
-    )
+    copies = ((1, False), (2, False))
+    sorted_body = functools.partial(sorted_terms, tags=copies, binders=SCALAR_BINDERS, apps=False)
+    body = data.draw(st.sampled_from(SORTS).flatmap(sorted_body))
+    (merged,) = envs(data, copies, most=1)
+    states = [{name.split("$")[0]: v for name, v in merged.items() if name.endswith(f"${j}")}
+              for j in (1, 2)]
     holds = oracle._predicate(body, -1, 1)
-    merged = {f"{name}${j + 1}": v for j, state in enumerate(states) for name, v in state.items()}
     expected = evaluation(reference_compile(body, -1, 1), merged)
     assert evaluation(lambda pair: holds(*pair), states) == expected
 
@@ -1588,7 +1584,7 @@ def verdict_or_error(call, *args):
     return type(result), result
 
 
-# k is no state variable of stay-or-step, and (div 2 x$2) needs x > 0: both raise
+# k is no state variable of stay-or-step, so reading it raises; (div 2 x$2) is 0 at x = 0
 REFERENCE_PREDICATES = (
     "(= n$1 n$2)",
     "(<= x$1 x$2)",
@@ -1743,17 +1739,20 @@ def test_brute_count_adds_as_sum_does(text):
     "conjuncts",
     [
         # no value of x is above 100
-        ("(> (div 6 a) 0)", "(> x 100)"),
-        # a + 5 is no value of x, and y would loop after x is defined
-        ("(> (div 6 (+ a y)) 0)", "(= x (+ a 5))"),
+        ("(forall ((u (Array Int Int))) (> (select u a) 0))", "(> x 100)"),
+        # a + 5 is no value of x, and the parameter k is not given
+        ("(> (div 6 (+ a k)) 0)", "(= x (+ a 5))"),
     ],
 )
 def test_brute_count_raises_before_what_empties_the_product(conjuncts):
+    # brute_count refuses the formula before it searches; plain filtering
+    # raises the same error at its first candidate
     formula = counted_formula(conjuncts)
     counted = {"a": ScalarDomain((1, 0)), "x": ScalarDomain(tuple(range(5))), "y": ScalarDomain((0, 1))}
-    expected = (OracleError, "division by non-positive divisor")
-    assert brute_outcome(filtered_count, formula, counted, {}) == expected
-    assert brute_outcome(brute_count, formula, counted, {}) == expected
+    got = brute_outcome(brute_count, formula, counted, {})
+    assert got == brute_outcome(filtered_count, formula, counted, {})
+    assert got in ((OracleError, "cannot enumerate quantifier over (Array Int Int)"),
+                   (OracleError, "unbound variable k in oracle evaluation"))
 
 
 def test_second_call_writes_no_source_text(benchmarks):
@@ -1813,13 +1812,15 @@ def test_compiled_predicates_are_freed_without_the_cycle_collector():
         gc.enable()
 
 
-def test_compiled_predicate_names_an_unbound_variable_on_retry():
-    # the plain lookup misses, and the checked retry names the variable
+def test_compiled_predicate_names_an_unbound_variable():
+    # the generated function names the variable itself: nothing is compiled again
     body = term_from_text("(= x$1 y$2)", {"x$1": INT, "y$2": INT})
     holds = oracle._predicate(body, -1, 1)
     assert holds({"x": 1}, {"y": 1}) is True
-    with pytest.raises(OracleError, match=r"unbound variable y\$2"):
-        holds({"x": 1}, {"x": 1})
+    with mock.patch.object(oracle, "_Source", wraps=oracle._Source) as source:
+        with pytest.raises(OracleError, match=r"^unbound variable y\$2 in oracle evaluation$"):
+            holds({"x": 1}, {"x": 1})
+    assert source.call_count == 0
 
 
 def test_class_count_computes_successors_once_per_last_state():

@@ -2,7 +2,7 @@ import copy
 import pickle
 
 import pytest
-from conftest import VAR_SORTS
+from conftest import SORTS, VAR_SORTS, sorted_terms
 from hypothesis import given, settings, strategies as st
 
 from qhenum.sexpr import SexprError, to_text
@@ -251,63 +251,6 @@ def as_read(term, scope):
             value = tuple(as_read(v, scope) for v in value)
         fields.append(value)
     return type(term)(*fields)
-
-
-SORTS = (INT, BOOL, ARR, ArraySort(INT, BOOL))
-BINDERS = (("j", INT), ("k", ArraySort(INT, BOOL)))
-KINDS = {
-    INT: (Ite, Add, Neg, Sub, Mul, Div, Mod, Select, App),
-    BOOL: (Ite, Cmp, Distinct, Not, And, Or, Implies, Select, App, Forall, Exists),
-}
-
-
-@st.composite
-def sorted_terms(draw, sort, bound=(), depth=0):
-    """A well-sorted term of ``sort`` over ``VAR_SORTS``, the symbols of
-    ``term_signature`` and the ``BINDERS`` in ``bound``."""
-
-    def sub(s, scope=bound):
-        return draw(sorted_terms(s, scope, depth + 1))
-
-    def some(s, least=0):
-        return tuple(sub(s) for _ in range(draw(st.integers(least, 3))))
-
-    if depth >= 3 or draw(st.booleans()):
-        names = [n for n, s in {**VAR_SORTS, **dict(bound)}.items() if s == sort]
-        if names and draw(st.booleans()):
-            return Var(draw(st.sampled_from(names)), sort)
-        if sort == INT:
-            return App("c", ()) if draw(st.booleans()) else IntLit(draw(st.integers(-9, 9)))
-        if sort == BOOL:
-            return BoolLit(draw(st.booleans()))
-        return ConstArray(sub(sort.element), sort)
-    kind = draw(st.sampled_from(KINDS.get(sort, (Ite, Store))))
-    if kind is Ite:
-        return Ite(sub(BOOL), sub(sort), sub(sort))
-    if kind in (Add, And, Or):
-        return kind(some(sort))
-    if kind in (Neg, Not):
-        return kind(sub(sort))
-    if kind in (Sub, Mul, Div, Mod, Implies):
-        return kind(sub(sort), sub(sort))
-    if kind is Select:
-        return Select(sub(ArraySort(INT, sort)), sub(INT))
-    if kind is Store:
-        return Store(sub(sort), sub(INT), sub(sort.element))
-    if kind is Cmp:
-        op = draw(st.sampled_from(["=", "<", "<=", ">", ">="]))
-        s = draw(st.sampled_from(SORTS)) if op == "=" else INT
-        return Cmp(op, sub(s), sub(s))
-    if kind is Distinct:
-        return Distinct(some(draw(st.sampled_from(SORTS)), least=1))
-    if kind is App:
-        if sort == INT:
-            return App("f", (sub(INT),))
-        if draw(st.booleans()):
-            return App("g", (sub(INT), sub(BOOL)))
-        return App("h", (sub(ArraySort(INT, BOOL)),))
-    binder = draw(st.sampled_from([BINDERS[:1], BINDERS[1:], BINDERS]))
-    return kind(binder, sub(BOOL, tuple({**dict(bound), **dict(binder)}.items())))
 
 
 @settings(max_examples=400)
