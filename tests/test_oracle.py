@@ -260,6 +260,19 @@ def test_div_and_mod_of_seven_and_two_at_every_sign():
     ]
 
 
+# A zero or negative divisor gives its SMT-LIB value in whichever branch it
+# lies, through the generated code and through eval_term alike.
+DIVISIONS = [(Div(IntLit(1), IntLit(0)), 0), (Mod(IntLit(1), IntLit(-1)), 0)]
+
+
+@pytest.mark.parametrize("division, value", DIVISIONS, ids=["div-by-zero", "mod-by-negative"])
+def test_division_has_its_value_in_either_branch(division, value):
+    term = Ite(Var("c", BOOL), IntLit(1), division)
+    for evaluate in (compile_term(term), lambda env: eval_term(term, env)):
+        assert evaluate({"c": True}) == 1
+        assert evaluate({"c": False}) == value
+
+
 @given(st.integers(-30, 30))
 def test_pow2_and_fact_of_every_integer(n):
     # counting.BUILTIN_AXIOMS constrain both only at n >= 0; below, pow2 is 0 and fact is 1
