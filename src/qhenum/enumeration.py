@@ -164,8 +164,9 @@ def _psi(prop: QhpProperty, first: int, second: int, primed: bool = False) -> Te
     return predicate_to_formula(prop.body.pred, (indexed(first, primed), indexed(second, primed)))
 
 
-def _obs(prop: QhpProperty, copy: int) -> Term:
-    return retag_free(difference_term(prop), {indexed(1): indexed(copy)})
+def _obs(observed: Term, copy: int) -> Term:
+    """The observation term ``observed`` (over copy 1) at ``copy``."""
+    return retag_free(observed, {indexed(1): indexed(copy)})
 
 
 def _prerequisites(
@@ -229,21 +230,24 @@ def gen_injective_vcs(
             "existence-step/psi",
             (witness.valid, witness.trel, *inv1, *inv2, Not(_psi(prop, 1, 2))),
         ),
-        *_distinctness(system, prop, witness, init1, inv, (*inv1, *inv2, *inv3)),
+        *_distinctness(
+            system, difference_term(prop), witness, init1, inv, (*inv1, *inv2, *inv3)
+        ),
     ]
     return VcBundle("injective", tuple(obligations))
 
 
 def _distinctness(
     system: TransitionSystem,
-    prop: QhpProperty,
+    observed: Term,
     witness: EnumerationWitness,
     init1: Term,
     inv: Optional[Term],
     inv_copies: tuple[Term, ...],
 ) -> list[Obligation]:
-    """The distinctness obligations, given ``init`` at copy 1 and the
-    strengthening, whole (``inv``) and at copies 1 to 3 (``inv_copies``)."""
+    """The distinctness obligations, given the observation term over copy 1
+    (``observed``), ``init`` at copy 1 and the strengthening, whole
+    (``inv``) and at copies 1 to 3 (``inv_copies``)."""
     valid_a = _enum_copy(witness, witness.valid, "a")
     valid_b = _enum_copy(witness, witness.valid, "b")
     trel_a = _enum_copy(witness, witness.trel, "a")
@@ -253,7 +257,7 @@ def _distinctness(
         "b",
     )
     differ = _enum_vars_differ(witness, "a", "b")
-    observed_diff = neq(_obs(prop, 2), _obs(prop, 3))
+    observed_diff = neq(_obs(observed, 2), _obs(observed, 3))
     mode = witness.diff_mode
     if mode is None:
         return [
@@ -334,7 +338,8 @@ def gen_surjective_vcs(
         {indexed(1): indexed(1, True), indexed(2): indexed(2, True)},
     )
     trel_13 = retag_free(witness.trel, {indexed(2): indexed(3)})
-    obs2, obs3 = _obs(prop, 2), _obs(prop, 3)
+    observed = difference_term(prop)
+    obs2, obs3 = _obs(observed, 2), _obs(observed, 3)
     psi_12n = _psi(prop, 1, 2, primed=True)
     psi_13n = retag_free(
         _psi(prop, 1, 3), {indexed(1): indexed(1, True), indexed(3): indexed(3, True)}

@@ -1,7 +1,8 @@
 """S-expression reading and writing, and the section reader of input files.
 
 Atoms are symbols (``str``) or integers (``int``); lists are Python lists.
-The text is read in one regular-expression scan, by these token rules:
+The text is read in one regular-expression scan, each match a token with
+the whitespace before it, by these token rules:
 
 * whitespace is space, tab, CR and LF, and nothing else;
 * ``;`` starts a comment, up to the next LF, wherever a token could start
@@ -34,14 +35,19 @@ class SexprError(ValueError):
     pass
 
 
-# One match per token: an atom, a paren or a |quoted| symbol (group 1), or a
-# comment (group 1 empty). Whitespace matches nothing, so ``findall`` skips
-# it. A quote with no closing ``|`` runs to the end of the text.
-_TOKEN = re.compile(r";[^\n]*|([^ \t\r\n();|][^ \t\r\n();]*|[()]|\|[^|]*\|?)")
+# One match per token, with the whitespace before it: an atom, a paren or a
+# |quoted| symbol (group 1), or a comment (group 1 empty). Taking the
+# whitespace inside the match lets ``findall`` skip a run of it in one step,
+# where a pattern that matches nothing on whitespace tries every branch at
+# each of its characters. A quote with no closing ``|`` runs to the end of
+# the scan.
+_TOKEN = re.compile(r"[ \t\r\n]*(?:;[^\n]*|([^ \t\r\n();|][^ \t\r\n();]*|[()]|\|[^|]*\|?))")
 
 
 def parse_all(text: str) -> list[Sexpr]:
-    tokens = _TOKEN.findall(text)
+    # Trailing whitespace is cut off first: the pattern fails on it, and
+    # ``findall`` would scan the rest of the run again from each character.
+    tokens = _TOKEN.findall(text, 0, len(text.rstrip(" \t\r\n")))
     # only the last token can be a quote that ran to the end unclosed
     if tokens and tokens[-1][:1] == "|" and not tokens[-1].endswith("|", 1):
         raise SexprError("unterminated |symbol|")

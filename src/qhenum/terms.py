@@ -12,6 +12,12 @@ arity, and ``_SORT_RULES`` gives each node kind its sort rule.
 rule as it builds the node, so a read term is well sorted without a second
 walk; ``check_sorts`` applies the same rules to terms built in code.
 
+``retag_free`` and ``substitute`` return every subterm they do not change
+as the same object, so a term they build shares those parts with its
+input; terms are immutable, and what ``Term.smt`` and ``Term.memo`` keep
+depends on the object alone. Rebuilding walks go through ``_MAP``, which
+maps a node's children and keeps the node when none of them changed.
+
 Sorts, terms and the package's other positional immutable records derive
 from ``Record``, which gives a class the behaviour of a frozen dataclass
 without generating code for it.
@@ -21,7 +27,7 @@ from __future__ import annotations
 
 import re
 from functools import cached_property
-from operator import attrgetter
+from operator import attrgetter, is_not
 from typing import Any, Callable, Mapping, NamedTuple, Optional, Sequence
 
 from .sexpr import Sexpr, SexprError, atom, parse_one, to_text
@@ -504,17 +510,23 @@ def _children(term: Term) -> tuple[Term, ...]:
 
 
 def free_vars(term: Term, bound: frozenset[str] = frozenset()) -> frozenset[Var]:
-    if isinstance(term, Var):
-        if term.tag == PLAIN and term.name in bound:
-            return frozenset()
-        return frozenset({term})
-    if isinstance(term, Quant):
-        inner = bound | {name for name, _ in term.bound}
-        return free_vars(term.body, inner)
-    out: frozenset[Var] = frozenset()
-    for child in _children(term):
-        out |= free_vars(child, bound)
-    return out
+    """The variables of ``term`` that no binder binds: a plain variable whose
+    name is in ``bound`` or bound by an enclosing quantifier is bound."""
+    out: set[Var] = set()
+    _add_free(term, bound, out.add)
+    return frozenset(out)
+
+
+def _add_free(t: Term, bound: frozenset[str], add: Callable[[Var], None]) -> None:
+    kind = type(t)
+    if kind is Var:
+        if t.copy is not None or t.primed or t.name not in bound:
+            add(t)
+    elif kind is Forall or kind is Exists:
+        _add_free(t.body, bound | {name for name, _ in t.bound}, add)
+    else:
+        for child in _children(t):
+            _add_free(child, bound, add)
 
 
 # ---------------------------------------------------------------------------
@@ -647,74 +659,119 @@ def check_sorts(
 # Substitution
 
 
-def _rebuild(term: Term, children: tuple[Term, ...]) -> Term:
-    kind = type(term)
-    if kind is App:
-        return App(term.func, children)
-    if kind is Cmp:
-        return Cmp(term.op, *children)
-    if kind is ConstArray:
-        return ConstArray(children[0], term.sort)
-    if kind is Forall or kind is Exists:
-        return kind(term.bound, children[0])
-    if kind in (Add, Distinct, And, Or):
-        return kind(children)
-    return kind(*children)
+# A walk that rebuilds terms, such as ``substitute``, handles variables and
+# quantifiers itself and every other node through ``_MAP[type(t)](t, go,
+# context)``: ``t`` with each child ``c`` replaced by ``go(c, context)``, or
+# ``t`` itself when every child comes back as the same object.
+
+
+def _map_args(t: Any, go: Callable[[Term, Any], Term], context: Any) -> Term:
+    args = t.args
+    mapped = [go(a, context) for a in args]
+    if not any(map(is_not, mapped, args)):
+        return t
+    return App(t.func, tuple(mapped)) if type(t) is App else type(t)(tuple(mapped))
+
+
+def _map_pair(t: Any, go: Callable[[Term, Any], Term], context: Any) -> Term:
+    left, right = t.left, t.right
+    new_left, new_right = go(left, context), go(right, context)
+    if new_left is left and new_right is right:
+        return t
+    return Cmp(t.op, new_left, new_right) if type(t) is Cmp else type(t)(new_left, new_right)
+
+
+def _map_one(t: Any, go: Callable[[Term, Any], Term], context: Any) -> Term:
+    operand = t.operand
+    new = go(operand, context)
+    return t if new is operand else type(t)(new)
+
+
+def _map_fields(t: Any, go: Callable[[Term, Any], Term], context: Any) -> Term:
+    children = _children(t)
+    mapped = [go(c, context) for c in children]
+    if not any(map(is_not, mapped, children)):
+        return t
+    return ConstArray(mapped[0], t.sort) if type(t) is ConstArray else type(t)(*mapped)
+
+
+class _ByKind(dict):
+    """A table keyed by node kind; a kind outside it is a TypeError."""
+
+    def __missing__(self, kind: type) -> Any:
+        raise TypeError(f"unknown term kind {kind.__qualname__}")
+
+
+_MAP: dict[type, Callable[[Any, Callable[[Term, Any], Term], Any], Term]] = _ByKind({
+    **dict.fromkeys((App, Add, Distinct, And, Or), _map_args),
+    **dict.fromkeys((Sub, Mul, Div, Mod, Cmp, Implies), _map_pair),
+    **dict.fromkeys((Neg, Not), _map_one),
+    **dict.fromkeys((Ite, Select, Store, ConstArray), _map_fields),
+    **dict.fromkeys((IntLit, BoolLit), lambda t, go, context: t),
+})
+
+
+def _plain_names(term: Term) -> frozenset[str]:
+    """The names of the plain free variables of ``term``: those a binder
+    of the same name would capture."""
+    return frozenset([v.name for v in free_vars(term) if v.copy is None and not v.primed])
 
 
 def substitute(term: Term, bindings: Mapping[Var, Term]) -> Term:
-    """Capture-avoiding substitution of free variables."""
+    """Capture-avoiding substitution of free variables.
+
+    A binder that binds a plain name free in a replacement still live under
+    it is renamed ``name~k``, with the least ``k >= 1`` whose name is free
+    in neither those replacements nor the body, whether or not a replaced
+    variable occurs in the body. A subterm the substitution does not change
+    comes back as the same object.
+    """
+    binds: dict[Var, tuple[Term, frozenset[str]]] = {}
     for var, repl in bindings.items():
         if not isinstance(var, Var):
             raise SortMismatch("binding keys must be variables")
+        binds[var] = (repl, _plain_names(repl))
+    return _substitute(term, binds)
 
-    def go(t: Term, binds: Mapping[Var, Term]) -> Term:
-        if isinstance(t, Var):
-            return binds.get(t, t)
-        if isinstance(t, Quant):
-            live = {
-                v: r
-                for v, r in binds.items()
-                if not (v.tag == PLAIN and any(v.name == name for name, _ in t.bound))
-            }
-            if not live:
-                return t
-            captured = {
-                fv.name
-                for r in live.values()
-                for fv in free_vars(r)
-                if fv.tag == PLAIN
-            }
-            bound = t.bound
-            body = t.body
-            renames: dict[Var, Term] = {}
-            new_bound: list[tuple[str, Sort]] = []
-            taken = captured | {fv.name for fv in free_vars(body) if fv.tag == PLAIN}
-            for name, sort in bound:
-                if name in captured:
-                    k = 1
-                    while f"{name}~{k}" in taken:
-                        k += 1
-                    fresh = f"{name}~{k}"
-                    taken.add(fresh)
-                    renames[Var(name, sort)] = Var(fresh, sort)
-                    new_bound.append((fresh, sort))
-                else:
-                    new_bound.append((name, sort))
-            if renames:
-                body = go(body, renames)
-            body = go(body, live)
-            cls = Forall if isinstance(t, Forall) else Exists
-            return cls(tuple(new_bound), body)
-        children = _children(t)
-        if not children:
-            return t
-        new_children = tuple(go(c, binds) for c in children)
-        if new_children == children:
-            return t
-        return _rebuild(t, new_children)
 
-    return go(term, dict(bindings))
+# The walks below are module functions, not closures that call themselves:
+# such a closure is a reference cycle, which keeps what it holds until the
+# cyclic collector runs.
+
+
+def _substitute(t: Term, binds: dict[Var, tuple[Term, frozenset[str]]]) -> Term:
+    """``t`` with each variable in ``binds`` replaced by the first of its
+    pair, whose second is the plain names free in the replacement."""
+    kind = type(t)
+    if kind is Var:
+        hit = binds.get(t)
+        return t if hit is None else hit[0]
+    if kind is Forall or kind is Exists:
+        names = {name for name, _ in t.bound}
+        live = {
+            v: b for v, b in binds.items() if v.name not in names or v.copy is not None or v.primed
+        }
+        if not live:
+            return t
+        captured = set().union(*[capture for _, capture in live.values()])
+        if captured.isdisjoint(names):
+            body = _substitute(t.body, live)
+            return t if body is t.body else kind(t.bound, body)
+        taken = captured | _plain_names(t.body)
+        renames: dict[Var, tuple[Term, frozenset[str]]] = {}
+        new_bound: list[tuple[str, Sort]] = []
+        for name, sort in t.bound:
+            if name in captured:
+                k = 1
+                while f"{name}~{k}" in taken:
+                    k += 1
+                fresh = f"{name}~{k}"
+                taken.add(fresh)
+                renames[Var(name, sort)] = (Var(fresh, sort), frozenset([fresh]))
+                name = fresh
+            new_bound.append((name, sort))
+        return kind(tuple(new_bound), _substitute(_substitute(t.body, renames), live))
+    return _MAP[kind](t, _substitute, binds)
 
 
 def retag(term: Term, frm: Tag, to: Tag) -> Term:
@@ -730,30 +787,35 @@ def retag_free(term: Term, mapping: Mapping[Tag, Tag]) -> Term:
     """Retag free variables per ``mapping``; tags outside it are left alone.
 
     Only a variable retagged to ``PLAIN`` can be captured by a binder, so
-    that case goes through ``substitute``, which renames the binder.
+    that case goes through ``substitute``, which renames the binder. Each
+    variable object is retagged once per call, and a subterm with no
+    variable to retag comes back as the same object.
     """
     if PLAIN in mapping.values():
         return substitute(
             term, {v: v.with_tag(mapping[v.tag]) for v in free_vars(term) if v.tag in mapping}
         )
+    return _retag(term, (frozenset(), mapping, {}))
 
-    def go(t: Term, bound: frozenset[str]) -> Term:
-        if isinstance(t, Var):
-            if t.tag == PLAIN and t.name in bound:
-                return t
-            if t.tag in mapping:
-                return t.with_tag(mapping[t.tag])
-            return t
-        if isinstance(t, Quant):
-            inner = bound | {name for name, _ in t.bound}
-            cls = Forall if isinstance(t, Forall) else Exists
-            return cls(t.bound, go(t.body, inner))
-        children = _children(t)
-        if not children:
-            return t
-        return _rebuild(t, tuple(go(c, bound) for c in children))
 
-    return go(term, frozenset())
+def _retag(t: Term, context: tuple[frozenset[str], Mapping[Tag, Tag], dict[int, Term]]) -> Term:
+    """``t`` retagged; ``context`` holds the names bound around ``t``, the
+    mapping of tags and, by ``id``, each free variable already retagged."""
+    kind = type(t)
+    if kind is Var:
+        bound, mapping, retagged = context
+        if t.copy is None and not t.primed and t.name in bound:
+            return t
+        new = retagged.get(id(t))
+        if new is None:
+            to = mapping.get((t.copy, t.primed))
+            new = retagged[id(t)] = t if to is None else t.with_tag(to)
+        return new
+    if kind is Forall or kind is Exists:
+        bound, mapping, retagged = context
+        body = _retag(t.body, (bound | {name for name, _ in t.bound}, mapping, retagged))
+        return t if body is t.body else kind(t.bound, body)
+    return _MAP[kind](t, _retag, context)
 
 
 # ---------------------------------------------------------------------------
@@ -779,11 +841,17 @@ class TermWriter:
     def text(self, term: Term, bound: frozenset[str] = frozenset()) -> str:
         kind = type(term)
         if kind is Var:
-            if term.name in bound and term.tag == PLAIN:
-                return term.name
-            name = term.mangled
-            prev = self.consts.setdefault(name, term.sort)
-            if prev is not term.sort and prev != term.sort and self.clash is None:
+            # ``term.mangled``, spelled out: this runs once per occurrence
+            name, copy = term.name, term.copy
+            if copy is not None:
+                name = f"{name}${copy}!" if term.primed else f"{name}${copy}"
+            elif term.primed:
+                name += "!"
+            elif name in bound:
+                return name
+            sort = term.sort
+            prev = self.consts.setdefault(name, sort)
+            if prev is not sort and prev != sort and self.clash is None:
                 self.clash = name
             return name
         if kind is IntLit:
@@ -806,7 +874,10 @@ class TermWriter:
             head = f"(as const {sort_to_text(term.sort)})"
         else:
             head = _HEADS[kind]
-        return "(" + " ".join([head, *[self.text(c, bound) for c in children]]) + ")"
+        if not children:
+            return f"({head})"
+        text = self.text
+        return f"({head} {' '.join([text(c, bound) for c in children])})"
 
 
 # The grammar: each head's node kind and arity (None: any number). "-" of

@@ -28,6 +28,7 @@ from qhenum.terms import (
     Not,
     Or,
     PLAIN,
+    Quant,
     Select,
     Signature,
     Store,
@@ -212,3 +213,42 @@ def any_term():
 def term_signature():
     """The ranks of every symbol ``any_term`` applies, except ``u`` and ``v``."""
     return TERM_SIGNATURE
+
+
+# The term walks as they were before ``terms`` rebuilt only what changes:
+# the references for ``free_vars`` and for the walks built on it.
+
+
+def reference_children(term):
+    if isinstance(term, (Var, IntLit, BoolLit)):
+        return ()
+    if isinstance(term, (App, Add, Distinct, And, Or)):
+        return term.args
+    if isinstance(term, (Sub, Mul, Div, Mod, Cmp, Implies)):
+        return (term.left, term.right)
+    if isinstance(term, (Neg, Not)):
+        return (term.operand,)
+    if isinstance(term, Ite):
+        return (term.cond, term.then, term.other)
+    if isinstance(term, Select):
+        return (term.array, term.index)
+    if isinstance(term, Store):
+        return (term.array, term.index, term.value)
+    if isinstance(term, ConstArray):
+        return (term.value,)
+    if isinstance(term, Quant):
+        return (term.body,)
+    raise TypeError(f"unknown term {term!r}")
+
+
+def reference_free_vars(term, bound=frozenset()):
+    if isinstance(term, Var):
+        if term.tag == PLAIN and term.name in bound:
+            return frozenset()
+        return frozenset({term})
+    if isinstance(term, Quant):
+        return reference_free_vars(term.body, bound | {name for name, _ in term.bound})
+    out = frozenset()
+    for child in reference_children(term):
+        out |= reference_free_vars(child, bound)
+    return out

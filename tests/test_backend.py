@@ -1,4 +1,5 @@
 import pytest
+from conftest import reference_children, reference_free_vars
 from hypothesis import given, settings, strategies as st
 
 from qhenum.backend import (
@@ -223,43 +224,9 @@ def test_syntactic_obligation_is_proved_without_a_query(tmp_path):
 
 
 # How build_query collected declarations before it rendered each assertion in
-# one walk: a free-variable walk and a subterm walk per assertion. Kept as the
-# reference for the declarations and for the order of their errors.
-
-
-def reference_children(term):
-    if isinstance(term, (Var, IntLit, BoolLit)):
-        return ()
-    if isinstance(term, (App, Add, Distinct, And, Or)):
-        return term.args
-    if isinstance(term, (Sub, Mul, Div, Mod, Cmp, Implies)):
-        return (term.left, term.right)
-    if isinstance(term, (Neg, Not)):
-        return (term.operand,)
-    if isinstance(term, Ite):
-        return (term.cond, term.then, term.other)
-    if isinstance(term, Select):
-        return (term.array, term.index)
-    if isinstance(term, Store):
-        return (term.array, term.index, term.value)
-    if isinstance(term, ConstArray):
-        return (term.value,)
-    if isinstance(term, Quant):
-        return (term.body,)
-    raise TypeError(f"unknown term {term!r}")
-
-
-def reference_free_vars(term, bound=frozenset()):
-    if isinstance(term, Var):
-        if term.tag == PLAIN and term.name in bound:
-            return frozenset()
-        return frozenset({term})
-    if isinstance(term, Quant):
-        return reference_free_vars(term.body, bound | {name for name, _ in term.bound})
-    out = frozenset()
-    for child in reference_children(term):
-        out |= reference_free_vars(child, bound)
-    return out
+# one walk: a free-variable walk (conftest's ``reference_free_vars``) and a
+# subterm walk per assertion. Kept as the reference for the declarations and
+# for the order of their errors.
 
 
 def reference_subterms(term):

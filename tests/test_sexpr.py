@@ -1,7 +1,9 @@
+import re
+
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from qhenum.sexpr import SexprError, parse_all, parse_one, to_text
+from qhenum.sexpr import _TOKEN, SexprError, parse_all, parse_one, to_text
 
 
 def test_atoms():
@@ -153,3 +155,35 @@ def test_reader_rows(text, expected):
 @given(st.text(alphabet="()|;-0123456789ax \t\n\f", max_size=40))
 def test_reader_matches_reference(text):
     assert read_outcome(parse_all, text) == read_outcome(reference_parse_all, text)
+
+
+# The token pattern before it took the whitespace before each token into its
+# match: whitespace matched nothing, and ``findall`` skipped it one
+# character at a time.
+OLD_TOKEN = re.compile(r";[^\n]*|([^ \t\r\n();|][^ \t\r\n();]*|[()]|\|[^|]*\|?)")
+
+
+@settings(max_examples=2000)
+@given(st.text(alphabet="();|a-1 \t\r\n\f", max_size=40))
+def test_token_pattern_finds_the_old_tokens(text):
+    assert _TOKEN.findall(text) == OLD_TOKEN.findall(text)
+    assert read_outcome(parse_all, text) == read_outcome(reference_parse_all, text)
+
+
+@pytest.mark.parametrize(
+    "text, message",
+    [
+        ("(a |b", "unterminated |symbol|"),
+        ("(a |b  \n", "unterminated |symbol|"),
+        ("a | \t\r\n", "unterminated |symbol|"),
+        ("((a)", "unbalanced parentheses"),
+        ("((a) ; b\n \t", "unbalanced parentheses"),
+        ("(a)) \r\n", "unexpected ')'"),
+    ],
+)
+def test_errors_do_not_depend_on_trailing_whitespace(text, message):
+    # parse_all stops its scan before trailing whitespace
+    for read in (parse_all, reference_parse_all):
+        with pytest.raises(SexprError) as err:
+            read(text)
+        assert str(err.value) == message

@@ -2,7 +2,7 @@ import copy
 import pickle
 
 import pytest
-from conftest import SORTS, VAR_SORTS, sorted_terms
+from conftest import SORTS, VAR_SORTS, reference_children, reference_free_vars, sorted_terms
 from hypothesis import given, settings, strategies as st
 
 from qhenum.sexpr import SexprError, to_text
@@ -224,6 +224,178 @@ def test_retag_moves_one_tag_of_free_variables_only():
     assert retag(term, PLAIN, indexed(1)) == moved
     with pytest.raises(TagMismatch):
         retag(Add((x, x.with_tag(indexed(2)))), PLAIN, indexed(1))
+
+
+def test_retag_free_leaves_a_bound_occurrence_alone():
+    # the same variable object occurs free and bound
+    x = Var("x", INT)
+    term = And((Cmp("<", x, IntLit(1)), Forall((("x", INT),), Cmp("<", x, Var("y", INT)))))
+    out = retag_free(term, {PLAIN: indexed(1)})
+    x1 = x.with_tag(indexed(1))
+    assert out == And((Cmp("<", x1, IntLit(1)), Forall((("x", INT),), Cmp("<", x, Var("y", INT, 1)))))
+    assert out.args[1].body.left is x
+
+
+def test_walks_return_unchanged_subterms_as_the_same_objects():
+    x, y = Var("x", INT), Var("y", INT)
+    kept = Cmp("<", x.with_tag(indexed(2)), Select(Var("a", ARR, 2), IntLit(0)))
+    term = And((kept, Cmp("=", x, IntLit(0))))
+    out = retag_free(term, {PLAIN: indexed(1)})
+    assert out == And((kept, Cmp("=", x.with_tag(indexed(1)), IntLit(0))))
+    assert out.args[0] is kept
+    assert substitute(term, {x: y}).args[0] is kept
+    assert retag_free(term, {indexed(3): indexed(1)}) is term
+    assert substitute(term, {Var("q", INT): y}) is term
+    # a quantifier whose body is unchanged, also one that binds nothing
+    for quant in (Forall((("j", INT),), kept), Exists((), kept)):
+        assert retag_free(quant, {PLAIN: indexed(1)}) is quant
+        assert substitute(quant, {x: y}) is quant
+
+
+def test_substitute_renames_nested_binders_past_names_in_use():
+    # the outer x is free in y's replacement; x~1 is free in its body, so
+    # it becomes x~2; the inner x, renamed in its own scope, takes x~1
+    x, y, x1, x2 = Var("x", INT), Var("y", INT), Var("x~1", INT), Var("x~2", INT)
+    term = Forall((("x", INT),), And((Cmp("=", x, x1), Forall((("x", INT),), Cmp("=", x, y)))))
+    out = substitute(term, {y: x})
+    assert out == Forall(
+        (("x~2", INT),), And((Cmp("=", x2, x1), Forall((("x~1", INT),), Cmp("=", x1, x))))
+    )
+    assert out == reference_substitute(term, {y: x})
+
+
+# ``substitute`` and ``retag_free`` as they were before they returned
+# unchanged subterms as the same objects, kept as the references for the
+# terms they build: every node rebuilt, and at every quantifier the free
+# variables of each live replacement and of the whole body collected.
+
+
+def reference_rebuild(term, children):
+    kind = type(term)
+    if kind is App:
+        return App(term.func, children)
+    if kind is Cmp:
+        return Cmp(term.op, *children)
+    if kind is ConstArray:
+        return ConstArray(children[0], term.sort)
+    if kind is Forall or kind is Exists:
+        return kind(term.bound, children[0])
+    if kind in (Add, Distinct, And, Or):
+        return kind(children)
+    return kind(*children)
+
+
+def reference_substitute(term, bindings):
+    def go(t, binds):
+        if isinstance(t, Var):
+            return binds.get(t, t)
+        if isinstance(t, Quant):
+            live = {
+                v: r
+                for v, r in binds.items()
+                if not (v.tag == PLAIN and any(v.name == name for name, _ in t.bound))
+            }
+            if not live:
+                return t
+            captured = {
+                fv.name for r in live.values() for fv in reference_free_vars(r) if fv.tag == PLAIN
+            }
+            body = t.body
+            renames = {}
+            new_bound = []
+            taken = captured | {fv.name for fv in reference_free_vars(body) if fv.tag == PLAIN}
+            for name, sort in t.bound:
+                if name in captured:
+                    k = 1
+                    while f"{name}~{k}" in taken:
+                        k += 1
+                    fresh = f"{name}~{k}"
+                    taken.add(fresh)
+                    renames[Var(name, sort)] = Var(fresh, sort)
+                    new_bound.append((fresh, sort))
+                else:
+                    new_bound.append((name, sort))
+            if renames:
+                body = go(body, renames)
+            return type(t)(tuple(new_bound), go(body, live))
+        children = reference_children(t)
+        if not children:
+            return t
+        new_children = tuple(go(c, binds) for c in children)
+        if new_children == children:
+            return t
+        return reference_rebuild(t, new_children)
+
+    return go(term, dict(bindings))
+
+
+def reference_retag_free(term, mapping):
+    if PLAIN in mapping.values():
+        return reference_substitute(
+            term,
+            {v: v.with_tag(mapping[v.tag]) for v in reference_free_vars(term) if v.tag in mapping},
+        )
+
+    def go(t, bound):
+        if isinstance(t, Var):
+            if t.tag == PLAIN and t.name in bound:
+                return t
+            if t.tag in mapping:
+                return t.with_tag(mapping[t.tag])
+            return t
+        if isinstance(t, Quant):
+            return type(t)(t.bound, go(t.body, bound | {name for name, _ in t.bound}))
+        children = reference_children(t)
+        if not children:
+            return t
+        return reference_rebuild(t, tuple(go(c, bound) for c in children))
+
+    return go(term, frozenset())
+
+
+def under_binders(data, term):
+    """``term`` under up to two quantifiers over names free in it, some
+    beside a free variable named as the binder's first rename (``x~1``), so
+    that retagging or substituting into it renames binders to ``x~1`` and
+    ``x~2``, in nested scopes."""
+    for _ in range(data.draw(st.integers(min_value=0, max_value=2))):
+        names = sorted({v.name for v in free_vars(term)}) or ["x"]
+        binder = data.draw(
+            st.lists(st.tuples(st.sampled_from(names), st.sampled_from([INT, BOOL])), max_size=2)
+        )
+        if binder and data.draw(st.booleans()):
+            term = And((term, Cmp("=", Var(f"{binder[0][0]}~1", INT), IntLit(0))))
+        term = data.draw(st.sampled_from([Forall, Exists]))(tuple(binder), term)
+    return term
+
+
+@settings(max_examples=400)
+@given(data=st.data())
+def test_free_vars_match_reference(any_term, data):
+    term = under_binders(data, data.draw(any_term))
+    bound = data.draw(st.frozensets(st.sampled_from([*VAR_SORTS, "z", "j"]), max_size=2))
+    assert free_vars(term, bound) == reference_free_vars(term, bound)
+
+
+@settings(max_examples=600)
+@given(data=st.data())
+def test_retag_free_matches_reference(any_term, data):
+    term = under_binders(data, data.draw(any_term))
+    mapping = data.draw(st.dictionaries(TAGS, st.one_of(st.just(PLAIN), TAGS), max_size=3))
+    assert retag_free(term, mapping) == reference_retag_free(term, mapping)
+
+
+@settings(max_examples=600)
+@given(data=st.data())
+def test_substitute_matches_reference(any_term, data):
+    term = under_binders(data, data.draw(any_term))
+    keys = st.builds(
+        lambda name, tag: Var(name, VAR_SORTS[name], *tag), st.sampled_from(sorted(VAR_SORTS)), TAGS
+    )
+    # plain variables, which binders of their names capture
+    plain = st.builds(Var, st.sampled_from(["x", "y", "j", "z", "x~1"]), st.sampled_from([INT, BOOL]))
+    bindings = data.draw(st.dictionaries(keys, st.one_of(plain, any_term), max_size=3))
+    assert substitute(term, bindings) == reference_substitute(term, bindings)
 
 
 # every free name the reader knows, at each tag; z is unknown to it
