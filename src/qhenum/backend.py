@@ -157,8 +157,17 @@ def emit(query: Query) -> str:
     return "\n".join(lines) + "\n"
 
 
+# The bundled node wrapper. Node resolves its ``z3-solver`` import from a
+# ``node_modules`` in the wrapper's directory or one of its parents.
+WRAPPER = Path(__file__).resolve().parents[2] / "solver" / "z3smt2.mjs"
+
+
 def resolve_solver(solver: Optional[Sequence[str]] = None) -> list[str]:
-    """Pick the solver command: explicit > env > z3 on PATH > bundled wrapper."""
+    """Pick the solver command: explicit > env > z3 on PATH > bundled wrapper.
+
+    Only files are looked at; no process is started. The wrapper is picked
+    only where its ``z3-solver`` package is installed.
+    """
     if solver:
         return list(solver)
     env = os.environ.get("QHENUM_SOLVER")
@@ -167,10 +176,14 @@ def resolve_solver(solver: Optional[Sequence[str]] = None) -> list[str]:
     z3 = shutil.which("z3")
     if z3:
         return [z3, "-smt2", "-in"]
-    wrapper = Path(__file__).resolve().parents[2] / "solver" / "z3smt2.mjs"
     node = shutil.which("node")
-    if node and wrapper.exists():
-        return [node, str(wrapper)]
+    if node and WRAPPER.exists():
+        if any((d / "node_modules" / "z3-solver").is_dir() for d in WRAPPER.parents):
+            return [node, str(WRAPPER)]
+        raise SolverSpawnError(
+            f"no SMT solver found: {WRAPPER} lacks the z3-solver package (run npm install "
+            f"in {WRAPPER.parent}); or set QHENUM_SOLVER or install z3 on PATH"
+        )
     raise SolverSpawnError(
         "no SMT solver found: set QHENUM_SOLVER or install z3 on PATH"
     )

@@ -118,15 +118,18 @@ class CountTerm(Record):
     """A resolved predicate reference: ``symbol`` applied to ``args`` counts
     the models over ``counted`` of ``formula``, whose free parameters are
     ``params``. ``name`` is the symbol without ``cnt.``, as rule labels show
-    it; an ``(at P t…)`` reference keeps P's symbol and name."""
+    it; an ``(at P t…)`` reference keeps P's name, and so its symbol."""
 
     name: str
     body: Term
     counted: tuple[Var, ...]
     params: tuple[Var, ...]
-    symbol: str
     args: tuple[Term, ...]
     bindings: tuple[tuple[Var, Term], ...] = ()  # what (at P t…) gives P's parameters
+
+    @property
+    def symbol(self) -> str:
+        return "cnt." + self.name
 
     @cached_property
     def formula(self) -> Term:
@@ -461,7 +464,7 @@ class _Scope:
                 for a, p in zip(expr[2:], base.params)
             )
             bindings = tuple(zip(base.params, args))
-            return CountTerm(base.name, base.body, base.counted, (), base.symbol, args, bindings)
+            return CountTerm(base.name, base.body, base.counted, (), args, bindings)
         raise SexprError(f"bad or undeclared predicate reference {to_text(expr)}")
 
     def conj(self, a: CountTerm, b: CountTerm) -> CountTerm:
@@ -471,9 +474,9 @@ class _Scope:
         if a.bindings or b.bindings:  # cnt.P&Q would drop the arguments of (at P t…)
             raise SexprError(f"conjunction of {a.name} and {b.name} instantiates one with at")
         params = tuple(sorted(set(a.params) | set(b.params), key=lambda v: v.name))
-        name = f"{a.name}&{b.name}"
-        self.sig = self.sig.extend(f"cnt.{name}", tuple(v.sort for v in params), INT)
-        return CountTerm(name, conj(a.formula, b.formula), a.counted, params, f"cnt.{name}", params)
+        ct = CountTerm(f"{a.name}&{b.name}", conj(a.formula, b.formula), a.counted, params, params)
+        self.sig = self.sig.extend(ct.symbol, tuple(v.sort for v in params), INT)
+        return ct
 
     def env(self, *cts: CountTerm) -> dict[str, Sort]:
         """The variables a section over ``cts`` may name: their counted
@@ -736,10 +739,10 @@ def _declare(item: list, scope: _Scope) -> None:
         raise SexprError(f"predicate {name}: no counted variables")
     body = scope.term(item[4], sorts, BOOL, f"predicate {name} body")
     params = tuple(Var(n, s) for n, s in variables if n not in counted)
-    symbol = f"cnt.{name}"
-    scope.sig = scope.sig.extend(symbol, tuple(v.sort for v in params), INT)
     counted_vars = tuple(Var(c, sorts[c]) for c in counted)
-    scope.counts[name] = CountTerm(name, body, counted_vars, params, symbol, params)
+    ct = CountTerm(name, body, counted_vars, params, params)
+    scope.sig = scope.sig.extend(ct.symbol, tuple(v.sort for v in params), INT)
+    scope.counts[name] = ct
 
 
 def _parse_app(form: Sexpr, scope: _Scope) -> RuleApp:

@@ -25,7 +25,7 @@ from functools import partial
 from typing import Mapping, Optional, Sequence, Union
 
 from .backend import Answer, Obligation, Session
-from .qhl import QhpProperty, difference_term, predicate_to_formula
+from .qhl import QhpProperty, difference_term
 from .sexpr import Sexpr, SexprError, atom, pairs, read_form, sections, single, to_text
 from .system import TransitionSystem
 from .terms import (
@@ -161,7 +161,8 @@ def _strengthen_at(witness: EnumerationWitness, copy: int) -> list[Term]:
 
 
 def _psi(prop: QhpProperty, first: int, second: int, primed: bool = False) -> Term:
-    return predicate_to_formula(prop.body.pred, (indexed(first, primed), indexed(second, primed)))
+    mapping = {indexed(1): indexed(first, primed), indexed(2): indexed(second, primed)}
+    return retag_free(prop.body, mapping)
 
 
 def _obs(observed: Term, copy: int) -> Term:
@@ -341,9 +342,7 @@ def gen_surjective_vcs(
     observed = difference_term(prop)
     obs2, obs3 = _obs(observed, 2), _obs(observed, 3)
     psi_12n = _psi(prop, 1, 2, primed=True)
-    psi_13n = retag_free(
-        _psi(prop, 1, 3), {indexed(1): indexed(1, True), indexed(3): indexed(3, True)}
-    )
+    psi_13n = _psi(prop, 1, 3, primed=True)
     obligations = [
         Obligation("totality-of-witness", (), syntactic=True),
         *_prerequisites(system, _strengthening(witness), "surj-cover-base", "surj-cover-step"),

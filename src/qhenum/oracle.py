@@ -15,7 +15,7 @@ from dataclasses import dataclass, field
 from functools import partial
 from typing import Callable, Iterator, Mapping, Optional, Sequence, Union
 
-from .qhl import HFinally, HGlobally, QhpProperty
+from .qhl import QhpProperty
 from .system import TransitionSystem
 from .terms import (
     Add,
@@ -744,14 +744,16 @@ _predicate = _per_term(lambda body, quant_lo, quant_hi: _compile(body, True, qua
 
 
 def eval_bounded(
-    formula: Union[HFinally, HGlobally],
+    pred: Term,
     first: BoundedTrace,
     second: BoundedTrace,
     instance: FiniteInstance,
     plan: Optional[TransitionPlan] = None,
+    eventually: bool = False,
 ) -> Optional[bool]:
-    """Bounded verdict of ``G pred`` or ``F pred`` at position 0, with
-    ``first`` as copy 1 and ``second`` as copy 2 of ``pred``.
+    """Bounded verdict of ``G pred``, or of ``F pred`` when ``eventually``,
+    at position 0, with ``first`` as copy 1 and ``second`` as copy 2 of
+    ``pred``.
 
     The prefix decides ``G`` false and ``F`` true. Otherwise the verdict
     depends on the infinite tail, and is given (``G`` true, ``F`` false)
@@ -762,15 +764,14 @@ def eval_bounded(
     """
     if first.depth != second.depth or first.depth == 0:
         raise OracleError("traces must be non-empty and of equal depth")
-    holds = _predicate(formula.pred.body, instance.quant_lo, instance.quant_hi)
-    decided = isinstance(formula, HFinally)  # the value that decides on the prefix
-    for p in range(first.depth):
-        if bool(holds(first.states[p], second.states[p])) is decided:
-            return decided
+    holds = _predicate(pred, instance.quant_lo, instance.quant_hi)
+    for p in range(first.depth):  # F is decided by a true position, G by a false one
+        if bool(holds(first.states[p], second.states[p])) is eventually:
+            return eventually
     if plan is None:
         plan = TransitionPlan(instance)
     if plan.pinned(first) and plan.pinned(second):
-        return not decided
+        return not eventually
     return None
 
 
@@ -812,7 +813,9 @@ def count_equivalence_classes(
 
     for i in range(n):
         for j in range(i + 1, n):
-            delta = eval_bounded(prop.diff, candidates[i], candidates[j], instance, plan)
+            delta = eval_bounded(
+                prop.diff, candidates[i], candidates[j], instance, plan, eventually=True
+            )
             if delta is None:
                 return "unknown"
             if not delta:

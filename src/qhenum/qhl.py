@@ -7,7 +7,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import partial
-from typing import Optional, Sequence
+from typing import Optional
 
 from .sexpr import SexprError, atom, read_form, sections, single, to_text
 from .system import TransitionSystem
@@ -21,7 +21,6 @@ from .terms import (
     Not,
     PLAIN,
     Record,
-    Tag,
     Term,
     TRUE,
     Var,
@@ -37,61 +36,29 @@ class QhlError(ValueError):
     pass
 
 
-class MissingAssignment(QhlError):
-    pass
-
-
-@dataclass(frozen=True)
-class StatePredicate:
-    """A k-ary predicate over states: body uses variable copies 1..k; a
-    dataclass for its ``__post_init__`` check."""
-
-    arity: int
-    body: Term
-
-    def __post_init__(self) -> None:
-        for v in free_vars(self.body):
-            if v.primed or v.copy is None or not (1 <= v.copy <= self.arity):
-                raise QhlError(f"predicate body mentions {v.mangled} outside copies 1..{self.arity}")
-
-
-class HFinally(Record):
-    """``F pred``: ``pred`` holds at some position."""
-
-    pred: StatePredicate
-
-
-class HGlobally(Record):
-    """``G pred``: ``pred`` holds at every position."""
-
-    pred: StatePredicate
-
-
 @dataclass(frozen=True)
 class QhpProperty:
-    """``forall pivot. # counted : diff. body <| bound``.
+    """``forall pivot. # counted : F(diff). G(body) <| bound``.
 
-    Copy 1 of ``body`` is the pivot and copy 2 the counted trace; copies 1
-    and 2 of ``diff`` are two counted traces, which must eventually differ
-    to count apart. A dataclass, as tests build it with keywords and copy it
-    with ``replace``.
+    ``diff`` and ``body`` are the predicates under ``F`` and ``G``, over
+    copies 1 and 2 of the state variables. Copy 1 of ``body`` is the pivot
+    and copy 2 the counted trace; copies 1 and 2 of ``diff`` are two counted
+    traces, which must eventually differ to count apart. A dataclass, as
+    tests build it with keywords and copy it with ``replace``, and for its
+    ``__post_init__`` check.
     """
 
-    diff: HFinally
-    body: HGlobally
+    diff: Term
+    body: Term
     cmp: str  # leq | eq | geq
     bound: Term
     assuming: Term = TRUE
 
-
-def predicate_to_formula(pred: StatePredicate, assignment: Sequence[Tag]) -> Term:
-    """Instantiate copies 1..k of ``pred`` at the given tags."""
-    if len(assignment) != pred.arity:
-        raise MissingAssignment(
-            f"predicate of arity {pred.arity} given {len(assignment)} tags"
-        )
-    mapping = {indexed(i + 1): tag for i, tag in enumerate(assignment)}
-    return retag_free(pred.body, mapping)
+    def __post_init__(self) -> None:
+        for key in ("diff", "body"):
+            for v in free_vars(getattr(self, key)):
+                if v.primed or v.copy not in (1, 2):
+                    raise QhlError(f"{key} mentions {v.mangled} outside copies 1 and 2")
 
 
 class WellDefinedResult(Record):
@@ -99,13 +66,12 @@ class WellDefinedResult(Record):
     reason: str = ""
 
 
-def _difference_pattern(pred: StatePredicate) -> Optional[Term]:
+def _difference_pattern(pred: Term) -> Optional[Term]:
     """If pred(s1, s2) has shape f(s1) != f(s2), return f over copy 1."""
-    body = pred.body
-    if isinstance(body, Not) and isinstance(body.operand, Cmp) and body.operand.op == "=":
-        left, right = body.operand.left, body.operand.right
-    elif isinstance(body, Distinct) and len(body.args) == 2:
-        left, right = body.args
+    if isinstance(pred, Not) and isinstance(pred.operand, Cmp) and pred.operand.op == "=":
+        left, right = pred.operand.left, pred.operand.right
+    elif isinstance(pred, Distinct) and len(pred.args) == 2:
+        left, right = pred.args
     else:
         return None
     if any(v.copy != 1 or v.primed for v in free_vars(left)):
@@ -117,7 +83,7 @@ def _difference_pattern(pred: StatePredicate) -> Optional[Term]:
 
 def difference_term(prop: QhpProperty) -> Term:
     """The observation term f with diff = F(f(s1) != f(s2)), over copy 1."""
-    f = _difference_pattern(prop.diff.pred)
+    f = _difference_pattern(prop.diff)
     if f is None:
         raise QhlError("difference formula is not of the shape f(s1) != f(s2)")
     return f
@@ -126,9 +92,9 @@ def difference_term(prop: QhpProperty) -> Term:
 def check_well_defined(prop: QhpProperty, system: TransitionSystem) -> WellDefinedResult:
     """Syntactic well-definedness: diff is a difference pattern and the
     conjunction of body forces equality of every parameter."""
-    if _difference_pattern(prop.diff.pred) is None:
+    if _difference_pattern(prop.diff) is None:
         return WellDefinedResult(False, "diff predicate is not a difference pattern f(s1) != f(s2)")
-    body = prop.body.pred.body
+    body = prop.body
     conjuncts = list(body.args) if isinstance(body, And) else [body]
     for z in system.params:
         z1 = Var(z, system.sort_of(z), 1, False)
@@ -173,14 +139,14 @@ def parse_property(text: str, system: TransitionSystem) -> QhpProperty:
 
     read = partial(term_from_sexpr, variables={})  # one Var per name in this file
 
-    def temporal(key: str, head: str, shape: str) -> StatePredicate:
+    def predicate(key: str, head: str, shape: str) -> Term:
         expr = single(kw, key)
         if not (isinstance(expr, list) and len(expr) == 2 and expr[0] == head):
             raise SexprError(f"{key[1:]} is not of the form {shape}(predicate)")
-        return StatePredicate(2, read(expr[1], env2, sort=BOOL, what=key[1:]))
+        return read(expr[1], env2, sort=BOOL, what=key[1:])
 
-    diff = HFinally(temporal(":diff", "finally", "F"))
-    body = HGlobally(temporal(":body", "globally", "G"))
+    diff = predicate(":diff", "finally", "F")
+    body = predicate(":body", "globally", "G")
     env_z = {z: system.sort_of(z) for z in system.params}
     bound = read(single(kw, ":bound"), env_z, sort=INT, what="bound")
     assuming = read(single(kw, ":assuming", default="true"), env_z, sort=BOOL, what="assuming")

@@ -79,8 +79,6 @@ def parse_one(text: str) -> Sexpr:
 
 
 def to_text(expr: Sexpr) -> str:
-    if isinstance(expr, bool):
-        return "true" if expr else "false"
     if isinstance(expr, int):
         return str(expr)
     if isinstance(expr, str):

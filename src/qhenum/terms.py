@@ -17,6 +17,9 @@ as the same object, so a term they build shares those parts with its
 input; terms are immutable, and what ``Term.smt`` and ``Term.memo`` keep
 depends on the object alone. Rebuilding walks go through ``_MAP``, which
 maps a node's children and keeps the node when none of them changed.
+Every recursive walk is a module function, not a closure that calls
+itself: such a closure is a reference cycle, which keeps what it holds
+until the cyclic collector runs.
 
 Sorts, terms and the package's other positional immutable records derive
 from ``Record``, which gives a class the behaviour of a frozen dataclass
@@ -634,25 +637,28 @@ def check_sorts(
     appear in it at its inline sort.
     """
     env = None if environment is None else dict(environment)
+    return _check(term, {}, signature, env)
 
-    def go(t: Term, bound: dict[str, Sort]) -> Sort:
-        kind = type(t)
-        if kind is Var:
-            if t.tag == PLAIN and t.name in bound:
-                expect_sort(t.sort, bound[t.name], f"bound variable {t.name}")
-            elif env is not None:
-                declared = env.get(t.mangled)
-                if declared is None:
-                    raise UnboundVariable(f"free variable {t.mangled} not in environment")
-                expect_sort(t.sort, declared, f"variable {t.mangled}")
-            return t.sort
-        if kind is Forall or kind is Exists:
-            sorts: Sequence[Sort] = (go(t.body, {**bound, **dict(t.bound)}),)
-        else:
-            sorts = [go(c, bound) for c in _children(t)]
-        return _SORT_RULES[kind](t, sorts, signature)
 
-    return go(term, {})
+def _check(
+    t: Term, bound: dict[str, Sort], signature: Signature, env: Optional[dict[str, Sort]]
+) -> Sort:
+    """The sort of ``t`` under the binders ``bound``; see ``check_sorts``."""
+    kind = type(t)
+    if kind is Var:
+        if t.tag == PLAIN and t.name in bound:
+            expect_sort(t.sort, bound[t.name], f"bound variable {t.name}")
+        elif env is not None:
+            declared = env.get(t.mangled)
+            if declared is None:
+                raise UnboundVariable(f"free variable {t.mangled} not in environment")
+            expect_sort(t.sort, declared, f"variable {t.mangled}")
+        return t.sort
+    if kind is Forall or kind is Exists:
+        sorts: Sequence[Sort] = (_check(t.body, {**bound, **dict(t.bound)}, signature, env),)
+    else:
+        sorts = [_check(c, bound, signature, env) for c in _children(t)]
+    return _SORT_RULES[kind](t, sorts, signature)
 
 
 # ---------------------------------------------------------------------------
@@ -732,11 +738,6 @@ def substitute(term: Term, bindings: Mapping[Var, Term]) -> Term:
             raise SortMismatch("binding keys must be variables")
         binds[var] = (repl, _plain_names(repl))
     return _substitute(term, binds)
-
-
-# The walks below are module functions, not closures that call themselves:
-# such a closure is a reference cycle, which keeps what it holds until the
-# cyclic collector runs.
 
 
 def _substitute(t: Term, binds: dict[Var, tuple[Term, frozenset[str]]]) -> Term:
@@ -934,79 +935,80 @@ def term_from_sexpr(
     for all calls that share it, such as the terms of one file. A malformed
     form raises a ``SexprError``, an ill-sorted one a ``TermError``.
     """
-    if variables is None:
-        variables = {}
-
-    def go(e: Sexpr, scope: Mapping[str, Sort]) -> tuple[Term, Sort]:
-        if isinstance(e, int):
-            return IntLit(e), INT
-        if isinstance(e, str):
-            if e == "true":
-                return TRUE, BOOL
-            if e == "false":
-                return FALSE, BOOL
-            s = scope.get(e)
-            if s is not None:
-                var = variables.get(e)
-                if var is None or (var.sort is not s and var.sort != s):
-                    base, (copy, primed) = demangle(e)
-                    var = variables[e] = Var(base, s, copy, primed)
-                return var, s
-            if signature.has(e):
-                arg_sorts, result = signature.rank(e)
-                if arg_sorts == ():
-                    return App(e, ()), result
-            raise UnboundVariable(f"unknown atom {e!r}")
-        if not isinstance(e, list) or not e:
-            raise SexprError(f"bad term {e!r}")
-        head, n = e[0], len(e) - 1
-        if head == "=>" and n > 2:  # (=> a b c) is (=> a (=> b c))
-            return go(["=>", e[1], ["=>", *e[2:]]], scope)
-        if isinstance(head, str):
-            kind, arity = _GRAMMAR.get(head, (App, None))
-        elif isinstance(head, list) and head[:2] == ["as", "const"] and len(head) == 3:
-            kind, arity = ConstArray, 1
-        else:
-            raise SexprError(f"bad term head {to_text(head)}")
-        if arity is not None and n != arity:
-            if kind is not Sub:
-                raise SexprError(f"{to_text(head)} takes {arity} arguments, got {n}")
-            if n != 1:
-                raise SexprError(f"- takes 1 or 2 arguments, got {n}")
-            kind = Neg
-        if kind is Forall or kind is Exists:
-            binders = atom(e[1], list, "a binder list")
-            for b in binders:
-                if not (isinstance(b, list) and len(b) == 2 and isinstance(b[0], str)):
-                    raise SexprError(f"bad binder {to_text(b)}, expected (name sort)")
-            bound = tuple((name, sort_from_sexpr(s)) for name, s in binders)
-            body, body_sort = go(e[2], {**scope, **dict(bound)})
-            node = kind(bound, body)
-            return node, _SORT_RULES[kind](node, (body_sort,), signature)
-        args, sorts = [], []
-        for a in e[1:]:
-            t, s = go(a, scope)
-            args.append(t)
-            sorts.append(s)
-        if kind is Neg and isinstance(args[0], IntLit):
-            return IntLit(-args[0].value), INT
-        if kind is App:
-            node = App(head, tuple(args))
-        elif kind is Cmp:
-            node = Cmp(head, *args)
-        elif isinstance(head, list):
-            array = sort_from_sexpr(head[2])
-            if not isinstance(array, ArraySort):
-                raise SexprError("(as const <sort>) needs an array sort")
-            node = ConstArray(args[0], array)
-        else:
-            node = kind(tuple(args)) if arity is None else kind(*args)
-        return node, _SORT_RULES[kind](node, sorts, signature)
-
-    term, actual = go(expr, env)
+    term, actual = _read(expr, env, signature, {} if variables is None else variables)
     if sort is not None:
         expect_sort(actual, sort, what)
     return term
+
+
+def _read(
+    e: Sexpr, scope: Mapping[str, Sort], signature: Signature, variables: dict[str, Var]
+) -> tuple[Term, Sort]:
+    """The term ``e`` and its sort; see ``term_from_sexpr``."""
+    if isinstance(e, int):
+        return IntLit(e), INT
+    if isinstance(e, str):
+        if e == "true":
+            return TRUE, BOOL
+        if e == "false":
+            return FALSE, BOOL
+        s = scope.get(e)
+        if s is not None:
+            var = variables.get(e)
+            if var is None or (var.sort is not s and var.sort != s):
+                base, (copy, primed) = demangle(e)
+                var = variables[e] = Var(base, s, copy, primed)
+            return var, s
+        if signature.has(e):
+            arg_sorts, result = signature.rank(e)
+            if arg_sorts == ():
+                return App(e, ()), result
+        raise UnboundVariable(f"unknown atom {e!r}")
+    if not isinstance(e, list) or not e:
+        raise SexprError(f"bad term {e!r}")
+    head, n = e[0], len(e) - 1
+    if head == "=>" and n > 2:  # (=> a b c) is (=> a (=> b c))
+        return _read(["=>", e[1], ["=>", *e[2:]]], scope, signature, variables)
+    if isinstance(head, str):
+        kind, arity = _GRAMMAR.get(head, (App, None))
+    elif isinstance(head, list) and head[:2] == ["as", "const"] and len(head) == 3:
+        kind, arity = ConstArray, 1
+    else:
+        raise SexprError(f"bad term head {to_text(head)}")
+    if arity is not None and n != arity:
+        if kind is not Sub:
+            raise SexprError(f"{to_text(head)} takes {arity} arguments, got {n}")
+        if n != 1:
+            raise SexprError(f"- takes 1 or 2 arguments, got {n}")
+        kind = Neg
+    if kind is Forall or kind is Exists:
+        binders = atom(e[1], list, "a binder list")
+        for b in binders:
+            if not (isinstance(b, list) and len(b) == 2 and isinstance(b[0], str)):
+                raise SexprError(f"bad binder {to_text(b)}, expected (name sort)")
+        bound = tuple((name, sort_from_sexpr(s)) for name, s in binders)
+        body, body_sort = _read(e[2], {**scope, **dict(bound)}, signature, variables)
+        node = kind(bound, body)
+        return node, _SORT_RULES[kind](node, (body_sort,), signature)
+    args, sorts = [], []
+    for a in e[1:]:
+        t, s = _read(a, scope, signature, variables)
+        args.append(t)
+        sorts.append(s)
+    if kind is Neg and isinstance(args[0], IntLit):
+        return IntLit(-args[0].value), INT
+    if kind is App:
+        node = App(head, tuple(args))
+    elif kind is Cmp:
+        node = Cmp(head, *args)
+    elif isinstance(head, list):
+        array = sort_from_sexpr(head[2])
+        if not isinstance(array, ArraySort):
+            raise SexprError("(as const <sort>) needs an array sort")
+        node = ConstArray(args[0], array)
+    else:
+        node = kind(tuple(args)) if arity is None else kind(*args)
+    return node, _SORT_RULES[kind](node, sorts, signature)
 
 
 def term_from_text(

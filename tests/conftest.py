@@ -4,6 +4,7 @@ import pytest
 from hypothesis import strategies as st
 from pathlib import Path
 
+from qhenum import backend
 from qhenum.backend import resolve_solver
 from qhenum.terms import (
     BOOL,
@@ -58,12 +59,13 @@ def stub_solver(tmp_path):
     """
     numbers = itertools.count(1)
 
-    def make(stdout: str, stderr: str = "", code: int = 0) -> list[str]:
+    def make(stdout: str, stderr: str = "", code: int = 0, sleep: float = 0) -> list[str]:
         script = tmp_path / f"stub-solver-{next(numbers)}.sh"
         script.write_text(
             "#!/bin/sh\n"
             "cat > /dev/null\n"
-            f"cat <<'REPLY'\n{stdout}\nREPLY\n"
+            + (f"sleep {sleep}\n" if sleep else "")
+            + f"cat <<'REPLY'\n{stdout}\nREPLY\n"
             + (f"cat >&2 <<'ERR'\n{stderr}\nERR\n" if stderr else "")
             + f"exit {code}\n"
         )
@@ -71,6 +73,25 @@ def stub_solver(tmp_path):
         return [str(script)]
 
     return make
+
+
+@pytest.fixture
+def bare_node(tmp_path, monkeypatch):
+    """Leave only a bundled wrapper without its ``z3-solver`` package: no
+    ``QHENUM_SOLVER``, and a ``PATH`` whose one program is a ``node`` that
+    logs each call. Returns the node, the wrapper and the log paths."""
+    bin_dir, log = tmp_path / "bin", tmp_path / "node-calls.log"
+    bin_dir.mkdir()
+    node = bin_dir / "node"
+    node.write_text(f"#!/bin/sh\necho \"$@\" >> '{log}'\nexit 1\n")
+    node.chmod(0o755)
+    wrapper = tmp_path / "solver" / "z3smt2.mjs"
+    wrapper.parent.mkdir()
+    wrapper.write_text("")
+    monkeypatch.setenv("PATH", str(bin_dir))
+    monkeypatch.delenv("QHENUM_SOLVER", raising=False)
+    monkeypatch.setattr(backend, "WRAPPER", wrapper)
+    return node, wrapper, log
 
 
 @pytest.fixture

@@ -107,6 +107,20 @@ def test_resolve_solver_env(monkeypatch):
     assert resolve_solver() == ["my-z3", "-smt2", "-in"]
 
 
+def test_wrapper_without_its_package_is_refused(bare_node):
+    _, _, log = bare_node
+    with pytest.raises(SolverSpawnError, match="^no SMT solver found: .*z3-solver"):
+        resolve_solver()
+    assert not log.exists()
+
+
+def test_wrapper_with_its_package_is_picked(bare_node):
+    node, wrapper, log = bare_node
+    (wrapper.parent.parent / "node_modules" / "z3-solver").mkdir(parents=True)
+    assert resolve_solver() == [str(node), str(wrapper)]
+    assert not log.exists()
+
+
 def test_solve_trivial_unsat(solver):
     query = build_query([Cmp("<", IntLit(1), IntLit(0))], timeout_ms=10_000)
     assert solve(query, solver).status == "unsat"
@@ -134,9 +148,9 @@ def test_solve_missing_binary_raises():
         solve(query, solver=["/nonexistent/solver-binary"])
 
 
-def test_timeout_yields_unknown(solver):
+def test_timeout_yields_unknown(stub_solver):
     query = build_query([Cmp("=", IntLit(0), IntLit(0))], timeout_ms=0)
-    verdict = solve(query, solver)
+    verdict = solve(query, stub_solver("sat", sleep=1))
     assert verdict.status == "unknown"
     assert verdict.transcript == "timeout"
 

@@ -1,3 +1,4 @@
+import gc
 import json
 
 import pytest
@@ -95,6 +96,23 @@ def test_load_project(project_dir):
     assert project.valid_pred == "V"
     assert project.timeout_ms == 20000
     assert project.prop.cmp == "eq"
+
+
+def test_load_project_leaves_nothing_for_the_cycle_collector(benchmarks):
+    # a reader walk that calls itself through its closure is a reference
+    # cycle, which would keep each call's tables until the collector ran
+    gc.collect()
+    gc.disable()
+    gc.set_debug(gc.DEBUG_SAVEALL)
+    before = len(gc.garbage)
+    try:
+        load_project(benchmarks / "zk-hats")
+        gc.collect()
+        assert gc.garbage[before:] == []
+    finally:
+        gc.set_debug(0)
+        del gc.garbage[before:]
+        gc.enable()
 
 
 def test_load_project_missing_manifest(tmp_path):
@@ -274,6 +292,15 @@ def test_verify_malformed_proof_exits_3(benchmarks, stub_solver, tmp_path, capsy
     err = capsys.readouterr().err
     assert code == 3
     assert err.startswith("error: ") and "Traceback" not in err
+
+
+def test_verify_without_a_solver_exits_3_and_starts_none(benchmarks, bare_node, capsys):
+    _, _, log = bare_node
+    code = main(["verify", str(benchmarks / "zk-hats")])
+    err = capsys.readouterr().err
+    assert code == 3
+    assert err.startswith("error: no SMT solver found: ") and "z3-solver" in err
+    assert not log.exists()
 
 
 @pytest.mark.parametrize(

@@ -561,11 +561,11 @@ def test_check_script_rejects_unentailed_goal(solver):
     assert result.rejected_at == "goal"
 
 
-def test_check_script_requires_goal(solver):
+def test_check_script_requires_goal(stub_solver):
     script = parse_proof(
         "(proof (declare-pred R ((v Int)) (counted v) (= v 0)) (step 1 (positive R)))"
     )
-    result = check_script(script, Session(solver, TIMEOUT))
+    result = check_script(script, Session(stub_solver("unsat"), TIMEOUT))
     assert result.status != "accepted"
     assert result.rejected_at == "goal"
 

@@ -34,7 +34,7 @@ from qhenum.oracle import (
     successors,
     values_equal,
 )
-from qhenum.qhl import HFinally, HGlobally, StatePredicate, parse_property
+from qhenum.qhl import parse_property
 from qhenum.sexpr import parse_one
 from qhenum.system import TransitionSystem, parse_system
 from qhenum.terms import (
@@ -1370,7 +1370,7 @@ def test_bounded_eval_settles_deterministically(counter):
     inst = counter_instance(counter, 1, depth=3)
     t = enumerate_traces(inst)[0]
     assert eval_bounded(prop.body, t, t, inst) is True
-    assert eval_bounded(prop.diff, t, t, inst) is False
+    assert eval_bounded(prop.diff, t, t, inst, eventually=True) is False
 
 
 def test_count_classes_single_trace(counter):
@@ -1409,7 +1409,7 @@ def test_last_state_with_two_successors_is_not_pinned():
     assert count_equivalence_classes(inst, prop, stay, traces) == "unknown"
     # a declared deterministic instance raises, but only once the tail is needed
     inst.deterministic = True
-    assert eval_bounded(prop.diff, stay, traces[1], inst) is True
+    assert eval_bounded(prop.diff, stay, traces[1], inst, eventually=True) is True
     with pytest.raises(OracleError, match="declared deterministic"):
         eval_bounded(prop.body, stay, stay, inst)
 
@@ -1461,14 +1461,8 @@ STEP_COUNTER = """
 STEP_ENV = {f"{name}${copy}": INT for name in ("x", "n", "k") for copy in (1, 2)}
 
 
-def step_app(temporal, text):
-    return temporal(StatePredicate(2, term_from_text(text, STEP_ENV)))
-
-
-STEP_BODIES = (
-    step_app(HGlobally, "(= n$1 n$2)"),
-    step_app(HGlobally, "(<= x$1 x$2)"),
-    step_app(HFinally, "(= x$1 x$2)"),
+STEP_BODIES = tuple(
+    term_from_text(text, STEP_ENV) for text in ("(= n$1 n$2)", "(<= x$1 x$2)", "(= x$1 x$2)")
 )
 
 
@@ -1486,8 +1480,9 @@ def settled(trace):
     domain=st.sets(st.integers(0, 5), min_size=1),
     depth=st.integers(1, 5),
     body=st.sampled_from(STEP_BODIES),
+    eventually=st.booleans(),
 )
-def test_absorbing_end_agrees_with_settled_rule(bound, step, domain, depth, body):
+def test_absorbing_end_agrees_with_settled_rule(bound, step, domain, depth, body, eventually):
     system = parse_system(STEP_COUNTER)
     prop = dataclasses.replace(parse_property(PROP, system), body=body)
     inst = FiniteInstance(
@@ -1500,15 +1495,16 @@ def test_absorbing_end_agrees_with_settled_rule(bound, step, domain, depth, body
     pairs = [(a, b) for a in traces for b in traces]
     with mock.patch.object(TransitionPlan, "pinned", lambda self, trace: settled(trace)):
         expected = [
-            (eval_bounded(prop.body, a, b, inst), eval_bounded(prop.diff, a, b, inst))
+            (eval_bounded(body, a, b, inst, eventually=eventually),
+             eval_bounded(prop.diff, a, b, inst, eventually=True))
             for a, b in pairs
         ]
         expected_classes = [count_equivalence_classes(inst, prop, t, traces) for t in traces]
     for (a, b), (body_verdict, diff_verdict) in zip(pairs, expected):
         if body_verdict is not None:
-            assert eval_bounded(prop.body, a, b, inst) is body_verdict
+            assert eval_bounded(body, a, b, inst, eventually=eventually) is body_verdict
         if diff_verdict is not None:
-            assert eval_bounded(prop.diff, a, b, inst) is diff_verdict
+            assert eval_bounded(prop.diff, a, b, inst, eventually=True) is diff_verdict
     for pivot, classes in zip(traces, expected_classes):
         if classes != "unknown":
             assert count_equivalence_classes(inst, prop, pivot, traces) == classes
@@ -1526,11 +1522,12 @@ def _or3(a, b):
     return False if a is False and b is False else None
 
 
-def reference_eval(formula, first, second, instance):
+def reference_eval(pred, first, second, instance, plan=None, eventually=False):
     """The recursive three-valued evaluator ``eval_bounded`` replaced, cut
-    down to one predicate under ``F`` or ``G``: ``first`` is copy 1 and
-    ``second`` copy 2 of the predicate, and a verdict that needs the tail is
-    given only when both traces' last states are their own only successor."""
+    down to ``G pred``, or ``F pred`` when ``eventually``: ``first`` is copy
+    1 and ``second`` copy 2 of ``pred``, and a verdict that needs the tail is
+    given only when both traces' last states are their own only successor.
+    ``plan`` is ignored."""
     traces = (first, second)
     depths = {t.depth for t in traces}
     if len(depths) != 1 or 0 in depths:
@@ -1545,29 +1542,25 @@ def reference_eval(formula, first, second, instance):
     def tail_known():
         return all(pinned(t) for t in traces)
 
-    def ev(node, p):
-        if isinstance(node, StatePredicate):
-            env = {}
-            for j, trace in enumerate(traces):
-                env.update({f"{name}${j + 1}": v for name, v in trace.states[p].items()})
-            return bool(compile_term(node.body, instance.quant_lo, instance.quant_hi)(env))
-        if isinstance(node, HGlobally):
-            acc = True
-            for k in range(p, d):
-                acc = _and3(acc, ev(node.pred, k))
-                if acc is False:
-                    return False
-            return True if acc and tail_known() else None
-        if isinstance(node, HFinally):
-            acc = False
-            for k in range(p, d):
-                acc = _or3(acc, ev(node.pred, k))
-                if acc is True:
-                    return True
-            return False if acc is False and tail_known() else None
-        raise AssertionError(f"not a reference node: {node!r}")
+    def holds(p):
+        env = {}
+        for j, trace in enumerate(traces):
+            env.update({f"{name}${j + 1}": v for name, v in trace.states[p].items()})
+        return bool(compile_term(pred, instance.quant_lo, instance.quant_hi)(env))
 
-    return ev(formula, 0)
+    if eventually:
+        acc = False
+        for k in range(d):
+            acc = _or3(acc, holds(k))
+            if acc is True:
+                return True
+        return False if acc is False and tail_known() else None
+    acc = True
+    for k in range(d):
+        acc = _and3(acc, holds(k))
+        if acc is False:
+            return False
+    return True if acc and tail_known() else None
 
 
 def reference_classes(instance, prop, pivot, traces):
@@ -1581,7 +1574,7 @@ def reference_classes(instance, prop, pivot, traces):
     label = list(range(len(candidates)))
     for i, a in enumerate(candidates):
         for j in range(i + 1, len(candidates)):
-            delta = reference_eval(prop.diff, a, candidates[j], instance)
+            delta = reference_eval(prop.diff, a, candidates[j], instance, eventually=True)
             if delta is None:
                 return "unknown"
             if not delta:
@@ -1617,11 +1610,11 @@ REFERENCE_PREDICATES = (
     domain=st.sets(st.integers(0, 5), min_size=1),
     depth=st.integers(1, 4),
     deterministic=st.booleans(),
-    body=st.tuples(st.sampled_from((HFinally, HGlobally)), st.sampled_from(REFERENCE_PREDICATES)),
+    body=st.sampled_from(REFERENCE_PREDICATES),
     diff=st.sampled_from(REFERENCE_PREDICATES),
 )
 # x = 0 may stay or step, so the pin question of G raises on a declared deterministic instance
-@example(STAY_OR_STEP, 1, 0, {0, 1}, 1, True, (HGlobally, "(= n$1 n$2)"), "(= x$1 x$2)")
+@example(STAY_OR_STEP, 1, 0, {0, 1}, 1, True, "(= n$1 n$2)", "(= x$1 x$2)")
 def test_eval_bounded_matches_reference(
     system_text, bound, step, domain, depth, deterministic, body, diff
 ):
@@ -1636,14 +1629,17 @@ def test_eval_bounded_matches_reference(
     except OracleError:
         return  # the deterministic claim fails during enumeration, before any verdict
     prop = dataclasses.replace(
-        parse_property(PROP, system), body=step_app(*body), diff=step_app(HFinally, diff)
+        parse_property(PROP, system),
+        body=term_from_text(body, STEP_ENV),
+        diff=term_from_text(diff, STEP_ENV),
     )
     plan = TransitionPlan(inst)
-    for formula in (prop.body, prop.diff):
+    for pred, eventually in itertools.product((prop.body, prop.diff), (False, True)):
         for a in traces:
             for b in traces:
-                expected = verdict_or_error(reference_eval, formula, a, b, inst)
-                assert verdict_or_error(eval_bounded, formula, a, b, inst, plan) == expected
+                args = (pred, a, b, inst, plan, eventually)
+                expected = verdict_or_error(reference_eval, *args)
+                assert verdict_or_error(eval_bounded, *args) == expected
     for pivot in traces:
         expected = verdict_or_error(reference_classes, inst, prop, pivot, traces)
         assert verdict_or_error(count_equivalence_classes, inst, prop, pivot, traces) == expected
@@ -1802,7 +1798,7 @@ def test_used_terms_are_freed_once_dropped():
     traces = enumerate_traces(inst)
     assert count_equivalence_classes(inst, prop, traces[0], traces) == 2
     assert brute_count(formula, {"v": ScalarDomain((0, 1, 2))}) == 2
-    used = (coin.init, coin.tx, prop.body.pred.body, prop.diff.pred.body, formula)
+    used = (coin.init, coin.tx, prop.body, prop.diff, formula)
     refs = [weakref.ref(term) for term in used]
     del coin, prop, inst, formula, traces, used
     gc.collect()
@@ -1821,7 +1817,7 @@ def test_compiled_predicates_are_freed_without_the_cycle_collector():
     gc.disable()
     try:
         assert count_equivalence_classes(inst, prop, traces[0], traces) == 2
-        bodies = (prop.body.pred.body, prop.diff.pred.body)
+        bodies = (prop.body, prop.diff)
         assert all(body.memo for body in bodies)
         refs = [weakref.ref(body) for body in bodies]
         del coin, prop, inst, traces, bodies

@@ -43,10 +43,9 @@ KEPT_DATACLASSES = [
     "FArray",  # built with keywords in tests
     "FiniteInstance",  # mutable, a factory default, __post_init__
     "Obligation",  # built with keywords
-    "QhpProperty",  # built with keywords and copied with dataclasses.replace in tests
+    "QhpProperty",  # built with keywords, copied with dataclasses.replace in tests, __post_init__
     "Query",  # built with keywords
     "ScriptResult",  # built with keywords
-    "StatePredicate",  # __post_init__
     "TransitionSystem",  # copied with dataclasses.replace in tests
 ]
 

@@ -1,19 +1,18 @@
+import dataclasses
+import re
+
 import pytest
 
+from qhenum.enumeration import _psi
 from qhenum.qhl import (
-    HFinally,
-    HGlobally,
-    MissingAssignment,
     QhlError,
     QhpProperty,
-    StatePredicate,
     check_well_defined,
     difference_term,
     parse_property,
-    predicate_to_formula,
 )
 from qhenum.system import parse_system
-from qhenum.terms import INT, IntLit, Var, indexed, term_from_text
+from qhenum.terms import INT, IntLit, Not, Var, indexed, retag_free, term_from_text
 
 SYSTEM = """
 (system counter
@@ -46,8 +45,9 @@ def prop(system):
 def test_parse_property(prop):
     assert prop.cmp == "geq"
     assert prop.bound == Var("n", INT)
-    assert isinstance(prop.diff, HFinally)
-    assert isinstance(prop.body, HGlobally)
+    env = {f"{name}${copy}": INT for name in ("x", "n") for copy in (1, 2)}
+    assert prop.diff == term_from_text("(not (= x$1 x$2))", env)
+    assert prop.body == term_from_text("(and (= n$1 n$2) (<= x$2 n$2))", env)
 
 
 def test_strict_comparators_shift_literal_bounds(system):
@@ -59,18 +59,22 @@ def test_strict_comparators_shift_literal_bounds(system):
         parse_property(PROP.replace(":cmp geq", ":cmp lt"), system)
 
 
-def test_predicate_instantiation():
-    body = term_from_text("(= x$1 x$2)", {"x$1": INT, "x$2": INT})
-    pred = StatePredicate(2, body)
-    out = predicate_to_formula(pred, (indexed(3), indexed(5)))
-    assert out == term_from_text("(= x$3 x$5)", {"x$3": INT, "x$5": INT})
-    with pytest.raises(MissingAssignment):
-        predicate_to_formula(pred, (indexed(3),))
+def test_predicate_instantiation(prop):
+    env = {f"{name}${copy}": INT for name in ("x", "n") for copy in (3, 5)}
+    expected = term_from_text("(and (= n$3 n$5) (<= x$5 n$5))", env)
+    assert _psi(prop, 3, 5) == expected
+    primed = {indexed(3): indexed(3, True), indexed(5): indexed(5, True)}
+    assert _psi(prop, 3, 5, primed=True) == retag_free(expected, primed)
+    assert _psi(prop, 1, 2) == prop.body
 
 
-def test_predicate_body_must_stay_in_copies():
-    with pytest.raises(QhlError):
-        StatePredicate(1, term_from_text("(= x$1 x$2)", {"x$1": INT, "x$2": INT}))
+def test_predicate_body_must_stay_in_copies(prop):
+    for text in ("x$3", "x$1!", "x$2!", "x"):
+        stray = term_from_text(f"(= x$1 {text})", {"x$1": INT, text: INT})
+        for field in ("diff", "body"):
+            for pred in (stray, Not(stray)):
+                with pytest.raises(QhlError, match=f"{field} mentions {re.escape(text)} "):
+                    dataclasses.replace(prop, **{field: pred})
 
 
 def test_difference_term(prop):

@@ -14,7 +14,7 @@ from qhenum.cli import OracleSetup, Project
 from qhenum.counting import CountFact, CountTerm, ProofScript, ProofStep, Rule, RuleApp
 from qhenum.enumeration import AtIndex, DischargeReport, EnumerationWitness, Pointwise, VcBundle
 from qhenum.oracle import ArrayDomain, BoundedTrace, ScalarDomain
-from qhenum.qhl import HFinally, HGlobally, StatePredicate, WellDefinedResult
+from qhenum.qhl import WellDefinedResult
 from qhenum.terms import (
     BOOL,
     INT,
@@ -127,9 +127,9 @@ RECORDS = {
         "count_domains={'x': ScalarDomain(values=(0, 1))})",
     ),
     CountTerm: (
-        lambda: CountTerm("P", YES, (ONE,), (), "cnt.P", ()),
+        lambda: CountTerm("P", YES, (ONE,), (), ()),
         f"CountTerm(name='P', body=BoolLit(value=True), counted=({ONE_TEXT},), params=(), "
-        "symbol='cnt.P', args=(), bindings=())",
+        "args=(), bindings=())",
     ),
     CountFact: (
         lambda: CountFact(YES, "range", "step 1"),
@@ -161,14 +161,6 @@ RECORDS = {
     ScalarDomain: (lambda: ScalarDomain((0, 1)), "ScalarDomain(values=(0, 1))"),
     ArrayDomain: (lambda: ArrayDomain(0, 1, (0, 1)), "ArrayDomain(lo=0, hi=1, values=(0, 1), default=0)"),
     BoundedTrace: (lambda: BoundedTrace(({"x": 1},)), "BoundedTrace(states=({'x': 1},))"),
-    HFinally: (
-        lambda: HFinally(StatePredicate(2, YES)),
-        "HFinally(pred=StatePredicate(arity=2, body=BoolLit(value=True)))",
-    ),
-    HGlobally: (
-        lambda: HGlobally(StatePredicate(2, YES)),
-        "HGlobally(pred=StatePredicate(arity=2, body=BoolLit(value=True)))",
-    ),
     WellDefinedResult: (lambda: WellDefinedResult(True), "WellDefinedResult(ok=True, reason='')"),
 }
 # records with a dict among their fields hash as a tuple holding a dict does
@@ -219,7 +211,7 @@ def test_copies_and_pickles_round_trip(cls):
         (Sub(ONE, TWO), Mul(ONE, TWO)),
         (And((YES, NO)), Or((YES, NO))),
         (Forall((("j", INT),), YES), Exists((("j", INT),), YES)),
-        (HFinally(StatePredicate(2, YES)), HGlobally(StatePredicate(2, YES))),
+        (Not(YES), Neg(YES)),
         (BoolSort(), IntSort()),
     ],
     ids=lambda record: type(record).__name__,
