@@ -144,8 +144,7 @@ class ArrayDomain(Record):
     default: int = 0
 
     def __iter__(self) -> Iterator[FArray]:
-        width = self.hi - self.lo + 1
-        for combo in itertools.product(self.values, repeat=width):
+        for combo in itertools.product(self.values, repeat=self.hi - self.lo + 1):
             yield FArray(self.lo, combo, self.default)
 
     def size(self) -> int:
@@ -206,12 +205,15 @@ def state_key(state: State) -> tuple:
     return _state_key(state, sorted(state))
 
 
-def _state_key(state: State, order: Sequence[str]) -> tuple:
+def _state_key(state: State, order: Sequence[str], arrays: Optional[dict] = None) -> tuple:
+    """``state_key`` in ``order``; ``arrays`` keeps ``_typed`` of lasting arrays by ``id``."""
     out = []
     for name in order:
         v = state[name]
         if type(v) is FArray:
-            out.append((name, *_typed(v)))
+            typed = (_typed(v) if arrays is None
+                     else arrays.get(id(v)) or arrays.setdefault(id(v), _typed(v)))
+            out.append((name, *typed))
         else:
             # what _typed gives a scalar, inline: calling it for every scalar
             # made the keys of the oracle-traces states 26% slower (6.9 ms
@@ -240,10 +242,10 @@ class FiniteInstance:
     def __post_init__(self) -> None:
         if self.depth < 1:
             raise OracleError("depth must be >= 1")
+        if self.quant_lo > self.quant_hi:
+            raise OracleError(f"quantifier bounds {self.quant_lo} > {self.quant_hi}")
         for name, _ in self.system.state_vars:
-            if name in self.params:
-                continue
-            if name not in self.domains:
+            if name not in self.params and name not in self.domains:
                 raise OracleError(f"no domain for state variable {name}")
 
 
@@ -286,18 +288,18 @@ def _distinct(*vals: Value) -> bool:
     return all(not values_equal(v, w) for i, v in enumerate(vals) for w in vals[i + 1 :])
 
 
-def _tested(table: dict, test: Callable[..., Value], *args: Value) -> Value:
-    """``test(*args)``, remembered in ``table`` by the arguments' ``_typed`` values."""
+def _filtered(memo: dict, keep: Callable[..., list], values: list, *args: Value) -> list:
+    """``keep(values, *args)``, remembered in ``memo`` by the arguments' ``_typed`` values."""
     key = tuple(map(_typed, args))
-    if key not in table:
-        table[key] = test(*args)
-    return table[key]
+    if key not in memo:
+        memo[key] = keep(values, *args)
+    return memo[key]
 
 
 _HELPERS = {
     "_pow2": _pow2, "_fact": _fact, "_div": _div, "_mod": _mod, "_distinct": _distinct,
-    "_eq": values_equal, "_FArray": FArray, "_starmap": itertools.starmap, "_tested": _tested,
-    "_OracleError": OracleError,
+    "_eq": values_equal, "_FArray": FArray, "_starmap": itertools.starmap,
+    "_filtered": _filtered, "_OracleError": OracleError,
 }
 # Each node's text over its children's texts, in ``_children`` order: a
 # string fills one slot per child, a pair joins all children. A connective
@@ -459,12 +461,9 @@ def eval_term(
 # Generated search
 #
 # ``init``, ``tx`` and a counted formula are each searched by one generated
-# function around one comprehension over the candidates the term accepts
-# (see README): ``search``, a generator of their loop variables' values, for
-# ``init`` and a counted formula, and ``expand``, the expansion of a whole
-# trace level, for ``tx``. The mode picks which of the two is generated.
-
-_SEARCH, _EXPAND = "search", "expand"
+# function (see README): ``search``, a generator of their loop variables'
+# values, for ``init`` and a counted formula, and ``expand``, the expansion
+# of a whole trace level, for ``tx``.
 
 
 def _per_term(build: Callable) -> Callable:
@@ -486,33 +485,30 @@ def _reads(term: Term) -> set[str]:
 
 @_per_term
 def _search(
-    term: Term, loops: tuple, fixed: tuple, mode: str, quant_lo: int, quant_hi: int,
+    term: Term, loops: tuple, fixed: tuple, expand: bool, quant_lo: int, quant_hi: int,
     arrays: frozenset = frozenset(), keys: tuple = (),
 ) -> tuple[Callable, frozenset[str]]:
     """The generated function of ``term``, and the loop variables it
     defines: ``search(env, values, memo)``, a generator of the loop
-    variables' values of every candidate, or ``expand(level, values, memo,
-    branch)``, the level after ``level``: the fixed names are read from the
-    last state of each ``(prefix, order)``, a lone candidate extends the
-    prefix with rank 0 as the state that maps ``keys[j]`` to the value of
-    ``loops[j]``, and several go to ``branch(out, prefix, order, states)``.
-    ``values[j]`` lists the values of ``loops[j]``; for a defined one, it is
-    a table by typed key (see ``_table``) that lists the members equal to
-    its value, in ``search``, or tests its value for domain membership, in
-    ``expand``; there, for the loop variables in ``arrays``, it is an
-    ``ArrayDomain``, and the one that a frame ``(= x! x)`` defines is only
-    tested to be an array. ``memo`` maps a conjunct's index to its test's
-    table, in ``expand``. A variable other than the loop variables and the
-    fixed names is refused when the function is generated."""
+    variables' values of every candidate, or, when ``expand``,
+    ``expand(level, values, memo, branch)``, the level after ``level``, its
+    fixed names read from the last state of each ``(prefix, order)``: a lone
+    candidate extends the prefix with rank 0 as the state that maps
+    ``keys[j]`` to the value of ``loops[j]``, and several go to
+    ``branch(out, prefix, order, states)``. ``values[j]`` lists the values
+    of ``loops[j]``, or, for a defined one, holds its domain's members by
+    typed key (see ``_table``), or is an ``ArrayDomain`` when ``expand`` and
+    ``loops[j]`` is in ``arrays``. ``memo[j]`` keeps the values of an
+    undefined ``loops[j]`` that pass the tests of its loop. A variable other
+    than the loop variables and the fixed names is refused when generated."""
     conjuncts = list(term.args) if isinstance(term, And) else [term]
     looped = set(loops)
     slot = {name: f"V{j}" for j, name in enumerate([*loops, *fixed])}
     source = _Source(quant_lo, quant_hi, None)
-    expand = mode == _EXPAND
     lines: list[str] = []
     defs: dict[str, tuple[int, Term]] = {}  # loop variable -> (conjunct, right-hand side)
     reads: list[set[str]] = []
-    calls: list[str] = []  # each conjunct's test, or the clause its definition binds by
+    calls: list[str] = []  # each conjunct's test, or the value of its definition
     for i, c in enumerate(conjuncts):
         # a top-level (= x e) defines the loop variable x when neither e nor
         # an earlier conjunct reads x
@@ -525,75 +521,79 @@ def _search(
                     break
         reads.append(_reads(c))
         scope = {name: slot[name] for name in sorted(_reads(t) & slot.keys(), key=list(slot).index)}
-        args = ", ".join(scope.values())
         if t is not c and type(t) is Var and t.mangled in scope:
-            value = scope[t.mangled]  # a bound variable is its own value: nothing to call
+            calls.append(scope[t.mangled])  # a bound variable is its own value: nothing to call
         else:
+            args = ", ".join(scope.values())
             lines += [f"def t{i}({args}):", *source.body(t, scope, "    ")]
-            value = f"t{i}({args})"
-        if t is c:
-            calls.append(f"_tested(memo[{i}], t{i}, {args})" if expand else value)
-        else:
-            j = loops.index(x)
-            if not expand:
-                members = f"values[{j}].get((type(W{j}), W{j}), ())"
-                calls.append(f"for W{j} in ({value},) for V{j} in {members}")
-            elif x not in arrays:
-                calls.append(f"for V{j} in ({value},) if (type(V{j}), V{j}) in values[{j}]")
-            elif type(t) is Var and t.tag == PLAIN and mangle(t.name, PRIMED) == x:
-                calls.append(f"for V{j} in ({value},) if type(V{j}) is _FArray")
-            else:
-                calls.append(f"for V{j} in ({value},) if V{j} in values[{j}]")
-    defined = {i for i, _ in defs.values()}
+            calls.append(f"t{i}({args})")
     # a definition binds its variable once the loop variables it reads are
     # bound; the others loop in product order
     order: list[str] = []
     while len(order) < len(loops):
         ready = [x for x in defs if x not in order and _reads(defs[x][1]) & looped <= {*order}]
         order.append(ready[0] if ready else next(x for x in loops if x not in {*order, *defs}))
-    # the level of each test: -2 to guard the filters when it reads no loop
-    # variable, -1 to filter the one variable it reads that loops and is not
-    # defined, else the shallowest loop that binds what it reads
-    level = {}
-    for i, uses in enumerate(r & looped for r in reads):
-        if i in defined:
-            continue
-        if not uses:
-            level[i] = -2
-        elif len(uses) == 1 and not uses <= defs.keys():
-            level[i] = -1
-        else:
-            level[i] = max(map(order.index, uses))
+    # each test runs in the shallowest loop that binds what it reads, or
+    # before any, at -1, when it reads no loop variable
+    defined = {i for i, _ in defs.values()}
+    level = {i: max(map(order.index, r & looped), default=-1)
+             for i, r in enumerate(reads) if i not in defined}
 
-    # one comprehension: Python nests at most 20 loop statements
-    pad = "        " if expand else "    "
-    lines += (["def expand(level, values, memo, branch):", "    out = []",
-               "    for prefix, order in level:", "        env = prefix[-1]"] if expand
-              else ["def search(env, values, memo):"])
-    lines += [f"{pad}{slot[name]} = env[{name!r}]" for name in fixed]
-    guards = " and ".join(calls[i] for i in level if level[i] == -2)
-    if guards:
-        lines += [f"{pad}if not ({guards}):", f"{pad}    {'continue' if expand else 'return ()'}"]
-    clauses = ["for _ in (0,)"]
-    for at, x in enumerate(order):
-        j = loops.index(x)
+    def member(x: str) -> str:
+        # in expand: the defined x lies in its domain; an array frame (= x! x) is only type-checked
+        j, rhs = loops.index(x), defs[x][1]
+        if x not in arrays:
+            return f"(type(V{j}), V{j}) in values[{j}]"
+        frame = type(rhs) is Var and rhs.tag == PLAIN and mangle(rhs.name, PRIMED) == x
+        return f"type(V{j}) is _FArray" if frame else f"V{j} in values[{j}]"
+
+    # in expand, the definitions before the first undefined loop variable
+    # are bound once per prefix, and a failed test of what they bind skips it
+    bound = next((at for at, x in enumerate(order) if x not in defs), len(order)) if expand else 0
+    pad, skip = ("        ", "continue") if expand else ("    ", "return ()")
+    body = [f"{pad}{slot[name]} = env[{name!r}]" for name in fixed]
+    for at, x in [(-1, None), *enumerate(order[:bound])]:
+        conds = [calls[i] for i in level if level[i] == at]
+        if x is not None:
+            body.append(f"{pad}V{loops.index(x)} = {calls[defs[x][0]]}")
+            conds.insert(0, member(x))
+        if conds:
+            body += [f"{pad}if not ({' and '.join(conds)}):", f"{pad}    {skip}"]
+    # one comprehension over the rest: Python nests at most 20 loop statements
+    clauses = [] if order[bound:] else ["for _ in (0,)"]
+    for at, x in enumerate(order[bound:], bound):
+        j, kept = loops.index(x), [i for i in level if level[i] == at]
         if x in defs:
-            clauses.append(calls[defs[x][0]])
+            value = calls[defs[x][0]]
+            members = f"values[{j}].get((type(W{j}), W{j}), ())"
+            clauses.append(f"for V{j} in ({value},) if {member(x)}" if expand
+                           else f"for W{j} in ({value},) for V{j} in {members}")
+            clauses += [f"if {calls[i]}" for i in kept]
+        elif kept:
+            # the values that pass the tests of this loop, kept in memo[j] by
+            # the other variables they read
+            args = "".join(f", {slot[n]}" for n in slot
+                           if n != x and any(n in reads[i] for i in kept))
+            tests = " and ".join(calls[i] for i in kept)
+            lines += [f"def a{j}(A{args}):", f"    return [V{j} for V{j} in A if {tests}]"]
+            clauses.append(f"for V{j} in _filtered(memo[{j}], a{j}, values[{j}]{args})")
         else:
-            kept = "".join(f" if {calls[i]}" for i in level if level[i] == -1 and x in reads[i])
-            lines.append(f"{pad}A{j} = [V{j} for V{j} in values[{j}]{kept}]")
-            clauses.append(f"for V{j} in A{j}")
-        clauses += [f"if {calls[i]}" for i in level if level[i] == at]
+            clauses.append(f"for V{j} in values[{j}]")
     if not expand:
         yielded = "".join(f"V{j}, " for j in range(len(loops)))
-        lines.append(f"    return (({yielded}) {' '.join(clauses)})")
+        lines += ["def search(env, values, memo):", *body,
+                  f"    return (({yielded}) {' '.join(clauses)})"]
+        return _define(source, lines, "search"), frozenset(defs)
+    state = "{" + ", ".join(f"{key!r}: V{j}" for j, key in enumerate(keys)) + "}"
+    lines += ["def expand(level, values, memo, branch):", "    out = []",
+              "    for prefix, order in level:", "        env = prefix[-1]", *body]
+    if bound == len(order):
+        lines.append(f"        out.append((prefix + ({state},), order + (0,)))")
     else:
-        state = ", ".join(f"{key!r}: V{j}" for j, key in enumerate(keys))
-        lines += [f"        found = [{{{state}}} {' '.join(clauses)}]", "        if len(found) == 1:",
+        lines += [f"        found = [{state} {' '.join(clauses)}]", "        if len(found) == 1:",
                   "            out.append((prefix + (found[0],), order + (0,)))",
-                  "        elif found:", "            branch(out, prefix, order, found)",
-                  "    return out"]
-    return _define(source, lines, mode), frozenset(defs)
+                  "        elif found:", "            branch(out, prefix, order, found)"]
+    return _define(source, [*lines, "    return out"], "expand"), frozenset(defs)
 
 
 def _accepted(term: Term, doms: Mapping[str, Domain], env: Mapping[str, Value], quant_lo: int,
@@ -604,9 +604,9 @@ def _accepted(term: Term, doms: Mapping[str, Domain], env: Mapping[str, Value], 
     # the product of no domains has one candidate
     if any(total > cap for total in itertools.accumulate(sizes, operator.mul, initial=1)):
         raise CapExceeded(f"{what} exceeds cap {cap}")
-    search, defined = _search(term, tuple(doms), tuple(env), _SEARCH, quant_lo, quant_hi)
+    search, defined = _search(term, tuple(doms), tuple(env), False, quant_lo, quant_hi)
     values = [_table(list(dom)) if x in defined else list(dom) for x, dom in doms.items()]
-    return consume(search(env, values, None))
+    return consume(search(env, values, defaultdict(dict)))
 
 
 # ---------------------------------------------------------------------------
@@ -624,7 +624,7 @@ class BoundedTrace(Record):
 class TransitionPlan:
     """Everything the ``tx`` expansion derives from an instance, made once,
     and each last state's pin: the plan reflects the instance as it was when
-    built, and its tests' memo tables and its pins live as long as it."""
+    built, and its loops' filtered values and its pins live as long as it."""
 
     def __init__(self, instance: FiniteInstance) -> None:
         self.instance = instance
@@ -637,7 +637,7 @@ class TransitionPlan:
         loops = tuple(mangle(name, PRIMED) for name in keys)
         tx, lo, hi = instance.system.tx, instance.quant_lo, instance.quant_hi
         arrays = frozenset(x for x, name in zip(loops, keys) if isinstance(doms[name], ArrayDomain))
-        self.expand, defined = _search(tx, loops, tuple(doms), _EXPAND, lo, hi, arrays, keys)
+        self.expand, defined = _search(tx, loops, tuple(doms), True, lo, hi, arrays, keys)
         # a defined variable's domain is not listed, as it may be large: its
         # value is looked up in a scalar domain's table or an array domain
         self.values = [
@@ -723,9 +723,11 @@ def enumerate_traces(instance: FiniteInstance) -> list[BoundedTrace]:
     initial = _accepted(instance.system.init, doms, env, instance.quant_lo, instance.quant_hi,
                         instance.cap, "state domain product", list)
     level: list[tuple[tuple[State, ...], tuple]] = []
-    for free in (dict(zip(doms, combo)) for combo in initial):
-        state = {name: free[name] if name in free else env[name] for name in names}
-        level.append(((state,), (_state_key(state, plan.key_order),)))
+    arrays: dict[int, tuple] = {}  # the initial states share their array objects
+    for combo in initial:
+        state = dict(zip(doms, combo))
+        state.update(env)
+        level.append(((state,), (_state_key(state, plan.key_order, arrays),)))
     branch = partial(_siblings, plan.key_order, instance.deterministic, instance.cap)
     for _ in range(instance.depth - 1):
         level = plan.expand(level, plan.values, plan.memo, branch)
@@ -800,8 +802,6 @@ def count_equivalence_classes(
             return "unknown"
         if verdict:
             candidates.append(t)
-    if not candidates:
-        return 0
     n = len(candidates)
     parent = list(range(n))
 
@@ -813,15 +813,12 @@ def count_equivalence_classes(
 
     for i in range(n):
         for j in range(i + 1, n):
-            delta = eval_bounded(
-                prop.diff, candidates[i], candidates[j], instance, plan, eventually=True
-            )
+            delta = eval_bounded(prop.diff, candidates[i], candidates[j], instance, plan,
+                                 eventually=True)
             if delta is None:
                 return "unknown"
             if not delta:
-                ri, rj = find(i), find(j)
-                if ri != rj:
-                    parent[ri] = rj
+                parent[find(i)] = find(j)
     return len({find(i) for i in range(n)})
 
 

@@ -792,6 +792,9 @@ def retag_free(term: Term, mapping: Mapping[Tag, Tag]) -> Term:
     variable object is retagged once per call, and a subterm with no
     variable to retag comes back as the same object.
     """
+    mapping = {frm: to for frm, to in mapping.items() if frm != to}
+    if not mapping:
+        return term
     if PLAIN in mapping.values():
         return substitute(
             term, {v: v.with_tag(mapping[v.tag]) for v in free_vars(term) if v.tag in mapping}

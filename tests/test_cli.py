@@ -579,6 +579,16 @@ def test_oracle_refuses_a_quantifier_over_an_array_before_counting(benchmarks, t
     assert capsys.readouterr().err == "error: cannot enumerate quantifier over (Array Int Int)\n"
 
 
+def test_oracle_refuses_inverted_quantifier_bounds(benchmarks, tmp_path, capsys):
+    # every Int quantifier would range over nothing: zk-hats counts 0 valid, not 3
+    hats = copy_benchmark(benchmarks, "zk-hats", tmp_path / "hats")
+    instance = hats / "instance.sexp"
+    assert "(quant-bounds -1 4)" in instance.read_text()
+    instance.write_text(instance.read_text().replace("(quant-bounds -1 4)", "(quant-bounds 5 1)"))
+    assert main(["oracle", "--instance", str(instance), "--brute-count", "valid"]) == 3
+    assert capsys.readouterr() == ("", "error: quantifier bounds 5 > 1\n")
+
+
 @pytest.mark.parametrize(
     "args, message",
     [

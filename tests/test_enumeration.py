@@ -13,6 +13,7 @@ from qhenum.backend import (
 )
 from qhenum.cli import load_project
 from qhenum.enumeration import (
+    _psi,
     AtIndex,
     MissingWitness,
     VcBundle,
@@ -102,6 +103,11 @@ def test_parse_enumeration_reads_each_term_at_its_sort(system, old, new, message
     with pytest.raises(SexprError) as err:
         parse_enumeration(WITNESS.replace(old, new), system)
     assert str(err.value) == message
+
+
+def test_psi_of_copies_one_and_two_is_the_body_itself(prop):
+    # an identity mapping returns the body itself, with its SMT-LIB text cached
+    assert _psi(prop, 1, 2) is prop.body
 
 
 def test_missing_skolem_entry(system, prop):

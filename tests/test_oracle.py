@@ -443,6 +443,12 @@ def test_init_fix_pins_only_the_start(counter):
     assert [s["x"] for s in traces[0].states] == [0, 1, 2]
 
 
+def test_inverted_quantifier_bounds_are_refused(counter):
+    with pytest.raises(OracleError, match=r"^quantifier bounds 2 > 1$"):
+        counter_instance(counter, 2, depth=3, quant_lo=2, quant_hi=1)
+    assert counter_instance(counter, 2, depth=3, quant_lo=1, quant_hi=1).quant_hi == 1
+
+
 def test_cap_enforced(counter):
     inst = counter_instance(counter, 2, depth=3)
     inst.cap = 0
@@ -1009,6 +1015,28 @@ def test_successors_tell_true_from_one():
     expected = [{"a": FArray(0, (0,)), "x": True}, {"a": FArray(0, (True,)), "x": True}]
     for state in ({"x": 1, "a": arrays[2]}, {"x": True, "a": arrays[1]}) * 2:
         assert [state_key(s) for s in successors(inst, state, plan)] == list(map(state_key, expected))
+
+
+def test_filters_tell_true_from_one_in_what_they_read():
+    # d! and a! are bound once per prefix, and the filter of x! reads both:
+    # its entries are kept by their typed values, so d = 1 and d = true, and
+    # arrays that hold 1 and true, never share one
+    d, x = Var("d", INT, None, True), Var("x", INT, None, True)
+    a = Var("a", ArraySort(INT, INT), None, True)
+    frames = tuple(Cmp("=", v, v.with_tag(PLAIN)) for v in (d, a))
+    tx = And((*frames, Distinct((x, d)), Distinct((x, Select(a, IntLit(0))))))
+    arrays = (FArray(0, (1,)), FArray(0, (True,)))
+    domains = {"a": ScalarDomain(arrays), "d": ScalarDomain((1, True)),
+               "x": ScalarDomain((0, 1, True))}
+    inst = tx_instance({"a": ArraySort(INT, INT), "d": INT, "x": INT}, tx, domains)
+    got = outcome(enumerate_traces, inst)
+    # from each of the 3 values of x: 2 + 1 + 1 + 2 successors over the values of a and d
+    assert got == outcome(reference_traces, inst) and len(got) == 3 * 6
+    plan = TransitionPlan(inst)
+    states = [{"a": arr, "d": dv, "x": 0} for dv in (1, True) for arr in arrays]
+    for state in states + states[::-1]:
+        expected = filtered_successors(inst, state)
+        assert list(map(state_key, successors(inst, state, plan))) == list(map(state_key, expected))
 
 
 def test_successors_test_a_defined_scalar_for_its_domain_by_type():
@@ -1861,3 +1889,25 @@ def test_searches_over_more_variables_than_python_nests():
     system = TransitionSystem("wide", tuple((n, INT) for n in names), (), chain, step)
     inst = FiniteInstance(system=system, domains=domains, params={}, depth=2)
     assert outcome(enumerate_traces, inst) == outcome(reference_traces, inst)
+
+
+def test_expansion_over_more_variables_than_python_nests():
+    # 32 variables: p0-p9 are defined from fixed names and one another, so
+    # bound once per prefix; l0-l10 loop, each filtered by a test that reads
+    # a p and, from l2 on, an earlier l; d0-d10 are defined from the l, and
+    # with the l give 22 clauses of one comprehension
+    ps, ls, ds = ([f"{c}{k}" for k in range(n)] for c, n in (("p", 10), ("l", 11), ("d", 11)))
+    tx = ["(= p0! p0)", "(= p1! (- 1 p0!))", "(= p2! p1!)", "(<= p0! 1)"]
+    tx += [f"(= p{k}! (ite (< p{k - 1}! 1) p{k} 1))" for k in range(3, 10)]
+    tx += [f"(<= l{k}! p{k % 10}!)" for k in range(11)]
+    tx += [f"(<= l{k}! l{k - 2}!)" for k in range(2, 11)]
+    tx += [f"(= d{k}! (+ l{k}! p{k % 10}!))" for k in range(11)] + ["(<= d3! 2)"]
+    names = ps + ls + ds
+    variables = " ".join(f"({n} Int)" for n in names)
+    system = parse_system(f"(system wide (vars {variables}) (init true) (tx (and {' '.join(tx)})))")
+    domains = {n: ScalarDomain((0, 1, 2) if n in ds else (0, 1)) for n in names}
+    inst = FiniteInstance(system=system, domains=domains, params={}, depth=2,
+                          init_fix=dict.fromkeys(names, 0))
+    got = outcome(enumerate_traces, inst)
+    # p0! = 0 holds l0! and so every even l at 0; the odd l fall from l1
+    assert got == outcome(reference_traces, inst) and len(got) == 6

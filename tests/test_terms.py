@@ -252,6 +252,19 @@ def test_walks_return_unchanged_subterms_as_the_same_objects():
         assert substitute(quant, {x: y}) is quant
 
 
+def test_retag_free_drops_identity_entries():
+    # an entry that maps a tag to itself retags nothing, on either path
+    x, y = Var("x", INT), Var("y", INT, 2)
+    term = And((Cmp("<", x.with_tag(indexed(1)), y), Forall((("x", INT),), Cmp("=", x, y))))
+    for tag in (PLAIN, indexed(1), indexed(2)):
+        assert retag_free(term, {tag: tag}) is term
+    assert retag_free(term, {indexed(1): indexed(1), indexed(2): indexed(2), PLAIN: PLAIN}) is term
+    out = retag_free(term, {indexed(1): indexed(1), indexed(2): indexed(3)})
+    assert out == And((Cmp("<", x.with_tag(indexed(1)), y.with_tag(indexed(3))),
+                       Forall((("x", INT),), Cmp("=", x, y.with_tag(indexed(3))))))
+    assert out.args[0].left is term.args[0].left
+
+
 def test_substitute_renames_nested_binders_past_names_in_use():
     # the outer x is free in y's replacement; x~1 is free in its body, so
     # it becomes x~2; the inner x, renamed in its own scope, takes x~1
