@@ -343,6 +343,9 @@ def reference_substitute(term, bindings):
 
 
 def reference_retag_free(term, mapping):
+    # an entry that maps a tag to itself retags nothing, and as a binding
+    # of a variable to itself it would only steer the choice of fresh names
+    mapping = {frm: to for frm, to in mapping.items() if frm != to}
     if PLAIN in mapping.values():
         return reference_substitute(
             term,
