@@ -8,7 +8,6 @@ import shutil
 import subprocess
 import threading
 import time
-from dataclasses import dataclass
 from pathlib import Path
 from typing import Optional, Sequence
 
@@ -56,9 +55,8 @@ MBQI_OPTIONS: tuple[tuple[str, str], ...] = (("smt.mbqi", "true"),)
 VALIDITY = ((VALIDITY_OPTIONS, OBLIGATION_LOGIC, None),)
 
 
-@dataclass(frozen=True)
-class Query:
-    """One SMT-LIB query; a dataclass, as ``build_query`` builds it with keywords."""
+class Query(Record):
+    """One SMT-LIB query."""
 
     assertions: tuple[str, ...]  # SMT-LIB text of each assertion
     logic: str = DEFAULT_LOGIC
@@ -76,10 +74,8 @@ class Verdict(Record):
     transcript: str = ""
 
 
-@dataclass(frozen=True)
-class Obligation:
-    """A question for the solver about the conjunction of ``assertions``; a
-    dataclass, as it is built with keywords."""
+class Obligation(Record):
+    """A question for the solver about the conjunction of ``assertions``."""
 
     label: str
     assertions: tuple[Term, ...]
@@ -116,27 +112,20 @@ def build_query(
     funcs: dict[str, tuple[tuple[Sort, ...], Sort]] = {}
     for formula in assertions:
         # a root that is no Term is walked uncached, which raises TypeError
-        rendered = formula.smt if isinstance(formula, Term) else render(formula)
-        texts.append(rendered.text)
-        clash = rendered.clash
-        for name, sort in rendered.consts:
+        text, found, applied, clash = formula.smt if isinstance(formula, Term) else render(formula)
+        texts.append(text)
+        for name, sort in found:
             prev = consts.setdefault(name, sort)
             if clash is None and prev is not sort and prev != sort:
                 clash = name
         if clash is not None:
             raise EmitError(f"constant {clash} used at two sorts")
-        for name in rendered.funcs:
+        for name in applied:
             if name not in funcs:
                 funcs[name] = signature.rank(name)
-    return Query(
-        assertions=tuple(texts),
-        logic=logic,
-        options=options,
-        functions=tuple((n, *funcs[n]) for n in sorted(funcs)),
-        consts=tuple(sorted(consts.items())),
-        timeout_ms=timeout_ms,
-        get_model=get_model,
-    )
+    functions = tuple((n, *funcs[n]) for n in sorted(funcs))
+    return Query(tuple(texts), logic, options, functions, tuple(sorted(consts.items())), timeout_ms,
+                 get_model)
 
 
 def emit(query: Query) -> str:

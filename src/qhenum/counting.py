@@ -16,7 +16,6 @@ defining axioms of the declared recursive count functions.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from functools import cached_property
 from typing import Callable, Mapping, Optional, Sequence
 
@@ -163,9 +162,8 @@ class ProofScript(Record):
     signature: Signature  # the built-ins and every count symbol the script names
 
 
-@dataclass(frozen=True)
-class ScriptResult:
-    """A proof script's verdict; a dataclass, as it is built with keywords."""
+class ScriptResult(Record):
+    """A proof script's verdict."""
 
     status: str  # accepted | rejected | unknown
     rejected_at: Optional[str] = None
@@ -688,7 +686,7 @@ def check_script(script: ProofScript, session: Session) -> ScriptResult:
     except KernelError as exc:
         status = "unknown" if isinstance(exc, QueryUnknown) else "rejected"
         return ScriptResult(status, at, str(exc), tuple(kernel.facts))
-    return ScriptResult("accepted", facts=tuple(kernel.facts))
+    return ScriptResult("accepted", None, "", tuple(kernel.facts))
 
 
 # ---------------------------------------------------------------------------

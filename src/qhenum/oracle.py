@@ -11,7 +11,6 @@ import itertools
 import math
 import operator
 from collections import defaultdict
-from dataclasses import dataclass, field
 from functools import partial
 from typing import Callable, Iterator, Mapping, Optional, Sequence, Union
 
@@ -21,6 +20,7 @@ from .terms import (
     Add,
     And,
     App,
+    ArraySort,
     BoolLit,
     Cmp,
     ConstArray,
@@ -70,10 +70,8 @@ DEFAULT_QUANT = (-2, 8)
 # Values and domains
 
 
-@dataclass(frozen=True)
-class FArray:
-    """Integer array with explicit window [lo, lo+len) and a default outside;
-    a dataclass, as tests build it with keywords."""
+class FArray(Record):
+    """Integer array with explicit window [lo, lo+len) and a default outside."""
 
     lo: int
     vals: tuple[int, ...]
@@ -89,7 +87,7 @@ class FArray:
             vals = list(self.vals)
             vals[i - self.lo] = v
             return FArray(self.lo, tuple(vals), self.default)
-        if v == self.default:
+        if values_equal(v, self.default):
             return self
         # grow the explicit window to cover i, padding with the default
         lo = min(self.lo, i)
@@ -149,6 +147,13 @@ class ArrayDomain(Record):
 
     def size(self) -> int:
         return len(self.values) ** (self.hi - self.lo + 1)
+
+    def get(self, key: tuple, default: Sequence[FArray] = ()) -> Sequence[FArray]:
+        """As a ``_table``'s: the member that ``values_equal`` the value of
+        ``key``, alone, or ``default``."""
+        if key[1] not in self:
+            return default
+        return (FArray(self.lo, tuple(map(key[1].get, range(self.lo, self.hi + 1))), self.default),)
 
     def __contains__(self, value: Value) -> bool:
         """Whether ``value`` ``values_equal`` a member: an array with its
@@ -222,31 +227,30 @@ def _state_key(state: State, order: Sequence[str], arrays: Optional[dict] = None
     return tuple(out)
 
 
-@dataclass
 class FiniteInstance:
-    """A system over finite domains; a dataclass, as it is mutable and checked once built."""
+    """A system over finite domains, checked once built; its fields may be
+    changed after. ``deterministic`` is a checked claim: ``successors``
+    raises at a state with several successors. ``init_fix`` pins the
+    *initial* value of a state variable without restricting how it may
+    evolve afterwards (unlike ``params``, which freeze it for the whole run).
+    """
 
-    system: TransitionSystem
-    domains: dict[str, Domain]
-    params: dict[str, Value]
-    depth: int
-    # a checked claim: ``successors`` raises at a state with several successors
-    deterministic: bool = False
-    quant_lo: int = DEFAULT_QUANT[0]
-    quant_hi: int = DEFAULT_QUANT[1]
-    cap: int = DEFAULT_CAP
-    # pins the *initial* value of a state variable without restricting how it
-    # may evolve afterwards (unlike params, which freeze it for the whole run)
-    init_fix: dict = field(default_factory=dict)
-
-    def __post_init__(self) -> None:
-        if self.depth < 1:
+    def __init__(
+        self, system: TransitionSystem, domains: dict[str, Domain], params: dict[str, Value],
+        depth: int, deterministic: bool = False, quant_lo: int = DEFAULT_QUANT[0],
+        quant_hi: int = DEFAULT_QUANT[1], cap: int = DEFAULT_CAP, init_fix: Optional[dict] = None,
+    ) -> None:
+        if depth < 1:
             raise OracleError("depth must be >= 1")
-        if self.quant_lo > self.quant_hi:
-            raise OracleError(f"quantifier bounds {self.quant_lo} > {self.quant_hi}")
-        for name, _ in self.system.state_vars:
-            if name not in self.params and name not in self.domains:
+        if quant_lo > quant_hi:
+            raise OracleError(f"quantifier bounds {quant_lo} > {quant_hi}")
+        for name, _ in system.state_vars:
+            if name not in params and name not in domains:
                 raise OracleError(f"no domain for state variable {name}")
+        self.system, self.domains, self.params, self.depth = system, domains, params, depth
+        self.deterministic, self.cap = deterministic, cap
+        self.quant_lo, self.quant_hi = quant_lo, quant_hi
+        self.init_fix = {} if init_fix is None else init_fix
 
 
 # ---------------------------------------------------------------------------
@@ -507,6 +511,10 @@ def _search(
     source = _Source(quant_lo, quant_hi, None)
     lines: list[str] = []
     defs: dict[str, tuple[int, Term]] = {}  # loop variable -> (conjunct, right-hand side)
+    # in expand, the defined arrays that loop over the members of their domain
+    # that values_equal their value, as search does: a value such as a
+    # constant array holds the same entries in another window
+    listed: set[str] = set()
     reads: list[set[str]] = []
     calls: list[str] = []  # each conjunct's test, or the value of its definition
     for i, c in enumerate(conjuncts):
@@ -518,6 +526,9 @@ def _search(
                 x = side.mangled if isinstance(side, Var) else None
                 if x in looped and x not in _reads(rhs) and not any(x in r for r in reads):
                     defs[x], t = (i, rhs), rhs
+                    frame = type(rhs) is Var and rhs.tag == PLAIN and mangle(rhs.name, PRIMED) == x
+                    if expand and isinstance(side.sort, ArraySort) and not frame:
+                        listed.add(x)
                     break
         reads.append(_reads(c))
         scope = {name: slot[name] for name in sorted(_reads(t) & slot.keys(), key=list(slot).index)}
@@ -541,15 +552,13 @@ def _search(
 
     def member(x: str) -> str:
         # in expand: the defined x lies in its domain; an array frame (= x! x) is only type-checked
-        j, rhs = loops.index(x), defs[x][1]
-        if x not in arrays:
-            return f"(type(V{j}), V{j}) in values[{j}]"
-        frame = type(rhs) is Var and rhs.tag == PLAIN and mangle(rhs.name, PRIMED) == x
-        return f"type(V{j}) is _FArray" if frame else f"V{j} in values[{j}]"
+        j = loops.index(x)
+        return f"type(V{j}) is _FArray" if x in arrays else f"(type(V{j}), V{j}) in values[{j}]"
 
-    # in expand, the definitions before the first undefined loop variable
-    # are bound once per prefix, and a failed test of what they bind skips it
-    bound = next((at for at, x in enumerate(order) if x not in defs), len(order)) if expand else 0
+    # in expand, the definitions before the first undefined or listed loop
+    # variable are bound once per prefix, and a failed test of what they bind skips it
+    bound = next((at for at, x in enumerate(order) if x not in defs or x in listed),
+                 len(order)) if expand else 0
     pad, skip = ("        ", "continue") if expand else ("    ", "return ()")
     body = [f"{pad}{slot[name]} = env[{name!r}]" for name in fixed]
     for at, x in [(-1, None), *enumerate(order[:bound])]:
@@ -566,7 +575,7 @@ def _search(
         if x in defs:
             value = calls[defs[x][0]]
             members = f"values[{j}].get((type(W{j}), W{j}), ())"
-            clauses.append(f"for V{j} in ({value},) if {member(x)}" if expand
+            clauses.append(f"for V{j} in ({value},) if {member(x)}" if expand and x not in listed
                            else f"for W{j} in ({value},) for V{j} in {members}")
             clauses += [f"if {calls[i]}" for i in kept]
         elif kept:
@@ -681,15 +690,16 @@ def successors(
     ``tx`` expansion of the level of ``state`` alone.
 
     Candidates come in product order of the next-state variables sorted by
-    name; one that a top-level ``(= x! e)`` defines is assigned ``e``, and a
-    variable ``e`` is bound as it is. A candidate is kept when every
-    conjunct of ``tx`` holds on it and every value lies in its domain,
-    type-exact (``true`` is not ``1``). Of an array that a frame
-    ``(= x! x)`` defines, only that it is an array is checked: for a state
-    that ``enumerate_traces`` produces, ``x`` lies in its domain. A later
-    candidate with the state key of a kept one is dropped. Raises
-    ``OracleError`` when the instance is declared deterministic and more
-    than one state remains.
+    name, but that one a top-level ``(= x! e)`` defines comes after the
+    variables ``e`` reads and is assigned ``e``: a variable ``e`` as it is,
+    an array each member of its domain that ``values_equal`` ``e``. A
+    candidate is kept when every conjunct of ``tx`` holds on it and every
+    value lies in its domain, type-exact (``true`` is not ``1``). Of an
+    array that a frame ``(= x! x)`` defines, only that it is an array is
+    checked: for a state that ``enumerate_traces`` produces, ``x`` lies in
+    its domain. A later candidate with the state key of a kept one is
+    dropped. Raises ``OracleError`` when the instance is declared
+    deterministic and more than one state remains.
     """
     if plan is None:
         plan = TransitionPlan(instance)

@@ -5,7 +5,6 @@ proves, ``forall t0. # t1 : F(diff). G(body) <| N(Z)``, where ``diff`` and
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from functools import partial
 from typing import Optional
 
@@ -36,16 +35,13 @@ class QhlError(ValueError):
     pass
 
 
-@dataclass(frozen=True)
-class QhpProperty:
+class QhpProperty(Record):
     """``forall pivot. # counted : F(diff). G(body) <| bound``.
 
     ``diff`` and ``body`` are the predicates under ``F`` and ``G``, over
     copies 1 and 2 of the state variables. Copy 1 of ``body`` is the pivot
     and copy 2 the counted trace; copies 1 and 2 of ``diff`` are two counted
-    traces, which must eventually differ to count apart. A dataclass, as
-    tests build it with keywords and copy it with ``replace``, and for its
-    ``__post_init__`` check.
+    traces, which must eventually differ to count apart.
     """
 
     diff: Term

@@ -2,7 +2,6 @@
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from functools import partial
 from typing import Sequence
 
@@ -11,6 +10,7 @@ from .terms import (
     BOOL,
     PLAIN,
     PRIMED,
+    Record,
     Sort,
     Tag,
     Term,
@@ -26,9 +26,8 @@ class SystemError_(ValueError):
     pass
 
 
-@dataclass(frozen=True)
-class TransitionSystem:
-    """A symbolic transition system; a dataclass, as tests copy it with ``replace``."""
+class TransitionSystem(Record):
+    """A symbolic transition system."""
 
     name: str
     state_vars: tuple[tuple[str, Sort], ...]

@@ -21,9 +21,9 @@ Every recursive walk is a module function, not a closure that calls
 itself: such a closure is a reference cycle, which keeps what it holds
 until the cyclic collector runs.
 
-Sorts, terms and the package's other positional immutable records derive
-from ``Record``, which gives a class the behaviour of a frozen dataclass
-without generating code for it.
+Sorts, terms and every other immutable record of the package derive from
+``Record``, which gives a class the behaviour of a frozen dataclass without
+generating code for it.
 """
 
 from __future__ import annotations
@@ -31,7 +31,7 @@ from __future__ import annotations
 import re
 from functools import cached_property
 from operator import attrgetter, is_not
-from typing import Any, Callable, Mapping, NamedTuple, Optional, Sequence
+from typing import Any, Callable, Mapping, Optional, Sequence
 
 from .sexpr import Sexpr, SexprError, atom, parse_one, to_text
 
@@ -40,16 +40,20 @@ from .sexpr import Sexpr, SexprError, atom, parse_one, to_text
 # Records
 
 
-def _init(names: tuple[str, ...], defaults: tuple) -> Callable[..., None]:
-    """An ``__init__`` that sets its positional arguments as the fields
-    ``names``, the last of them defaulting to ``defaults``.
+_REQUIRED = object()
 
-    Each field is set with ``object.__setattr__``, as a frozen dataclass
-    does: the values stay inline in the instance, where attribute reads are
-    fastest (writing to ``__dict__`` instead makes attribute reads three
-    times slower, Python 3.11). Up to four fields, one closure per arity
-    sets them, as term nodes are built by the thousand: a loop over the
-    names took 1.1 us per ``Var`` against 0.6 us."""
+
+def _init(names: tuple[str, ...], defaults: tuple) -> Callable[..., None]:
+    """An ``__init__`` that sets its arguments as the fields ``names``, the
+    last of them defaulting to ``defaults``.
+
+    Each field is set with ``object.__setattr__``: the values stay inline in
+    the instance, where attribute reads are fastest (writing to ``__dict__``
+    instead makes attribute reads three times slower, Python 3.11). Up to
+    four fields, one closure per arity sets them from positional arguments,
+    as term nodes are built by the thousand: a loop over the names took
+    1.1 us per ``Var`` against 0.6 us. More fields are also taken by name;
+    an unknown, repeated or missing one raises ``TypeError``."""
     n = len(names)
     put = object.__setattr__
     if n == 1:
@@ -83,15 +87,29 @@ def _init(names: tuple[str, ...], defaults: tuple) -> Callable[..., None]:
             put(self, e, v3)
 
     else:
+        # a required field holds _REQUIRED until its argument is given
         required = n - len(defaults)
+        template = (_REQUIRED,) * required + defaults
+        index = {name: i for i, name in enumerate(names)}
 
-        def __init__(self, *values):
-            if not required <= len(values) <= n:
+        def __init__(self, *values, **named):
+            given = len(values)
+            if given > n:
                 raise TypeError(
                     f"{type(self).__qualname__}() takes {n} arguments ({required} required), "
-                    f"got {len(values)}"
+                    f"got {given}"
                 )
-            for name, value in zip(names, values + defaults[len(values) - required :]):
+            values = [*values, *template[given:]]
+            for name, value in named.items():
+                i = index.get(name, n)
+                if i == n:
+                    raise TypeError(f"{type(self).__qualname__}() has no field {name!r}")
+                if i < given:
+                    raise TypeError(f"{type(self).__qualname__}() got field {name!r} twice")
+                values[i] = value
+            for name, value in zip(names, values):
+                if value is _REQUIRED:
+                    raise TypeError(f"{type(self).__qualname__}() missing field {name!r}")
                 put(self, name, value)
 
         return __init__
@@ -108,12 +126,14 @@ def _key(names: tuple[str, ...]) -> Callable[[Any], tuple]:
 
 
 class Record:
-    """An immutable record, as a frozen dataclass is, built positionally.
+    """An immutable record with the behaviour of a frozen dataclass.
 
     A subclass's fields are its parent's, then its own annotated names; a
-    class attribute of a field's name is its default. Records are equal when
+    class attribute of a field's name is its default. A record of up to four
+    fields is built positionally (see ``_init``). Records are equal when
     their classes are the same and their fields equal, and hash as the
-    tuple of their fields. The methods are closures made once per class in
+    tuple of their fields. A class's ``__post_init__`` runs on each new
+    record, to check it. The methods are closures made once per class in
     ``__init_subclass__``; no code is generated.
     """
 
@@ -149,7 +169,15 @@ class Record:
             def __hash__(self):
                 return empty
 
-        for method in (_init(names, tuple(defaults)), __eq__, __hash__):
+        __init__ = init = _init(names, tuple(defaults))
+        check = getattr(cls, "__post_init__", None)
+        if check is not None:
+
+            def __init__(self, *values, **named):
+                init(self, *values, **named)
+                check(self)
+
+        for method in (__init__, __eq__, __hash__):
             method.__qualname__ = f"{cls.__qualname__}.{method.__name__}"
             setattr(cls, method.__name__, method)
 
@@ -162,6 +190,11 @@ class Record:
 
     def __delattr__(self, name: str) -> None:
         raise AttributeError(f"cannot delete field {name!r}")
+
+    def _replace(self, **changes: Any) -> Record:
+        """A copy of this record with each field that ``changes`` names set
+        to its value; a name that is no field raises ``TypeError``."""
+        return type(self)(*[changes.pop(name, getattr(self, name)) for name in self._fields], **changes)
 
     def __reduce__(self) -> tuple:
         # a copy or a pickle carries the fields, not cached values such as a
@@ -309,7 +342,7 @@ def demangle(text: str) -> tuple[str, Tag]:
 
 class Term(Record):
     @cached_property
-    def smt(self) -> "Rendered":
+    def smt(self) -> tuple:
         """This term's ``render``, on first use; every query that carries
         the same term object reuses it. Threads that ask at once may each
         walk the term; they keep equal results."""
@@ -898,19 +931,13 @@ _GRAMMAR: dict[str, tuple[type, Optional[int]]] = {
 _HEADS = {kind: head for head, (kind, _) in _GRAMMAR.items()} | {Neg: "-"}
 
 
-class Rendered(NamedTuple):
-    """What one ``TermWriter`` walk of a term found."""
-
-    text: str
-    consts: tuple[tuple[str, Sort], ...]  # free constants, first seen first
-    funcs: tuple[str, ...]  # applied symbols, parents before arguments
-    clash: Optional[str]  # the first constant seen at two sorts
-
-
-def render(term: Term) -> Rendered:
+def render(term: Term) -> tuple[str, tuple[tuple[str, Sort], ...], tuple[str, ...], Optional[str]]:
+    """What one ``TermWriter`` walk of ``term`` finds: its text, its free
+    constants with their sorts, first seen first, the symbols it applies,
+    parents before arguments, and the first constant seen at two sorts."""
     writer = TermWriter()
     text = writer.text(term)
-    return Rendered(text, tuple(writer.consts.items()), tuple(writer.funcs), writer.clash)
+    return text, tuple(writer.consts.items()), tuple(writer.funcs), writer.clash
 
 
 def term_to_text(term: Term) -> str:

@@ -1,4 +1,3 @@
-import dataclasses
 import functools
 import gc
 import hashlib
@@ -132,12 +131,16 @@ def test_farray_window():
     assert a.put(50, 0) is a
     grown = a.put(5, 1)
     assert grown.get(5) == 1 and grown.get(4) == 0 and grown.get(1) == 5
+    # a value is the default when values_equal says so: false is not 0
+    assert FArray(0, (0,), 0).put(5, False) == FArray(0, (0, 0, 0, 0, 0, False), 0)
+    zero = FArray(0, (0,), False).put(5, 0).get(5)
+    assert zero == 0 and type(zero) is int
 
 
 def test_values_equal():
     assert values_equal(FArray(1, (0, 2)), FArray(0, (0, 0, 2)))
     assert not values_equal(FArray(1, (1,)), FArray(1, (2,)))
-    assert not values_equal(FArray(1, (), default=0), FArray(1, (), default=1))
+    assert not values_equal(FArray(1, (), 0), FArray(1, (), 1))
     assert not values_equal(True, 1)
     assert values_equal(3, 3)
     assert not values_equal(FArray(0, (True,)), FArray(0, (1,)))
@@ -499,7 +502,7 @@ def reference_traces(inst):
 
     equations = [c for c in conjuncts if isinstance(c, Cmp) and c.op == "="]
     choices = set(names) - {s.name for c in equations for s in (c.left, c.right) if primed_side(s)}
-    defs, pending = [], list(equations)
+    defs, pending, listed = [], list(equations), set()
     while True:
         found = next(
             (
@@ -516,6 +519,9 @@ def reference_traces(inst):
             break
         pending.remove(found[0])
         defs.append((found[1], compile_term(found[2], lo, hi)))
+        sort = system.sort_of(found[1])
+        if isinstance(sort, ArraySort) and found[2] != Var(found[1], sort):
+            listed.add(found[1])  # a defined array, not a frame
     free = sorted(set(names) - {name for name, _ in defs})
     doms = domains(False)
     tx = compile_term(system.tx, lo, hi)
@@ -532,13 +538,18 @@ def reference_traces(inst):
                     continue
             except OracleError:
                 continue
-            nxt = {name: env[f"{name}!"] for name in names}
-            # an array domain lists its arrays: a defined array must equal one
-            if all(any(values_equal(nxt[n], v) for v in doms[n]) for n in names) and (
-                state_key(nxt) not in seen
-            ):
-                seen.add(state_key(nxt))
-                out.append(nxt)
+            # an array domain lists its arrays: a defined array must equal
+            # one, and takes each member it equals, a frame its own value
+            for combo in itertools.product(*(
+                [v for v in doms[n] if values_equal(env[f"{n}!"], v)] if n in listed
+                else [env[f"{n}!"]] for n in names
+            )):
+                nxt = dict(zip(names, combo))
+                if all(any(values_equal(nxt[n], v) for v in doms[n]) for n in names) and (
+                    state_key(nxt) not in seen
+                ):
+                    seen.add(state_key(nxt))
+                    out.append(nxt)
         if inst.deterministic and len(out) > 1:
             raise OracleError("instance declared deterministic but a state has several successors")
         return out
@@ -689,9 +700,9 @@ def scalar_instance(init, domains, cap=10**6, params=None, init_fix=None):
 
     expr = parse_one(init)
     if isinstance(expr, list) and expr[0] == "and":
-        system = dataclasses.replace(system, init=And(tuple(map(read, expr[1:]))))
+        system = system._replace(init=And(tuple(map(read, expr[1:]))))
     else:
-        system = dataclasses.replace(system, init=read(expr))
+        system = system._replace(init=read(expr))
     domains = {"a": (0, 1, 2, 3), "x": tuple(range(-2, 8)), "y": (0,), **domains}
     return FiniteInstance(
         system=system,
@@ -985,13 +996,32 @@ TX_DOMAINS = {
 @settings(max_examples=200, deadline=None)
 @given(data=st.data())
 def test_successors_agree_with_plain_filtering(data):
-    # a top-level equation would define its variable rather than loop over
-    # it, so none is drawn; a variable is read from the current state or,
-    # primed, from the candidate; tx is given no functions
+    # a variable is read from the current state or, primed, from the
+    # candidate; tx is given no functions. Each top-level equation sets a
+    # primed variable, either way round, and may define it: its value is
+    # bound rather than looped over and checked against its domain, where
+    # plain filtering loops over the domain. A defined variable comes after
+    # the variables its value reads (see successors), so the value reads only
+    # primed variables named before it, whose product order plain filtering
+    # keeps. The frame (= m! m) of an array domain's variable is only
+    # type-checked, which holds for the states the domains give, not for the
+    # drawn ones, so it is not drawn
     tags = (PLAIN, (None, True))
-    conjunct = sorted_terms(BOOL, tags=tags, binders=SCALAR_BINDERS, apps=False).filter(
-        lambda t: not (isinstance(t, Cmp) and t.op == "=")
-    )
+
+    def terms(sort):
+        return sorted_terms(sort, tags=tags, binders=SCALAR_BINDERS, apps=False)
+
+    def equation(name):
+        primed = Var(name, TX_VARS[name], None, True)
+        frame = primed.with_tag(PLAIN) if isinstance(TX_DOMAINS[name], ArrayDomain) else None
+        values = terms(primed.sort).filter(
+            lambda e: e != frame and all(v.name < name for v in free_vars(e) if v.primed)
+        )
+        sides = st.tuples(st.just(primed), values)
+        return st.builds(lambda pair, flip: Cmp("=", *pair[::-1 if flip else 1]), sides, st.booleans())
+
+    tests = terms(BOOL).filter(lambda t: not (isinstance(t, Cmp) and t.op == "="))
+    conjunct = st.one_of(tests, st.sampled_from(sorted(TX_VARS)).flatmap(equation))
     conjuncts = data.draw(st.lists(conjunct, min_size=1, max_size=4))
     states = data.draw(
         st.lists(st.fixed_dictionaries({n: value_of(s) for n, s in TX_VARS.items()}),
@@ -1082,7 +1112,10 @@ def test_successors_test_a_defined_array_for_its_domain(rhs, start, kept):
     inst = tx_instance({"A": ArraySort(INT, INT)}, Cmp("=", A_NEXT, rhs), domain)
     state = {"A": FArray(1, start)}
     value = compile_term(rhs)(state)
-    assert successors(inst, state) == ([{"A": value}] if kept else [])
+    # the state holds the domain's member equal to the value, so that equal
+    # states share a state key; a frame holds the value itself
+    nxt = value if rhs is A else next((m for m in domain["A"] if values_equal(m, value)), None)
+    assert successors(inst, state) == ([{"A": nxt}] if kept else [])
     assert outcome(enumerate_traces, inst) == outcome(reference_traces, inst)
 
 
@@ -1114,7 +1147,9 @@ def test_shuffled_tx_conjuncts_keep_successors(benchmarks, name, random):
     inst, states = shipped_states(benchmarks, name)
     conjuncts = list(inst.system.tx.args)
     random.shuffle(conjuncts)
-    shuffled = dataclasses.replace(inst, system=dataclasses.replace(inst.system, tx=And(tuple(conjuncts))))
+    shuffled = FiniteInstance(inst.system._replace(tx=And(tuple(conjuncts))), inst.domains, inst.params,
+                              inst.depth, inst.deterministic, inst.quant_lo, inst.quant_hi, inst.cap,
+                              inst.init_fix)
     plan, shuffled_plan = TransitionPlan(inst), TransitionPlan(shuffled)
     for state in states:
         expected = sorted(map(state_key, successors(inst, state, plan)))
@@ -1512,7 +1547,7 @@ def settled(trace):
 )
 def test_absorbing_end_agrees_with_settled_rule(bound, step, domain, depth, body, eventually):
     system = parse_system(STEP_COUNTER)
-    prop = dataclasses.replace(parse_property(PROP, system), body=body)
+    prop = parse_property(PROP, system)._replace(body=body)
     inst = FiniteInstance(
         system, {"x": ScalarDomain(tuple(sorted(domain)))}, {"n": bound, "k": step},
         depth=depth, deterministic=True,
@@ -1656,8 +1691,7 @@ def test_eval_bounded_matches_reference(
         traces = enumerate_traces(inst)
     except OracleError:
         return  # the deterministic claim fails during enumeration, before any verdict
-    prop = dataclasses.replace(
-        parse_property(PROP, system),
+    prop = parse_property(PROP, system)._replace(
         body=term_from_text(body, STEP_ENV),
         diff=term_from_text(diff, STEP_ENV),
     )

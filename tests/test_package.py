@@ -10,9 +10,10 @@ import qhenum
 
 # Imports every module of the package, drops the package from sys.modules,
 # imports it again and reports which classes of the first import are alive,
-# and which of its classes are dataclasses.
+# which of its classes are dataclasses, and what the second import compiled
+# other than the package's source files.
 REIMPORT = """
-import gc, importlib, json, pkgutil, sys, weakref
+import gc, importlib, json, os, pkgutil, sys, weakref
 
 def import_all():
     for name in [m for m in sys.modules if m == "qhenum" or m.startswith("qhenum.")]:
@@ -28,26 +29,18 @@ first = [
 ]
 dataclasses = sorted(cls.__qualname__ for cls in first if "__dataclass_fields__" in vars(cls))
 first = [weakref.ref(cls) for cls in first]
+compiled = []
+sys.addaudithook(lambda event, args: event == "compile" and compiled.append(args[1]))
 import_all()
 gc.collect()
+source = os.path.dirname(sys.modules["qhenum"].__file__)
 print(json.dumps({
     "classes": len(first),
     "alive": sorted(r().__qualname__ for r in first if r()),
     "dataclasses": dataclasses,
+    "compiled": [str(name) for name in compiled if os.path.dirname(name) != source],
 }))
 """
-
-# The classes that stay dataclasses, each for a reason a ``Record`` lacks:
-# built or copied with keywords, mutable, or checked in ``__post_init__``.
-KEPT_DATACLASSES = [
-    "FArray",  # built with keywords in tests
-    "FiniteInstance",  # mutable, a factory default, __post_init__
-    "Obligation",  # built with keywords
-    "QhpProperty",  # built with keywords, copied with dataclasses.replace in tests, __post_init__
-    "Query",  # built with keywords
-    "ScriptResult",  # built with keywords
-    "TransitionSystem",  # copied with dataclasses.replace in tests
-]
 
 
 @pytest.fixture(scope="module")
@@ -69,8 +62,13 @@ def test_reimport_frees_the_first_import(reimport):
 
 def test_only_the_kept_classes_are_dataclasses(reimport):
     # creating a dataclass generates and compiles its methods, a cost every
-    # import pays; a positional immutable record derives from terms.Record
-    assert reimport["dataclasses"] == KEPT_DATACLASSES, (
-        "a positional immutable record derives from qhenum.terms.Record, not @dataclass; "
-        "a new dataclass needs its reason in KEPT_DATACLASSES"
+    # import pays; an immutable record derives from terms.Record
+    assert reimport["dataclasses"] == [], (
+        "an immutable record derives from qhenum.terms.Record, not @dataclass"
     )
+
+
+def test_reimport_compiles_only_the_package_source(reimport):
+    # code generated at import, as for a dataclass or a typing.NamedTuple, is
+    # compiled on every import, cached bytecode or not
+    assert reimport["compiled"] == []

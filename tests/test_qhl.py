@@ -1,4 +1,3 @@
-import dataclasses
 import re
 
 import pytest
@@ -74,7 +73,7 @@ def test_predicate_body_must_stay_in_copies(prop):
         for field in ("diff", "body"):
             for pred in (stray, Not(stray)):
                 with pytest.raises(QhlError, match=f"{field} mentions {re.escape(text)} "):
-                    dataclasses.replace(prop, **{field: pred})
+                    prop._replace(**{field: pred})
 
 
 def test_difference_term(prop):

@@ -5,16 +5,18 @@ round-trip."""
 
 import copy
 import pickle
+import re
 import weakref
 
 import pytest
 
-from qhenum.backend import Answer, Verdict
+from qhenum.backend import VALIDITY, Answer, Obligation, Query, Verdict
 from qhenum.cli import OracleSetup, Project
-from qhenum.counting import CountFact, CountTerm, ProofScript, ProofStep, Rule, RuleApp
+from qhenum.counting import CountFact, CountTerm, ProofScript, ProofStep, Rule, RuleApp, ScriptResult
 from qhenum.enumeration import AtIndex, DischargeReport, EnumerationWitness, Pointwise, VcBundle
-from qhenum.oracle import ArrayDomain, BoundedTrace, ScalarDomain
-from qhenum.qhl import WellDefinedResult
+from qhenum.oracle import ArrayDomain, BoundedTrace, FArray, ScalarDomain
+from qhenum.qhl import QhlError, QhpProperty, WellDefinedResult
+from qhenum.system import TransitionSystem
 from qhenum.terms import (
     BOOL,
     INT,
@@ -54,6 +56,12 @@ ONE, TWO, YES, NO = IntLit(1), IntLit(2), BoolLit(True), BoolLit(False)
 ZEROS = ConstArray(IntLit(0))
 ONE_TEXT, TWO_TEXT = "IntLit(value=1)", "IntLit(value=2)"
 ZEROS_TEXT = "ConstArray(value=IntLit(value=0), sort=ArraySort(index=IntSort(), element=IntSort()))"
+# a property's predicates, over copies 1 and 2
+SAME = Cmp("=", Var("x", INT, 1), Var("x", INT, 2))
+SAME_TEXT = (
+    "Cmp(op='=', left=Var(name='x', sort=IntSort(), copy=1, primed=False), "
+    "right=Var(name='x', sort=IntSort(), copy=2, primed=False))"
+)
 
 # each record class: a function that builds an instance, and its repr
 RECORDS = {
@@ -162,6 +170,31 @@ RECORDS = {
     ArrayDomain: (lambda: ArrayDomain(0, 1, (0, 1)), "ArrayDomain(lo=0, hi=1, values=(0, 1), default=0)"),
     BoundedTrace: (lambda: BoundedTrace(({"x": 1},)), "BoundedTrace(states=({'x': 1},))"),
     WellDefinedResult: (lambda: WellDefinedResult(True), "WellDefinedResult(ok=True, reason='')"),
+    FArray: (lambda: FArray(1, (5, 6), 0), "FArray(lo=1, vals=(5, 6), default=0)"),
+    ScriptResult: (
+        lambda: ScriptResult("rejected", "step 1", "why", ()),
+        "ScriptResult(status='rejected', rejected_at='step 1', reason='why', facts=())",
+    ),
+    Query: (
+        lambda: Query(("(f x)",), "ALL", (), (("f", (INT,), BOOL),), (("x", INT),), 5, True),
+        "Query(assertions=('(f x)',), logic='ALL', options=(), functions=(('f', (IntSort(),), "
+        "BoolSort()),), consts=(('x', IntSort()),), timeout_ms=5, get_model=True)",
+    ),
+    Obligation: (
+        lambda: Obligation("goal", (YES,), "sat", (), True, "why"),
+        "Obligation(label='goal', assertions=(BoolLit(value=True),), needs='sat', attempts=(), "
+        "syntactic=True, failure='why')",
+    ),
+    TransitionSystem: (
+        lambda: TransitionSystem("s", (("x", INT),), ("x",), YES, NO),
+        "TransitionSystem(name='s', state_vars=(('x', IntSort()),), params=('x',), "
+        "init=BoolLit(value=True), tx=BoolLit(value=False))",
+    ),
+    QhpProperty: (
+        lambda: QhpProperty(Not(SAME), SAME, "leq", TWO, YES),
+        f"QhpProperty(diff=Not(operand={SAME_TEXT}), body={SAME_TEXT}, cmp='leq', bound={TWO_TEXT}, "
+        "assuming=BoolLit(value=True))",
+    ),
 }
 # records with a dict among their fields hash as a tuple holding a dict does
 UNHASHABLE = {Project, OracleSetup, ProofScript, BoundedTrace}
@@ -231,10 +264,43 @@ def test_defaults():
 
 def test_cached_properties_and_weak_references():
     term = Add((ONE, TWO))
-    assert term.smt.text == "(+ 1 2)" and term.smt is term.smt
+    assert term.smt[0] == "(+ 1 2)" and term.smt is term.smt
     term.memo["key"] = 1
     assert term.memo == {"key": 1}
     assert term == Add((ONE, TWO))  # cached values are not fields
     ref = weakref.ref(term)
     del term
     assert ref() is None
+
+
+def test_records_of_more_than_four_fields_take_fields_by_name():
+    full = Obligation("goal", (YES,), "unsat", VALIDITY, False, "why")
+    assert Obligation("goal", (YES,), failure="why") == full
+    assert Obligation(failure="why", assertions=(YES,), label="goal") == full
+    with pytest.raises(TypeError, match=r"Obligation\(\) has no field 'reason'"):
+        Obligation("goal", (YES,), reason="why")
+    with pytest.raises(TypeError, match=r"Obligation\(\) got field 'label' twice"):
+        Obligation("goal", (YES,), label="goal")
+    with pytest.raises(TypeError, match=r"Obligation\(\) missing field 'assertions'"):
+        Obligation("goal", failure="why")
+
+
+def test_replace_changes_the_named_fields():
+    system = TransitionSystem("s", (("x", INT),), ("x",), YES, NO)
+    assert system._replace(tx=YES, name="t") == TransitionSystem("t", (("x", INT),), ("x",), YES, YES)
+    assert system._replace() == system and system.tx == NO
+    assert Var("x", INT)._replace(copy=1) == Var("x", INT, 1)
+    with pytest.raises(TypeError, match=r"TransitionSystem\(\) has no field 'sort'"):
+        system._replace(sort=INT)
+    with pytest.raises(TypeError, match="'size'"):
+        Var("x", INT)._replace(sort=INT, size=1)
+
+
+@pytest.mark.parametrize("stray", [Var("x", INT, 1, True), Var("x", INT, 3)], ids=repr)
+def test_property_refuses_a_variable_outside_copies_1_and_2(stray):
+    prop = RECORDS[QhpProperty][0]()
+    wrong = Cmp("=", Var("x", INT, 1), stray)
+    with pytest.raises(QhlError, match=rf"body mentions {re.escape(stray.mangled)} outside copies 1 and 2"):
+        QhpProperty(diff=Not(SAME), body=wrong, cmp="leq", bound=TWO)
+    with pytest.raises(QhlError, match=rf"diff mentions {re.escape(stray.mangled)} outside copies 1 and 2"):
+        prop._replace(diff=wrong)
