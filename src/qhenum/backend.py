@@ -36,6 +36,9 @@ DEFAULT_LOGIC = "AUFLIA"
 # arithmetic of the proof kernel, so they run under the unrestricted logic.
 OBLIGATION_LOGIC = "ALL"
 DEFAULT_TIMEOUT_MS = 120_000
+# How long past its own ``:timeout`` a solver process may run before it is
+# killed, so that the solver's own ``unknown`` arrives first.
+KILL_GRACE_MS = 1_000
 # How much of the solver's stderr a ProtocolError carries.
 STDERR_LIMIT = 500
 
@@ -133,6 +136,7 @@ def emit(query: Query) -> str:
     lines: list[str] = [f"(set-logic {query.logic})"]
     for name, value in query.options:
         lines.append(f"(set-option :{name} {value})")
+    lines.append(f"(set-option :timeout {max(query.timeout_ms, 1)})")
     for fname, arg_sorts, result in query.functions:
         args_txt = " ".join(map(sort_to_text, arg_sorts))
         lines.append(f"(declare-fun {fname} ({args_txt}) {sort_to_text(result)})")
@@ -180,7 +184,9 @@ def resolve_solver(solver: Optional[Sequence[str]] = None) -> list[str]:
 
 def solve(query: Query, solver: Sequence[str], debug_path: Optional[Path] = None) -> Verdict:
     """Run ``query`` through the solver command ``solver``, as
-    ``resolve_solver`` picks it; timeouts yield ``unknown``."""
+    ``resolve_solver`` picks it; timeouts yield ``unknown``. The query asks
+    the solver to stop after ``timeout_ms`` (at least 1), and the process is
+    killed only ``KILL_GRACE_MS`` later, with the transcript ``timeout``."""
     text = emit(query)
     if debug_path is not None:
         debug_path.parent.mkdir(parents=True, exist_ok=True)
@@ -192,7 +198,7 @@ def solve(query: Query, solver: Sequence[str], debug_path: Optional[Path] = None
             input=text,
             capture_output=True,
             text=True,
-            timeout=max(query.timeout_ms, 1) / 1000.0,
+            timeout=(max(query.timeout_ms, 1) + KILL_GRACE_MS) / 1000.0,
         )
     except FileNotFoundError as exc:
         raise SolverSpawnError(str(exc)) from exc

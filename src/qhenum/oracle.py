@@ -108,6 +108,8 @@ _INT = frozenset({int})
 
 def values_equal(a: Value, b: Value) -> bool:
     # type-exact: True is not 1, also inside arrays
+    if a is b:
+        return True
     if type(a) is not type(b):
         return False
     if type(a) is not FArray:
@@ -339,18 +341,18 @@ class _Source:
         self.globals[name] = value
         return name
 
-    def body(self, t: Term, scope: Mapping[str, str], indent: str) -> list[str]:
-        """Lines that define the nested functions of ``t`` and return its value."""
+    def body(self, t: Term, scope: Mapping[str, str], indent: str) -> tuple[list[str], str]:
+        """Lines that define the nested functions of ``t`` and return its
+        value, and the text of that value."""
         outer = self.defs, self.indent
         self.defs, self.indent = [], indent
         value = self.expr(t, scope, 0)
-        lines = [*self.defs, f"{indent}return {value}"]
-        self.defs, self.indent = outer
-        return lines
+        lines, (self.defs, self.indent) = self.defs, outer
+        return [*lines, f"{indent}return {value}"], value
 
     def define(self, params: Sequence[str], t: Term, scope: Mapping[str, str]) -> str:
         fn = self.fresh("f")
-        lines = self.body(t, scope, self.indent + "    ")
+        lines, _ = self.body(t, scope, self.indent + "    ")
         self.defs += [f"{self.indent}def {fn}({', '.join(params)}):", *lines]
         return fn
 
@@ -386,6 +388,8 @@ class _Source:
             return _COMPARE.get(t.op, "({} >= {})").format(*args)
         if kind is Add:  # from 0, so that a sum of booleans is an int, as sum's is
             return f"({' + '.join(['0', *args])})"
+        if kind is Distinct and len(args) == 2:
+            return "(not _eq({}, {}))".format(*args)
         text = _TEXT[kind]
         if isinstance(text, str):
             return text.format(*args)
@@ -434,7 +438,7 @@ def _compile(
         lines += ["    try:", f"        {scope[name]} = {read}", "    except KeyError:",
                   f"        raise _OracleError({_MISSING.format(name)!r}) from None"]
     source = _Source(quant_lo, quant_hi, funcs)
-    return _define(source, [*lines, *source.body(term, scope, "    ")], "term")
+    return _define(source, [*lines, *source.body(term, scope, "    ")[0]], "term")
 
 
 def compile_term(
@@ -504,7 +508,9 @@ def _search(
     typed key (see ``_table``), or is an ``ArrayDomain`` when ``expand`` and
     ``loops[j]`` is in ``arrays``. ``memo[j]`` keeps the values of an
     undefined ``loops[j]`` that pass the tests of its loop. A variable other
-    than the loop variables and the fixed names is refused when generated."""
+    than the loop variables and the fixed names is refused when generated.
+    A conjunct's test or value that is one expression is written where it
+    is used; one with nested functions becomes a function ``t<i>``."""
     conjuncts = list(term.args) if isinstance(term, And) else [term]
     looped = set(loops)
     slot = {name: f"V{j}" for j, name in enumerate([*loops, *fixed])}
@@ -532,12 +538,12 @@ def _search(
                     break
         reads.append(_reads(c))
         scope = {name: slot[name] for name in sorted(_reads(t) & slot.keys(), key=list(slot).index)}
-        if t is not c and type(t) is Var and t.mangled in scope:
-            calls.append(scope[t.mangled])  # a bound variable is its own value: nothing to call
-        else:
+        text, value = source.body(t, scope, "    ")
+        if len(text) > 1:  # nested functions need a def of their own
             args = ", ".join(scope.values())
-            lines += [f"def t{i}({args}):", *source.body(t, scope, "    ")]
-            calls.append(f"t{i}({args})")
+            lines += [f"def t{i}({args}):", *text]
+            value = f"t{i}({args})"
+        calls.append(value)  # else the one expression is written where it is used
     # a definition binds its variable once the loop variables it reads are
     # bound; the others loop in product order
     order: list[str] = []
@@ -754,6 +760,23 @@ def enumerate_traces(instance: FiniteInstance) -> list[BoundedTrace]:
 # a predicate body as ``holds(state1, state2)``, compiled once per body object
 _predicate = _per_term(lambda body, quant_lo, quant_hi: _compile(body, True, quant_lo, quant_hi))
 
+_DEPTHS = "traces must be non-empty and of equal depth"
+
+
+def _bounded(holds: Callable, first: BoundedTrace, second: BoundedTrace, eventually: bool,
+             instance: FiniteInstance, plan: Optional[TransitionPlan]) -> Optional[bool]:
+    """``eval_bounded`` of the compiled predicate ``holds`` on two traces of
+    equal depth, walking their states together."""
+    for s1, s2 in zip(first.states, second.states):
+        # F is decided by a true position, G by a false one
+        if (not holds(s1, s2)) is not eventually:
+            return eventually
+    if plan is None:
+        plan = TransitionPlan(instance)
+    if plan.pinned(first) and plan.pinned(second):
+        return not eventually
+    return None
+
 
 def eval_bounded(
     pred: Term,
@@ -767,24 +790,18 @@ def eval_bounded(
     at position 0, with ``first`` as copy 1 and ``second`` as copy 2 of
     ``pred``.
 
-    The prefix decides ``G`` false and ``F`` true. Otherwise the verdict
-    depends on the infinite tail, and is given (``G`` true, ``F`` false)
-    only when both traces are pinned: the last state of each has itself as
-    its only successor, so the prefix's last position repeats forever.
-    Pinning is asked only once the prefix has not decided, of ``plan``, or
-    of a transition plan built then; else ``None``.
+    The depths are checked before ``pred`` is compiled. The prefix decides
+    ``G`` false at its first false position and ``F`` true at its first true
+    one. Otherwise the verdict depends on the infinite tail, and is given
+    (``G`` true, ``F`` false) only when both traces are pinned: the last
+    state of each has itself as its only successor, so the prefix's last
+    position repeats forever. Pinning is asked only once the prefix has not
+    decided, of ``plan``, or of a transition plan built then; else ``None``.
     """
     if first.depth != second.depth or first.depth == 0:
-        raise OracleError("traces must be non-empty and of equal depth")
+        raise OracleError(_DEPTHS)
     holds = _predicate(pred, instance.quant_lo, instance.quant_hi)
-    for p in range(first.depth):  # F is decided by a true position, G by a false one
-        if bool(holds(first.states[p], second.states[p])) is eventually:
-            return eventually
-    if plan is None:
-        plan = TransitionPlan(instance)
-    if plan.pinned(first) and plan.pinned(second):
-        return not eventually
-    return None
+    return _bounded(holds, first, second, eventually, instance, plan)
 
 
 # ---------------------------------------------------------------------------
@@ -800,14 +817,22 @@ def count_equivalence_classes(
     """Number of difference-equivalence classes among the ``traces`` that
     the body relates to ``pivot``.
 
-    Returns ``"unknown"`` if any body or pairwise difference verdict is
-    ``None`` (see ``eval_bounded``). Every verdict shares one transition
-    plan, so each last state's successors are computed once per state key.
+    Each pair gets its ``eval_bounded`` verdict, with each predicate read
+    once per call (the body at the first trace, the difference at the first
+    pair) and one transition plan, so each last state's successors are
+    computed once per state key. Returns ``"unknown"`` at the first ``None``
+    verdict; a trace of another depth than the pivot raises when reached.
     """
     plan = TransitionPlan(instance)
+    lo, hi, depth = instance.quant_lo, instance.quant_hi, len(pivot.states)
+    body = None
     candidates = []
     for t in traces:
-        verdict = eval_bounded(prop.body, pivot, t, instance, plan)
+        if len(t.states) != depth or not depth:
+            raise OracleError(_DEPTHS)
+        if body is None:
+            body = _predicate(prop.body, lo, hi)
+        verdict = _bounded(body, pivot, t, False, instance, plan)
         if verdict is None:
             return "unknown"
         if verdict:
@@ -821,10 +846,10 @@ def count_equivalence_classes(
             i = parent[i]
         return i
 
+    diff = _predicate(prop.diff, lo, hi) if n > 1 else None
     for i in range(n):
         for j in range(i + 1, n):
-            delta = eval_bounded(prop.diff, candidates[i], candidates[j], instance, plan,
-                                 eventually=True)
+            delta = _bounded(diff, candidates[i], candidates[j], True, instance, plan)
             if delta is None:
                 return "unknown"
             if not delta:

@@ -3,6 +3,7 @@ from conftest import reference_children, reference_free_vars
 from hypothesis import given, settings, strategies as st
 
 from qhenum.backend import (
+    KILL_GRACE_MS,
     MODEL_OPTIONS,
     OBLIGATION_LOGIC,
     STDERR_LIMIT,
@@ -66,6 +67,7 @@ def test_emit_golden():
     assert emit(query) == (
         "(set-logic AUFLIA)\n"
         "(set-option :smt.mbqi false)\n"
+        "(set-option :timeout 5000)\n"
         "(declare-const a (Array Int Int))\n"
         "(declare-const x Int)\n"
         "(assert (not (= (select (store a x 1) x) 1)))\n"
@@ -149,10 +151,29 @@ def test_solve_missing_binary_raises():
 
 
 def test_timeout_yields_unknown(stub_solver):
+    # killed 1 ms plus the grace after the start, long before the stub replies
     query = build_query([Cmp("=", IntLit(0), IntLit(0))], timeout_ms=0)
-    verdict = solve(query, stub_solver("sat", sleep=1))
+    verdict = solve(query, stub_solver("sat", sleep=KILL_GRACE_MS / 1000 + 2))
     assert verdict.status == "unknown"
     assert verdict.transcript == "timeout"
+
+
+@pytest.mark.parametrize("timeout_ms, option", [(0, 1), (1, 1), (5000, 5000)])
+def test_query_asks_the_solver_to_stop_in_time(case_solver, timeout_ms, option):
+    # the option follows the query's own options; a solver that honours it
+    # answers unknown itself, and that answer is read, not a kill
+    query = build_query([Cmp("=", IntLit(0), IntLit(0))], timeout_ms=timeout_ms)
+    lines = emit(query).splitlines()
+    assert lines[1:3] == ["(set-option :smt.mbqi false)", f"(set-option :timeout {option})"]
+    verdict = solve(query, case_solver(f"(set-option :timeout {option})", "unknown", "sat"))
+    assert (verdict.status, verdict.transcript) == ("unknown", "unknown\n")
+
+
+def test_solver_answer_within_the_grace_is_read(stub_solver):
+    # past the query's timeout but within the grace: the reply counts
+    query = build_query([Cmp("=", IntLit(0), IntLit(0))], timeout_ms=0)
+    verdict = solve(query, stub_solver("unknown", sleep=KILL_GRACE_MS / 4000))
+    assert (verdict.status, verdict.transcript) == ("unknown", "unknown\n")
 
 
 def test_no_verdict_error_carries_stderr(stub_solver):
@@ -280,7 +301,7 @@ def reference_declarations(assertions, signature):
 
 def reference_emit(assertions, signature):
     functions, consts = reference_declarations(assertions, signature)
-    lines = ["(set-logic ALL)", "(set-option :smt.mbqi false)"]
+    lines = ["(set-logic ALL)", "(set-option :smt.mbqi false)", "(set-option :timeout 120000)"]
     for name, args, res in functions:
         args_text = " ".join(map(reference_sort_text, args))
         lines.append(f"(declare-fun {name} ({args_text}) {reference_sort_text(res)})")

@@ -33,7 +33,7 @@ from qhenum.oracle import (
     successors,
     values_equal,
 )
-from qhenum.qhl import parse_property
+from qhenum.qhl import QhpProperty, parse_property
 from qhenum.sexpr import parse_one
 from qhenum.system import TransitionSystem, parse_system
 from qhenum.terms import (
@@ -993,19 +993,19 @@ TX_DOMAINS = {
 }
 
 
-@settings(max_examples=200, deadline=None)
-@given(data=st.data())
-def test_successors_agree_with_plain_filtering(data):
-    # a variable is read from the current state or, primed, from the
-    # candidate; tx is given no functions. Each top-level equation sets a
-    # primed variable, either way round, and may define it: its value is
-    # bound rather than looped over and checked against its domain, where
-    # plain filtering loops over the domain. A defined variable comes after
-    # the variables its value reads (see successors), so the value reads only
-    # primed variables named before it, whose product order plain filtering
-    # keeps. The frame (= m! m) of an array domain's variable is only
-    # type-checked, which holds for the states the domains give, not for the
-    # drawn ones, so it is not drawn
+def tx_conjuncts(data):
+    """Random conjuncts of a ``tx`` over ``TX_VARS``.
+
+    A variable is read from the current state or, primed, from the
+    candidate; tx is given no functions. Each top-level equation sets a
+    primed variable, either way round, and may define it: its value is
+    bound rather than looped over and checked against its domain, where
+    plain filtering loops over the domain. A defined variable comes after
+    the variables its value reads (see successors), so the value reads only
+    primed variables named before it, whose product order plain filtering
+    keeps. The frame (= m! m) of an array domain's variable is only
+    type-checked, which holds for the states the domains give, not for the
+    drawn ones, so it is not drawn."""
     tags = (PLAIN, (None, True))
 
     def terms(sort):
@@ -1022,7 +1022,13 @@ def test_successors_agree_with_plain_filtering(data):
 
     tests = terms(BOOL).filter(lambda t: not (isinstance(t, Cmp) and t.op == "="))
     conjunct = st.one_of(tests, st.sampled_from(sorted(TX_VARS)).flatmap(equation))
-    conjuncts = data.draw(st.lists(conjunct, min_size=1, max_size=4))
+    return data.draw(st.lists(conjunct, min_size=1, max_size=4))
+
+
+@settings(max_examples=200, deadline=None)
+@given(data=st.data())
+def test_successors_agree_with_plain_filtering(data):
+    conjuncts = tx_conjuncts(data)
     states = data.draw(
         st.lists(st.fixed_dictionaries({n: value_of(s) for n, s in TX_VARS.items()}),
                  min_size=1, max_size=3)
@@ -1045,6 +1051,45 @@ def test_successors_tell_true_from_one():
     expected = [{"a": FArray(0, (0,)), "x": True}, {"a": FArray(0, (True,)), "x": True}]
     for state in ({"x": 1, "a": arrays[2]}, {"x": True, "a": arrays[1]}) * 2:
         assert [state_key(s) for s in successors(inst, state, plan)] == list(map(state_key, expected))
+
+
+# (distinct a! a) reads a! from a filtered loop: arrays equal in another
+# window are not distinct, and an array of true is distinct from one of 1
+DISTINCT_ARRAYS = (FArray(0, (0,)), FArray(0, ()), FArray(0, (True,)), FArray(0, (1,)))
+
+
+@pytest.mark.parametrize("start, kept", [(0, (2, 3)), (1, (2, 3)), (2, (0, 1, 3)), (3, (0, 1, 2))])
+def test_two_argument_distinct_compares_arrays_as_values(start, kept):
+    a = Var("a", ArraySort(INT, INT), None, True)
+    tx = And((Distinct((a, a.with_tag(PLAIN))),))
+    inst = tx_instance({"a": a.sort}, tx, {"a": ScalarDomain(DISTINCT_ARRAYS)})
+    state = {"a": DISTINCT_ARRAYS[start]}
+    expected = [state_key({"a": DISTINCT_ARRAYS[k]}) for k in kept]
+    assert [state_key(s) for s in filtered_successors(inst, state)] == expected
+    assert [state_key(s) for s in successors(inst, state)] == expected
+
+
+def test_expressions_at_the_nesting_limit_are_written_inline():
+    # two tests _NESTING levels deep, each a two-argument distinct under
+    # ands that hold: one of the per-prefix binding x!, one in the filtered
+    # loop of y!. Both are one expression each, so no function is defined
+    x, x1, y1 = Var("x", INT), Var("x", INT, None, True), Var("y", INT, None, True)
+
+    def deep(t, bound):
+        for k in range(oracle._NESTING):
+            t = And((Cmp("<=", IntLit(-1 - k), bound), t))
+        return t
+
+    tx = And((Cmp("=", x1, x), deep(Distinct((x1, IntLit(1))), x1), deep(Distinct((y1, x)), y1)))
+    system = TransitionSystem("deep", (("x", INT), ("y", INT)), (), TRUE, tx)
+    domain = ScalarDomain((0, 1, 2))
+    inst = FiniteInstance(system, {"x": domain, "y": domain}, {}, depth=3)
+    with mock.patch.object(oracle, "_define", wraps=oracle._define) as define:
+        got = outcome(enumerate_traces, inst)
+    source = [line for call in define.call_args_list for line in call.args[1]]
+    assert not [line for line in source if line.lstrip().startswith(("def t", "def f"))]
+    # x stays 0 or 2, and y steps to one of the two values other than x
+    assert got == outcome(reference_traces, inst) and len(got) == 2 * 3 * 2 * 2
 
 
 def test_filters_tell_true_from_one_in_what_they_read():
@@ -1704,6 +1749,79 @@ def test_eval_bounded_matches_reference(
                 assert verdict_or_error(eval_bounded, *args) == expected
     for pivot in traces:
         expected = verdict_or_error(reference_classes, inst, prop, pivot, traces)
+        assert verdict_or_error(count_equivalence_classes, inst, prop, pivot, traces) == expected
+
+
+def pairwise_classes(instance, prop, pivot, traces):
+    """The class count from one ``eval_bounded`` call per pair, in the
+    order ``count_equivalence_classes`` visits traces and pairs, as it
+    counted before it read each predicate once per count."""
+    plan = TransitionPlan(instance)
+    candidates = []
+    for t in traces:
+        verdict = eval_bounded(prop.body, pivot, t, instance, plan)
+        if verdict is None:
+            return "unknown"
+        if verdict:
+            candidates.append(t)
+    label = list(range(len(candidates)))
+    for i, a in enumerate(candidates):
+        for j in range(i + 1, len(candidates)):
+            delta = eval_bounded(prop.diff, a, candidates[j], instance, plan, eventually=True)
+            if delta is None:
+                return "unknown"
+            if not delta:
+                label = [label[j] if l == label[i] else l for l in label]
+    return len(set(label))
+
+
+# k is no state variable, so a predicate that reads it raises when evaluated
+READS_K = Cmp("=", Var("k", INT, 1), IntLit(0))
+
+
+@settings(max_examples=150, deadline=None)
+@given(data=st.data())
+def test_class_count_matches_pairwise_verdicts(data):
+    # a random tx over TX_VARS, some variables fixed at the start to keep
+    # the traces few, random predicates over copies 1 and 2, and every
+    # drawn trace as the pivot; most tails are open, so many counts end in
+    # unknown
+    system = TransitionSystem("tx", tuple(TX_VARS.items()), (), TRUE, And(tuple(tx_conjuncts(data))))
+    fixed = data.draw(st.sets(st.sampled_from(sorted(TX_VARS)), min_size=3))
+    init_fix = {name: data.draw(st.sampled_from(list(TX_DOMAINS[name]))) for name in sorted(fixed)}
+    inst = FiniteInstance(system, TX_DOMAINS, {}, depth=data.draw(st.sampled_from((2, 3, 1))),
+                          quant_lo=-1, quant_hi=1, cap=300, init_fix=init_fix)
+    try:
+        traces = enumerate_traces(inst)
+    except CapExceeded:
+        return
+    terms = sorted_terms(BOOL, tags=((1, False), (2, False)), binders=SCALAR_BINDERS, apps=False)
+    predicate = st.integers(0, 7).flatmap(lambda k: st.just(READS_K) if k == 0 else terms)
+    prop = QhpProperty(data.draw(predicate), data.draw(predicate), "geq", TRUE)
+    drawn = data.draw(st.lists(st.sampled_from(traces), max_size=6)) if traces else []
+    for pivot in drawn:
+        expected = verdict_or_error(pairwise_classes, inst, prop, pivot, drawn)
+        assert verdict_or_error(count_equivalence_classes, inst, prop, pivot, drawn) == expected
+
+
+def test_class_count_meets_a_trace_of_another_depth_in_turn(counter):
+    # the body's G is left open by every pair of counter traces, so a pair
+    # before the short trace ends the count in unknown; a pair decided false
+    # by its prefix goes on to it
+    prop = parse_property(PROP, counter)
+    inst = counter_instance(counter, 3, depth=2)
+    (trace,) = enumerate_traces(inst)
+    short, empty = BoundedTrace(trace.states[:1]), BoundedTrace(())
+    error = (OracleError, "traces must be non-empty and of equal depth")
+    decided = prop._replace(body=term_from_text("(< x$1 x$2)", STEP_ENV))
+    for prop, pivot, traces, expected in (
+        (prop, trace, [trace, short], (str, "unknown")),
+        (prop, trace, [short, trace], error),
+        (decided, trace, [trace, short], error),
+        (prop, empty, [], (int, 0)),
+        (prop, empty, [empty], error),
+    ):
+        assert verdict_or_error(pairwise_classes, inst, prop, pivot, traces) == expected
         assert verdict_or_error(count_equivalence_classes, inst, prop, pivot, traces) == expected
 
 

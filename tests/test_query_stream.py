@@ -50,7 +50,7 @@ STREAMS = {
     "electronic-purse": (
         (*ENUMERATION_QUERIES, "distinctness"),
         ("goal", "link"),
-        "8e48a7cad5c452e257dcb2393fd25fc551d4743ef7750a93b3ae1e7784091e27",
+        "ed145dc57e8e5966abc6cbe93b9b6f0f600f189b6fd9f090c27109c540f23b77",
     ),
     "f-y-array-shuffle": (
         (
@@ -73,7 +73,7 @@ STREAMS = {
             "goal",
             "link",
         ),
-        "a5a06c68d3a747f39a1ba0aab456fb1393a01d2a043a243f98e99e7f47bfdd14",
+        "6a045e8e1b6c84a758995e2c138dcf8bc9fbcba0e48af17fa0c3081b4ad290dd",
     ),
     "password-checker": (
         (
@@ -105,7 +105,7 @@ STREAMS = {
             "link",
             "link-bound-nonneg",
         ),
-        "0f739f650c7bfffaaff7df91942f3e7c953947eceaffbc639b2006d9fe2b772a",
+        "7f8044f5b4477e8c9d3551d5ee3a23fcda5005132ce043500194f99998e984ea",
     ),
     "path-oram": (
         (*ENUMERATION_QUERIES, "distinctness"),
@@ -123,7 +123,7 @@ STREAMS = {
             "goal",
             "link",
         ),
-        "59c997497f8d094a6cd23626812c15de470a811cd1ab704e86e711720bed239e",
+        "56113a5f296c9930c30b6c5873c2e112bc1196ced769f0486a99d3a66cd093ef",
     ),
     "zk-hats": (
         (*ENUMERATION_QUERIES, "distinctness"),
@@ -147,7 +147,7 @@ STREAMS = {
             "goal",
             "link",
         ),
-        "85ba07ea095d6a5b71acddb36d8c0eeb64d4ac8890ba7ab2731033bfd0a69939",
+        "b7b60c1901691a6ba2eccf8aac7e174278926475c66c215eab1394a6165fafce",
     ),
 }
 
@@ -201,4 +201,4 @@ def test_unshipped_rules_query_stream_is_pinned(split_stub, tmp_path):
         "const-lb(P,1)",
         "goal",
     ]
-    assert digest == "dc6b4b492d5057f7030bbb246343dfc7acce8358ab20a956e9a6a8fca3f1c21a"
+    assert digest == "af110b3a7d7202b63550693c7cc3b703469d9080d251ab0a73275ddaa7df7186"
