@@ -83,16 +83,12 @@ class FArray(Record):
         return self.default
 
     def put(self, i: int, v: int) -> "FArray":
-        if self.lo <= i < self.lo + len(self.vals):
-            vals = list(self.vals)
-            vals[i - self.lo] = v
-            return FArray(self.lo, tuple(vals), self.default)
-        if values_equal(v, self.default):
-            return self
-        # grow the explicit window to cover i, padding with the default
+        # the explicit window grown to cover i, padded with the default
+        pad = [self.default]
+        vals = pad * (self.lo - i) + list(self.vals) + pad * (i + 1 - self.lo - len(self.vals))
+        if len(vals) > len(self.vals) and values_equal(v, self.default):
+            return self  # outside the window, v is stored already
         lo = min(self.lo, i)
-        hi = max(self.lo + len(self.vals), i + 1)
-        vals = [self.get(k) for k in range(lo, hi)]
         vals[i - lo] = v
         return FArray(lo, tuple(vals), self.default)
 
@@ -212,21 +208,9 @@ def state_key(state: State) -> tuple:
     return _state_key(state, sorted(state))
 
 
-def _state_key(state: State, order: Sequence[str], arrays: Optional[dict] = None) -> tuple:
-    """``state_key`` in ``order``; ``arrays`` keeps ``_typed`` of lasting arrays by ``id``."""
-    out = []
-    for name in order:
-        v = state[name]
-        if type(v) is FArray:
-            typed = (_typed(v) if arrays is None
-                     else arrays.get(id(v)) or arrays.setdefault(id(v), _typed(v)))
-            out.append((name, *typed))
-        else:
-            # what _typed gives a scalar, inline: calling it for every scalar
-            # made the keys of the oracle-traces states 26% slower (6.9 ms
-            # against 5.5 ms for 2,052 keys, Python 3.11)
-            out.append((name, type(v).__name__, v))
-    return tuple(out)
+def _state_key(state: State, order: Sequence[str]) -> tuple:
+    """``state_key`` in ``order``."""
+    return tuple((name, *_typed(state[name])) for name in order)
 
 
 class FiniteInstance:
@@ -305,7 +289,7 @@ def _filtered(memo: dict, keep: Callable[..., list], values: list, *args: Value)
 _HELPERS = {
     "_pow2": _pow2, "_fact": _fact, "_div": _div, "_mod": _mod, "_distinct": _distinct,
     "_eq": values_equal, "_FArray": FArray, "_starmap": itertools.starmap,
-    "_filtered": _filtered, "_OracleError": OracleError,
+    "_filtered": _filtered, "_typed": _typed, "_OracleError": OracleError,
 }
 # Each node's text over its children's texts, in ``_children`` order: a
 # string fills one slot per child, a pair joins all children. A connective
@@ -317,6 +301,10 @@ _TEXT = {
     ConstArray: "_FArray(0, (), {})", Distinct: ("_distinct({})", ", "),
     And: ("(not not ({}))", " and "), Or: ("(not not ({}))", " or "),
 }
+# ``(= x y)``, type-exact as ``_eq``, by the kind of ``y`` when ``x`` is a
+# name: a bool literal is a constant of its own, an int one is its text
+_EQUAL = {BoolLit: "({} is {})", IntLit: "(type({0}) is int and {0} == {1})",
+          Var: "({0} is {1} or _eq({0}, {1}))"}
 _COMPARE = {"=": "_eq({}, {})", "<": "({} < {})", "<=": "({} <= {})", ">": "({} > {})"}
 _NESTING = 50  # term levels in one expression; each opens at most three brackets
 
@@ -384,6 +372,12 @@ class _Source:
             args.append(self.expr(child, scope, depth + 1))
         if kind is App:
             return f"{fn}({', '.join(args)})"
+        if kind is Cmp and t.op == "=":
+            # a name against a literal or a variable needs no call; the name
+            # is read twice, where an expression would be evaluated twice
+            for other, x, y in ((t.right, *args), (t.left, *args[::-1])):
+                if type(other) in _EQUAL and x.isidentifier():
+                    return _EQUAL[type(other)].format(x, y)
         if kind is Cmp:
             return _COMPARE.get(t.op, "({} >= {})").format(*args)
         if kind is Add:  # from 0, so that a sum of booleans is an int, as sum's is
@@ -494,14 +488,17 @@ def _reads(term: Term) -> set[str]:
 @_per_term
 def _search(
     term: Term, loops: tuple, fixed: tuple, expand: bool, quant_lo: int, quant_hi: int,
-    arrays: frozenset = frozenset(), keys: tuple = (),
+    arrays: frozenset, keys: Optional[tuple],
 ) -> tuple[Callable, frozenset[str]]:
     """The generated function of ``term``, and the loop variables it
-    defines: ``search(env, values, memo)``, a generator of the loop
-    variables' values of every candidate, or, when ``expand``,
-    ``expand(level, values, memo, branch)``, the level after ``level``, its
-    fixed names read from the last state of each ``(prefix, order)``: a lone
-    candidate extends the prefix with rank 0 as the state that maps
+    defines. Without ``keys``, ``search(env, values, memo)`` is a generator
+    of the loop variables' values of every candidate; with ``keys``, it is
+    the initial level, a list of ``((state,), (key,))``, each state mapping
+    ``keys`` (the loop variables and fixed names) to their values and keyed
+    as ``_state_key`` keys it. When ``expand``,
+    ``expand(level, values, memo, branch)`` is the level after ``level``,
+    its fixed names read from the last state of each ``(prefix, order)``: a
+    lone candidate extends the prefix, with no rank, as the state that maps
     ``keys[j]`` to the value of ``loops[j]``, and several go to
     ``branch(out, prefix, order, states)``. ``values[j]`` lists the values
     of ``loops[j]``, or, for a defined one, holds its domain's members by
@@ -537,7 +534,8 @@ def _search(
                         listed.add(x)
                     break
         reads.append(_reads(c))
-        scope = {name: slot[name] for name in sorted(_reads(t) & slot.keys(), key=list(slot).index)}
+        used = _reads(t)
+        scope = {name: v for name, v in slot.items() if name in used}
         text, value = source.body(t, scope, "    ")
         if len(text) > 1:  # nested functions need a def of their own
             args = ", ".join(scope.values())
@@ -559,69 +557,87 @@ def _search(
     def member(x: str) -> str:
         # in expand: the defined x lies in its domain; an array frame (= x! x) is only type-checked
         j = loops.index(x)
-        return f"type(V{j}) is _FArray" if x in arrays else f"(type(V{j}), V{j}) in values[{j}]"
+        return f"type(V{j}) is _FArray" if x in arrays else f"(type(V{j}), V{j}) in D{j}"
 
     # in expand, the definitions before the first undefined or listed loop
     # variable are bound once per prefix, and a failed test of what they bind skips it
     bound = next((at for at, x in enumerate(order) if x not in defs or x in listed),
                  len(order)) if expand else 0
-    pad, skip = ("        ", "continue") if expand else ("    ", "return ()")
+    pad, skip = ("        ", "continue") if expand else ("    ", "return []")
+    # the initial level keys each state by parts (name, *_typed(value)) in
+    # S<j>: a looped variable's come with its filtered values, the others'
+    # are made as soon as the value is bound
+    keyed = keys is not None and not expand
+    part = "for S{0} in (({1!r}, *_typed(V{0})),)".format
     body = [f"{pad}{slot[name]} = env[{name!r}]" for name in fixed]
-    for at, x in [(-1, None), *enumerate(order[:bound])]:
-        conds = [calls[i] for i in level if level[i] == at]
-        if x is not None:
-            body.append(f"{pad}V{loops.index(x)} = {calls[defs[x][0]]}")
-            conds.insert(0, member(x))
-        if conds:
-            body += [f"{pad}if not ({' and '.join(conds)}):", f"{pad}    {skip}"]
     # one comprehension over the rest: Python nests at most 20 loop statements
-    clauses = [] if order[bound:] else ["for _ in (0,)"]
-    for at, x in enumerate(order[bound:], bound):
-        j, kept = loops.index(x), [i for i in level if level[i] == at]
-        if x in defs:
+    clauses = [part(slot[x][1:], x) for x in fixed if keyed] or ["for _ in (0,)"]
+    for at, x in [(-1, None), *enumerate(order)]:
+        j, kept = x and loops.index(x), [i for i in level if level[i] == at]
+        if at < bound:  # statements: the tests before any loop, and the per-prefix bindings
+            conds = [calls[i] for i in kept]
+            if x is not None:
+                body.append(f"{pad}V{j} = {calls[defs[x][0]]}")
+                conds.insert(0, member(x))
+            if conds:
+                body += [f"{pad}if not ({' and '.join(conds)}):", f"{pad}    {skip}"]
+        elif x in defs:
             value = calls[defs[x][0]]
-            members = f"values[{j}].get((type(W{j}), W{j}), ())"
             clauses.append(f"for V{j} in ({value},) if {member(x)}" if expand and x not in listed
-                           else f"for W{j} in ({value},) for V{j} in {members}")
-            clauses += [f"if {calls[i]}" for i in kept]
-        elif kept:
-            # the values that pass the tests of this loop, kept in memo[j] by
-            # the other variables they read
-            args = "".join(f", {slot[n]}" for n in slot
-                           if n != x and any(n in reads[i] for i in kept))
-            tests = " and ".join(calls[i] for i in kept)
-            lines += [f"def a{j}(A{args}):", f"    return [V{j} for V{j} in A if {tests}]"]
-            clauses.append(f"for V{j} in _filtered(memo[{j}], a{j}, values[{j}]{args})")
+                           else f"for W{j} in ({value},) "
+                                f"for V{j} in D{j}.get((type(W{j}), W{j}), ())")
+            clauses += [part(j, x)] * keyed + [f"if {calls[i]}" for i in kept]
         else:
-            clauses.append(f"for V{j} in values[{j}]")
+            # the values that pass the tests of this loop, if any, kept in
+            # memo[j] by the other variables they read, and fetched before
+            # the comprehension when those are all bound there
+            read = [n for n in slot if n != x and any(n in reads[i] for i in kept)]
+            args = "".join(f", {slot[n]}" for n in read)
+            item = f"V{j}, S{j}" if keyed else f"V{j}"
+            tests = " and ".join(calls[i] for i in kept) or "True"
+            lines += [f"def a{j}(A{args}):",
+                      f"    return [({item}) for V{j} in A if {tests} {part(j, x) * keyed}]"]
+            pool = f"_filtered(memo[{j}], a{j}, D{j}{args})"
+            if {*fixed, *order[:bound]}.issuperset(read):
+                body.append(f"{pad}L{j} = {pool}")
+                pool = f"L{j}"
+            clauses.append(f"for {item} in {pool}")
+    head = [f"    D{j} = values[{j}]" for j in range(len(loops))]
+    if keys is not None:
+        state = "{" + ", ".join(f"{key!r}: {slot[x]}"
+                                for key, x in zip(keys, loops if expand else keys)) + "}"
+    found = " ".join(clauses)
     if not expand:
-        yielded = "".join(f"V{j}, " for j in range(len(loops)))
-        lines += ["def search(env, values, memo):", *body,
-                  f"    return (({yielded}) {' '.join(clauses)})"]
+        # the initial level, or a generator of the loop variables' values
+        found = (f"[(({state},), ((" + "".join(f"S{slot[x][1:]}, " for x in keys) + f"),)) {found}]"
+                 if keyed else "((" + "".join(f"V{j}, " for j in range(len(loops))) + f") {found})")
+        lines += ["def search(env, values, memo):", *head, *body, f"    return {found}"]
         return _define(source, lines, "search"), frozenset(defs)
-    state = "{" + ", ".join(f"{key!r}: V{j}" for j, key in enumerate(keys)) + "}"
-    lines += ["def expand(level, values, memo, branch):", "    out = []",
+    # a lone successor adds no rank: see enumerate_traces
+    lines += ["def expand(level, values, memo, branch):", *head, "    out = []",
               "    for prefix, order in level:", "        env = prefix[-1]", *body]
     if bound == len(order):
-        lines.append(f"        out.append((prefix + ({state},), order + (0,)))")
+        lines.append(f"        out.append((prefix + ({state},), order))")
     else:
-        lines += [f"        found = [{state} {' '.join(clauses)}]", "        if len(found) == 1:",
-                  "            out.append((prefix + (found[0],), order + (0,)))",
+        lines += [f"        found = [{state} {found}]", "        if len(found) == 1:",
+                  "            out.append((prefix + (found[0],), order))",
                   "        elif found:", "            branch(out, prefix, order, found)"]
     return _define(source, [*lines, "    return out"], "expand"), frozenset(defs)
 
 
 def _accepted(term: Term, doms: Mapping[str, Domain], env: Mapping[str, Value], quant_lo: int,
-              quant_hi: int, cap: int, what: str, consume: Callable[[Iterator[tuple]], object]):
-    """``consume`` of the tuples of values of the product of ``doms`` that
-    ``term`` accepts, ``env``'s names fixed, once ``cap`` bounds the product."""
+              quant_hi: int, cap: int, what: str, keys: Optional[tuple] = None):
+    """The generated search of ``term`` over the product of ``doms``,
+    ``env``'s names fixed, run once ``cap`` bounds the product: the initial
+    level keyed in ``keys`` order, or, without ``keys``, the tuples of values."""
     sizes = (dom.size() for dom in doms.values())
     # the product of no domains has one candidate
     if any(total > cap for total in itertools.accumulate(sizes, operator.mul, initial=1)):
         raise CapExceeded(f"{what} exceeds cap {cap}")
-    search, defined = _search(term, tuple(doms), tuple(env), False, quant_lo, quant_hi)
+    search, defined = _search(term, tuple(doms), tuple(env), False, quant_lo, quant_hi,
+                              frozenset(), keys)
     values = [_table(list(dom)) if x in defined else list(dom) for x, dom in doms.items()]
-    return consume(search(env, values, defaultdict(dict)))
+    return search(env, values, defaultdict(dict))
 
 
 # ---------------------------------------------------------------------------
@@ -650,9 +666,9 @@ class TransitionPlan:
         }
         keys = self.key_order = tuple(sorted(doms))
         loops = tuple(mangle(name, PRIMED) for name in keys)
-        tx, lo, hi = instance.system.tx, instance.quant_lo, instance.quant_hi
         arrays = frozenset(x for x, name in zip(loops, keys) if isinstance(doms[name], ArrayDomain))
-        self.expand, defined = _search(tx, loops, tuple(doms), True, lo, hi, arrays, keys)
+        self.expand, defined = _search(instance.system.tx, loops, tuple(doms), True,
+                                       instance.quant_lo, instance.quant_hi, arrays, keys)
         # a defined variable's domain is not listed, as it may be large: its
         # value is looked up in a scalar domain's table or an array domain
         self.values = [
@@ -718,32 +734,27 @@ def enumerate_traces(instance: FiniteInstance) -> list[BoundedTrace]:
     """All depth-d trace prefixes of the instance, in canonical order.
 
     Initial states come from the generated ``init`` search, with parameters
-    and ``init_fix`` values as fixed names; each further level is one call
-    of the ``tx`` expansion, which extends each prefix by the ``successors``
-    of its last state. The canonical order is lexicographic by the traces'
-    tuples of state keys (``state_key``); traces with equal tuples keep the
-    order in which they were expanded.
+    and ``init_fix`` values as fixed names, built and keyed there; each
+    further level is one call of the ``tx`` expansion, which extends each
+    prefix by the ``successors`` of its last state. The canonical order is
+    lexicographic by the traces' tuples of state keys (``state_key``);
+    traces with equal tuples keep the order in which they were expanded.
     """
     plan = TransitionPlan(instance)
     # A prefix travels with its sort key: its initial state's key, then the
-    # rank of each later state among its predecessor's successors. Siblings
-    # are distinct, so ranks order them as their keys do, and prefixes whose
-    # states agree by key so far end in the same state and so have the same
-    # siblings: the order is the one of full key tuples. Initial states are
-    # not ranked: equal ones, from a domain that repeats a value, have equal
-    # successors, and their traces must interleave.
-    names = [name for name, _ in instance.system.state_vars]
+    # rank of each later state that has siblings among them. Siblings are
+    # distinct, so ranks order them as their keys do, and prefixes whose
+    # sort keys agree so far have states that agree by key, so they branch
+    # at the same steps into the same siblings: the order is the one of full
+    # key tuples. Initial states are not ranked: equal ones, from a domain
+    # that repeats a value, have equal successors, and their traces must
+    # interleave.
     fixed = {**instance.init_fix, **instance.params}
-    env = {name: fixed[name] for name in names if name in fixed}
-    doms = {name: instance.domains[name] for name in names if name not in env}
-    initial = _accepted(instance.system.init, doms, env, instance.quant_lo, instance.quant_hi,
-                        instance.cap, "state domain product", list)
-    level: list[tuple[tuple[State, ...], tuple]] = []
-    arrays: dict[int, tuple] = {}  # the initial states share their array objects
-    for combo in initial:
-        state = dict(zip(doms, combo))
-        state.update(env)
-        level.append(((state,), (_state_key(state, plan.key_order, arrays),)))
+    env = {name: fixed[name] for name in plan.key_order if name in fixed}
+    doms = {name: instance.domains[name]
+            for name, _ in instance.system.state_vars if name not in env}
+    level = _accepted(instance.system.init, doms, env, instance.quant_lo, instance.quant_hi,
+                      instance.cap, "state domain product", plan.key_order)
     branch = partial(_siblings, plan.key_order, instance.deterministic, instance.cap)
     for _ in range(instance.depth - 1):
         level = plan.expand(level, plan.values, plan.memo, branch)
@@ -838,23 +849,16 @@ def count_equivalence_classes(
         if verdict:
             candidates.append(t)
     n = len(candidates)
-    parent = list(range(n))
-
-    def find(i: int) -> int:
-        while parent[i] != i:
-            parent[i] = parent[parent[i]]
-            i = parent[i]
-        return i
-
+    label = list(range(n))  # each candidate's class, named by one of its members
     diff = _predicate(prop.diff, lo, hi) if n > 1 else None
     for i in range(n):
         for j in range(i + 1, n):
             delta = _bounded(diff, candidates[i], candidates[j], True, instance, plan)
             if delta is None:
                 return "unknown"
-            if not delta:
-                parent[find(i)] = find(j)
-    return len({find(i) for i in range(n)})
+            if not delta:  # one class: i's joins j's
+                label = [label[j] if c == label[i] else c for c in label]
+    return len(set(label))
 
 
 def brute_count(
@@ -869,5 +873,5 @@ def brute_count(
     from its generated search with the ``params`` not counted fixed; the cap
     applies to the full product."""
     env = {name: value for name, value in (params or {}).items() if name not in counted}
-    return _accepted(formula, counted, env, quant_lo, quant_hi, cap, "domain product",
-                     lambda found: sum(1 for _ in found))
+    return sum(1 for _ in _accepted(formula, counted, env, quant_lo, quant_hi, cap,
+                                    "domain product"))

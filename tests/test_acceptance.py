@@ -30,9 +30,9 @@ from qhenum.oracle import (
     FiniteInstance,
     ScalarDomain,
     brute_count,
+    compile_term,
     count_equivalence_classes,
     enumerate_traces,
-    eval_term,
 )
 from qhenum.qhl import parse_property
 from qhenum.sexpr import parse_one, to_text
@@ -205,7 +205,7 @@ def validate_facts(registry, facts):
         for name, entry in registry.items()
     }
     for fact in facts:
-        holds = eval_term(fact.axiom, {}, *SWEEP_QUANT, funcs=funcs)
+        holds = compile_term(fact.axiom, *SWEEP_QUANT, funcs=funcs)({})
         assert holds is True, f"admitted {fact.rule} fact violated numerically"
 
 

@@ -28,7 +28,6 @@ from qhenum.oracle import (
     count_equivalence_classes,
     enumerate_traces,
     eval_bounded,
-    eval_term,
     state_key,
     successors,
     values_equal,
@@ -209,26 +208,26 @@ def test_eval_term_arith_and_arrays():
         "(+ (select (store a 0 9) 0) (* x 2))",
         {"x": INT, "a": ArraySort(INT, INT)},
     )
-    assert eval_term(term, env) == 15
+    assert compile_term(term)(env) == 15
 
 
 def test_eval_term_const_array():
     env = {}
     term = term_from_text("(select (store (const-arr 7) 2 1) 3)", env)
-    assert eval_term(term, env) == 7
+    assert compile_term(term)(env) == 7
 
 
 def test_eval_term_quantifiers_are_bounded():
     term = term_from_text("(forall ((j Int)) (<= j 8))", {})
-    assert eval_term(term, {}, quant_lo=-2, quant_hi=8) is True
+    assert compile_term(term, quant_lo=-2, quant_hi=8)({}) is True
     term2 = term_from_text("(exists ((j Int)) (= j 5))", {})
-    assert eval_term(term2, {}, quant_lo=0, quant_hi=4) is False
-    assert eval_term(term2, {}, quant_lo=0, quant_hi=6) is True
+    assert compile_term(term2, quant_lo=0, quant_hi=4)({}) is False
+    assert compile_term(term2, quant_lo=0, quant_hi=6)({}) is True
 
 
 def test_eval_term_builtins():
-    assert eval_term(term_from_text("(pow2 5)", {}), {}) == 32
-    assert eval_term(term_from_text("(fact 4)", {}), {}) == 24
+    assert compile_term(term_from_text("(pow2 5)", {}))({}) == 32
+    assert compile_term(term_from_text("(fact 4)", {}))({}) == 24
 
 
 def smtlib_div_mod(a, b):
@@ -242,8 +241,8 @@ def smtlib_div_mod(a, b):
 
 def div_mod(a, b):
     """The oracle's ``(div a b)`` and ``(mod a b)``."""
-    return (eval_term(Div(Var("a", INT), Var("b", INT)), {"a": a, "b": b}),
-            eval_term(Mod(Var("a", INT), Var("b", INT)), {"a": a, "b": b}))
+    return (compile_term(Div(Var("a", INT), Var("b", INT)))({"a": a, "b": b}),
+            compile_term(Mod(Var("a", INT), Var("b", INT)))({"a": a, "b": b}))
 
 
 @given(st.integers(-50, 50), st.integers(-12, 12))
@@ -264,24 +263,24 @@ def test_div_and_mod_of_seven_and_two_at_every_sign():
 
 
 # A zero or negative divisor gives its SMT-LIB value in whichever branch it
-# lies, through the generated code and through eval_term alike.
+# lies.
 DIVISIONS = [(Div(IntLit(1), IntLit(0)), 0), (Mod(IntLit(1), IntLit(-1)), 0)]
 
 
 @pytest.mark.parametrize("division, value", DIVISIONS, ids=["div-by-zero", "mod-by-negative"])
 def test_division_has_its_value_in_either_branch(division, value):
     term = Ite(Var("c", BOOL), IntLit(1), division)
-    for evaluate in (compile_term(term), lambda env: eval_term(term, env)):
-        assert evaluate({"c": True}) == 1
-        assert evaluate({"c": False}) == value
+    evaluate = compile_term(term)
+    assert evaluate({"c": True}) == 1
+    assert evaluate({"c": False}) == value
 
 
 @given(st.integers(-30, 30))
 def test_pow2_and_fact_of_every_integer(n):
     # counting.BUILTIN_AXIOMS constrain both only at n >= 0; below, pow2 is 0 and fact is 1
     n_ = IntLit(n)
-    assert eval_term(App("pow2", (n_,)), {}) == (2**n if n >= 0 else 0)
-    assert eval_term(App("fact", (n_,)), {}) == (math.factorial(n) if n >= 0 else 1)
+    assert compile_term(App("pow2", (n_,)))({}) == (2**n if n >= 0 else 0)
+    assert compile_term(App("fact", (n_,)))({}) == (math.factorial(n) if n >= 0 else 1)
 
 
 # Each refused term raises its OracleError when it is compiled, also in a
@@ -357,8 +356,56 @@ def test_eval_untaken_branch_is_not_evaluated():
 def test_quantifiers_stop_at_their_first_deciding_value(text, value):
     calls = []
     term = term_from_text(text, {}, Signature().extend("f", (INT,), INT))
-    assert eval_term(term, {}, -2, 2, {"f": lambda j: calls.append(j) or j}) is value
+    assert compile_term(term, -2, 2, {"f": lambda j: calls.append(j) or j})({}) is value
     assert calls == [-2, -1, 0]
+
+
+# Values for = : scalars that == confuses, an array equal to another in a
+# different window, an array of bools, and arrays of arrays.
+WINDOWED = FArray(1, (1, 0))
+EQUALITY_VALUES = [
+    0, 1, True, False, WINDOWED, FArray(0, (0, 1)), FArray(0, (True,), False),
+    FArray(0, (1,), 0), FArray(0, (WINDOWED,)), FArray(-1, (0, FArray(0, (0, 1)), 0)),
+]
+# each comparison with the values its sides take from (x, y, b)
+EQUALITIES = {
+    "(= x y)": lambda x, y, b: (x, y),
+    "(= x 1)": lambda x, y, b: (x, 1),
+    "(= 1 x)": lambda x, y, b: (1, x),
+    "(= x 0)": lambda x, y, b: (x, 0),
+    "(= b true)": lambda x, y, b: (b, True),
+    "(= false b)": lambda x, y, b: (False, b),
+}
+
+
+def equality_term(text, copies=(None, None)):
+    """``text`` with x and b in copy ``copies[0]`` and y in ``copies[1]``."""
+    sides = {"x": Var("x", INT, copies[0]), "b": Var("b", BOOL, copies[0]),
+             "y": Var("y", INT, copies[1]), "0": IntLit(0), "1": IntLit(1),
+             "true": TRUE, "false": FALSE}
+    left, right = text[3:-1].split()
+    return Cmp("=", sides[left], sides[right])
+
+
+@pytest.mark.parametrize("text", sorted(EQUALITIES))
+def test_equality_matches_values_equal_wherever_it_is_generated(text):
+    # every pair, the same object on both sides included, in a compiled term,
+    # a two-state predicate and a tx test, each written inline where it can be
+    compiled = compile_term(equality_term(text))
+    holds = oracle._predicate(equality_term(text, (1, 2)), -1, 1)
+    dom = ScalarDomain(tuple(EQUALITY_VALUES))
+    state_vars = (("x", INT), ("y", INT), ("b", BOOL))
+    frames = [Cmp("=", Var(n, s, None, True), Var(n, s)) for n, s in state_vars]
+    system = TransitionSystem("eq", state_vars, (), TRUE, And((*frames, equality_term(text))))
+    inst = FiniteInstance(system, {"x": dom, "y": dom, "b": dom}, {}, depth=2)
+    plan = TransitionPlan(inst)
+    for x, y in itertools.product(EQUALITY_VALUES, repeat=2):
+        b = x
+        expected = values_equal(*EQUALITIES[text](x, y, b))
+        state = {"x": x, "y": y, "b": b}
+        assert compiled(state) is expected, (x, y)
+        assert holds({"x": x, "b": b}, {"y": y}) is expected, (x, y)
+        assert successors(inst, state, plan) == ([state] if expected else []), (x, y)
 
 
 # -- trace enumeration ---------------------------------------------------------
