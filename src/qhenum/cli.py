@@ -548,6 +548,9 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     ) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 3
+    except RecursionError:  # a term nested deeper than the recursive walks reach
+        print("error: input nested too deeply", file=sys.stderr)
+        return 3
     return 3
 
 

@@ -11,7 +11,7 @@ import itertools
 import math
 import operator
 from collections import defaultdict
-from functools import partial
+from functools import cached_property, partial
 from typing import Callable, Iterator, Mapping, Optional, Sequence, Union
 
 from .qhl import QhpProperty
@@ -139,6 +139,11 @@ class ArrayDomain(Record):
     values: tuple[int, ...]
     default: int = 0
 
+    def __post_init__(self) -> None:
+        # hi = lo - 1 is the empty window, whose one member is the default alone
+        if self.hi < self.lo - 1:
+            raise OracleError(f"array domain window [{self.lo}, {self.hi}] has negative width")
+
     def __iter__(self) -> Iterator[FArray]:
         for combo in itertools.product(self.values, repeat=self.hi - self.lo + 1):
             yield FArray(self.lo, combo, self.default)
@@ -211,32 +216,6 @@ def state_key(state: State) -> tuple:
 def _state_key(state: State, order: Sequence[str]) -> tuple:
     """``state_key`` in ``order``."""
     return tuple((name, *_typed(state[name])) for name in order)
-
-
-class FiniteInstance:
-    """A system over finite domains, checked once built; its fields may be
-    changed after. ``deterministic`` is a checked claim: ``successors``
-    raises at a state with several successors. ``init_fix`` pins the
-    *initial* value of a state variable without restricting how it may
-    evolve afterwards (unlike ``params``, which freeze it for the whole run).
-    """
-
-    def __init__(
-        self, system: TransitionSystem, domains: dict[str, Domain], params: dict[str, Value],
-        depth: int, deterministic: bool = False, quant_lo: int = DEFAULT_QUANT[0],
-        quant_hi: int = DEFAULT_QUANT[1], cap: int = DEFAULT_CAP, init_fix: Optional[dict] = None,
-    ) -> None:
-        if depth < 1:
-            raise OracleError("depth must be >= 1")
-        if quant_lo > quant_hi:
-            raise OracleError(f"quantifier bounds {quant_lo} > {quant_hi}")
-        for name, _ in system.state_vars:
-            if name not in params and name not in domains:
-                raise OracleError(f"no domain for state variable {name}")
-        self.system, self.domains, self.params, self.depth = system, domains, params, depth
-        self.deterministic, self.cap = deterministic, cap
-        self.quant_lo, self.quant_hi = quant_lo, quant_hi
-        self.init_fix = {} if init_fix is None else init_fix
 
 
 # ---------------------------------------------------------------------------
@@ -653,12 +632,11 @@ class BoundedTrace(Record):
 
 
 class TransitionPlan:
-    """Everything the ``tx`` expansion derives from an instance, made once,
-    and each last state's pin: the plan reflects the instance as it was when
-    built, and its loops' filtered values and its pins live as long as it."""
+    """Everything the ``tx`` expansion derives from an instance, and the
+    memos that live as long as it: its loops' filtered values and each last
+    state's pin. It keeps no reference to the instance: no cycle."""
 
     def __init__(self, instance: FiniteInstance) -> None:
-        self.instance = instance
         doms: dict[str, Domain] = {
             name: ScalarDomain((instance.params[name],)) if name in instance.params
             else instance.domains[name]
@@ -678,14 +656,51 @@ class TransitionPlan:
         self.memo: defaultdict[int, dict] = defaultdict(dict)
         self.pins: dict[tuple, bool] = {}  # state key -> pinned
 
+
+class FiniteInstance(Record):
+    """A system over finite domains, checked when built. ``deterministic``
+    is a checked claim: ``successors`` raises at a state with several
+    successors. ``init_fix`` pins the *initial* value of a state variable
+    without restricting how it may evolve afterwards (unlike ``params``,
+    which freeze it for the whole run). A changed copy, made with
+    ``_replace``, builds its own ``plan``."""
+
+    system: TransitionSystem
+    domains: dict[str, Domain]
+    params: dict[str, Value]
+    depth: int
+    deterministic: bool = False
+    quant_lo: int = DEFAULT_QUANT[0]
+    quant_hi: int = DEFAULT_QUANT[1]
+    cap: int = DEFAULT_CAP
+    init_fix: Optional[dict] = None
+
+    def __post_init__(self) -> None:
+        if self.depth < 1:
+            raise OracleError("depth must be >= 1")
+        if self.quant_lo > self.quant_hi:
+            raise OracleError(f"quantifier bounds {self.quant_lo} > {self.quant_hi}")
+        for name, _ in self.system.state_vars:
+            if name not in self.params and name not in self.domains:
+                raise OracleError(f"no domain for state variable {name}")
+        if self.init_fix is None:
+            object.__setattr__(self, "init_fix", {})
+
+    @cached_property
+    def plan(self) -> TransitionPlan:
+        """The instance's ``TransitionPlan``, built on first use and kept
+        with it, as ``Term.memo`` is: every call on the instance shares it."""
+        return TransitionPlan(self)
+
     def pinned(self, trace: BoundedTrace) -> bool:
         """Whether the last state of ``trace`` has itself as its only
-        successor, so that the trace stays in it forever."""
-        key = _state_key(trace.states[-1], self.key_order)
-        if key not in self.pins:
-            nxt = successors(self.instance, trace.states[-1], self)
-            self.pins[key] = len(nxt) == 1 and _state_key(nxt[0], self.key_order) == key
-        return self.pins[key]
+        successor (by ``successors``), so the trace stays in it forever."""
+        plan, last = self.plan, trace.states[-1]
+        key = _state_key(last, plan.key_order)
+        if key not in plan.pins:
+            nxt = successors(self, last)
+            plan.pins[key] = len(nxt) == 1 and _state_key(nxt[0], plan.key_order) == key
+        return plan.pins[key]
 
 
 def _siblings(key_order: Sequence[str], deterministic: bool, cap: float, out: list,
@@ -705,9 +720,7 @@ def _siblings(key_order: Sequence[str], deterministic: bool, cap: float, out: li
             raise CapExceeded(f"trace count exceeds cap {cap}")
 
 
-def successors(
-    instance: FiniteInstance, state: State, plan: Optional[TransitionPlan] = None
-) -> list[State]:
+def successors(instance: FiniteInstance, state: State) -> list[State]:
     """The states ``tx`` allows after ``state``, within the domains: the
     ``tx`` expansion of the level of ``state`` alone.
 
@@ -723,8 +736,7 @@ def successors(
     dropped. Raises ``OracleError`` when the instance is declared
     deterministic and more than one state remains.
     """
-    if plan is None:
-        plan = TransitionPlan(instance)
+    plan = instance.plan
     branch = partial(_siblings, plan.key_order, instance.deterministic, math.inf)
     level = plan.expand([((state,), ())], plan.values, plan.memo, branch)
     return [prefix[-1] for prefix, _ in level]
@@ -740,7 +752,7 @@ def enumerate_traces(instance: FiniteInstance) -> list[BoundedTrace]:
     lexicographic by the traces' tuples of state keys (``state_key``);
     traces with equal tuples keep the order in which they were expanded.
     """
-    plan = TransitionPlan(instance)
+    plan = instance.plan
     # A prefix travels with its sort key: its initial state's key, then the
     # rank of each later state that has siblings among them. Siblings are
     # distinct, so ranks order them as their keys do, and prefixes whose
@@ -775,66 +787,51 @@ _DEPTHS = "traces must be non-empty and of equal depth"
 
 
 def _bounded(holds: Callable, first: BoundedTrace, second: BoundedTrace, eventually: bool,
-             instance: FiniteInstance, plan: Optional[TransitionPlan]) -> Optional[bool]:
+             instance: FiniteInstance) -> Optional[bool]:
     """``eval_bounded`` of the compiled predicate ``holds`` on two traces of
     equal depth, walking their states together."""
     for s1, s2 in zip(first.states, second.states):
         # F is decided by a true position, G by a false one
         if (not holds(s1, s2)) is not eventually:
             return eventually
-    if plan is None:
-        plan = TransitionPlan(instance)
-    if plan.pinned(first) and plan.pinned(second):
+    if instance.pinned(first) and instance.pinned(second):
         return not eventually
     return None
 
 
-def eval_bounded(
-    pred: Term,
-    first: BoundedTrace,
-    second: BoundedTrace,
-    instance: FiniteInstance,
-    plan: Optional[TransitionPlan] = None,
-    eventually: bool = False,
-) -> Optional[bool]:
+def eval_bounded(pred: Term, first: BoundedTrace, second: BoundedTrace, instance: FiniteInstance,
+                 eventually: bool = False) -> Optional[bool]:
     """Bounded verdict of ``G pred``, or of ``F pred`` when ``eventually``,
     at position 0, with ``first`` as copy 1 and ``second`` as copy 2 of
-    ``pred``.
+    ``pred``; the depths are checked before ``pred`` is compiled.
 
-    The depths are checked before ``pred`` is compiled. The prefix decides
-    ``G`` false at its first false position and ``F`` true at its first true
-    one. Otherwise the verdict depends on the infinite tail, and is given
-    (``G`` true, ``F`` false) only when both traces are pinned: the last
-    state of each has itself as its only successor, so the prefix's last
-    position repeats forever. Pinning is asked only once the prefix has not
-    decided, of ``plan``, or of a transition plan built then; else ``None``.
+    The prefix decides ``G`` false at its first false position and ``F``
+    true at its first true one. Otherwise the verdict depends on the
+    infinite tail, and is given (``G`` true, ``F`` false) only when the
+    instance finds both traces ``pinned``, asked only then; else ``None``.
     """
     if first.depth != second.depth or first.depth == 0:
         raise OracleError(_DEPTHS)
     holds = _predicate(pred, instance.quant_lo, instance.quant_hi)
-    return _bounded(holds, first, second, eventually, instance, plan)
+    return _bounded(holds, first, second, eventually, instance)
 
 
 # ---------------------------------------------------------------------------
 # Class counting and model counting
 
 
-def count_equivalence_classes(
-    instance: FiniteInstance,
-    prop: QhpProperty,
-    pivot: BoundedTrace,
-    traces: Sequence[BoundedTrace],
-) -> Union[int, str]:
+def count_equivalence_classes(instance: FiniteInstance, prop: QhpProperty, pivot: BoundedTrace,
+                              traces: Sequence[BoundedTrace]) -> Union[int, str]:
     """Number of difference-equivalence classes among the ``traces`` that
     the body relates to ``pivot``.
 
     Each pair gets its ``eval_bounded`` verdict, with each predicate read
     once per call (the body at the first trace, the difference at the first
-    pair) and one transition plan, so each last state's successors are
-    computed once per state key. Returns ``"unknown"`` at the first ``None``
-    verdict; a trace of another depth than the pivot raises when reached.
+    pair). Pins are the instance's: each last state's successors are
+    computed once per state key for the life of the instance. Returns
+    ``"unknown"`` at the first ``None`` verdict; a trace of another depth
+    than the pivot raises when reached.
     """
-    plan = TransitionPlan(instance)
     lo, hi, depth = instance.quant_lo, instance.quant_hi, len(pivot.states)
     body = None
     candidates = []
@@ -843,7 +840,7 @@ def count_equivalence_classes(
             raise OracleError(_DEPTHS)
         if body is None:
             body = _predicate(prop.body, lo, hi)
-        verdict = _bounded(body, pivot, t, False, instance, plan)
+        verdict = _bounded(body, pivot, t, False, instance)
         if verdict is None:
             return "unknown"
         if verdict:
@@ -853,7 +850,7 @@ def count_equivalence_classes(
     diff = _predicate(prop.diff, lo, hi) if n > 1 else None
     for i in range(n):
         for j in range(i + 1, n):
-            delta = _bounded(diff, candidates[i], candidates[j], True, instance, plan)
+            delta = _bounded(diff, candidates[i], candidates[j], True, instance)
             if delta is None:
                 return "unknown"
             if not delta:  # one class: i's joins j's

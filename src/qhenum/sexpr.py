@@ -13,7 +13,8 @@ the whitespace before it, by these token rules:
 * any other run of characters up to whitespace, a paren or ``;`` is an
   atom, which may contain ``|`` after its first character (``a|b|`` is one
   atom);
-* an atom is an integer exactly when ``atom.lstrip("-").isdigit()`` holds.
+* an atom is an integer exactly when it matches ``-?[0-9]+``; any other
+  atom, such as ``--5`` or ``²``, is a symbol.
 
 A ``|`` with no closing ``|``, an unmatched ``)`` and an unclosed ``(`` raise
 ``SexprError``.
@@ -65,7 +66,8 @@ def parse_all(text: str) -> list[Sexpr]:
                 raise SexprError("unexpected ')'")
             items = open_lists.pop()
         elif tok:
-            items.append(int(tok) if tok.lstrip("-").isdigit() else tok)
+            digits = tok[1:] if tok[0] == "-" else tok
+            items.append(int(tok) if digits.isdigit() and digits.isascii() else tok)
     if open_lists:
         raise SexprError("unbalanced parentheses")
     return out

@@ -476,6 +476,9 @@ MALFORMED_TERMS = [
                  "strict comparators require a literal bound", BOTH, id="strict-cmp"),
     pytest.param("instance.sexp", "(depth 4)", "(depth x)",
                  "(depth ...) takes an integer, got (depth x)", ("oracle",), id="depth-x"),
+    # an atom is an integer only as -?[0-9]+: --4 is a symbol
+    pytest.param("instance.sexp", "(depth 4)", "(depth --4)",
+                 "(depth ...) takes an integer, got (depth --4)", ("oracle",), id="depth-double-minus"),
     pytest.param("project.sexp", "(valid-pred V)", "(valid-pred V) (options (timeout-ms))",
                  "(timeout-ms ...) takes an integer, got (timeout-ms)", BOTH,
                  id="timeout-arity"),
@@ -577,6 +580,37 @@ def test_oracle_refuses_a_quantifier_over_an_array_before_counting(benchmarks, t
     code = main(["oracle", "--instance", str(hats / "instance.sexp"), "--brute-count", "V1"])
     assert code == 3
     assert capsys.readouterr().err == "error: cannot enumerate quantifier over (Array Int Int)\n"
+
+
+@pytest.mark.parametrize("old, args", [
+    ("(C (array 1 2 (0 1)))", ["--count-classes"]),
+    ("(e (array 1 2 (0 1)))", ["--brute-count", "valid"]),
+], ids=["domains", "count-vars"])
+def test_oracle_refuses_an_array_domain_of_negative_width(benchmarks, tmp_path, capsys, old, args):
+    hats = copy_benchmark(benchmarks, "zk-hats", tmp_path / "hats")
+    instance = hats / "instance.sexp"
+    assert old in instance.read_text()
+    instance.write_text(instance.read_text().replace(old, old.replace("1 2", "3 1")))
+    assert main(["oracle", "--instance", str(instance), *args]) == 3
+    assert capsys.readouterr() == ("", "error: array domain window [3, 1] has negative width\n")
+
+
+@pytest.mark.parametrize("command", ["verify", "oracle"])
+def test_deep_nesting_exits_3(benchmarks, stub_solver, tmp_path, capsys, command):
+    # the term walks recurse once per level; 3,000 levels exceed Python's limit
+    hats = copy_benchmark(benchmarks, "zk-hats", tmp_path / "hats")
+    system = hats / "system.sexp"
+    assert "(init (and (>= R 1) s " in system.read_text()
+    deep = "(not " * 3000 + "s" + ")" * 3000
+    system.write_text(system.read_text().replace("(init (and (>= R 1) s ", f"(init (and (>= R 1) {deep} "))
+    debug = tmp_path / "debug"
+    argv = {
+        "verify": ["verify", str(hats), "--solver", stub_solver("unsat")[0], "--debug-dir", str(debug)],
+        "oracle": ["oracle", "--instance", str(hats / "instance.sexp"), "--count-classes"],
+    }[command]
+    assert main(argv) == 3
+    assert capsys.readouterr() == ("", "error: input nested too deeply\n")
+    assert not debug.exists()
 
 
 def test_oracle_refuses_inverted_quantifier_bounds(benchmarks, tmp_path, capsys):

@@ -22,7 +22,6 @@ from qhenum.oracle import (
     FiniteInstance,
     OracleError,
     ScalarDomain,
-    TransitionPlan,
     brute_count,
     compile_term,
     count_equivalence_classes,
@@ -197,6 +196,16 @@ def test_domains():
     assert FArray(1, (1, 0)) in list(dom)
 
 
+def test_array_domain_of_negative_width_is_refused():
+    with pytest.raises(OracleError, match=r"^array domain window \[3, 1\] has negative width$"):
+        ArrayDomain(3, 1, (0, 1))
+    with pytest.raises(OracleError, match="negative width"):
+        ArrayDomain(1, 2, (0, 1))._replace(hi=-1)
+    # hi = lo - 1 is the empty window: one member, the default everywhere
+    empty = ArrayDomain(3, 2, (0, 1), 7)
+    assert empty.size() == 1 and list(empty) == [FArray(3, (), 7)]
+
+
 # -- term evaluation ----------------------------------------------------------
 
 
@@ -315,7 +324,7 @@ def test_variable_refused_where_it_cannot_be_bound():
         brute_count(Cmp("=", Var("v", INT), z), {"v": ScalarDomain((0, 1))}, {"w": 0})
     system = TransitionSystem("s", (("v", INT),), (), TRUE, Cmp("=", Var("v", INT, None, True), z))
     with pytest.raises(OracleError, match=r"^unbound variable z in oracle evaluation$"):
-        TransitionPlan(FiniteInstance(system, {"v": ScalarDomain((0, 1))}, {}, depth=2))
+        FiniteInstance(system, {"v": ScalarDomain((0, 1))}, {}, depth=2).plan
     for var in (Var("x", INT, 3), Var("x", INT, 1, True), Var("x", INT)):
         with pytest.raises(OracleError, match=f"^unbound variable {re.escape(var.mangled)} "):
             oracle._predicate(Cmp("=", IntLit(1), Ite(TRUE, IntLit(1), var)), -1, 1)
@@ -398,14 +407,13 @@ def test_equality_matches_values_equal_wherever_it_is_generated(text):
     frames = [Cmp("=", Var(n, s, None, True), Var(n, s)) for n, s in state_vars]
     system = TransitionSystem("eq", state_vars, (), TRUE, And((*frames, equality_term(text))))
     inst = FiniteInstance(system, {"x": dom, "y": dom, "b": dom}, {}, depth=2)
-    plan = TransitionPlan(inst)
     for x, y in itertools.product(EQUALITY_VALUES, repeat=2):
         b = x
         expected = values_equal(*EQUALITIES[text](x, y, b))
         state = {"x": x, "y": y, "b": b}
         assert compiled(state) is expected, (x, y)
         assert holds({"x": x, "b": b}, {"y": y}) is expected, (x, y)
-        assert successors(inst, state, plan) == ([state] if expected else []), (x, y)
+        assert successors(inst, state) == ([state] if expected else []), (x, y)
 
 
 # -- trace enumeration ---------------------------------------------------------
@@ -447,22 +455,26 @@ def test_instance_changes_are_seen_by_the_next_call():
         params={},
         depth=2,
     )
+    # a changed instance is a copy with a plan of its own; the first is unchanged
     assert len(enumerate_traces(inst)) == 2
-    inst.deterministic = True
+    with pytest.raises(AttributeError):
+        inst.cap = 0
     with pytest.raises(OracleError):
-        enumerate_traces(inst)
-    inst.deterministic = False
-    inst.cap = 0
+        enumerate_traces(inst._replace(deterministic=True))
     with pytest.raises(CapExceeded):
-        enumerate_traces(inst)
+        enumerate_traces(inst._replace(cap=0))
+    assert len(enumerate_traces(inst)) == 2
 
 
-def test_successors_with_and_without_plan(counter):
+def test_successors_share_the_instance_plan(counter):
+    # every call on one instance uses the plan it built on first use
     inst = counter_instance(counter, 3, depth=2)
     state = {"x": 1, "n": 3}
-    assert successors(inst, state) == successors(inst, state, TransitionPlan(inst)) == [
-        {"x": 2, "n": 3}
-    ]
+    assert successors(inst, state) == [{"x": 2, "n": 3}]
+    plan = inst.plan
+    assert successors(inst, state) == [{"x": 2, "n": 3}] and inst.plan is plan
+    assert enumerate_traces(inst) and inst.plan is plan
+    assert inst._replace().plan is not plan
 
 
 # sha256 of the trace list and the class count at pivot 0 for every shipped
@@ -487,6 +499,44 @@ def test_shipped_instance_trace_digests(benchmarks, name):
     assert (len(traces), digest, classes) == SHIPPED_TRACES[name]
 
 
+@pytest.mark.parametrize("name", sorted(SHIPPED_TRACES))
+def test_shared_plan_counts_as_a_fresh_instance_does(benchmarks, name):
+    # one instance counts at every pivot with the pins of the counts before;
+    # a fresh copy per pivot starts from an empty plan
+    setup = load_instance(benchmarks / name / "instance.sexp")
+    inst, prop = setup.instance, setup.project.prop
+    traces = enumerate_traces(inst)
+    for pivot in traces:
+        fresh = inst._replace()
+        expected = count_equivalence_classes(fresh, prop, pivot, enumerate_traces(fresh))
+        assert count_equivalence_classes(inst, prop, pivot, traces) == expected
+
+
+def test_dropped_instance_leaves_nothing_for_the_cycle_collector():
+    # the plan keeps no reference to its instance, so the two form no cycle
+    coin = parse_system(COIN)
+    prop = parse_property(COIN_PROP, coin)
+    inst = FiniteInstance(coin, {"done": ScalarDomain((False, True)), "b": ScalarDomain((0, 1))},
+                          {}, depth=2)
+    gc.collect()
+    gc.disable()
+    gc.set_debug(gc.DEBUG_SAVEALL)
+    before = len(gc.garbage)
+    try:
+        traces = enumerate_traces(inst)
+        assert count_equivalence_classes(inst, prop, traces[0], traces) == 2
+        assert inst.plan.pins
+        ref = weakref.ref(inst)
+        del inst, traces
+        assert ref() is None
+        gc.collect()
+        assert gc.garbage[before:] == []
+    finally:
+        gc.set_debug(0)
+        del gc.garbage[before:]
+        gc.enable()
+
+
 def test_init_fix_pins_only_the_start(counter):
     inst = counter_instance(counter, 2, depth=3, init_fix={"x": 0})
     traces = enumerate_traces(inst)
@@ -500,8 +550,7 @@ def test_inverted_quantifier_bounds_are_refused(counter):
 
 
 def test_cap_enforced(counter):
-    inst = counter_instance(counter, 2, depth=3)
-    inst.cap = 0
+    inst = counter_instance(counter, 2, depth=3, cap=0)
     with pytest.raises(CapExceeded):
         enumerate_traces(inst)
 
@@ -918,12 +967,11 @@ def test_trace_cap_counts_every_branch():
     # x's domain repeats 1, so x! = 1 is found twice and kept once; from
     # x = 0 three steps give 7 traces out of 4 initial candidates. At cap 6
     # the seventh trace is a lone successor, the last of its level.
-    inst = branching_instance("(= x 0)", (5,), (0, 1, 1, 2), depth=4)
-    inst.cap = 7
+    inst = branching_instance("(= x 0)", (5,), (0, 1, 1, 2), depth=4)._replace(cap=7)
     got = outcome(enumerate_traces, inst)
     assert got == outcome(reference_traces, inst) and len(got) == 7
     for cap in (6, 5, 4):
-        inst.cap = cap
+        inst = inst._replace(cap=cap)
         expected = (CapExceeded, f"trace count exceeds cap {cap}")
         assert outcome(enumerate_traces, inst) == outcome(reference_traces, inst) == expected
 
@@ -935,11 +983,10 @@ def test_successors_are_the_expansion_of_one_state():
     states = {state_key(s): s for t in enumerate_traces(inst) for s in t.states}
     traces = outcome(enumerate_traces, inst)
     assert traces == outcome(reference_traces, inst)
-    plan = TransitionPlan(inst)
     for depth in range(1, inst.depth):
         for prefix in dict.fromkeys(t[:depth] for t in traces):
             following = [t[depth] for t in traces if t[:depth] == prefix]
-            got = [state_key(s) for s in successors(inst, states[prefix[-1]], plan)]
+            got = [state_key(s) for s in successors(inst, states[prefix[-1]])]
             assert sorted(got) == list(dict.fromkeys(following))
             assert got == [state_key(s) for s in filtered_successors(inst, states[prefix[-1]])]
 
@@ -965,8 +1012,7 @@ def test_cap_judged_on_full_initial_product():
     assert outcome(enumerate_traces, inst) == outcome(reference_traces, inst)
     with pytest.raises(CapExceeded, match="state domain product exceeds cap 39"):
         enumerate_traces(inst)
-    inst.cap = 40
-    assert len(enumerate_traces(inst)) == 4
+    assert len(enumerate_traces(inst._replace(cap=40))) == 4
 
 
 # -- the tx search against plain filtering --------------------------------------------
@@ -1081,10 +1127,9 @@ def test_successors_agree_with_plain_filtering(data):
                  min_size=1, max_size=3)
     )
     inst = tx_instance(TX_VARS, And(tuple(conjuncts)), TX_DOMAINS)
-    plan = TransitionPlan(inst)
     # every state twice, so that the second round reads what the first stored
     for state in states + states:
-        got = successors(inst, state, plan)
+        got = successors(inst, state)
         assert [state_key(s) for s in got] == [state_key(s) for s in filtered_successors(inst, state)]
 
 
@@ -1094,10 +1139,9 @@ def test_successors_tell_true_from_one():
     arrays = (FArray(0, (0,)), FArray(0, (True,)), FArray(0, (1,)))
     inst = tx_instance({"x": INT, "a": ArraySort(INT, INT)}, tx,
                        {"x": ScalarDomain((True, 1)), "a": ScalarDomain(arrays)})
-    plan = TransitionPlan(inst)
     expected = [{"a": FArray(0, (0,)), "x": True}, {"a": FArray(0, (True,)), "x": True}]
     for state in ({"x": 1, "a": arrays[2]}, {"x": True, "a": arrays[1]}) * 2:
-        assert [state_key(s) for s in successors(inst, state, plan)] == list(map(state_key, expected))
+        assert [state_key(s) for s in successors(inst, state)] == list(map(state_key, expected))
 
 
 # (distinct a! a) reads a! from a filtered loop: arrays equal in another
@@ -1154,11 +1198,10 @@ def test_filters_tell_true_from_one_in_what_they_read():
     got = outcome(enumerate_traces, inst)
     # from each of the 3 values of x: 2 + 1 + 1 + 2 successors over the values of a and d
     assert got == outcome(reference_traces, inst) and len(got) == 3 * 6
-    plan = TransitionPlan(inst)
     states = [{"a": arr, "d": dv, "x": 0} for dv in (1, True) for arr in arrays]
     for state in states + states[::-1]:
         expected = filtered_successors(inst, state)
-        assert list(map(state_key, successors(inst, state, plan))) == list(map(state_key, expected))
+        assert list(map(state_key, successors(inst, state))) == list(map(state_key, expected))
 
 
 def test_successors_test_a_defined_scalar_for_its_domain_by_type():
@@ -1172,9 +1215,8 @@ def test_successors_test_a_defined_scalar_for_its_domain_by_type():
     ]
     for state_vars, tx, domains, expected in cases:
         inst = tx_instance(state_vars, tx, domains)
-        plan = TransitionPlan(inst)
         for state in ({name: 0 for name in state_vars},) * 2:
-            got = successors(inst, state, plan)
+            got = successors(inst, state)
             assert list(map(state_key, got)) == list(map(state_key, expected))
 
 
@@ -1219,10 +1261,9 @@ def test_successors_divide_as_smtlib_does_on_every_call():
     divides = Or((Cmp(">", a, IntLit(0)), Cmp("=", Div(IntLit(7), b), IntLit(-3))))
     inst = tx_instance({"a": INT, "b": INT}, And((keep_a, divides)),
                        {"a": ScalarDomain((0, 1)), "b": ScalarDomain((0, 2, -2, -3))})
-    plan = TransitionPlan(inst)
     for _ in range(3):
-        assert successors(inst, {"a": 1, "b": 0}, plan) == [{"a": 1, "b": b} for b in (0, 2, -2, -3)]
-        assert successors(inst, {"a": 0, "b": 0}, plan) == [{"a": 0, "b": -2}]
+        assert successors(inst, {"a": 1, "b": 0}) == [{"a": 1, "b": b} for b in (0, 2, -2, -3)]
+        assert successors(inst, {"a": 0, "b": 0}) == [{"a": 0, "b": -2}]
 
 
 @functools.cache
@@ -1239,13 +1280,10 @@ def test_shuffled_tx_conjuncts_keep_successors(benchmarks, name, random):
     inst, states = shipped_states(benchmarks, name)
     conjuncts = list(inst.system.tx.args)
     random.shuffle(conjuncts)
-    shuffled = FiniteInstance(inst.system._replace(tx=And(tuple(conjuncts))), inst.domains, inst.params,
-                              inst.depth, inst.deterministic, inst.quant_lo, inst.quant_hi, inst.cap,
-                              inst.init_fix)
-    plan, shuffled_plan = TransitionPlan(inst), TransitionPlan(shuffled)
+    shuffled = inst._replace(system=inst.system._replace(tx=And(tuple(conjuncts))))
     for state in states:
-        expected = sorted(map(state_key, successors(inst, state, plan)))
-        assert sorted(map(state_key, successors(shuffled, state, shuffled_plan))) == expected
+        expected = sorted(map(state_key, successors(inst, state)))
+        assert sorted(map(state_key, successors(shuffled, state))) == expected
 
 
 # -- generated code against the closure compiler -------------------------------------
@@ -1559,25 +1597,28 @@ def test_last_state_with_two_successors_is_not_pinned():
     assert [[s["x"] for s in t.states] for t in traces] == [[0, 0], [0, 1]]
     # x = 0 may stay or step: only itself as a successor would pin it
     stay = traces[0]
-    assert TransitionPlan(inst).pinned(stay) is False
+    assert inst.pinned(stay) is False
     assert eval_bounded(prop.body, stay, stay, inst) is None
     assert count_equivalence_classes(inst, prop, stay, traces) == "unknown"
-    # a declared deterministic instance raises, but only once the tail is needed
-    inst.deterministic = True
-    assert eval_bounded(prop.diff, stay, traces[1], inst, eventually=True) is True
+    # a declared deterministic instance raises, but only once the tail is
+    # needed: the copy asks its own plan, not the pins inst has kept
+    claimed = inst._replace(deterministic=True)
+    assert eval_bounded(prop.diff, stay, traces[1], claimed, eventually=True) is True
     with pytest.raises(OracleError, match="declared deterministic"):
-        eval_bounded(prop.body, stay, stay, inst)
+        eval_bounded(prop.body, stay, stay, claimed)
+    with pytest.raises(OracleError, match="declared deterministic"):
+        count_equivalence_classes(claimed, prop, stay, traces)
+    assert eval_bounded(prop.body, stay, stay, inst) is None
 
 
 def test_last_state_without_successor_in_domain_is_not_pinned(counter):
     prop = parse_property(PROP, counter)
-    inst = counter_instance(counter, 3, depth=2)
-    inst.domains = {"x": ScalarDomain((0, 1))}
+    inst = counter_instance(counter, 3, depth=2)._replace(domains={"x": ScalarDomain((0, 1))})
     (trace,) = enumerate_traces(inst)
     assert [s["x"] for s in trace.states] == [0, 1]
     # x = 1 steps to 2, outside the domain
     assert successors(inst, trace.states[-1]) == []
-    assert TransitionPlan(inst).pinned(trace) is False
+    assert inst.pinned(trace) is False
     assert eval_bounded(prop.body, trace, trace, inst) is None
 
 
@@ -1592,7 +1633,7 @@ def test_absorbing_end_pins_nondeterministic_traces():
         depth=2,
     )
     traces = enumerate_traces(inst)
-    assert all(TransitionPlan(inst).pinned(t) for t in traces)
+    assert all(inst.pinned(t) for t in traces)
     prop = parse_property(COIN_PROP, coin)
     assert count_equivalence_classes(inst, prop, traces[0], traces) == 2
 
@@ -1645,10 +1686,9 @@ def test_absorbing_end_agrees_with_settled_rule(bound, step, domain, depth, body
         depth=depth, deterministic=True,
     )
     traces = enumerate_traces(inst)
-    plan = TransitionPlan(inst)
-    assert all(plan.pinned(t) for t in traces if settled(t))
+    assert all(inst.pinned(t) for t in traces if settled(t))
     pairs = [(a, b) for a in traces for b in traces]
-    with mock.patch.object(TransitionPlan, "pinned", lambda self, trace: settled(trace)):
+    with mock.patch.object(FiniteInstance, "pinned", lambda self, trace: settled(trace)):
         expected = [
             (eval_bounded(body, a, b, inst, eventually=eventually),
              eval_bounded(prop.diff, a, b, inst, eventually=True))
@@ -1677,12 +1717,11 @@ def _or3(a, b):
     return False if a is False and b is False else None
 
 
-def reference_eval(pred, first, second, instance, plan=None, eventually=False):
+def reference_eval(pred, first, second, instance, eventually=False):
     """The recursive three-valued evaluator ``eval_bounded`` replaced, cut
     down to ``G pred``, or ``F pred`` when ``eventually``: ``first`` is copy
     1 and ``second`` copy 2 of ``pred``, and a verdict that needs the tail is
-    given only when both traces' last states are their own only successor.
-    ``plan`` is ignored."""
+    given only when both traces' last states are their own only successor."""
     traces = (first, second)
     depths = {t.depth for t in traces}
     if len(depths) != 1 or 0 in depths:
@@ -1787,11 +1826,10 @@ def test_eval_bounded_matches_reference(
         body=term_from_text(body, STEP_ENV),
         diff=term_from_text(diff, STEP_ENV),
     )
-    plan = TransitionPlan(inst)
     for pred, eventually in itertools.product((prop.body, prop.diff), (False, True)):
         for a in traces:
             for b in traces:
-                args = (pred, a, b, inst, plan, eventually)
+                args = (pred, a, b, inst, eventually)
                 expected = verdict_or_error(reference_eval, *args)
                 assert verdict_or_error(eval_bounded, *args) == expected
     for pivot in traces:
@@ -1803,10 +1841,9 @@ def pairwise_classes(instance, prop, pivot, traces):
     """The class count from one ``eval_bounded`` call per pair, in the
     order ``count_equivalence_classes`` visits traces and pairs, as it
     counted before it read each predicate once per count."""
-    plan = TransitionPlan(instance)
     candidates = []
     for t in traces:
-        verdict = eval_bounded(prop.body, pivot, t, instance, plan)
+        verdict = eval_bounded(prop.body, pivot, t, instance)
         if verdict is None:
             return "unknown"
         if verdict:
@@ -1814,7 +1851,7 @@ def pairwise_classes(instance, prop, pivot, traces):
     label = list(range(len(candidates)))
     for i, a in enumerate(candidates):
         for j in range(i + 1, len(candidates)):
-            delta = eval_bounded(prop.diff, a, candidates[j], instance, plan, eventually=True)
+            delta = eval_bounded(prop.diff, a, candidates[j], instance, eventually=True)
             if delta is None:
                 return "unknown"
             if not delta:

@@ -14,7 +14,7 @@ from qhenum.backend import VALIDITY, Answer, Obligation, Query, Verdict
 from qhenum.cli import OracleSetup, Project
 from qhenum.counting import CountFact, CountTerm, ProofScript, ProofStep, Rule, RuleApp, ScriptResult
 from qhenum.enumeration import AtIndex, DischargeReport, EnumerationWitness, Pointwise, VcBundle
-from qhenum.oracle import ArrayDomain, BoundedTrace, FArray, ScalarDomain
+from qhenum.oracle import ArrayDomain, BoundedTrace, FArray, FiniteInstance, ScalarDomain
 from qhenum.qhl import QhlError, QhpProperty, WellDefinedResult
 from qhenum.system import TransitionSystem
 from qhenum.terms import (
@@ -169,6 +169,13 @@ RECORDS = {
     ScalarDomain: (lambda: ScalarDomain((0, 1)), "ScalarDomain(values=(0, 1))"),
     ArrayDomain: (lambda: ArrayDomain(0, 1, (0, 1)), "ArrayDomain(lo=0, hi=1, values=(0, 1), default=0)"),
     BoundedTrace: (lambda: BoundedTrace(({"x": 1},)), "BoundedTrace(states=({'x': 1},))"),
+    FiniteInstance: (
+        lambda: FiniteInstance(TransitionSystem("s", (("x", INT),), ("x",), YES, NO), {}, {"x": 0}, 1),
+        "FiniteInstance(system=TransitionSystem(name='s', state_vars=(('x', IntSort()),), "
+        "params=('x',), init=BoolLit(value=True), tx=BoolLit(value=False)), domains={}, "
+        "params={'x': 0}, depth=1, deterministic=False, quant_lo=-2, quant_hi=8, cap=1000000, "
+        "init_fix={})",
+    ),
     WellDefinedResult: (lambda: WellDefinedResult(True), "WellDefinedResult(ok=True, reason='')"),
     FArray: (lambda: FArray(1, (5, 6), 0), "FArray(lo=1, vals=(5, 6), default=0)"),
     ScriptResult: (
@@ -197,7 +204,7 @@ RECORDS = {
     ),
 }
 # records with a dict among their fields hash as a tuple holding a dict does
-UNHASHABLE = {Project, OracleSetup, ProofScript, BoundedTrace}
+UNHASHABLE = {Project, OracleSetup, ProofScript, BoundedTrace, FiniteInstance}
 CLASSES = pytest.mark.parametrize("cls", RECORDS, ids=lambda cls: cls.__name__)
 
 

@@ -90,9 +90,7 @@ def reference_tokenize(text):
 
 
 def reference_atom(token):
-    if token.lstrip("-").isdigit() and token not in ("-", ""):
-        return int(token)
-    return token
+    return int(token) if re.fullmatch(r"-?[0-9]+", token) else token
 
 
 def reference_parse_all(text):
@@ -143,7 +141,11 @@ def read_outcome(read, text):
         (") |x", (SexprError, "unterminated |symbol|")),
         ("(a))", (SexprError, "unexpected ')'")),
         ("((a)", (SexprError, "unbalanced parentheses")),
-        ("--5", (ValueError, "invalid literal for int() with base 10: '--5'")),
+        ("--5", ["--5"]),
+        ("(depth --4 -0 -)", [["depth", "--4", 0, "-"]]),
+        ("²", ["²"]),
+        ("-²", ["-²"]),
+        ("١٢", ["١٢"]),
     ],
 )
 def test_reader_rows(text, expected):
@@ -152,7 +154,7 @@ def test_reader_rows(text, expected):
 
 
 @settings(max_examples=2000)
-@given(st.text(alphabet="()|;-0123456789ax \t\n\f", max_size=40))
+@given(st.text(alphabet="()|;-0123456789²ax \t\n\f", max_size=40))
 def test_reader_matches_reference(text):
     assert read_outcome(parse_all, text) == read_outcome(reference_parse_all, text)
 
