@@ -45,17 +45,15 @@ STDERR_LIMIT = 500
 # Options for universally quantified validity queries: model-based quantifier
 # instantiation diverges on the array-heavy obligations, E-matching does not.
 VALIDITY_OPTIONS: tuple[tuple[str, str], ...] = (("smt.mbqi", "false"),)
-# Options for queries where a model (sat answer) is the useful outcome.
-MODEL_OPTIONS: tuple[tuple[str, str], ...] = ()
-# Fallback for model searches that the default tactic cannot finish: force
-# model-based quantifier instantiation, which can build the ite-shaped array
-# models the default search misses.
+# Fallback for queries that E-matching leaves unknown: model-based quantifier
+# instantiation can build the ite-shaped array terms that instantiate a
+# negated existence claim, where E-matching finds no trigger.
 MBQI_OPTIONS: tuple[tuple[str, str], ...] = (("smt.mbqi", "true"),)
 
-# An attempt is (options, logic, cap on its timeout or None); the next
-# attempt runs only when the previous one answered unknown within the time
-# the obligation has left (``Session.ask``).
-VALIDITY = ((VALIDITY_OPTIONS, OBLIGATION_LOGIC, None),)
+# An attempt is the option set of one query under ``OBLIGATION_LOGIC``; the
+# next attempt runs only when the previous one answered unknown within the
+# time the obligation has left (``Session.ask``).
+VALIDITY = (VALIDITY_OPTIONS,)
 
 
 class Query(Record):
@@ -78,12 +76,12 @@ class Verdict(Record):
 
 
 class Obligation(Record):
-    """A question for the solver about the conjunction of ``assertions``."""
+    """A question for the solver: is the conjunction of ``assertions``
+    unsatisfiable?"""
 
     label: str
     assertions: tuple[Term, ...]
-    needs: str = "unsat"  # unsat: no counterexample; sat: the models exist
-    attempts: tuple = VALIDITY
+    attempts: tuple = VALIDITY  # option sets, tried in order
     syntactic: bool = False  # discharged by construction, no solver call
     failure: str = ""  # what a proof kernel reports when it is not proved
 
@@ -260,22 +258,22 @@ class Session:
         """Put ``obligation`` to the solver and read its answer.
 
         The session timeout is one time budget for all attempts: an attempt
-        gets what the earlier ones left, at most its cap, and once they used
-        it all no further attempt is sent. The last verdict decides: the one
-        the obligation needs proves it, unknown stays unknown, and any other
-        fails it with the solver's model.
+        gets what the earlier ones left, and once they used it all no
+        further attempt is sent. The last verdict decides: only ``unsat``
+        proves the obligation, unknown stays unknown, and ``sat`` fails it
+        with the solver's model.
         """
         label = obligation.label
         if obligation.syntactic:
             return Answer(label, "proved", 0)
         left = self.timeout_ms
-        for options, logic, cap in obligation.attempts:
+        for options in obligation.attempts:
             query = build_query(
                 obligation.assertions,
                 signature=signature,
-                logic=logic,
+                logic=OBLIGATION_LOGIC,
                 options=options,
-                timeout_ms=min(left, cap or left),
+                timeout_ms=left,
                 get_model=True,
             )
             verdict = solve(query, self.cmd, self._debug_path(label))
@@ -285,7 +283,7 @@ class Session:
         wall_ms = self.timeout_ms - left
         if verdict.status == "unknown":
             return Answer(label, "unknown", wall_ms)
-        if verdict.status == obligation.needs:
+        if verdict.status == "unsat":
             return Answer(label, "proved", wall_ms)
         return Answer(label, "failed", wall_ms, verdict.model)
 

@@ -20,7 +20,7 @@ from functools import cached_property
 from typing import Callable, Mapping, Optional, Sequence
 
 from . import backend
-from .backend import DEFAULT_LOGIC, OBLIGATION_LOGIC, VALIDITY, Obligation, Session
+from .backend import VALIDITY, Obligation, Session
 from .sexpr import Sexpr, SexprError, atom, pairs, read_form, sections, single, to_text
 from .terms import (
     BOOL,
@@ -178,18 +178,15 @@ class ScriptResult(Record):
 # premises take ``backend.VALIDITY``. E-matching proves entailments but rarely
 # finishes counterexample searches; retry with model-based instantiation
 # before giving up
-ENTAILMENT = (*VALIDITY, (backend.MBQI_OPTIONS, OBLIGATION_LOGIC, None))
-# the default tactic handles some quantified bodies, model-based
-# instantiation handles others
-MODEL_SEARCH = (
-    (backend.MODEL_OPTIONS, DEFAULT_LOGIC, 15_000),
-    (backend.MBQI_OPTIONS, OBLIGATION_LOGIC, None),
-)
+ENTAILMENT = (*VALIDITY, backend.MBQI_OPTIONS)
 
 
-def _valid(label: str, hyps: Sequence[Term], concl: Term, failure: str = "") -> Obligation:
+def _valid(
+    label: str, hyps: Sequence[Term], concl: Term, failure: str = "", attempts=VALIDITY
+) -> Obligation:
     """The premise that ``hyps`` imply ``concl``."""
-    return Obligation(label, (*hyps, Not(concl)), failure=failure or f"{label}: premise not valid")
+    failure = failure or f"{label}: premise not valid"
+    return Obligation(label, (*hyps, Not(concl)), attempts, failure=failure)
 
 
 def entailment(
@@ -297,26 +294,12 @@ def _build_const_lb(kernel: Kernel, ct: CountTerm, c: int, wmaps: Optional[tuple
         # the resulting (near-)ground formula is valid
         wbodies = [substitute(ct.formula, w) for w in wmaps]
         premise = _valid(label, (), conj(*wbodies, *_pairwise(wmaps)))
-    elif not ct.params:
-        # no parameters: a satisfying assignment of c distinct models is
-        # direct evidence for the lower bound
-        premise = Obligation(
-            label,
-            distinct,
-            needs="sat",
-            attempts=MODEL_SEARCH,
-            failure=f"{label}: no {c} distinct models exist",
-        )
     else:
-        # with free parameters the conclusion is universally quantified, so
-        # the witness models must exist for every parameter value
+        # c distinct models exist, for every parameter value when there are
+        # parameters (the conclusion is then universally quantified)
         bound = tuple((m[v].name, v.sort) for m in copies for v in ct.counted)
-        premise = _valid(
-            label,
-            (),
-            Exists(bound, conj(*distinct)),
-            f"{label}: fewer than {c} models for some parameters",
-        )
+        fewer = f"{label}: fewer than {c} models" + (" for some parameters" if ct.params else "")
+        premise = _valid(label, (), Exists(bound, conj(*distinct)), fewer, ENTAILMENT)
     concl = Cmp(">=", ct.app(), IntLit(c))
     return (premise,), _conclude("const-lb", label, concl, ct)
 

@@ -16,7 +16,7 @@ from dataclasses import dataclass
 import pytest
 
 from qhenum.backend import Session
-from qhenum.cli import load_project, run_benchmarks
+from qhenum.cli import load_instance, load_project, run_benchmarks
 from qhenum.counting import (
     Kernel,
     NotValid,
@@ -33,6 +33,7 @@ from qhenum.oracle import (
     compile_term,
     count_equivalence_classes,
     enumerate_traces,
+    values_equal,
 )
 from qhenum.qhl import parse_property
 from qhenum.sexpr import parse_one, to_text
@@ -44,6 +45,7 @@ from qhenum.terms import (
     And,
     indexed,
     retag_free,
+    substitute,
     term_from_text,
     term_to_text,
 )
@@ -503,3 +505,59 @@ def test_reports_identical_across_runs(suite):
         for text in suite
     ]
     assert normalized[0].encode() == normalized[1].encode()
+
+
+# ---------------------------------------------------------------------------
+# 8. Shipped const-lb models, evaluated on each instance's quantifier window
+#
+# Evidence on one finite window, not a proof: the solver's validity query
+# decides whether a const-lb step is admitted.
+
+
+def const_lb_models(proof_text, instance):
+    """For each const-lb with (model ...) sections: its label, whether the
+    body holds under each model, and whether the models differ pairwise."""
+    def value(term):
+        return compile_term(term, instance.quant_lo, instance.quant_hi)({})
+
+    checks = []
+    for step in parse_proof(proof_text).steps:
+        for app in step.apps:
+            if app.rule != "const-lb" or len(app.args) == 2:
+                continue
+            ct, c, models = app.args
+            holds = [value(substitute(ct.formula, model)) for model in models]
+            values = [[value(t) for t in model.values()] for model in models]
+            differ = all(not all(map(values_equal, a, b))
+                         for i, a in enumerate(values) for b in values[i + 1:])
+            checks.append((f"const-lb({ct.name},{c})", holds, differ))
+    return checks
+
+
+MODELLED_STEPS = {
+    "f-y-array-shuffle": [("const-lb(S,1)", [True], True)],
+    "password-checker": [("const-lb(V1,1)", [True], True), ("const-lb(Vf,2)", [True, True], True)],
+    "path-oram": [("const-lb(D,1)", [True], True)],
+    "zk-hats": [("const-lb(V1,1)", [True], True), ("const-lb(Vf,2)", [True, True], True)],
+}
+
+
+@pytest.mark.parametrize("name", sorted(MODELLED_STEPS))
+def test_shipped_const_lb_models_hold_on_the_instance_window(benchmarks, name):
+    instance = load_instance(benchmarks / name / "instance.sexp").instance
+    checks = const_lb_models((benchmarks / name / "proof.sexp").read_text(), instance)
+    assert checks == MODELLED_STEPS[name]
+    assert all(ok is True for _, holds, _ in checks for ok in holds)
+
+
+@pytest.mark.parametrize("mutant, expected", [
+    ("(store (const-arr 0) 1 2)", ("const-lb(Vf,2)", [True, False], True)),
+    ("(const-arr 0)", ("const-lb(Vf,2)", [True, True], False)),
+], ids=["outside-body", "equal-models"])
+def test_const_lb_model_check_catches_a_mutant(benchmarks, mutant, expected):
+    instance = load_instance(benchmarks / "zk-hats" / "instance.sexp").instance
+    text = (benchmarks / "zk-hats" / "proof.sexp").read_text()
+    shipped = "(model (e (store (const-arr 0) 1 1)))"
+    assert text.count(shipped) == 1
+    checks = const_lb_models(text.replace(shipped, f"(model (e {mutant}))"), instance)
+    assert checks[1] == expected

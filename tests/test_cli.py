@@ -356,14 +356,12 @@ def test_verify_unknown_counting_premise_exits_2(benchmarks, case_solver, capsys
     assert report["stages"]["counting"]["verdict"] == "unknown"
 
 
-# Text that one query alone sends, under the answers of the split stub:
+# Text that one query alone sends, when every query is answered unsat:
 # the purse's distinctness obligation, the goal its link query asserts, and
 # the password checker's bound check.
 PURSE_DISTINCTNESS = "(not (not (= bal$2 bal$3)))"
 PURSE_LINK = "(assert (forall ((dc Int)) (=> (>= dc 1) (>= (cnt.V dc) dc))))"
 PASSWORD_BOUND_NONNEG = "(<= 0 (- (pow2 n) 1))"
-# unsat to validity queries, sat to model searches: verifies every project
-SPLIT_STUB = ("smt.mbqi", "unsat", "sat\n(model)")
 
 
 @pytest.mark.parametrize(
@@ -381,7 +379,7 @@ SPLIT_STUB = ("smt.mbqi", "unsat", "sat\n(model)")
 def test_verify_stage_outcome(
     benchmarks, case_solver, capsys, name, target, reply, verdict, stage, code
 ):
-    cmd = case_solver(*SPLIT_STUB, before=[(target, reply)])
+    cmd = case_solver(target, reply, "unsat")
     exit_code = main(["verify", str(benchmarks / name), "--solver", cmd[0]])
     report = json.loads(capsys.readouterr().out)
     assert (report["verdict"], report["failed_stage"], exit_code) == (verdict, stage, code)
@@ -391,7 +389,7 @@ def test_verify_stage_outcome(
 
 def test_verify_link_is_retried_like_the_goal(benchmarks, case_solver, tmp_path, capsys):
     # E-matching leaves the link unknown, model-based instantiation proves it
-    cmd = case_solver(*SPLIT_STUB, before=[("smt.mbqi true", "unsat"), (PURSE_LINK, "unknown")])
+    cmd = case_solver(PURSE_LINK, "unknown", "unsat", before=[("smt.mbqi true", "unsat")])
     debug = tmp_path / "debug"
     code = main(["verify", str(benchmarks / "electronic-purse"), "--solver", cmd[0],
                  "--debug-dir", str(debug)])
@@ -401,8 +399,8 @@ def test_verify_link_is_retried_like_the_goal(benchmarks, case_solver, tmp_path,
     assert "(set-option :smt.mbqi true)" in retry.read_text()
 
 
-def test_bench_table_counts_model_and_proof_lines(benchmarks, case_solver, capsys):
-    assert main(["bench", str(benchmarks), "--solver", case_solver(*SPLIT_STUB)[0]]) == 0
+def test_bench_table_counts_model_and_proof_lines(benchmarks, stub_solver, capsys):
+    assert main(["bench", str(benchmarks), "--solver", stub_solver("unsat")[0]]) == 0
     _, *rows = capsys.readouterr().out.splitlines()
     assert {row.split()[0]: row.split()[1:3] for row in rows} == {
         d.name: [str(len((d / f).read_text().splitlines())) for f in ("system.sexp", "proof.sexp")]
@@ -426,7 +424,7 @@ def test_verify_bad_valid_pred_sends_no_query(benchmarks, stub_solver, tmp_path,
     "name",
     ["electronic-purse", "f-y-array-shuffle", "password-checker", "path-oram", "zk-hats"],
 )
-def test_every_query_is_asked(benchmarks, case_solver, monkeypatch, tmp_path, capsys, name):
+def test_every_query_is_asked(benchmarks, stub_solver, monkeypatch, tmp_path, capsys, name):
     # each query the solver sees was put to it by Session.ask
     asked = []
     ask = backend.Session.ask
@@ -438,20 +436,20 @@ def test_every_query_is_asked(benchmarks, case_solver, monkeypatch, tmp_path, ca
 
     monkeypatch.setattr(backend.Session, "ask", recording_ask)
     debug = tmp_path / "debug"
-    cmd = case_solver(*SPLIT_STUB)
+    cmd = stub_solver("unsat")
     code = main(["verify", str(benchmarks / name), "--solver", cmd[0], "--debug-dir", str(debug)])
     assert (json.loads(capsys.readouterr().out)["verdict"], code) == ("QHP-verified", 0)
     sent = [p.name[4:-len(".smt2")] for p in debug.glob("*.smt2")]
     assert sent and sorted(asked) == sorted(sent)
 
 
-def test_builtin_symbol_in_system_reaches_the_solver(benchmarks, case_solver, tmp_path, capsys):
+def test_builtin_symbol_in_system_reaches_the_solver(benchmarks, stub_solver, tmp_path, capsys):
     # every loader reads pow2 and fact, and every query declares what it applies
     purse = copy_benchmark(benchmarks, "electronic-purse", tmp_path / "purse")
     system = purse / "system.sexp"
     system.write_text(system.read_text().replace("(>= dc 1)", "(>= (pow2 dc) 1)"))
     debug = tmp_path / "debug"
-    stub = case_solver("smt.mbqi", "unsat", "sat\n(model)")
+    stub = stub_solver("unsat")
     code = main(["verify", str(purse), "--solver", stub[0], "--debug-dir", str(debug)])
     assert (json.loads(capsys.readouterr().out)["verdict"], code) == ("QHP-verified", 0)
     (init,) = debug.glob("*-existence-base_init.smt2")

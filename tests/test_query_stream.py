@@ -1,9 +1,8 @@
 """The query stream of ``verify``, pinned offline.
 
-A stub solver answers ``unsat`` to every query that sets ``smt.mbqi`` (the
-validity queries) and ``sat`` with an empty model to the rest (the model
-searches of ``const-lb``). That drives every shipped project to
-``QHP-verified``, so the debug files of one run name and hold every query the
+A stub solver answers ``unsat`` to every query. Every query is a validity
+query (only ``unsat`` proves), so that drives every shipped project to
+``QHP-verified``, and the debug files of one run name and hold every query the
 pipeline sends: enumeration obligations, counting-rule premises, the goal and
 the link. The stub stands in for the plumbing only, never for what z3 answers.
 """
@@ -18,18 +17,15 @@ from qhenum.cli import main
 from qhenum.counting import check_script, parse_proof
 
 
-@pytest.fixture
-def split_stub(case_solver):
-    return case_solver("smt.mbqi", "unsat", "sat\n(model)")
-
-
 def read_stream(debug_dir):
-    """Labels in send order, and one sha256 over the texts in label order."""
+    """Labels in send order, and one sha256 over the texts in label order;
+    every query sets ``smt.mbqi``."""
     names = sorted(p.name for p in debug_dir.glob("*.smt2"))
     assert [int(n[:3]) for n in names] == list(range(1, len(names) + 1))
     labels = [n[4:-len(".smt2")] for n in names]
     assert len(set(labels)) == len(labels)
     texts = {label: (debug_dir / name).read_text() for label, name in zip(labels, names)}
+    assert all("(set-option :smt.mbqi " in text for text in texts.values())
     digest = hashlib.sha256("".join(texts[k] for k in sorted(texts)).encode()).hexdigest()
     return labels, digest
 
@@ -105,7 +101,7 @@ STREAMS = {
             "link",
             "link-bound-nonneg",
         ),
-        "7f8044f5b4477e8c9d3551d5ee3a23fcda5005132ce043500194f99998e984ea",
+        "ad70c0307ed5557ff3abf32e1e8ec52b6eae26d8d22b2063dc1ec3e7e5d3bd1e",
     ),
     "path-oram": (
         (*ENUMERATION_QUERIES, "distinctness"),
@@ -147,15 +143,15 @@ STREAMS = {
             "goal",
             "link",
         ),
-        "b7b60c1901691a6ba2eccf8aac7e174278926475c66c215eab1394a6165fafce",
+        "2a705a06266a2e2e7aab926a39e638142809348857a0569ef66ac1dd3d7c0710",
     ),
 }
 
 
 @pytest.mark.parametrize("name", sorted(STREAMS))
-def test_verify_query_stream_is_pinned(name, benchmarks, split_stub, tmp_path, capsys):
+def test_verify_query_stream_is_pinned(name, benchmarks, stub_solver, tmp_path, capsys):
     debug = tmp_path / "debug"
-    code = main(["verify", str(benchmarks / name), "--solver", split_stub[0],
+    code = main(["verify", str(benchmarks / name), "--solver", stub_solver("unsat")[0],
                  "--debug-dir", str(debug)])
     report = json.loads(capsys.readouterr().out)
     assert (code, report["verdict"]) == (0, "QHP-verified")
@@ -166,7 +162,7 @@ def test_verify_query_stream_is_pinned(name, benchmarks, split_stub, tmp_path, c
     assert actual == digest
 
 
-# The rules that no shipped proof uses, one application each.
+# The rules and rule forms that no shipped proof uses, one application each.
 RULE_SCRIPT = """
 (proof
   (declare-pred F ((v Int)) (counted v) (and (<= 0 v) (< v 2)))
@@ -179,16 +175,16 @@ RULE_SCRIPT = """
   (step 2 (disjoint H F W) (and-ub H F W))
   (step 3 (injective F G (witness (v (* 2 v)))))
   (step 4 (const-lb F 2 (model (v 0)) (model (v 1))))
-  (step 5 (const-lb P 1))
+  (step 5 (const-lb P 1) (const-lb F 1))
   (goal (<= cnt.F cnt.G)))
 """
 
 
-def test_unshipped_rules_query_stream_is_pinned(split_stub, tmp_path):
+def test_unshipped_rules_query_stream_is_pinned(stub_solver, tmp_path):
     debug = tmp_path / "debug"
-    result = check_script(parse_proof(RULE_SCRIPT), Session(split_stub, 20_000, debug))
+    result = check_script(parse_proof(RULE_SCRIPT), Session(stub_solver("unsat"), 20_000, debug))
     assert [f.rule for f in result.facts] == [
-        "ub", "disjoint", "and-ub", "injectivity", "const-lb", "const-lb",
+        "ub", "disjoint", "and-ub", "injectivity", "const-lb", "const-lb", "const-lb",
     ]
     labels, digest = read_stream(debug)
     assert labels == [
@@ -199,6 +195,7 @@ def test_unshipped_rules_query_stream_is_pinned(split_stub, tmp_path):
         "injective(F,G)_inj",
         "const-lb(F,2)",
         "const-lb(P,1)",
+        "const-lb(F,1)",
         "goal",
     ]
-    assert digest == "af110b3a7d7202b63550693c7cc3b703469d9080d251ab0a73275ddaa7df7186"
+    assert digest == "0615c3b9f34d7075b4e8bbd4eb5bb32dc341414846e63efac2768d38a3c6911a"

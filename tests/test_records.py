@@ -188,9 +188,9 @@ RECORDS = {
         "BoolSort()),), consts=(('x', IntSort()),), timeout_ms=5, get_model=True)",
     ),
     Obligation: (
-        lambda: Obligation("goal", (YES,), "sat", (), True, "why"),
-        "Obligation(label='goal', assertions=(BoolLit(value=True),), needs='sat', attempts=(), "
-        "syntactic=True, failure='why')",
+        lambda: Obligation("goal", (YES,), (), True, "why"),
+        "Obligation(label='goal', assertions=(BoolLit(value=True),), attempts=(), syntactic=True, "
+        "failure='why')",
     ),
     TransitionSystem: (
         lambda: TransitionSystem("s", (("x", INT),), ("x",), YES, NO),
@@ -281,7 +281,7 @@ def test_cached_properties_and_weak_references():
 
 
 def test_records_of_more_than_four_fields_take_fields_by_name():
-    full = Obligation("goal", (YES,), "unsat", VALIDITY, False, "why")
+    full = Obligation("goal", (YES,), VALIDITY, False, "why")
     assert Obligation("goal", (YES,), failure="why") == full
     assert Obligation(failure="why", assertions=(YES,), label="goal") == full
     with pytest.raises(TypeError, match=r"Obligation\(\) has no field 'reason'"):
