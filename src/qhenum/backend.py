@@ -31,7 +31,6 @@ class ProtocolError(BackendError):
     pass
 
 
-DEFAULT_LOGIC = "AUFLIA"
 # Verification obligations mix arrays, quantifiers, and the nonlinear count
 # arithmetic of the proof kernel, so they run under the unrestricted logic.
 OBLIGATION_LOGIC = "ALL"
@@ -60,7 +59,7 @@ class Query(Record):
     """One SMT-LIB query."""
 
     assertions: tuple[str, ...]  # SMT-LIB text of each assertion
-    logic: str = DEFAULT_LOGIC
+    logic: str = OBLIGATION_LOGIC
     options: tuple[tuple[str, str], ...] = VALIDITY_OPTIONS
     functions: tuple[tuple[str, tuple[Sort, ...], Sort], ...] = ()
     consts: tuple[tuple[str, Sort], ...] = ()
@@ -96,7 +95,7 @@ class Answer(Record):
 def build_query(
     assertions: Sequence[Term],
     signature: Signature = BUILTIN_SIGNATURE,
-    logic: str = DEFAULT_LOGIC,
+    logic: str = OBLIGATION_LOGIC,
     options: tuple[tuple[str, str], ...] = VALIDITY_OPTIONS,
     timeout_ms: int = DEFAULT_TIMEOUT_MS,
     get_model: bool = False,

@@ -24,7 +24,7 @@ from pathlib import Path
 from typing import Any, Callable, Optional, Sequence
 
 from . import backend
-from .counting import ProofScript, check_script, entailment, parse_proof
+from .counting import ProofScript, ask_in_order, check_script, entailment, parse_proof
 from .enumeration import (
     EnumerationError,
     EnumerationWitness,
@@ -107,6 +107,8 @@ def load_project(
     file_solver = single(options, "solver", str)
     if timeout_ms is None:
         timeout_ms = file_timeout
+    if timeout_ms < 1:
+        raise ProjectError(f"solver timeout must be at least 1 ms, got {timeout_ms}")
     if solver is None and file_solver is not None:
         solver = [file_solver.strip('"')]
 
@@ -177,13 +179,12 @@ def _link_formula(project: Project) -> Term:
 
 
 STAGES = ("well-definedness", "enumeration", "counting", "link")
-SCRIPT_STATUS = {"accepted": "passed", "rejected": "failed", "unknown": "unknown"}
 # The run verdict when a stage that did not pass ends it.
 RUN_VERDICT = {"failed": STAGE_FAILED, "unknown": UNKNOWN}
 
 
 def _worst(answers: Sequence[backend.Answer]) -> str:
-    """The stage verdict of ``answers``: the worst of them."""
+    """The enumeration stage's verdict: the worst of its ``answers``."""
     statuses = {a.status for a in answers}
     return next((s for s in ("failed", "unknown") if s in statuses), "passed")
 
@@ -247,28 +248,24 @@ def verify(project: Project) -> dict[str, Any]:
     t0 = time.monotonic()
     result = check_script(project.script, session)
     stages["counting"] = {
-        "verdict": SCRIPT_STATUS[result.status],
+        "verdict": result.status,
         "rejected_at": result.rejected_at,
         "reason": result.reason,
         "wall_ms": int((time.monotonic() - t0) * 1000),
     }
-    if result.status != "accepted":
+    if result.status != "passed":
         return finish("counting")
 
     t0 = time.monotonic()
-    # an accepted script has a goal; the link is retried like it
+    # a passed script has a goal; the link is retried like it
     asks = [entailment((*(f.axiom for f in result.facts), project.script.goal), claim, "link")]
     if project.prop.cmp == "leq":
         nonneg = Implies(project.prop.assuming, Cmp("<=", IntLit(0), project.prop.bound))
         bound_claim = _for_all_params(project, nonneg)
         asks.append(entailment((), bound_claim, "link-bound-nonneg", attempts=backend.VALIDITY))
-    answers = []
-    for obligation in asks:
-        answers.append(session.ask(obligation, project.script.signature))
-        if answers[-1].status != "proved":
-            break
+    stop = ask_in_order(session, asks, project.script.signature)
     stages["link"] = {
-        "verdict": _worst(answers),
+        "verdict": stop[1].status if stop else "passed",
         "wall_ms": int((time.monotonic() - t0) * 1000),
     }
     if stages["link"]["verdict"] != "passed":

@@ -1,17 +1,19 @@
-"""Model-counting proof kernel.
+"""Model-counting proof checking.
 
 Symbolic model counts are uninterpreted integer functions of the parameters.
 ``parse_proof`` resolves and checks a script once: every predicate reference
 becomes the ``CountTerm`` the builds read, and the script's signature is
 fixed at load. Each inference rule is one entry of ``RULES``: the parser of
 its s-expression form, which checks the rule's side conditions and returns
-its arguments, and a build function that returns the rule's premises and its
-conclusion; a build neither raises nor sends anything. ``apply_rule`` asks
-the premises through ``Kernel.send`` and admits the conclusion (a CountFact,
-a quantified axiom) only when every premise is proved, so a step is rejected
-only on a solver's answer and ``unknown`` never admits a fact. A final
-entailment query discharges the script goal from the admitted facts plus the
-defining axioms of the declared recursive count functions.
+its arguments, and a build, a pure function of the facts admitted so far and
+those arguments that returns the rule's premises and its conclusion.
+``apply_rule`` runs a build and sends nothing. ``check_script`` is the one
+loop that asks a script's questions: it asks each rule's premises in order
+through ``Session.ask`` and admits the conclusion (a CountFact, a quantified
+axiom) only when every premise is proved, so a step is refused only on a
+solver's answer and ``unknown`` never admits a fact. A final entailment
+query discharges the script goal from the admitted facts plus the defining
+axioms of the declared recursive count functions.
 """
 
 from __future__ import annotations
@@ -20,7 +22,7 @@ from functools import cached_property
 from typing import Callable, Mapping, Optional, Sequence
 
 from . import backend
-from .backend import VALIDITY, Obligation, Session
+from .backend import VALIDITY, Answer, Obligation, Session
 from .sexpr import Sexpr, SexprError, atom, pairs, read_form, sections, single, to_text
 from .terms import (
     BOOL,
@@ -53,20 +55,6 @@ from .terms import (
     substitute,
     term_from_sexpr,
 )
-
-
-class KernelError(ValueError):
-    pass
-
-
-class QueryUnknown(KernelError):
-    pass
-
-
-class NotValid(KernelError):
-    def __init__(self, message: str, model=None):
-        super().__init__(message)
-        self.model = model
 
 
 # ---------------------------------------------------------------------------
@@ -163,12 +151,13 @@ class ProofScript(Record):
 
 
 class ScriptResult(Record):
-    """A proof script's verdict."""
+    """A proof script's verdict, in the words of a ``verify`` stage."""
 
-    status: str  # accepted | rejected | unknown
-    rejected_at: Optional[str] = None
+    status: str  # passed | failed | unknown
+    rejected_at: Optional[str] = None  # "step i" or "goal", where a failed or unknown one stopped
     reason: str = ""
-    facts: tuple[CountFact, ...] = ()
+    facts: tuple[CountFact, ...] = ()  # those admitted before it stopped
+    model: Optional[tuple[tuple[str, str], ...]] = None  # a failed premise's countermodel
 
 
 # ---------------------------------------------------------------------------
@@ -202,36 +191,9 @@ def entailment(
 
 
 # ---------------------------------------------------------------------------
-# The kernel: the admitted facts and the premises it asks
-
-
-class Kernel:
-    """The facts admitted so far, and the session and signature their
-    premises are asked with."""
-
-    def __init__(self, session: Session, signature: Signature) -> None:
-        self.session = session
-        self.signature = signature
-        self.facts: list[CountFact] = []
-
-    def entailment(self, goal: Term, label: str, failure: str) -> Obligation:
-        """The premise that the admitted facts entail ``goal``."""
-        return entailment([f.axiom for f in self.facts], goal, label, failure)
-
-    def send(self, premises: Sequence[Obligation]) -> None:
-        """Ask the premises in order; raise at the first that is not proved."""
-        for premise in premises:
-            answer = self.session.ask(premise, self.signature)
-            if answer.status == "unknown":
-                raise QueryUnknown(f"{premise.label}: solver returned unknown")
-            if answer.status == "failed":
-                raise NotValid(premise.failure, answer.model)
-
-
-# ---------------------------------------------------------------------------
-# Rule builds. A build takes the arguments its rule's parser returned, whose
-# side conditions the parser checked, and returns (premises, conclusion); it
-# neither raises nor sends anything.
+# Rule builds. A build takes the facts admitted so far and the arguments its
+# rule's parser returned, whose side conditions the parser checked, and
+# returns (premises, conclusion); it neither raises nor sends anything.
 
 
 def _conclude(rule: str, label: str, concl: Term, *cts: CountTerm, guard: Term = TRUE):
@@ -262,13 +224,13 @@ def _injective(
     return _valid(label, (*hyps, *models), _differ(*images))
 
 
-def _build_range(kernel: Kernel, ct: CountTerm, lower: Term, upper: Term):
+def _build_range(facts: Sequence[CountFact], ct: CountTerm, lower: Term, upper: Term):
     width = Sub(upper, lower)
     concl = Cmp("=", ct.app(), Ite(Cmp(">=", width, IntLit(0)), width, IntLit(0)))
     return (), _conclude("range", f"range({ct.name})", concl, ct)
 
 
-def _build_positive(kernel: Kernel, ct: CountTerm):
+def _build_positive(facts: Sequence[CountFact], ct: CountTerm):
     concl = Cmp(">=", ct.app(), IntLit(0))
     return (), _conclude("positive", f"positive({ct.name})", concl, ct)
 
@@ -280,14 +242,16 @@ def _distinct_models(ct: CountTerm, c: int, direction: str):
     return copies, (*bodies, *_pairwise(copies)), label
 
 
-def _build_const_ub(kernel: Kernel, ct: CountTerm, c: int):
+def _build_const_ub(facts: Sequence[CountFact], ct: CountTerm, c: int):
     _, distinct, label = _distinct_models(ct, c, "ub")
     premise = Obligation(label, distinct, failure=f"{label}: {c} distinct models exist")
     concl = Cmp("<=", ct.app(), IntLit(c - 1))
     return (premise,), _conclude("const-ub", label, concl, ct)
 
 
-def _build_const_lb(kernel: Kernel, ct: CountTerm, c: int, wmaps: Optional[tuple] = None):
+def _build_const_lb(
+    facts: Sequence[CountFact], ct: CountTerm, c: int, wmaps: Optional[tuple] = None
+):
     copies, distinct, label = _distinct_models(ct, c, "lb")
     if wmaps is not None:
         # explicit witness models: substitute them into the body and check
@@ -304,13 +268,15 @@ def _build_const_lb(kernel: Kernel, ct: CountTerm, c: int, wmaps: Optional[tuple
     return (premise,), _conclude("const-lb", label, concl, ct)
 
 
-def _build_ub(kernel: Kernel, f: CountTerm, g: CountTerm):
+def _build_ub(facts: Sequence[CountFact], f: CountTerm, g: CountTerm):
     label = f"ub({f.name},{g.name})"
     premise = _valid(label, (f.formula,), g.formula)
     return (premise,), _conclude("ub", label, Cmp("<=", f.app(), g.app()), f, g)
 
 
-def _build_or(kernel: Kernel, f: CountTerm, g: CountTerm, h: CountTerm, overlap: CountTerm):
+def _build_or(
+    facts: Sequence[CountFact], f: CountTerm, g: CountTerm, h: CountTerm, overlap: CountTerm
+):
     label = f"or({f.name},{g.name},{h.name})"
     premise = _valid(label, (), Cmp("=", f.formula, Or((g.formula, h.formula))))
     concl = Cmp("=", f.app(), Sub(Add((g.app(), h.app())), overlap.app()))
@@ -318,7 +284,7 @@ def _build_or(kernel: Kernel, f: CountTerm, g: CountTerm, h: CountTerm, overlap:
 
 
 def _product(rule: str, rel: str) -> Callable:
-    def build(kernel: Kernel, h: CountTerm, f: CountTerm, g: CountTerm):
+    def build(facts: Sequence[CountFact], h: CountTerm, f: CountTerm, g: CountTerm):
         label = f"{rule}({h.name},{f.name},{g.name})"
         premise = _valid(label, (), Cmp("=", h.formula, conj(f.formula, g.formula)))
         concl = Cmp(rel, h.app(), Mul(f.app(), g.app()))
@@ -327,7 +293,9 @@ def _product(rule: str, rel: str) -> Callable:
     return build
 
 
-def _build_injective(kernel: Kernel, f: CountTerm, g: CountTerm, wmap: Mapping[Var, Term]):
+def _build_injective(
+    facts: Sequence[CountFact], f: CountTerm, g: CountTerm, wmap: Mapping[Var, Term]
+):
     label = f"injective({f.name},{g.name})"
     premises = (
         # f(X) implies g(F(X))
@@ -345,7 +313,9 @@ def _induction(f: CountTerm, g: CountTerm, n: Var, direction: str):
     return f_at_succ, app_f_succ, f"ind-{direction}({f.name},{g.name})"
 
 
-def _build_ind_geq(kernel: Kernel, f: CountTerm, g: CountTerm, n: Var, wmap: dict, guard: Term):
+def _build_ind_geq(
+    facts: Sequence[CountFact], f: CountTerm, g: CountTerm, n: Var, wmap: dict, guard: Term
+):
     f_at_succ, app_f_succ, label = _induction(f, g, n, "geq")
     joint = conj(f.formula, g.formula)
     premises = (
@@ -357,7 +327,8 @@ def _build_ind_geq(kernel: Kernel, f: CountTerm, g: CountTerm, n: Var, wmap: dic
 
 
 def _build_ind_leq(
-    kernel: Kernel, f: CountTerm, g: CountTerm, n: Var, xmap: dict, ymap: dict, guard: Term
+    facts: Sequence[CountFact], f: CountTerm, g: CountTerm, n: Var, xmap: dict, ymap: dict,
+    guard: Term,
 ):
     f_at_succ, app_f_succ, label = _induction(f, g, n, "leq")
     lowered = conj(substitute(f.formula, xmap), substitute(g.formula, ymap))
@@ -370,7 +341,7 @@ def _build_ind_leq(
 
 
 def _build_close(
-    kernel: Kernel, ct: CountTerm, n: Var, n0: Term, base: Term, factor: Term,
+    facts: Sequence[CountFact], ct: CountTerm, n: Var, n0: Term, base: Term, factor: Term,
     closed_form: Term, rel: str,
 ):
     label = f"close({ct.name})"
@@ -390,7 +361,7 @@ def _build_close(
     # the closed form must satisfy the same base and step (in the direction
     # that makes the induction go through), with a non-negative step factor
     flipped = {"=": "=", "<=": ">=", ">=": "<="}[rel]
-    facts = (
+    recurrence = (
         ("base", Cmp(rel, cnt(n0), base)),
         ("step", from_n0(Cmp(rel, cnt(n_succ), Mul(factor, cnt(n))))),
     )
@@ -400,9 +371,10 @@ def _build_close(
         ("factor-nonneg", from_n0(Cmp(">=", factor, IntLit(0)))),
         ("closed-nonneg", from_n0(Cmp(">=", closed_form, IntLit(0)))),
     )
+    axioms = [f.axiom for f in facts]
     premises = tuple(
-        kernel.entailment(goal, f"{label}/{tag}", f"{label}: {tag} {failed}")
-        for checks, failed in ((facts, "fact not entailed"), (closed, "check failed"))
+        entailment(axioms, goal, f"{label}/{tag}", f"{label}: {tag} {failed}")
+        for checks, failed in ((recurrence, "fact not entailed"), (closed, "check failed"))
         for tag, goal in checks
     )
     concl = from_n0(Cmp(rel, cnt(n), closed_form))
@@ -623,8 +595,8 @@ def _parse_close(form: list, scope: _Scope) -> tuple:
 
 
 class Rule(Record):
-    parse: Callable  # (form, scope) -> the build's arguments after the kernel
-    build: Callable  # (kernel, *arguments) -> (premises, CountFact)
+    parse: Callable  # (form, scope) -> the build's arguments after the facts
+    build: Callable  # (facts, *arguments) -> (premises, CountFact)
 
 
 RULES: dict[str, Rule] = {
@@ -647,29 +619,57 @@ RULES: dict[str, Rule] = {
 # Script checking
 
 
-def apply_rule(kernel: Kernel, app: RuleApp) -> CountFact:
-    premises, fact = RULES[app.rule].build(kernel, *app.args)
-    kernel.send(premises)
-    kernel.facts.append(fact)
-    return fact
+def apply_rule(
+    facts: Sequence[CountFact], app: RuleApp
+) -> tuple[tuple[Obligation, ...], CountFact]:
+    """The premises of ``app`` and the fact they admit, given the ``facts``
+    admitted before it; nothing is sent."""
+    return RULES[app.rule].build(facts, *app.args)
+
+
+def ask_in_order(
+    session: Session, obligations: Sequence[Obligation], signature: Signature
+) -> Optional[tuple[Obligation, Answer]]:
+    """Ask ``obligations`` in order and stop at the first that is not proved:
+    that obligation and its answer, or None when every one is proved."""
+    for obligation in obligations:
+        answer = session.ask(obligation, signature)
+        if answer.status != "proved":
+            return obligation, answer
+    return None
 
 
 def check_script(script: ProofScript, session: Session) -> ScriptResult:
-    kernel = Kernel(session, script.signature)
-    at = "goal"
-    try:
-        for step in script.steps:
-            at = f"step {step.index}"
-            for app in step.apps:
-                apply_rule(kernel, app)
-        at = "goal"
-        if script.goal is None:
-            raise KernelError("script has no goal")
-        kernel.send([kernel.entailment(script.goal, "goal", "goal not entailed by admitted facts")])
-    except KernelError as exc:
-        status = "unknown" if isinstance(exc, QueryUnknown) else "rejected"
-        return ScriptResult(status, at, str(exc), tuple(kernel.facts))
-    return ScriptResult("accepted", None, "", tuple(kernel.facts))
+    """Ask each step's premises in order, admitting a rule's fact once all of
+    them are proved, then the goal; the first premise not proved ends the
+    script."""
+    facts: list[CountFact] = []
+    for step in script.steps:
+        for app in step.apps:
+            premises, fact = apply_rule(facts, app)
+            stop = ask_in_order(session, premises, script.signature)
+            if stop:
+                return _stopped(f"step {step.index}", *stop, facts)
+            facts.append(fact)
+    if script.goal is None:
+        return ScriptResult("failed", "goal", "script has no goal", tuple(facts))
+    axioms = [f.axiom for f in facts]
+    goal = entailment(axioms, script.goal, "goal", "goal not entailed by admitted facts")
+    stop = ask_in_order(session, (goal,), script.signature)
+    if stop:
+        return _stopped("goal", *stop, facts)
+    return ScriptResult("passed", None, "", tuple(facts))
+
+
+def _stopped(
+    at: str, premise: Obligation, answer: Answer, facts: Sequence[CountFact]
+) -> ScriptResult:
+    """The script ended at ``at`` by ``premise``, which ``answer`` did not prove."""
+    if answer.status == "unknown":
+        reason = f"{premise.label}: solver returned unknown"
+    else:
+        reason = premise.failure
+    return ScriptResult(answer.status, at, reason, tuple(facts), answer.model)
 
 
 # ---------------------------------------------------------------------------

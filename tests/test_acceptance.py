@@ -17,13 +17,7 @@ import pytest
 
 from qhenum.backend import Session
 from qhenum.cli import load_instance, load_project, run_benchmarks
-from qhenum.counting import (
-    Kernel,
-    NotValid,
-    apply_rule,
-    check_script,
-    parse_proof,
-)
+from qhenum.counting import check_script, parse_proof
 from qhenum.oracle import (
     ArrayDomain,
     FArray,
@@ -99,7 +93,7 @@ def test_hats_end_to_end(suite, benchmarks):
 def test_hats_proof_single_step_deletions(benchmarks, solver):
     text = (benchmarks / "zk-hats" / "proof.sexp").read_text()
     full = check_script(parse_proof(text), Session(solver, 20_000))
-    assert full.status == "accepted", f"shipped script rejected: {full.rejected_at} {full.reason}"
+    assert full.status == "passed", f"shipped script rejected: {full.rejected_at} {full.reason}"
 
     form = parse_one(text)
     step_positions = [
@@ -117,7 +111,7 @@ def test_hats_proof_single_step_deletions(benchmarks, solver):
         results = list(pool.map(run_without, step_positions))
 
     for deleted, result in enumerate(results, start=1):
-        assert result.status != "accepted", f"script without step {deleted} was accepted"
+        assert result.status != "passed", f"script without step {deleted} was accepted"
         # the rejection must surface at a later step or at the goal
         at = result.rejected_at
         assert at == "goal" or int(at.split()[1]) > deleted, (deleted, at)
@@ -211,9 +205,11 @@ def validate_facts(registry, facts):
         assert holds is True, f"admitted {fact.rule} fact violated numerically"
 
 
-def parse_apps(decls, *apps):
-    """The script that declares ``decls`` and applies ``apps`` in one step."""
-    return parse_proof(f"(proof {' '.join(decls)} (step 1 {' '.join(apps)}))")
+def sweep_script(decls, *steps):
+    """The script that declares ``decls``, makes each of ``steps`` (a list of
+    applications) one step, numbered from 1, and has the goal ``true``."""
+    numbered = " ".join(f"(step {i} {' '.join(apps)})" for i, apps in enumerate(steps, 1))
+    return parse_proof(f"(proof {' '.join(decls)} {numbered} (goal true))")
 
 
 def scenario_range(rng, decls, registry):
@@ -300,10 +296,10 @@ def test_randomized_kernel_sweep(solver):
     for iteration in range(200):
         decls, registry = [], {}
         scenario = SCENARIOS[iteration % len(SCENARIOS)]
-        script = parse_apps(decls, *scenario(rng, decls, registry))
-        kernel = Kernel(Session(solver, 10_000), script.signature)
-        facts = [apply_rule(kernel, app) for app in script.steps[0].apps]
-        assert facts
+        apps = scenario(rng, decls, registry)
+        result = check_script(sweep_script(decls, apps), Session(solver, 10_000))
+        facts = result.facts
+        assert result.status == "passed" and len(facts) == len(apps)
         validate_facts(registry, facts)
         validated += len(facts)
         if iteration % 10 == 0:
@@ -313,11 +309,10 @@ def test_randomized_kernel_sweep(solver):
             entry = registry[entry_name]
             if not entry.params:
                 count = sweep_count(entry)
-                before = len(kernel.facts)
-                (claim,) = parse_apps(decls, f"(const-lb {entry_name} {count + 1})").steps[0].apps
-                with pytest.raises(NotValid):
-                    apply_rule(kernel, claim)
-                assert len(kernel.facts) == before
+                claim = [f"(const-lb {entry_name} {count + 1})"]
+                refused = check_script(sweep_script(decls, apps, claim), Session(solver, 10_000))
+                assert (refused.status, refused.rejected_at) == ("failed", "step 2")
+                assert refused.facts == facts
     assert validated >= 200
 
 

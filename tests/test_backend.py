@@ -13,12 +13,14 @@ from qhenum.backend import (
     ProtocolError,
     Session,
     SolverSpawnError,
+    Verdict,
     build_query,
     emit,
     resolve_solver,
     solve,
 )
-from qhenum import terms
+from qhenum import backend, terms
+from qhenum.counting import ENTAILMENT
 from qhenum.terms import (
     Add,
     And,
@@ -244,6 +246,33 @@ def test_ask_reads_the_verdict_once(stub_solver, reply, status, model):
     obligation = Obligation("q", (Cmp("=", Var("x", INT), IntLit(3)),))
     answer = session.ask(obligation)
     assert (answer.label, answer.status, answer.model) == ("q", status, model)
+
+
+@pytest.mark.parametrize(
+    "attempts, timeout, walls, sent",
+    [
+        # a retry gets what the first attempt left of the session timeout
+        (ENTAILMENT, 20_000, [300, 0], [20_000, 19_700]),
+        # a first attempt that used the whole budget is not retried
+        (ENTAILMENT, 20_000, [20_000], [20_000]),
+        # nor is one that ran past it
+        (ENTAILMENT, 20_000, [20_400], [20_000]),
+    ],
+    ids=["retry", "spent", "overrun"],
+)
+def test_premise_attempts_share_one_time_budget(monkeypatch, attempts, timeout, walls, sent):
+    # every attempt answers unknown after the given wall time
+    timeouts, wall = [], iter(walls)
+
+    def solve(query, solver=None, debug_path=None):
+        timeouts.append(query.timeout_ms)
+        return Verdict("unknown", None, next(wall))
+
+    monkeypatch.setattr(backend, "solve", solve)
+    premise = Obligation("p", (), attempts=attempts, failure="p: not valid")
+    answer = Session(["unused-solver"], timeout).ask(premise)
+    assert (answer.label, answer.status) == ("p", "unknown")
+    assert timeouts == sent
 
 
 def test_syntactic_obligation_is_proved_without_a_query(tmp_path):

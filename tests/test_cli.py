@@ -196,6 +196,31 @@ def test_manifest_options_give_solver_and_timeout(tmp_path):
     assert (project.solver, project.timeout_ms) == (["other-z3", "-in"], 5)
 
 
+@pytest.mark.parametrize(
+    "command, manifest_timeout, value",
+    [
+        (["verify", "chooser", "--timeout", "0"], 20000, 0),
+        (["verify", "chooser", "--timeout", "-5"], 20000, -5),
+        (["verify", "chooser"], 0, 0),
+        (["bench", ".", "--timeout", "-5"], 20000, -5),
+    ],
+    ids=["verify-zero", "verify-negative", "manifest-zero", "bench-negative"],
+)
+def test_non_positive_timeout_exits_3_and_starts_no_solver(
+    tmp_path, capsys, command, manifest_timeout, value
+):
+    manifest = PROJECT.replace("(timeout-ms 20000)", f"(timeout-ms {manifest_timeout})")
+    write_project(tmp_path / "chooser", **{"project.sexp": manifest})
+    log = tmp_path / "solver.log"
+    stub = tmp_path / "logging-solver.sh"
+    stub.write_text(f"#!/bin/sh\necho run >> '{log}'\ncat > /dev/null\necho unsat\n")
+    stub.chmod(0o755)
+    verb, where, *rest = command
+    assert main([verb, str(tmp_path / where), *rest, "--solver", str(stub)]) == 3
+    assert capsys.readouterr().err == f"error: solver timeout must be at least 1 ms, got {value}\n"
+    assert not log.exists()
+
+
 def test_verify_usage_error_exits_3(tmp_path):
     assert main(["verify", str(tmp_path / "absent")]) == 3
 

@@ -2,34 +2,12 @@ from pathlib import Path
 
 import pytest
 
-from test_query_stream import RULE_SCRIPT
+from test_query_stream import RULE_SCRIPT, RULE_SCRIPT_LABELS, STREAMS
 
-from qhenum import backend
-from qhenum.backend import Obligation, Session, Verdict
-from qhenum.counting import (
-    ENTAILMENT,
-    RULES,
-    Kernel,
-    KernelError,
-    NotValid,
-    QueryUnknown,
-    apply_rule,
-    check_script,
-    parse_proof,
-)
+from qhenum.backend import Session
+from qhenum.counting import RULES, apply_rule, check_script, parse_proof
 from qhenum.sexpr import SexprError
-from qhenum.terms import (
-    BOOL,
-    BUILTIN_SIGNATURE,
-    INT,
-    App,
-    Cmp,
-    IntLit,
-    Var,
-    sort_to_text,
-    substitute,
-    term_from_text,
-)
+from qhenum.terms import BOOL, INT, App, Cmp, IntLit, Var, sort_to_text, substitute
 
 TIMEOUT = 20_000
 BENCHMARKS = Path(__file__).resolve().parents[1] / "benchmarks"
@@ -41,11 +19,17 @@ def pred(name, variables, counted, body_text):
     return f"(declare-pred {name} ({binders}) (counted {' '.join(counted)}) {body_text})"
 
 
-def make_kernel(solver, preds, *apps, timeout=TIMEOUT):
-    """A kernel for the script that declares ``preds`` and applies ``apps``
-    in one step, and those applications as parsed."""
-    script = parse_proof(f"(proof {' '.join(preds)} (step 1 {' '.join(apps)}))")
-    return Kernel(Session(solver, timeout), script.signature), script.steps[0].apps
+def check(solver, preds, *steps, goal="true", timeout=TIMEOUT):
+    """The result of checking the script that declares ``preds``, makes each
+    of ``steps`` one step, numbered from 1, and ends with ``(goal goal)``."""
+    numbered = " ".join(f"(step {i} {step})" for i, step in enumerate(steps, 1))
+    script = parse_proof(f"(proof {' '.join(preds)} {numbered} (goal {goal}))")
+    return check_script(script, Session(solver, timeout))
+
+
+def outcome(result):
+    """Where a script stopped, and the rules of the facts it admitted."""
+    return result.status, result.rejected_at, [f.rule for f in result.facts]
 
 
 def load_error(preds, app):
@@ -77,17 +61,10 @@ def test_declare_pred_validation():
 
 
 def test_range_accepts_interval(solver):
-    kernel, (app,) = make_kernel(
-        solver, [pred("R", V + [K], ["v"], "(and (<= 0 v) (< v k))")], "(range R)"
-    )
-    fact = apply_rule(kernel, app)
-    assert fact.rule == "range"
-    kernel.send([kernel.entailment(
-        term_from_text("(= (cnt.R 5) 5)", {}, kernel.signature), "t", "t: not entailed"
-    )])
-    kernel.send([kernel.entailment(
-        term_from_text("(= (cnt.R (- 2)) 0)", {}, kernel.signature), "t", "t: not entailed"
-    )])
+    preds = [pred("R", V + [K], ["v"], "(and (<= 0 v) (< v k))")]
+    for goal in ("(= (cnt.R 5) 5)", "(= (cnt.R (- 2)) 0)"):
+        result = check(solver, preds, "(range R)", goal=goal)
+        assert outcome(result) == ("passed", None, ["range"])
 
 
 def test_range_rejects_wrong_shape():
@@ -107,16 +84,12 @@ def test_range_rejects_wrong_shape():
 
 
 def test_positive(solver):
-    kernel, (app,) = make_kernel(solver, [pred("P", V + [K], ["v"], "(= v k)")], "(positive P)")
-    apply_rule(kernel, app)
-    kernel.send([kernel.entailment(
-        term_from_text("(forall ((k Int)) (>= (cnt.P k) 0))", {}, kernel.signature),
-        "t",
-        "t: not entailed",
-    )])
+    preds = [pred("P", V + [K], ["v"], "(= v k)")]
+    result = check(solver, preds, "(positive P)", goal="(forall ((k Int)) (>= (cnt.P k) 0))")
+    assert result.status == "passed"
 
 
-def test_at_reference_instantiates_parameter_and_keeps_symbol(stub_solver):
+def test_at_reference_instantiates_parameter_and_keeps_symbol():
     body = "(and (<= 0 v) (< v k))"
     script = parse_proof(
         f"(proof {pred('P', V + [K], ['v'], body)} (step 1 (positive (at P 3))))"
@@ -126,8 +99,8 @@ def test_at_reference_instantiates_parameter_and_keeps_symbol(stub_solver):
     plain = script.counts["P"]
     assert (count.name, count.symbol, count.args, count.params) == ("P", "cnt.P", (IntLit(3),), ())
     assert count.formula == substitute(plain.formula, {Var("k", INT): IntLit(3)})
-    fact = apply_rule(Kernel(Session(stub_solver("unsat"), TIMEOUT), script.signature), app)
-    assert fact.label == "positive(P)"
+    premises, fact = apply_rule((), app)
+    assert premises == () and fact.label == "positive(P)"
     assert fact.axiom == Cmp(">=", App("cnt.P", (IntLit(3),)), IntLit(0))
 
 
@@ -135,82 +108,49 @@ def test_at_reference_instantiates_parameter_and_keeps_symbol(stub_solver):
 
 
 def test_const_lb_model_search(solver):
-    kernel, (lb3, lb4) = make_kernel(
-        solver,
-        [pred("P", V, ["v"], "(and (<= 0 v) (< v 3))")],
-        "(const-lb P 3)",
-        "(const-lb P 4)",
-    )
-    apply_rule(kernel, lb3)
-    kernel.send([kernel.entailment(
-        term_from_text("(>= cnt.P 3)", {}, kernel.signature), "t", "t: not entailed"
-    )])
-    with pytest.raises(NotValid):
-        apply_rule(kernel, lb4)
+    preds = [pred("P", V, ["v"], "(and (<= 0 v) (< v 3))")]
+    assert check(solver, preds, "(const-lb P 3)", goal="(>= cnt.P 3)").status == "passed"
+    result = check(solver, preds, "(const-lb P 3)", "(const-lb P 4)")
+    assert outcome(result) == ("failed", "step 2", ["const-lb"])
 
 
 def test_const_lb_explicit_witnesses(solver):
-    kernel, (app,) = make_kernel(
-        solver,
-        [pred("P", V, ["v"], "(and (<= 0 v) (< v 3))")],
-        "(const-lb P 2 (model (v 0)) (model (v 2)))",
-    )
-    apply_rule(kernel, app)
-    kernel.send([kernel.entailment(
-        term_from_text("(>= cnt.P 2)", {}, kernel.signature), "t", "t: not entailed"
-    )])
+    preds = [pred("P", V, ["v"], "(and (<= 0 v) (< v 3))")]
+    app = "(const-lb P 2 (model (v 0)) (model (v 2)))"
+    assert check(solver, preds, app, goal="(>= cnt.P 2)").status == "passed"
 
 
 def test_const_lb_bad_witnesses_rejected(solver):
     # too few (model ...) sections are rejected at load: see
     # test_missing_witness_variable_rejects_step_before_any_query
-    kernel, (outside, equal) = make_kernel(
-        solver,
-        [pred("P", V, ["v"], "(and (<= 0 v) (< v 3))")],
-        "(const-lb P 2 (model (v 0)) (model (v 5)))",
-        "(const-lb P 2 (model (v 1)) (model (v 1)))",
-    )
-    with pytest.raises(NotValid):
-        # 5 violates the body
-        apply_rule(kernel, outside)
-    with pytest.raises(NotValid):
-        # witnesses are not pairwise distinct
-        apply_rule(kernel, equal)
+    preds = [pred("P", V, ["v"], "(and (<= 0 v) (< v 3))")]
+    for app in (
+        "(const-lb P 2 (model (v 0)) (model (v 5)))",  # 5 violates the body
+        "(const-lb P 2 (model (v 1)) (model (v 1)))",  # witnesses are not pairwise distinct
+    ):
+        assert outcome(check(solver, preds, app)) == ("failed", "step 1", [])
 
 
 def test_const_lb_parameterized(solver):
-    kernel, (p1, p2, q1) = make_kernel(
-        solver,
-        [
-            pred("P", V + [K], ["v"], "(or (= v 0) (= v k))"),
-            pred("Q", V + [K], ["v"], "(and (= v 0) (= v k))"),
-        ],
-        "(const-lb P 1)",
-        "(const-lb P 2)",
-        "(const-lb Q 1)",
-    )
-    apply_rule(kernel, p1)
-    kernel.send([kernel.entailment(
-        term_from_text("(forall ((k Int)) (>= (cnt.P k) 1))", {}, kernel.signature),
-        "t",
-        "t: not entailed",
-    )])
-    with pytest.raises(NotValid):
-        apply_rule(kernel, p2)  # fails when k = 0
-    with pytest.raises(NotValid):
-        apply_rule(kernel, q1)  # fails when k != 0
+    preds = [
+        pred("P", V + [K], ["v"], "(or (= v 0) (= v k))"),
+        pred("Q", V + [K], ["v"], "(and (= v 0) (= v k))"),
+    ]
+    goal = "(forall ((k Int)) (>= (cnt.P k) 1))"
+    assert check(solver, preds, "(const-lb P 1)", goal=goal).status == "passed"
+    for refused in (
+        "(const-lb P 2)",  # fails when k = 0
+        "(const-lb Q 1)",  # fails when k != 0
+    ):
+        result = check(solver, preds, "(const-lb P 1)", refused)
+        assert outcome(result) == ("failed", "step 2", ["const-lb"])
 
 
 def test_const_ub(solver):
-    kernel, (ub2, ub1) = make_kernel(
-        solver, [pred("P", V, ["v"], "(= v 7)")], "(const-ub P 2)", "(const-ub P 1)"
-    )
-    apply_rule(kernel, ub2)
-    kernel.send([kernel.entailment(
-        term_from_text("(<= cnt.P 1)", {}, kernel.signature), "t", "t: not entailed"
-    )])
-    with pytest.raises(NotValid):
-        apply_rule(kernel, ub1)  # one model does exist
+    preds = [pred("P", V, ["v"], "(= v 7)")]
+    assert check(solver, preds, "(const-ub P 2)", goal="(<= cnt.P 1)").status == "passed"
+    result = check(solver, preds, "(const-ub P 2)", "(const-ub P 1)")  # one model does exist
+    assert outcome(result) == ("failed", "step 2", ["const-ub"])
 
 
 def test_const_bound_rejects_degenerate_count():
@@ -223,107 +163,71 @@ def test_const_bound_rejects_degenerate_count():
 
 
 def test_ub(solver):
-    kernel, (fg, gf) = make_kernel(
-        solver,
-        [
-            pred("F", V, ["v"], "(and (<= 0 v) (< v 2))"),
-            pred("G", V, ["v"], "(and (<= 0 v) (< v 5))"),
-        ],
-        "(ub F G)",
-        "(ub G F)",
-    )
-    apply_rule(kernel, fg)
-    kernel.send([kernel.entailment(
-        term_from_text("(<= cnt.F cnt.G)", {}, kernel.signature), "t", "t: not entailed"
-    )])
-    with pytest.raises(NotValid):
-        apply_rule(kernel, gf)  # G is not a subset of F
+    preds = [
+        pred("F", V, ["v"], "(and (<= 0 v) (< v 2))"),
+        pred("G", V, ["v"], "(and (<= 0 v) (< v 5))"),
+    ]
+    assert check(solver, preds, "(ub F G)", goal="(<= cnt.F cnt.G)").status == "passed"
+    result = check(solver, preds, "(ub F G)", "(ub G F)")  # G is not a subset of F
+    assert outcome(result) == ("failed", "step 2", ["ub"])
 
 
 def test_ub_countermodel_reaches_not_valid(stub_solver):
-    # the stub answers every query with a model: the kernel must keep it
+    # the stub answers every query with a model: the refused step must keep it
     cmd = stub_solver("sat\n(model (define-fun v () Int 5))")
-    kernel, (app,) = make_kernel(
-        cmd,
-        [
-            pred("F", V, ["v"], "(and (<= 0 v) (< v 5))"),
-            pred("G", V, ["v"], "(and (<= 0 v) (< v 2))"),
-        ],
-        "(ub F G)",
-    )
-    with pytest.raises(NotValid) as info:
-        apply_rule(kernel, app)
-    assert info.value.model == (("v", "5"),)
+    preds = [
+        pred("F", V, ["v"], "(and (<= 0 v) (< v 5))"),
+        pred("G", V, ["v"], "(and (<= 0 v) (< v 2))"),
+    ]
+    result = check(cmd, preds, "(ub F G)")
+    assert outcome(result) == ("failed", "step 1", [])
+    assert (result.reason, result.model) == ("ub(F,G): premise not valid", (("v", "5"),))
 
 
 def test_ub_unsat_with_model_error_is_valid(stub_solver):
     # asking for a model after unsat makes the solver print an error line
     cmd = stub_solver('unsat\n(error "line 9 column 10: model is not available")')
-    kernel, (app,) = make_kernel(
-        cmd,
-        [
-            pred("F", V, ["v"], "(and (<= 0 v) (< v 2))"),
-            pred("G", V, ["v"], "(and (<= 0 v) (< v 5))"),
-        ],
-        "(ub F G)",
-    )
-    fact = apply_rule(kernel, app)
-    assert fact.rule == "ub" and kernel.facts == [fact]
+    preds = [
+        pred("F", V, ["v"], "(and (<= 0 v) (< v 2))"),
+        pred("G", V, ["v"], "(and (<= 0 v) (< v 5))"),
+    ]
+    assert outcome(check(cmd, preds, "(ub F G)")) == ("passed", None, ["ub"])
 
 
 # -- or --------------------------------------------------------------------------------
 
 
 def test_or(solver):
-    kernel, (fgh, gfh) = make_kernel(
-        solver,
-        [
-            pred("F", V, ["v"], "(and (<= 0 v) (< v 4))"),
-            pred("G", V, ["v"], "(and (<= 0 v) (< v 2))"),
-            pred("H", V, ["v"], "(and (<= 2 v) (< v 4))"),
-        ],
-        "(or F G H)",
-        "(or G F H)",
-    )
-    apply_rule(kernel, fgh)
-    with pytest.raises(NotValid):
-        apply_rule(kernel, gfh)  # G != F or H
+    preds = [
+        pred("F", V, ["v"], "(and (<= 0 v) (< v 4))"),
+        pred("G", V, ["v"], "(and (<= 0 v) (< v 2))"),
+        pred("H", V, ["v"], "(and (<= 2 v) (< v 4))"),
+    ]
+    result = check(solver, preds, "(or F G H)", "(or G F H)")  # G != F or H
+    assert outcome(result) == ("failed", "step 2", ["or"])
 
 
 def test_or_overlap_is_subtracted(solver):
-    kernel, (app,) = make_kernel(
-        solver,
-        [
-            pred("F", V, ["v"], "(and (<= 0 v) (< v 4))"),
-            pred("G", V, ["v"], "(and (<= 0 v) (< v 3))"),
-            pred("H", V, ["v"], "(and (<= 2 v) (< v 4))"),
-        ],
-        "(or F G H)",
-    )
-    apply_rule(kernel, app)
-    goal = term_from_text(
-        "(= cnt.F (- (+ cnt.G cnt.H) cnt.G&H))", {}, kernel.signature
-    )
-    kernel.send([kernel.entailment(goal, "t", "t: not entailed")])
+    preds = [
+        pred("F", V, ["v"], "(and (<= 0 v) (< v 4))"),
+        pred("G", V, ["v"], "(and (<= 0 v) (< v 3))"),
+        pred("H", V, ["v"], "(and (<= 2 v) (< v 4))"),
+    ]
+    goal = "(= cnt.F (- (+ cnt.G cnt.H) cnt.G&H))"
+    assert check(solver, preds, "(or F G H)", goal=goal).status == "passed"
 
 
 # -- products -----------------------------------------------------------------------------
 
 
 def test_disjoint(solver):
-    kernel, (app,) = make_kernel(
-        solver,
-        [
-            pred("H", V + W, ["v", "w"], "(and (and (<= 0 v) (< v 2)) (and (<= 0 w) (< w 3)))"),
-            pred("F", V, ["v"], "(and (<= 0 v) (< v 2))"),
-            pred("G", W, ["w"], "(and (<= 0 w) (< w 3))"),
-        ],
-        "(disjoint H F G)",
-    )
-    apply_rule(kernel, app)
-    kernel.send([kernel.entailment(
-        term_from_text("(= cnt.H (* cnt.F cnt.G))", {}, kernel.signature), "t", "t: not entailed"
-    )])
+    preds = [
+        pred("H", V + W, ["v", "w"], "(and (and (<= 0 v) (< v 2)) (and (<= 0 w) (< w 3)))"),
+        pred("F", V, ["v"], "(and (<= 0 v) (< v 2))"),
+        pred("G", W, ["w"], "(and (<= 0 w) (< w 3))"),
+    ]
+    goal = "(= cnt.H (* cnt.F cnt.G))"
+    assert check(solver, preds, "(disjoint H F G)", goal=goal).status == "passed"
 
 
 def test_disjoint_rejects_shared_variables():
@@ -337,20 +241,14 @@ def test_disjoint_rejects_shared_variables():
 
 
 def test_and_ub(solver):
-    kernel2, (good, bad) = make_kernel(
-        solver,
-        [
-            pred("H", V + W, ["v", "w"], "(and (and (<= 0 v) (< v 2)) (and (<= 0 w) (< w 3)))"),
-            pred("F", V, ["v"], "(and (<= 0 v) (< v 2))"),
-            pred("G", W, ["w"], "(and (<= 0 w) (< w 3))"),
-            pred("Bad", W, ["w"], "(and (<= 0 w) (< w 1))"),
-        ],
-        "(and-ub H F G)",
-        "(and-ub H F Bad)",
-    )
-    apply_rule(kernel2, good)
-    with pytest.raises(NotValid):
-        apply_rule(kernel2, bad)
+    preds = [
+        pred("H", V + W, ["v", "w"], "(and (and (<= 0 v) (< v 2)) (and (<= 0 w) (< w 3)))"),
+        pred("F", V, ["v"], "(and (<= 0 v) (< v 2))"),
+        pred("G", W, ["w"], "(and (<= 0 w) (< w 3))"),
+        pred("Bad", W, ["w"], "(and (<= 0 w) (< w 1))"),
+    ]
+    result = check(solver, preds, "(and-ub H F G)", "(and-ub H F Bad)")
+    assert outcome(result) == ("failed", "step 2", ["and-ub"])
 
 
 # -- injective ---------------------------------------------------------------------------------
@@ -362,65 +260,45 @@ INJECTIVE_PREDS = (
 
 
 def test_injective(solver):
-    kernel, (app,) = make_kernel(solver, INJECTIVE_PREDS, "(injective F G (witness (w (* 2 v))))")
-    apply_rule(kernel, app)
-    kernel.send([kernel.entailment(
-        term_from_text("(<= cnt.F cnt.G)", {}, kernel.signature), "t", "t: not entailed"
-    )])
+    app = "(injective F G (witness (w (* 2 v))))"
+    assert check(solver, INJECTIVE_PREDS, app, goal="(<= cnt.F cnt.G)").status == "passed"
 
 
 def test_injective_rejects_collapsing_witness(solver):
-    kernel, (app,) = make_kernel(solver, INJECTIVE_PREDS, "(injective F G (witness (w 0)))")
-    with pytest.raises(NotValid):
-        apply_rule(kernel, app)
+    result = check(solver, INJECTIVE_PREDS, "(injective F G (witness (w 0)))")
+    assert outcome(result) == ("failed", "step 1", [])
 
 
 def test_injective_rejects_escaping_image(solver):
-    kernel, (app,) = make_kernel(
-        solver,
-        [
-            pred("F", V, ["v"], "(and (<= 0 v) (< v 3))"),
-            pred("G", W, ["w"], "(and (<= 0 w) (< w 2))"),
-        ],
-        "(injective F G (witness (w v)))",
-    )
-    with pytest.raises(NotValid):
-        apply_rule(kernel, app)
+    preds = [
+        pred("F", V, ["v"], "(and (<= 0 v) (< v 3))"),
+        pred("G", W, ["w"], "(and (<= 0 w) (< w 2))"),
+    ]
+    result = check(solver, preds, "(injective F G (witness (w v)))")
+    assert outcome(result) == ("failed", "step 1", [])
 
 
 # -- induction ----------------------------------------------------------------------------------
 
 
 def test_ind_geq(solver):
-    kernel, (app,) = make_kernel(
-        solver,
-        [
-            pred("F", V + [N], ["v"], "(and (<= 0 v) (< v n))"),
-            pred("G", B, ["b"], "(= b 0)"),
-        ],
-        "(ind-geq F G n (witness (v v)) (guard (>= n 0)))",
-    )
-    apply_rule(kernel, app)
-    goal = term_from_text(
-        "(forall ((n Int)) (=> (>= n 0) (>= (cnt.F (+ n 1)) (* (cnt.F n) cnt.G))))",
-        {},
-        kernel.signature,
-    )
-    kernel.send([kernel.entailment(goal, "t", "t: not entailed")])
+    preds = [
+        pred("F", V + [N], ["v"], "(and (<= 0 v) (< v n))"),
+        pred("G", B, ["b"], "(= b 0)"),
+    ]
+    app = "(ind-geq F G n (witness (v v)) (guard (>= n 0)))"
+    goal = "(forall ((n Int)) (=> (>= n 0) (>= (cnt.F (+ n 1)) (* (cnt.F n) cnt.G))))"
+    assert check(solver, preds, app, goal=goal).status == "passed"
 
 
 def test_ind_geq_rejects_noninjective_lift(solver):
-    kernel, (app,) = make_kernel(
-        solver,
-        [
-            pred("F", V + [N], ["v"], "(and (<= 0 v) (< v n))"),
-            pred("G", B, ["b"], "(and (<= 0 b) (< b 2))"),
-        ],
-        # ignores b, so two g-models map to one lifted model
-        "(ind-geq F G n (witness (v v)))",
-    )
-    with pytest.raises(NotValid):
-        apply_rule(kernel, app)
+    preds = [
+        pred("F", V + [N], ["v"], "(and (<= 0 v) (< v n))"),
+        pred("G", B, ["b"], "(and (<= 0 b) (< b 2))"),
+    ]
+    # ignores b, so two g-models map to one lifted model
+    result = check(solver, preds, "(ind-geq F G n (witness (v v)))")
+    assert outcome(result) == ("failed", "step 1", [])
 
 
 IND_LEQ_PREDS = (
@@ -430,29 +308,15 @@ IND_LEQ_PREDS = (
 
 
 def test_ind_leq(solver):
-    kernel, (app,) = make_kernel(
-        solver,
-        IND_LEQ_PREDS,
-        "(ind-leq F G n (hx (v (div v 2))) (hy (b (mod v 2))) (guard (>= n 1)))",
-    )
-    apply_rule(kernel, app)
-    goal = term_from_text(
-        "(forall ((n Int)) (=> (>= n 1) (<= (cnt.F (+ n 1)) (* (cnt.F n) cnt.G))))",
-        {},
-        kernel.signature,
-    )
-    kernel.send([kernel.entailment(goal, "t", "t: not entailed")])
+    app = "(ind-leq F G n (hx (v (div v 2))) (hy (b (mod v 2))) (guard (>= n 1)))"
+    goal = "(forall ((n Int)) (=> (>= n 1) (<= (cnt.F (+ n 1)) (* (cnt.F n) cnt.G))))"
+    assert check(solver, IND_LEQ_PREDS, app, goal=goal).status == "passed"
 
 
 def test_ind_leq_rejects_bad_lowering(solver):
-    kernel, (app,) = make_kernel(
-        solver,
-        IND_LEQ_PREDS,
-        # identity does not land back in F at n
-        "(ind-leq F G n (hx (v v)) (hy (b 0)) (guard (>= n 1)))",
-    )
-    with pytest.raises(NotValid):
-        apply_rule(kernel, app)
+    # identity does not land back in F at n
+    result = check(solver, IND_LEQ_PREDS, "(ind-leq F G n (hx (v v)) (hy (b 0)) (guard (>= n 1)))")
+    assert outcome(result) == ("failed", "step 1", [])
 
 
 def test_ind_requires_fresh_counted_names():
@@ -465,26 +329,17 @@ def test_ind_requires_fresh_counted_names():
 # -- close --------------------------------------------------------------------------------------
 
 
-def close_kernel(solver, close, timeout=TIMEOUT):
-    """A kernel that has admitted the range of F, and the parsed ``close``."""
-    kernel, (range_f, app) = make_kernel(
-        solver,
-        [pred("F", V + [N], ["v"], "(and (<= 0 v) (< v n))")],
-        "(range F)",
-        close,
-        timeout=timeout,
-    )
-    apply_rule(kernel, range_f)
-    return kernel, app
+def check_close(solver, close, goal="true", timeout=TIMEOUT):
+    """The result of a script that admits the range of F in step 1 and
+    applies ``close`` in step 2."""
+    preds = [pred("F", V + [N], ["v"], "(and (<= 0 v) (< v n))")]
+    return check(solver, preds, "(range F)", close, goal=goal, timeout=timeout)
 
 
 def test_close_recurrence(solver):
-    kernel, app = close_kernel(solver, "(close F n 1 1 1 1 >=)")
-    apply_rule(kernel, app)
-    goal = term_from_text(
-        "(forall ((n Int)) (=> (>= n 1) (>= (cnt.F n) 1)))", {}, kernel.signature
-    )
-    kernel.send([kernel.entailment(goal, "t", "t: not entailed")])
+    goal = "(forall ((n Int)) (=> (>= n 1) (>= (cnt.F n) 1)))"
+    result = check_close(solver, "(close F n 1 1 1 1 >=)", goal)
+    assert outcome(result) == ("passed", None, ["range", "close-recurrence"])
 
 
 # A failed entailment behind close can surface either as an explicit mismatch
@@ -493,20 +348,16 @@ def test_close_recurrence(solver):
 
 
 def test_close_base_mismatch(solver):
-    kernel, app = close_kernel(solver, "(close F n 1 5 1 1 >=)", timeout=3000)
-    before = len(kernel.facts)
-    with pytest.raises(KernelError):
-        apply_rule(kernel, app)
-    assert len(kernel.facts) == before
+    result = check_close(solver, "(close F n 1 5 1 1 >=)", timeout=3000)
+    assert result.status != "passed"
+    assert (result.rejected_at, [f.rule for f in result.facts]) == ("step 2", ["range"])
 
 
 def test_close_step_mismatch(solver):
     # facts do not entail doubling
-    kernel, app = close_kernel(solver, "(close F n 1 1 2 (pow2 (- n 1)) >=)", timeout=3000)
-    before = len(kernel.facts)
-    with pytest.raises(KernelError):
-        apply_rule(kernel, app)
-    assert len(kernel.facts) == before
+    result = check_close(solver, "(close F n 1 1 2 (pow2 (- n 1)) >=)", timeout=3000)
+    assert result.status != "passed"
+    assert (result.rejected_at, [f.rule for f in result.facts]) == ("step 2", ["range"])
 
 
 def test_close_needs_single_parameter():
@@ -540,7 +391,7 @@ SCRIPT = """
 def test_check_script_accepts(solver):
     script = parse_proof(SCRIPT)
     result = check_script(script, Session(solver, TIMEOUT))
-    assert result.status == "accepted"
+    assert result.status == "passed"
     assert result.rejected_at is None
     assert [f.rule for f in result.facts] == ["range", "positive"]
 
@@ -556,7 +407,7 @@ def test_check_script_rejects_bad_step():
 def test_check_script_rejects_unentailed_goal(solver):
     bad = SCRIPT.replace("(= (cnt.R k) k)", "(= (cnt.R k) (+ k 1))")
     result = check_script(parse_proof(bad), Session(solver, 3000))
-    assert result.status != "accepted"
+    assert result.status != "passed"
     assert result.rejected_at == "goal"
 
 
@@ -565,8 +416,8 @@ def test_check_script_requires_goal(stub_solver):
         "(proof (declare-pred R ((v Int)) (counted v) (= v 0)) (step 1 (positive R)))"
     )
     result = check_script(script, Session(stub_solver("unsat"), TIMEOUT))
-    assert result.status != "accepted"
-    assert result.rejected_at == "goal"
+    assert outcome(result) == ("failed", "goal", ["positive"])
+    assert result.reason == "script has no goal"
 
 
 def test_parse_proof_const_lb_models():
@@ -593,7 +444,7 @@ def test_goal_may_name_a_conjunction_count_resolved_before_it(stub_solver):
     script = parse_proof(f"(proof {declared} (step 1 (positive (and F G))) {goal})")
     assert script.signature.rank("cnt.F&G") == ((), INT)
     result = check_script(script, Session(stub_solver("unsat"), TIMEOUT))
-    assert (result.status, [f.label for f in result.facts]) == ("accepted", ["positive(F&G)"])
+    assert (result.status, [f.label for f in result.facts]) == ("passed", ["positive(F&G)"])
     with pytest.raises(SexprError, match="unknown atom 'cnt.F&G'"):
         parse_proof(f"(proof {declared} {goal} (step 1 (positive (and F G))))")
 
@@ -603,6 +454,30 @@ def test_every_rule_is_pinned_by_a_query_stream():
     texts = [RULE_SCRIPT, *((d / "proof.sexp").read_text() for d in BENCHMARKS.iterdir())]
     applied = {app.rule for text in texts for step in parse_proof(text).steps for app in step.apps}
     assert applied == set(RULES)
+
+
+def premise_labels(script):
+    """The labels of ``script``'s premises, ``/`` written ``_`` as in a query
+    file name, built by folding ``apply_rule`` over its steps and admitting
+    each fact; no solver is involved."""
+    facts, labels = [], []
+    for step in script.steps:
+        for app in step.apps:
+            premises, fact = apply_rule(facts, app)
+            labels += [premise.label.replace("/", "_") for premise in premises]
+            facts.append(fact)
+    return labels
+
+
+@pytest.mark.parametrize("name", [*sorted(STREAMS), "RULE_SCRIPT"])
+def test_pure_builds_give_the_pinned_counting_labels(name):
+    # the counting stage's part of each pinned query stream, in send order
+    if name == "RULE_SCRIPT":
+        text, pinned = RULE_SCRIPT, RULE_SCRIPT_LABELS
+    else:
+        text, pinned = (BENCHMARKS / name / "proof.sexp").read_text(), STREAMS[name][1]
+    expected = [label for label in pinned if not label.startswith(("goal", "link"))]
+    assert premise_labels(parse_proof(text)) == expected
 
 
 # -- malformed scripts ----------------------------------------------------------------------------
@@ -762,30 +637,3 @@ def test_unknown_admits_no_fact(steps, rejected_at, sent, stub_solver, tmp_path)
     if len(sent) == 2:
         assert "(set-option :smt.mbqi true)" not in (debug / names[0]).read_text()
         assert "(set-option :smt.mbqi true)" in (debug / names[1]).read_text()
-
-
-@pytest.mark.parametrize(
-    "attempts, timeout, walls, sent",
-    [
-        # a retry gets what the first attempt left of the session timeout
-        (ENTAILMENT, 20_000, [300, 0], [20_000, 19_700]),
-        # a first attempt that used the whole budget is not retried
-        (ENTAILMENT, 20_000, [20_000], [20_000]),
-        # nor is one that ran past it
-        (ENTAILMENT, 20_000, [20_400], [20_000]),
-    ],
-    ids=["retry", "spent", "overrun"],
-)
-def test_premise_attempts_share_one_time_budget(monkeypatch, attempts, timeout, walls, sent):
-    # every attempt answers unknown after the given wall time
-    timeouts, wall = [], iter(walls)
-
-    def solve(query, solver=None, debug_path=None):
-        timeouts.append(query.timeout_ms)
-        return Verdict("unknown", None, next(wall))
-
-    monkeypatch.setattr(backend, "solve", solve)
-    premise = Obligation("p", (), attempts=attempts, failure="p: not valid")
-    with pytest.raises(QueryUnknown, match="p: solver returned unknown"):
-        Kernel(Session(["unused-solver"], timeout), BUILTIN_SIGNATURE).send([premise])
-    assert timeouts == sent

@@ -179,6 +179,18 @@ RULE_SCRIPT = """
   (goal (<= cnt.F cnt.G)))
 """
 
+RULE_SCRIPT_LABELS = (
+    "ub(F,G)",
+    "disjoint(H,F,W)",
+    "and-ub(H,F,W)",
+    "injective(F,G)_into",
+    "injective(F,G)_inj",
+    "const-lb(F,2)",
+    "const-lb(P,1)",
+    "const-lb(F,1)",
+    "goal",
+)
+
 
 def test_unshipped_rules_query_stream_is_pinned(stub_solver, tmp_path):
     debug = tmp_path / "debug"
@@ -187,15 +199,5 @@ def test_unshipped_rules_query_stream_is_pinned(stub_solver, tmp_path):
         "ub", "disjoint", "and-ub", "injectivity", "const-lb", "const-lb", "const-lb",
     ]
     labels, digest = read_stream(debug)
-    assert labels == [
-        "ub(F,G)",
-        "disjoint(H,F,W)",
-        "and-ub(H,F,W)",
-        "injective(F,G)_into",
-        "injective(F,G)_inj",
-        "const-lb(F,2)",
-        "const-lb(P,1)",
-        "const-lb(F,1)",
-        "goal",
-    ]
+    assert labels == list(RULE_SCRIPT_LABELS)
     assert digest == "0615c3b9f34d7075b4e8bbd4eb5bb32dc341414846e63efac2768d38a3c6911a"

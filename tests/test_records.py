@@ -179,8 +179,9 @@ RECORDS = {
     WellDefinedResult: (lambda: WellDefinedResult(True), "WellDefinedResult(ok=True, reason='')"),
     FArray: (lambda: FArray(1, (5, 6), 0), "FArray(lo=1, vals=(5, 6), default=0)"),
     ScriptResult: (
-        lambda: ScriptResult("rejected", "step 1", "why", ()),
-        "ScriptResult(status='rejected', rejected_at='step 1', reason='why', facts=())",
+        lambda: ScriptResult("failed", "step 1", "why", (), (("v", "5"),)),
+        "ScriptResult(status='failed', rejected_at='step 1', reason='why', facts=(), "
+        "model=(('v', '5'),))",
     ),
     Query: (
         lambda: Query(("(f x)",), "ALL", (), (("f", (INT,), BOOL),), (("x", INT),), 5, True),
